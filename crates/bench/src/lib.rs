@@ -13,7 +13,7 @@
 //!
 //! Benches run the **Quick** scale so `cargo bench` finishes in minutes;
 //! each bench prints the regenerated result table once before sampling.
-//! Paper-scale numbers (recorded in EXPERIMENTS.md) come from the CLI:
+//! Paper-scale numbers come from the CLI:
 //! `cargo run --release -p lsm-cli -- fig3` etc.
 
 #![forbid(unsafe_code)]

@@ -1017,7 +1017,7 @@ fn print_report(spec: &ScenarioSpec, r: &RunReport) {
 // ---------------- `lsm bench` ----------------
 
 /// One entry of the machine-readable record `lsm bench` writes
-/// (`BENCH_PR8.json` by default — a JSON array with one entry per
+/// (`BENCH_PR9.json` by default — a JSON array with one entry per
 /// benched scenario): the performance-trajectory numbers tracked
 /// across PRs.
 #[derive(Debug, Serialize)]

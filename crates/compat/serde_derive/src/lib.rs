@@ -12,7 +12,18 @@
 //! * enums with unit / newtype / tuple / struct variants → externally
 //!   tagged (`"Variant"` or `{ "Variant": payload }`), like real serde.
 //!
-//! Generic types are rejected with a compile error.
+//! Deserializing a named-field struct or struct variant is always
+//! strict: a map key that names no field is an error that reads
+//! ``unknown {Owner} field `{k}` (expected one of: …)``, so a typoed
+//! knob fails loudly instead of running with a default.
+//!
+//! An absent field is an error (``missing field `{f}` ``) unless its
+//! type is `Option<T>`, which yields `None`. The one supported
+//! attribute, `#[serde(default)]` on a struct with named fields (upstream
+//! serde's container attribute), instead takes every absent field from
+//! the struct's `Default` impl. Any other `#[serde(..)]` attribute, and
+//! `#[serde(default)]` anywhere else, is a compile error. Generic types
+//! are rejected with a compile error too.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -21,6 +32,8 @@ enum Item {
     NamedStruct {
         name: String,
         fields: Vec<String>,
+        /// `#[serde(default)]`: absent fields come from `Default`.
+        default: bool,
     },
     TupleStruct {
         name: String,
@@ -44,7 +57,7 @@ enum VariantShape {
 }
 
 /// Derive `serde::Serialize`.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_serialize(&item).parse().expect("generated code parses"),
@@ -53,7 +66,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derive `serde::Deserialize`.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_deserialize(&item)
@@ -74,7 +87,7 @@ fn compile_error(msg: &str) -> TokenStream {
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    skip_attrs_and_vis(&tokens, &mut i);
+    let default = skip_attrs_and_vis(&tokens, &mut i)?;
     let kw = match tokens.get(i) {
         Some(TokenTree::Ident(id)) => id.to_string(),
         _ => return Err("expected `struct` or `enum`".into()),
@@ -95,12 +108,14 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             Ok(Item::NamedStruct {
                 name,
                 fields: parse_named_fields(g.stream())?,
+                default,
             })
         }
+        _ if default => Err(MISPLACED_DEFAULT.into()),
         ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Parenthesis => {
             Ok(Item::TupleStruct {
                 name,
-                arity: count_tuple_fields(g.stream()),
+                arity: count_tuple_fields(g.stream())?,
             })
         }
         ("struct", _) => Err(format!("unit struct `{name}` has nothing to serialize")),
@@ -115,11 +130,16 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
 }
 
 /// Skip leading `#[...]` attributes (including doc comments) and
-/// visibility qualifiers.
-fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) {
+/// visibility qualifiers. Returns whether one of the attributes was
+/// `#[serde(default)]`; any other `serde(..)` attribute is an error.
+fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) -> Result<bool, String> {
+    let mut default = false;
     loop {
         match tokens.get(*i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
+                if let Some(TokenTree::Group(attr)) = tokens.get(*i + 1) {
+                    default |= is_serde_default(attr.stream())?;
+                }
                 *i += 2; // `#` + bracket group
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
@@ -129,9 +149,43 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) {
                     *i += 1; // `pub(crate)` etc.
                 }
             }
-            _ => break,
+            _ => return Ok(default),
         }
     }
+}
+
+/// Classify one attribute body (the tokens inside `#[...]`):
+/// `serde(default)` is `true`, any other `serde(..)` an error, and
+/// everything else (docs, lints, other derives' helpers) `false`.
+fn is_serde_default(attr: TokenStream) -> Result<bool, String> {
+    let tokens: Vec<TokenTree> = attr.into_iter().collect();
+    match tokens.first() {
+        Some(TokenTree::Ident(id)) if id.to_string() == "serde" => {}
+        _ => return Ok(false),
+    }
+    match &tokens[1..] {
+        [TokenTree::Group(g)]
+            if g.delimiter() == Delimiter::Parenthesis && g.stream().to_string() == "default" =>
+        {
+            Ok(true)
+        }
+        rest => Err(format!(
+            "unsupported attribute `#[serde{}]`: the serde stand-in derive supports only `#[serde(default)]`",
+            rest.iter().map(|t| t.to_string()).collect::<String>()
+        )),
+    }
+}
+
+const MISPLACED_DEFAULT: &str =
+    "`#[serde(default)]` is supported only on a struct with named fields";
+
+/// [`skip_attrs_and_vis`] for a field or variant, where
+/// `#[serde(default)]` is not supported.
+fn skip_member_attrs(tokens: &[TokenTree], i: &mut usize) -> Result<(), String> {
+    if skip_attrs_and_vis(tokens, i)? {
+        return Err(MISPLACED_DEFAULT.into());
+    }
+    Ok(())
 }
 
 /// Advance past one type, stopping at a top-level `,` (commas nested in
@@ -154,7 +208,7 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<String>, String> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        skip_member_attrs(&tokens, &mut i)?;
         let name = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
             None => break,
@@ -172,15 +226,12 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<String>, String> {
     Ok(fields)
 }
 
-fn count_tuple_fields(stream: TokenStream) -> usize {
+fn count_tuple_fields(stream: TokenStream) -> Result<usize, String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    if tokens.is_empty() {
-        return 0;
-    }
     let mut arity = 0;
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        skip_member_attrs(&tokens, &mut i)?;
         if i >= tokens.len() {
             break;
         }
@@ -188,7 +239,7 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
         i += 1; // past the comma (or end)
         arity += 1;
     }
-    arity
+    Ok(arity)
 }
 
 fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
@@ -196,7 +247,7 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attrs_and_vis(&tokens, &mut i);
+        skip_member_attrs(&tokens, &mut i)?;
         let name = match tokens.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
             None => break,
@@ -206,7 +257,7 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
         let shape = match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 i += 1;
-                VariantShape::Tuple(count_tuple_fields(g.stream()))
+                VariantShape::Tuple(count_tuple_fields(g.stream())?)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 i += 1;
@@ -230,7 +281,7 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 
 fn gen_serialize(item: &Item) -> String {
     match item {
-        Item::NamedStruct { name, fields } => {
+        Item::NamedStruct { name, fields, .. } => {
             let entries: String = fields
                 .iter()
                 .map(|f| format!("({f:?}.to_string(), ::serde::Serialize::to_value(&self.{f})),"))
@@ -323,25 +374,31 @@ fn unknown_key_check(owner: &str, fields: &[String], map_expr: &str) -> String {
              for (k, _) in m.iter() {{\n\
                  if !matches!(k.as_str(), {alts}) {{\n\
                      return Err(::serde::Error::new(format!(\n\
-                         concat!(\"unknown field `{{}}` for \", {owner:?}, \" (expected one of: \", {expected:?}, \")\"), k)));\n\
+                         concat!(\"unknown \", {owner:?}, \" field `{{}}` (expected one of: \", {expected:?}, \")\"), k)));\n\
                  }}\n\
              }}\n\
          }}\n"
     )
 }
 
-/// `field: <lookup in map `v`>` — absent keys route through
-/// `Deserialize::absent` so `Option` fields may be omitted.
-fn named_field_init(owner: &str, fields: &[String], map_expr: &str) -> String {
+/// `field: <lookup in map `v`>`. With `default` (`#[serde(default)]`)
+/// an absent key takes the field of the binding `d` that holds the
+/// type's `Default`; otherwise it routes through `Deserialize::absent`,
+/// so only `Option` fields may be omitted.
+fn named_field_init(owner: &str, fields: &[String], map_expr: &str, default: bool) -> String {
     fields
         .iter()
         .map(|f| {
+            let absent = if default {
+                format!("d.{f}")
+            } else {
+                format!("::serde::Deserialize::absent({f:?}).map_err(|e| e.ctx({owner:?}))?")
+            };
             format!(
                 "{f}: match {map_expr}.get({f:?}) {{\n\
                      Some(x) => ::serde::Deserialize::from_value(x)\n\
                          .map_err(|e| e.ctx(concat!({owner:?}, \".\", {f:?})))?,\n\
-                     None => ::serde::Deserialize::absent({f:?})\n\
-                         .map_err(|e| e.ctx({owner:?}))?,\n\
+                     None => {absent},\n\
                  }},\n"
             )
         })
@@ -350,8 +407,17 @@ fn named_field_init(owner: &str, fields: &[String], map_expr: &str) -> String {
 
 fn gen_deserialize(item: &Item) -> String {
     match item {
-        Item::NamedStruct { name, fields } => {
-            let inits = named_field_init(name, fields, "v");
+        Item::NamedStruct {
+            name,
+            fields,
+            default,
+        } => {
+            let inits = named_field_init(name, fields, "v", *default);
+            let defaults = if *default {
+                "let d = <Self as ::core::default::Default>::default();\n"
+            } else {
+                ""
+            };
             let strictness = unknown_key_check(name, fields, "v");
             format!(
                 "impl ::serde::Deserialize for {name} {{\n\
@@ -361,6 +427,7 @@ fn gen_deserialize(item: &Item) -> String {
                                  concat!(\"expected map for \", {name:?}, \", found {{}}\"), v.kind())));\n\
                          }}\n\
                          {strictness}\
+                         {defaults}\
                          Ok({name} {{ {inits} }})\n\
                      }}\n\
                  }}"
@@ -423,7 +490,7 @@ fn gen_deserialize(item: &Item) -> String {
                             )
                         }
                         VariantShape::Named(fields) => {
-                            let inits = named_field_init(vn, fields, "p");
+                            let inits = named_field_init(vn, fields, "p", false);
                             let strictness = unknown_key_check(vn, fields, "p");
                             format!(
                                 "{vn:?} => {{\n\

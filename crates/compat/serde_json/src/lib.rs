@@ -4,7 +4,8 @@
 //! Faithful to real serde_json where it matters for this workspace:
 //! numbers keep their integer/float distinction, strings are escaped,
 //! non-finite floats serialize as `null` (and `null` deserializes to
-//! `NaN` for `f64` fields), map key order is preserved.
+//! `NaN` for `f64` fields), map key order is preserved, and a key
+//! repeated within one object is an error.
 
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -207,6 +208,11 @@ impl<'a> Parser<'a> {
                 loop {
                     self.skip_ws();
                     let key = self.string()?;
+                    // Lookups return the first match, so a repeated key
+                    // would silently shadow the later value.
+                    if entries.iter().any(|(k, _)| *k == key) {
+                        return Err(Error::new(format!("duplicate key `{key}`")));
+                    }
                     self.skip_ws();
                     self.expect(b':')?;
                     let val = self.value()?;
@@ -403,5 +409,15 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
+    }
+
+    #[test]
+    fn repeated_object_keys_rejected() {
+        let err = parse(r#"{"a":1,"b":2,"a":3}"#).unwrap_err();
+        assert_eq!(err.to_string(), "duplicate key `a`");
+        let err = parse(r#"{"outer":{"n":1,"n":2}}"#).unwrap_err();
+        assert_eq!(err.to_string(), "duplicate key `n`");
+        // The same key in sibling objects is not a repeat.
+        assert!(parse(r#"[{"a":1},{"a":2}]"#).is_ok());
     }
 }

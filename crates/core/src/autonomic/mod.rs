@@ -18,13 +18,14 @@
 //! which alone may touch engine state.
 
 use lsm_simcore::time::SimTime;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Tuning for the autonomic rebalancer (the `[autonomic]` scenario
 /// section). Deserialization fills absent fields from
 /// [`AutonomicConfig::default`], like the other config sections; its
 /// mere *presence* enables the monitor loop.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct AutonomicConfig {
     /// Monitor period, seconds: how often node pressure is scanned and
     /// classified.
@@ -78,65 +79,6 @@ impl Default for AutonomicConfig {
             replan_inflight: true,
             replan_limit: 2,
         }
-    }
-}
-
-/// The single authoritative field list for the hand-written
-/// `Deserialize` impl (same pattern as `OrchestratorConfig`): the
-/// strict unknown-key check and the per-field constructor are both
-/// generated from it, so they cannot drift apart.
-macro_rules! autonomic_config_fields {
-    ($action:ident) => {
-        $action!(
-            interval_secs,
-            overload_pressure,
-            underload_pressure,
-            hysteresis,
-            hot_dirty_frac,
-            defer_deadline_secs,
-            cooldown_secs,
-            max_moves_per_tick,
-            replan_inflight,
-            replan_limit
-        )
-    };
-}
-
-impl serde::Deserialize for AutonomicConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if !matches!(v, serde::Value::Map(_)) {
-            return Err(serde::Error::new(format!(
-                "expected map for AutonomicConfig, found {}",
-                v.kind()
-            )));
-        }
-        macro_rules! names {
-            ($($f:ident),*) => { &[$(stringify!($f)),*] };
-        }
-        const KNOWN: &[&str] = autonomic_config_fields!(names);
-        if let serde::Value::Map(entries) = v {
-            for (k, _) in entries {
-                if !KNOWN.contains(&k.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown AutonomicConfig field `{k}` (expected one of: {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        let d = AutonomicConfig::default();
-        macro_rules! build {
-            ($($f:ident),*) => {
-                AutonomicConfig {
-                    $($f: match v.get(stringify!($f)) {
-                        Some(x) => serde::Deserialize::from_value(x)
-                            .map_err(|e| e.ctx(concat!("AutonomicConfig.", stringify!($f))))?,
-                        None => d.$f,
-                    }),*
-                }
-            };
-        }
-        Ok(autonomic_config_fields!(build))
     }
 }
 

@@ -7,16 +7,17 @@
 //! cap raised to the full NIC.
 
 use crate::error::EngineError;
-use lsm_hypervisor::MemMigrationConfig;
+pub use lsm_hypervisor::MemMigrationConfig;
 use lsm_simcore::time::SimDuration;
 use lsm_simcore::units::{gb_per_s, mb_per_s, Bandwidth, GIB, KIB, MIB};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Everything needed to build a cluster and run migrations on it.
 ///
 /// Deserialization fills absent fields from [`ClusterConfig::default`],
 /// so a scenario file only has to spell out the knobs it changes.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct ClusterConfig {
     /// Number of physical nodes.
     pub nodes: u32,
@@ -96,7 +97,7 @@ impl Default for ClusterConfig {
             // The paper quotes ≈8 GB/s nominal for its Cisco Catalyst;
             // the *effective* backplane that reproduces the concurrent-
             // migration contention of §5.4 is ≈2 GB/s (nominal switch
-            // figures count full-duplex port sums). See EXPERIMENTS.md.
+            // figures count full-duplex port sums).
             switch_bw: gb_per_s(2.0),
             net_latency: SimDuration::from_micros(100),
             disk_bw: mb_per_s(55.0),
@@ -123,84 +124,6 @@ impl Default for ClusterConfig {
             pvfs_write_overhead: SimDuration::from_millis(16),
             seed: 42,
         }
-    }
-}
-
-/// The single authoritative field list for the hand-written
-/// `Deserialize` impl: the strict unknown-key check and the per-field
-/// constructor below are both generated from it, so they cannot drift
-/// apart (a field missing here fails to compile the struct literal).
-macro_rules! cluster_config_fields {
-    ($action:ident) => {
-        $action!(
-            nodes,
-            nic_bw,
-            switch_bw,
-            net_latency,
-            disk_bw,
-            cache_read_bw,
-            cache_write_bw,
-            vm_ram,
-            image_size,
-            chunk_size,
-            repo_replication,
-            mem,
-            postcopy_memory,
-            postcopy_fault_slowdown,
-            threshold,
-            transfer_batch,
-            transfer_window,
-            migration_cpu_steal,
-            io_mem_dirty_factor,
-            writeback_depth,
-            dirty_expire_secs,
-            prefetch_priority,
-            linger_round_cap,
-            pvfs_stripe,
-            pvfs_op_overhead,
-            pvfs_write_overhead,
-            seed
-        )
-    };
-}
-
-impl serde::Deserialize for ClusterConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if !matches!(v, serde::Value::Map(_)) {
-            return Err(serde::Error::new(format!(
-                "expected map for ClusterConfig, found {}",
-                v.kind()
-            )));
-        }
-        macro_rules! names {
-            ($($f:ident),*) => { &[$(stringify!($f)),*] };
-        }
-        const KNOWN: &[&str] = cluster_config_fields!(names);
-        if let serde::Value::Map(entries) = v {
-            for (k, _) in entries {
-                if !KNOWN.contains(&k.as_str()) {
-                    // A typoed knob must fail loudly, not silently run
-                    // with the default value.
-                    return Err(serde::Error::new(format!(
-                        "unknown ClusterConfig field `{k}` (expected one of: {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        let d = ClusterConfig::default();
-        macro_rules! build {
-            ($($f:ident),*) => {
-                ClusterConfig {
-                    $($f: match v.get(stringify!($f)) {
-                        Some(x) => serde::Deserialize::from_value(x)
-                            .map_err(|e| e.ctx(concat!("ClusterConfig.", stringify!($f))))?,
-                        None => d.$f,
-                    }),*
-                }
-            };
-        }
-        Ok(cluster_config_fields!(build))
     }
 }
 

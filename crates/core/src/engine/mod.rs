@@ -62,8 +62,8 @@ pub struct Engine {
     jobs: Vec<JobRt>,
     /// Job status changes / milestones awaiting observer delivery.
     job_events: Vec<JobEvent>,
-    /// Downtime-resume bookkeeping: events processed count (progress
-    /// guard against event-loop livelock in buggy configurations).
+    /// Events dispatched so far (`RunReport.events`); a counter only,
+    /// nothing caps it.
     events_processed: u64,
     /// Payloads of scheduled fault events, indexed by `Ev::Fault` (fault
     /// kinds carry floats, which the `Eq`-requiring queue cannot hold).

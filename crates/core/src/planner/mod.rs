@@ -144,7 +144,8 @@ impl serde::Deserialize for PlannerKind {
 /// Deserialization fills absent fields from
 /// [`OrchestratorConfig::default`], so a scenario's `[orchestrator]`
 /// section only spells out the knobs it changes (like `[cluster]`).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct OrchestratorConfig {
     /// Maximum concurrently running migrations (`None` — the default —
     /// admits everything immediately, reproducing the engine's
@@ -211,66 +212,6 @@ impl Default for OrchestratorConfig {
             cost_sla_weight: 0.0,
             placement_retry_limit: 4,
         }
-    }
-}
-
-/// The single authoritative field list for the hand-written
-/// `Deserialize` impl (same pattern as `ClusterConfig`): the strict
-/// unknown-key check and the per-field constructor are both generated
-/// from it, so they cannot drift apart.
-macro_rules! orchestrator_config_fields {
-    ($action:ident) => {
-        $action!(
-            max_concurrent,
-            planner,
-            telemetry_window_secs,
-            adaptive_write_hi_frac,
-            adaptive_write_lo_frac,
-            adaptive_read_hi_frac,
-            cost_bytes_weight,
-            cost_ondemand_penalty,
-            cost_nonconverge_penalty_secs,
-            cost_sla_weight,
-            placement_retry_limit
-        )
-    };
-}
-
-impl serde::Deserialize for OrchestratorConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if !matches!(v, serde::Value::Map(_)) {
-            return Err(serde::Error::new(format!(
-                "expected map for OrchestratorConfig, found {}",
-                v.kind()
-            )));
-        }
-        macro_rules! names {
-            ($($f:ident),*) => { &[$(stringify!($f)),*] };
-        }
-        const KNOWN: &[&str] = orchestrator_config_fields!(names);
-        if let serde::Value::Map(entries) = v {
-            for (k, _) in entries {
-                if !KNOWN.contains(&k.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown OrchestratorConfig field `{k}` (expected one of: {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        let d = OrchestratorConfig::default();
-        macro_rules! build {
-            ($($f:ident),*) => {
-                OrchestratorConfig {
-                    $($f: match v.get(stringify!($f)) {
-                        Some(x) => serde::Deserialize::from_value(x)
-                            .map_err(|e| e.ctx(concat!("OrchestratorConfig.", stringify!($f))))?,
-                        None => d.$f,
-                    }),*
-                }
-            };
-        }
-        Ok(orchestrator_config_fields!(build))
     }
 }
 

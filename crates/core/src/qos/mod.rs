@@ -29,14 +29,15 @@
 //! run is event-for-event identical to an engine built without this
 //! module.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Tuning for migration QoS shaping (the `[qos]` scenario section).
 /// Deserialization fills absent fields from [`QosConfig::default`],
 /// like the other config sections; the defaults themselves shape
 /// nothing (no cap, one stream, no compression), so presence alone
 /// only switches the plumbing on.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct QosConfig {
     /// Per-migration wire ceiling, MB/s (the unit
     /// `ClusterConfig` quotes NIC speeds in): the *aggregate* rate of
@@ -87,63 +88,7 @@ impl QosConfig {
     pub fn compressing(&self) -> bool {
         self.compress_mem_ratio < 1.0 || self.compress_storage_ratio < 1.0
     }
-}
 
-/// The single authoritative field list for the hand-written
-/// `Deserialize` impl (same pattern as `ResilienceConfig`): the strict
-/// unknown-key check and the per-field constructor are both generated
-/// from it, so they cannot drift apart.
-macro_rules! qos_config_fields {
-    ($action:ident) => {
-        $action!(
-            bandwidth_cap_mb,
-            streams,
-            compress_mem_ratio,
-            compress_storage_ratio,
-            compress_cpu_frac
-        )
-    };
-}
-
-impl serde::Deserialize for QosConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if !matches!(v, serde::Value::Map(_)) {
-            return Err(serde::Error::new(format!(
-                "expected map for QosConfig, found {}",
-                v.kind()
-            )));
-        }
-        macro_rules! names {
-            ($($f:ident),*) => { &[$(stringify!($f)),*] };
-        }
-        const KNOWN: &[&str] = qos_config_fields!(names);
-        if let serde::Value::Map(entries) = v {
-            for (k, _) in entries {
-                if !KNOWN.contains(&k.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown QosConfig field `{k}` (expected one of: {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        let d = QosConfig::default();
-        macro_rules! build {
-            ($($f:ident),*) => {
-                QosConfig {
-                    $($f: match v.get(stringify!($f)) {
-                        Some(x) => serde::Deserialize::from_value(x)
-                            .map_err(|e| e.ctx(concat!("QosConfig.", stringify!($f))))?,
-                        None => d.$f,
-                    }),*
-                }
-            };
-        }
-        Ok(qos_config_fields!(build))
-    }
-}
-
-impl QosConfig {
     /// Check every field for usability (the QoS analogue of
     /// [`crate::resilience::ResilienceConfig::validate`]).
     pub fn validate(&self) -> Result<(), crate::error::EngineError> {

@@ -22,11 +22,12 @@
 //! event-for-event identical to an engine built without this module.
 
 use lsm_simcore::time::SimTime;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Which failure causes re-queue a job instead of failing it (the
 /// `[resilience.retry.retry_on]` scenario section).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct RetryOn {
     /// Retry when the migration destination crashes before control
     /// transfer (the retried attempt is re-placed on a healthy node).
@@ -52,7 +53,8 @@ impl Default for RetryOn {
 }
 
 /// Per-migration retry policy (the `[resilience.retry]` section).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct RetryPolicy {
     /// Total attempts a job may consume, the first included: a job
     /// fails for good once `max_attempts` attempts have been spent.
@@ -82,7 +84,8 @@ impl Default for RetryPolicy {
 /// section). Deserialization fills absent fields from
 /// [`ResilienceConfig::default`], like the other config sections; its
 /// mere *presence* enables retries and graceful degradation.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct ResilienceConfig {
     /// The retry policy applied to every migration job.
     pub retry: RetryPolicy,
@@ -122,150 +125,6 @@ impl Default for ResilienceConfig {
             downtime_limit_ms: None,
             downtime_extra_rounds: 2,
         }
-    }
-}
-
-/// The single authoritative field lists for the hand-written
-/// `Deserialize` impls (same pattern as `AutonomicConfig`): the strict
-/// unknown-key check and the per-field constructor are both generated
-/// from them, so they cannot drift apart.
-macro_rules! retry_on_fields {
-    ($action:ident) => {
-        $action!(dest_crash, stall, deadline)
-    };
-}
-
-macro_rules! retry_policy_fields {
-    ($action:ident) => {
-        $action!(max_attempts, backoff_secs, backoff_cap_secs, retry_on)
-    };
-}
-
-macro_rules! resilience_config_fields {
-    ($action:ident) => {
-        $action!(
-            retry,
-            converge_frac,
-            converge_patience,
-            converge_step,
-            converge_max_steps,
-            downtime_limit_ms,
-            downtime_extra_rounds
-        )
-    };
-}
-
-impl serde::Deserialize for RetryOn {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if !matches!(v, serde::Value::Map(_)) {
-            return Err(serde::Error::new(format!(
-                "expected map for RetryOn, found {}",
-                v.kind()
-            )));
-        }
-        macro_rules! names {
-            ($($f:ident),*) => { &[$(stringify!($f)),*] };
-        }
-        const KNOWN: &[&str] = retry_on_fields!(names);
-        if let serde::Value::Map(entries) = v {
-            for (k, _) in entries {
-                if !KNOWN.contains(&k.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown RetryOn field `{k}` (expected one of: {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        let d = RetryOn::default();
-        macro_rules! build {
-            ($($f:ident),*) => {
-                RetryOn {
-                    $($f: match v.get(stringify!($f)) {
-                        Some(x) => serde::Deserialize::from_value(x)
-                            .map_err(|e| e.ctx(concat!("RetryOn.", stringify!($f))))?,
-                        None => d.$f,
-                    }),*
-                }
-            };
-        }
-        Ok(retry_on_fields!(build))
-    }
-}
-
-impl serde::Deserialize for RetryPolicy {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if !matches!(v, serde::Value::Map(_)) {
-            return Err(serde::Error::new(format!(
-                "expected map for RetryPolicy, found {}",
-                v.kind()
-            )));
-        }
-        macro_rules! names {
-            ($($f:ident),*) => { &[$(stringify!($f)),*] };
-        }
-        const KNOWN: &[&str] = retry_policy_fields!(names);
-        if let serde::Value::Map(entries) = v {
-            for (k, _) in entries {
-                if !KNOWN.contains(&k.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown RetryPolicy field `{k}` (expected one of: {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        let d = RetryPolicy::default();
-        macro_rules! build {
-            ($($f:ident),*) => {
-                RetryPolicy {
-                    $($f: match v.get(stringify!($f)) {
-                        Some(x) => serde::Deserialize::from_value(x)
-                            .map_err(|e| e.ctx(concat!("RetryPolicy.", stringify!($f))))?,
-                        None => d.$f,
-                    }),*
-                }
-            };
-        }
-        Ok(retry_policy_fields!(build))
-    }
-}
-
-impl serde::Deserialize for ResilienceConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if !matches!(v, serde::Value::Map(_)) {
-            return Err(serde::Error::new(format!(
-                "expected map for ResilienceConfig, found {}",
-                v.kind()
-            )));
-        }
-        macro_rules! names {
-            ($($f:ident),*) => { &[$(stringify!($f)),*] };
-        }
-        const KNOWN: &[&str] = resilience_config_fields!(names);
-        if let serde::Value::Map(entries) = v {
-            for (k, _) in entries {
-                if !KNOWN.contains(&k.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown ResilienceConfig field `{k}` (expected one of: {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        let d = ResilienceConfig::default();
-        macro_rules! build {
-            ($($f:ident),*) => {
-                ResilienceConfig {
-                    $($f: match v.get(stringify!($f)) {
-                        Some(x) => serde::Deserialize::from_value(x)
-                            .map_err(|e| e.ctx(concat!("ResilienceConfig.", stringify!($f))))?,
-                        None => d.$f,
-                    }),*
-                }
-            };
-        }
-        Ok(resilience_config_fields!(build))
     }
 }
 

@@ -619,7 +619,7 @@ mod tests {
     fn unknown_scenario_fields_are_rejected() {
         let toml = "strategy = \"our-approach\"\ngrouped = false\nhorizon_secs = 1.0\nvms = []\nmigrations = []\nhorizn = 2.0\n";
         let err = ScenarioSpec::from_toml(toml).unwrap_err().to_string();
-        assert!(err.contains("unknown field `horizn`"), "{err}");
+        assert!(err.contains("unknown ScenarioSpec field `horizn`"), "{err}");
         let toml = "strategy = \"our-approach\"\ngrouped = false\nhorizon_secs = 1.0\nvms = []\nmigrations = []\n[cluster]\nchunksize = 65536\n";
         let err = ScenarioSpec::from_toml(toml).unwrap_err().to_string();
         assert!(

@@ -1,16 +1,18 @@
 //! Property test: arbitrary scenarios survive TOML and JSON round-trips
 //! bit-exactly (including float fields), and parsing rejects garbage
-//! with errors rather than panics.
+//! with errors rather than panics. Every config section holds to one
+//! strict-default contract.
 
-use lsm_core::config::ClusterConfig;
+use lsm_core::config::{ClusterConfig, MemMigrationConfig};
 use lsm_core::planner::{OrchestratorConfig, PlannerKind, RequestIntent};
 use lsm_core::policy::StrategyKind;
-use lsm_core::{FaultKind, QosConfig, ResilienceConfig, RetryOn, RetryPolicy};
+use lsm_core::{AutonomicConfig, FaultKind, QosConfig, ResilienceConfig, RetryOn, RetryPolicy};
 use lsm_experiments::scenario::{
     CancelSpec, FaultSpec, MigrationSpec, RequestSpec, ScenarioSpec, VmSpec,
 };
 use lsm_workloads::{AsyncWrParams, IorParams, WorkloadSpec};
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize, Value};
 
 fn orchestrator_strategy() -> impl Strategy<Value = OrchestratorConfig> {
     (
@@ -298,6 +300,146 @@ proptest! {
     }
 }
 
+/// One row of the config-section contract table.
+struct Section {
+    /// The type name every error must carry.
+    owner: &'static str,
+    /// A key and a value for it; a `#[serde(default)]` section must
+    /// take it over its default, a plain struct must still miss fields.
+    knob: (&'static str, Value),
+    /// Keys leading to an unknown one, and the error they must produce.
+    typo: (&'static [&'static str], &'static str),
+    /// The contract, instantiated for the row's type.
+    check: fn(&Section),
+}
+
+/// The error `T` reports for `v`; panics if `v` deserializes.
+fn rejection<T: Deserialize>(owner: &str, v: &Value) -> String {
+    match T::from_value(v) {
+        Ok(_) => panic!("{owner} accepted {v:?}"),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// Unknown keys and non-map values fail, naming the owner.
+fn strict<T: Deserialize>(s: &Section) {
+    let (path, want) = s.typo;
+    let bad = path.iter().rev().fold(Value::Bool(true), |inner, k| {
+        Value::Map(vec![(k.to_string(), inner)])
+    });
+    let err = rejection::<T>(s.owner, &bad);
+    assert!(err.contains(want), "{}: {err}", s.owner);
+    let err = rejection::<T>(s.owner, &Value::Seq(vec![]));
+    let want = format!("expected map for {}, found sequence", s.owner);
+    assert!(err.contains(&want), "{err}");
+}
+
+/// `#[serde(default)]`: an empty map is `Default`, and one key changes
+/// only its own field.
+fn defaulted<T>(s: &Section)
+where
+    T: Deserialize + Serialize + Default + PartialEq + std::fmt::Debug,
+{
+    strict::<T>(s);
+    let empty = T::from_value(&Value::Map(vec![])).expect(s.owner);
+    assert_eq!(empty, T::default(), "{}", s.owner);
+    let (key, value) = &s.knob;
+    let one = T::from_value(&Value::Map(vec![(key.to_string(), value.clone())])).expect(key);
+    let (Value::Map(got), Value::Map(want)) = (one.to_value(), T::default().to_value()) else {
+        panic!("{} serializes to a map", s.owner);
+    };
+    assert_eq!(got.len(), want.len());
+    for ((k, g), (_, w)) in got.iter().zip(&want) {
+        if k == key {
+            assert_eq!(g, value, "{}.{k} takes the given value", s.owner);
+            assert_ne!(g, w, "{}.{k}: the row must pick a non-default", s.owner);
+        } else {
+            assert_eq!(g, w, "{}.{k} keeps its default", s.owner);
+        }
+    }
+}
+
+/// Without the attribute every non-`Option` field stays required.
+fn required<T: Deserialize>(s: &Section) {
+    strict::<T>(s);
+    for map in [vec![], vec![(s.knob.0.to_string(), s.knob.1.clone())]] {
+        let err = rejection::<T>(s.owner, &Value::Map(map));
+        assert!(err.contains("missing field"), "{}: {err}", s.owner);
+    }
+}
+
+/// Every config section shares one contract (absent keys default,
+/// unknown keys and non-maps fail, naming the owner and the key), while
+/// a struct without `#[serde(default)]` keeps requiring its fields.
+#[test]
+fn config_sections_share_the_strict_default_contract() {
+    let table = [
+        Section {
+            owner: "ClusterConfig",
+            knob: ("threshold", Value::U64(5)),
+            typo: (&["chunksize"], "unknown ClusterConfig field `chunksize`"),
+            check: defaulted::<ClusterConfig>,
+        },
+        Section {
+            owner: "MemMigrationConfig",
+            knob: ("max_rounds", Value::U64(7)),
+            typo: (
+                &["max_round"],
+                "unknown MemMigrationConfig field `max_round`",
+            ),
+            check: defaulted::<MemMigrationConfig>,
+        },
+        Section {
+            owner: "OrchestratorConfig",
+            knob: ("planner", Value::Str("cost".to_string())),
+            typo: (&["max_conc"], "unknown OrchestratorConfig field `max_conc`"),
+            check: defaulted::<OrchestratorConfig>,
+        },
+        Section {
+            owner: "AutonomicConfig",
+            knob: ("interval_secs", Value::F64(2.0)),
+            typo: (&["intervall"], "unknown AutonomicConfig field `intervall`"),
+            check: defaulted::<AutonomicConfig>,
+        },
+        Section {
+            owner: "ResilienceConfig",
+            knob: ("downtime_limit_ms", Value::F64(250.0)),
+            typo: (
+                &["retry", "retry_on", "dest_krash"],
+                "ResilienceConfig.retry: RetryPolicy.retry_on: unknown RetryOn field `dest_krash`",
+            ),
+            check: defaulted::<ResilienceConfig>,
+        },
+        Section {
+            owner: "RetryPolicy",
+            knob: ("max_attempts", Value::U64(5)),
+            typo: (&["max_attemps"], "unknown RetryPolicy field `max_attemps`"),
+            check: defaulted::<RetryPolicy>,
+        },
+        Section {
+            owner: "RetryOn",
+            knob: ("stall", Value::Bool(false)),
+            typo: (&["dest_crashed"], "unknown RetryOn field `dest_crashed`"),
+            check: defaulted::<RetryOn>,
+        },
+        Section {
+            owner: "QosConfig",
+            knob: ("bandwidth_cap_mb", Value::F64(40.0)),
+            typo: (&["streems"], "unknown QosConfig field `streems`"),
+            check: defaulted::<QosConfig>,
+        },
+        Section {
+            owner: "MigrationSpec",
+            knob: ("vm", Value::U64(0)),
+            typo: (&["dst"], "unknown MigrationSpec field `dst`"),
+            check: required::<MigrationSpec>,
+        },
+    ];
+    for section in &table {
+        (section.check)(section);
+    }
+}
+
 /// The `[orchestrator]` section and the `[[requests]]` plan are held to
 /// the same strictness as every other section: typoed knobs, unknown
 /// planners and malformed intents fail loudly.
@@ -315,7 +457,7 @@ fn orchestrator_sections_reject_unknown_fields() {
     assert!(err.contains("unknown planner `clever`"), "{err}");
     let toml = format!("{base}[[requests]]\nat_secs = 1.0\n[requests.intent.Evacuate]\nnod = 1\n");
     let err = ScenarioSpec::from_toml(&toml).unwrap_err().to_string();
-    assert!(err.contains("unknown field `nod`"), "{err}");
+    assert!(err.contains("unknown Evacuate field `nod`"), "{err}");
     let toml = format!("{base}[[requests]]\nat_secs = 1.0\nintent = \"Decommission\"\n");
     let err = ScenarioSpec::from_toml(&toml).unwrap_err().to_string();
     assert!(err.contains("unknown RequestIntent variant"), "{err}");
@@ -357,7 +499,7 @@ fn resilience_sections_reject_unknown_fields() {
     );
     let toml = format!("{base}[[cancellations]]\nat_secs = 1.0\njobb = 0\n");
     let err = ScenarioSpec::from_toml(&toml).unwrap_err().to_string();
-    assert!(err.contains("unknown field `jobb`"), "{err}");
+    assert!(err.contains("unknown CancelSpec field `jobb`"), "{err}");
     // A partial [resilience] section fills the defaults.
     let toml =
         format!("{base}[resilience]\nconverge_frac = 0.75\n[resilience.retry]\nmax_attempts = 5\n");
@@ -414,4 +556,15 @@ fn garbage_input_is_an_error_not_a_panic() {
     for bad in ["", "[1, 2", "{\"strategy\": 4}", "null"] {
         assert!(ScenarioSpec::from_json(bad).is_err(), "accepted: {bad:?}");
     }
+    // A repeated key is an error, not a silent pick of one of its values.
+    let doc = |horizon: &str| {
+        format!(
+            "{{\"strategy\": \"our-approach\", \"grouped\": false, {horizon}\"vms\": [], \"migrations\": []}}"
+        )
+    };
+    assert!(ScenarioSpec::from_json(&doc("\"horizon_secs\": 5.0, ")).is_ok());
+    let err = ScenarioSpec::from_json(&doc("\"horizon_secs\": 5.0, \"horizon_secs\": 300.0, "))
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("duplicate key `horizon_secs`"), "{err}");
 }

@@ -46,7 +46,8 @@ impl MemoryProfile {
 ///
 /// Deserialization fills absent fields from the default, so scenario
 /// files only spell out the knobs they change.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[serde(default)]
 pub struct MemMigrationConfig {
     /// Target stop-and-copy downtime; a round converges when the remaining
     /// dirty bytes can be flushed within this budget at the observed rate
@@ -69,43 +70,6 @@ impl Default for MemMigrationConfig {
             max_rounds: 30,
             speed_cap: None,
         }
-    }
-}
-
-impl serde::Deserialize for MemMigrationConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if !matches!(v, serde::Value::Map(_)) {
-            return Err(serde::Error::new(format!(
-                "expected map for MemMigrationConfig, found {}",
-                v.kind()
-            )));
-        }
-        const KNOWN: &[&str] = &["downtime_target", "max_rounds", "speed_cap"];
-        if let serde::Value::Map(entries) = v {
-            for (k, _) in entries {
-                if !KNOWN.contains(&k.as_str()) {
-                    return Err(serde::Error::new(format!(
-                        "unknown MemMigrationConfig field `{k}` (expected one of: {})",
-                        KNOWN.join(", ")
-                    )));
-                }
-            }
-        }
-        let d = MemMigrationConfig::default();
-        macro_rules! field {
-            ($name:ident) => {
-                match v.get(stringify!($name)) {
-                    Some(x) => serde::Deserialize::from_value(x)
-                        .map_err(|e| e.ctx(concat!("MemMigrationConfig.", stringify!($name))))?,
-                    None => d.$name,
-                }
-            };
-        }
-        Ok(MemMigrationConfig {
-            downtime_target: field!(downtime_target),
-            max_rounds: field!(max_rounds),
-            speed_cap: field!(speed_cap),
-        })
     }
 }
 

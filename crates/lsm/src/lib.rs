@@ -8,7 +8,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`simcore`] | deterministic DES kernel: time, events, fair-shared resources, metrics |
+//! | [`simcore`] | deterministic DES kernel: time, events, fair-shared resources |
 //! | [`netsim`] | flow-level datacenter network with max–min fair sharing |
 //! | [`blockdev`] | chunked COW virtual disks, write counters, page cache, disk scheduler |
 //! | [`repo`] | BlobSeer-like striped repository + PVFS-like parallel FS |

@@ -19,9 +19,8 @@ pub struct PvfsConfig {
     /// Stripe unit in bytes (PVFS default: 64 KB).
     pub stripe_size: u64,
     /// Fixed metadata/request overhead added to every client read
-    /// (request processing, qcow2 metadata lookups). Calibrated in
-    /// EXPERIMENTS.md against the paper's measured pvfs-shared
-    /// throughputs.
+    /// (request processing, qcow2 metadata lookups). Calibrated
+    /// against the paper's measured pvfs-shared throughputs.
     pub op_overhead: SimDuration,
     /// Fixed overhead added to every client write. Much larger than the
     /// read overhead: the paper's baseline stores a qcow2 overlay *in*

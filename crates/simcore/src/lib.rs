@@ -12,8 +12,6 @@
 //!   crate generalizes the same idea to multiple coupled resources.
 //! * [`DetRng`] — a small, seedable RNG wrapper so every simulation run is a
 //!   pure function of its configuration.
-//! * [`metrics`] — counters, time series and histograms used to produce the
-//!   paper's tables and figures.
 //! * [`units`] — byte/bandwidth constants and conversion helpers.
 //!
 //! The kernel is intentionally single-threaded: determinism is a hard
@@ -36,7 +34,6 @@
 
 pub mod event;
 pub mod fault;
-pub mod metrics;
 pub mod resource;
 pub mod rng;
 pub mod time;
@@ -44,7 +41,6 @@ pub mod units;
 
 pub use event::{EventId, EventQueue};
 pub use fault::FaultKind;
-pub use metrics::{Counter, Histogram, MetricsRegistry, TimeSeries};
 pub use resource::{ReqId, SharedResource};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

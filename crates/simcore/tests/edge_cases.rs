@@ -1,15 +1,9 @@
-//! Edge-case coverage for the two simcore primitives the fault subsystem
-//! leans on hardest:
-//!
-//! * [`EventQueue`] cancel/tombstone behaviour under the interleavings a
-//!   fault plan produces — timers cancelled and re-armed at the same
-//!   instant a fault fires, cancellations racing pops, and tombstone
-//!   bounds over long cancel-heavy runs.
-//! * [`Histogram::quantile`] CDF-cache invalidation under mixed
-//!   record/query sequences (the checker and dashboards interleave them
-//!   freely).
+//! Edge-case coverage for the simcore primitive the fault subsystem
+//! leans on hardest: [`EventQueue`] cancel/tombstone behaviour under the
+//! interleavings a fault plan produces — timers cancelled and re-armed
+//! at the same instant a fault fires, cancellations racing pops, and
+//! tombstone bounds over long cancel-heavy runs.
 
-use lsm_simcore::metrics::Histogram;
 use lsm_simcore::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -138,91 +132,6 @@ proptest! {
         while q.pop().is_some() {}
         prop_assert_eq!(q.tombstones(), 0);
         prop_assert_eq!(q.total_fired() + cancelled, q.total_scheduled());
-    }
-}
-
-// ---------------- Histogram CDF-cache invalidation ----------------
-
-/// An un-memoized oracle for the pinned quantile contract: rank
-/// `ceil(q·count)` against inclusive cumulative bucket counts, reported
-/// as the bucket's upper bound `2^(i+1)`, `max` past the last bucket.
-fn oracle_quantile(values: &[f64], q: f64) -> f64 {
-    let mut buckets = [0u64; 64];
-    let mut max = 0.0f64;
-    for &v in values {
-        let b = if v < 1.0 {
-            0
-        } else {
-            (v as u64).ilog2() as usize
-        };
-        buckets[b.min(63)] += 1;
-        max = max.max(v);
-    }
-    let target = (q * values.len() as f64).ceil() as u64;
-    let mut seen = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= target {
-            return 2f64.powi(i as i32 + 1);
-        }
-    }
-    max
-}
-
-/// The cached-CDF fast path must be invisible: any mixed sequence of
-/// records and quantile queries agrees with the stateless oracle at
-/// every step.
-#[test]
-fn quantile_cache_invalidation_matches_oracle() {
-    let mut h = Histogram::new();
-    let mut recorded: Vec<f64> = Vec::new();
-    // Deterministic value stream spanning several buckets, with
-    // repeated queries between (and without) intervening records.
-    let stream = [3.0, 0.2, 17.0, 1024.0, 17.5, 2.0, 900.0, 0.0, 65.0, 4.0];
-    for (i, &v) in stream.iter().enumerate() {
-        h.record(v);
-        recorded.push(v);
-        for &q in &[0.0, 0.25, 0.5, 0.9, 1.0] {
-            let got = h.quantile(q);
-            let want = oracle_quantile(&recorded, q);
-            assert_eq!(got, want, "step {i}, q={q}");
-            // Immediately re-query: the cached path must agree with the
-            // fresh build it just performed.
-            assert_eq!(h.quantile(q), got, "cached re-query diverged");
-        }
-        if i % 3 == 0 {
-            // Burst of records with *no* interleaved query: the next
-            // query rebuilds a cache that covers all of them at once.
-            for &b in &[7.0, 7.0, 300.0] {
-                h.record(b);
-                recorded.push(b);
-            }
-            assert_eq!(h.quantile(0.5), oracle_quantile(&recorded, 0.5));
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Random record/query interleavings: the memoized histogram and the
-    /// oracle never disagree, regardless of where cache rebuilds land.
-    #[test]
-    fn quantile_agrees_with_oracle_under_random_interleaving(
-        ops in prop::collection::vec((prop::bool::ANY, 0.0f64..2e6, 0.0f64..1.0), 1..120)
-    ) {
-        let mut h = Histogram::new();
-        let mut recorded: Vec<f64> = Vec::new();
-        for (record, v, q) in ops {
-            if record || recorded.is_empty() {
-                h.record(v);
-                recorded.push(v);
-            } else {
-                prop_assert_eq!(h.quantile(q), oracle_quantile(&recorded, q));
-            }
-        }
-        prop_assert_eq!(h.quantile(1.0), oracle_quantile(&recorded, 1.0));
-        prop_assert_eq!(h.count(), recorded.len() as u64);
     }
 }
 
