@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the simulator's hot paths: the max–min fair
-//! network allocator, chunk-set algebra, the fair-shared resource, and a
-//! full paper-scale single-migration run.
+//! network allocator (dense, and sparse at fleet size), chunk-set
+//! algebra, the fair-shared resource, and a full paper-scale
+//! single-migration run.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lsm_blockdev::{ChunkId, ChunkSet};
@@ -30,6 +31,26 @@ fn net_with_127_flows(solver: SolverMode) -> FlowNet {
     net
 }
 
+/// A switch-decoupled `nodes`-node fabric carrying 150 long flows on
+/// node pairs `(2k, 2k + 1)`, one flow each way per pair. Pair `(0, 1)`
+/// holds exactly two flows on any fabric; the other 148 flows fill
+/// pairs `1..=74` when the fabric has that many (2-flow components
+/// throughout) and wrap around the available pairs when it does not.
+fn sparse_net(nodes: u32) -> FlowNet {
+    let nic = mb_per_s(117.5);
+    let topo = Topology::symmetric(nodes as usize, nic, 2.0 * nodes as f64 * nic);
+    assert!(FlowNet::switch_decoupled(&topo));
+    let mut net = FlowNet::new(topo);
+    let others = nodes / 2 - 1;
+    for i in 0..150u32 {
+        let pair = if i < 2 { 0 } else { 1 + (i / 2 - 1) % others };
+        let (a, b) = (NodeId(2 * pair), NodeId(2 * pair + 1));
+        let (src, dst) = if i % 2 == 0 { (a, b) } else { (b, a) };
+        net.start_flow(SimTime::ZERO, src, dst, 64 * MIB, None, TrafficTag::Memory);
+    }
+    net
+}
+
 fn bench_netsim(c: &mut Criterion) {
     let mut g = c.benchmark_group("substrate/netsim");
     // 64 nodes, 128 concurrent flows: the fig5 regime. The 128th flow
@@ -46,7 +67,9 @@ fn bench_netsim(c: &mut Criterion) {
                     None,
                     TrafficTag::StoragePush,
                 );
-                std::hint::black_box(net.active())
+                // Returned, so tearing the network down stays outside
+                // the measurement.
+                net
             },
             BatchSize::SmallInput,
         )
@@ -65,11 +88,35 @@ fn bench_netsim(c: &mut Criterion) {
                     None,
                     TrafficTag::StoragePush,
                 );
-                std::hint::black_box(net.active())
+                // Returned, so tearing the network down stays outside
+                // the measurement.
+                net
             },
             BatchSize::SmallInput,
         )
     });
+    // The fleet regime: 150 live flows, and each change re-solves one
+    // small component. A zero-byte flow joins the 2-flow component on
+    // nodes (0, 1) and completes at once, which restores the network
+    // exactly. That component is the same on both fabrics, so the
+    // per-call cost should not grow from 64 to 1024 nodes.
+    for nodes in [64u32, 1024] {
+        let mut net = sparse_net(nodes);
+        g.bench_function(&format!("sparse_start_complete_{nodes}_nodes"), |b| {
+            b.iter(|| {
+                let f = net.start_flow(
+                    SimTime::ZERO,
+                    NodeId(0),
+                    NodeId(1),
+                    0,
+                    None,
+                    TrafficTag::StoragePull,
+                );
+                net.complete(SimTime::ZERO, f);
+                std::hint::black_box(net.active())
+            })
+        });
+    }
     g.finish();
 }
 

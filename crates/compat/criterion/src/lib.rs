@@ -53,8 +53,9 @@ impl Bencher {
         self.iters += iters;
     }
 
-    /// Time `routine` over values produced by `setup` (setup excluded
-    /// from the measurement).
+    /// Time `routine` over values produced by `setup` (setup, and
+    /// dropping the routine's output, excluded from the measurement, as
+    /// upstream does).
     pub fn iter_batched<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
         &mut self,
         mut setup: S,
@@ -66,8 +67,9 @@ impl Bencher {
         for _ in 0..iters {
             let input = setup();
             let start = Instant::now();
-            black_box(routine(input));
+            let output = routine(input);
             self.elapsed += start.elapsed();
+            black_box(output);
         }
         self.iters += iters;
     }

@@ -175,6 +175,40 @@ fn tracked_scenarios_are_thread_count_invariant() {
     }
 }
 
+/// The quick fleet's 64 busy nodes on a sparse 1024-node fabric: the
+/// incremental monolith re-solves components whose resource indices lie
+/// far apart in a 2049-resource table, while each 2-node shard of the
+/// sharded run solves from scratch under the reference solver — an
+/// independent oracle, so the two reports must be byte-identical.
+/// (Not in the thread-count test above: its reference *monolith* is too
+/// slow at this fleet size for every `cargo test`.)
+#[test]
+fn sparse_fleet_monolith_matches_reference_shards() {
+    use lsm::experiments::shard::{partition, run_scenario_threaded_with_solver};
+    let mut spec = stress::scale1024_quick_spec();
+    let cluster = spec.cluster.as_mut().expect("pair specs set a cluster");
+    cluster.nodes = 1024;
+    cluster.switch_bw = 2.0 * 1024.0 * cluster.nic_bw;
+    assert!(partition(&spec).is_ok(), "the sparse fleet must shard");
+    let [monolith, shards] = [
+        (1usize, SolverMode::Incremental),
+        (2, SolverMode::Reference),
+    ]
+    .map(|(threads, solver)| {
+        run_scenario_threaded_with_solver(&spec, threads, solver)
+            .map(|r| serde_json::to_string_pretty(&r).expect("serializes"))
+            .expect("runs")
+    });
+    if monolith != shards {
+        let diff = monolith
+            .lines()
+            .zip(shards.lines())
+            .enumerate()
+            .find(|(_, (x, y))| x != y);
+        panic!("sparse fleet: incremental monolith diverges from reference shards at {diff:?}");
+    }
+}
+
 /// The full 1024-node fleet (2048 VMs, 512 shards): byte-identical at
 /// `--threads 1/2/8` under both solvers. Six ~15–45 s runs — worth it
 /// before a release, too slow for every `cargo test`:

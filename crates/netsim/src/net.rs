@@ -9,7 +9,7 @@
 //!
 //! * [`SolverMode::Incremental`] (the default) keeps persistent
 //!   bookkeeping — flat flow storage, reusable scratch tables, per-node
-//!   flow indices — so a recompute allocates nothing. When the switch
+//!   flow adjacency — so a recompute allocates nothing. When the switch
 //!   aggregate provably cannot be a bottleneck (capacity at least twice
 //!   the summed NIC capacity, see [`FlowNet::switch_decoupled`]), a
 //!   change re-solves only the flows transitively sharing a node with
@@ -20,6 +20,27 @@
 //!   incremental solver must produce **bit-identical** rates, reports and
 //!   completion times (asserted by the `equivalence` proptest suite and
 //!   the fig3/fig4/fig5 report-identity tests).
+//!
+//! # O(component) re-solves
+//!
+//! A component re-solve costs time in the size of the changed
+//! component, not the fleet:
+//!
+//! * every node keeps the ids of the live flows it sends or receives,
+//!   updated as flows start and leave, so the component is found by
+//!   walking those lists outward from the changed endpoints;
+//! * the water-filling runs over a compact table holding only the
+//!   physical resources the members cross, renumbered in ascending
+//!   global index, followed by the members' virtual caps in member
+//!   order.
+//!
+//! Neither changes the arithmetic. Members are solved in ascending
+//! flow-id order, as before, so every subtraction happens in the same
+//! order. In a table over every resource, one that no member crosses
+//! has a zero count, and the water-filling skips it without comparing
+//! it or touching its division memo. The renumbered table therefore
+//! presents the same resources in the same order, and the lowest-index
+//! tie-break picks the same bottleneck.
 //!
 //! # Epoch-based progress accounting
 //!
@@ -175,19 +196,31 @@ struct Scratch {
     new_rates: Vec<f64>,
     /// Member flow indices (into `FlowNet::flows`), ascending.
     mflows: Vec<u32>,
-    /// Component membership per flow index.
-    member: Vec<bool>,
-    /// CSR of flow indices by source node / by destination node
-    /// (`*_cur` are the fill cursors, persisted to stay allocation-free).
-    src_off: Vec<u32>,
-    src_cur: Vec<u32>,
-    src_idx: Vec<u32>,
-    dst_off: Vec<u32>,
-    dst_cur: Vec<u32>,
-    dst_idx: Vec<u32>,
-    /// BFS state over nodes.
+    /// Global indices of the physical resources the members cross,
+    /// ascending; position `k` is local resource `k` of a member solve.
+    mres: Vec<u32>,
+    /// Component walk state: a per-node visited flag (all false between
+    /// walks) and the visited nodes in discovery order, which doubles as
+    /// the worklist and as the list of flags to clear afterwards.
     node_seen: Vec<bool>,
-    stack: Vec<u32>,
+    nodes: Vec<u32>,
+}
+
+impl Scratch {
+    /// Add `node` to the component walk unless it was already reached.
+    #[inline]
+    fn visit(&mut self, node: NodeId) {
+        if !self.node_seen[node.idx()] {
+            self.node_seen[node.idx()] = true;
+            self.nodes.push(node.0);
+        }
+    }
+}
+
+/// Position of flow `id` in the id-ordered flow vector, if live.
+#[inline]
+fn flow_pos(flows: &[Flow], id: FlowId) -> Option<usize> {
+    flows.binary_search_by_key(&id, |f| f.id).ok()
 }
 
 /// The flow-level network simulator. See the crate docs for the model.
@@ -240,6 +273,9 @@ pub struct FlowNet {
     /// Live-flow counts per physical resource, maintained on every flow
     /// insert/remove — the full solve's `count` table starts as a copy.
     count_all: Vec<u32>,
+    /// Ids of the live flows with each node as source or destination,
+    /// ascending (ids are issued monotonically, so insertion is a push).
+    node_flows: Vec<Vec<FlowId>>,
     scratch: Scratch,
 }
 
@@ -275,7 +311,11 @@ impl FlowNet {
             base_caps,
             factors: vec![1.0; n],
             count_all: vec![0; 2 * n + 1],
-            scratch: Scratch::default(),
+            node_flows: vec![Vec::new(); n],
+            scratch: Scratch {
+                node_seen: vec![false; n],
+                ..Scratch::default()
+            },
         }
     }
 
@@ -370,11 +410,6 @@ impl FlowNet {
         }
     }
 
-    #[inline]
-    fn flow_pos(&self, id: FlowId) -> Option<usize> {
-        self.flows.binary_search_by_key(&id, |f| f.id).ok()
-    }
-
     /// Start a bulk transfer of `bytes` from `src` to `dst`.
     ///
     /// `cap` optionally rate-limits this flow (bytes/second) on top of the
@@ -420,22 +455,21 @@ impl FlowNet {
         self.count_all[src.idx()] += 1;
         self.count_all[n + dst.idx()] += 1;
         self.count_all[2 * n] += 1;
+        self.node_flows[src.idx()].push(id);
+        self.node_flows[dst.idx()].push(id);
         self.log_load();
         self.reallocate(src, dst);
         id
     }
 
-    /// Drop the physical-resource counts of a removed flow.
-    fn uncount(&mut self, src: NodeId, dst: NodeId) {
-        let n = self.topo.len();
-        self.count_all[src.idx()] -= 1;
-        self.count_all[n + dst.idx()] -= 1;
-        self.count_all[2 * n] -= 1;
-    }
-
-    /// Remove a flow's resource row, shifting later capped flows'
-    /// virtual-resource indices down if the flow was capped.
-    fn remove_row(&mut self, pos: usize) {
+    /// Remove flow `id` with its progress materialized to the network
+    /// clock, dropping its resource row, physical-resource counts and
+    /// adjacency entries. Later capped flows' virtual-resource indices
+    /// shift down if the flow was capped.
+    fn take_flow(&mut self, id: FlowId) -> Option<Flow> {
+        let pos = flow_pos(&self.flows, id)?;
+        self.materialize(pos);
+        let f = self.flows.remove(pos);
         let row = self.rows.remove(pos);
         if row[3] != NO_RES {
             let base = (2 * self.topo.len() + 1) as u32;
@@ -446,16 +480,19 @@ impl FlowNet {
                 }
             }
         }
+        for &r in &row[..3] {
+            self.count_all[r as usize] -= 1;
+        }
+        for node in [f.src, f.dst] {
+            self.node_flows[node.idx()].retain(|&x| x != id);
+        }
+        Some(f)
     }
 
     /// Cancel an in-flight flow, returning the bytes not yet delivered.
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<u64> {
         self.advance(now);
-        let pos = self.flow_pos(id)?;
-        self.materialize(pos);
-        let f = self.flows.remove(pos);
-        self.remove_row(pos);
-        self.uncount(f.src, f.dst);
+        let f = self.take_flow(id)?;
         let left = f.remaining.ceil().max(0.0) as u64;
         let done = f.bytes.saturating_sub(left);
         self.finished[f.tag.index()] += done;
@@ -469,10 +506,7 @@ impl FlowNet {
     /// previously reported by [`Self::next_completion`]).
     pub fn complete(&mut self, now: SimTime, id: FlowId) {
         self.advance(now);
-        let pos = self.flow_pos(id).expect("completing unknown flow");
-        self.materialize(pos);
-        let f = self.flows.remove(pos);
-        self.remove_row(pos);
+        let f = self.take_flow(id).expect("completing unknown flow");
         debug_assert!(
             f.remaining < 1.0,
             "flow completed with {} bytes left",
@@ -483,7 +517,6 @@ impl FlowNet {
         // sizes and are integers — order-independent across shards.
         self.finished[f.tag.index()] += f.bytes;
         self.finished_total += f.bytes;
-        self.uncount(f.src, f.dst);
         self.log_load();
         self.reallocate(f.src, f.dst);
     }
@@ -584,12 +617,12 @@ impl FlowNet {
 
     /// Current rate of a flow in bytes/second, if in flight.
     pub fn rate_of(&self, id: FlowId) -> Option<f64> {
-        self.flow_pos(id).map(|i| self.flows[i].rate)
+        flow_pos(&self.flows, id).map(|i| self.flows[i].rate)
     }
 
     /// Bytes remaining for a flow, if in flight.
     pub fn remaining_of(&self, id: FlowId) -> Option<u64> {
-        self.flow_pos(id).map(|i| {
+        flow_pos(&self.flows, id).map(|i| {
             let f = &self.flows[i];
             (f.remaining - f.moved_until(self.last_advance)).ceil() as u64
         })
@@ -674,11 +707,7 @@ impl FlowNet {
     /// Ids of every in-flight flow with `node` as source or destination
     /// (ascending). A node-crash fault severs exactly these.
     pub fn flows_touching(&self, node: NodeId) -> Vec<FlowId> {
-        self.flows
-            .iter()
-            .filter(|f| f.src == node || f.dst == node)
-            .map(|f| f.id)
-            .collect()
+        self.node_flows.get(node.idx()).cloned().unwrap_or_default()
     }
 
     // ---------------- rate allocation ----------------
@@ -710,97 +739,52 @@ impl FlowNet {
 
     /// Fill `scratch.mflows` with the connected component (via shared
     /// nodes) of the changed endpoints — only these flows' rates can
-    /// change when the switch is decoupled.
+    /// change when the switch is decoupled. Walks the per-node adjacency
+    /// outward from the endpoints, so it costs time in the component's
+    /// size, not the fleet's.
     fn mark_component(&mut self, src: NodeId, dst: NodeId) {
-        let m = self.flows.len();
         let s = &mut self.scratch;
         s.mflows.clear();
-        let n = self.topo.len();
-        // CSR of flow indices per source node and per destination node.
-        s.src_off.clear();
-        s.src_off.resize(n + 1, 0);
-        s.dst_off.clear();
-        s.dst_off.resize(n + 1, 0);
-        for row in &self.rows {
-            s.src_off[row[0] as usize + 1] += 1;
-            s.dst_off[(row[1] as usize - n) + 1] += 1;
-        }
-        for i in 0..n {
-            s.src_off[i + 1] += s.src_off[i];
-            s.dst_off[i + 1] += s.dst_off[i];
-        }
-        s.src_idx.clear();
-        s.src_idx.resize(m, 0);
-        s.dst_idx.clear();
-        s.dst_idx.resize(m, 0);
-        // Second pass fills slots; the cursors are persistent scratch
-        // copies of the offsets, so no per-recompute allocation.
-        s.src_cur.clear();
-        s.src_cur.extend_from_slice(&s.src_off);
-        s.dst_cur.clear();
-        s.dst_cur.extend_from_slice(&s.dst_off);
-        for (i, row) in self.rows.iter().enumerate() {
-            let su = row[0] as usize;
-            s.src_idx[s.src_cur[su] as usize] = i as u32;
-            s.src_cur[su] += 1;
-            let du = row[1] as usize - n;
-            s.dst_idx[s.dst_cur[du] as usize] = i as u32;
-            s.dst_cur[du] += 1;
-        }
-        s.member.clear();
-        s.member.resize(m, false);
-        s.node_seen.clear();
-        s.node_seen.resize(n, false);
-        s.stack.clear();
-        for u in [src.idx(), dst.idx()] {
-            if !s.node_seen[u] {
-                s.node_seen[u] = true;
-                s.stack.push(u as u32);
-            }
-        }
-        while let Some(u) = s.stack.pop() {
-            let u = u as usize;
-            for k in s.src_off[u]..s.src_off[u + 1] {
-                let fi = s.src_idx[k as usize] as usize;
-                if !s.member[fi] {
-                    s.member[fi] = true;
-                    let other = self.rows[fi][1] as usize - n;
-                    if !s.node_seen[other] {
-                        s.node_seen[other] = true;
-                        s.stack.push(other as u32);
-                    }
+        s.nodes.clear();
+        s.visit(src);
+        s.visit(dst);
+        let mut next = 0;
+        while let Some(&u) = s.nodes.get(next) {
+            next += 1;
+            for &id in &self.node_flows[u as usize] {
+                let pos = flow_pos(&self.flows, id).expect("adjacency names live flows");
+                let f = &self.flows[pos];
+                // Both endpoints list the flow; its source enrolls it.
+                if f.src.0 == u {
+                    s.mflows.push(pos as u32);
                 }
-            }
-            for k in s.dst_off[u]..s.dst_off[u + 1] {
-                let fi = s.dst_idx[k as usize] as usize;
-                if !s.member[fi] {
-                    s.member[fi] = true;
-                    let other = self.rows[fi][0] as usize;
-                    if !s.node_seen[other] {
-                        s.node_seen[other] = true;
-                        s.stack.push(other as u32);
-                    }
-                }
+                s.visit(f.src);
+                s.visit(f.dst);
             }
         }
-        for (i, &is_member) in s.member.iter().enumerate() {
-            if is_member {
-                s.mflows.push(i as u32);
-            }
+        for &u in &s.nodes {
+            s.node_seen[u as usize] = false;
         }
+        // Ascending flow order is the reference solver's iteration
+        // order, on which waterfill's subtraction order depends.
+        s.mflows.sort_unstable();
     }
 
     /// Progressive-filling max–min fair allocation over the member flows,
     /// into `scratch.new_rates` (indexed like `scratch.mflows`).
     ///
-    /// Resources: per-node uplink (`0..n`), per-node downlink (`n..2n`),
-    /// the switch aggregate (`2n`), and one virtual resource per capped
-    /// member flow. Each iteration saturates the currently most
-    /// constrained resource and freezes the flows crossing it, so the
-    /// loop runs at most `|members|` times. The arithmetic — table
-    /// layout, iteration order, subtraction order, tie-breaking — is
-    /// exactly the reference solver's, restricted to the member set, so
-    /// the resulting rates are bit-identical (see `reference.rs`).
+    /// Resources: the physical resources the members cross — per-node
+    /// uplinks (global `0..n`), downlinks (`n..2n`) and the switch
+    /// aggregate (`2n`) — renumbered `0..k` in ascending global index,
+    /// then one virtual resource per capped member flow. Each iteration
+    /// saturates the currently most constrained resource and freezes the
+    /// flows crossing it, so the loop runs at most `|members|` times. The
+    /// arithmetic — iteration order, subtraction order, tie-breaking — is
+    /// exactly that of a member solve over all `2n + 1` physical
+    /// resources, where the ones left out here have a zero count and are
+    /// skipped; that in turn is the reference solver's restricted to the
+    /// member set, so the resulting rates are bit-identical (see the
+    /// module docs and `reference.rs`).
     fn solve_members(&mut self) {
         let n = self.topo.len();
         let s = &mut self.scratch;
@@ -809,8 +793,17 @@ impl FlowNet {
             return;
         }
 
+        s.mres.clear();
+        for &fi in &s.mflows {
+            s.mres.extend_from_slice(&self.rows[fi as usize][..3]);
+        }
+        s.mres.sort_unstable();
+        s.mres.dedup();
         s.cap_left.clear();
-        s.cap_left.extend_from_slice(&self.caps_flat);
+        s.cap_left
+            .extend(s.mres.iter().map(|&r| self.caps_flat[r as usize]));
+        s.count.clear();
+        s.count.resize(s.mres.len(), 0);
 
         let vbase = (2 * n + 1) as u32;
         s.flow_res.clear();
@@ -818,27 +811,18 @@ impl FlowNet {
             // `NO_RES` pads uncapped flows so every row is a flat [u32; 4]
             // (no per-flow length array, no slice re-borrows in the hot
             // loop). The sentinel never equals a real resource index.
-            // Member-restricted solves renumber the virtual-cap slots
-            // compactly (reference layout over the member set).
-            let mut res = self.rows[fi as usize];
-            if res[3] != NO_RES {
-                let cap = self.caps_list[(res[3] - vbase) as usize];
+            let row = self.rows[fi as usize];
+            let mut res = [NO_RES; 4];
+            for (local, &global) in res.iter_mut().zip(&row[..3]) {
+                *local = s.mres.partition_point(|&r| r < global) as u32;
+                s.count[*local as usize] += 1;
+            }
+            if row[3] != NO_RES {
                 res[3] = s.cap_left.len() as u32;
-                s.cap_left.push(cap);
+                s.cap_left.push(self.caps_list[(row[3] - vbase) as usize]);
+                s.count.push(1);
             }
             s.flow_res.push(res);
-        }
-
-        let nres = s.cap_left.len();
-        s.count.clear();
-        s.count.resize(nres, 0);
-        for res in &s.flow_res {
-            for &r in res {
-                if r == NO_RES {
-                    break;
-                }
-                s.count[r as usize] += 1;
-            }
         }
 
         s.new_rates.clear();

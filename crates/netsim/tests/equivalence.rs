@@ -9,7 +9,9 @@
 //! must match exactly (rates down to the bit pattern). Topologies cover
 //! both regimes: switch-coupled (full re-solve) and switch-decoupled
 //! (component dirty-marking) — and the capacity mutations drive
-//! transitions *between* the regimes mid-run.
+//! transitions *between* the regimes mid-run. One case runs on a sparse
+//! 1024-node fabric, where a component solve renumbers only the few
+//! resources its flows cross.
 
 use lsm_netsim::{FlowId, FlowNet, NodeCaps, NodeId, SolverMode, Topology, TrafficTag};
 use lsm_simcore::time::SimTime;
@@ -24,10 +26,20 @@ struct Lockstep {
     refr: FlowNet,
     live: Vec<FlowId>,
     now: SimTime,
+    /// Nodes that flows run between (an op's raw endpoint indexes this).
+    endpoints: Vec<u32>,
+    /// Nodes that link degradations hit.
+    fault_nodes: Vec<u32>,
 }
 
 impl Lockstep {
+    /// Flows and link faults over every node of `topo`.
     fn new(topo: Topology) -> Self {
+        let all: Vec<u32> = (0..topo.len() as u32).collect();
+        Self::on_nodes(topo, all.clone(), all)
+    }
+
+    fn on_nodes(topo: Topology, endpoints: Vec<u32>, fault_nodes: Vec<u32>) -> Self {
         let mut inc = FlowNet::new(topo.clone());
         inc.set_solver(SolverMode::Incremental);
         let mut refr = FlowNet::new(topo);
@@ -37,6 +49,8 @@ impl Lockstep {
             refr,
             live: Vec::new(),
             now: SimTime::ZERO,
+            endpoints,
+            fault_nodes,
         }
     }
 
@@ -64,7 +78,7 @@ impl Lockstep {
 
     fn step(&mut self, op: RawOp) -> Result<(), TestCaseError> {
         let (code, a, b, bytes, x) = op;
-        let n = self.inc.topology().len() as u32;
+        let n = self.endpoints.len() as u32;
         // Every step first moves the clock a little (exercises the lazy
         // advance against the eager-equivalent projection).
         self.now += lsm_simcore::time::SimDuration::from_nanos(1 + (bytes % 50_000_000));
@@ -78,6 +92,8 @@ impl Lockstep {
                 if dst == src {
                     dst = (dst + 1) % n;
                 }
+                let src = NodeId(self.endpoints[src as usize]);
+                let dst = NodeId(self.endpoints[dst as usize]);
                 let cap = if x < 0.3 {
                     Some(mb_per_s(1.0 + x * 200.0))
                 } else {
@@ -85,18 +101,14 @@ impl Lockstep {
                 };
                 let tag = TrafficTag::ALL[(a as usize + b as usize) % TrafficTag::ALL.len()];
                 let sz = bytes % (64 * MIB);
-                let fi = self
-                    .inc
-                    .start_flow(self.now, NodeId(src), NodeId(dst), sz, cap, tag);
-                let fr = self
-                    .refr
-                    .start_flow(self.now, NodeId(src), NodeId(dst), sz, cap, tag);
+                let fi = self.inc.start_flow(self.now, src, dst, sz, cap, tag);
+                let fr = self.refr.start_flow(self.now, src, dst, sz, cap, tag);
                 prop_assert_eq!(fi, fr, "flow id streams diverged");
                 self.live.push(fi);
             }
             2 => {
                 // Degrade (or restore) a node's NIC at runtime.
-                let node = NodeId(a % n);
+                let node = NodeId(self.fault_nodes[a as usize % self.fault_nodes.len()]);
                 // Quantized factors so restore (1.0) actually occurs.
                 let factor = match b % 4 {
                     0 => 1.0,
@@ -143,7 +155,10 @@ impl Lockstep {
 }
 
 fn run_schedule(topo: Topology, ops: &[RawOp]) -> Result<(), TestCaseError> {
-    let mut ls = Lockstep::new(topo);
+    run_lockstep(Lockstep::new(topo), ops)
+}
+
+fn run_lockstep(mut ls: Lockstep, ops: &[RawOp]) -> Result<(), TestCaseError> {
     for &op in ops {
         ls.step(op)?;
     }
@@ -204,6 +219,28 @@ proptest! {
         let topo = Topology::symmetric(nodes, mb_per_s(nic), mb_per_s(switch));
         prop_assert!(FlowNet::switch_decoupled(&topo));
         run_schedule(topo, &ops)?;
+    }
+
+    /// A fleet-sized, sparsely used fabric in the decoupled regime:
+    /// flows run between 8 nodes spread over 1024, so a component holds
+    /// several flows whose resource indices lie far apart, and a
+    /// component solve renumbers them into a compact table. Ties are
+    /// common on symmetric NICs, so the renumbered table must keep the
+    /// reference's lowest-index tie-break. Link faults hit the 8 busy
+    /// nodes and their 8 idle neighbours, nodes with and without live
+    /// flows.
+    #[test]
+    fn sparse_fleet_lockstep(
+        nic in 20.0f64..200.0,
+        ops in prop::collection::vec(raw_op(), 10..60),
+    ) {
+        let nodes = 1024;
+        let topo = Topology::symmetric(nodes, mb_per_s(nic), mb_per_s(nic * nodes as f64 * 4.0));
+        prop_assert!(FlowNet::switch_decoupled(&topo));
+        let busy = vec![0, 137, 290, 511, 512, 733, 896, 1023];
+        let idle = busy.iter().map(|&u| u ^ 1);
+        let fault_nodes = busy.iter().copied().chain(idle).collect();
+        run_lockstep(Lockstep::on_nodes(topo, busy, fault_nodes), &ops)?;
     }
 
     /// Heterogeneous NICs (asymmetric up/down) in the decoupled regime.
