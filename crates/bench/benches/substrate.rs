@@ -51,6 +51,37 @@ fn sparse_net(nodes: u32) -> FlowNet {
     net
 }
 
+/// `net_with_127_flows`'s fabric, whose switch holds about 17.4 NICs,
+/// carrying 16 long flows, one each way on node pairs `(2k, 2k + 1)` for
+/// `k < 8`. Sixteen busy NICs cannot fill the switch, so each change
+/// re-solves only its component although the fabric is switch-coupled.
+fn few_busy_net() -> FlowNet {
+    let topo = Topology::symmetric(64, mb_per_s(117.5), mb_per_s(2048.0));
+    assert!(!FlowNet::switch_decoupled(&topo));
+    let mut net = FlowNet::new(topo);
+    for i in 0..16u32 {
+        let (a, b) = (NodeId(i / 2 * 2), NodeId(i / 2 * 2 + 1));
+        let (src, dst) = if i % 2 == 0 { (a, b) } else { (b, a) };
+        net.start_flow(SimTime::ZERO, src, dst, 64 * MIB, None, TrafficTag::Memory);
+    }
+    net
+}
+
+/// One zero-byte flow on nodes (0, 1), started and completed at once,
+/// which restores the network exactly.
+fn start_complete_pair0(net: &mut FlowNet) -> usize {
+    let f = net.start_flow(
+        SimTime::ZERO,
+        NodeId(0),
+        NodeId(1),
+        0,
+        None,
+        TrafficTag::StoragePull,
+    );
+    net.complete(SimTime::ZERO, f);
+    net.active()
+}
+
 fn bench_netsim(c: &mut Criterion) {
     let mut g = c.benchmark_group("substrate/netsim");
     // 64 nodes, 128 concurrent flows: the fig5 regime. The 128th flow
@@ -97,26 +128,22 @@ fn bench_netsim(c: &mut Criterion) {
     });
     // The fleet regime: 150 live flows, and each change re-solves one
     // small component. A zero-byte flow joins the 2-flow component on
-    // nodes (0, 1) and completes at once, which restores the network
-    // exactly. That component is the same on both fabrics, so the
-    // per-call cost should not grow from 64 to 1024 nodes.
+    // nodes (0, 1) and completes at once. That component is the same on
+    // both fabrics, so the per-call cost should not grow from 64 to 1024
+    // nodes.
     for nodes in [64u32, 1024] {
         let mut net = sparse_net(nodes);
         g.bench_function(&format!("sparse_start_complete_{nodes}_nodes"), |b| {
-            b.iter(|| {
-                let f = net.start_flow(
-                    SimTime::ZERO,
-                    NodeId(0),
-                    NodeId(1),
-                    0,
-                    None,
-                    TrafficTag::StoragePull,
-                );
-                net.complete(SimTime::ZERO, f);
-                std::hint::black_box(net.active())
-            })
+            b.iter(|| start_complete_pair0(&mut net))
         });
     }
+    // The same pair of calls on a switch-coupled fabric with few busy
+    // NICs, the regime of a scale64 run: the switch cannot bind, so the
+    // pair re-solves the 2-flow component instead of all 16 flows.
+    let mut net = few_busy_net();
+    g.bench_function("few_busy_start_complete", |b| {
+        b.iter(|| start_complete_pair0(&mut net))
+    });
     g.finish();
 }
 

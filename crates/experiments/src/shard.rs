@@ -25,9 +25,11 @@
 //!   chunk-aligned I/O never triggers on-demand repository fetches
 //!   from nodes outside the component;
 //! * the fabric is switch-decoupled (switch aggregate ≥ 2× the summed
-//!   NIC capacity), so flows in different components can never contend
-//!   — the same condition under which the monolithic incremental
-//!   solver already re-solves components independently.
+//!   NIC capacity), so flows in different components can never contend,
+//!   however many nodes are busy. That implies the monolithic
+//!   incremental solver's own rule, which looks only at the NICs
+//!   carrying live flows, so it too re-solves components independently
+//!   on every change.
 //!
 //! Under those rules each shard's event stream is *identical* to the
 //! monolithic engine's restriction to that component, and the merged
@@ -256,8 +258,9 @@ pub fn partition(spec: &ScenarioSpec) -> Result<Vec<SubScenario>, Vec<ShardRejec
         }
     }
     // Uniform NICs: the switch aggregate must dominate twice the summed
-    // NIC capacity for components to be provably contention-free (the
-    // monolithic solver's own decoupling condition).
+    // NIC capacity for components to be provably contention-free with
+    // every node busy (stricter than the monolithic solver's busy-NIC
+    // rule).
     let required = 2.0 * nodes as f64 * cluster.nic_bw;
     if cluster.switch_bw < required {
         rejections.push(ShardRejection::SwitchCoupled {

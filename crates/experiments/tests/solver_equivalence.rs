@@ -10,10 +10,13 @@
 use lsm_core::policy::StrategyKind;
 use lsm_core::RunReport;
 use lsm_experiments::scenario::{run_scenario_with_solver, ScenarioSpec};
+use lsm_experiments::stress::StressParams;
 use lsm_experiments::{fig3, fig4, fig5, Scale};
 use lsm_netsim::SolverMode;
 
-fn assert_solver_equivalent(name: &str, spec: &ScenarioSpec) {
+/// Run `spec` under both solvers, require identical reports, and return
+/// the incremental one.
+fn assert_solver_equivalent(name: &str, spec: &ScenarioSpec) -> RunReport {
     let inc = run_scenario_with_solver(spec, SolverMode::Incremental).expect("scenario runs");
     let refr = run_scenario_with_solver(spec, SolverMode::Reference).expect("scenario runs");
     let ser = |r: &RunReport| serde_json::to_string_pretty(r).expect("report serializes");
@@ -36,6 +39,7 @@ fn assert_solver_equivalent(name: &str, spec: &ScenarioSpec) {
     for (m_inc, m_ref) in inc.migrations.iter().zip(refr.migrations.iter()) {
         assert_eq!(m_inc.timeline, m_ref.timeline, "{name}: milestone timeline");
     }
+    inc
 }
 
 #[test]
@@ -69,4 +73,26 @@ fn fig5_reports_identical_under_both_solvers() {
     let n = *p.ns.last().expect("quick sweep is non-empty");
     let spec = fig5::scenario(&p, StrategyKind::Hybrid, n);
     assert_solver_equivalent(&format!("fig5/our-approach/n{n}"), &spec);
+}
+
+#[test]
+fn busy_nic_threshold_run_identical_under_both_solvers() {
+    // scale64's fabric (a switch of 17.4 NICs) with one VM per node and
+    // requests 0.35 s apart: the number of NICs carrying flows crosses
+    // the switch's limit about 200 times each way, so the incremental
+    // solver moves between component and full re-solves all run long.
+    let p = StressParams {
+        nodes: 64,
+        vms_per_node: 1,
+        iterations: 8,
+        migrate_start: 5.0,
+        stagger: 0.35,
+        horizon: 150.0,
+    };
+    let report = assert_solver_equivalent("stress/busy-threshold", &p.spec("busy-threshold"));
+    assert_eq!(report.migrations.len(), 64);
+    assert!(
+        report.migrations.iter().all(|m| m.completed),
+        "every migration completes"
+    );
 }

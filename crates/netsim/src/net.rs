@@ -10,16 +10,54 @@
 //! * [`SolverMode::Incremental`] (the default) keeps persistent
 //!   bookkeeping — flat flow storage, reusable scratch tables, per-node
 //!   flow adjacency — so a recompute allocates nothing. When the switch
-//!   aggregate provably cannot be a bottleneck (capacity at least twice
-//!   the summed NIC capacity, see [`FlowNet::switch_decoupled`]), a
-//!   change re-solves only the flows transitively sharing a node with
-//!   the changed flow (dirty-marking by connected component); everyone
-//!   else keeps their rate bit-for-bit.
+//!   aggregate provably cannot be a bottleneck for the live flows (see
+//!   below), a change re-solves only the flows transitively sharing a
+//!   node with the changed flow (dirty-marking by connected component);
+//!   everyone else keeps their rate bit-for-bit.
 //! * [`SolverMode::Reference`] re-runs the original from-scratch
 //!   water-filling on every change. It is kept as a test oracle: the
 //!   incremental solver must produce **bit-identical** rates, reports and
 //!   completion times (asserted by the `equivalence` proptest suite and
 //!   the fig3/fig4/fig5 report-identity tests).
+//!
+//! # When the switch cannot bind
+//!
+//! Flows on disjoint node sets interact only through the switch
+//! aggregate. On every flow change the incremental solver decides from
+//! the live flows, not the whole fabric, whether the switch can bind:
+//!
+//! ```text
+//! busy_up × max_up ≤ switch / (1 + 2⁻¹⁰)   or   busy_down × max_down ≤ switch / (1 + 2⁻¹⁰)
+//! ```
+//!
+//! `busy_up` and `busy_down` count the nodes with at least one live
+//! outgoing or incoming flow: the 0↔1 transitions of the per-resource
+//! live-flow counts. `max_up` and `max_down` are the largest pristine
+//! NIC capacities; a degradation only lowers a NIC, so they stay upper
+//! bounds. A fabric whose switch is far smaller than its summed NICs
+//! therefore still re-solves by component while few of its nodes are
+//! busy. [`FlowNet::switch_decoupled`] is the case with every node busy.
+//!
+//! Why the rule suffices: in every round of the water-filling, the
+//! switch's fair share is its residual capacity over the unfixed flows.
+//! Each unfixed flow crosses one uplink of a busy node, and those
+//! uplinks hold no more residual capacity between them than the switch
+//! (both lose the same frozen rates). By the mediant inequality,
+//! `min_i up_i/c_i ≤ Σup/Σc ≤ switch_left/Σc`, so some NIC's fair share
+//! is at most the switch's; NICs are indexed before the switch, so the
+//! lowest-index tie-break never picks it. Downlinks give the same
+//! argument. The margin of 2⁻¹⁰ of the switch keeps the comparison clear
+//! of water-filling's rounding drift, about `(m + 2)·2⁻⁵³` of the switch
+//! for `m` live flows; without it, the incremental and reference solvers
+//! can differ by one ulp.
+//!
+//! A component re-solve keeps every other component's rates, so it is
+//! sound only if the switch could not bind when those rates were solved
+//! either. `FlowNet` records the regime of its last solve, and a change
+//! re-solves by component only when the rule held both before and after
+//! it. The change that ends a stretch in which the switch could bind is
+//! therefore a full solve: it replaces rates the switch may have capped
+//! with the ones each component gets alone.
 //!
 //! # O(component) re-solves
 //!
@@ -121,6 +159,26 @@ const NO_RES: u32 = u32::MAX;
 /// (fair shares are clamped non-negative, so this can never collide).
 const UNFIXED: f64 = -1.0;
 
+/// Headroom the switch must keep over the busy NICs' summed capacity
+/// before the solver treats it as unable to bind: a relative margin of
+/// 2⁻¹⁰, far above water-filling's rounding drift. See the module docs.
+const SWITCH_MARGIN: f64 = 1.0 + 1.0 / 1024.0;
+
+/// The decoupling rule of the module docs: a switch of capacity `switch`
+/// cannot bind while `senders` nodes send at most `max_up` each, or
+/// `receivers` nodes receive at most `max_down` each, with
+/// [`SWITCH_MARGIN`] to spare.
+fn switch_cannot_bind(
+    switch: f64,
+    senders: u32,
+    max_up: f64,
+    receivers: u32,
+    max_down: f64,
+) -> bool {
+    let limit = switch / SWITCH_MARGIN;
+    f64::from(senders) * max_up <= limit || f64::from(receivers) * max_down <= limit
+}
+
 /// Which max–min solver computes flow rates. See the module docs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SolverMode {
@@ -217,6 +275,13 @@ impl Scratch {
     }
 }
 
+/// The largest uplink and downlink capacity of `topo`'s nodes.
+fn max_nic(topo: &Topology) -> (f64, f64) {
+    topo.node_ids()
+        .map(|i| topo.caps(i))
+        .fold((0.0, 0.0), |(up, down), c| (up.max(c.up), down.max(c.down)))
+}
+
 /// Position of flow `id` in the id-ordered flow vector, if live.
 #[inline]
 fn flow_pos(flows: &[Flow], id: FlowId) -> Option<usize> {
@@ -256,10 +321,18 @@ pub struct FlowNet {
     /// [`FlowNet::enable_load_log`].
     load_log: Option<Vec<(SimTime, u32)>>,
     solver: SolverMode,
-    /// True when the switch aggregate can never be the binding resource
-    /// (see [`FlowNet::switch_decoupled`]); enables component-restricted
-    /// re-solves.
+    /// True when the current rates were solved with the switch unable to
+    /// bind (the module docs' rule held after the last change), so every
+    /// component's rates are the ones it gets alone. A change re-solves
+    /// by component only if this and the rule after the change both hold.
     decoupled: bool,
+    /// Nodes with at least one live outgoing / incoming flow.
+    busy_up: u32,
+    busy_down: u32,
+    /// Largest pristine uplink / downlink capacity: upper bounds on
+    /// every NIC, since a degradation only lowers one.
+    max_up: f64,
+    max_down: f64,
     /// *Current* capacities of the `2n + 1` physical resources (uplinks,
     /// downlinks, switch), so a full solve initializes `cap_left` with a
     /// memcpy instead of per-node lookups. Kept in lockstep with the
@@ -282,7 +355,6 @@ pub struct FlowNet {
 impl FlowNet {
     /// Create a network over `topo` with no flows.
     pub fn new(topo: Topology) -> Self {
-        let decoupled = Self::switch_decoupled(&topo);
         let n = topo.len();
         let mut caps_flat = Vec::with_capacity(2 * n + 1);
         for i in 0..n {
@@ -294,6 +366,7 @@ impl FlowNet {
         caps_flat.push(topo.switch_capacity);
         let base_caps: Vec<crate::topology::NodeCaps> =
             topo.node_ids().map(|i| topo.caps(i)).collect();
+        let (max_up, max_down) = max_nic(&topo);
         FlowNet {
             topo,
             flows: Vec::new(),
@@ -306,7 +379,12 @@ impl FlowNet {
             peak_active: 0,
             load_log: None,
             solver: SolverMode::default(),
-            decoupled,
+            // No flows, so no rates the switch could have capped.
+            decoupled: true,
+            busy_up: 0,
+            busy_down: 0,
+            max_up,
+            max_down,
             caps_flat,
             base_caps,
             factors: vec![1.0; n],
@@ -320,22 +398,19 @@ impl FlowNet {
     }
 
     /// Whether the switch aggregate is provably never the most
-    /// constrained resource: its capacity is at least **twice** the
-    /// summed uplink and downlink capacities. (The mediant inequality
-    /// gives `min_i up_i/c_i ≤ Σup/Σc ≤ switch_left/Σc` whenever
-    /// `switch ≥ Σup`; the factor two keeps the comparison safely out of
+    /// constrained resource on `topo`, however many of its nodes carry
+    /// flows: the module docs' rule with every node busy, `n × max_up`
+    /// or `n × max_down` at most `switch / (1 + 2⁻¹⁰)`. (The mediant
+    /// inequality gives `min_i up_i/c_i ≤ Σup/Σc ≤ switch_left/Σc`
+    /// whenever `switch ≥ Σup`; the margin keeps the comparison out of
     /// floating-point rounding range.) When true, flows on disjoint node
-    /// sets are genuinely independent and the incremental solver
-    /// re-solves only the changed component.
+    /// sets are always independent and the incremental solver re-solves
+    /// only the changed component. When false, it still does so while
+    /// few enough nodes are busy.
     pub fn switch_decoupled(topo: &Topology) -> bool {
-        let mut sum_up = 0.0f64;
-        let mut sum_down = 0.0f64;
-        for n in topo.node_ids() {
-            let caps = topo.caps(n);
-            sum_up += caps.up;
-            sum_down += caps.down;
-        }
-        topo.switch_capacity >= 2.0 * sum_up.max(sum_down)
+        let (max_up, max_down) = max_nic(topo);
+        let n = topo.len() as u32;
+        switch_cannot_bind(topo.switch_capacity, n, max_up, n, max_down)
     }
 
     /// Select the rate solver. The reference solver is a from-scratch
@@ -455,6 +530,8 @@ impl FlowNet {
         self.count_all[src.idx()] += 1;
         self.count_all[n + dst.idx()] += 1;
         self.count_all[2 * n] += 1;
+        self.busy_up += u32::from(self.count_all[src.idx()] == 1);
+        self.busy_down += u32::from(self.count_all[n + dst.idx()] == 1);
         self.node_flows[src.idx()].push(id);
         self.node_flows[dst.idx()].push(id);
         self.log_load();
@@ -463,9 +540,9 @@ impl FlowNet {
     }
 
     /// Remove flow `id` with its progress materialized to the network
-    /// clock, dropping its resource row, physical-resource counts and
-    /// adjacency entries. Later capped flows' virtual-resource indices
-    /// shift down if the flow was capped.
+    /// clock, dropping its resource row, physical-resource and busy-node
+    /// counts and adjacency entries. Later capped flows' virtual-resource
+    /// indices shift down if the flow was capped.
     fn take_flow(&mut self, id: FlowId) -> Option<Flow> {
         let pos = flow_pos(&self.flows, id)?;
         self.materialize(pos);
@@ -483,6 +560,8 @@ impl FlowNet {
         for &r in &row[..3] {
             self.count_all[r as usize] -= 1;
         }
+        self.busy_up -= u32::from(self.count_all[row[0] as usize] == 0);
+        self.busy_down -= u32::from(self.count_all[row[1] as usize] == 0);
         for node in [f.src, f.dst] {
             self.node_flows[node.idx()].retain(|&x| x != id);
         }
@@ -639,8 +718,10 @@ impl FlowNet {
     /// not a quarter. Every in-flight flow whose rate can change is
     /// re-solved immediately under the active [`SolverMode`]; the
     /// incremental solver re-solves only the affected component when the
-    /// switch aggregate permits, and stays bit-identical to
+    /// switch cannot bind, and stays bit-identical to
     /// [`SolverMode::Reference`] (asserted by the equivalence proptests).
+    /// The decoupling rule reads pristine capacities, so a factor never
+    /// changes the regime.
     ///
     /// Panics if `factor` is not in `(0, 1]` — a zero-capacity link
     /// would park its flows at rate 0 forever; model a dead node with a
@@ -663,21 +744,8 @@ impl FlowNet {
         let n = self.topo.len();
         self.caps_flat[node.idx()] = caps.up;
         self.caps_flat[n + node.idx()] = caps.down;
-        // Capacity sums changed, so re-derive whether the switch can bind.
-        let was_decoupled = self.decoupled;
-        self.decoupled = Self::switch_decoupled(&self.topo);
-        if self.decoupled && !was_decoupled {
-            // The switch may have been binding flows in *other*
-            // components until this very change; a component-restricted
-            // re-solve would leave their now-stale rates in place. One
-            // full solve re-establishes the per-component regime.
-            if !self.flows.is_empty() && self.solver == SolverMode::Incremental {
-                self.solve_all();
-                self.apply_rates_all();
-                return;
-            }
-        }
-        // Only flows in this node's component can change rate.
+        // Unless the switch can bind, only flows in this node's component
+        // can change rate.
         self.reallocate(node, node);
     }
 
@@ -712,8 +780,17 @@ impl FlowNet {
 
     // ---------------- rate allocation ----------------
 
-    /// Recompute rates after a flow set change touching `(src, dst)`.
+    /// Recompute rates after a change touching `(src, dst)`: a flow
+    /// started or left there, or a NIC's capacity moved.
     fn reallocate(&mut self, src: NodeId, dst: NodeId) {
+        let was_decoupled = self.decoupled;
+        self.decoupled = switch_cannot_bind(
+            self.topo.switch_capacity,
+            self.busy_up,
+            self.max_up,
+            self.busy_down,
+            self.max_down,
+        );
         if self.flows.is_empty() {
             return;
         }
@@ -723,13 +800,14 @@ impl FlowNet {
                 self.apply_rates_all();
             }
             SolverMode::Incremental => {
-                if self.decoupled {
+                if was_decoupled && self.decoupled {
                     self.mark_component(src, dst);
                     self.solve_members();
                     self.apply_member_rates();
                 } else {
-                    // The switch couples every flow: full solve, but over
-                    // persistent tables (memcpy-initialized, no lookups).
+                    // The switch may bind now, or may have capped the
+                    // rates in place: full solve, but over persistent
+                    // tables (memcpy-initialized, no lookups).
                     self.solve_all();
                     self.apply_rates_all();
                 }
@@ -1255,10 +1333,63 @@ mod tests {
 
     #[test]
     fn decoupled_switch_detection() {
-        // 800 MB/s switch vs 4 × 100 MB/s NICs: 800 ≥ 2·400 → decoupled.
+        // 800 MB/s switch vs 4 × 100 MB/s NICs: decoupled with every
+        // node busy.
         assert!(FlowNet::switch_decoupled(&topo(4)));
-        // 32 nodes: 800 < 2·3200 → coupled.
+        // A switch of exactly 8 NICs binds with all 8 busy: no margin.
+        assert!(FlowNet::switch_decoupled(&topo(7)));
+        assert!(!FlowNet::switch_decoupled(&topo(8)));
         assert!(!FlowNet::switch_decoupled(&topo(32)));
+
+        // The live rule on scale64's fabric (64 × 117.5 MiB/s NICs, a
+        // 2 GiB/s switch). 17 busy NICs (1997.5 MiB/s) fit under
+        // switch / (1 + 2⁻¹⁰) ≈ 2046 MiB/s, 18 (2115 MiB/s) do not.
+        let mut net = FlowNet::new(Topology::symmetric(64, mb_per_s(117.5), mb_per_s(2048.0)));
+        let flows = open_pairs(&mut net, 0..17);
+        assert_eq!((net.busy_up, net.busy_down), (17, 17));
+        assert!(net.decoupled, "17 busy NICs: component re-solves");
+        let extra = net.start_flow(Z, NodeId(34), NodeId(35), MIB, None, TrafficTag::Memory);
+        assert!(!net.decoupled, "18 busy NICs: full solve");
+        // A second flow on busy nodes adds no busy NIC.
+        net.start_flow(Z, NodeId(0), NodeId(3), MIB, None, TrafficTag::Memory);
+        assert_eq!((net.busy_up, net.busy_down), (18, 18));
+        net.cancel_flow(Z, extra);
+        assert_eq!((net.busy_up, net.busy_down), (17, 17));
+        assert!(net.decoupled);
+        // The rule reads pristine capacities: a degradation keeps the
+        // regime.
+        net.set_link_factor(Z, NodeId(0), 0.5);
+        assert!(net.decoupled);
+        for f in flows {
+            net.cancel_flow(Z, f);
+        }
+        assert_eq!((net.busy_up, net.busy_down), (1, 1));
+
+        // A switch of exactly k = 5 NICs: 4 busy fit, 5 busy take the
+        // full solve.
+        let nic = mb_per_s(117.5);
+        let mut net = FlowNet::new(Topology::symmetric(64, nic, 5.0 * nic));
+        open_pairs(&mut net, 0..4);
+        assert!(net.decoupled);
+        open_pairs(&mut net, 4..5);
+        assert!(!net.decoupled);
+    }
+
+    /// Open one flow on each pair `(2k, 2k + 1)` for `k` in `pairs`, so
+    /// every flow adds one busy sender and one busy receiver.
+    fn open_pairs(net: &mut FlowNet, pairs: std::ops::Range<u32>) -> Vec<FlowId> {
+        pairs
+            .map(|k| {
+                net.start_flow(
+                    Z,
+                    NodeId(2 * k),
+                    NodeId(2 * k + 1),
+                    MIB,
+                    None,
+                    TrafficTag::Memory,
+                )
+            })
+            .collect()
     }
 
     #[test]

@@ -58,8 +58,11 @@ impl Topology {
     }
 
     /// Builder: override a single node's NIC capacities.
+    ///
+    /// Panics on a capacity [`Self::set_caps`] rejects: a zero NIC would
+    /// park its flows at rate 0 forever.
     pub fn with_node_caps(mut self, node: NodeId, caps: NodeCaps) -> Self {
-        self.nodes[node.idx()] = caps;
+        self.set_caps(node, caps);
         self
     }
 
@@ -121,6 +124,13 @@ mod tests {
         );
         assert_eq!(t.caps(NodeId(1)).up, mb_per_s(10.0));
         assert_eq!(t.caps(NodeId(0)).up, mb_per_s(100.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "positive and finite")]
+    fn zero_node_caps_rejected() {
+        let _ = Topology::symmetric(2, 1.0, 1.0)
+            .with_node_caps(NodeId(1), NodeCaps { up: 1.0, down: 0.0 });
     }
 
     #[test]

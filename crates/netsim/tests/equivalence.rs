@@ -7,11 +7,14 @@
 //! link degradations/restorations. After every step, rates, remaining
 //! bytes, per-tag delivered bytes and the next completion `(time, flow)`
 //! must match exactly (rates down to the bit pattern). Topologies cover
-//! both regimes: switch-coupled (full re-solve) and switch-decoupled
-//! (component dirty-marking) — and the capacity mutations drive
-//! transitions *between* the regimes mid-run. One case runs on a sparse
-//! 1024-node fabric, where a component solve renumbers only the few
-//! resources its flows cross.
+//! both regimes: fabrics whose switch can bind once enough NICs are
+//! busy, and fabrics whose switch never can. On the former the
+//! incremental solver re-solves by component while few NICs carry flows
+//! and re-solves every flow otherwise, so flow starts and completions
+//! drive transitions *between* the regimes mid-run; one case sizes the
+//! switch to within half a percent of `k` NICs to cross that threshold
+//! often. One case runs on a sparse 1024-node fabric, where a component
+//! solve renumbers only the few resources its flows cross.
 
 use lsm_netsim::{FlowId, FlowNet, NodeCaps, NodeId, SolverMode, Topology, TrafficTag};
 use lsm_simcore::time::SimTime;
@@ -191,8 +194,9 @@ fn raw_op() -> impl Strategy<Value = RawOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Switch-coupled regime: the aggregate can bind, every change
-    /// re-solves the full flow set (but with persistent buffers).
+    /// Switch-coupled regime: the aggregate can bind once enough NICs
+    /// are busy. Changes re-solve the full flow set (over persistent
+    /// buffers) while it can, and by component while few NICs are busy.
     #[test]
     fn coupled_switch_lockstep(
         nodes in 2usize..9,
@@ -258,5 +262,35 @@ proptest! {
             );
         }
         run_schedule(topo, &ops)?;
+    }
+}
+
+proptest! {
+    // One case catches a mis-timed regime change only when the switch
+    // binds at the crossing, so this property runs more cases.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The busy-NIC threshold: a 64-node fabric whose switch holds
+    /// exactly `k` NICs, or up to half a percent more or less. Flows run
+    /// between 24 nodes spread over the fabric, so the number of busy
+    /// NICs crosses `k` in both directions and the incremental solver
+    /// moves between component and full re-solves mid-run, including
+    /// the full solve that ends a stretch in which the switch could
+    /// bind. A switch just short of `k` NICs binds with `k` of them
+    /// busy, which catches a rule that admits a few percent too much.
+    /// Link faults hit every third of the 24 nodes and its neighbour.
+    #[test]
+    fn busy_threshold_lockstep(
+        k in 1u32..20,
+        spare in prop_oneof![Just(0.0), -0.005f64..0.005],
+        nic in 20.0f64..200.0,
+        ops in prop::collection::vec(raw_op(), 40..160),
+    ) {
+        let nic = mb_per_s(nic);
+        let topo = Topology::symmetric(64, nic, k as f64 * nic * (1.0 + spare));
+        prop_assert!(!FlowNet::switch_decoupled(&topo));
+        let busy: Vec<u32> = (0..24).map(|i| i * 8 / 3).collect();
+        let faulty = busy.iter().step_by(3).flat_map(|&u| [u, u ^ 1]).collect();
+        run_lockstep(Lockstep::on_nodes(topo, busy, faulty), &ops)?;
     }
 }
