@@ -178,11 +178,11 @@ fn bench_resource(c: &mut Criterion) {
             let mut r = SharedResource::new(mb_per_s(55.0));
             let mut t = SimTime::ZERO;
             for i in 0..64 {
-                r.submit(t, 256 * 1024, None);
+                r.submit(t, 256 * 1024, i);
                 if i % 4 == 0 {
-                    if let Some((at, id)) = r.next_completion() {
+                    if let Some(at) = r.next_completion() {
                         t = at;
-                        r.complete(t, id);
+                        r.pop_due(t);
                     }
                 }
             }

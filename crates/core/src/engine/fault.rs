@@ -190,16 +190,7 @@ fn crash_vm(eng: &mut Engine, v: VmIdx) {
     if let Some(ev) = compute_ev {
         eng.queue.cancel(ev);
     }
-    let ops: Vec<OpId> = {
-        let vm = &mut eng.vms[v as usize];
-        let mut ids: Vec<OpId> = vm.ops.values().copied().collect();
-        ids.sort_unstable();
-        vm.ops.clear();
-        ids
-    };
-    for op in ops {
-        eng.ops.remove(&op);
-    }
+    eng.ops.retain(|_, o| o.vm != v);
 }
 
 /// Recovery for one severed flow, after crash ownership is settled.

@@ -36,7 +36,6 @@ use lsm_blockdev::{CacheConfig, ChunkStore, PageCache, VirtualDisk};
 use lsm_hypervisor::{Vm, VmId, VmState};
 use lsm_netsim::{FlowId, FlowNet, NodeId, Topology, TrafficTag};
 use lsm_repo::{PvfsConfig, PvfsFs, RepoConfig, StripedRepo};
-use lsm_simcore::resource::SharedResource;
 use lsm_simcore::time::{SimDuration, SimTime};
 use lsm_simcore::{EventId, EventQueue};
 use lsm_workloads::{Action, ActionToken, WorkloadSpec};
@@ -101,17 +100,11 @@ impl Engine {
         let nodes = (0..cfg.nodes)
             .map(|_| NodeRt {
                 crashed: false,
-                disk: SharedResource::new(cfg.disk_bw),
-                cache_rd: SharedResource::new(cfg.cache_read_bw),
-                cache_wr: SharedResource::new(cfg.cache_write_bw),
+                disk: Lane::new(cfg.disk_bw),
+                cache_rd: Lane::new(cfg.cache_read_bw),
+                cache_wr: Lane::new(cfg.cache_write_bw),
                 ingest_backlog: 0,
                 ingest_inflight: 0,
-                disk_wake: None,
-                cache_rd_wake: None,
-                cache_wr_wake: None,
-                disk_ctx: HashMap::new(),
-                cache_rd_ctx: HashMap::new(),
-                cache_wr_ctx: HashMap::new(),
             })
             .collect();
         let repo = StripedRepo::new(RepoConfig::over_nodes(
@@ -237,7 +230,6 @@ impl Engine {
             cache,
             store: ChunkStore::new(nchunks),
             dest_store: None,
-            ops: HashMap::new(),
             compute: None,
             held_completions: Default::default(),
             group: None,
@@ -579,23 +571,8 @@ impl Engine {
     // ---------------- resource wake/drain plumbing ----------------
 
     pub(crate) fn resync_net(&mut self) {
-        let t = self
-            .net
-            .next_completion()
-            .map(|(t, _)| t)
-            .unwrap_or(SimTime::FAR_FUTURE);
-        if let Some((_, at)) = self.net_wake {
-            if at == t {
-                return;
-            }
-        }
-        if let Some((ev, _)) = self.net_wake.take() {
-            self.queue.cancel(ev);
-        }
-        if t != SimTime::FAR_FUTURE {
-            let ev = self.queue.schedule(t, Ev::NetWake);
-            self.net_wake = Some((ev, t));
-        }
+        let next = self.net.next_completion().map(|(t, _)| t);
+        rearm(&mut self.queue, &mut self.net_wake, next, Ev::NetWake);
     }
 
     fn drain_net(&mut self) {
@@ -648,137 +625,40 @@ impl Engine {
             .schedule(self.now + delay, Ev::CtlArrive(to, msg));
     }
 
-    fn resync_node_resource(&mut self, node: u32, which: u8) {
-        let t = {
-            let n = &self.nodes[node as usize];
-            let res = match which {
-                0 => &n.disk,
-                1 => &n.cache_rd,
-                _ => &n.cache_wr,
-            };
-            res.next_completion()
-                .map(|(t, _)| t)
-                .unwrap_or(SimTime::FAR_FUTURE)
-        };
-        let prev = {
-            let n = &mut self.nodes[node as usize];
-            let wake = match which {
-                0 => &mut n.disk_wake,
-                1 => &mut n.cache_rd_wake,
-                _ => &mut n.cache_wr_wake,
-            };
-            if let Some((_, at)) = *wake {
-                if at == t {
-                    return;
-                }
-            }
-            wake.take()
-        };
-        if let Some((ev, _)) = prev {
-            self.queue.cancel(ev);
-        }
-        if t != SimTime::FAR_FUTURE {
-            let evk = match which {
-                0 => Ev::DiskWake(node),
-                1 => Ev::CacheRdWake(node),
-                _ => Ev::CacheWrWake(node),
-            };
-            let ev = self.queue.schedule(t, evk);
-            let n = &mut self.nodes[node as usize];
-            let wake = match which {
-                0 => &mut n.disk_wake,
-                1 => &mut n.cache_rd_wake,
-                _ => &mut n.cache_wr_wake,
-            };
-            *wake = Some((ev, t));
-        }
-    }
-
-    pub(crate) fn resync_disk(&mut self, node: u32) {
-        self.resync_node_resource(node, 0);
-    }
-
-    pub(crate) fn resync_cache_rd(&mut self, node: u32) {
-        self.resync_node_resource(node, 1);
-    }
-
-    pub(crate) fn resync_cache_wr(&mut self, node: u32) {
-        self.resync_node_resource(node, 2);
-    }
-
     pub(crate) fn disk_submit(&mut self, node: u32, bytes: u64, ctx: DiskCtx) {
-        let now = self.now;
-        let n = &mut self.nodes[node as usize];
-        let id = n.disk.submit(now, bytes, None);
-        n.disk_ctx.insert(id, ctx);
-        self.resync_disk(node);
+        let disk = &mut self.nodes[node as usize].disk;
+        disk.res.submit(self.now, bytes, ctx);
+        disk.rearm(&mut self.queue, Ev::DiskWake(node));
     }
 
     pub(crate) fn cache_submit(&mut self, node: u32, bytes: u64, read: bool, op: OpId) {
-        let now = self.now;
-        let n = &mut self.nodes[node as usize];
-        if read {
-            let id = n.cache_rd.submit(now, bytes, None);
-            n.cache_rd_ctx.insert(id, CacheCtx { op });
-            self.resync_cache_rd(node);
-        } else {
-            let id = n.cache_wr.submit(now, bytes, None);
-            n.cache_wr_ctx.insert(id, CacheCtx { op });
-            self.resync_cache_wr(node);
-        }
+        let lane = self.nodes[node as usize].cache(read);
+        lane.res.submit(self.now, bytes, op);
+        lane.rearm(&mut self.queue, Ev::cache_wake(node, read));
     }
 
+    /// A disk wake fired. Its slot is cleared once, up front: routing a
+    /// completion may submit to this lane and arm a fresh wake, which
+    /// the final rearm must see rather than overwrite.
     fn drain_disk(&mut self, node: u32) {
-        self.nodes[node as usize].disk_wake = None;
-        loop {
-            let next = self.nodes[node as usize].disk.next_completion();
-            match next {
-                Some((t, id)) if t <= self.now => {
-                    let now = self.now;
-                    let n = &mut self.nodes[node as usize];
-                    n.disk.complete(now, id);
-                    let ctx = n.disk_ctx.remove(&id).expect("disk req has context");
-                    self.disk_done(node, ctx);
-                }
-                _ => break,
-            }
+        self.nodes[node as usize].disk.wake = None;
+        while let Some(ctx) = self.nodes[node as usize].disk.res.pop_due(self.now) {
+            self.disk_done(node, ctx);
         }
-        self.resync_disk(node);
+        self.nodes[node as usize]
+            .disk
+            .rearm(&mut self.queue, Ev::DiskWake(node));
     }
 
+    /// A cache wake fired; same order as [`Self::drain_disk`].
     fn drain_cache(&mut self, node: u32, read: bool) {
-        if read {
-            self.nodes[node as usize].cache_rd_wake = None;
-        } else {
-            self.nodes[node as usize].cache_wr_wake = None;
+        self.nodes[node as usize].cache(read).wake = None;
+        while let Some(op) = self.nodes[node as usize].cache(read).res.pop_due(self.now) {
+            self.op_part_done(op);
         }
-        loop {
-            let now = self.now;
-            let n = &mut self.nodes[node as usize];
-            let res = if read {
-                &mut n.cache_rd
-            } else {
-                &mut n.cache_wr
-            };
-            match res.next_completion() {
-                Some((t, id)) if t <= now => {
-                    res.complete(now, id);
-                    let ctx = if read {
-                        n.cache_rd_ctx.remove(&id)
-                    } else {
-                        n.cache_wr_ctx.remove(&id)
-                    }
-                    .expect("cache req has context");
-                    self.op_part_done(ctx.op);
-                }
-                _ => break,
-            }
-        }
-        if read {
-            self.resync_cache_rd(node);
-        } else {
-            self.resync_cache_wr(node);
-        }
+        self.nodes[node as usize]
+            .cache(read)
+            .rearm(&mut self.queue, Ev::cache_wake(node, read));
     }
 
     // ---------------- completion routing ----------------
@@ -874,7 +754,9 @@ impl Engine {
         let batch = self.cfg.chunk_size * self.cfg.transfer_batch as u64;
         loop {
             let n = &mut self.nodes[node as usize];
-            if n.ingest_inflight >= self.cfg.writeback_depth + 2 || n.ingest_backlog == 0 {
+            if n.ingest_inflight >= self.cfg.writeback_depth.saturating_add(2)
+                || n.ingest_backlog == 0
+            {
                 break;
             }
             let take = batch.min(n.ingest_backlog);
@@ -906,7 +788,6 @@ impl Engine {
                 bytes,
             },
         );
-        self.vms[vm as usize].ops.insert(token, id);
         id
     }
 
@@ -945,7 +826,6 @@ impl Engine {
             return; // purged by a crash while a completion was in flight
         };
         let vm = &mut self.vms[o.vm as usize];
-        vm.ops.remove(&o.token);
         let dur = self.now.since(o.issued);
         match o.kind {
             OpKind::Read => {

@@ -5,8 +5,9 @@ use crate::policy::{HybridDest, HybridSource, MirrorSource, PrecopySource, Strat
 use lsm_blockdev::{ChunkId, ChunkSet, PageCache, VirtualDisk};
 use lsm_hypervisor::{PrecopyMemory, Vm};
 use lsm_netsim::NodeId;
-use lsm_simcore::resource::{ReqId, SharedResource};
+use lsm_simcore::resource::SharedResource;
 use lsm_simcore::time::{SimDuration, SimTime};
+use lsm_simcore::{EventId, EventQueue};
 use lsm_workloads::{ActionToken, IoKind, Workload};
 use std::collections::{HashMap, VecDeque};
 
@@ -68,6 +69,17 @@ pub(crate) enum Ev {
     /// A scheduled cancellation of a job arrives (index into
     /// `Engine::jobs`).
     CancelFire(u32),
+}
+
+impl Ev {
+    /// The wake event of `node`'s cache-read (`read`) or cache-write lane.
+    pub fn cache_wake(node: u32, read: bool) -> Ev {
+        if read {
+            Ev::CacheRdWake(node)
+        } else {
+            Ev::CacheWrWake(node)
+        }
+    }
 }
 
 /// Control-plane messages between migration managers (latency-modeled).
@@ -200,12 +212,6 @@ pub(crate) enum DiskCtx {
     },
 }
 
-/// Same routing for the cache lanes (they only ever serve VM ops).
-#[derive(Debug)]
-pub(crate) struct CacheCtx {
-    pub op: OpId,
-}
-
 /// An in-flight VM operation (one driver Action).
 #[derive(Debug)]
 pub(crate) struct OpRt {
@@ -235,23 +241,70 @@ impl From<IoKind> for OpKind {
     }
 }
 
+/// One disk or page-cache lane of a node: the equal-share resource
+/// holding each request's completion context, and the lane's single
+/// pending wake event with its time.
+pub(crate) struct Lane<C> {
+    pub res: SharedResource<C>,
+    pub wake: Option<(EventId, SimTime)>,
+}
+
+impl<C> Lane<C> {
+    pub fn new(capacity: f64) -> Self {
+        Lane {
+            res: SharedResource::new(capacity),
+            wake: None,
+        }
+    }
+
+    /// Move the wake to the lane's earliest completion (see [`rearm`]).
+    pub fn rearm(&mut self, queue: &mut EventQueue<Ev>, ev: Ev) {
+        rearm(queue, &mut self.wake, self.res.next_completion(), ev);
+    }
+}
+
+/// Keep a lane's single pending wake at `next`, its earliest completion
+/// (network, disk, cache read or cache write alike): a wake already set
+/// for that time stays, any other is cancelled, and `ev` is scheduled
+/// unless the lane is idle.
+pub(crate) fn rearm(
+    queue: &mut EventQueue<Ev>,
+    wake: &mut Option<(EventId, SimTime)>,
+    next: Option<SimTime>,
+    ev: Ev,
+) {
+    let t = next.unwrap_or(SimTime::FAR_FUTURE);
+    if let Some((id, at)) = *wake {
+        if at == t {
+            return;
+        }
+        queue.cancel(id);
+    }
+    *wake = (t != SimTime::FAR_FUTURE).then(|| (queue.schedule(t, ev), t));
+}
+
 /// Per-node physical state.
 pub(crate) struct NodeRt {
     /// True once a crash fault took the node down (permanent).
     pub crashed: bool,
-    pub disk: SharedResource,
-    pub cache_rd: SharedResource,
-    pub cache_wr: SharedResource,
+    pub disk: Lane<DiskCtx>,
+    /// Page-cache lanes; they only ever serve VM ops.
+    pub cache_rd: Lane<OpId>,
+    pub cache_wr: Lane<OpId>,
     /// Bytes received from the network awaiting drain to disk.
     pub ingest_backlog: u64,
     pub ingest_inflight: u32,
-    /// Scheduled wake bookkeeping (event id per resource).
-    pub disk_wake: Option<(lsm_simcore::EventId, SimTime)>,
-    pub cache_rd_wake: Option<(lsm_simcore::EventId, SimTime)>,
-    pub cache_wr_wake: Option<(lsm_simcore::EventId, SimTime)>,
-    pub disk_ctx: HashMap<ReqId, DiskCtx>,
-    pub cache_rd_ctx: HashMap<ReqId, CacheCtx>,
-    pub cache_wr_ctx: HashMap<ReqId, CacheCtx>,
+}
+
+impl NodeRt {
+    /// The page-cache lane serving reads (`read`) or writes.
+    pub fn cache(&mut self, read: bool) -> &mut Lane<OpId> {
+        if read {
+            &mut self.cache_rd
+        } else {
+            &mut self.cache_wr
+        }
+    }
 }
 
 /// Virtual-progress compute timer (stretchable by pause / CPU steal).
@@ -430,8 +483,6 @@ pub(crate) struct VmRt {
     pub store: lsm_blockdev::ChunkStore,
     /// Physical chunk store building up at a migration destination.
     pub dest_store: Option<lsm_blockdev::ChunkStore>,
-    /// Outstanding ops by token.
-    pub ops: HashMap<ActionToken, OpId>,
     /// Current compute burst (at most one per VM).
     pub compute: Option<ComputeRt>,
     /// Completions held while the VM is paused.

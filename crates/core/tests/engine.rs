@@ -45,6 +45,25 @@ fn hybrid_migration_completes_consistently() {
     assert!(r.traffic_for(TrafficTag::StoragePush) > 0);
 }
 
+/// Validation and lint put no upper bound on `writeback_depth`, so its
+/// largest value must run too: the destination's ingest limit of
+/// `writeback_depth + 2` saturates instead of overflowing.
+#[test]
+fn max_writeback_depth_migrates() {
+    let mut cfg = ClusterConfig::small_test();
+    cfg.writeback_depth = u32::MAX;
+    let mut eng = Engine::new(cfg).unwrap();
+    let vm = eng
+        .add_vm(0, &busy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
+        .unwrap();
+    eng.schedule_migration(vm, 1, t(1.0)).unwrap();
+    let r = eng.run_until(t(300.0));
+    let m = r.the_migration();
+    assert!(m.completed, "migration did not finish");
+    assert_eq!(m.consistent, Some(true), "destination diverged");
+    assert!(m.pushed_chunks > 0, "nothing reached the ingest path");
+}
+
 #[test]
 fn postcopy_migration_pulls_everything() {
     let r = run_one(StrategyKind::Postcopy, 1.0, 300.0);

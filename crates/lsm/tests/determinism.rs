@@ -3,19 +3,75 @@
 //! including the paper-scale `scenarios/scale64.toml` and the shipped
 //! fault scenarios. This is the property every other bit-identity test
 //! (solver equivalence, fuzzing, report diffing across PRs) stands on.
+//!
+//! The same runs are also pinned against [`GOLDEN`], so a change that
+//! moves any report shows up as a failing test that names the scenario.
 
+use lsm::core::RunReport;
 use lsm::experiments::scenario::{run_scenario, run_scenario_with_solver, ScenarioSpec};
 use lsm::experiments::{faults, stress};
 use lsm::netsim::SolverMode;
 
-fn serialized(spec: &ScenarioSpec) -> String {
-    let report = run_scenario(spec).expect("scenario runs");
-    serde_json::to_string_pretty(&report).expect("report serializes")
+/// Golden fingerprints of the shipped scenarios and the quick fleets:
+/// `(scenario, RunReport.events, FNV-1a 64 of the compact JSON report)`.
+/// The hash is the one lsmbench prints (`scale64.toml` is its
+/// `hybrid64`, `qos64.toml` its `qos64`). When a change moves a report
+/// on purpose, paste the replacement line the failure prints and say
+/// why in the change.
+const GOLDEN: &[(&str, u64, &str)] = &[
+    ("demo.toml", 4364, "86d49b4f4ac23eb5"),
+    ("fault_dest_crash.toml", 4124, "c823912eae097723"),
+    ("fault_degraded_link.toml", 245, "b270a53ea22980ce"),
+    ("fault_deadline.toml", 4118, "a4cccf1b65621966"),
+    ("scale64.toml", 224283, "c2429e85112aa88f"),
+    ("evacuate.toml", 25170, "6817eeb4d82a0d48"),
+    ("adaptive64.toml", 534315, "bbcde81f3506eb4e"),
+    ("cost64.toml", 534743, "dacdc085e9ce1d3b"),
+    ("hotspot_drill.toml", 119471, "7ce5cd2e697858d3"),
+    ("slow_drain.toml", 18656, "2e92d2f6d0f8a9c7"),
+    ("chaos_storm.toml", 9873, "921487e3f83f78c8"),
+    ("qos64.toml", 534382, "fc5d45909671f123"),
+    ("scale64-quick", 10587, "bbe33f7adebfb2c8"),
+    ("scale1024-quick", 39996, "bdc195c1c7aacdd3"),
+];
+
+/// FNV-1a 64 of the compact JSON report, as lsmbench computes it.
+fn fingerprint(report: &RunReport) -> String {
+    let json = serde_json::to_string(report).expect("report serializes");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in json.as_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    format!("{h:016x}")
 }
 
-fn assert_deterministic(name: &str, spec: &ScenarioSpec) {
-    let a = serialized(spec);
-    let b = serialized(spec);
+fn assert_golden(name: &str, report: &RunReport) {
+    let (events, hash) = (report.events, fingerprint(report));
+    let line = format!("(\"{name}\", {events}, \"{hash}\"),");
+    let Some(&(_, want_events, want_hash)) = GOLDEN.iter().find(|(n, ..)| *n == name) else {
+        panic!("{name}: no golden entry; add {line}");
+    };
+    assert!(
+        (events, hash.as_str()) == (want_events, want_hash),
+        "{name}: fingerprint {hash} with {events} events, golden {want_hash} with \
+         {want_events} events; if the change is meant, replace its line with {line}"
+    );
+}
+
+fn pretty(report: &RunReport) -> String {
+    serde_json::to_string_pretty(report).expect("report serializes")
+}
+
+fn serialized(spec: &ScenarioSpec) -> String {
+    pretty(&run_scenario(spec).expect("scenario runs"))
+}
+
+/// Run `spec` twice, require byte-identical reports, and return the
+/// first.
+fn assert_deterministic(name: &str, spec: &ScenarioSpec) -> RunReport {
+    let report = run_scenario(spec).expect("scenario runs");
+    let (a, b) = (pretty(&report), serialized(spec));
     if a != b {
         let diff = a
             .lines()
@@ -24,25 +80,27 @@ fn assert_deterministic(name: &str, spec: &ScenarioSpec) {
             .find(|(_, (x, y))| x != y);
         panic!("{name}: two identical runs diverge at {diff:?}");
     }
+    report
 }
 
 #[test]
 fn demo_scenario_is_deterministic() {
     let spec =
         ScenarioSpec::from_toml(include_str!("../../../scenarios/demo.toml")).expect("parses");
-    assert_deterministic("demo.toml", &spec);
+    assert_golden("demo.toml", &assert_deterministic("demo.toml", &spec));
 }
 
 #[test]
 fn fault_scenarios_are_deterministic() {
     for (file, spec) in faults::all() {
-        assert_deterministic(file, &spec);
+        assert_golden(file, &assert_deterministic(file, &spec));
     }
 }
 
 #[test]
 fn scale64_quick_is_deterministic() {
-    assert_deterministic("scale64-quick", &stress::scale64_quick_spec());
+    let report = assert_deterministic("scale64-quick", &stress::scale64_quick_spec());
+    assert_golden("scale64-quick", &report);
 }
 
 /// The full paper-scale scenario, loaded from the checked-in file
@@ -52,7 +110,7 @@ fn scale64_quick_is_deterministic() {
 fn scale64_file_is_deterministic() {
     let spec =
         ScenarioSpec::from_toml(include_str!("../../../scenarios/scale64.toml")).expect("parses");
-    assert_deterministic("scale64.toml", &spec);
+    assert_golden("scale64.toml", &assert_deterministic("scale64.toml", &spec));
 }
 
 /// The orchestrated scenarios (planner placement, adaptive strategy
@@ -94,7 +152,7 @@ fn orchestrated_scenarios_are_deterministic_across_runs_and_solvers() {
         ),
     ] {
         let spec = ScenarioSpec::from_toml(text).expect("parses");
-        assert_deterministic(file, &spec);
+        assert_golden(file, &assert_deterministic(file, &spec));
         let incremental = run_scenario_with_solver(&spec, SolverMode::Incremental)
             .map(|r| serde_json::to_string_pretty(&r).expect("serializes"))
             .expect("runs");
@@ -118,18 +176,17 @@ fn orchestrated_scenarios_are_deterministic_across_runs_and_solvers() {
 /// the partitioner admits the scenario — monolithic fallback when not)
 /// must serialize the exact same `RunReport`. This is the sharded
 /// engine's whole contract: thread count is a performance knob, never
-/// an observable.
-fn assert_thread_count_invariant(name: &str, spec: &ScenarioSpec) {
+/// an observable. Returns the monolithic incremental run's report.
+fn assert_thread_count_invariant(name: &str, spec: &ScenarioSpec) -> RunReport {
     use lsm::experiments::shard::run_scenario_threaded_with_solver;
+    let mut first = None;
     for solver in [SolverMode::Incremental, SolverMode::Reference] {
-        let reports: Vec<String> = [1usize, 2, 8]
-            .iter()
-            .map(|&threads| {
-                run_scenario_threaded_with_solver(spec, threads, solver)
-                    .map(|r| serde_json::to_string_pretty(&r).expect("serializes"))
-                    .expect("runs")
-            })
-            .collect();
+        let mut reports = Vec::new();
+        for threads in [1usize, 2, 8] {
+            let report = run_scenario_threaded_with_solver(spec, threads, solver).expect("runs");
+            reports.push(pretty(&report));
+            first.get_or_insert(report);
+        }
         for (i, threads) in [2usize, 8].iter().enumerate() {
             if reports[0] != reports[i + 1] {
                 let diff = reports[0]
@@ -141,16 +198,19 @@ fn assert_thread_count_invariant(name: &str, spec: &ScenarioSpec) {
             }
         }
     }
+    first.expect("at least one run")
 }
 
 #[test]
 fn tracked_scenarios_are_thread_count_invariant() {
     // The genuinely shardable fleet: 32 independent pair components.
-    assert_thread_count_invariant("scale1024-quick", &stress::scale1024_quick_spec());
+    let report = assert_thread_count_invariant("scale1024-quick", &stress::scale1024_quick_spec());
+    assert_golden("scale1024-quick", &report);
     // The rest of the tracked set exercises the partitioner's fallback
     // (orchestrated, autonomic, single-component, or fault-bearing
     // scenarios run monolithic at any thread count).
-    assert_thread_count_invariant("scale64-quick", &stress::scale64_quick_spec());
+    let report = assert_thread_count_invariant("scale64-quick", &stress::scale64_quick_spec());
+    assert_golden("scale64-quick", &report);
     for (file, text) in [
         ("demo.toml", include_str!("../../../scenarios/demo.toml")),
         (
@@ -168,10 +228,10 @@ fn tracked_scenarios_are_thread_count_invariant() {
         ),
     ] {
         let spec = ScenarioSpec::from_toml(text).expect("parses");
-        assert_thread_count_invariant(file, &spec);
+        assert_golden(file, &assert_thread_count_invariant(file, &spec));
     }
     for (file, spec) in faults::all() {
-        assert_thread_count_invariant(file, &spec);
+        assert_golden(file, &assert_thread_count_invariant(file, &spec));
     }
 }
 

@@ -7,9 +7,10 @@
 //!   integer-based so event ordering is exactly reproducible.
 //! * [`EventQueue`] — a cancellable priority queue of timestamped events with
 //!   stable FIFO tie-breaking for events scheduled at the same instant.
-//! * [`SharedResource`] — a fluid-model processor (disk, memory bus, …) whose
-//!   capacity is max–min fair-shared among outstanding requests. The network
-//!   crate generalizes the same idea to multiple coupled resources.
+//! * [`SharedResource`] — a fluid-model lane (a disk, a page-cache lane)
+//!   whose capacity is shared equally among outstanding requests, each
+//!   carrying its caller's completion context. The network crate
+//!   generalizes the idea to max–min fair flows over coupled resources.
 //! * [`DetRng`] — a small, seedable RNG wrapper so every simulation run is a
 //!   pure function of its configuration.
 //! * [`units`] — byte/bandwidth constants and conversion helpers.
@@ -41,6 +42,6 @@ pub mod units;
 
 pub use event::{EventId, EventQueue};
 pub use fault::FaultKind;
-pub use resource::{ReqId, SharedResource};
+pub use resource::SharedResource;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

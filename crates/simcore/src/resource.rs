@@ -1,67 +1,55 @@
-//! A fluid-model shared resource with max–min fair capacity sharing.
+//! A fluid-model shared resource with equal-share service.
 //!
-//! [`SharedResource`] models a single bottleneck (a local disk, a memory
-//! bus) serving several outstanding byte-counted requests at once. Capacity
-//! is divided **max–min fairly**: every request gets an equal share unless
-//! its own rate cap is lower, in which case the surplus is redistributed to
-//! the others (progressive filling).
+//! [`SharedResource`] models a single bottleneck (a local disk, one lane
+//! of a host page cache) serving several outstanding byte-counted
+//! requests at once. Every outstanding request runs at `capacity / n`,
+//! where `n` is the number of outstanding requests (processor sharing).
+//! Each request carries its caller's context `C`, which comes back when
+//! the request completes, so callers keep no side table of their own.
 //!
 //! The model is *incremental*: the embedding event loop calls
-//! [`SharedResource::submit`] / [`SharedResource::cancel`] /
-//! [`SharedResource::complete`] at event boundaries and asks
-//! [`SharedResource::next_completion`] for the earliest finish time to
-//! schedule. Between boundaries rates are constant, so progress integration
-//! is exact (no fixed time-stepping).
+//! [`SharedResource::submit`] and [`SharedResource::pop_due`] at event
+//! boundaries and asks [`SharedResource::next_completion`] for the
+//! earliest finish time to schedule. Between boundaries rates are
+//! constant, so progress integration is exact (no fixed time-stepping).
 //!
-//! The multi-resource generalization (flows coupling NIC-up, NIC-down and a
-//! switch) lives in `lsm-netsim`; this single-resource version is what disks
-//! and page caches use.
+//! The multi-resource generalization (flows coupling NIC-up, NIC-down and
+//! a switch, max–min fair with per-flow caps) lives in `lsm-netsim`; this
+//! single-resource version is what disks and page caches use.
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
-/// Handle to an outstanding request on a [`SharedResource`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct ReqId(pub u64);
-
-#[derive(Debug, Clone)]
-struct Req {
-    remaining: f64,
-    rate: f64,
-    cap: Option<f64>,
-}
-
-/// A single fair-shared resource (see module docs).
 #[derive(Debug)]
-pub struct SharedResource {
-    capacity: f64,
-    reqs: BTreeMap<ReqId, Req>,
-    next_id: u64,
-    last_advance: SimTime,
-    total_served: f64,
-    busy: SimDuration,
+struct Req<C> {
+    remaining: f64,
+    ctx: C,
 }
 
-impl SharedResource {
+/// A single equal-share resource (see module docs).
+#[derive(Debug)]
+pub struct SharedResource<C> {
+    capacity: f64,
+    /// Outstanding requests in submission order, so ties resolve to the
+    /// earliest submission.
+    reqs: Vec<Req<C>>,
+    last_advance: SimTime,
+}
+
+impl<C> SharedResource<C> {
     /// Create a resource with `capacity` bytes/second.
     ///
-    /// `f64::INFINITY` is allowed and models a resource that is never the
-    /// bottleneck (requests then run at their caps, or complete instantly).
+    /// # Panics
+    /// When `capacity` is not positive and finite.
     pub fn new(capacity: f64) -> Self {
-        assert!(capacity > 0.0, "resource capacity must be positive");
+        assert!(
+            capacity.is_finite() && capacity > 0.0,
+            "resource capacity must be positive and finite, got {capacity}"
+        );
         SharedResource {
             capacity,
-            reqs: BTreeMap::new(),
-            next_id: 0,
+            reqs: Vec::new(),
             last_advance: SimTime::ZERO,
-            total_served: 0.0,
-            busy: SimDuration::ZERO,
         }
-    }
-
-    /// The configured capacity in bytes/second.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
     }
 
     /// Number of outstanding requests.
@@ -69,146 +57,72 @@ impl SharedResource {
         self.reqs.len()
     }
 
-    /// Total bytes served since construction.
-    pub fn total_served(&self) -> u64 {
-        self.total_served as u64
-    }
-
-    /// Cumulative time during which at least one request was in service.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Submit a request for `bytes`, optionally rate-capped at
-    /// `cap` bytes/second. Returns its handle.
-    pub fn submit(&mut self, now: SimTime, bytes: u64, cap: Option<f64>) -> ReqId {
+    /// Submit a request for `bytes` at `now`; `ctx` comes back from
+    /// [`Self::pop_due`] when it completes.
+    pub fn submit(&mut self, now: SimTime, bytes: u64, ctx: C) {
         self.advance(now);
-        let id = ReqId(self.next_id);
-        self.next_id += 1;
-        self.reqs.insert(
-            id,
-            Req {
-                remaining: bytes as f64,
-                rate: 0.0,
-                cap,
-            },
-        );
-        self.recompute();
-        id
+        self.reqs.push(Req {
+            remaining: bytes as f64,
+            ctx,
+        });
     }
 
-    /// Cancel an outstanding request, returning the bytes it had left
-    /// (rounded up). Unknown ids return `None`.
-    pub fn cancel(&mut self, now: SimTime, id: ReqId) -> Option<u64> {
-        self.advance(now);
-        let req = self.reqs.remove(&id)?;
-        self.recompute();
-        Some(req.remaining.ceil().max(0.0) as u64)
+    /// Earliest finish time among outstanding requests, or `None` when
+    /// idle.
+    pub fn next_completion(&self) -> Option<SimTime> {
+        self.earliest().map(|(t, _)| t)
     }
 
-    /// Mark `id` complete at `now`. Must only be called at (or after) the
-    /// time previously returned by [`Self::next_completion`] for this id;
-    /// debug builds assert the request had (numerically) finished.
-    pub fn complete(&mut self, now: SimTime, id: ReqId) {
+    /// Complete the earliest-finishing request if it is due at `now`,
+    /// returning its context; `None` (and no change) when the resource is
+    /// idle or the earliest finish is still after `now`.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<C> {
+        let (_, i) = self.earliest().filter(|&(t, _)| t <= now)?;
         self.advance(now);
-        let req = self.reqs.remove(&id).expect("completing unknown request");
+        let req = self.reqs.remove(i);
         debug_assert!(
             req.remaining < 1.0,
             "request completed with {} bytes left",
             req.remaining
         );
-        self.recompute();
+        Some(req.ctx)
     }
 
-    /// Earliest `(finish_time, id)` among outstanding requests, or `None`
-    /// when idle. Deterministic: ties resolve to the lowest id.
-    pub fn next_completion(&self) -> Option<(SimTime, ReqId)> {
-        let mut best: Option<(SimTime, ReqId)> = None;
-        for (&id, req) in &self.reqs {
+    /// The current per-request rate.
+    fn rate(&self) -> f64 {
+        self.capacity / self.reqs.len() as f64
+    }
+
+    /// Earliest `(finish_time, index)`; ties resolve to the lowest index.
+    fn earliest(&self) -> Option<(SimTime, usize)> {
+        let rate = self.rate();
+        let mut best: Option<(SimTime, usize)> = None;
+        for (i, req) in self.reqs.iter().enumerate() {
             let t = if req.remaining <= 0.5 {
                 self.last_advance
-            } else if req.rate <= 0.0 {
-                SimTime::FAR_FUTURE
             } else {
-                self.last_advance + SimDuration::from_secs_f64(req.remaining / req.rate)
+                self.last_advance + SimDuration::from_secs_f64(req.remaining / rate)
             };
             match best {
-                None => best = Some((t, id)),
-                Some((bt, _)) if t < bt => best = Some((t, id)),
-                _ => {}
+                Some((bt, _)) if bt <= t => {}
+                _ => best = Some((t, i)),
             }
         }
         best
     }
 
-    /// Integrate progress up to `now` using the rates fixed at the last
-    /// mutation. Idempotent for repeated calls with the same `now`.
-    pub fn advance(&mut self, now: SimTime) {
+    /// Integrate progress up to `now` at the rate fixed since the last
+    /// submission or completion.
+    fn advance(&mut self, now: SimTime) {
         debug_assert!(now >= self.last_advance, "resource time went backwards");
         let dt = now.since(self.last_advance).as_secs_f64();
         if dt > 0.0 {
-            if !self.reqs.is_empty() {
-                self.busy += now.since(self.last_advance);
-            }
-            for req in self.reqs.values_mut() {
-                let served = (req.rate * dt).min(req.remaining);
-                req.remaining -= served;
-                self.total_served += served;
+            let rate = self.rate();
+            for req in &mut self.reqs {
+                req.remaining -= (rate * dt).min(req.remaining);
             }
         }
         self.last_advance = now;
-    }
-
-    /// Progressive-filling max–min fair allocation over one resource with
-    /// per-request caps.
-    fn recompute(&mut self) {
-        let n = self.reqs.len();
-        if n == 0 {
-            return;
-        }
-        if self.capacity.is_infinite() {
-            for req in self.reqs.values_mut() {
-                req.rate = req.cap.unwrap_or(f64::INFINITY);
-            }
-            return;
-        }
-        let mut remaining_cap = self.capacity;
-        let mut unfixed: Vec<ReqId> = self.reqs.keys().copied().collect();
-        loop {
-            if unfixed.is_empty() {
-                break;
-            }
-            let share = remaining_cap / unfixed.len() as f64;
-            let mut progressed = false;
-            unfixed.retain(|id| {
-                let req = self.reqs.get_mut(id).expect("unfixed req exists");
-                match req.cap {
-                    Some(c) if c <= share => {
-                        req.rate = c;
-                        remaining_cap -= c;
-                        progressed = true;
-                        false
-                    }
-                    _ => true,
-                }
-            });
-            if !progressed {
-                for id in &unfixed {
-                    self.reqs.get_mut(id).expect("req").rate = share;
-                }
-                break;
-            }
-        }
-    }
-
-    /// Current service rate of a request (bytes/second), if outstanding.
-    pub fn rate_of(&self, id: ReqId) -> Option<f64> {
-        self.reqs.get(&id).map(|r| r.rate)
-    }
-
-    /// Bytes remaining for a request, if outstanding.
-    pub fn remaining_of(&self, id: ReqId) -> Option<u64> {
-        self.reqs.get(&id).map(|r| r.remaining.ceil() as u64)
     }
 }
 
@@ -224,119 +138,83 @@ mod tests {
     #[test]
     fn single_request_gets_full_capacity() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let id = r.submit(SimTime::ZERO, 100 * MIB, None);
-        let (done, got) = r.next_completion().unwrap();
-        assert_eq!(got, id);
+        r.submit(SimTime::ZERO, 100 * MIB, 'a');
+        let done = r.next_completion().unwrap();
         assert!((done.as_secs_f64() - 1.0).abs() < 1e-6);
+        assert_eq!(r.pop_due(done), Some('a'));
     }
 
     #[test]
     fn two_requests_share_equally() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(SimTime::ZERO, 100 * MIB, None);
-        let _b = r.submit(SimTime::ZERO, 100 * MIB, None);
-        assert!((r.rate_of(a).unwrap() - mb_per_s(50.0)).abs() < 1.0);
-        let (done, _) = r.next_completion().unwrap();
+        r.submit(SimTime::ZERO, 100 * MIB, 'a');
+        r.submit(SimTime::ZERO, 100 * MIB, 'b');
+        // 50 MB/s each: both finish at 2 s.
+        let done = r.next_completion().unwrap();
         assert!((done.as_secs_f64() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cap_redistributes_surplus() {
-        let mut r = SharedResource::new(mb_per_s(100.0));
-        let capped = r.submit(SimTime::ZERO, 100 * MIB, Some(mb_per_s(10.0)));
-        let free = r.submit(SimTime::ZERO, 100 * MIB, None);
-        assert!((r.rate_of(capped).unwrap() - mb_per_s(10.0)).abs() < 1.0);
-        assert!((r.rate_of(free).unwrap() - mb_per_s(90.0)).abs() < 1.0);
     }
 
     #[test]
     fn progress_integrates_across_mutations() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(SimTime::ZERO, 100 * MIB, None);
+        r.submit(SimTime::ZERO, 100 * MIB, 'a');
         // After 0.5s alone, a has 50 MiB left; then b arrives.
-        let _b = r.submit(t(0.5), 100 * MIB, None);
-        assert_eq!(r.remaining_of(a).unwrap() / MIB, 50);
+        r.submit(t(0.5), 100 * MIB, 'b');
         // Now both at 50 MB/s: a finishes at 0.5 + 1.0 = 1.5s.
-        let (done, id) = r.next_completion().unwrap();
-        assert_eq!(id, a);
+        let done = r.next_completion().unwrap();
         assert!((done.as_secs_f64() - 1.5).abs() < 1e-6);
+        assert_eq!(r.pop_due(done), Some('a'));
     }
 
     #[test]
     fn completion_then_speedup() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(SimTime::ZERO, 50 * MIB, None);
-        let b = r.submit(SimTime::ZERO, 100 * MIB, None);
-        let (ta, ia) = r.next_completion().unwrap();
-        assert_eq!(ia, a);
-        r.complete(ta, a);
-        // b speeds up to full rate afterwards.
-        assert!((r.rate_of(b).unwrap() - mb_per_s(100.0)).abs() < 1.0);
-        let (tb, ib) = r.next_completion().unwrap();
-        assert_eq!(ib, b);
-        // b: 25 MiB served in first second (half rate... 50MB/s * 1s = 50 MiB),
-        // remaining 50 MiB at 100 MB/s => 0.5s more.
+        r.submit(SimTime::ZERO, 50 * MIB, 'a');
+        r.submit(SimTime::ZERO, 100 * MIB, 'b');
+        let ta = r.next_completion().unwrap();
+        assert_eq!(r.pop_due(ta), Some('a'));
+        // b: 50 MiB served in the first second at half rate, the
+        // remaining 50 MiB at full rate => 0.5 s more.
+        let tb = r.next_completion().unwrap();
         assert!((tb.as_secs_f64() - 1.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cancel_returns_remaining() {
-        let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(SimTime::ZERO, 100 * MIB, None);
-        let left = r.cancel(t(0.25), a).unwrap();
-        assert_eq!(left / MIB, 75);
-        assert!(r.next_completion().is_none());
-    }
-
-    #[test]
-    fn infinite_capacity_completes_at_cap_or_instantly() {
-        let mut r = SharedResource::new(f64::INFINITY);
-        let capped = r.submit(SimTime::ZERO, 100 * MIB, Some(mb_per_s(100.0)));
-        assert!((r.rate_of(capped).unwrap() - mb_per_s(100.0)).abs() < 1.0);
-        let free = r.submit(SimTime::ZERO, 100 * MIB, None);
-        let (tf, _) = r.next_completion().unwrap();
-        // The uncapped request finishes "now".
-        assert_eq!(tf, SimTime::ZERO);
-        let _ = free;
+        assert_eq!(r.pop_due(tb), Some('b'));
+        assert_eq!(r.active(), 0);
     }
 
     #[test]
     fn zero_byte_request_completes_immediately() {
         let mut r = SharedResource::new(mb_per_s(10.0));
-        let id = r.submit(t(3.0), 0, None);
-        let (done, got) = r.next_completion().unwrap();
-        assert_eq!((done, got), (t(3.0), id));
-    }
-
-    #[test]
-    fn busy_time_accounts_only_active_periods() {
-        let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(t(1.0), 100 * MIB, None);
-        let (done, _) = r.next_completion().unwrap();
-        r.complete(done, a);
-        r.advance(t(10.0));
-        assert!((r.busy_time().as_secs_f64() - 1.0).abs() < 1e-6);
+        r.submit(t(3.0), 0, 'z');
+        assert_eq!(r.next_completion(), Some(t(3.0)));
+        assert_eq!(r.pop_due(t(3.0)), Some('z'));
     }
 
     #[test]
     fn ties_resolve_to_lowest_id() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(SimTime::ZERO, 50 * MIB, None);
-        let b = r.submit(SimTime::ZERO, 50 * MIB, None);
-        let (_, id) = r.next_completion().unwrap();
-        assert_eq!(id, a);
-        let _ = b;
+        r.submit(SimTime::ZERO, 50 * MIB, 'a');
+        r.submit(SimTime::ZERO, 50 * MIB, 'b');
+        let done = r.next_completion().unwrap();
+        assert_eq!(r.pop_due(done), Some('a'));
+        assert_eq!(r.pop_due(done), Some('b'));
     }
 
     #[test]
-    fn total_served_conserved() {
+    fn new_rejects_non_finite_or_non_positive_capacity() {
+        for capacity in [f64::INFINITY, f64::NAN, 0.0] {
+            let built = std::panic::catch_unwind(|| SharedResource::<()>::new(capacity));
+            assert!(built.is_err(), "capacity {capacity} was accepted");
+        }
+    }
+
+    #[test]
+    fn pop_due_before_the_finish_leaves_the_request_queued() {
         let mut r = SharedResource::new(mb_per_s(100.0));
-        let a = r.submit(SimTime::ZERO, 30 * MIB, None);
-        let b = r.submit(SimTime::ZERO, 70 * MIB, None);
-        let (ta, _) = r.next_completion().unwrap();
-        r.complete(ta, a);
-        let (tb, _) = r.next_completion().unwrap();
-        r.complete(tb, b);
-        assert_eq!(r.total_served() / MIB, 100);
+        r.submit(SimTime::ZERO, 100 * MIB, 'a');
+        let done = r.next_completion().unwrap();
+        assert_eq!(r.pop_due(t(0.5)), None);
+        assert_eq!(r.active(), 1);
+        assert_eq!(r.next_completion(), Some(done));
+        assert_eq!(r.pop_due(done), Some('a'));
     }
 }

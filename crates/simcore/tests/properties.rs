@@ -37,46 +37,48 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 
-    /// A fair-shared resource conserves bytes: total served equals the
-    /// sum of completed request sizes plus consumed parts of cancelled
-    /// and still-active requests.
+    /// Every submitted request completes exactly once, with its own
+    /// context, in nondecreasing time and no sooner than the full
+    /// capacity could serve it, and the resource drains empty. The
+    /// bytes are checked too: `pop_due` debug-asserts that a completed
+    /// request has less than one byte left.
     #[test]
     fn shared_resource_conserves_bytes(
-        sizes in prop::collection::vec(1u64..64, 1..40),
-        cancel_mask in prop::collection::vec(prop::bool::ANY, 40),
+        reqs in prop::collection::vec(
+            (prop_oneof![Just(0u64), 1u64..64 << 20], 0u64..50),
+            1..40,
+        ),
     ) {
-        const MB: u64 = 1 << 20;
-        let mut r = SharedResource::new(64.0 * MB as f64);
+        let capacity = 64.0 * (1u64 << 20) as f64;
+        let mut r = SharedResource::new(capacity);
         let mut now = SimTime::ZERO;
-        let mut completed = 0u64;
-        let mut cancelled_served = 0u64;
-        let mut live = Vec::new();
-        for (i, &mb) in sizes.iter().enumerate() {
-            let id = r.submit(now, mb * MB, None);
-            live.push((id, mb * MB));
-            now += SimDuration::from_millis(10);
-            r.advance(now);
-            if cancel_mask[i] && live.len() > 1 {
-                let (victim, size) = live.remove(0);
-                if let Some(left) = r.cancel(now, victim) {
-                    cancelled_served += size - left.min(size);
-                }
+        let mut submitted = Vec::new();
+        let mut done: Vec<(SimTime, usize)> = Vec::new();
+        for (i, &(bytes, gap_ms)) in reqs.iter().enumerate() {
+            r.submit(now, bytes, i);
+            submitted.push(now);
+            now += SimDuration::from_millis(gap_ms);
+            // Complete what finishes before the next submission, each at
+            // its own finish time, as an event loop would.
+            while let Some(t) = r.next_completion().filter(|&t| t <= now) {
+                done.push((t, r.pop_due(t).expect("due at its finish time")));
             }
         }
-        // Drain everything.
-        while let Some((t, id)) = r.next_completion() {
-            now = t.max(now);
-            r.complete(now, id);
-            let pos = live.iter().position(|&(l, _)| l == id).expect("live");
-            completed += live.remove(pos).1;
+        while let Some(t) = r.next_completion() {
+            done.push((t, r.pop_due(t).expect("due at its finish time")));
         }
-        let served = r.total_served();
-        let expect = completed + cancelled_served;
-        // Tolerance: one byte of rounding per request.
-        prop_assert!(
-            served.abs_diff(expect) <= sizes.len() as u64 + 1,
-            "served {served}, expected {expect}"
-        );
+        prop_assert_eq!(r.active(), 0);
+        prop_assert!(done.windows(2).all(|w| w[0].0 <= w[1].0), "completions went back in time");
+        let mut ids: Vec<usize> = done.iter().map(|&(_, i)| i).collect();
+        ids.sort_unstable();
+        prop_assert_eq!(ids, (0..reqs.len()).collect::<Vec<_>>());
+        for &(t, i) in &done {
+            let alone = SimDuration::from_secs_f64(reqs[i].0 as f64 / capacity);
+            prop_assert!(
+                t + SimDuration::from_micros(1) >= submitted[i] + alone,
+                "request {i} finished at {t:?}, faster than full capacity"
+            );
+        }
     }
 
     /// Completion times are monotone in request size under identical
@@ -85,14 +87,13 @@ proptest! {
     fn larger_requests_finish_later(a in 1u64..1000, b in 1u64..1000) {
         prop_assume!(a != b);
         let mut r = SharedResource::new(1e6);
-        let ia = r.submit(SimTime::ZERO, a * 1000, None);
-        let ib = r.submit(SimTime::ZERO, b * 1000, None);
-        let (t1, first) = r.next_completion().expect("two live requests");
-        let smaller = if a < b { ia } else { ib };
-        prop_assert_eq!(first, smaller);
-        r.complete(t1, first);
-        let (t2, _) = r.next_completion().expect("one left");
+        r.submit(SimTime::ZERO, a * 1000, a);
+        r.submit(SimTime::ZERO, b * 1000, b);
+        let t1 = r.next_completion().expect("two live requests");
+        prop_assert_eq!(r.pop_due(t1), Some(a.min(b)));
+        let t2 = r.next_completion().expect("one left");
         prop_assert!(t2 >= t1);
+        prop_assert_eq!(r.pop_due(t2), Some(a.max(b)));
     }
 
     /// Forked RNG streams are reproducible and independent of sibling
