@@ -173,11 +173,6 @@ impl PageCache {
         !self.dirty.is_empty()
     }
 
-    /// Bytes that a flush (fsync) still has to wait for.
-    pub fn flush_backlog_bytes(&self) -> u64 {
-        self.dirty_bytes()
-    }
-
     /// Take the next chunk to write back, marking it in-flight.
     pub fn start_writeback(&mut self) -> Option<ChunkId> {
         while let Some(c) = self.wb_queue.pop_front() {

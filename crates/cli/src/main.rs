@@ -3,7 +3,6 @@
 //! ```text
 //! lsm run <scenario.toml|scenario.json> [--json] [--progress] [--check] [--threads <n>] [--lint]
 //! lsm lint <scenario.toml|scenario.json>... [--json] [--deny warnings]
-//! lsm bench [--quick] [--scenario <file>] [--out <path>] [--baseline <file>] [--strict] [--threads <n>]
 //! lsm judge [--quick] [--csv] [--sweep]
 //! lsm fig3 [--quick] [--panel time|traffic|throughput] [--csv]
 //! lsm fig4 [--quick] [--panel time|traffic|degradation] [--csv]
@@ -34,7 +33,6 @@ use std::process::ExitCode;
 const USAGE: &str = "usage:
   lsm run <scenario.toml|scenario.json> [--json] [--progress] [--check] [--threads <n>] [--lint]
   lsm lint <scenario.toml|scenario.json>... [--json] [--deny warnings]
-  lsm bench [--quick] [--scenario <file>] [--out <path>] [--baseline <file>] [--strict] [--threads <n>]
   lsm judge [--quick] [--csv] [--sweep]
   lsm fig3 [--quick] [--panel time|traffic|throughput] [--csv]
   lsm fig4 [--quick] [--panel time|traffic|degradation] [--csv]
@@ -179,30 +177,6 @@ fn real_main(raw: Vec<String>) -> Result<(), UsageError> {
             }
             args.finish()?;
             cmd_lint(&files, json, deny_warnings)
-        }
-        "bench" => {
-            let quick = args.flag("--quick");
-            let scenario = args.value("--scenario")?;
-            let out = args
-                .value("--out")?
-                .unwrap_or_else(|| "BENCH_PR9.json".to_string());
-            let baseline = args.value("--baseline")?;
-            let strict = args.flag("--strict");
-            let threads = parse_threads(&mut args)?;
-            args.finish()?;
-            if strict && baseline.is_none() {
-                return Err(UsageError(
-                    "--strict needs a --baseline to gate against".to_string(),
-                ));
-            }
-            cmd_bench(
-                quick,
-                scenario.as_deref(),
-                &out,
-                baseline.as_deref(),
-                strict,
-                threads,
-            )
         }
         "judge" => {
             let quick = args.flag("--quick");
@@ -753,11 +727,12 @@ fn print_report(spec: &ScenarioSpec, r: &RunReport) {
         println!("scenario: {name}");
     }
     println!(
-        "horizon {:.1}s — {} VM(s), {} migration job(s), {} events",
+        "horizon {:.1}s — {} VM(s), {} migration job(s), {} events, peak {} live flows",
         r.horizon.as_secs_f64(),
         r.vms.len(),
         r.migrations.len(),
-        r.events
+        r.events,
+        r.peak_flows
     );
     let plan = spec.fault_plan();
     if !plan.is_empty() {
@@ -1012,244 +987,6 @@ fn print_report(spec: &ScenarioSpec, r: &RunReport) {
             j.degraded_secs
         );
     }
-}
-
-// ---------------- `lsm bench` ----------------
-
-/// One entry of the machine-readable record `lsm bench` writes
-/// (`BENCH_PR9.json` by default — a JSON array with one entry per
-/// benched scenario): the performance-trajectory numbers tracked
-/// across PRs.
-#[derive(Debug, Serialize)]
-struct BenchSummary {
-    /// Scenario name (`scale64`, `scale64-quick`, or the loaded file's).
-    scenario: String,
-    /// Cluster size.
-    nodes: u32,
-    /// Deployed VMs.
-    vms: usize,
-    /// Scheduled migrations.
-    migrations: usize,
-    /// Migrations that completed within the horizon.
-    migrations_completed: usize,
-    /// Simulated horizon, seconds.
-    sim_horizon_secs: f64,
-    /// Wall-clock time of the run, seconds.
-    wall_time_secs: f64,
-    /// Events processed.
-    events: u64,
-    /// Events per wall-clock second (the headline throughput number).
-    events_per_sec: f64,
-    /// Peak number of concurrently live network flows.
-    peak_live_flows: u64,
-    /// Total simulated network traffic, bytes.
-    total_traffic_bytes: u64,
-    /// Planner decisions recorded — one per admitted migration,
-    /// explicit or intent-expanded (the default fixed planner records
-    /// them too).
-    planner_decisions: usize,
-}
-
-/// Bench one scenario under a wall clock. Shardable scenarios run on
-/// `threads` worker threads (`lsm_experiments::shard` falls back to the
-/// monolithic engine for everything else, and for `--threads 1`).
-fn bench_one(spec: &ScenarioSpec, threads: usize) -> Result<BenchSummary, UsageError> {
-    let name = spec.name.clone().unwrap_or_else(|| "unnamed".to_string());
-    eprintln!(
-        "bench: {name} — {} node(s), {} VM(s), {} migration(s), {} request(s), horizon {:.0}s",
-        spec.cluster_config().nodes,
-        spec.vms.len(),
-        spec.migrations.len(),
-        spec.request_plan().len(),
-        spec.horizon_secs
-    );
-    let started = std::time::Instant::now();
-    let report = lsm_experiments::shard::run_scenario_threaded(spec, threads)
-        .map_err(|e| UsageError(format!("scenario rejected: {e}")))?;
-    let wall = started.elapsed().as_secs_f64();
-    let summary = BenchSummary {
-        scenario: name,
-        nodes: spec.cluster_config().nodes,
-        vms: report.vms.len(),
-        migrations: report.migrations.len(),
-        migrations_completed: report.migrations.iter().filter(|m| m.completed).count(),
-        sim_horizon_secs: report.horizon.as_secs_f64(),
-        wall_time_secs: wall,
-        events: report.events,
-        events_per_sec: report.events as f64 / wall.max(1e-9),
-        peak_live_flows: report.peak_flows,
-        total_traffic_bytes: report.total_traffic,
-        planner_decisions: report.planner.len(),
-    };
-    println!(
-        "{}: {} events in {:.2}s wall — {:.0} events/s, peak {} live flows, {}/{} migrations completed, {} planner decision(s)",
-        summary.scenario,
-        summary.events,
-        summary.wall_time_secs,
-        summary.events_per_sec,
-        summary.peak_live_flows,
-        summary.migrations_completed,
-        summary.migrations,
-        summary.planner_decisions,
-    );
-    Ok(summary)
-}
-
-/// Run the tracked benchmark set — the paper-scale stress scenario, the
-/// orchestrated scenarios (evacuation, adaptive fleet, cost fleet, QoS
-/// fleet) and the autonomic hotspot drill — under a wall clock and
-/// record the trajectory numbers. With
-/// `--baseline`, compare events/sec per scenario against a committed
-/// record and warn on >20 % regressions; `--strict` hardens those
-/// warnings into a nonzero exit (the CI gate).
-fn cmd_bench(
-    quick: bool,
-    scenario: Option<&str>,
-    out: &str,
-    baseline: Option<&str>,
-    strict: bool,
-    threads: usize,
-) -> Result<(), UsageError> {
-    if quick && scenario.is_some() {
-        return Err(UsageError(
-            "--quick selects the built-in smoke set and cannot be combined with --scenario"
-                .to_string(),
-        ));
-    }
-    let specs: Vec<ScenarioSpec> = match scenario {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| UsageError(format!("cannot read {path}: {e}")))?;
-            let spec = if path.ends_with(".json") {
-                ScenarioSpec::from_json(&text)
-            } else {
-                ScenarioSpec::from_toml(&text)
-            }
-            .map_err(|e| UsageError(format!("cannot parse {path}: {e}")))?;
-            vec![spec]
-        }
-        None => {
-            let (scale, scale1024) = if quick {
-                (
-                    lsm_experiments::stress::scale64_quick_spec(),
-                    lsm_experiments::stress::scale1024_quick_spec(),
-                )
-            } else {
-                (
-                    lsm_experiments::stress::scale64_spec(),
-                    lsm_experiments::stress::scale1024_spec(),
-                )
-            };
-            vec![
-                scale,
-                scale1024,
-                lsm_experiments::orchestration::evacuate_spec(),
-                lsm_experiments::orchestration::adaptive64_spec(),
-                lsm_experiments::orchestration::cost64_spec(),
-                lsm_experiments::orchestration::qos64_spec(),
-                lsm_experiments::autonomic::hotspot_drill_spec(),
-            ]
-        }
-    };
-    let mut summaries = Vec::with_capacity(specs.len());
-    for spec in &specs {
-        summaries.push(bench_one(spec, threads)?);
-    }
-    let json = serde_json::to_string_pretty(&summaries)
-        .map_err(|e| UsageError(format!("cannot serialize summary: {e}")))?;
-    std::fs::write(out, format!("{json}\n"))
-        .map_err(|e| UsageError(format!("cannot write {out}: {e}")))?;
-    println!("{} scenario(s) benched → {}", summaries.len(), out);
-    if let Some(path) = baseline {
-        let warnings = compare_with_baseline(&summaries, path, strict)?;
-        if strict && warnings > 0 {
-            return Err(UsageError(format!(
-                "bench gate: {warnings} scenario(s) regressed beyond the threshold (--strict)"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Per-scenario baseline entry: name and the headline throughput.
-fn baseline_entries(path: &str) -> Result<Vec<(String, f64)>, UsageError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| UsageError(format!("cannot read baseline {path}: {e}")))?;
-    let value = serde_json::parse(&text)
-        .map_err(|e| UsageError(format!("cannot parse baseline {path}: {e}")))?;
-    let serde::Value::Seq(items) = value else {
-        return Err(UsageError(format!(
-            "baseline {path} is not a JSON array of bench summaries"
-        )));
-    };
-    let mut entries = Vec::with_capacity(items.len());
-    for item in &items {
-        let name = match item.get("scenario") {
-            Some(serde::Value::Str(s)) => s.clone(),
-            _ => continue,
-        };
-        let eps = match item.get("events_per_sec") {
-            Some(serde::Value::F64(x)) => *x,
-            Some(serde::Value::U64(x)) => *x as f64,
-            Some(serde::Value::I64(x)) => *x as f64,
-            _ => continue,
-        };
-        entries.push((name, eps));
-    }
-    Ok(entries)
-}
-
-/// The bench gate: flag scenarios whose events/sec fell more than 20 %
-/// below the committed baseline, returning the warning count. Advisory
-/// by default; under `--strict` the caller turns warnings into a
-/// nonzero exit (what CI runs).
-fn compare_with_baseline(
-    summaries: &[BenchSummary],
-    path: &str,
-    strict: bool,
-) -> Result<usize, UsageError> {
-    const REGRESSION_FRAC: f64 = 0.20;
-    let baseline = baseline_entries(path)?;
-    let mut warnings = 0usize;
-    for s in summaries {
-        let Some((_, base_eps)) = baseline.iter().find(|(name, _)| *name == s.scenario) else {
-            println!(
-                "bench gate: {} — no baseline entry in {path}, skipped",
-                s.scenario
-            );
-            continue;
-        };
-        let delta = (s.events_per_sec - base_eps) / base_eps;
-        if delta < -REGRESSION_FRAC {
-            warnings += 1;
-            println!(
-                "bench gate: WARNING {} regressed {:.1}% vs {path} ({:.0} -> {:.0} events/s)",
-                s.scenario,
-                -delta * 100.0,
-                base_eps,
-                s.events_per_sec,
-            );
-        } else {
-            println!(
-                "bench gate: {} {}{:.1}% vs {path} ({:.0} -> {:.0} events/s)",
-                s.scenario,
-                if delta >= 0.0 { "+" } else { "" },
-                delta * 100.0,
-                base_eps,
-                s.events_per_sec,
-            );
-        }
-    }
-    println!(
-        "bench gate: {warnings} warning(s) (threshold {:.0}%, {})",
-        REGRESSION_FRAC * 100.0,
-        if strict {
-            "strict — regressions fail the run"
-        } else {
-            "advisory"
-        }
-    );
-    Ok(warnings)
 }
 
 // ---------------- `lsm demo` ----------------

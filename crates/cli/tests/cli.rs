@@ -133,6 +133,7 @@ fn run_demo_scenario_end_to_end() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("scenario: demo"), "{text}");
+    assert!(text.contains("live flows"), "{text}");
     assert!(text.contains("completed"), "{text}");
     assert!(text.contains("consistent Some(true)"), "{text}");
 }
@@ -175,203 +176,6 @@ fn run_progress_prints_lifecycle() {
     ] {
         assert!(text.contains(needle), "missing {needle}:\n{text}");
     }
-}
-
-// ---------------- `lsm bench` ----------------
-
-#[test]
-fn bench_quick_writes_machine_readable_summary() {
-    let out_dir = std::env::temp_dir().join("lsm-bench-test");
-    std::fs::create_dir_all(&out_dir).expect("temp dir");
-    let out_path = out_dir.join("BENCH_PR4.json");
-    let out = lsm(&["bench", "--quick", "--out", out_path.to_str().unwrap()]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = std::fs::read_to_string(&out_path).expect("summary written");
-    for key in [
-        "\"scenario\"",
-        "\"wall_time_secs\"",
-        "\"events_per_sec\"",
-        "\"peak_live_flows\"",
-        "\"migrations_completed\"",
-        "\"planner_decisions\"",
-    ] {
-        assert!(text.contains(key), "missing {key} in: {text}");
-    }
-    // The tracked set is an array covering the two stress scenarios,
-    // the four orchestrated scenarios and the autonomic hotspot drill.
-    let v = serde_json::parse(&text).expect("valid JSON");
-    let entries = match &v {
-        serde::Value::Seq(items) => items,
-        other => panic!("expected array, got {other:?}"),
-    };
-    assert_eq!(entries.len(), 7, "{text}");
-    let names: Vec<_> = entries.iter().map(|e| e.get("scenario").cloned()).collect();
-    for want in [
-        "scale64-quick",
-        "scale1024-quick",
-        "evacuate",
-        "adaptive64",
-        "cost64",
-        "qos64",
-        "hotspot_drill",
-    ] {
-        assert!(
-            names.contains(&Some(serde::Value::Str(want.into()))),
-            "missing {want}: {names:?}"
-        );
-    }
-    let human = stdout(&out);
-    assert!(human.contains("events/s"), "stdout: {human}");
-    std::fs::remove_file(&out_path).ok();
-}
-
-/// The bench gate: a baseline with an absurdly high events/sec
-/// triggers a regression warning (advisory by default, a nonzero exit
-/// under `--strict`), a matching-or-better one reports the delta, and
-/// a scenario absent from the baseline is skipped.
-#[test]
-fn bench_baseline_comparison_warns_and_strict_gates() {
-    let scenario = repo_root().join("scenarios/demo.toml");
-    let out_dir = std::env::temp_dir().join("lsm-bench-baseline-test");
-    std::fs::create_dir_all(&out_dir).expect("temp dir");
-    let out_path = out_dir.join("BENCH_NOW.json");
-    let base_path = out_dir.join("BENCH_BASE.json");
-
-    // A baseline no machine can reach: the gate must warn (not fail).
-    std::fs::write(
-        &base_path,
-        r#"[{"scenario": "demo", "events_per_sec": 1e15}]"#,
-    )
-    .expect("baseline written");
-    let out = lsm(&[
-        "bench",
-        "--scenario",
-        scenario.to_str().unwrap(),
-        "--out",
-        out_path.to_str().unwrap(),
-        "--baseline",
-        base_path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = stdout(&out);
-    assert!(
-        text.contains("bench gate: WARNING demo regressed"),
-        "{text}"
-    );
-    assert!(
-        text.contains("1 warning(s) (threshold 20%, advisory)"),
-        "{text}"
-    );
-
-    // The same unreachable baseline under --strict: the run must fail.
-    let out = lsm(&[
-        "bench",
-        "--scenario",
-        scenario.to_str().unwrap(),
-        "--out",
-        out_path.to_str().unwrap(),
-        "--baseline",
-        base_path.to_str().unwrap(),
-        "--strict",
-    ]);
-    assert_eq!(out.status.code(), Some(2), "strict gate must fail");
-    assert!(
-        stderr(&out).contains("regressed beyond the threshold"),
-        "stderr: {}",
-        stderr(&out)
-    );
-
-    // A trivially beatable baseline: delta reported, zero warnings.
-    std::fs::write(
-        &base_path,
-        r#"[{"scenario": "demo", "events_per_sec": 1.0}]"#,
-    )
-    .expect("baseline written");
-    let out = lsm(&[
-        "bench",
-        "--scenario",
-        scenario.to_str().unwrap(),
-        "--out",
-        out_path.to_str().unwrap(),
-        "--baseline",
-        base_path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = stdout(&out);
-    assert!(
-        text.contains("0 warning(s) (threshold 20%, advisory)"),
-        "{text}"
-    );
-
-    // No baseline entry for the scenario: skipped, still successful.
-    std::fs::write(
-        &base_path,
-        r#"[{"scenario": "other", "events_per_sec": 5.0}]"#,
-    )
-    .expect("baseline written");
-    let out = lsm(&[
-        "bench",
-        "--scenario",
-        scenario.to_str().unwrap(),
-        "--out",
-        out_path.to_str().unwrap(),
-        "--baseline",
-        base_path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    assert!(
-        stdout(&out).contains("no baseline entry"),
-        "{}",
-        stdout(&out)
-    );
-
-    std::fs::remove_file(&out_path).ok();
-    std::fs::remove_file(&base_path).ok();
-}
-
-#[test]
-fn bench_strict_requires_a_baseline() {
-    let out = lsm(&["bench", "--strict"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(err.contains("--strict needs a --baseline"), "stderr: {err}");
-}
-
-#[test]
-fn bench_rejects_unknown_flags() {
-    let out = lsm(&["bench", "--fast"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("unrecognized argument"));
-}
-
-#[test]
-fn bench_rejects_quick_combined_with_scenario() {
-    let out = lsm(&["bench", "--quick", "--scenario", "scenarios/scale64.toml"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(err.contains("cannot be combined"), "stderr: {err}");
-}
-
-#[test]
-fn bench_runs_a_scenario_file() {
-    let scenario = repo_root().join("scenarios/scale64.toml");
-    // The full scale64 run finishes in seconds; drive it through the
-    // checked-in file to cover the --scenario path end to end.
-    let out_dir = std::env::temp_dir().join("lsm-bench-test");
-    std::fs::create_dir_all(&out_dir).expect("temp dir");
-    let out_path = out_dir.join("BENCH_SCALE64.json");
-    let out = lsm(&[
-        "bench",
-        "--scenario",
-        scenario.to_str().unwrap(),
-        "--out",
-        out_path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = std::fs::read_to_string(&out_path).expect("summary written");
-    assert!(text.contains("\"scenario\": \"scale64\""), "{text}");
-    assert!(text.contains("\"migrations_completed\": 128"), "{text}");
-    std::fs::remove_file(&out_path).ok();
 }
 
 // ---------------- orchestrated scenarios ----------------

@@ -7,6 +7,7 @@
 //! cap raised to the full NIC.
 
 use crate::error::EngineError;
+use lsm_blockdev::CacheConfig;
 pub use lsm_hypervisor::MemMigrationConfig;
 use lsm_simcore::time::SimDuration;
 use lsm_simcore::units::{gb_per_s, mb_per_s, Bandwidth, GIB, KIB, MIB};
@@ -189,6 +190,13 @@ impl ClusterConfig {
         if self.vm_ram == 0 {
             return fail("vm_ram is zero");
         }
+        let cache = CacheConfig::for_ram(self.vm_ram, self.chunk_size);
+        if cache.capacity_bytes < self.chunk_size {
+            return fail(format!(
+                "the guest page cache of vm_ram {} holds {} bytes, less than one chunk of {}",
+                self.vm_ram, cache.capacity_bytes, self.chunk_size
+            ));
+        }
         if self.transfer_batch == 0 {
             return fail("transfer_batch is zero");
         }
@@ -279,5 +287,29 @@ mod tests {
         let c = ClusterConfig::small_test();
         assert_eq!(c.nchunks(), 256);
         assert!(c.vm_ram >= 256 * MIB);
+    }
+
+    /// A chunk larger than the guest page cache (3/4 of `vm_ram`) is an
+    /// `InvalidConfig`, not a panic when the first VM is placed.
+    #[test]
+    fn chunk_larger_than_the_page_cache_is_rejected() {
+        let c = ClusterConfig {
+            image_size: GIB,
+            chunk_size: 256 * MIB,
+            ..ClusterConfig::small_test()
+        };
+        match c.validate() {
+            Err(EngineError::InvalidConfig { reason }) => {
+                assert!(reason.contains("page cache"), "{reason}")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        // A chunk that exactly fills the cache still builds.
+        let fits = ClusterConfig {
+            image_size: 192 * MIB,
+            chunk_size: 192 * MIB,
+            ..ClusterConfig::small_test()
+        };
+        assert!(fits.validate().is_ok());
     }
 }

@@ -722,6 +722,22 @@ fn next_source_chunk(mig: &mut MigrationRt) -> Option<ChunkId> {
     None
 }
 
+/// Upper bound on the chunks `next_source_chunk` can still return: a
+/// batch is sized by this, never by `transfer_batch` alone, which may be
+/// as large as `u32::MAX`.
+fn source_chunks_left(mig: &MigrationRt) -> usize {
+    if let Some(src) = mig.hybrid_src.as_ref() {
+        return src.remaining_count() as usize;
+    }
+    if let Some(src) = mig.precopy_src.as_ref() {
+        return src.remaining() as usize;
+    }
+    if let Some(src) = mig.mirror_src.as_ref() {
+        return src.remaining() as usize;
+    }
+    0
+}
+
 pub(crate) fn pump_push(eng: &mut Engine, v: VmIdx) {
     let batch_max = eng.cfg().transfer_batch as usize;
     let window = eng.cfg().transfer_window;
@@ -742,7 +758,8 @@ pub(crate) fn pump_push(eng: &mut Engine, v: VmIdx) {
             }
             // Versions are placeholders here; they are stamped in place
             // when the source disk read completes (send time).
-            let mut batch: Vec<(ChunkId, u64)> = Vec::with_capacity(batch_max);
+            let mut batch: Vec<(ChunkId, u64)> =
+                Vec::with_capacity(batch_max.min(source_chunks_left(mig)));
             while batch.len() < batch_max {
                 match next_source_chunk(mig) {
                     Some(c) => batch.push((c, 0)),
@@ -930,7 +947,7 @@ pub(crate) fn pump_pull(eng: &mut Engine, v: VmIdx) {
                 return; // transfer stall: initiate nothing until it clears
             }
             let dst_state = mig.hybrid_dst.as_mut().expect("dest state");
-            let mut batch = Vec::with_capacity(batch_max);
+            let mut batch = Vec::with_capacity(batch_max.min(dst_state.remaining_count() as usize));
             while batch.len() < batch_max {
                 match dst_state.next_pull() {
                     Some(c) => batch.push(c),

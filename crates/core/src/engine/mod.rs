@@ -469,13 +469,6 @@ impl Engine {
             .unwrap_or(false)
     }
 
-    /// Nodes currently down, ascending.
-    pub fn crashed_nodes(&self) -> Vec<u32> {
-        (0..self.nodes.len() as u32)
-            .filter(|&n| self.nodes[n as usize].crashed)
-            .collect()
-    }
-
     /// Number of deployed VMs.
     pub fn vm_count(&self) -> u32 {
         self.vms.len() as u32
@@ -1155,17 +1148,5 @@ impl VmInspect<'_> {
             .dest_store
             .as_ref()
             .and_then(|s| s.has(c).then(|| s.version(c)))
-    }
-
-    /// Chunks ever written by the guest.
-    pub fn modified_count(&self) -> u32 {
-        self.vm.disk.modified().count()
-    }
-
-    /// True when every modified chunk is physically present at the
-    /// current host with its latest version (the end-of-migration
-    /// consistency criterion; trivially true outside migrations).
-    pub fn store_covers_disk(&self) -> bool {
-        self.vm.store.covers(&self.vm.disk)
     }
 }

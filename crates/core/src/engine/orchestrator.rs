@@ -219,11 +219,6 @@ impl Engine {
         self.orch.active
     }
 
-    /// Name of the configured planner.
-    pub fn planner_name(&self) -> &'static str {
-        self.orch.planner.name()
-    }
-
     /// Planner decisions made so far, in admission order.
     pub fn planner_decisions(&self) -> &[PlannerDecision] {
         &self.orch.decisions

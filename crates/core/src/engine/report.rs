@@ -189,7 +189,7 @@ pub struct RunReport {
     /// Events processed (simulator diagnostics).
     pub events: u64,
     /// Highest number of concurrently live network flows (simulator
-    /// load diagnostics; the `lsm bench` harness records it).
+    /// load diagnostics; `lsm run` prints it on its header line).
     pub peak_flows: u64,
 }
 

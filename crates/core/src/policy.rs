@@ -178,11 +178,6 @@ impl HybridSource {
         }
     }
 
-    /// True while pushed chunks are still in the pipeline.
-    pub fn push_inflight(&self) -> bool {
-        !self.inflight.is_empty()
-    }
-
     /// SYNC / TRANSFER_IO_CONTROL: stop pushing and hand the destination
     /// the remaining set plus the write counts (Algorithm 3 parameters).
     pub fn handoff(&mut self) -> (ChunkSet, Vec<u32>) {
@@ -199,11 +194,6 @@ impl HybridSource {
     /// Total chunks handed to the push pipeline so far.
     pub fn total_pushes(&self) -> u64 {
         self.pushes
-    }
-
-    /// The write counter (ablation introspection).
-    pub fn write_counter(&self) -> &WriteCounter {
-        &self.wc
     }
 }
 

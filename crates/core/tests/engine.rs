@@ -64,6 +64,40 @@ fn max_writeback_depth_migrates() {
     assert!(m.pushed_chunks > 0, "nothing reached the ingest path");
 }
 
+/// Nor on `transfer_batch`: a batch is sized by the chunks the manifest
+/// can still supply, so the largest value over-allocates neither on the
+/// push pump (each source kind: Hybrid, Precopy, Mirror) nor on the pull
+/// pump (Postcopy pulls everything).
+#[test]
+fn max_transfer_batch_migrates() {
+    for strategy in [
+        StrategyKind::Hybrid,
+        StrategyKind::Postcopy,
+        StrategyKind::Precopy,
+        StrategyKind::Mirror,
+    ] {
+        let mut cfg = ClusterConfig::small_test();
+        cfg.transfer_batch = u32::MAX;
+        let mut eng = Engine::new(cfg).unwrap();
+        let vm = eng
+            .add_vm(0, &busy_writer(), strategy, SimTime::ZERO)
+            .unwrap();
+        eng.schedule_migration(vm, 1, t(1.0)).unwrap();
+        let r = eng.run_until(t(300.0));
+        let m = r.the_migration();
+        assert!(m.completed, "{strategy:?}: migration did not finish");
+        assert_eq!(
+            m.consistent,
+            Some(true),
+            "{strategy:?}: destination diverged"
+        );
+        assert!(
+            m.pushed_chunks + m.pulled_chunks > 0,
+            "{strategy:?}: no batch was sent"
+        );
+    }
+}
+
 #[test]
 fn postcopy_migration_pulls_everything() {
     let r = run_one(StrategyKind::Postcopy, 1.0, 300.0);

@@ -12,7 +12,8 @@
 //!   not plot: the push `Threshold`, prefetch prioritization, and the
 //!   transfer pipeline window.
 //! * [`stress`] — paper-scale performance scenarios (`scale64`: 64
-//!   nodes, 128 VMs, 128 staggered migrations) driven by `lsm bench`.
+//!   nodes, 128 VMs, 128 staggered migrations; `scale1024`: 1024
+//!   nodes), shipped as scenario files and timed by `lsmbench`.
 //! * [`faults`] — migrations under degraded and failing conditions
 //!   (destination crashes, link-degradation windows, transfer stalls,
 //!   deadlines), with the recovery contract pinned by tests and the

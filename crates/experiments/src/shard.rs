@@ -473,14 +473,6 @@ pub fn run_scenario_threaded_with_solver(
     ))
 }
 
-/// Run a scenario on `threads` worker threads under the default solver.
-pub fn run_scenario_threaded(
-    spec: &ScenarioSpec,
-    threads: usize,
-) -> Result<RunReport, EngineError> {
-    run_scenario_threaded_with_solver(spec, threads, SolverMode::default())
-}
-
 /// Outcome of a sharded observed run: the merged report plus each
 /// finished `(shard, observer)` pair, so callers can finalize per-shard
 /// audits (e.g. `lsm run --check` runs one invariant checker per shard

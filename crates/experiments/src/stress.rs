@@ -10,12 +10,12 @@
 //! stay independent and the scenario measures the *simulator*, not one
 //! barrier domain).
 //!
-//! `lsm bench` runs these scenarios and emits `BENCH_PR2.json` with
-//! wall-time, events/second and the peak number of live network flows —
-//! the trajectory numbers tracked across performance PRs. The full
-//! shape is checked in as `scenarios/scale64.toml`; a test asserts that
-//! file equals [`scale64_spec`]'s serialization, so the two cannot
-//! drift apart.
+//! The full shapes are checked in as `scenarios/scale64.toml` and
+//! `scenarios/scale1024.toml`; tests assert each file equals its
+//! generator's serialization, so the two cannot drift apart. `cargo
+//! test` pins their reports, and those of the quick variants, by
+//! fingerprint (`GOLDEN` in `lsm/tests/determinism.rs`); `lsmbench`
+//! times them.
 
 use crate::scenario::{MigrationSpec, ScenarioSpec, VmSpec};
 use lsm_core::config::ClusterConfig;
@@ -54,8 +54,8 @@ impl StressParams {
         }
     }
 
-    /// A shrunken shape for CI smoke runs (`lsm bench --quick`):
-    /// same structure, minutes→seconds.
+    /// A shrunken shape for quick test runs: same structure,
+    /// minutes→seconds.
     pub fn quick() -> Self {
         StressParams {
             nodes: 16,
@@ -88,7 +88,7 @@ impl StressParams {
         }
     }
 
-    /// The `scale1024 --quick` CI reduction: same pair-partner
+    /// The quick `scale1024` reduction: same pair-partner
     /// structure over 64 nodes / 128 VMs (32 independent components).
     pub fn scale1024_quick() -> Self {
         StressParams {
@@ -232,12 +232,12 @@ pub fn scale1024_spec() -> ScenarioSpec {
     StressParams::scale1024().pair_spec("scale1024")
 }
 
-/// The `scale1024 --quick` CI smoke variant (64 nodes, 128 VMs).
+/// The quick `scale1024` variant (64 nodes, 128 VMs).
 pub fn scale1024_quick_spec() -> ScenarioSpec {
     StressParams::scale1024_quick().pair_spec("scale1024-quick")
 }
 
-/// The `lsm bench --quick` smoke variant (16 nodes, 32 VMs).
+/// The quick `scale64` variant (16 nodes, 32 VMs).
 pub fn scale64_quick_spec() -> ScenarioSpec {
     StressParams::quick().spec("scale64-quick")
 }
@@ -301,7 +301,12 @@ mod tests {
             assert!(m.completed, "vm {} migration incomplete", m.vm);
             assert_eq!(m.consistent, Some(true), "vm {} diverged", m.vm);
         }
-        let sharded = crate::shard::run_scenario_threaded(&spec, 4).expect("runs");
+        let sharded = crate::shard::run_scenario_threaded_with_solver(
+            &spec,
+            4,
+            lsm_netsim::SolverMode::default(),
+        )
+        .expect("runs");
         let a = serde_json::to_string_pretty(&mono).expect("serializes");
         let b = serde_json::to_string_pretty(&sharded).expect("serializes");
         if a != b {

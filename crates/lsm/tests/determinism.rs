@@ -31,9 +31,32 @@ const GOLDEN: &[(&str, u64, &str)] = &[
     ("slow_drain.toml", 18656, "2e92d2f6d0f8a9c7"),
     ("chaos_storm.toml", 9873, "921487e3f83f78c8"),
     ("qos64.toml", 534382, "fc5d45909671f123"),
+    ("scale1024.toml", 5155508, "13f13d654e8cfa5d"),
     ("scale64-quick", 10587, "bbe33f7adebfb2c8"),
     ("scale1024-quick", 39996, "bdc195c1c7aacdd3"),
 ];
+
+/// Every shipped scenario file has a golden entry, so a new file cannot
+/// land unpinned. Runs nothing.
+#[test]
+fn every_shipped_scenario_has_a_golden_entry() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let missing: Vec<String> = std::fs::read_dir(dir)
+        .expect("scenarios/ is readable")
+        .map(|e| {
+            e.expect("directory entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.ends_with(".toml") || name.ends_with(".json"))
+        .filter(|name| !GOLDEN.iter().any(|(n, ..)| n == name))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "scenarios/ files with no GOLDEN entry: {missing:?}"
+    );
+}
 
 /// FNV-1a 64 of the compact JSON report, as lsmbench computes it.
 fn fingerprint(report: &RunReport) -> String {
@@ -104,7 +127,7 @@ fn scale64_quick_is_deterministic() {
 }
 
 /// The full paper-scale scenario, loaded from the checked-in file
-/// exactly as `lsm bench` would (two ~1 s runs; worth the wall time —
+/// exactly as `lsm run` does (two ~1 s runs; worth the wall time —
 /// 128 staggered migrations exercise every queue-ordering edge).
 #[test]
 fn scale64_file_is_deterministic() {
@@ -269,16 +292,34 @@ fn sparse_fleet_monolith_matches_reference_shards() {
     }
 }
 
-/// The full 1024-node fleet (2048 VMs, 512 shards): byte-identical at
-/// `--threads 1/2/8` under both solvers. Six ~15–45 s runs — worth it
-/// before a release, too slow for every `cargo test`:
+fn scale1024_file_spec() -> ScenarioSpec {
+    ScenarioSpec::from_toml(include_str!("../../../scenarios/scale1024.toml")).expect("parses")
+}
+
+/// The full 1024-node fleet (2048 VMs, 512 shards) against its golden
+/// entry: one sharded run on 2 threads, ~5 s in release. Too slow for
+/// every debug `cargo test`; CI runs it in release:
+/// `cargo test --release -p lsm --test determinism -- --ignored --exact
+/// scale1024_file_matches_golden`.
+#[test]
+#[ignore = "one paper-scale run; run explicitly with -- --ignored"]
+fn scale1024_file_matches_golden() {
+    use lsm::experiments::shard::run_scenario_threaded_with_solver;
+    let report =
+        run_scenario_threaded_with_solver(&scale1024_file_spec(), 2, SolverMode::Incremental)
+            .expect("runs");
+    assert_golden("scale1024.toml", &report);
+}
+
+/// The full 1024-node fleet: byte-identical at `--threads 1/2/8` under
+/// both solvers, and equal to its golden entry. Six ~15–45 s runs —
+/// worth it before a release, too slow for every `cargo test`:
 /// `cargo test -p lsm --test determinism -- --ignored`.
 #[test]
 #[ignore = "six paper-scale runs; run explicitly with -- --ignored"]
 fn scale1024_full_is_thread_count_invariant() {
-    let spec =
-        ScenarioSpec::from_toml(include_str!("../../../scenarios/scale1024.toml")).expect("parses");
-    assert_thread_count_invariant("scale1024.toml", &spec);
+    let report = assert_thread_count_invariant("scale1024.toml", &scale1024_file_spec());
+    assert_golden("scale1024.toml", &report);
 }
 
 /// The seed matters: "same seed ⇒ same run" must not be vacuous, so a

@@ -78,10 +78,9 @@ fn demo_file_runs_identically_to_the_builder_program() {
 
 const SCALE64: &str = include_str!("../../../scenarios/scale64.toml");
 
-/// The checked-in paper-scale bench scenario must stay byte-identical
-/// to its generator, so `lsm bench` (which defaults to the generator)
-/// and `lsm bench --scenario scenarios/scale64.toml` run the same
-/// experiment.
+/// The checked-in paper-scale scenario must stay byte-identical to
+/// its generator, so tests that build it in code and `lsm run
+/// scenarios/scale64.toml` run the same experiment.
 #[test]
 fn scale64_file_matches_generator() {
     let expected = lsm::experiments::stress::scale64_spec()
@@ -108,9 +107,8 @@ fn scale64_file_parses_to_the_paper_scale_shape() {
 const SCALE1024: &str = include_str!("../../../scenarios/scale1024.toml");
 
 /// The checked-in 1024-node sharded-engine scenario must stay
-/// byte-identical to its generator, so `lsm bench` (which defaults to
-/// the generator) and `lsm run scenarios/scale1024.toml` run the same
-/// experiment.
+/// byte-identical to its generator, so tests that build it in code and
+/// `lsm run scenarios/scale1024.toml` run the same experiment.
 #[test]
 fn scale1024_file_matches_generator() {
     let expected = lsm::experiments::stress::scale1024_spec()

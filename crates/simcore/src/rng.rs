@@ -67,16 +67,6 @@ impl DetRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform integer in `[lo, hi]` inclusive.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi);
-        let span = hi - lo;
-        if span == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(span + 1)
-    }
-
     /// Bernoulli draw with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         debug_assert!((0.0..=1.0).contains(&p));
