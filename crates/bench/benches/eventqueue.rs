@@ -1,17 +1,24 @@
-//! Micro-benchmarks of the `EventQueue` at fleet scale: 1M pending
-//! events is the scale1024 regime (2048 VMs × compute ticks, dirty-rate
-//! updates, flow wakes), where the binary heap with lazy-cancel
-//! tombstones is squarely on the hot path. Three operations matter:
-//! scheduling into a full heap (sift-up), popping through it
-//! (sift-down, skipping tombstones), and cancel — which must stay O(1)
-//! (a tombstone insert), since `update_compute` cancels and reschedules
-//! a VM's compute event on every rate change.
+//! Micro-benchmarks of the `EventQueue` in two regimes.
+//!
+//! - 1M pending events is the scale1024 regime (2048 VMs × compute
+//!   ticks, dirty-rate updates, flow wakes): scheduling into a full heap
+//!   (sift-up), popping through it (sift-down, skipping tombstones), and
+//!   cancel, which must stay O(1) (it vacates the event's slab slot and
+//!   leaves its heap key behind as a tombstone), since `update_compute`
+//!   cancels and reschedules a VM's compute event on every rate change.
+//! - 256 pending events is the regime lsmbench's workloads run in
+//!   (`qos64` keeps about 240): the hold model (pop the head, schedule
+//!   its successor), alone and with one re-armed lane wake per step.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use lsm_simcore::event::EventQueue;
-use lsm_simcore::SimTime;
+use lsm_simcore::event::{EventId, EventQueue};
+use lsm_simcore::{SimDuration, SimTime};
 
 const PENDING: u64 = 1_000_000;
+/// Pending events in the small-queue benches.
+const HELD: u64 = 256;
+/// Steps per timed iteration of the small-queue benches.
+const STEPS: u64 = 10_000;
 
 /// A queue with 1M pending events at distinct, interleaved times —
 /// the deterministic stand-in for a fleet's event mix.
@@ -23,6 +30,20 @@ fn full_queue() -> EventQueue<u64> {
         q.schedule(SimTime::from_nanos(t), i);
     }
     q
+}
+
+/// A deterministic spread of lead times, 1–1000 ns.
+fn lead(k: u64) -> SimDuration {
+    SimDuration::from_nanos((k * 2_654_435_761) % 1000 + 1)
+}
+
+/// A queue holding event `i` for each `i < HELD`, and their ids.
+fn held_queue() -> (EventQueue<u64>, Vec<EventId>) {
+    let mut q = EventQueue::new();
+    let ids = (0..HELD)
+        .map(|i| q.schedule(SimTime::ZERO + lead(i), i))
+        .collect();
+    (q, ids)
 }
 
 fn bench_eventqueue(c: &mut Criterion) {
@@ -80,6 +101,39 @@ fn bench_eventqueue(c: &mut Criterion) {
             i += 1;
             id = q.schedule(SimTime::from_nanos(i % PENDING), i);
             std::hint::black_box(id)
+        })
+    });
+
+    // The hold model at lsmbench's queue depth: pop the head and
+    // schedule its successor one lead time later.
+    g.bench_function("hold_256_pending", |b| {
+        let (mut q, _) = held_queue();
+        let mut k = HELD;
+        b.iter(|| {
+            for _ in 0..STEPS {
+                let (t, i) = q.pop().expect("HELD events pending");
+                k += 1;
+                std::hint::black_box(q.schedule(t + lead(k), i));
+            }
+        })
+    });
+
+    // Hold plus the lane-wake shape: each step also cancels one pending
+    // event and schedules it again at a new time, as `rearm` does when a
+    // lane's next completion moves.
+    g.bench_function("rearm_256_pending", |b| {
+        let (mut q, mut ids) = held_queue();
+        let mut k = HELD;
+        b.iter(|| {
+            for _ in 0..STEPS {
+                let (t, i) = q.pop().expect("HELD events pending");
+                k += 1;
+                ids[i as usize] = q.schedule(t + lead(k), i);
+                let j = (k * 7 % HELD) as usize;
+                std::hint::black_box(q.cancel(ids[j]));
+                k += 1;
+                ids[j] = q.schedule(t + lead(k), j as u64);
+            }
         })
     });
 

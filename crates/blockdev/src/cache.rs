@@ -45,7 +45,9 @@ impl CacheConfig {
     pub fn for_ram(ram_bytes: u64, chunk_size: u64) -> Self {
         CacheConfig {
             chunk_size,
-            capacity_bytes: ram_bytes * 3 / 4,
+            // ⌊3·ram/4⌋ without the product, which overflows above
+            // `u64::MAX / 3`.
+            capacity_bytes: ram_bytes / 4 * 3 + ram_bytes % 4 * 3 / 4,
             dirty_limit_bytes: ram_bytes / 8,
             background_limit_bytes: ram_bytes / 16,
         }
@@ -251,6 +253,32 @@ mod tests {
             capacity_bytes: capacity_chunks * CK,
             dirty_limit_bytes: dirty_chunks * CK,
             background_limit_bytes: bg_chunks * CK,
+        }
+    }
+
+    /// The capacity is ⌊3·ram/4⌋ for every `u64`, including those whose
+    /// product with 3 overflows.
+    #[test]
+    fn for_ram_capacity_is_three_quarters_up_to_u64_max() {
+        for ram in [
+            0,
+            1,
+            2,
+            3,
+            5,
+            4 << 30,
+            u64::MAX / 3,
+            u64::MAX / 3 + 1,
+            9_000_000_000_000_000_000,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let want = (u128::from(ram) * 3 / 4) as u64;
+            assert_eq!(
+                CacheConfig::for_ram(ram, CK).capacity_bytes,
+                want,
+                "ram {ram}"
+            );
         }
     }
 

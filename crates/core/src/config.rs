@@ -312,4 +312,17 @@ mod tests {
         };
         assert!(fits.validate().is_ok());
     }
+
+    /// The largest RAM sizes validate without overflowing the page-cache
+    /// arithmetic.
+    #[test]
+    fn huge_vm_ram_validates() {
+        for vm_ram in [9_000_000_000_000_000_000, u64::MAX] {
+            let c = ClusterConfig {
+                vm_ram,
+                ..ClusterConfig::small_test()
+            };
+            assert!(c.validate().is_ok(), "vm_ram {vm_ram}");
+        }
+    }
 }

@@ -190,7 +190,7 @@ fn crash_vm(eng: &mut Engine, v: VmIdx) {
     if let Some(ev) = compute_ev {
         eng.queue.cancel(ev);
     }
-    eng.ops.retain(|_, o| o.vm != v);
+    eng.ops.retain(|o| o.vm != v);
 }
 
 /// Recovery for one severed flow, after crash ownership is settled.

@@ -227,7 +227,7 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
     eng.note_milestone(v, Milestone::Requested);
     eng.set_job_status(job, MigrationStatus::TransferringMemory);
 
-    eng.send_ctl(source, dest, Ctl::MigrationNotify { vm: v });
+    eng.send_ctl(source, dest, Ctl::MigrationNotify);
     if postcopy_memory {
         // Post-copy hands control over immediately: pause, ship the hot
         // set, resume at the destination. The storage push phase gets no
@@ -247,7 +247,7 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
 
 pub(crate) fn ctl_arrive(eng: &mut Engine, _node: u32, msg: Ctl) {
     match msg {
-        Ctl::MigrationNotify { vm: _ } => {
+        Ctl::MigrationNotify => {
             // Destination manager now accepts pushed chunks; in the model
             // the push pipeline handles this implicitly.
         }

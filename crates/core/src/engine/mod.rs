@@ -55,8 +55,7 @@ pub struct Engine {
     groups: Vec<GroupRt>,
     repo: StripedRepo,
     pvfs: PvfsFs,
-    ops: HashMap<OpId, OpRt>,
-    next_op: OpId,
+    ops: OpTable,
     /// Migration jobs in scheduling order (JobId is the index).
     jobs: Vec<JobRt>,
     /// Job status changes / milestones awaiting observer delivery.
@@ -64,9 +63,6 @@ pub struct Engine {
     /// Events dispatched so far (`RunReport.events`); a counter only,
     /// nothing caps it.
     events_processed: u64,
-    /// Payloads of scheduled fault events, indexed by `Ev::Fault` (fault
-    /// kinds carry floats, which the `Eq`-requiring queue cannot hold).
-    faults: Vec<FaultKind>,
     /// Orchestration state: the planner, the admission-controlled
     /// request queue, telemetry, and recorded decisions (see the
     /// `orchestrator` module).
@@ -129,12 +125,10 @@ impl Engine {
             groups: Vec::new(),
             repo,
             pvfs,
-            ops: HashMap::new(),
-            next_op: 0,
+            ops: OpTable::default(),
             jobs: Vec::new(),
             job_events: Vec::new(),
             events_processed: 0,
-            faults: Vec::new(),
             orch: OrchestratorRt::default(),
             autonomic: None,
             resilience: None,
@@ -360,9 +354,7 @@ impl Engine {
             | FaultKind::NodeCrash { .. }
             | FaultKind::NodeRestore { .. } => {}
         }
-        let idx = self.faults.len() as u32;
-        self.faults.push(kind);
-        self.queue.schedule(at, Ev::Fault(idx));
+        self.queue.schedule(at, Ev::Fault(kind));
         Ok(())
     }
 
@@ -520,7 +512,7 @@ impl Engine {
             Ev::OpTimer(op) => self.op_part_done(op),
             Ev::ConvergencePoll(v) => migration::convergence_poll(self, v),
             Ev::KupdateTick(v) => self.kupdate_tick(v),
-            Ev::Fault(idx) => fault::apply_fault(self, self.faults[idx as usize]),
+            Ev::Fault(kind) => fault::apply_fault(self, kind),
             Ev::JobDeadline(job) => fault::job_deadline(self, JobId(job)),
             Ev::StallOver(v) => fault::stall_over(self, v),
             Ev::RebalanceTick => rebalance::rebalance_tick(self),
@@ -768,32 +760,26 @@ impl Engine {
         kind: OpKind,
         bytes: u64,
     ) -> OpId {
-        let id = self.next_op;
-        self.next_op += 1;
-        self.ops.insert(
-            id,
-            OpRt {
-                vm,
-                token,
-                kind,
-                parts: 0,
-                issued: self.now,
-                bytes,
-            },
-        );
-        id
+        self.ops.insert(OpRt {
+            vm,
+            token,
+            kind,
+            parts: 0,
+            issued: self.now,
+            bytes,
+        })
     }
 
     pub(crate) fn op_add_parts(&mut self, op: OpId, n: u32) {
-        self.ops.get_mut(&op).expect("live op").parts += n;
+        self.ops.get_mut(op).expect("live op").parts += n;
     }
 
     pub(crate) fn op_parts(&self, op: OpId) -> u32 {
-        self.ops.get(&op).map(|o| o.parts).unwrap_or(0)
+        self.ops.get(op).map(|o| o.parts).unwrap_or(0)
     }
 
     pub(crate) fn op_vm(&self, op: OpId) -> Option<VmIdx> {
-        self.ops.get(&op).map(|o| o.vm)
+        self.ops.get(op).map(|o| o.vm)
     }
 
     /// One part of an op finished; completes the op at zero outstanding.
@@ -802,7 +788,7 @@ impl Engine {
     /// still land here afterwards.
     pub(crate) fn op_part_done(&mut self, op: OpId) {
         let done = {
-            let Some(o) = self.ops.get_mut(&op) else {
+            let Some(o) = self.ops.get_mut(op) else {
                 return;
             };
             debug_assert!(o.parts > 0, "op part underflow");
@@ -815,7 +801,7 @@ impl Engine {
     }
 
     pub(crate) fn finish_op(&mut self, op: OpId) {
-        let Some(o) = self.ops.remove(&op) else {
+        let Some(o) = self.ops.remove(op) else {
             return; // purged by a crash while a completion was in flight
         };
         let vm = &mut self.vms[o.vm as usize];

@@ -5,6 +5,7 @@ use crate::policy::{HybridDest, HybridSource, MirrorSource, PrecopySource, Strat
 use lsm_blockdev::{ChunkId, ChunkSet, PageCache, VirtualDisk};
 use lsm_hypervisor::{PrecopyMemory, Vm};
 use lsm_netsim::NodeId;
+use lsm_simcore::fault::FaultKind;
 use lsm_simcore::resource::SharedResource;
 use lsm_simcore::time::{SimDuration, SimTime};
 use lsm_simcore::{EventId, EventQueue};
@@ -12,11 +13,13 @@ use lsm_workloads::{ActionToken, IoKind, Workload};
 use std::collections::{HashMap, VecDeque};
 
 pub(crate) type VmIdx = u32;
+/// An [`OpTable`] handle: slot in the low 32 bits, the slot's generation
+/// in the high 32.
 pub(crate) type OpId = u64;
 
 /// Engine events. Resource "wake" events are drained against the
 /// resource's own completion clock, so stale wakes are harmless.
-#[derive(PartialEq, Eq, Debug)]
+#[derive(Debug)]
 pub(crate) enum Ev {
     /// The network may have a completion due.
     NetWake,
@@ -50,10 +53,8 @@ pub(crate) enum Ev {
     ConvergencePoll(VmIdx),
     /// Periodic dirty-expiry write-back sweep (Linux kupdate).
     KupdateTick(VmIdx),
-    /// A scheduled fault fires (the index into `Engine::faults`; the
-    /// payload lives there because fault kinds carry floats, which the
-    /// `Eq`-requiring event queue cannot).
-    Fault(u32),
+    /// A scheduled fault fires.
+    Fault(FaultKind),
     /// A job's configured deadline expires (index into `Engine::jobs`).
     JobDeadline(u32),
     /// A transfer stall on this VM's migration ends.
@@ -83,11 +84,11 @@ impl Ev {
 }
 
 /// Control-plane messages between migration managers (latency-modeled).
-#[derive(PartialEq, Eq, Debug)]
+#[derive(Debug)]
 pub(crate) enum Ctl {
     /// Source → destination: assume the destination role (Algorithm 3,
     /// MIGRATION_NOTIFICATION).
-    MigrationNotify { vm: VmIdx },
+    MigrationNotify,
     /// Source → destination: remaining set + write counts (Algorithm 3,
     /// TRANSFER_IO_CONTROL). The VM resumes at the destination once this
     /// arrives — the destination must be ready to intercept I/O first.
@@ -222,6 +223,73 @@ pub(crate) struct OpRt {
     pub parts: u32,
     pub issued: SimTime,
     pub bytes: u64,
+}
+
+/// The in-flight VM operations, in reusable slots. A slot's generation
+/// advances whenever its op is removed or purged, so an [`OpId`] stops
+/// resolving the moment its op leaves, even once the slot holds another
+/// op: a completion still in flight for a purged op finds nothing.
+#[derive(Default)]
+pub(crate) struct OpTable {
+    slots: Vec<OpSlot>,
+    /// Vacant slots, reused last-freed first.
+    free: Vec<u32>,
+}
+
+#[derive(Default)]
+struct OpSlot {
+    gen: u32,
+    op: Option<OpRt>,
+}
+
+impl OpTable {
+    pub fn insert(&mut self, op: OpRt) -> OpId {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(OpSlot::default());
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 ops in flight")
+        });
+        let s = &mut self.slots[slot as usize];
+        s.op = Some(op);
+        u64::from(s.gen) << 32 | u64::from(slot)
+    }
+
+    /// The index of `id`'s slot while the slot is still in `id`'s
+    /// generation.
+    fn index(&self, id: OpId) -> Option<usize> {
+        let slot = id as u32 as usize;
+        (self.slots.get(slot)?.gen == (id >> 32) as u32).then_some(slot)
+    }
+
+    pub fn get(&self, id: OpId) -> Option<&OpRt> {
+        self.slots[self.index(id)?].op.as_ref()
+    }
+
+    pub fn get_mut(&mut self, id: OpId) -> Option<&mut OpRt> {
+        let i = self.index(id)?;
+        self.slots[i].op.as_mut()
+    }
+
+    pub fn remove(&mut self, id: OpId) -> Option<OpRt> {
+        let i = self.index(id)?;
+        self.vacate(i)
+    }
+
+    /// Drop every op for which `keep` is false.
+    pub fn retain(&mut self, mut keep: impl FnMut(&OpRt) -> bool) {
+        for i in 0..self.slots.len() {
+            if self.slots[i].op.as_ref().is_some_and(|o| !keep(o)) {
+                self.vacate(i);
+            }
+        }
+    }
+
+    fn vacate(&mut self, i: usize) -> Option<OpRt> {
+        let s = &mut self.slots[i];
+        let op = s.op.take()?;
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(i as u32);
+        Some(op)
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -566,4 +634,41 @@ pub(crate) struct GroupRt {
     pub arrived: u32,
     /// Completed barrier episodes (diagnostics).
     pub episodes: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn op(vm: VmIdx) -> OpRt {
+        OpRt {
+            vm,
+            token: ActionToken(vm as u64),
+            kind: OpKind::Write,
+            parts: 1,
+            issued: SimTime::ZERO,
+            bytes: 0,
+        }
+    }
+
+    /// An op that left the table, by `remove` or by a crash's `retain`,
+    /// never resolves again, even once its slot holds a new op.
+    #[test]
+    fn removed_and_purged_ids_do_not_resolve_after_slot_reuse() {
+        let mut ops = OpTable::default();
+        let removed = ops.insert(op(0));
+        assert_eq!(ops.remove(removed).map(|o| o.vm), Some(0));
+        let purged = ops.insert(op(1));
+        assert_eq!(purged as u32, removed as u32, "the freed slot is reused");
+        ops.retain(|o| o.vm != 1);
+        let live = ops.insert(op(2));
+        assert_eq!(live as u32, removed as u32, "and reused again");
+        for stale in [removed, purged] {
+            assert!(ops.get(stale).is_none());
+            assert!(ops.get_mut(stale).is_none());
+            assert!(ops.remove(stale).is_none());
+        }
+        assert_eq!(ops.get(live).map(|o| o.vm), Some(2));
+        assert_eq!(ops.remove(live).map(|o| o.vm), Some(2));
+    }
 }

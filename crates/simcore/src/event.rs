@@ -4,67 +4,92 @@
 //! sequence number is assigned at scheduling time. Two events scheduled for
 //! the same instant therefore fire in scheduling order, which makes whole
 //! simulations reproducible bit-for-bit.
+//!
+//! The binary heap holds 24-byte `(time, seq, slot)` keys; payloads live
+//! in a slab of reusable slots, each recording the sequence number of the
+//! event occupying it. Cancelling vacates the slot at once and leaves the
+//! key behind as a tombstone: a key whose slot no longer holds its
+//! sequence number is skipped when it reaches the top. Nothing on the
+//! schedule, cancel or pop path hashes.
 
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-/// Handle to a scheduled event, usable for cancellation.
+/// Handle to a scheduled event, usable for cancellation: the event's
+/// sequence number and the slab slot holding its payload.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    slot: u32,
+}
 
-#[derive(PartialEq, Eq)]
-struct Slot<E> {
+/// A heap entry. It orders by `(time, seq)` alone, reversed so that the
+/// max-heap pops the earliest event; `slot` locates the payload.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
     time: SimTime,
     seq: u64,
-    payload: E,
+    slot: u32,
 }
 
-impl<E: Eq> Ord for Slot<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
-impl<E: Eq> PartialOrd for Slot<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// The `seq` of a slot on the free list; no event is ever given it.
+const VACANT: u64 = u64::MAX;
+
+/// A payload slot: `seq` names the event occupying it (or is [`VACANT`]).
+struct Slot<E> {
+    seq: u64,
+    payload: Option<E>,
 }
 
 /// A deterministic, cancellable discrete-event queue.
 ///
 /// `E` is the event payload type chosen by the embedding simulator.
-/// Cancellation is lazy: cancelled events stay in the heap and are skipped
-/// on pop, which keeps both operations `O(log n)` amortized.
-///
-/// Cancellation state lives in `pending`, which tracks exactly the
-/// events still in the heap (`seq → cancelled?`). Cancelling an
-/// already-fired (or never-heaped) event is rejected up front instead of
-/// inserting a tombstone that nothing would ever prune — long-running
-/// simulations cancel stale timer events constantly, and an
-/// insert-always set would grow without bound.
+/// Cancellation is lazy in the heap and eager in the slab: a cancelled
+/// event's slot is freed (and may be reused) at once, while its key stays
+/// in the heap until it reaches the top. Schedule and pop are
+/// `O(log n)`, cancel is `O(1)`. An id is honoured only while its slot
+/// still holds its sequence number, so cancelling an already-fired,
+/// already-cancelled or never-heaped event is a no-op — even after the
+/// slot has passed to another event.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Slot<E>>>,
-    /// One entry per heap slot: `true` once cancelled.
-    pending: HashMap<u64, bool>,
+    heap: BinaryHeap<Key>,
+    slots: Vec<Slot<E>>,
+    /// Vacant slots, reused last-freed first.
+    free: Vec<u32>,
+    /// Keys in the heap whose event was cancelled.
+    tombstones: usize,
     next_seq: u64,
     scheduled: u64,
     fired: u64,
 }
 
-impl<E: Eq> Default for EventQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E: Eq> EventQueue<E> {
+impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            tombstones: 0,
             next_seq: 0,
             scheduled: 0,
             fired: 0,
@@ -78,62 +103,84 @@ impl<E: Eq> EventQueue<E> {
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if at != SimTime::FAR_FUTURE {
-            self.heap.push(Reverse(Slot {
-                time: at,
-                seq,
-                payload,
-            }));
-            self.pending.insert(seq, false);
-            self.scheduled += 1;
+        if at == SimTime::FAR_FUTURE {
+            // No slot will ever hold this seq, so the id cancels nothing.
+            return EventId { seq, slot: 0 };
         }
-        EventId(seq)
+        let occupant = Slot {
+            seq,
+            payload: Some(payload),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = occupant;
+                slot
+            }
+            None => {
+                self.slots.push(occupant);
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.heap.push(Key {
+            time: at,
+            seq,
+            slot,
+        });
+        self.scheduled += 1;
+        EventId { seq, slot }
     }
 
     /// Cancel a previously scheduled event. Cancelling an already-fired,
     /// already-cancelled or unknown event is a no-op (and returns
     /// `false`) — in particular it cannot grow the queue's state.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.pending.get_mut(&id.0) {
-            Some(cancelled @ false) => {
-                *cancelled = true;
-                true
-            }
-            _ => false,
+        if self.slots.get(id.slot as usize).map(|s| s.seq) != Some(id.seq) {
+            return false;
         }
+        self.vacate(id.slot);
+        self.tombstones += 1;
+        true
     }
 
     /// Remove and return the earliest live event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(slot)) = self.heap.pop() {
-            let cancelled = self.pending.remove(&slot.seq).unwrap_or(false);
-            if cancelled {
+        while let Some(key) = self.heap.pop() {
+            if self.slots[key.slot as usize].seq != key.seq {
+                self.tombstones -= 1;
                 continue;
             }
             self.fired += 1;
-            return Some((slot.time, slot.payload));
+            return Some((key.time, self.vacate(key.slot)));
         }
         None
     }
 
     /// Time of the earliest live event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            match self.heap.peek() {
-                None => return None,
-                Some(Reverse(slot)) if self.pending.get(&slot.seq) == Some(&true) => {
-                    let Reverse(slot) = self.heap.pop().expect("peeked");
-                    self.pending.remove(&slot.seq);
-                }
-                Some(Reverse(slot)) => return Some(slot.time),
+        while let Some(&key) = self.heap.peek() {
+            if self.slots[key.slot as usize].seq == key.seq {
+                return Some(key.time);
             }
+            self.heap.pop();
+            self.tombstones -= 1;
         }
+        None
+    }
+
+    /// Free an occupied slot and hand back its payload.
+    fn vacate(&mut self, slot: u32) -> E {
+        let s = &mut self.slots[slot as usize];
+        s.seq = VACANT;
+        self.free.push(slot);
+        s.payload
+            .take()
+            .expect("an occupied slot holds its payload")
     }
 
     /// Cancelled-but-not-yet-pruned entries still occupying the heap
     /// (diagnostics; bounded by [`EventQueue::len`] by construction).
     pub fn tombstones(&self) -> usize {
-        self.pending.values().filter(|&&c| c).count()
+        self.tombstones
     }
 
     /// Number of events currently pending (including not-yet-skipped

@@ -6,7 +6,9 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //!   integer-based so event ordering is exactly reproducible.
 //! * [`EventQueue`] — a cancellable priority queue of timestamped events with
-//!   stable FIFO tie-breaking for events scheduled at the same instant.
+//!   stable FIFO tie-breaking for events scheduled at the same instant: a
+//!   binary heap of small `(time, seq, slot)` keys over a slab of payload
+//!   slots, where cancel vacates the slot in `O(1)` and nothing hashes.
 //! * [`SharedResource`] — a fluid-model lane (a disk, a page-cache lane)
 //!   whose capacity is shared equally among outstanding requests, each
 //!   carrying its caller's completion context. The network crate

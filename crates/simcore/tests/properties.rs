@@ -1,9 +1,100 @@
 //! Property tests for the DES kernel.
 
-use lsm_simcore::{DetRng, EventQueue, SharedResource, SimDuration, SimTime};
+use lsm_simcore::{DetRng, EventId, EventQueue, SharedResource, SimDuration, SimTime};
 use proptest::prelude::*;
 
+/// The naive reference for [`EventQueue`]: every live event as
+/// `(time, seq, payload)`, where pop removes the minimum, plus the keys
+/// of cancelled events that the real heap still holds. Those stay until
+/// a pop or peek reaches past them, so they count in `len` until then.
+#[derive(Default)]
+struct Model {
+    live: Vec<(u64, u64, u64)>,
+    tombs: Vec<(u64, u64)>,
+}
+
+impl Model {
+    /// Drop the tombstones a pop or peek walks past (all of them when no
+    /// live event is left) and return the index of the earliest live one.
+    fn prune(&mut self) -> Option<usize> {
+        let head = (0..self.live.len()).min_by_key(|&i| (self.live[i].0, self.live[i].1));
+        match head {
+            Some(i) => {
+                let key = (self.live[i].0, self.live[i].1);
+                self.tombs.retain(|&k| k > key);
+            }
+            None => self.tombs.clear(),
+        }
+        head
+    }
+}
+
 proptest! {
+    /// The queue agrees with [`Model`] after every step of a random mix
+    /// of schedules (at or after the last popped time, some at
+    /// `FAR_FUTURE`), pops, peeks, and cancels of any id ever issued:
+    /// pending, fired, cancelled, or one whose slot was since reused.
+    /// Every return value, `len`, `tombstones`, `total_scheduled` and
+    /// `total_fired` must match.
+    #[test]
+    fn event_queue_matches_naive_model(
+        ops in prop::collection::vec((0u8..16, 0u64..12, 0usize..1 << 20), 1..400)
+    ) {
+        let mut q = EventQueue::new();
+        let mut m = Model::default();
+        let mut issued: Vec<(EventId, u64)> = Vec::new();
+        let (mut next_seq, mut scheduled, mut fired, mut now) = (0u64, 0u64, 0u64, 0u64);
+        for (step, &(op, dt, pick)) in ops.iter().enumerate() {
+            let payload = step as u64;
+            match op {
+                0..=6 => {
+                    let at = if op == 6 {
+                        SimTime::FAR_FUTURE
+                    } else {
+                        SimTime::from_nanos(now + dt)
+                    };
+                    issued.push((q.schedule(at, payload), next_seq));
+                    if at != SimTime::FAR_FUTURE {
+                        m.live.push((at.as_nanos(), next_seq, payload));
+                        scheduled += 1;
+                    }
+                    next_seq += 1;
+                }
+                7..=10 => {
+                    if issued.is_empty() {
+                        continue;
+                    }
+                    let (id, seq) = issued[pick % issued.len()];
+                    let hit = m.live.iter().position(|&(_, s, _)| s == seq);
+                    if let Some(i) = hit {
+                        let (t, s, _) = m.live.remove(i);
+                        m.tombs.push((t, s));
+                    }
+                    prop_assert_eq!(q.cancel(id), hit.is_some(), "cancel at step {}", step);
+                }
+                11..=13 => {
+                    let want = m.prune().map(|i| m.live.remove(i));
+                    if let Some((t, _, _)) = want {
+                        now = t;
+                        fired += 1;
+                    }
+                    let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
+                    prop_assert_eq!(got, want.map(|(t, _, p)| (t, p)), "pop at step {}", step);
+                }
+                _ => {
+                    let want = m.prune().map(|i| m.live[i].0);
+                    let got = q.peek_time().map(|t| t.as_nanos());
+                    prop_assert_eq!(got, want, "peek at step {}", step);
+                }
+            }
+            prop_assert_eq!(q.len(), m.live.len() + m.tombs.len(), "len at step {}", step);
+            prop_assert_eq!(q.is_empty(), m.live.is_empty() && m.tombs.is_empty());
+            prop_assert_eq!(q.tombstones(), m.tombs.len(), "tombstones at step {}", step);
+            prop_assert_eq!(q.total_scheduled(), scheduled);
+            prop_assert_eq!(q.total_fired(), fired);
+        }
+    }
+
     /// Events always pop in (time, insertion) order, whatever the
     /// scheduling order and cancellations.
     #[test]
