@@ -1,14 +1,14 @@
 //! Micro-benchmarks of the simulator's hot paths: the max–min fair
-//! network allocator (dense, and sparse at fleet size), chunk-set
-//! algebra, the fair-shared resource, and a full paper-scale
-//! single-migration run.
+//! network allocator (dense, and sparse at fleet size) and its
+//! next-completion query, chunk-set algebra, the fair-shared resource,
+//! and a full paper-scale single-migration run.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lsm_blockdev::{ChunkId, ChunkSet};
 use lsm_core::config::ClusterConfig;
 use lsm_core::engine::Engine;
 use lsm_core::policy::StrategyKind;
-use lsm_netsim::{FlowNet, NodeId, SolverMode, Topology, TrafficTag};
+use lsm_netsim::{FlowId, FlowNet, NodeId, SolverMode, Topology, TrafficTag};
 use lsm_simcore::resource::SharedResource;
 use lsm_simcore::units::{mb_per_s, MIB};
 use lsm_simcore::SimTime;
@@ -82,6 +82,24 @@ fn start_complete_pair0(net: &mut FlowNet) -> usize {
     net.active()
 }
 
+/// [`start_complete_pair0`] with the query the engine makes after every
+/// flow change: start, next completion (the new flow, due at once),
+/// complete, next completion.
+fn change_next_completion_pair0(net: &mut FlowNet) -> Option<(SimTime, FlowId)> {
+    let f = net.start_flow(
+        SimTime::ZERO,
+        NodeId(0),
+        NodeId(1),
+        0,
+        None,
+        TrafficTag::StoragePull,
+    );
+    let (at, next) = net.next_completion().expect("the new flow is due");
+    assert_eq!(next, f);
+    net.complete(at, f);
+    net.next_completion()
+}
+
 fn bench_netsim(c: &mut Criterion) {
     let mut g = c.benchmark_group("substrate/netsim");
     // 64 nodes, 128 concurrent flows: the fig5 regime. The 128th flow
@@ -136,6 +154,16 @@ fn bench_netsim(c: &mut Criterion) {
         g.bench_function(&format!("sparse_start_complete_{nodes}_nodes"), |b| {
             b.iter(|| start_complete_pair0(&mut net))
         });
+    }
+    // The same change with a next-completion query after each call, as
+    // the engine makes them: two scans of all 150 live flows per change,
+    // which should cost about the same on both fabrics.
+    for nodes in [64u32, 1024] {
+        let mut net = sparse_net(nodes);
+        g.bench_function(
+            &format!("sparse_change_next_completion_{nodes}_nodes"),
+            |b| b.iter(|| change_next_completion_pair0(&mut net)),
+        );
     }
     // The same pair of calls on a switch-coupled fabric with few busy
     // NICs, the regime of a scale64 run: the switch cannot bind, so the

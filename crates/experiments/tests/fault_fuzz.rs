@@ -1,14 +1,16 @@
 //! The scenario fuzzer: random cluster/workload/migration/fault plans
-//! — including node restores, retry policies and operator
-//! cancellations — each run under **both** network solvers with an
-//! invariant checker attached. Every case must produce bit-identical serialized
-//! `RunReport`s across solvers and zero invariant violations — the
-//! engine's recovery paths hold the conservation laws no matter what
-//! the plan throws at them.
+//! — including device speeds from 30 MB/s to 100 GB/s, node restores,
+//! retry policies and operator cancellations — each run under **both**
+//! network solvers with an invariant checker attached. Every case must
+//! produce bit-identical serialized `RunReport`s across solvers and zero
+//! invariant violations — the engine's recovery paths hold the
+//! conservation laws no matter what the plan throws at them.
 //!
 //! Deterministic: the compat proptest derives its seed from the test
 //! name (override with `PROPTEST_SEED`), and case counts are bounded
-//! (`fuzz-smoke` in CI runs exactly this file).
+//! (`fuzz-smoke` in CI runs exactly this file, in release and under the
+//! test profile, whose debug assertions check every completion's
+//! residue).
 
 use lsm_check::{CheckConfig, InvariantObserver};
 use lsm_core::config::ClusterConfig;
@@ -125,6 +127,48 @@ fn qos_strategy() -> impl Strategy<Value = QosConfig> {
         )
 }
 
+/// A device speed from 30 MB/s to 100 GB/s: the paper's (55 MB/s disk,
+/// 266 MB/s cache writes, 1 GB/s cache reads), NVMe and faster classes,
+/// and log-uniform draws between.
+fn bandwidth_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        prop_oneof![
+            Just(30e6),
+            Just(55e6),
+            Just(266e6),
+            Just(1e9),
+            Just(3e9),
+            Just(7e9),
+            Just(25e9),
+            Just(100e9),
+        ],
+        (0.0f64..1.0).prop_map(|u| 30e6 * (100e9f64 / 30e6).powf(u)),
+    ]
+}
+
+/// The small test cluster with random disk, page-cache and NIC speeds.
+/// The switch keeps the default's ratio to the NIC, so the fabric's
+/// regime stays the paper's whatever the NIC speed.
+fn cluster_strategy() -> impl Strategy<Value = ClusterConfig> {
+    (
+        bandwidth_strategy(),
+        bandwidth_strategy(),
+        bandwidth_strategy(),
+        bandwidth_strategy(),
+    )
+        .prop_map(|(disk, cache_read, cache_write, nic)| {
+            let base = ClusterConfig::small_test();
+            ClusterConfig {
+                disk_bw: disk,
+                cache_read_bw: cache_read,
+                cache_write_bw: cache_write,
+                nic_bw: nic,
+                switch_bw: base.switch_bw / base.nic_bw * nic,
+                ..base
+            }
+        })
+}
+
 fn cancel_strategy() -> impl Strategy<Value = CancelSpec> {
     (0.3f64..40.0, 0u32..3).prop_map(|(at, job)| CancelSpec {
         at_secs: at,
@@ -142,6 +186,7 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
         ),
         prop::collection::vec(fault_strategy(), 0..5),
         (
+            cluster_strategy(),
             prop::option::of(resilience_strategy()),
             prop::option::of(qos_strategy()),
         ),
@@ -149,11 +194,11 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
         30.0f64..90.0,
     )
         .prop_map(
-            |(strategy, vms, migs, faults, (resilience, qos), cancels, horizon)| {
+            |(strategy, vms, migs, faults, (cluster, resilience, qos), cancels, horizon)| {
                 let nvms = vms.len() as u32;
                 ScenarioSpec {
                     name: None,
-                    cluster: Some(ClusterConfig::small_test()),
+                    cluster: Some(cluster),
                     orchestrator: None,
                     autonomic: None,
                     resilience,

@@ -53,3 +53,36 @@ fn resilience_generators_lint_clean() {
     assert_clean(&resilience::chaos_storm_spec());
     assert_clean(&resilience::auto_converge_spec());
 }
+
+const DEMO: &str = include_str!("../../../scenarios/demo.toml");
+
+/// A lint-clean scenario must not panic the engine on fast devices: the
+/// shipped demo with a 7 GB/s disk, a 10 GB/s page-cache write lane, or a
+/// 100 GB/s NIC on a 1 TB/s switch. Finish instants round to the
+/// nanosecond, so a disk request or a flow can complete with half a
+/// nanosecond of service left, more than a byte above 2 GB/s; the lanes'
+/// and the network's completion checks allow exactly that.
+#[test]
+fn demo_on_fast_devices_lints_clean_and_runs_clean() {
+    for fast in [
+        "disk_bw = 7000000000.0",
+        "cache_write_bw = 10000000000.0",
+        "nic_bw = 100000000000.0\nswitch_bw = 1000000000000.0",
+    ] {
+        let toml = DEMO.replace("[cluster]\n", &format!("[cluster]\n{fast}\n"));
+        let spec = ScenarioSpec::from_toml(&toml).expect("parses");
+        assert_clean(&spec);
+        let mut obs = lsm_check::InvariantObserver::new();
+        let report = lsm_experiments::scenario::run_scenario_observed_with_solver(
+            &spec,
+            lsm_netsim::SolverMode::Incremental,
+            &mut obs,
+        )
+        .expect("runs");
+        obs.assert_clean(fast);
+        assert!(
+            report.migrations.iter().all(|m| m.completed),
+            "{fast}: every migration completes"
+        );
+    }
+}

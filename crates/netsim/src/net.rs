@@ -89,10 +89,19 @@
 //! cancelled, or projected on the fly for queries. Between rate changes
 //! a flow's progress is exactly linear, so nothing is lost by not
 //! walking every flow on every event.
+//!
+//! The same triple fixes the flow's finish instant, so each flow caches
+//! it as `due`: `touched` for a sub-byte residue, `FAR_FUTURE` at rate
+//! zero, otherwise `touched + remaining / rate` rounded to the
+//! nanosecond. Only [`FlowNet::start_flow`] and a committed rate change
+//! write the triple of a flow that stays live, and both recompute `due`.
+//! [`FlowNet::next_completion`] is then a compare-only scan of
+//! `due.max(now)`, lowest id on ties: it converts nothing, and returns
+//! what converting every flow on every call would.
 
 use crate::reference;
 use crate::topology::{NodeId, Topology};
-use lsm_simcore::time::{SimDuration, SimTime};
+use lsm_simcore::time::{finish_residue_bound, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Handle to an in-flight network flow.
@@ -226,9 +235,27 @@ pub(crate) struct Flow {
     pub(crate) tag: TrafficTag,
     /// Instant of the last materialization (rate change / creation).
     pub(crate) touched: SimTime,
+    /// Finish instant implied by `(touched, remaining, rate)`; see
+    /// [`Flow::finish`]. Recomputed whenever any of the three changes.
+    pub(crate) due: SimTime,
 }
 
 impl Flow {
+    /// The finish instant of the module docs: at `touched` for a
+    /// sub-byte residue, never at rate zero, otherwise after `remaining`
+    /// at `rate`, rounded to the nanosecond.
+    #[inline]
+    fn finish(&self) -> SimTime {
+        if self.remaining <= 0.5 {
+            self.touched
+        } else if self.rate <= 0.0 {
+            SimTime::FAR_FUTURE
+        } else {
+            self.touched
+                .saturating_add(SimDuration::from_secs_f64(self.remaining / self.rate))
+        }
+    }
+
     /// Bytes moved between `touched` and `at` (projection, no mutation).
     #[inline]
     fn moved_until(&self, at: SimTime) -> f64 {
@@ -506,7 +533,7 @@ impl FlowNet {
         self.advance(now);
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.flows.push(Flow {
+        let mut flow = Flow {
             id,
             src,
             dst,
@@ -516,7 +543,11 @@ impl FlowNet {
             cap,
             tag,
             touched: now,
-        });
+            due: now,
+        };
+        // The solve below leaves a flow that stays at rate zero alone.
+        flow.due = flow.finish();
+        self.flows.push(flow);
         let n = self.topo.len();
         let vres = match cap {
             Some(c) => {
@@ -587,7 +618,7 @@ impl FlowNet {
         self.advance(now);
         let f = self.take_flow(id).expect("completing unknown flow");
         debug_assert!(
-            f.remaining < 1.0,
+            f.remaining <= finish_residue_bound(f.rate, f.bytes as f64),
             "flow completed with {} bytes left",
             f.remaining
         );
@@ -601,25 +632,15 @@ impl FlowNet {
     }
 
     /// Earliest `(finish_time, flow)` among in-flight flows. Deterministic:
-    /// ties resolve to the lowest flow id.
+    /// ties resolve to the lowest flow id. A finish already passed (a
+    /// sub-byte residue) reads as the network clock.
     pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
         let mut best: Option<(SimTime, FlowId)> = None;
         for f in &self.flows {
-            let t = if f.remaining <= 0.5 {
-                // Sub-byte residue: effectively already done.
-                self.last_advance
-            } else if f.rate <= 0.0 {
-                SimTime::FAR_FUTURE
-            } else {
-                // `remaining` is the value at `touched`; the rate has
-                // been constant since, so the finish time is exact.
-                (f.touched + SimDuration::from_secs_f64(f.remaining / f.rate))
-                    .max(self.last_advance)
-            };
+            let t = f.due.max(self.last_advance);
             match best {
-                None => best = Some((t, f.id)),
-                Some((bt, _)) if t < bt => best = Some((t, f.id)),
-                _ => {}
+                Some((bt, _)) if bt <= t => {}
+                _ => best = Some((t, f.id)),
             }
         }
         best
@@ -952,22 +973,22 @@ impl FlowNet {
 
 /// Commit one solved rate: materialize the flow's progress only when the
 /// rate actually changed (bitwise) and time has passed since the last
-/// materialization. Shared by the full-set and member-solve commit paths
-/// so their progress tracking cannot drift apart.
+/// materialization, then recompute the finish instant. Shared by the
+/// full-set and member-solve commit paths so their progress tracking
+/// cannot drift apart.
 #[inline]
 fn commit_rate(f: &mut Flow, new_rate: f64, now: SimTime) {
     if f.rate.to_bits() == new_rate.to_bits() {
         return;
     }
-    if f.touched == now {
-        // Rate changed again within the same instant: nothing moved.
-        f.rate = new_rate;
-        return;
+    // Within the instant of the last materialization nothing moved.
+    if f.touched != now {
+        let moved = f.moved_until(now);
+        f.remaining -= moved;
+        f.touched = now;
     }
-    let moved = f.moved_until(now);
-    f.remaining -= moved;
-    f.touched = now;
     f.rate = new_rate;
+    f.due = f.finish();
 }
 
 /// The progressive-filling core shared by the full-set and component
@@ -1390,6 +1411,130 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn fast_nic_flow_completes_within_half_a_nanosecond_of_service() {
+        // 1,049 bytes at 100 GB/s take 10.49 ns. The finish rounds to 10 ns
+        // and leaves 49 bytes, within the 50 bytes half a nanosecond
+        // serves.
+        let mut net = FlowNet::new(Topology::symmetric(2, 100e9, 1e12));
+        let f = net.start_flow(
+            Z,
+            NodeId(0),
+            NodeId(1),
+            1_049,
+            None,
+            TrafficTag::StoragePush,
+        );
+        assert_eq!(net.next_completion(), Some((SimTime::from_nanos(10), f)));
+        net.complete(SimTime::from_nanos(10), f);
+        assert_eq!(net.delivered(TrafficTag::StoragePush), 1_049);
+    }
+
+    /// The scan `next_completion` replaced: every live flow's finish
+    /// converted from `(touched, remaining, rate)` on every call.
+    fn converting_scan(net: &FlowNet) -> Option<(SimTime, FlowId)> {
+        let mut best: Option<(SimTime, FlowId)> = None;
+        for f in &net.flows {
+            let t = if f.remaining <= 0.5 {
+                net.last_advance
+            } else if f.rate <= 0.0 {
+                SimTime::FAR_FUTURE
+            } else {
+                (f.touched + SimDuration::from_secs_f64(f.remaining / f.rate)).max(net.last_advance)
+            };
+            match best {
+                None => best = Some((t, f.id)),
+                Some((bt, _)) if t < bt => best = Some((t, f.id)),
+                _ => {}
+            }
+        }
+        best
+    }
+
+    /// Every live flow's `due` is the formula of the module docs over its
+    /// current `(touched, remaining, rate)`, and `next_completion` is the
+    /// converting scan's answer.
+    fn check_due(net: &FlowNet, step: usize) {
+        for f in &net.flows {
+            let want = if f.remaining <= 0.5 {
+                f.touched
+            } else if f.rate <= 0.0 {
+                SimTime::FAR_FUTURE
+            } else {
+                f.touched + SimDuration::from_secs_f64(f.remaining / f.rate)
+            };
+            assert_eq!(f.due, want, "flow {:?} at step {step}", f.id);
+        }
+        assert_eq!(net.next_completion(), converting_scan(net), "step {step}");
+    }
+
+    proptest::proptest! {
+        /// Random starts (zero-byte flows and zero caps among them),
+        /// completions, cancellations, clock moves and link-factor
+        /// changes, under both solvers, on slow and fast NICs with a
+        /// switch that can bind or not; `check_due` after every call.
+        #[test]
+        fn cached_finish_instants_match_the_converting_scan(
+            nic in proptest::prop_oneof![
+                proptest::Just(mb_per_s(117.5)),
+                proptest::Just(1.25e9),
+                proptest::Just(100e9),
+            ],
+            switch_nics in proptest::prop_oneof![proptest::Just(2.5), proptest::Just(100.0)],
+            ops in proptest::collection::vec((0u8..16, 0u32..64, 0u64..1 << 30), 1..120),
+        ) {
+            let n = 5;
+            for solver in [SolverMode::Incremental, SolverMode::Reference] {
+                let topo = Topology::symmetric(n as usize, nic, switch_nics * nic);
+                let mut net = FlowNet::new(topo);
+                net.set_solver(solver);
+                let mut now = Z;
+                for (step, &(op, a, x)) in ops.iter().enumerate() {
+                    match op {
+                        0..=5 => {
+                            let src = a % n;
+                            let dst = (src + 1 + (x as u32 >> 8) % (n - 1)) % n;
+                            let bytes = match x % 4 {
+                                0 => 0,
+                                1 => x % 4_096,
+                                _ => x >> 4,
+                            };
+                            let cap = match a % 4 {
+                                0 => Some(0.0),
+                                1 => Some(nic * (x % 100) as f64 / 64.0),
+                                _ => None,
+                            };
+                            let (src, dst) = (NodeId(src), NodeId(dst));
+                            net.start_flow(now, src, dst, bytes, cap, TrafficTag::Memory);
+                        }
+                        6..=8 => match net.next_completion() {
+                            Some((t, id)) if t < SimTime::FAR_FUTURE => {
+                                now = t;
+                                net.complete(t, id);
+                            }
+                            _ => {}
+                        },
+                        9..=10 => {
+                            if !net.flows.is_empty() {
+                                let id = net.flows[a as usize % net.flows.len()].id;
+                                net.cancel_flow(now, id);
+                            }
+                        }
+                        11..=13 => {
+                            now += SimDuration::from_nanos(x % 2_000_000);
+                            net.advance(now);
+                        }
+                        _ => {
+                            let factors = [0.25, 0.5, 1.0, (x % 1000 + 1) as f64 / 1000.0];
+                            net.set_link_factor(now, NodeId(a % n), factors[a as usize % 4]);
+                        }
+                    }
+                    check_due(&net, step);
+                }
+            }
+        }
     }
 
     #[test]

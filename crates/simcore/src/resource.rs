@@ -13,11 +13,25 @@
 //! earliest finish time to schedule. Between boundaries rates are
 //! constant, so progress integration is exact (no fixed time-stepping).
 //!
+//! # Finding the next completion
+//!
+//! Every request runs at the same rate, so the first request with the
+//! least bytes left finishes first. [`SharedResource::next_completion`]
+//! finds it by comparing `remaining` alone and converts only its bytes to
+//! a finish instant, one division and one rounding per query however many
+//! requests are outstanding. Finish instants are whole nanoseconds, so a
+//! request submitted earlier with a little more left can round to the
+//! same instant, and ties go to the earliest submission.
+//! [`SharedResource::pop_due`] therefore also converts the requests
+//! submitted before the least one, and completes the first of them that
+//! lands on the same nanosecond. The result is the request a scan that
+//! converted every request would pick.
+//!
 //! The multi-resource generalization (flows coupling NIC-up, NIC-down and
 //! a switch, max–min fair with per-flow caps) lives in `lsm-netsim`; this
 //! single-resource version is what disks and page caches use.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::{finish_residue_bound, SimDuration, SimTime};
 
 #[derive(Debug)]
 struct Req<C> {
@@ -75,13 +89,22 @@ impl<C> SharedResource<C> {
 
     /// Complete the earliest-finishing request if it is due at `now`,
     /// returning its context; `None` (and no change) when the resource is
-    /// idle or the earliest finish is still after `now`.
+    /// idle or the earliest finish is still after `now`. Of requests due
+    /// at the same instant, the earliest submitted completes first.
     pub fn pop_due(&mut self, now: SimTime) -> Option<C> {
-        let (_, i) = self.earliest().filter(|&(t, _)| t <= now)?;
+        let (t, least) = self.earliest().filter(|&(t, _)| t <= now)?;
+        // Requests submitted before `least` have more left, but may round
+        // to the same nanosecond; the first of those wins the tie.
+        let rate = self.rate();
+        let i = self.reqs[..least]
+            .iter()
+            .position(|r| self.finish(r.remaining, rate) == t)
+            .unwrap_or(least);
+        let start = self.reqs[i].remaining;
         self.advance(now);
         let req = self.reqs.remove(i);
         debug_assert!(
-            req.remaining < 1.0,
+            req.remaining <= finish_residue_bound(rate, start),
             "request completed with {} bytes left",
             req.remaining
         );
@@ -93,22 +116,27 @@ impl<C> SharedResource<C> {
         self.capacity / self.reqs.len() as f64
     }
 
-    /// Earliest `(finish_time, index)`; ties resolve to the lowest index.
+    /// Finish time of a request with `remaining` bytes left at the last
+    /// advance, served at `rate`; non-decreasing in `remaining`.
+    fn finish(&self, remaining: f64, rate: f64) -> SimTime {
+        if remaining <= 0.5 {
+            self.last_advance
+        } else {
+            self.last_advance + SimDuration::from_secs_f64(remaining / rate)
+        }
+    }
+
+    /// The earliest finish time and the first request with the least
+    /// bytes left, which has it: every request runs at the same rate.
     fn earliest(&self) -> Option<(SimTime, usize)> {
-        let rate = self.rate();
-        let mut best: Option<(SimTime, usize)> = None;
+        let mut best: Option<(f64, usize)> = None;
         for (i, req) in self.reqs.iter().enumerate() {
-            let t = if req.remaining <= 0.5 {
-                self.last_advance
-            } else {
-                self.last_advance + SimDuration::from_secs_f64(req.remaining / rate)
-            };
             match best {
-                Some((bt, _)) if bt <= t => {}
-                _ => best = Some((t, i)),
+                Some((least, _)) if least <= req.remaining => {}
+                _ => best = Some((req.remaining, i)),
             }
         }
-        best
+        best.map(|(remaining, i)| (self.finish(remaining, self.rate()), i))
     }
 
     /// Integrate progress up to `now` at the rate fixed since the last
@@ -196,6 +224,22 @@ mod tests {
         r.submit(SimTime::ZERO, 50 * MIB, 'b');
         let done = r.next_completion().unwrap();
         assert_eq!(r.pop_due(done), Some('a'));
+        assert_eq!(r.pop_due(done), Some('b'));
+    }
+
+    #[test]
+    fn rounding_ties_resolve_to_the_earliest_submission() {
+        // 50 GB/s each: 1,010 bytes take 20.2 ns and 1,000 bytes 20 ns,
+        // so both finish at the 20th nanosecond. The first submitted
+        // completes first although it has 10 bytes more left, which half
+        // a nanosecond at 50 GB/s (25 bytes) covers.
+        let mut r = SharedResource::new(100e9);
+        r.submit(SimTime::ZERO, 1_010, 'a');
+        r.submit(SimTime::ZERO, 1_000, 'b');
+        let done = r.next_completion().unwrap();
+        assert_eq!(done, SimTime::from_nanos(20));
+        assert_eq!(r.pop_due(done), Some('a'));
+        assert_eq!(r.next_completion(), Some(done));
         assert_eq!(r.pop_due(done), Some('b'));
     }
 

@@ -29,7 +29,136 @@ impl Model {
     }
 }
 
+/// The reference for [`SharedResource`]: the lane as it was when every
+/// query converted every request's remaining bytes to a finish instant
+/// and took the earliest, lowest index on ties. Progress integration is
+/// the same arithmetic as the real lane's.
+struct ScanLane {
+    capacity: f64,
+    reqs: Vec<(f64, usize)>,
+    last_advance: SimTime,
+}
+
+impl ScanLane {
+    fn advance(&mut self, now: SimTime) {
+        let dt = now.since(self.last_advance).as_secs_f64();
+        if dt > 0.0 {
+            let rate = self.capacity / self.reqs.len() as f64;
+            for (remaining, _) in &mut self.reqs {
+                *remaining -= (rate * dt).min(*remaining);
+            }
+        }
+        self.last_advance = now;
+    }
+
+    fn submit(&mut self, now: SimTime, bytes: u64, ctx: usize) {
+        self.advance(now);
+        self.reqs.push((bytes as f64, ctx));
+    }
+
+    fn earliest(&self) -> Option<(SimTime, usize)> {
+        let rate = self.capacity / self.reqs.len() as f64;
+        let mut best: Option<(SimTime, usize)> = None;
+        for (i, &(remaining, _)) in self.reqs.iter().enumerate() {
+            let t = if remaining <= 0.5 {
+                self.last_advance
+            } else {
+                self.last_advance + SimDuration::from_secs_f64(remaining / rate)
+            };
+            match best {
+                Some((bt, _)) if bt <= t => {}
+                _ => best = Some((t, i)),
+            }
+        }
+        best
+    }
+
+    fn pop_due(&mut self, now: SimTime) -> Option<usize> {
+        let (_, i) = self.earliest().filter(|&(t, _)| t <= now)?;
+        self.advance(now);
+        Some(self.reqs.remove(i).1)
+    }
+}
+
+/// Lane capacities from 33 MB/s to 100 GB/s: fixed device speeds, and
+/// log-uniform draws between.
+fn lane_capacity() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        prop_oneof![
+            Just(33e6),
+            Just(55e6),
+            Just(266e6),
+            Just(1e9),
+            Just(7e9),
+            Just(25e9),
+            Just(100e9),
+        ],
+        (0.0f64..1.0).prop_map(|u| 33e6 * (100e9f64 / 33e6).powf(u)),
+    ]
+}
+
 proptest! {
+    /// [`SharedResource`] agrees with [`ScanLane`] after every step of a
+    /// random mix of submits (0 bytes, a few bytes, sizes equal or close
+    /// to the previous one, and large ones), clock moves (by nothing, a
+    /// nanosecond, up to a millisecond, or to a nanosecond around the
+    /// next completion), pops and queries. Every return value and
+    /// `active()` must match; sizes close together at high capacity make
+    /// requests round to the same nanosecond.
+    #[test]
+    fn shared_resource_matches_every_request_scan(
+        capacity in lane_capacity(),
+        ops in prop::collection::vec((0u8..12, 0u8..6, 0u64..1 << 26), 1..300),
+    ) {
+        let mut r = SharedResource::new(capacity);
+        let mut m = ScanLane { capacity, reqs: Vec::new(), last_advance: SimTime::ZERO };
+        let (mut now, mut last_size) = (SimTime::ZERO, 0u64);
+        for (step, &(op, pick, x)) in ops.iter().enumerate() {
+            match op {
+                0..=4 => {
+                    let bytes = match pick {
+                        0 => 0,
+                        1 => x % 8,
+                        2 => last_size,
+                        3 => last_size + x % 4,
+                        4 => last_size.saturating_sub(x % 4),
+                        _ => x,
+                    };
+                    last_size = bytes;
+                    r.submit(now, bytes, step);
+                    m.submit(now, bytes, step);
+                }
+                5..=6 => {
+                    now = match (pick, m.earliest()) {
+                        (0, _) => now,
+                        (1, _) => now + SimDuration::from_nanos(1),
+                        (2..=4, Some((t, _))) if t >= now => {
+                            let ns = (t.as_nanos() + u64::from(pick)).saturating_sub(3);
+                            SimTime::from_nanos(ns).max(now)
+                        }
+                        _ => now + SimDuration::from_nanos(x % 1_000_000),
+                    };
+                }
+                7..=10 => {
+                    prop_assert_eq!(r.pop_due(now), m.pop_due(now), "pop at step {}", step);
+                }
+                _ => {
+                    let want = m.earliest().map(|(t, _)| t);
+                    prop_assert_eq!(r.next_completion(), want, "query at step {}", step);
+                }
+            }
+            prop_assert_eq!(r.active(), m.reqs.len(), "active at step {}", step);
+            let want = m.earliest().map(|(t, _)| t);
+            prop_assert_eq!(r.next_completion(), want, "next completion at step {}", step);
+        }
+        // Drain at each finish: the order and instants must match too.
+        while let Some(t) = m.earliest().map(|(t, _)| t) {
+            prop_assert_eq!(r.next_completion(), Some(t));
+            prop_assert_eq!(r.pop_due(t), m.pop_due(t), "drain at {:?}", t);
+        }
+        prop_assert_eq!(r.active(), 0);
+    }
+
     /// The queue agrees with [`Model`] after every step of a random mix
     /// of schedules (at or after the last popped time, some at
     /// `FAR_FUTURE`), pops, peeks, and cancels of any id ever issued:
