@@ -1,23 +1,29 @@
-//! Micro-benchmarks of the `EventQueue` in two regimes.
+//! Micro-benchmarks of the `EventQueue` in three regimes.
 //!
-//! - 1M pending events is the scale1024 regime (2048 VMs × compute
-//!   ticks, dirty-rate updates, flow wakes): scheduling into a full heap
-//!   (sift-up), popping through it (sift-down, skipping tombstones), and
-//!   cancel, which must stay O(1) (it vacates the event's slab slot and
-//!   leaves its heap key behind as a tombstone), since `update_compute`
-//!   cancels and reschedules a VM's compute event on every rate change.
+//! - 1M pending events is a stress regime, far deeper than any shipped
+//!   scenario: scheduling into a full queue, popping through it
+//!   (redistributing buckets, skipping tombstones), and cancel, which must
+//!   stay O(1) (it vacates the event's slab slot and leaves its key behind
+//!   as a tombstone), since `update_compute` cancels and reschedules a
+//!   VM's compute event on every rate change.
+//! - 4096 pending events is the scale1024 regime. A full
+//!   `scale1024 --threads 1` run schedules 9,261,270 events, pops
+//!   5,155,508 and cancels 4,105,762; the queue holds at most 6,612 keys
+//!   (6,506 live), and 4,290 on average at a pop.
 //! - 256 pending events is the regime lsmbench's workloads run in
-//!   (`qos64` keeps about 240): the hold model (pop the head, schedule
-//!   its successor), alone and with one re-armed lane wake per step.
+//!   (`qos64` keeps about 240).
+//!
+//! The 4096 and 256 benches run the hold model (pop the head, schedule
+//! its successor), alone and with one re-armed lane wake per step.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lsm_simcore::event::{EventId, EventQueue};
 use lsm_simcore::{SimDuration, SimTime};
 
 const PENDING: u64 = 1_000_000;
-/// Pending events in the small-queue benches.
-const HELD: u64 = 256;
-/// Steps per timed iteration of the small-queue benches.
+/// Pending events in the hold-model benches.
+const HELD: [u64; 2] = [256, 4096];
+/// Steps per timed iteration of the hold-model benches.
 const STEPS: u64 = 10_000;
 
 /// A queue with 1M pending events at distinct, interleaved times —
@@ -37,10 +43,10 @@ fn lead(k: u64) -> SimDuration {
     SimDuration::from_nanos((k * 2_654_435_761) % 1000 + 1)
 }
 
-/// A queue holding event `i` for each `i < HELD`, and their ids.
-fn held_queue() -> (EventQueue<u64>, Vec<EventId>) {
+/// A queue holding event `i` for each `i < held`, and their ids.
+fn held_queue(held: u64) -> (EventQueue<u64>, Vec<EventId>) {
     let mut q = EventQueue::new();
-    let ids = (0..HELD)
+    let ids = (0..held)
         .map(|i| q.schedule(SimTime::ZERO + lead(i), i))
         .collect();
     (q, ids)
@@ -104,38 +110,40 @@ fn bench_eventqueue(c: &mut Criterion) {
         })
     });
 
-    // The hold model at lsmbench's queue depth: pop the head and
-    // schedule its successor one lead time later.
-    g.bench_function("hold_256_pending", |b| {
-        let (mut q, _) = held_queue();
-        let mut k = HELD;
-        b.iter(|| {
-            for _ in 0..STEPS {
-                let (t, i) = q.pop().expect("HELD events pending");
-                k += 1;
-                std::hint::black_box(q.schedule(t + lead(k), i));
-            }
-        })
-    });
+    for held in HELD {
+        // The hold model: pop the head and schedule its successor one
+        // lead time later.
+        g.bench_function(&format!("hold_{held}_pending"), |b| {
+            let (mut q, _) = held_queue(held);
+            let mut k = held;
+            b.iter(|| {
+                for _ in 0..STEPS {
+                    let (t, i) = q.pop().expect("held events pending");
+                    k += 1;
+                    std::hint::black_box(q.schedule(t + lead(k), i));
+                }
+            })
+        });
 
-    // Hold plus the lane-wake shape: each step also cancels one pending
-    // event and schedules it again at a new time, as `rearm` does when a
-    // lane's next completion moves.
-    g.bench_function("rearm_256_pending", |b| {
-        let (mut q, mut ids) = held_queue();
-        let mut k = HELD;
-        b.iter(|| {
-            for _ in 0..STEPS {
-                let (t, i) = q.pop().expect("HELD events pending");
-                k += 1;
-                ids[i as usize] = q.schedule(t + lead(k), i);
-                let j = (k * 7 % HELD) as usize;
-                std::hint::black_box(q.cancel(ids[j]));
-                k += 1;
-                ids[j] = q.schedule(t + lead(k), j as u64);
-            }
-        })
-    });
+        // Hold plus the lane-wake shape: each step also cancels one
+        // pending event and schedules it again at a new time, as `rearm`
+        // does when a lane's next completion moves.
+        g.bench_function(&format!("rearm_{held}_pending"), |b| {
+            let (mut q, mut ids) = held_queue(held);
+            let mut k = held;
+            b.iter(|| {
+                for _ in 0..STEPS {
+                    let (t, i) = q.pop().expect("held events pending");
+                    k += 1;
+                    ids[i as usize] = q.schedule(t + lead(k), i);
+                    let j = (k * 7 % held) as usize;
+                    std::hint::black_box(q.cancel(ids[j]));
+                    k += 1;
+                    ids[j] = q.schedule(t + lead(k), j as u64);
+                }
+            })
+        });
+    }
 
     g.finish();
 }

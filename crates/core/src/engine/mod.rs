@@ -146,6 +146,18 @@ impl Engine {
         self.now
     }
 
+    /// Reject an instant before the clock: an event there would fire in
+    /// the past and move the clock back. [`Engine::now`] itself is legal.
+    fn not_before_now(&self, what: &str, at: SimTime) -> Result<(), EngineError> {
+        if at < self.now {
+            return Err(EngineError::InvalidTime {
+                what: what.to_string(),
+                value: at.as_secs_f64(),
+            });
+        }
+        Ok(())
+    }
+
     /// Deploy a VM on `node` running `spec` under the given storage
     /// transfer strategy. The workload starts at `start_at`.
     ///
@@ -155,6 +167,8 @@ impl Engine {
     ///   multi-rank workload (use [`Engine::add_group`]).
     /// * [`EngineError::WorkloadExceedsImage`] — the workload writes
     ///   beyond the configured image size.
+    /// * [`EngineError::InvalidTime`] — `start_at` is before
+    ///   [`Engine::now`].
     pub fn add_vm(
         &mut self,
         node: u32,
@@ -162,6 +176,7 @@ impl Engine {
         strategy: StrategyKind,
         start_at: SimTime,
     ) -> Result<VmId, EngineError> {
+        self.not_before_now("VM start", start_at)?;
         if spec.group_ranks().is_some() {
             return Err(EngineError::GroupWorkloadOutsideGroup {
                 workload: spec.label().to_string(),
@@ -270,6 +285,8 @@ impl Engine {
     /// * [`EngineError::EmptyGroup`] — no placements given.
     /// * [`EngineError::GroupRankMismatch`] — a spec declares a rank
     ///   count that differs from the group size.
+    /// * [`EngineError::InvalidTime`] — `start_at` is before
+    ///   [`Engine::now`].
     /// * Everything [`Engine::add_vm`] can report per member.
     pub fn add_group(
         &mut self,
@@ -280,6 +297,7 @@ impl Engine {
         if placements.is_empty() {
             return Err(EngineError::EmptyGroup);
         }
+        self.not_before_now("group start", start_at)?;
         for (_, spec) in placements {
             if let Some(expected) = spec.group_ranks() {
                 if expected as usize != placements.len() {
@@ -319,8 +337,10 @@ impl Engine {
     ///
     /// # Errors
     /// [`EngineError::InvalidFault`] for out-of-range nodes or VMs, a
-    /// link factor outside `(0, 1]`, or a non-positive stall duration.
+    /// link factor outside `(0, 1]`, or a non-positive stall duration;
+    /// [`EngineError::InvalidTime`] when `at` is before [`Engine::now`].
     pub fn schedule_fault(&mut self, at: SimTime, kind: FaultKind) -> Result<(), EngineError> {
+        self.not_before_now("fault", at)?;
         let fail = |reason: String| Err(EngineError::InvalidFault { reason });
         if let Some(node) = kind.node() {
             if node >= self.cfg.nodes {

@@ -260,12 +260,14 @@ impl Engine {
     ///
     /// # Errors
     /// [`EngineError::InvalidRequest`] for an out-of-range node or an
-    /// unknown workload group.
+    /// unknown workload group; [`EngineError::InvalidTime`] when `at` is
+    /// before [`Engine::now`].
     pub fn submit_request(
         &mut self,
         at: SimTime,
         intent: RequestIntent,
     ) -> Result<u32, EngineError> {
+        self.not_before_now("request", at)?;
         let fail = |reason: String| Err(EngineError::InvalidRequest { reason });
         match intent {
             RequestIntent::Evacuate { node } => {
@@ -306,6 +308,7 @@ impl Engine {
     /// * [`EngineError::DuplicateMigration`] — the VM already has a job.
     /// * [`EngineError::IncompatibleMemoryStrategy`] — pre-copy-style
     ///   storage transfer under post-copy memory migration.
+    /// * [`EngineError::InvalidTime`] — `at` is before [`Engine::now`].
     pub fn schedule_migration(
         &mut self,
         vm: VmId,
@@ -371,6 +374,7 @@ impl Engine {
         deadline: Option<SimDuration>,
         adaptive: bool,
     ) -> Result<JobId, EngineError> {
+        self.not_before_now("migration", at)?;
         if let Some(d) = deadline {
             if d == SimDuration::ZERO {
                 return Err(EngineError::InvalidFault {

@@ -203,8 +203,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::InvalidRequest`] for an unknown job.
+    /// [`EngineError::InvalidRequest`] for an unknown job;
+    /// [`EngineError::InvalidTime`] when `at` is before [`Engine::now`].
     pub fn schedule_cancellation(&mut self, at: SimTime, job: JobId) -> Result<(), EngineError> {
+        self.not_before_now("cancellation", at)?;
         if job.0 as usize >= self.jobs.len() {
             return Err(EngineError::InvalidRequest {
                 reason: format!(

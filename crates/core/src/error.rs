@@ -93,7 +93,10 @@ pub enum EngineError {
         /// The unrecognized name.
         name: String,
     },
-    /// A timestamp is negative, NaN or infinite.
+    /// A timestamp is negative, NaN or infinite, or an engine scheduling
+    /// call names an instant before the engine clock
+    /// ([`crate::engine::Engine::now`]), where the event would fire in
+    /// the past. The clock itself is a legal instant.
     InvalidTime {
         /// What the timestamp was for.
         what: String,

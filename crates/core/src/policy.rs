@@ -8,7 +8,7 @@
 
 use lsm_blockdev::{ChunkId, ChunkSet, DirtyTracker, WriteCounter};
 use serde::Serialize;
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
 
 /// The five storage transfer strategies compared in the paper (Table 1).
 ///
@@ -198,16 +198,22 @@ impl HybridSource {
 }
 
 /// Destination-side state of the hybrid scheme (Algorithms 3 and 4).
+///
+/// BACKGROUND_PULL takes the remaining chunks hottest first, lowest id on
+/// ties. The write counts are fixed at handoff, so [`HybridDest::start`]
+/// sorts the order once and [`HybridDest::next_pull`] pops from its end;
+/// only a chunk lost in flight ([`HybridDest::pull_lost`]) is inserted
+/// again, at its sorted place.
 #[derive(Debug)]
 pub struct HybridDest {
     /// Chunks still owed by the source.
     remaining: ChunkSet,
-    /// Prefetch priority queue: `(write_count, chunk)` max-heap with
-    /// deterministic low-id tie-breaking. Entries are validated lazily
-    /// against `remaining` on pop.
-    heap: BinaryHeap<(u32, std::cmp::Reverse<u32>)>,
+    /// Prefetch order: `(write_count, Reverse(chunk))` keys sorted
+    /// ascending, so the last is the hottest chunk, lowest id on ties.
+    /// Entries are validated lazily against `remaining` on pop.
+    order: Vec<(u32, Reverse<u32>)>,
     /// The handed-over write counts, kept so chunks lost in flight can
-    /// be re-heaped under their original priority.
+    /// re-enter the order under their original priority.
     counts: Vec<u32>,
     /// Chunks currently being pulled (background or on-demand).
     inflight: ChunkSet,
@@ -223,15 +229,16 @@ impl HybridDest {
     /// Algorithm 3, TRANSFER_IO_CONTROL: receive the remaining set and the
     /// write counts, start BACKGROUND_PULL.
     pub fn start(remaining: ChunkSet, counts: &[u32], prioritized: bool) -> Self {
-        let mut heap = BinaryHeap::with_capacity(remaining.count() as usize);
-        for c in remaining.iter() {
+        let mut order = Vec::with_capacity(remaining.count() as usize);
+        order.extend(remaining.iter().map(|c| {
             let wc = if prioritized { counts[c.idx()] } else { 0 };
-            heap.push((wc, std::cmp::Reverse(c.0)));
-        }
+            (wc, Reverse(c.0))
+        }));
+        order.sort_unstable();
         let n = remaining.capacity();
         HybridDest {
             remaining,
-            heap,
+            order,
             counts: counts.to_vec(),
             inflight: ChunkSet::new(n),
             prioritized,
@@ -242,7 +249,7 @@ impl HybridDest {
 
     /// Algorithm 3, BACKGROUND_PULL body: highest write count first.
     pub fn next_pull(&mut self) -> Option<ChunkId> {
-        while let Some((_, std::cmp::Reverse(raw))) = self.heap.pop() {
+        while let Some((_, Reverse(raw))) = self.order.pop() {
             let c = ChunkId(raw);
             if self.remaining.remove(c) {
                 self.inflight.insert(c);
@@ -281,10 +288,10 @@ impl HybridDest {
     }
 
     /// An in-flight pull of `c` was lost (severed transfer): the chunk
-    /// returns to the remaining set and re-enters the prefetch heap
-    /// under its original write count, so the pull phase resumes from
-    /// the surviving manifest. No-op if the chunk was not in flight
-    /// (e.g. a local write superseded it first).
+    /// returns to the remaining set and re-enters the prefetch order at
+    /// its sorted place under its original write count, so the pull
+    /// phase resumes from the surviving manifest. No-op if the chunk was
+    /// not in flight (e.g. a local write superseded it first).
     pub fn pull_lost(&mut self, c: ChunkId) {
         if self.inflight.remove(c) {
             self.remaining.insert(c);
@@ -293,7 +300,9 @@ impl HybridDest {
             } else {
                 0
             };
-            self.heap.push((wc, std::cmp::Reverse(c.0)));
+            let key = (wc, Reverse(c.0));
+            let at = self.order.partition_point(|k| *k < key);
+            self.order.insert(at, key);
         }
     }
 

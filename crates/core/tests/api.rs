@@ -2,16 +2,16 @@
 //! error (never a panic), jobs expose lifecycle + progress mid-run, and
 //! observers can watch or abort runs.
 
-use lsm_core::builder::SimulationBuilder;
+use lsm_core::builder::{Simulation, SimulationBuilder};
 use lsm_core::config::ClusterConfig;
 use lsm_core::engine::{
-    Engine, JobId, MigrationProgress, MigrationStatus, Milestone, Observer, RecordingObserver,
-    RunControl,
+    Engine, FaultKind, JobId, MigrationProgress, MigrationStatus, Milestone, Observer,
+    RecordingObserver, RunControl,
 };
 use lsm_core::policy::StrategyKind;
-use lsm_core::{EngineError, NodeId};
+use lsm_core::{EngineError, NodeId, OrchestratorConfig, PlannerKind, RequestIntent, VmId};
 use lsm_simcore::units::MIB;
-use lsm_simcore::SimTime;
+use lsm_simcore::{SimDuration, SimTime};
 use lsm_workloads::WorkloadSpec;
 
 fn t(s: f64) -> SimTime {
@@ -463,4 +463,130 @@ fn per_vm_mixed_strategies_coexist() {
     assert!(pa.chunks_pushed > 0, "hybrid pushes");
     assert_eq!(pc.chunks_pushed, 0, "postcopy never pushes");
     assert!(pc.chunks_pulled > 0, "postcopy pulls");
+}
+
+// ---------------- instants before the clock ----------------
+
+/// A simulation run to 10 s: writers on nodes 0 and 1, and a job for VM 0
+/// queued at 500 s. VM 1 has no job.
+fn run_to_10s(orchestrator: Option<OrchestratorConfig>) -> (Simulation, JobId) {
+    let mut b = builder();
+    if let Some(cfg) = orchestrator {
+        b.with_orchestrator(cfg).unwrap();
+    }
+    let vm0 = b
+        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+        .unwrap();
+    b.add_vm(NodeId(1), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+        .unwrap();
+    let job = b.migrate(vm0, NodeId(2), t(500.0)).unwrap();
+    let mut sim = b.build().unwrap();
+    sim.run_until(t(10.0));
+    assert_eq!(sim.now(), t(10.0));
+    (sim, job)
+}
+
+/// The error for a `what` scheduled at 5 s, before the clock.
+fn at_5s_before_the_clock(what: &str) -> EngineError {
+    EngineError::InvalidTime {
+        what: what.to_string(),
+        value: 5.0,
+    }
+}
+
+#[test]
+fn fault_before_the_clock_is_an_error() {
+    let (mut sim, _) = run_to_10s(None);
+    let degrade = FaultKind::LinkDegrade {
+        node: 0,
+        factor: 0.5,
+    };
+    let eng = sim.engine_mut();
+    assert_eq!(
+        eng.schedule_fault(t(5.0), degrade),
+        Err(at_5s_before_the_clock("fault"))
+    );
+    // The clock itself is legal, and the run goes on from it.
+    eng.schedule_fault(t(10.0), degrade).unwrap();
+    sim.run_until(t(20.0));
+    assert_eq!(sim.now(), t(20.0));
+}
+
+#[test]
+fn migration_before_the_clock_is_an_error() {
+    let (mut sim, _) = run_to_10s(None);
+    let eng = sim.engine_mut();
+    assert_eq!(
+        eng.schedule_migration(VmId(1), 3, t(5.0)),
+        Err(at_5s_before_the_clock("migration"))
+    );
+    assert_eq!(eng.job_ids().len(), 1, "the rejected job was not added");
+    eng.schedule_migration(VmId(1), 3, t(10.0)).unwrap();
+}
+
+#[test]
+fn migration_with_deadline_before_the_clock_is_an_error() {
+    let (mut sim, _) = run_to_10s(None);
+    let deadline = Some(SimDuration::from_secs(60));
+    assert_eq!(
+        sim.engine_mut()
+            .schedule_migration_with_deadline(VmId(1), 3, t(5.0), deadline),
+        Err(at_5s_before_the_clock("migration"))
+    );
+}
+
+#[test]
+fn adaptive_migration_before_the_clock_is_an_error() {
+    let adaptive = OrchestratorConfig {
+        planner: PlannerKind::Adaptive,
+        ..OrchestratorConfig::default()
+    };
+    let (mut sim, _) = run_to_10s(Some(adaptive));
+    assert_eq!(
+        sim.engine_mut()
+            .schedule_migration_adaptive(VmId(1), 3, t(5.0), None),
+        Err(at_5s_before_the_clock("migration"))
+    );
+}
+
+#[test]
+fn request_before_the_clock_is_an_error() {
+    let (mut sim, _) = run_to_10s(None);
+    assert_eq!(
+        sim.engine_mut()
+            .submit_request(t(5.0), RequestIntent::Evacuate { node: 1 }),
+        Err(at_5s_before_the_clock("request"))
+    );
+}
+
+#[test]
+fn cancellation_before_the_clock_is_an_error() {
+    let (mut sim, job) = run_to_10s(None);
+    assert_eq!(
+        sim.engine_mut().schedule_cancellation(t(5.0), job),
+        Err(at_5s_before_the_clock("cancellation"))
+    );
+}
+
+#[test]
+fn vm_start_before_the_clock_is_an_error() {
+    let (mut sim, _) = run_to_10s(None);
+    let eng = sim.engine_mut();
+    assert_eq!(
+        eng.add_vm(2, &writer(), StrategyKind::Hybrid, t(5.0)),
+        Err(at_5s_before_the_clock("VM start"))
+    );
+    assert_eq!(eng.vm_count(), 2, "the rejected VM was not deployed");
+}
+
+#[test]
+fn group_start_before_the_clock_is_an_error() {
+    let (mut sim, _) = run_to_10s(None);
+    let eng = sim.engine_mut();
+    let placements = [(2, writer()), (3, writer())];
+    assert_eq!(
+        eng.add_group(&placements, StrategyKind::Hybrid, t(5.0)),
+        Err(at_5s_before_the_clock("group start"))
+    );
+    assert_eq!(eng.vm_count(), 2, "no member of the group was deployed");
 }

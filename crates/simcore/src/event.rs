@@ -5,16 +5,54 @@
 //! the same instant therefore fire in scheduling order, which makes whole
 //! simulations reproducible bit-for-bit.
 //!
-//! The binary heap holds 24-byte `(time, seq, slot)` keys; payloads live
-//! in a slab of reusable slots, each recording the sequence number of the
-//! event occupying it. Cancelling vacates the slot at once and leaves the
-//! key behind as a tombstone: a key whose slot no longer holds its
-//! sequence number is skipped when it reaches the top. Nothing on the
-//! schedule, cancel or pop path hashes.
+//! # Layout: a monotone radix heap
+//!
+//! Pending events are 24-byte `(time, seq, slot)` keys; payloads live in a
+//! slab of reusable slots, each recording the sequence number of the event
+//! occupying it. The keys sit in 65 buckets relative to `base`, the time
+//! of the last key brought to the front, which no pending key precedes:
+//! bucket 0 is a FIFO of the keys at `base`, and bucket *b* ≥ 1 holds the
+//! keys whose highest bit that differs from `base` is bit *b − 1*. So
+//! every key in bucket *b* is earlier than every key in a higher bucket,
+//! and a bitmap names the lowest non-empty one. A schedule appends its key
+//! to the bucket it falls in. When bucket 0 runs dry, the lowest non-empty
+//! bucket is redistributed: `base` moves to its earliest time and each of
+//! its keys moves to a lower bucket, those at the new `base` into bucket
+//! 0. Buckets above it keep their keys, because the new `base` agrees with
+//! the old one in every bit above the emptied bucket's. A key moves a few
+//! times over its life, never to a higher bucket; nothing sifts, and
+//! nothing on the schedule, cancel or pop path hashes.
+//!
+//! # Why the order is exact
+//!
+//! The keys of one time always share a bucket, and sit in it in `seq`
+//! order: a schedule appends the newest `seq`, and a redistribution or a
+//! re-bucketing (below) moves keys in the order they sit, so it never
+//! swaps two of one time. Bucket 0 holds keys of one time, so its front is
+//! the least `(time, seq)`.
+//!
+//! # Schedules before `base`
+//!
+//! Finding the head moves `base` forward: to an event that a caller may
+//! then leave pending ([`EventQueue::peek_time`] at the end of a run), or
+//! past tombstones when no live event is left. A later schedule may then
+//! name an earlier instant. It re-buckets every key around the new time
+//! instead of breaking the invariant. An event loop that schedules only
+//! while handling a popped event, at or after its time, never takes this
+//! path: the pop left `base` at that time.
+//!
+//! # Tombstones
+//!
+//! Cancelling vacates the slot at once and leaves the key behind as a
+//! tombstone: a key whose slot no longer holds its sequence number. Only a
+//! pop or a peek drops tombstones, the ones it passes at the front of
+//! bucket 0 on the way to the earliest live event; a redistribution
+//! carries them like any key. So [`EventQueue::len`] and
+//! [`EventQueue::tombstones`] change exactly when they would for a binary
+//! heap that drops tombstones as they reach its top.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Handle to a scheduled event, usable for cancellation: the event's
 /// sequence number and the slab slot holding its payload.
@@ -24,25 +62,13 @@ pub struct EventId {
     slot: u32,
 }
 
-/// A heap entry. It orders by `(time, seq)` alone, reversed so that the
-/// max-heap pops the earliest event; `slot` locates the payload.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// A pending event's key: `slot` locates the payload, which is still this
+/// event's while the slot holds `seq`.
+#[derive(Clone, Copy)]
 struct Key {
-    time: SimTime,
+    time: u64,
     seq: u64,
     slot: u32,
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// The `seq` of a slot on the free list; no event is ever given it.
@@ -57,19 +83,28 @@ struct Slot<E> {
 /// A deterministic, cancellable discrete-event queue.
 ///
 /// `E` is the event payload type chosen by the embedding simulator.
-/// Cancellation is lazy in the heap and eager in the slab: a cancelled
+/// Cancellation is lazy in the buckets and eager in the slab: a cancelled
 /// event's slot is freed (and may be reused) at once, while its key stays
-/// in the heap until it reaches the top. Schedule and pop are
-/// `O(log n)`, cancel is `O(1)`. An id is honoured only while its slot
-/// still holds its sequence number, so cancelling an already-fired,
-/// already-cancelled or never-heaped event is a no-op — even after the
-/// slot has passed to another event.
+/// until a pop or peek walks past it. Cancel is `O(1)`, and so is a
+/// schedule at or after the last head; a pop costs the moves of the keys
+/// it redistributes, at most 64 per key over the key's life. An id is
+/// honoured only while its slot still holds its sequence number, so
+/// cancelling an already-fired, already-cancelled or never-queued event is
+/// a no-op — even after the slot has passed to another event.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Key>,
+    /// Bucket 0: the keys at `base`, in `seq` order.
+    near: VecDeque<Key>,
+    /// Buckets 1..=64: `far[i]` holds the keys whose highest bit that
+    /// differs from `base` is bit `i`; the keys of one time in `seq` order.
+    far: [Vec<Key>; 64],
+    /// Bit `i` set iff `far[i]` is non-empty.
+    occupied: u64,
+    /// No pending key is earlier than this time, in nanoseconds.
+    base: u64,
     slots: Vec<Slot<E>>,
     /// Vacant slots, reused last-freed first.
     free: Vec<u32>,
-    /// Keys in the heap whose event was cancelled.
+    /// Keys in the buckets whose event was cancelled.
     tombstones: usize,
     next_seq: u64,
     scheduled: u64,
@@ -86,7 +121,10 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            near: VecDeque::new(),
+            far: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            base: 0,
             slots: Vec::new(),
             free: Vec::new(),
             tombstones: 0,
@@ -121,11 +159,11 @@ impl<E> EventQueue<E> {
                 u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 pending events")
             }
         };
-        self.heap.push(Key {
-            time: at,
-            seq,
-            slot,
-        });
+        let time = at.as_nanos();
+        if time < self.base {
+            self.rebase(time);
+        }
+        self.file(Key { time, seq, slot });
         self.scheduled += 1;
         EventId { seq, slot }
     }
@@ -144,27 +182,74 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest live event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(key) = self.heap.pop() {
-            if self.slots[key.slot as usize].seq != key.seq {
-                self.tombstones -= 1;
-                continue;
-            }
-            self.fired += 1;
-            return Some((key.time, self.vacate(key.slot)));
-        }
-        None
+        let key = self.head()?;
+        self.near.pop_front();
+        self.fired += 1;
+        Some((SimTime::from_nanos(key.time), self.vacate(key.slot)))
     }
 
     /// Time of the earliest live event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(&key) = self.heap.peek() {
-            if self.slots[key.slot as usize].seq == key.seq {
-                return Some(key.time);
+        self.head().map(|key| SimTime::from_nanos(key.time))
+    }
+
+    /// Bring the earliest live key to the front of bucket 0, dropping the
+    /// tombstones before it, and return it.
+    fn head(&mut self) -> Option<Key> {
+        loop {
+            while let Some(&key) = self.near.front() {
+                if self.slots[key.slot as usize].seq == key.seq {
+                    return Some(key);
+                }
+                self.near.pop_front();
+                self.tombstones -= 1;
             }
-            self.heap.pop();
-            self.tombstones -= 1;
+            if self.occupied == 0 {
+                return None;
+            }
+            self.redistribute(self.occupied.trailing_zeros() as usize);
         }
-        None
+    }
+
+    /// Empty `far[i]` into the lower buckets around its earliest time.
+    fn redistribute(&mut self, i: usize) {
+        let mut keys = std::mem::take(&mut self.far[i]);
+        self.occupied &= !(1 << i);
+        self.base = keys
+            .iter()
+            .map(|key| key.time)
+            .min()
+            .expect("an occupied bucket holds keys");
+        for key in keys.drain(..) {
+            self.file(key);
+        }
+        // Keep the allocation: the bucket fills again.
+        self.far[i] = keys;
+    }
+
+    /// Re-bucket every key around `time`, earlier than `base`.
+    fn rebase(&mut self, time: u64) {
+        let mut keys: Vec<Key> = self.near.drain(..).collect();
+        for bucket in &mut self.far {
+            keys.append(bucket);
+        }
+        self.occupied = 0;
+        self.base = time;
+        for key in keys {
+            self.file(key);
+        }
+    }
+
+    /// Append `key` to its bucket relative to `base`.
+    fn file(&mut self, key: Key) {
+        let diff = key.time ^ self.base;
+        if diff == 0 {
+            self.near.push_back(key);
+        } else {
+            let i = 63 - diff.leading_zeros() as usize;
+            self.far[i].push(key);
+            self.occupied |= 1 << i;
+        }
     }
 
     /// Free an occupied slot and hand back its payload.
@@ -177,7 +262,7 @@ impl<E> EventQueue<E> {
             .expect("an occupied slot holds its payload")
     }
 
-    /// Cancelled-but-not-yet-pruned entries still occupying the heap
+    /// Cancelled entries whose keys no pop or peek has walked past yet
     /// (diagnostics; bounded by [`EventQueue::len`] by construction).
     pub fn tombstones(&self) -> usize {
         self.tombstones
@@ -186,12 +271,12 @@ impl<E> EventQueue<E> {
     /// Number of events currently pending (including not-yet-skipped
     /// cancelled entries; an upper bound used for progress diagnostics).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.slots.len() - self.free.len() + self.tombstones
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Total events scheduled over the queue's lifetime.
@@ -263,6 +348,46 @@ mod tests {
         q.schedule(SimTime::FAR_FUTURE, "never");
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn fifo_ties_at_every_bit_position() {
+        // Three events at each power of two and at the last instant before
+        // FAR_FUTURE, scheduled from the top down: every bucket fills, and
+        // each redistribution must keep the ties in scheduling order.
+        let times: Vec<u64> = std::iter::once(u64::MAX - 1)
+            .chain((0..64).rev().map(|bit| 1 << bit))
+            .collect();
+        let mut q = EventQueue::new();
+        for round in 0..3 {
+            for &at in &times {
+                q.schedule(SimTime::from_nanos(at), (at, round));
+            }
+        }
+        for &at in times.iter().rev() {
+            for round in 0..3 {
+                assert_eq!(q.pop(), Some((SimTime::from_nanos(at), (at, round))));
+            }
+        }
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn schedule_before_a_peeked_head_keeps_fifo_ties() {
+        let ns = SimTime::from_nanos;
+        let mut q = EventQueue::new();
+        q.schedule(ns(10), "a");
+        q.schedule(ns(20), "b");
+        q.schedule(ns(1 << 40), "far");
+        q.schedule(ns(20), "c");
+        assert_eq!(q.pop(), Some((ns(10), "a")));
+        // The peek settles on 20; scheduling 15 and 20 re-buckets.
+        assert_eq!(q.peek_time(), Some(ns(20)));
+        q.schedule(ns(15), "d");
+        q.schedule(ns(20), "e");
+        q.schedule(ns(15), "f");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["d", "f", "b", "c", "e", "far"]);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //!   integer-based so event ordering is exactly reproducible.
 //! * [`EventQueue`] — a cancellable priority queue of timestamped events with
 //!   stable FIFO tie-breaking for events scheduled at the same instant: a
-//!   binary heap of small `(time, seq, slot)` keys over a slab of payload
-//!   slots, where cancel vacates the slot in `O(1)` and nothing hashes.
+//!   monotone radix heap of small `(time, seq, slot)` keys over a slab of
+//!   payload slots. Keys sit in 65 buckets by the highest bit in which
+//!   their time differs from the last head's, so nothing sifts; schedule
+//!   and cancel are `O(1)`, cancel vacates the slot, and nothing hashes.
 //! * [`SharedResource`] — a fluid-model lane (a disk, a page-cache lane)
 //!   whose capacity is shared equally among outstanding requests, each
 //!   carrying its caller's completion context. The network crate

@@ -160,27 +160,33 @@ proptest! {
     }
 
     /// The queue agrees with [`Model`] after every step of a random mix
-    /// of schedules (at or after the last popped time, some at
-    /// `FAR_FUTURE`), pops, peeks, and cancels of any id ever issued:
+    /// of schedules, pops, peeks, and cancels of any id ever issued:
     /// pending, fired, cancelled, or one whose slot was since reused.
-    /// Every return value, `len`, `tombstones`, `total_scheduled` and
+    /// Schedules land at or just after the last popped time, before it,
+    /// before the last peeked head, at `FAR_FUTURE`, or at instants
+    /// spread over all 64 bit positions up to `u64::MAX − 1`. Every
+    /// return value, `len`, `tombstones`, `total_scheduled` and
     /// `total_fired` must match.
     #[test]
     fn event_queue_matches_naive_model(
-        ops in prop::collection::vec((0u8..16, 0u64..12, 0usize..1 << 20), 1..400)
+        ops in prop::collection::vec((0u8..20, 0u64..12, 0usize..1 << 20), 1..400)
     ) {
         let mut q = EventQueue::new();
         let mut m = Model::default();
         let mut issued: Vec<(EventId, u64)> = Vec::new();
         let (mut next_seq, mut scheduled, mut fired, mut now) = (0u64, 0u64, 0u64, 0u64);
+        let mut peeked = 0u64;
         for (step, &(op, dt, pick)) in ops.iter().enumerate() {
             let payload = step as u64;
             match op {
-                0..=6 => {
-                    let at = if op == 6 {
-                        SimTime::FAR_FUTURE
-                    } else {
-                        SimTime::from_nanos(now + dt)
+                0..=6 | 16.. => {
+                    let at = match op {
+                        6 => SimTime::FAR_FUTURE,
+                        16 => SimTime::from_nanos(now.saturating_sub(dt)),
+                        17 => SimTime::from_nanos(peeked.saturating_sub(1 + dt)),
+                        18 => SimTime::from_nanos((1u64 << (pick % 64)) + dt),
+                        19 => SimTime::from_nanos(u64::MAX - 1 - dt),
+                        _ => SimTime::from_nanos(now.saturating_add(dt)),
                     };
                     issued.push((q.schedule(at, payload), next_seq));
                     if at != SimTime::FAR_FUTURE {
@@ -214,6 +220,7 @@ proptest! {
                     let want = m.prune().map(|i| m.live[i].0);
                     let got = q.peek_time().map(|t| t.as_nanos());
                     prop_assert_eq!(got, want, "peek at step {}", step);
+                    peeked = got.unwrap_or(peeked);
                 }
             }
             prop_assert_eq!(q.len(), m.live.len() + m.tombs.len(), "len at step {}", step);
