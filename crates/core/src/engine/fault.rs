@@ -73,7 +73,8 @@ fn crash_node(eng: &mut Engine, node: u32) {
     // 1. Sever every flow touching the node. Contexts are stashed and
     // handled *after* guests and jobs below know about the crash, so the
     // loss handlers see consistent state.
-    let lost = sever_node_flows(eng, node);
+    let ids = eng.net.flows_touching(NodeId(node));
+    let lost = sever(eng, ids);
 
     // 2. Guests hosted on the node die with it.
     let dead: Vec<VmIdx> = (0..eng.vms.len() as u32)
@@ -156,19 +157,34 @@ fn restore_node(eng: &mut Engine, node: u32) {
     super::orchestrator::poke_drain(eng);
 }
 
-/// Cancel every flow with `node` as an endpoint, returning their
-/// contexts in ascending flow-id order (determinism: two identical runs
-/// sever in the same order).
-fn sever_node_flows(eng: &mut Engine, node: u32) -> Vec<FlowCtx> {
+/// Cancel flows `ids`, given in ascending order (determinism: two
+/// identical runs sever in the same order), and return their contexts
+/// in that order.
+fn sever(eng: &mut Engine, ids: Vec<FlowId>) -> Vec<FlowCtx> {
     let now = eng.now;
-    let ids = eng.net.flows_touching(NodeId(node));
-    let mut lost = Vec::with_capacity(ids.len());
-    for id in ids {
-        eng.net.cancel_flow(now, id);
-        lost.push(eng.flow_ctx.remove(&id).expect("severed flow has context"));
+    let lost: Vec<FlowCtx> = ids
+        .into_iter()
+        .filter_map(|id| {
+            eng.net.cancel_flow(now, id);
+            eng.flow_ctx.remove(&id)
+        })
+        .collect();
+    if !lost.is_empty() {
+        eng.resync_net();
     }
-    eng.resync_net();
     lost
+}
+
+/// The flows whose context `pick` selects, in ascending id order.
+fn flows_where(eng: &Engine, pick: impl Fn(&FlowCtx) -> bool) -> Vec<FlowId> {
+    let mut ids: Vec<FlowId> = eng
+        .flow_ctx
+        .iter()
+        .filter(|(_, ctx)| pick(ctx))
+        .map(|(&id, _)| id)
+        .collect();
+    ids.sort_unstable();
+    ids
 }
 
 /// The guest on `v` dies: stop the VM, cancel its compute timer, purge
@@ -209,11 +225,7 @@ pub(crate) fn flow_lost(eng: &mut Engine, ctx: FlowCtx) {
         // A mirrored write gates a guest op: if the guest survived (the
         // destination crashed), the write completes locally — degraded,
         // not hung. For a dead guest the op was purged and this no-ops.
-        FlowCtx::MirrorWrite { op, .. } => {
-            if let Some(op) = op {
-                eng.op_part_done(op);
-            }
-        }
+        FlowCtx::MirrorWrite { op, .. } => eng.op_part_done(op),
         // A repository fetch lost its wire: release the replica's load
         // and retry from a surviving replica (selection now avoids the
         // dead node, and the retry re-resolves the VM's *current* host —
@@ -312,129 +324,73 @@ pub(crate) fn abort_migration(eng: &mut Engine, job: JobId, reason: FailureReaso
 pub(crate) fn teardown_transfer(eng: &mut Engine, v: VmIdx) {
     let now = eng.now;
 
-    // Sever the job's remaining transfer flows (the crash path already
-    // removed those touching the crashed node; deadlines sever all).
-    let lost = sever_migration_flows(eng, v);
+    // Sever the job's remaining transfer flows: memory rounds, push/pull
+    // batches and mirror writes. The crash path already removed those
+    // touching the crashed node; deadlines sever all. Guest I/O flows
+    // (repo fetches, PVFS legs, halos) are untouched: aborting a
+    // migration must not break the workload.
+    let ids = flows_where(eng, |ctx| {
+        matches!(ctx,
+            FlowCtx::MemRound { vm }
+            | FlowCtx::MemStop { vm }
+            | FlowCtx::MemPostPull { vm }
+            | FlowCtx::PushBatch { vm, .. }
+            | FlowCtx::PullBatch { vm, .. }
+            | FlowCtx::MirrorWrite { vm, .. } if *vm == v)
+    });
+    let lost = sever(eng, ids);
 
     let phase = eng.vms[v as usize].migration.as_ref().map(|m| m.phase);
-    match phase {
-        None | Some(MigPhase::Complete) | Some(MigPhase::Aborted) => {}
-        Some(MigPhase::Active | MigPhase::Linger | MigPhase::StopAndCopy | MigPhase::SyncDrain) => {
-            // Control never moved: the source keeps the guest (if it is
-            // alive) and its authoritative disk; the half-built
-            // destination replica is discarded.
-            let resumed = {
-                let vm = &mut eng.vms[v as usize];
-                vm.dest_store = None;
-                let mig = vm.migration.as_mut().expect("live migration");
-                mig.phase = MigPhase::Aborted;
-                mig.stalled_until = None;
-                mig.source_store = None;
-                // A deferred stop flush died with its flows; left set,
-                // a successor attempt would treat its own first round
-                // as a retried stop and pause the guest immediately.
-                mig.downtime_round = false;
-                mig.pending_stop_bytes = 0;
-                mig.mem_streams_inflight = 0;
-                // An auto-converge throttle never outlives its attempt
-                // (the caller's update_compute makes this take effect).
-                super::resilient::release_throttle(mig);
-                let resumed = if !vm.crashed && vm.vm.state() == VmState::Paused {
-                    vm.vm.resume(now, None);
-                    true
-                } else {
-                    false
-                };
-                // Stamp the attempt's downtime now that the interrupted
-                // pause window (if any) is closed: `downtime_so_far`
-                // reads the stamp once the phase is Aborted.
-                let total = vm.vm.total_downtime();
-                let mig = vm.migration.as_mut().expect("live migration");
-                mig.downtime = total - mig.downtime_before;
-                resumed
-            };
-            if resumed {
-                eng.release_held(v);
-                io::pump_writeback(eng, v);
+    if !matches!(phase, None | Some(MigPhase::Complete | MigPhase::Aborted)) {
+        let pre_control = phase != Some(MigPhase::PullPhase);
+        migration::set_phase(eng, v, MigPhase::Aborted);
+        let vm = &mut eng.vms[v as usize];
+        // Before control moved, the source keeps the guest (resumed if
+        // it survives a paused stop-and-copy) and its authoritative
+        // disk; the half-built destination replica is discarded. After,
+        // the guest keeps running at the destination.
+        let resumed = pre_control && {
+            vm.dest_store = None;
+            let paused = !vm.crashed && vm.vm.state() == VmState::Paused;
+            if paused {
+                vm.vm.resume(now, None);
             }
+            paused
+        };
+        // Stamp the attempt's downtime now that an interrupted pause
+        // window is closed: `downtime_so_far` reads the stamp once the
+        // phase is Aborted.
+        let total = vm.vm.total_downtime();
+        let mut waiters = Vec::new();
+        if let Some(mig) = vm.migration.as_mut() {
+            mig.downtime = total - mig.downtime_before;
+            mig.stalled_until = None;
+            mig.source_store = None;
+            // A deferred stop flush died with its flows; left set, a
+            // successor attempt would treat its own first round as a
+            // retried stop and pause the guest immediately.
+            mig.downtime_round = false;
+            mig.pending_stop_bytes = 0;
+            mig.mem_streams_inflight = 0;
+            // An auto-converge throttle never outlives its attempt (the
+            // caller's update_compute makes this take effect).
+            super::resilient::release_throttle(mig);
+            // Reads blocked on severed pulls unblock (in chunk order);
+            // never-pulled chunks surface as `consistent: false`
+            // bookkeeping, not as a hang.
+            waiters.extend(mig.pull_waiters.drain());
         }
-        Some(MigPhase::PullPhase) => {
-            // Control already moved: the guest (if alive) keeps running
-            // at the destination. Reads blocked on severed pulls
-            // unblock; never-pulled chunks surface as `consistent:
-            // false` bookkeeping, not as a hang.
-            let waiters: Vec<OpId> = {
-                let vm = &mut eng.vms[v as usize];
-                let total = vm.vm.total_downtime();
-                let mig = vm.migration.as_mut().expect("live migration");
-                mig.phase = MigPhase::Aborted;
-                mig.stalled_until = None;
-                mig.source_store = None;
-                mig.downtime_round = false;
-                mig.pending_stop_bytes = 0;
-                mig.mem_streams_inflight = 0;
-                // Control moved, so no further pause can happen — but a
-                // throttle installed before the switchover must not
-                // survive into the abort either.
-                super::resilient::release_throttle(mig);
-                // Stop-and-copy downtime already elapsed: stamp it so
-                // the aborted record reports it.
-                mig.downtime = total - mig.downtime_before;
-                let mut keys: Vec<_> = mig.pull_waiters.keys().copied().collect();
-                keys.sort_unstable();
-                let mut out = Vec::new();
-                for k in keys {
-                    out.extend(mig.pull_waiters.remove(&k).expect("keyed"));
-                }
-                out
-            };
-            for op in waiters {
-                eng.op_part_done(op);
-            }
+        if resumed {
+            eng.release_held(v);
+            io::pump_writeback(eng, v);
+        }
+        waiters.sort_unstable_by_key(|&(c, _)| c);
+        for op in waiters.into_iter().flat_map(|(_, ops)| ops) {
+            eng.op_part_done(op);
         }
     }
     for ctx in lost {
-        migration_flow_lost(eng, v, ctx);
-    }
-}
-
-/// Cancel every transfer flow belonging to VM `v`'s migration (memory
-/// rounds, push/pull batches, mirror writes), ascending by flow id for
-/// determinism. Guest I/O flows (repo fetches, PVFS legs, halos) are
-/// untouched — aborting a migration must not break the workload.
-fn sever_migration_flows(eng: &mut Engine, v: VmIdx) -> Vec<FlowCtx> {
-    let now = eng.now;
-    let mut ids: Vec<FlowId> = eng
-        .flow_ctx
-        .iter()
-        .filter(|(_, ctx)| {
-            matches!(ctx,
-                FlowCtx::MemRound { vm }
-                | FlowCtx::MemStop { vm }
-                | FlowCtx::MemPostPull { vm }
-                | FlowCtx::PushBatch { vm, .. }
-                | FlowCtx::PullBatch { vm, .. }
-                | FlowCtx::MirrorWrite { vm, .. } if *vm == v)
-        })
-        .map(|(&id, _)| id)
-        .collect();
-    ids.sort_unstable();
-    let mut lost = Vec::with_capacity(ids.len());
-    for id in ids {
-        eng.net.cancel_flow(now, id);
-        lost.push(eng.flow_ctx.remove(&id).expect("severed flow has context"));
-    }
-    if !lost.is_empty() {
-        eng.resync_net();
-    }
-    lost
-}
-
-/// Loss handling for a severed flow of an *aborted* migration: only
-/// op-gated contexts need releasing, everything else died with the job.
-fn migration_flow_lost(eng: &mut Engine, _v: VmIdx, ctx: FlowCtx) {
-    if let FlowCtx::MirrorWrite { op: Some(op), .. } = ctx {
-        eng.op_part_done(op);
+        flow_lost(eng, ctx);
     }
 }
 
@@ -465,27 +421,20 @@ fn stall_transfer(eng: &mut Engine, v: VmIdx, secs: f64) {
     }
     // Sever in-flight storage batches (push and pull; memory flows ride
     // the hypervisor's own channel and are not storage transfers).
-    let mut ids: Vec<FlowId> = eng
-        .flow_ctx
-        .iter()
-        .filter(|(_, ctx)| {
-            matches!(ctx,
-                FlowCtx::PushBatch { vm, .. } | FlowCtx::PullBatch { vm, .. } if *vm == v)
-        })
-        .map(|(&id, _)| id)
-        .collect();
-    ids.sort_unstable();
-    let had_losses = !ids.is_empty();
-    for id in ids {
-        eng.net.cancel_flow(now, id);
-        let ctx = eng.flow_ctx.remove(&id).expect("severed flow has context");
-        let vm = &mut eng.vms[v as usize];
-        let mig = vm.migration.as_mut().expect("live migration");
+    let ids = flows_where(eng, |ctx| {
+        matches!(ctx,
+            FlowCtx::PushBatch { vm, .. } | FlowCtx::PullBatch { vm, .. } if *vm == v)
+    });
+    let lost = sever(eng, ids);
+    let Some(mig) = eng.vms[v as usize].migration.as_mut() else {
+        return;
+    };
+    for ctx in lost {
         match ctx {
             FlowCtx::PushBatch { chunks, .. } => {
                 mig.push_slots_busy -= 1;
                 for (c, _) in chunks {
-                    migration::requeue_lost_push(mig, c);
+                    mig.transfer.send_lost(c);
                 }
             }
             FlowCtx::PullBatch {
@@ -495,20 +444,16 @@ fn stall_transfer(eng: &mut Engine, v: VmIdx, secs: f64) {
                     mig.pull_slots_busy -= 1;
                 }
                 mig.pulls_inflight -= 1;
-                if let Some(dst) = mig.hybrid_dst.as_mut() {
+                if let Some(dst) = mig.transfer.dest_mut() {
                     for (c, _) in chunks {
                         dst.pull_lost(c);
                     }
                 }
             }
-            other => unreachable!("stall severed a non-storage flow: {other:?}"),
+            _ => {}
         }
     }
-    if had_losses {
-        eng.resync_net();
-    }
     let until = now + SimDuration::from_secs_f64(secs);
-    let mig = eng.vms[v as usize].migration.as_mut().expect("live");
     // Overlapping stalls extend, never shorten.
     let until = match mig.stalled_until {
         Some(t) if t > until => t,

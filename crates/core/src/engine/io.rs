@@ -141,7 +141,7 @@ fn submit_write(
             TrafficTag::Mirror,
             FlowCtx::MirrorWrite {
                 vm: v,
-                op: Some(op),
+                op,
                 chunks: mirror_batch,
             },
         );
@@ -175,17 +175,14 @@ fn submit_read(
             continue;
         }
         // Destination-side reads during the pull phase follow Algorithm 4.
-        let in_pull_phase = eng
-            .vm(v)
+        let path = eng
+            .vm_mut(v)
             .migration
-            .as_ref()
-            .map(|m| m.phase == MigPhase::PullPhase)
-            .unwrap_or(false);
-        if in_pull_phase {
-            let path = {
-                let mig = eng.vm_mut(v).migration.as_mut().expect("pull phase");
-                mig.hybrid_dst.as_mut().expect("dest state").on_read(c)
-            };
+            .as_mut()
+            .filter(|m| m.phase == MigPhase::PullPhase)
+            .and_then(|m| m.transfer.dest_mut())
+            .map(|dst| dst.on_read(c));
+        if let Some(path) = path {
             match path {
                 ReadPath::Local => {}
                 ReadPath::WaitForPull => {
@@ -290,22 +287,16 @@ pub(crate) fn manager_write(eng: &mut Engine, v: VmIdx, c: ChunkId) -> (u64, boo
     let mut maybe_done = false;
     if let Some(mig) = eng.vm_mut(v).migration.as_mut() {
         match mig.phase {
-            MigPhase::Active | MigPhase::Linger | MigPhase::StopAndCopy | MigPhase::SyncDrain => {
-                if let Some(src) = mig.hybrid_src.as_mut() {
-                    src.on_write(c);
-                    pump_needed = true;
-                }
-                if let Some(src) = mig.precopy_src.as_mut() {
-                    src.on_write(c);
-                    pump_needed = true;
-                }
-                if let Some(src) = mig.mirror_src.as_mut() {
-                    src.on_write(c);
-                    mirror = matches!(mig.phase, MigPhase::Active | MigPhase::Linger);
-                }
+            phase @ (MigPhase::Active
+            | MigPhase::Linger
+            | MigPhase::StopAndCopy
+            | MigPhase::SyncDrain) => {
+                pump_needed = mig.transfer.source_write(c);
+                mirror = matches!(mig.transfer, Transfer::Mirror(_))
+                    && matches!(phase, MigPhase::Active | MigPhase::Linger);
             }
             MigPhase::PullPhase => {
-                if let Some(dst) = mig.hybrid_dst.as_mut() {
+                if let Some(dst) = mig.transfer.dest_mut() {
                     superseded_pull = dst.on_write(c);
                     maybe_done = true;
                 }

@@ -1,6 +1,14 @@
 //! Migration orchestration: memory rounds, the push/pull pipelines,
 //! control transfer, and completion — the engine-side realization of
 //! Figure 2 of the paper.
+//!
+//! Each attempt of a job is one [`MigrationRt`] record in its VM's
+//! `migration` slot. The record names its job (`MigrationRt::job`), so
+//! milestones, statuses and the report go to that job however many jobs
+//! the VM has had since. Its storage policy state is one [`Transfer`],
+//! chosen by the strategy at start. Its lifecycle phase changes only
+//! through [`set_phase`], which also moves the job's status at the three
+//! phases that are lifecycle steps.
 
 use super::io;
 use super::job::{FailureReason, JobId, MigrationStatus};
@@ -8,7 +16,7 @@ use super::report::Milestone;
 use super::types::*;
 use super::Engine;
 use crate::error::EngineError;
-use crate::policy::{HybridDest, HybridSource, MirrorSource, PrecopySource, StrategyKind};
+use crate::policy::{HybridDest, StrategyKind};
 use lsm_blockdev::{ChunkId, ChunkSet};
 use lsm_hypervisor::{MemoryProfile, NextStep, PostcopyMemory, PostcopyStep, PrecopyMemory};
 use lsm_netsim::TrafficTag;
@@ -86,50 +94,24 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
     // `None` and this is the unfiltered PR 6 path.
     let resume = super::resilient::take_resume(eng, job, dest);
     let mut resumed_chunks: u64 = 0;
-    let (hybrid_src, precopy_src, mirror_src) = {
+    let transfer = {
         let disk = &eng.vm(v).disk;
-        let mut seed = |mut set: ChunkSet| -> ChunkSet {
-            if let Some(store) = resume.as_ref() {
-                for c in store.present().iter() {
-                    if set.contains(c) && store.version(c) == disk.version(c) {
-                        set.remove(c);
-                        resumed_chunks += 1;
-                    }
+        // The chunks to move: what the guest modified for the hybrid
+        // scheme and postcopy, everything local for precopy and mirror.
+        let mut manifest = match strategy {
+            StrategyKind::Hybrid | StrategyKind::Postcopy => disk.modified().clone(),
+            StrategyKind::Precopy | StrategyKind::Mirror => disk.locally_present(),
+            StrategyKind::SharedFs => ChunkSet::new(nchunks),
+        };
+        if let Some(store) = resume.as_ref() {
+            for c in store.present().iter() {
+                if manifest.contains(c) && store.version(c) == disk.version(c) {
+                    manifest.remove(c);
+                    resumed_chunks += 1;
                 }
             }
-            set
-        };
-        match strategy {
-            StrategyKind::Hybrid => (
-                Some(HybridSource::start(
-                    &seed(disk.modified().clone()),
-                    threshold,
-                    true,
-                )),
-                None,
-                None,
-            ),
-            StrategyKind::Postcopy => (
-                Some(HybridSource::start(
-                    &seed(disk.modified().clone()),
-                    threshold,
-                    false,
-                )),
-                None,
-                None,
-            ),
-            StrategyKind::Precopy => (
-                None,
-                Some(PrecopySource::start(seed(disk.locally_present()))),
-                None,
-            ),
-            StrategyKind::Mirror => (
-                None,
-                None,
-                Some(MirrorSource::start(seed(disk.locally_present()))),
-            ),
-            StrategyKind::SharedFs => (None, None, None),
         }
+        Transfer::start(strategy, manifest, threshold)
     };
     if resumed_chunks > 0 {
         let bytes = resumed_chunks * eng.cfg().chunk_size;
@@ -174,14 +156,11 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
     // carry a stale epoch and will be dropped on arrival.
     eng.vm_mut(v).mig_epoch += 1;
     eng.vm_mut(v).migration = Some(MigrationRt {
+        job,
         strategy,
         dest,
         source,
-        phase: if postcopy_memory {
-            MigPhase::StopAndCopy
-        } else {
-            MigPhase::Active
-        },
+        phase: MigPhase::Active,
         mem,
         postcopy_mem,
         round_started: now,
@@ -189,10 +168,7 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
         io_dirty_accum: 0.0,
         linger_rounds: 0,
         pending_stop_bytes: 0,
-        hybrid_src,
-        hybrid_dst: None,
-        precopy_src,
-        mirror_src,
+        transfer,
         push_slots_busy: 0,
         pull_slots_busy: 0,
         pulls_inflight: 0,
@@ -234,8 +210,7 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
         // window — the hybrid scheme degenerates to prioritized pulling,
         // exactly what §6 anticipates examining.
         eng.vm_mut(v).vm.pause(now);
-        eng.note_milestone(v, Milestone::StopAndCopy);
-        eng.set_job_status(job, MigrationStatus::SwitchingOver);
+        set_phase(eng, v, MigPhase::StopAndCopy);
         eng.update_compute(v);
         super::qos::start_mem_copy(eng, v, source, dest, first, true);
         return;
@@ -320,18 +295,15 @@ fn take_round_dirt(eng: &mut Engine, v: VmIdx) -> (u64, f64) {
 /// transfer of control", §4.1) — their write-backs are instead drained
 /// before the remaining-set handoff.
 fn storage_converged(eng: &Engine, v: VmIdx) -> bool {
-    let vm = eng.vm(v);
-    let mig = vm.migration.as_ref().expect("migrating");
-    match mig.strategy {
-        StrategyKind::Precopy => {
-            mig.precopy_src.as_ref().expect("precopy").converged() && mig.push_slots_busy == 0
+    let Some(mig) = eng.vm(v).migration.as_ref() else {
+        return true;
+    };
+    match &mig.transfer {
+        Transfer::Precopy(src) => src.converged() && mig.push_slots_busy == 0,
+        Transfer::Mirror(src) => {
+            src.converged() && mig.push_slots_busy == 0 && mig.mirror_flows_inflight == 0
         }
-        StrategyKind::Mirror => {
-            mig.mirror_src.as_ref().expect("mirror").converged()
-                && mig.push_slots_busy == 0
-                && mig.mirror_flows_inflight == 0
-        }
-        _ => true,
+        Transfer::Hybrid { .. } | Transfer::Shared => true,
     }
 }
 
@@ -429,10 +401,10 @@ fn try_stop(eng: &mut Engine, v: VmIdx) {
         initiate_stop(eng, v, false);
         return;
     }
+    set_phase(eng, v, MigPhase::Linger);
     {
         let now = eng.now();
         let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-        mig.phase = MigPhase::Linger;
         mig.round_started = now;
         mig.round_bytes = 0;
     }
@@ -501,44 +473,21 @@ fn initiate_stop(eng: &mut Engine, v: VmIdx, force_storage: bool) {
     if !force_storage && super::resilient::defer_switchover(eng, v) {
         return;
     }
-    let mut extra_chunks: Vec<ChunkId> = Vec::new();
-    if force_storage {
-        let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-        mig.throttled = true;
-        if let Some(src) = mig.precopy_src.as_mut() {
-            extra_chunks = src_drain_precopy(src);
-        }
-        if let Some(src) = mig.mirror_src.as_mut() {
-            while let Some(c) = src.next_send() {
-                src.send_done();
-                extra_chunks.push(c);
-            }
-        }
-    }
     let chunk_size = eng.cfg().chunk_size;
     let (source, dest, bytes) = {
         let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-        mig.phase = MigPhase::StopAndCopy;
-        mig.final_chunks.extend(extra_chunks);
+        if force_storage {
+            mig.throttled = true;
+            let owed = mig.transfer.drain_bulk();
+            mig.final_chunks.extend(owed);
+        }
         let bytes = mig.pending_stop_bytes + mig.final_chunks.len() as u64 * chunk_size;
         (mig.source, mig.dest, bytes)
     };
-    eng.note_milestone(v, Milestone::StopAndCopy);
-    if let Some(job) = eng.job_for_vm(lsm_hypervisor::VmId(v)) {
-        eng.set_job_status(job, MigrationStatus::SwitchingOver);
-    }
+    set_phase(eng, v, MigPhase::StopAndCopy);
     eng.vm_mut(v).vm.pause(now);
     eng.update_compute(v);
     super::qos::start_mem_copy(eng, v, source, dest, bytes, true);
-}
-
-fn src_drain_precopy(src: &mut PrecopySource) -> Vec<ChunkId> {
-    let mut out = Vec::new();
-    while let Some(c) = src.next_send() {
-        src.send_done();
-        out.push(c);
-    }
-    out
 }
 
 pub(crate) fn mem_stop_done(eng: &mut Engine, v: VmIdx) {
@@ -579,7 +528,7 @@ pub(crate) fn mem_stop_done(eng: &mut Engine, v: VmIdx) {
     };
     match strategy {
         StrategyKind::Hybrid | StrategyKind::Postcopy => {
-            eng.vm_mut(v).migration.as_mut().expect("migrating").phase = MigPhase::SyncDrain;
+            set_phase(eng, v, MigPhase::SyncDrain);
             maybe_handoff(eng, v);
         }
         StrategyKind::Precopy | StrategyKind::Mirror | StrategyKind::SharedFs => {
@@ -594,8 +543,13 @@ pub(crate) fn mem_stop_done(eng: &mut Engine, v: VmIdx) {
 /// chunks").
 fn do_handoff(eng: &mut Engine, v: VmIdx) {
     let (source, dest, remaining, counts) = {
-        let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-        let (remaining, counts) = mig.hybrid_src.as_mut().expect("hybrid source").handoff();
+        let Some(mig) = eng.vm_mut(v).migration.as_mut() else {
+            return;
+        };
+        let Transfer::Hybrid { src, .. } = &mut mig.transfer else {
+            return;
+        };
+        let (remaining, counts) = src.handoff();
         (mig.source, mig.dest, remaining, counts)
     };
     eng.note_milestone(v, Milestone::RemainingSetSent);
@@ -621,12 +575,12 @@ fn transfer_io_control(eng: &mut Engine, v: VmIdx, remaining: ChunkSet, counts: 
         if mig.phase != MigPhase::SyncDrain {
             return;
         }
-        mig.hybrid_dst = Some(HybridDest::start(remaining, &counts, prioritized));
-        mig.phase = MigPhase::PullPhase;
+        let Transfer::Hybrid { dst, .. } = &mut mig.transfer else {
+            return;
+        };
+        *dst = Some(HybridDest::start(remaining, &counts, prioritized));
     }
-    if let Some(job) = eng.job_for_vm(lsm_hypervisor::VmId(v)) {
-        eng.set_job_status(job, MigrationStatus::TransferringStorage);
-    }
+    set_phase(eng, v, MigPhase::PullPhase);
     control_transfer(eng, v);
     pump_pull(eng, v);
     maybe_complete(eng, v);
@@ -709,35 +663,6 @@ pub(crate) fn mem_post_pull_done(eng: &mut Engine, v: VmIdx) {
 
 // ---------------- push pipeline (source side) ----------------
 
-fn next_source_chunk(mig: &mut MigrationRt) -> Option<ChunkId> {
-    if let Some(src) = mig.hybrid_src.as_mut() {
-        return src.next_push();
-    }
-    if let Some(src) = mig.precopy_src.as_mut() {
-        return src.next_send();
-    }
-    if let Some(src) = mig.mirror_src.as_mut() {
-        return src.next_send();
-    }
-    None
-}
-
-/// Upper bound on the chunks `next_source_chunk` can still return: a
-/// batch is sized by this, never by `transfer_batch` alone, which may be
-/// as large as `u32::MAX`.
-fn source_chunks_left(mig: &MigrationRt) -> usize {
-    if let Some(src) = mig.hybrid_src.as_ref() {
-        return src.remaining_count() as usize;
-    }
-    if let Some(src) = mig.precopy_src.as_ref() {
-        return src.remaining() as usize;
-    }
-    if let Some(src) = mig.mirror_src.as_ref() {
-        return src.remaining() as usize;
-    }
-    0
-}
-
 pub(crate) fn pump_push(eng: &mut Engine, v: VmIdx) {
     let batch_max = eng.cfg().transfer_batch as usize;
     let window = eng.cfg().transfer_window;
@@ -759,9 +684,9 @@ pub(crate) fn pump_push(eng: &mut Engine, v: VmIdx) {
             // Versions are placeholders here; they are stamped in place
             // when the source disk read completes (send time).
             let mut batch: Vec<(ChunkId, u64)> =
-                Vec::with_capacity(batch_max.min(source_chunks_left(mig)));
+                Vec::with_capacity(batch_max.min(mig.transfer.source_remaining() as usize));
             while batch.len() < batch_max {
-                match next_source_chunk(mig) {
+                match mig.transfer.next_send() {
                     Some(c) => batch.push((c, 0)),
                     None => break,
                 }
@@ -811,7 +736,7 @@ pub(crate) fn push_read_done(
         if mig.stalled_until.is_some() {
             mig.push_slots_busy -= 1;
             for (c, _) in chunks {
-                requeue_lost_push(mig, c);
+                mig.transfer.send_lost(c);
             }
             return;
         }
@@ -844,19 +769,6 @@ pub(crate) fn push_read_done(
     );
 }
 
-/// Return one lost pushed chunk to whichever strategy source owns it.
-pub(crate) fn requeue_lost_push(mig: &mut MigrationRt, c: ChunkId) {
-    if let Some(src) = mig.hybrid_src.as_mut() {
-        src.push_lost(c);
-    }
-    if let Some(src) = mig.precopy_src.as_mut() {
-        src.send_lost(c);
-    }
-    if let Some(src) = mig.mirror_src.as_mut() {
-        src.send_lost(c);
-    }
-}
-
 pub(crate) fn push_batch_arrived(
     eng: &mut Engine,
     v: VmIdx,
@@ -879,15 +791,7 @@ pub(crate) fn push_batch_arrived(
         let store = vm.dest_store.as_mut().unwrap_or(&mut vm.store);
         for &(c, ver) in &chunks {
             store.apply(c, ver);
-            if let Some(src) = mig.hybrid_src.as_mut() {
-                src.push_done(c);
-            }
-            if let Some(src) = mig.precopy_src.as_mut() {
-                src.send_done();
-            }
-            if let Some(src) = mig.mirror_src.as_mut() {
-                src.send_done();
-            }
+            mig.transfer.send_done(c);
         }
         mig.pushed_chunks += chunks.len() as u64;
         mig.push_slots_busy -= 1;
@@ -946,7 +850,9 @@ pub(crate) fn pump_pull(eng: &mut Engine, v: VmIdx) {
             if mig.stalled_until.is_some() {
                 return; // transfer stall: initiate nothing until it clears
             }
-            let dst_state = mig.hybrid_dst.as_mut().expect("dest state");
+            let Some(dst_state) = mig.transfer.dest_mut() else {
+                return;
+            };
             let mut batch = Vec::with_capacity(batch_max.min(dst_state.remaining_count() as usize));
             while batch.len() < batch_max {
                 match dst_state.next_pull() {
@@ -1003,7 +909,7 @@ pub(crate) fn pull_read_done(
                 mig.pull_slots_busy -= 1;
             }
             mig.pulls_inflight -= 1;
-            if let Some(dst) = mig.hybrid_dst.as_mut() {
+            if let Some(dst) = mig.transfer.dest_mut() {
                 for c in chunks {
                     dst.pull_lost(c);
                 }
@@ -1071,7 +977,7 @@ pub(crate) fn pull_batch_arrived(
                 vm.cache.invalidate(c);
                 vm.cache.fill(c);
             }
-            if let Some(dst) = mig.hybrid_dst.as_mut() {
+            if let Some(dst) = mig.transfer.dest_mut() {
                 dst.pull_done(c);
             }
             mig.pulled_chunks += 1;
@@ -1098,7 +1004,7 @@ pub(crate) fn pull_batch_arrived(
 pub(crate) fn mirror_write_arrived(
     eng: &mut Engine,
     v: VmIdx,
-    op: Option<OpId>,
+    op: OpId,
     chunks: Vec<(ChunkId, u64)>,
 ) {
     {
@@ -1113,12 +1019,7 @@ pub(crate) fn mirror_write_arrived(
             }
         }
     }
-    // `op` is None for write-back-driven mirroring, which no longer
-    // exists (the manager mirrors at guest-write time): nothing to
-    // release then.
-    if let Some(o) = op {
-        eng.op_part_done(o);
-    }
+    eng.op_part_done(op);
 }
 
 // ---------------- completion ----------------
@@ -1140,11 +1041,7 @@ pub(crate) fn maybe_complete(eng: &mut Engine, v: VmIdx) {
             StrategyKind::Hybrid | StrategyKind::Postcopy => {
                 mig.phase == MigPhase::PullPhase
                     && mig.pulls_inflight == 0
-                    && mig
-                        .hybrid_dst
-                        .as_ref()
-                        .map(|d| d.is_complete())
-                        .unwrap_or(true)
+                    && mig.transfer.dest().is_none_or(|d| d.is_complete())
             }
             _ => mig.control_at.is_some(),
         };
@@ -1169,16 +1066,12 @@ fn complete_migration(eng: &mut Engine, v: VmIdx) {
         let vm = eng.vm_mut(v);
         let total_down = vm.vm.total_downtime();
         let mig = vm.migration.as_mut().expect("migrating");
-        mig.phase = MigPhase::Complete;
         mig.completed_at = Some(now);
         mig.consistent = Some(consistent);
         mig.downtime = total_down - mig.downtime_before;
         mig.source_store = None;
     }
-    eng.note_milestone(v, Milestone::Completed);
-    if let Some(job) = eng.job_for_vm(lsm_hypervisor::VmId(v)) {
-        eng.set_job_status(job, MigrationStatus::Completed);
-    }
+    set_phase(eng, v, MigPhase::Complete);
     #[cfg(feature = "strict-verify")]
     {
         let vm = eng.vm(v);
@@ -1190,4 +1083,35 @@ fn complete_migration(eng: &mut Engine, v: VmIdx) {
         );
     }
     eng.update_compute(v);
+}
+
+/// Move VM `v`'s migration to `phase`. This is the only writer of
+/// [`MigPhase`] once the record exists. Three phases are also steps of
+/// the record's job, and its observers see the milestone before the
+/// status:
+///
+/// * `StopAndCopy` notes [`Milestone::StopAndCopy`] and sets
+///   [`MigrationStatus::SwitchingOver`];
+/// * `PullPhase` sets [`MigrationStatus::TransferringStorage`];
+/// * `Complete` notes [`Milestone::Completed`] and sets
+///   [`MigrationStatus::Completed`].
+///
+/// `Active`, `Linger`, `SyncDrain` and `Aborted` emit nothing; an
+/// aborted job's status is for the caller to settle.
+pub(crate) fn set_phase(eng: &mut Engine, v: VmIdx, phase: MigPhase) {
+    let Some(mig) = eng.vm_mut(v).migration.as_mut() else {
+        return;
+    };
+    mig.phase = phase;
+    let job = mig.job;
+    let (milestone, status) = match phase {
+        MigPhase::StopAndCopy => (Some(Milestone::StopAndCopy), MigrationStatus::SwitchingOver),
+        MigPhase::PullPhase => (None, MigrationStatus::TransferringStorage),
+        MigPhase::Complete => (Some(Milestone::Completed), MigrationStatus::Completed),
+        MigPhase::Active | MigPhase::Linger | MigPhase::SyncDrain | MigPhase::Aborted => return,
+    };
+    if let Some(m) = milestone {
+        eng.note_milestone(v, m);
+    }
+    eng.set_job_status(job, status);
 }

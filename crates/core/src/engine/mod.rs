@@ -108,11 +108,12 @@ impl Engine {
             cfg.repo_replication,
             cfg.chunk_size,
         ));
-        let pvfs = PvfsFs::new(
-            PvfsConfig::over_nodes(cfg.nodes)
-                .with_op_overhead(cfg.pvfs_op_overhead)
-                .with_write_overhead(cfg.pvfs_write_overhead),
-        );
+        let pvfs = PvfsFs::new(PvfsConfig {
+            servers: (0..cfg.nodes).map(NodeId).collect(),
+            stripe_size: cfg.pvfs_stripe,
+            op_overhead: cfg.pvfs_op_overhead,
+            write_overhead: cfg.pvfs_write_overhead,
+        });
         Ok(Engine {
             cfg,
             now: SimTime::ZERO,

@@ -38,6 +38,9 @@ use std::collections::VecDeque;
 /// event-level state lives in [`MigrationRt`] once the job starts).
 pub(crate) struct JobRt {
     pub vm: VmIdx,
+    /// The VM's host when the job was scheduled: the source a job that
+    /// never started reports.
+    pub source: u32,
     pub dest: u32,
     pub requested_at: SimTime,
     pub status: MigrationStatus,
@@ -45,9 +48,10 @@ pub(crate) struct JobRt {
     pub deadline: Option<SimDuration>,
     /// Failure reason, once `status == Failed`.
     pub failure: Option<FailureReason>,
-    /// The finished event-level state, moved out of the VM slot when a
-    /// later migration of the same VM starts (a VM can migrate again
-    /// once its previous job is terminal).
+    /// This job's last attempt, once another job of the same VM started
+    /// and took the VM's migration slot (a VM can migrate again once its
+    /// previous job is terminal). Set at most once: only a terminal job
+    /// is displaced, and a terminal job starts no new attempt.
     pub archived: Option<MigrationRt>,
     /// The planner resolves this job's strategy from telemetry at
     /// admission instead of using the VM's configured one.
@@ -418,6 +422,7 @@ impl Engine {
         let job = JobId(self.jobs.len() as u32);
         self.jobs.push(JobRt {
             vm: vm.0,
+            source: vmrt.vm.host,
             dest,
             requested_at: at,
             status: MigrationStatus::Queued,
@@ -451,16 +456,6 @@ impl Engine {
         (0..self.jobs.len() as u32).map(JobId).collect()
     }
 
-    /// The job scheduled for `vm`, if any.
-    pub fn job_for_vm(&self, vm: VmId) -> Option<JobId> {
-        // Latest wins: the live MigrationRt always belongs to the most
-        // recently scheduled job of the VM.
-        self.jobs
-            .iter()
-            .rposition(|j| j.vm == vm.0)
-            .map(|i| JobId(i as u32))
-    }
-
     /// Current lifecycle status of a job.
     pub fn job_status(&self, job: JobId) -> Option<MigrationStatus> {
         self.jobs.get(job.0 as usize).map(|j| j.status)
@@ -480,7 +475,7 @@ impl Engine {
         let mut p = MigrationProgress {
             job: job.0,
             vm: j.vm,
-            source: vm.vm.host,
+            source: j.source,
             dest: j.dest,
             strategy: vm.strategy,
             status: j.status,
@@ -495,19 +490,9 @@ impl Engine {
             downtime: SimDuration::ZERO,
             failure: j.failure.clone(),
         };
-        let latest_for_vm = self
-            .jobs
-            .iter()
-            .rposition(|x| x.vm == j.vm)
-            .map(|i| i as u32 == job.0)
-            .unwrap_or(false);
-        let mig_slot = j.archived.as_ref().or(if latest_for_vm {
-            vm.migration.as_ref()
-        } else {
-            None
-        });
-        if let Some(mig) = mig_slot {
+        if let Some(mig) = self.job_record(job) {
             p.source = mig.source;
+            p.strategy = mig.strategy;
             p.mem_rounds = mig.mem_rounds;
             p.chunks_pushed = mig.pushed_chunks;
             p.chunks_pulled = mig.pulled_chunks;
@@ -560,36 +545,45 @@ impl Engine {
         self.set_job_status(job, MigrationStatus::Failed);
     }
 
-    /// Record a migration milestone on the VM's timeline and notify the
-    /// observer.
+    /// Record a milestone on the timeline of VM `v`'s migration and
+    /// notify the observer under that migration's job.
     pub(crate) fn note_milestone(&mut self, v: VmIdx, milestone: Milestone) {
         let now = self.now;
-        if let Some(mig) = self.vms[v as usize].migration.as_mut() {
-            mig.timeline.push((now, milestone));
-        }
-        if let Some(i) = self.jobs.iter().rposition(|j| j.vm == v) {
-            self.job_events.push(JobEvent {
-                job: JobId(i as u32),
-                at: now,
-                kind: JobEventKind::Milestone(milestone),
-            });
+        let Some(mig) = self.vms[v as usize].migration.as_mut() else {
+            return;
+        };
+        mig.timeline.push((now, milestone));
+        self.job_events.push(JobEvent {
+            job: mig.job,
+            at: now,
+            kind: JobEventKind::Milestone(milestone),
+        });
+    }
+
+    /// Empty VM `v`'s migration slot for an attempt of `starting`. The
+    /// finished record there moves into its own job's
+    /// [`JobRt::archived`], unless it is an earlier attempt of
+    /// `starting`, which the new attempt replaces.
+    pub(crate) fn archive_vm_migration(&mut self, v: VmIdx, starting: JobId) {
+        if let Some(mig) = self.vms[v as usize].migration.take() {
+            let owner = mig.job;
+            if owner != starting {
+                self.jobs[owner.0 as usize].archived = Some(mig);
+            }
         }
     }
 
-    /// Move a VM's *finished* migration state out of the per-VM slot and
-    /// into the job it belongs to, so a later job (`current`) can reuse
-    /// the slot.
-    pub(crate) fn archive_vm_migration(&mut self, v: VmIdx, current: JobId) {
-        let prev = self
-            .jobs
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(i, j)| *i as u32 != current.0 && j.vm == v && j.archived.is_none())
-            .map(|(i, _)| i);
-        if let Some(prev) = prev {
-            self.jobs[prev].archived = self.vms[v as usize].migration.take();
-        }
+    /// The record of `job`'s last attempt: archived once a later job of
+    /// the VM started, else in the VM's slot while the slot is this
+    /// job's. `None` for a job that never started.
+    pub(crate) fn job_record(&self, job: JobId) -> Option<&MigrationRt> {
+        let j = self.jobs.get(job.0 as usize)?;
+        j.archived.as_ref().or_else(|| {
+            self.vms[j.vm as usize]
+                .migration
+                .as_ref()
+                .filter(|m| m.job == job)
+        })
     }
 
     pub(crate) fn job(&self, job: JobId) -> &JobRt {
@@ -893,6 +887,7 @@ fn admit_intent_vm(eng: &mut Engine, v: VmIdx, origin: u32, attempts: u32) {
     let job = JobId(eng.jobs.len() as u32);
     eng.jobs.push(JobRt {
         vm: v,
+        source: host,
         dest,
         requested_at: now,
         status: MigrationStatus::Queued,

@@ -1,7 +1,7 @@
 //! Run reports: everything the experiment harness needs to build the
 //! paper's tables and figures.
 
-use super::job::{FailureReason, MigrationStatus};
+use super::job::{FailureReason, JobId, MigrationStatus};
 use super::types::MigPhase;
 use super::Engine;
 use crate::policy::StrategyKind;
@@ -253,21 +253,7 @@ pub(crate) fn build(eng: &Engine) -> RunReport {
     let mut sla_jobs = Vec::new();
     for (ji, job) in eng.jobs().iter().enumerate() {
         let vm = &eng.vms()[job.vm as usize];
-        // Per-job event-level state: the archive if a later migration of
-        // the same VM displaced it, else the live per-VM slot (which
-        // always belongs to the VM's most recent job).
-        let latest_for_vm = eng
-            .jobs()
-            .iter()
-            .rposition(|x| x.vm == job.vm)
-            .map(|i| i == ji)
-            .unwrap_or(false);
-        let mig_slot = job.archived.as_ref().or(if latest_for_vm {
-            vm.migration.as_ref()
-        } else {
-            None
-        });
-        if let Some(mig) = mig_slot {
+        if let Some(mig) = eng.job_record(JobId(ji as u32)) {
             let completed = mig.phase == MigPhase::Complete;
             // Close the degradation integral at the horizon: a migration
             // still live when the run ended has an open window since its

@@ -511,15 +511,12 @@ pub(crate) fn try_retry_stall(eng: &mut Engine, v: VmIdx) -> bool {
     if !retry_on {
         return false;
     }
-    let Some(ji) = eng
-        .jobs
-        .iter()
-        .rposition(|j| j.vm == v && !j.status.is_terminal())
-    else {
+    let Some(job) = eng.vms[v as usize].migration.as_ref().map(|m| m.job) else {
         return false;
     };
-    let job = JobId(ji as u32);
-    if eng.jobs[ji].status == MigrationStatus::Queued
+    let status = eng.jobs[job.0 as usize].status;
+    if status.is_terminal()
+        || status == MigrationStatus::Queued
         || !pre_control_live(eng, v)
         || !attempts_left(eng, job)
     {
@@ -618,7 +615,7 @@ pub(crate) fn auto_converge_round(eng: &mut Engine, v: VmIdx, dirtied: u64) {
             if mig.converge_hot_rounds >= patience && mig.throttle_step < max_steps {
                 mig.converge_hot_rounds = 0;
                 mig.throttle_step += 1;
-                Some(mig.throttle_step)
+                Some((mig.job, mig.throttle_step))
             } else {
                 None
             }
@@ -627,13 +624,11 @@ pub(crate) fn auto_converge_round(eng: &mut Engine, v: VmIdx, dirtied: u64) {
             None
         }
     };
-    if let Some(step) = stepped {
+    if let Some((job, step)) = stepped {
         eng.note_milestone(v, Milestone::AutoConverge(step));
         eng.update_compute(v);
-        if let Some(ji) = eng.jobs.iter().rposition(|j| j.vm == v) {
-            let st = st_mut(eng, JobId(ji as u32));
-            st.max_throttle = st.max_throttle.max(step);
-        }
+        let st = st_mut(eng, job);
+        st.max_throttle = st.max_throttle.max(step);
     }
 }
 
@@ -679,22 +674,21 @@ pub(crate) fn defer_switchover(eng: &mut Engine, v: VmIdx) -> bool {
         }
         mig.downtime_deferrals += 1;
         mig.downtime_round = true;
-        mig.phase = MigPhase::Active;
         mig.round_started = now;
         mig.round_bytes = mig.pending_stop_bytes;
         mig.mem_rounds += 1;
         (
+            mig.job,
             mig.source,
             mig.dest,
             mig.pending_stop_bytes,
             mig.downtime_deferrals,
         )
     };
-    let (source, dest, bytes, n) = deferred;
+    let (job, source, dest, bytes, n) = deferred;
+    super::migration::set_phase(eng, v, MigPhase::Active);
     eng.note_milestone(v, Milestone::DowntimeDeferred(n));
-    if let Some(ji) = eng.jobs.iter().rposition(|j| j.vm == v) {
-        st_mut(eng, JobId(ji as u32)).downtime_deferrals += 1;
-    }
+    st_mut(eng, job).downtime_deferrals += 1;
     super::qos::start_mem_copy(eng, v, source, dest, bytes, false);
     true
 }

@@ -1,6 +1,7 @@
 //! Internal runtime state of the engine: events, per-node and per-VM
 //! bookkeeping, in-flight operation contexts.
 
+use super::job::JobId;
 use crate::policy::{HybridDest, HybridSource, MirrorSource, PrecopySource, StrategyKind};
 use lsm_blockdev::{ChunkId, ChunkSet, PageCache, VirtualDisk};
 use lsm_hypervisor::{PrecopyMemory, Vm};
@@ -138,11 +139,10 @@ pub(crate) enum FlowCtx {
         /// Issuing migration generation (stale batches are dropped).
         epoch: u64,
     },
-    /// Mirrored write: `op` is the guest op gated on it (throttled
-    /// writes), or `None` for write-back-driven mirroring.
+    /// Mirrored write: `op` is the guest write gated on it.
     MirrorWrite {
         vm: VmIdx,
-        op: Option<OpId>,
+        op: OpId,
         chunks: Vec<(ChunkId, u64)>,
     },
     /// Repository chunk fetch for op `op` (None: background prefetch).
@@ -387,7 +387,8 @@ pub(crate) struct ComputeRt {
     pub ev: Option<lsm_simcore::EventId>,
 }
 
-/// Migration lifecycle phase.
+/// Migration lifecycle phase. Only `migration::set_phase` changes it
+/// once the record exists.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum MigPhase {
     /// Memory rounds + strategy push phase in progress.
@@ -409,8 +410,136 @@ pub(crate) enum MigPhase {
     Aborted,
 }
 
-/// Per-migration runtime state.
+/// A migration's storage transfer state: the one policy state machine
+/// its strategy runs (see [`crate::policy`]).
+pub(crate) enum Transfer {
+    /// The hybrid scheme (push enabled) and storage post-copy (push
+    /// disabled): the source's state, and the destination's from the
+    /// remaining-set handoff on.
+    Hybrid {
+        src: HybridSource,
+        dst: Option<HybridDest>,
+    },
+    /// Incremental block migration alongside memory pre-copy.
+    Precopy(PrecopySource),
+    /// Background bulk copy with synchronous write mirroring.
+    Mirror(MirrorSource),
+    /// A shared-FS guest: there is no local storage to move.
+    Shared,
+}
+
+impl Transfer {
+    /// The fresh state of `strategy` over `manifest`, the chunks it must
+    /// move (ignored for a shared-FS guest).
+    pub fn start(strategy: StrategyKind, manifest: ChunkSet, threshold: u32) -> Transfer {
+        match strategy {
+            StrategyKind::Hybrid | StrategyKind::Postcopy => Transfer::Hybrid {
+                src: HybridSource::start(&manifest, threshold, strategy == StrategyKind::Hybrid),
+                dst: None,
+            },
+            StrategyKind::Precopy => Transfer::Precopy(PrecopySource::start(manifest)),
+            StrategyKind::Mirror => Transfer::Mirror(MirrorSource::start(manifest)),
+            StrategyKind::SharedFs => Transfer::Shared,
+        }
+    }
+
+    /// The destination's pull state, once the remaining set arrived.
+    pub fn dest(&self) -> Option<&HybridDest> {
+        match self {
+            Transfer::Hybrid { dst, .. } => dst.as_ref(),
+            _ => None,
+        }
+    }
+
+    pub fn dest_mut(&mut self) -> Option<&mut HybridDest> {
+        match self {
+            Transfer::Hybrid { dst, .. } => dst.as_mut(),
+            _ => None,
+        }
+    }
+
+    /// The next chunk for the source's push or bulk stream.
+    pub fn next_send(&mut self) -> Option<ChunkId> {
+        match self {
+            Transfer::Hybrid { src, .. } => src.next_push(),
+            Transfer::Precopy(src) => src.next_send(),
+            Transfer::Mirror(src) => src.next_send(),
+            Transfer::Shared => None,
+        }
+    }
+
+    /// Upper bound on the chunks [`Transfer::next_send`] can still
+    /// return: the source's remaining set. A batch is sized by this,
+    /// never by `transfer_batch` alone, which may be as large as
+    /// `u32::MAX`.
+    pub fn source_remaining(&self) -> u32 {
+        match self {
+            Transfer::Hybrid { src, .. } => src.remaining_count(),
+            Transfer::Precopy(src) => src.remaining(),
+            Transfer::Mirror(src) => src.remaining(),
+            Transfer::Shared => 0,
+        }
+    }
+
+    /// A sent chunk landed at the destination.
+    pub fn send_done(&mut self, c: ChunkId) {
+        match self {
+            Transfer::Hybrid { src, .. } => src.push_done(c),
+            Transfer::Precopy(src) => src.send_done(),
+            Transfer::Mirror(src) => src.send_done(),
+            Transfer::Shared => {}
+        }
+    }
+
+    /// A sent chunk was lost in flight: it returns to the source's
+    /// manifest.
+    pub fn send_lost(&mut self, c: ChunkId) {
+        match self {
+            Transfer::Hybrid { src, .. } => src.push_lost(c),
+            Transfer::Precopy(src) => src.send_lost(c),
+            Transfer::Mirror(src) => src.send_lost(c),
+            Transfer::Shared => {}
+        }
+    }
+
+    /// A guest write of `c` before control moved. Returns true when the
+    /// source re-sends written chunks, so its push or block stream should
+    /// run; mirror mode copies the write synchronously instead.
+    pub fn source_write(&mut self, c: ChunkId) -> bool {
+        match self {
+            Transfer::Hybrid { src, .. } => src.on_write(c),
+            Transfer::Precopy(src) => src.on_write(c),
+            Transfer::Mirror(src) => src.on_write(c),
+            Transfer::Shared => {}
+        }
+        matches!(self, Transfer::Hybrid { .. } | Transfer::Precopy(_))
+    }
+
+    /// Forced convergence: every chunk the precopy or mirror bulk stream
+    /// still owes, marked sent and landed (they travel inside the
+    /// stop-and-copy flush). The hybrid scheme has nothing to force: its
+    /// remaining set is pulled after control moves.
+    pub fn drain_bulk(&mut self) -> Vec<ChunkId> {
+        let mut out = Vec::new();
+        if matches!(self, Transfer::Precopy(_) | Transfer::Mirror(_)) {
+            while let Some(c) = self.next_send() {
+                self.send_done(c);
+                out.push(c);
+            }
+        }
+        out
+    }
+}
+
+/// Per-migration runtime state: one attempt of one job. It lives in its
+/// VM's `migration` slot, which the I/O path reads on every guest
+/// operation, until another job of the VM starts and moves it into
+/// [`JobRt::archived`](super::orchestrator::JobRt::archived). A later
+/// attempt of the same job replaces it instead.
 pub(crate) struct MigrationRt {
+    /// The job this attempt belongs to. Reports and milestones go to it,
+    /// whatever other jobs the VM has since been given.
+    pub job: JobId,
     pub strategy: StrategyKind,
     pub dest: u32,
     pub source: u32,
@@ -427,11 +556,8 @@ pub(crate) struct MigrationRt {
     pub linger_rounds: u32,
     /// Deferred stop-and-copy bytes from the memory machine.
     pub pending_stop_bytes: u64,
-    /// Strategy state.
-    pub hybrid_src: Option<HybridSource>,
-    pub hybrid_dst: Option<HybridDest>,
-    pub precopy_src: Option<PrecopySource>,
-    pub mirror_src: Option<MirrorSource>,
+    /// The storage transfer policy's state.
+    pub transfer: Transfer,
     /// Push pipeline slots currently busy (reading or flowing).
     pub push_slots_busy: u32,
     /// Background pull slots currently busy.
@@ -505,19 +631,10 @@ impl MigrationRt {
     /// Chunks the destination still needs: exact during the pull phase,
     /// the strategy source's remaining set before the handoff.
     pub fn chunks_remaining(&self) -> u64 {
-        if let Some(dst) = self.hybrid_dst.as_ref() {
-            return dst.remaining_count() as u64;
+        match self.transfer.dest() {
+            Some(dst) => dst.remaining_count() as u64,
+            None => self.transfer.source_remaining() as u64,
         }
-        if let Some(src) = self.hybrid_src.as_ref() {
-            return src.remaining_count() as u64;
-        }
-        if let Some(src) = self.precopy_src.as_ref() {
-            return src.remaining() as u64;
-        }
-        if let Some(src) = self.mirror_src.as_ref() {
-            return src.remaining() as u64;
-        }
-        0
     }
 
     /// Downtime attributable to this migration so far. Terminal

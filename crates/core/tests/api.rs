@@ -590,3 +590,64 @@ fn group_start_before_the_clock_is_an_error() {
     );
     assert_eq!(eng.vm_count(), 2, "no member of the group was deployed");
 }
+
+// ---------------- instants past the end of the clock ----------------
+
+/// The last whole second before `SimTime::FAR_FUTURE` (about 584 years).
+const CLOCK_END_SECS: f64 = 18_446_744_073.0;
+
+#[test]
+fn vm_starting_at_the_end_of_the_clock_is_no_overflow() {
+    let mut b = builder();
+    let late = b
+        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, t(CLOCK_END_SECS))
+        .unwrap();
+    let job = b.migrate(late, NodeId(1), t(1.0)).unwrap();
+    let mut sim = b.build().unwrap();
+    sim.run_until(t(300.0));
+    assert_eq!(sim.now(), t(300.0));
+    assert_eq!(sim.status(job), Some(MigrationStatus::Completed));
+    // A VM starting 0.2 s before the clock ends runs out of instants:
+    // every later event would fall past the end, so the run stops.
+    let mut eng = Engine::new(ClusterConfig::small_test()).unwrap();
+    let last = SimTime::from_nanos(u64::MAX - 200_000_000);
+    eng.add_vm(0, &writer(), StrategyKind::Hybrid, last)
+        .unwrap();
+    eng.run_until(SimTime::FAR_FUTURE);
+    assert!(eng.events_processed() < 100, "{}", eng.events_processed());
+}
+
+#[test]
+fn deadline_past_the_end_of_the_clock_is_no_overflow() {
+    let mut b = builder();
+    let vm = b
+        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+        .unwrap();
+    let job = b
+        .migrate_with_deadline(
+            vm,
+            NodeId(1),
+            t(18_446_744_000.0),
+            SimDuration::from_secs(100),
+        )
+        .unwrap();
+    let mut sim = b.build().unwrap();
+    sim.run_until(t(300.0));
+    assert_eq!(sim.status(job), Some(MigrationStatus::Queued));
+}
+
+#[test]
+fn stall_past_the_end_of_the_clock_is_no_overflow() {
+    let mut b = builder();
+    let vm = b
+        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+        .unwrap();
+    let job = b.migrate(vm, NodeId(1), t(1.0)).unwrap();
+    b.inject_fault(t(1.5), FaultKind::TransferStall { vm: 0, secs: 1e18 })
+        .unwrap();
+    let mut sim = b.build().unwrap();
+    sim.run_until(t(300.0));
+    assert_eq!(sim.now(), t(300.0));
+    // The stall never clears, so the storage transfer never finishes.
+    assert!(!sim.status(job).unwrap().is_terminal());
+}

@@ -145,6 +145,26 @@ fn pvfs_migration_moves_memory_only() {
     assert!(r.traffic_for(TrafficTag::Memory) > 0);
 }
 
+/// The PVFS stripe unit is the cluster's `pvfs_stripe`: 1 MiB writes
+/// land on four servers in 64 KiB stripes but on one in 1 MiB stripes,
+/// and the shared-FS runs differ.
+#[test]
+fn pvfs_stripe_shapes_shared_fs_io() {
+    let run = |pvfs_stripe| {
+        let cfg = ClusterConfig {
+            pvfs_stripe,
+            ..ClusterConfig::small_test()
+        };
+        let mut eng = Engine::new(cfg).unwrap();
+        let vm = eng
+            .add_vm(0, &busy_writer(), StrategyKind::SharedFs, SimTime::ZERO)
+            .unwrap();
+        eng.schedule_migration(vm, 1, t(1.0)).unwrap();
+        serde_json::to_string(&eng.run_until(t(60.0))).unwrap()
+    };
+    assert_ne!(run(64 * 1024), run(MIB));
+}
+
 #[test]
 fn workload_survives_migration_and_finishes() {
     for strategy in StrategyKind::ALL {

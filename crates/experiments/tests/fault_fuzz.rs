@@ -1,6 +1,7 @@
 //! The scenario fuzzer: random cluster/workload/migration/fault plans
-//! — including device speeds from 30 MB/s to 100 GB/s, node restores,
-//! retry policies and operator cancellations — each run under **both**
+//! — including device speeds from 30 MB/s to 100 GB/s, instants and
+//! lengths up to the end of the clock, node restores, retry policies
+//! and operator cancellations — each run under **both**
 //! network solvers with an invariant checker attached. Every case must
 //! produce bit-identical serialized `RunReport`s across solvers and zero
 //! invariant violations — the engine's recovery paths hold the
@@ -25,6 +26,22 @@ use lsm_workloads::WorkloadSpec;
 use proptest::prelude::*;
 
 const NODES: u32 = 4;
+
+/// The last whole second of the clock (`SimTime::FAR_FUTURE` is about
+/// 18,446,744,073.7 s).
+const CLOCK_END_SECS: f64 = 18_446_744_073.0;
+
+/// Seconds from `near`, or now and then an instant in the clock's last
+/// quarter hour, so that sums on it run past the end of the clock.
+fn secs_or_clock_end(near: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
+    prop_oneof![6 => near, 1 => (CLOCK_END_SECS - 900.0)..(CLOCK_END_SECS + 0.7)]
+}
+
+/// A length from `near`, or now and then one that reaches past the end
+/// of the clock from anywhere.
+fn len_or_past_clock_end(near: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
+    prop_oneof![6 => near, 1 => 1e9f64..1e19]
+}
 
 fn workload_strategy() -> impl Strategy<Value = WorkloadSpec> {
     prop_oneof![
@@ -64,19 +81,26 @@ fn strategy_strategy() -> impl Strategy<Value = StrategyKind> {
 }
 
 fn fault_strategy() -> impl Strategy<Value = FaultSpec> {
-    (0.2f64..20.0, 0u8..5, 0u32..NODES, 0.05f64..1.0).prop_map(|(at, kind, node, x)| FaultSpec {
-        at_secs: at,
-        kind: match kind {
-            0 => FaultKind::LinkDegrade { node, factor: x },
-            1 => FaultKind::LinkRestore { node },
-            2 => FaultKind::NodeCrash { node },
-            3 => FaultKind::NodeRestore { node },
-            _ => FaultKind::TransferStall {
-                vm: node % 3, // may exceed the VM count: rejected specs are skipped
-                secs: x * 4.0,
+    (
+        0.2f64..20.0,
+        0u8..5,
+        0u32..NODES,
+        0.05f64..1.0,
+        len_or_past_clock_end(0.2..4.0),
+    )
+        .prop_map(|(at, kind, node, factor, stall_secs)| FaultSpec {
+            at_secs: at,
+            kind: match kind {
+                0 => FaultKind::LinkDegrade { node, factor },
+                1 => FaultKind::LinkRestore { node },
+                2 => FaultKind::NodeCrash { node },
+                3 => FaultKind::NodeRestore { node },
+                _ => FaultKind::TransferStall {
+                    vm: node % 3, // may exceed the VM count: rejected specs are skipped
+                    secs: stall_secs,
+                },
             },
-        },
-    })
+        })
 }
 
 /// A small-but-live retry policy: enough attempts and short enough
@@ -177,11 +201,16 @@ fn cancel_strategy() -> impl Strategy<Value = CancelSpec> {
 }
 
 fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
+    let vm_start = prop_oneof![4 => Just(None), 1 => secs_or_clock_end(0.0..5.0).prop_map(Some)];
     (
         strategy_strategy(),
-        prop::collection::vec((0u32..NODES, workload_strategy()), 1..4),
+        prop::collection::vec((0u32..NODES, workload_strategy(), vm_start), 1..4),
         prop::collection::vec(
-            (0u32..NODES, 0.2f64..8.0, prop::option::of(0.3f64..30.0)),
+            (
+                0u32..NODES,
+                secs_or_clock_end(0.2..8.0),
+                prop::option::of(len_or_past_clock_end(0.3..30.0)),
+            ),
             0..3,
         ),
         prop::collection::vec(fault_strategy(), 0..5),
@@ -207,7 +236,10 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
                     grouped: false,
                     vms: vms
                         .into_iter()
-                        .map(|(node, workload)| VmSpec::new(node, workload))
+                        .map(|(node, workload, start_secs)| VmSpec {
+                            start_secs,
+                            ..VmSpec::new(node, workload)
+                        })
                         .collect(),
                     migrations: migs
                         .into_iter()

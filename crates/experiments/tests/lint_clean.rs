@@ -61,15 +61,21 @@ const DEMO: &str = include_str!("../../../scenarios/demo.toml");
 /// 100 GB/s NIC on a 1 TB/s switch. Finish instants round to the
 /// nanosecond, so a disk request or a flow can complete with half a
 /// nanosecond of service left, more than a byte above 2 GB/s; the lanes'
-/// and the network's completion checks allow exactly that.
+/// and the network's completion checks allow exactly that. Nor at the
+/// end of the clock: vm 0 starting in its last second, whose first
+/// write-back sweep falls past the end.
 #[test]
 fn demo_on_fast_devices_lints_clean_and_runs_clean() {
-    for fast in [
-        "disk_bw = 7000000000.0",
-        "cache_write_bw = 10000000000.0",
-        "nic_bw = 100000000000.0\nswitch_bw = 1000000000000.0",
+    for (section, fast) in [
+        ("[cluster]\n", "disk_bw = 7000000000.0"),
+        ("[cluster]\n", "cache_write_bw = 10000000000.0"),
+        (
+            "[cluster]\n",
+            "nic_bw = 100000000000.0\nswitch_bw = 1000000000000.0",
+        ),
+        ("[[vms]]\n", "start_secs = 18446744073.0"),
     ] {
-        let toml = DEMO.replace("[cluster]\n", &format!("[cluster]\n{fast}\n"));
+        let toml = DEMO.replacen(section, &format!("{section}{fast}\n"), 1);
         let spec = ScenarioSpec::from_toml(&toml).expect("parses");
         assert_clean(&spec);
         let mut obs = lsm_check::InvariantObserver::new();

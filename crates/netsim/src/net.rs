@@ -251,8 +251,7 @@ impl Flow {
         } else if self.rate <= 0.0 {
             SimTime::FAR_FUTURE
         } else {
-            self.touched
-                .saturating_add(SimDuration::from_secs_f64(self.remaining / self.rate))
+            self.touched + SimDuration::from_secs_f64(self.remaining / self.rate)
         }
     }
 

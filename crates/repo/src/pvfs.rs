@@ -30,31 +30,6 @@ pub struct PvfsConfig {
     pub write_overhead: SimDuration,
 }
 
-impl PvfsConfig {
-    /// PVFS over nodes `0..n` with default stripe size and overhead.
-    pub fn over_nodes(n: u32) -> Self {
-        assert!(n > 0);
-        PvfsConfig {
-            servers: (0..n).map(NodeId).collect(),
-            stripe_size: 64 * 1024,
-            op_overhead: SimDuration::from_millis(2),
-            write_overhead: SimDuration::from_millis(16),
-        }
-    }
-
-    /// Builder: set the per-read overhead.
-    pub fn with_op_overhead(mut self, d: SimDuration) -> Self {
-        self.op_overhead = d;
-        self
-    }
-
-    /// Builder: set the per-write overhead.
-    pub fn with_write_overhead(mut self, d: SimDuration) -> Self {
-        self.write_overhead = d;
-        self
-    }
-}
-
 /// One server's share of a striped operation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StripeOp {

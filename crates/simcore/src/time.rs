@@ -112,12 +112,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Saturating add that treats [`SimTime::FAR_FUTURE`] as absorbing.
-    #[inline]
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl SimDuration {
@@ -182,18 +176,20 @@ impl SimDuration {
     }
 }
 
+/// An instant past the end of the clock is [`SimTime::FAR_FUTURE`]:
+/// the sum saturates, and "never" plus anything stays "never".
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -280,9 +276,27 @@ mod tests {
         assert!(SimTime::ZERO < SimTime::from_nanos(1));
         assert!(SimTime::from_secs(1_000_000) < SimTime::FAR_FUTURE);
         assert_eq!(
-            SimTime::FAR_FUTURE.saturating_add(SimDuration::from_secs(1)),
+            SimTime::FAR_FUTURE + SimDuration::from_secs(1),
             SimTime::FAR_FUTURE
         );
+    }
+
+    /// Instants past the end of the clock saturate at `FAR_FUTURE`
+    /// instead of overflowing, for `+` and `+=` alike.
+    #[test]
+    fn addition_saturates_at_the_end_of_the_clock() {
+        let last = SimTime::from_nanos(u64::MAX - 1);
+        assert_eq!(last + SimDuration::from_nanos(1), SimTime::FAR_FUTURE);
+        assert_eq!(last + SimDuration::from_secs(100), SimTime::FAR_FUTURE);
+        let near = SimTime::from_secs_f64(18_446_744_073.0);
+        let expire = SimDuration::from_secs_f64(30.0);
+        assert_eq!(near + expire, SimTime::FAR_FUTURE);
+        let mut t = near;
+        t += expire;
+        assert_eq!(t, SimTime::FAR_FUTURE);
+        let mut t = last;
+        t += SimDuration::ZERO;
+        assert_eq!(t, last, "a sum that fits is exact");
     }
 
     #[test]
