@@ -1,13 +1,14 @@
 //! Micro-benchmarks of the simulator's hot paths: the max–min fair
 //! network allocator (dense, and sparse at fleet size) and its
-//! next-completion query, chunk-set algebra, the fair-shared resource,
-//! and a full paper-scale single-migration run.
+//! next-completion query, chunk-set algebra, one migration's hybrid
+//! policy state, the fair-shared resource, and a full paper-scale
+//! single-migration run.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lsm_blockdev::{ChunkId, ChunkSet};
 use lsm_core::config::ClusterConfig;
 use lsm_core::engine::Engine;
-use lsm_core::policy::StrategyKind;
+use lsm_core::policy::{HybridDest, HybridSource, StrategyKind};
 use lsm_netsim::{FlowId, FlowNet, NodeId, SolverMode, Topology, TrafficTag};
 use lsm_simcore::resource::SharedResource;
 use lsm_simcore::units::{mb_per_s, MIB};
@@ -194,6 +195,33 @@ fn bench_blockdev(c: &mut Criterion) {
             x.union_with(&bset);
             x.subtract(&a);
             std::hint::black_box(x.count())
+        })
+    });
+    // One hybrid migration's policy state on a 4 GiB image (16,384
+    // chunks of 256 KiB) whose guest wrote the 2,400 chunks of
+    // `scale64`'s AsyncWr region: start, the push phase while every
+    // eighth chunk is rewritten after each push (so it turns hot and
+    // stays behind), the handoff, the destination's start, and the
+    // pull drain.
+    g.bench_function("hybrid_handoff_16k", |b| {
+        let modified = ChunkSet::from_iter(16384, (2048..4448).map(ChunkId));
+        b.iter(|| {
+            let mut src = HybridSource::start(modified.clone(), 3, true);
+            while let Some(c) = src.next_push() {
+                src.push_done(c);
+                if c.0 % 8 == 0 {
+                    src.on_write(c);
+                }
+            }
+            let (remaining, counts) = src.handoff();
+            let mut dst = HybridDest::start(remaining, counts, true);
+            let mut pulled = 0u32;
+            while let Some(c) = dst.next_pull() {
+                dst.pull_done(c);
+                pulled += 1;
+            }
+            assert_eq!(pulled, 300);
+            std::hint::black_box((src.total_pushes(), pulled))
         })
     });
     g.finish();

@@ -9,12 +9,17 @@
 //!   the structure the FUSE-based migration manager of §4.2 exposes: chunks
 //!   are `Untouched` (served from the repository), `CachedBase` (fetched and
 //!   kept locally) or `Local` (written by the VM). Content is modeled as a
-//!   **version vector**: every write stamps a globally unique version, so
-//!   tests can verify bit-exact consistency of a migrated disk without
-//!   storing gigabytes.
+//!   **version per chunk**: every write stamps a globally unique version,
+//!   so tests can verify bit-exact consistency of a migrated disk without
+//!   storing gigabytes. [`ChunkStore`] is a physical replica of those
+//!   versions.
 //! * [`WriteCounter`] — per-chunk write counts with the `Threshold` logic of
 //!   Algorithm 1/2 (chunks written more than `Threshold` times are withheld
 //!   from the active push).
+//!
+//! Versions and write counts live in 4 KiB pages allocated on a chunk's
+//! first non-zero value, so their memory follows the chunks a guest wrote,
+//! not the image size (see [`vdisk`]).
 //! * [`DirtyTracker`] — dirty-chunk bookkeeping for the QEMU-style
 //!   incremental block-migration baseline (bulk pass + dirty passes).
 //! * [`PageCache`] — a guest page-cache model (write-back with dirty

@@ -1,4 +1,4 @@
-//! Copy-on-write virtual disks with version-vector content.
+//! Copy-on-write virtual disks with versioned chunk content.
 //!
 //! The paper's migration manager exposes each VM a local view of a shared
 //! **base disk image** (§4.2): reads of never-touched regions fetch chunks
@@ -9,12 +9,72 @@
 //! chunk: version 0 is the pristine base content, and every write stamps a
 //! fresh, globally unique version drawn from the disk's monotonic counter.
 //! Two stores hold the same bytes iff they hold the same version — which
-//! gives the test-suite (and the engine's `strict-verify` mode) an exact,
-//! O(#chunks) equality check between the logical disk the VM observed and
-//! the physical replica reconstructed at the migration destination.
+//! gives the test-suite (and the engine's `strict-verify` mode) an exact
+//! equality check between the logical disk the VM observed and the
+//! physical replica reconstructed at the migration destination.
+//!
+//! # Per-chunk numbers in pages
+//!
+//! Versions and write counts only ever differ from 0 on chunks a guest
+//! wrote, a few thousand of the 16,384 chunks of a 4 GiB image. So
+//! [`ChunkStore`], [`VirtualDisk`] and [`WriteCounter`] keep them in fixed
+//! 4 KiB pages (512 versions or 1,024 counts), each allocated the first
+//! time one of its chunks is given a non-zero value. An absent page reads
+//! as 0, the value a dense vector would hold there, so a lookup is two
+//! indexings and readers see exactly the numbers a dense vector gives.
 
 use crate::chunk::{ChunkId, ChunkSet};
 use serde::{Deserialize, Serialize};
+
+/// Bytes of one page of per-chunk numbers.
+const PAGE_BYTES: usize = 4096;
+
+/// Per-chunk numbers of one image, in [`PAGE_BYTES`] pages allocated on
+/// the first non-zero value (see the module docs). It is two words and
+/// keeps no chunk count: a [`WriteCounter`] travels inside an engine
+/// event, whose size every pending event pays, and the chunk sets kept
+/// beside each of these numbers check chunk ranges.
+#[derive(Clone, Debug)]
+struct ChunkPages<T> {
+    pages: Box<[Option<Box<[T]>>]>,
+}
+
+impl<T: Copy + Default + PartialEq> ChunkPages<T> {
+    /// Entries per page.
+    const PER_PAGE: usize = PAGE_BYTES / std::mem::size_of::<T>();
+
+    /// All zero, no page allocated.
+    fn new(nchunks: u32) -> Self {
+        ChunkPages {
+            pages: vec![None; (nchunks as usize).div_ceil(Self::PER_PAGE)].into_boxed_slice(),
+        }
+    }
+
+    /// The value of chunk `c`.
+    #[inline]
+    fn get(&self, c: ChunkId) -> T {
+        match &self.pages[c.idx() / Self::PER_PAGE] {
+            Some(page) => page[c.idx() % Self::PER_PAGE],
+            None => T::default(),
+        }
+    }
+
+    /// The value of chunk `c`, for update; allocates its page.
+    #[inline]
+    fn get_mut(&mut self, c: ChunkId) -> &mut T {
+        let page = self.pages[c.idx() / Self::PER_PAGE]
+            .get_or_insert_with(|| vec![T::default(); Self::PER_PAGE].into_boxed_slice());
+        &mut page[c.idx() % Self::PER_PAGE]
+    }
+
+    /// Set chunk `c` to `v`. Zero on an absent page allocates nothing.
+    #[inline]
+    fn set(&mut self, c: ChunkId, v: T) {
+        if v != T::default() || self.pages[c.idx() / Self::PER_PAGE].is_some() {
+            *self.get_mut(c) = v;
+        }
+    }
+}
 
 /// Placement state of a chunk in a VM's local view (§4.2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -38,7 +98,7 @@ pub type Version = u64;
 /// arriving late (a pull racing a local write) never overwrites newer data.
 #[derive(Clone, Debug)]
 pub struct ChunkStore {
-    versions: Vec<Version>,
+    versions: ChunkPages<Version>,
     present: ChunkSet,
 }
 
@@ -46,7 +106,7 @@ impl ChunkStore {
     /// An empty store for `nchunks` chunks (nothing present).
     pub fn new(nchunks: u32) -> Self {
         ChunkStore {
-            versions: vec![0; nchunks as usize],
+            versions: ChunkPages::new(nchunks),
             present: ChunkSet::new(nchunks),
         }
     }
@@ -58,25 +118,18 @@ impl ChunkStore {
 
     /// Version held for `c` (meaningless if `!has(c)`).
     pub fn version(&self, c: ChunkId) -> Version {
-        self.versions[c.idx()]
+        self.versions.get(c)
     }
 
     /// Store `v` for chunk `c` if it is newer than what is present.
     /// Returns true if the store changed.
     pub fn apply(&mut self, c: ChunkId, v: Version) -> bool {
-        if self.present.contains(c) && self.versions[c.idx()] >= v {
+        if self.present.contains(c) && self.versions.get(c) >= v {
             return false;
         }
         self.present.insert(c);
-        self.versions[c.idx()] = v;
+        self.versions.set(c, v);
         true
-    }
-
-    /// Unconditionally forget chunk `c` (used when a qcow2 overlay is
-    /// discarded).
-    pub fn evict(&mut self, c: ChunkId) {
-        self.present.remove(c);
-        self.versions[c.idx()] = 0;
     }
 
     /// The set of chunks present.
@@ -106,9 +159,11 @@ impl ChunkStore {
 #[derive(Clone, Debug)]
 pub struct VirtualDisk {
     chunk_size: u64,
-    state: Vec<ChunkState>,
-    versions: Vec<Version>,
+    versions: ChunkPages<Version>,
+    /// Chunks in state `Local`.
     modified: ChunkSet,
+    /// Chunks in state `CachedBase`; disjoint from `modified`.
+    cached: ChunkSet,
     next_version: Version,
 }
 
@@ -119,16 +174,16 @@ impl VirtualDisk {
         assert!(nchunks > 0 && chunk_size > 0);
         VirtualDisk {
             chunk_size,
-            state: vec![ChunkState::Untouched; nchunks as usize],
-            versions: vec![0; nchunks as usize],
+            versions: ChunkPages::new(nchunks),
             modified: ChunkSet::new(nchunks),
+            cached: ChunkSet::new(nchunks),
             next_version: 1,
         }
     }
 
     /// Number of chunks.
     pub fn nchunks(&self) -> u32 {
-        self.state.len() as u32
+        self.modified.capacity()
     }
 
     /// Chunk size in bytes.
@@ -138,17 +193,23 @@ impl VirtualDisk {
 
     /// Total virtual size in bytes.
     pub fn size_bytes(&self) -> u64 {
-        self.chunk_size * self.state.len() as u64
+        self.chunk_size * self.nchunks() as u64
     }
 
     /// Current placement state of a chunk.
     pub fn state(&self, c: ChunkId) -> ChunkState {
-        self.state[c.idx()]
+        if self.modified.contains(c) {
+            ChunkState::Local
+        } else if self.cached.contains(c) {
+            ChunkState::CachedBase
+        } else {
+            ChunkState::Untouched
+        }
     }
 
     /// Content version the VM observes for `c` (0 = base content).
     pub fn version(&self, c: ChunkId) -> Version {
-        self.versions[c.idx()]
+        self.versions.get(c)
     }
 
     /// The ModifiedSet of §4.3: all chunks ever written locally.
@@ -159,36 +220,37 @@ impl VirtualDisk {
     /// The set of chunks with any local presence (modified or cached base);
     /// everything a `mirror`/`precopy` bulk phase must copy.
     pub fn locally_present(&self) -> ChunkSet {
-        let mut s = ChunkSet::new(self.nchunks());
-        for (i, st) in self.state.iter().enumerate() {
-            if !matches!(st, ChunkState::Untouched) {
-                s.insert(ChunkId(i as u32));
-            }
-        }
+        let mut s = self.modified.clone();
+        s.union_with(&self.cached);
         s
+    }
+
+    /// `locally_present().count()`, without building the set.
+    pub fn local_count(&self) -> u32 {
+        self.modified.count() + self.cached.count()
     }
 
     /// Record a full-chunk write; returns the fresh content version.
     pub fn write(&mut self, c: ChunkId) -> Version {
         let v = self.next_version;
         self.next_version += 1;
-        self.versions[c.idx()] = v;
-        self.state[c.idx()] = ChunkState::Local;
+        self.versions.set(c, v);
         self.modified.insert(c);
+        self.cached.remove(c);
         v
     }
 
     /// Record that base content for `c` was fetched from the repository
     /// and cached locally. No-op if the chunk was already local.
     pub fn cache_base(&mut self, c: ChunkId) {
-        if matches!(self.state[c.idx()], ChunkState::Untouched) {
-            self.state[c.idx()] = ChunkState::CachedBase;
+        if !self.modified.contains(c) {
+            self.cached.insert(c);
         }
     }
 
     /// Whether reading `c` requires a repository fetch first.
     pub fn needs_repo_fetch(&self, c: ChunkId) -> bool {
-        matches!(self.state[c.idx()], ChunkState::Untouched)
+        self.state(c) == ChunkState::Untouched
     }
 
     /// Forget local caching of base content (chunks revert to
@@ -196,23 +258,20 @@ impl VirtualDisk {
     /// *source's* local disk are not transferred — the destination
     /// re-fetches them from the repository on demand (§4.1).
     pub fn demote_cached_base(&mut self) {
-        for st in &mut self.state {
-            if matches!(st, ChunkState::CachedBase) {
-                *st = ChunkState::Untouched;
-            }
-        }
+        self.cached.clear();
     }
 }
 
 /// Per-chunk write counts with the paper's `Threshold` semantics.
 ///
-/// Algorithm 1 resets counts at migration start; Algorithm 2 increments on
-/// every write; the background push skips chunks whose count reached
-/// `Threshold` (they are "hot" and will be prefetched with priority after
-/// control transfer instead).
+/// Algorithm 1 starts a fresh counter at migration start; Algorithm 2
+/// increments on every write; the background push skips chunks whose
+/// count reached `Threshold` (they are "hot" and will be prefetched with
+/// priority after control transfer instead). At `TRANSFER_IO_CONTROL` the
+/// counter itself moves to the destination, which orders its pulls by it.
 #[derive(Clone, Debug)]
 pub struct WriteCounter {
-    counts: Vec<u32>,
+    counts: ChunkPages<u32>,
     threshold: u32,
 }
 
@@ -221,7 +280,7 @@ impl WriteCounter {
     pub fn new(nchunks: u32, threshold: u32) -> Self {
         assert!(threshold >= 1, "Threshold must be at least 1");
         WriteCounter {
-            counts: vec![0; nchunks as usize],
+            counts: ChunkPages::new(nchunks),
             threshold,
         }
     }
@@ -231,31 +290,26 @@ impl WriteCounter {
         self.threshold
     }
 
-    /// Reset all counts to zero (Algorithm 1, lines 3–5).
-    pub fn reset(&mut self) {
-        self.counts.fill(0);
-    }
-
     /// Increment the write count of `c` (Algorithm 2, line 9).
     pub fn record_write(&mut self, c: ChunkId) {
-        self.counts[c.idx()] = self.counts[c.idx()].saturating_add(1);
+        self.record_writes(c, 1);
+    }
+
+    /// Add `n` writes to the count of `c`, saturating at `u32::MAX`.
+    pub fn record_writes(&mut self, c: ChunkId, n: u32) {
+        let count = self.counts.get_mut(c);
+        *count = count.saturating_add(n);
     }
 
     /// Current count for `c`.
     pub fn count(&self, c: ChunkId) -> u32 {
-        self.counts[c.idx()]
+        self.counts.get(c)
     }
 
     /// Whether the active push may still send `c`
     /// (Algorithm 1, line 15: `WriteCount[c] < Threshold`).
     pub fn pushable(&self, c: ChunkId) -> bool {
-        self.counts[c.idx()] < self.threshold
-    }
-
-    /// Snapshot of all counts (sent to the destination with the
-    /// RemainingSet in `TRANSFER_IO_CONTROL`).
-    pub fn snapshot(&self) -> Vec<u32> {
-        self.counts.clone()
+        self.count(c) < self.threshold
     }
 }
 
@@ -336,14 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn store_evict() {
-        let mut s = ChunkStore::new(4);
-        s.apply(ChunkId(2), 7);
-        s.evict(ChunkId(2));
-        assert!(!s.has(ChunkId(2)));
-    }
-
-    #[test]
     fn write_counter_threshold_semantics() {
         let mut wc = WriteCounter::new(4, 3);
         let c = ChunkId(2);
@@ -354,9 +400,6 @@ mod tests {
         wc.record_write(c);
         assert!(!wc.pushable(c), "at threshold: withheld from push");
         assert_eq!(wc.count(c), 3);
-        wc.reset();
-        assert_eq!(wc.count(c), 0);
-        assert!(wc.pushable(c));
     }
 
     #[test]

@@ -1,13 +1,52 @@
 //! Property tests for the block-device substrate.
 
 use lsm_blockdev::{
-    byte_range_to_chunks, CacheConfig, ChunkId, ChunkSet, ChunkStore, DirtyTracker, PageCache,
-    VirtualDisk, WriteClass, WriteCounter,
+    byte_range_to_chunks, CacheConfig, ChunkId, ChunkSet, ChunkState, ChunkStore, DirtyTracker,
+    PageCache, VirtualDisk, WriteClass, WriteCounter,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 const N: u32 = 512;
+
+/// Chunks of the paged-storage properties: a multiple of neither page
+/// (512 versions, 1,024 counts), so the last page of each is partial.
+const PAGED: u32 = 2600;
+
+/// A chunk of a `PAGED`-chunk image, half the time on a page edge: the
+/// first or last chunk of a 512-chunk page (a 1,024-chunk page starts at
+/// every second one), or the image's last chunk.
+fn paged_chunk() -> impl Strategy<Value = ChunkId> {
+    let edge = (0u32..12).prop_map(|i| (i / 2 * 512 + i % 2 * 511).min(PAGED - 1));
+    prop_oneof![0..PAGED, edge].prop_map(ChunkId)
+}
+
+/// One step on a disk, a store and a write counter of `PAGED` chunks.
+#[derive(Clone, Debug)]
+enum PagedOp {
+    /// `VirtualDisk::write`, and the store takes the new version.
+    Write(ChunkId),
+    /// `VirtualDisk::cache_base`.
+    CacheBase(ChunkId),
+    /// `VirtualDisk::demote_cached_base`.
+    Demote,
+    /// `ChunkStore::apply` of the `k`-th latest version the disk stamped
+    /// on the chunk (`k` past the oldest: version 0).
+    Redeliver(ChunkId, usize),
+    /// `WriteCounter::record_writes`.
+    Count(ChunkId, u32),
+}
+
+fn paged_op() -> impl Strategy<Value = PagedOp> {
+    let writes = prop_oneof![Just(1u32), Just(2), Just(u32::MAX / 2), Just(u32::MAX)];
+    prop_oneof![
+        4 => paged_chunk().prop_map(PagedOp::Write),
+        2 => paged_chunk().prop_map(PagedOp::CacheBase),
+        1 => Just(PagedOp::Demote),
+        3 => (paged_chunk(), 0usize..4).prop_map(|(c, k)| PagedOp::Redeliver(c, k)),
+        3 => (paged_chunk(), writes).prop_map(|(c, n)| PagedOp::Count(c, n)),
+    ]
+}
 
 proptest! {
     /// ChunkSet behaves exactly like a BTreeSet<u32> reference model.
@@ -85,6 +124,96 @@ proptest! {
             }
         }
         prop_assert!(store.covers(&disk), "divergence: {:?}", store.divergence(&disk));
+    }
+
+    /// The paged per-chunk numbers read exactly as dense vectors would:
+    /// disk versions and states, store versions (with stale and base
+    /// re-deliveries), and saturating write counts, over random steps
+    /// that cross page edges and reach the partial last page.
+    #[test]
+    fn paged_numbers_match_dense_models(
+        ops in prop::collection::vec(paged_op(), 1..300),
+        threshold in 1u32..4,
+    ) {
+        let n = PAGED as usize;
+        let mut disk = VirtualDisk::new(PAGED, 4096);
+        let mut store = ChunkStore::new(PAGED);
+        let mut wc = WriteCounter::new(PAGED, threshold);
+        let mut versions = vec![vec![0u64]; n];
+        let mut states = vec![ChunkState::Untouched; n];
+        let mut held: Vec<Option<u64>> = vec![None; n];
+        let mut counts = vec![0u32; n];
+        let mut last = 0;
+        for op in ops {
+            match op {
+                PagedOp::Write(c) => {
+                    let v = disk.write(c);
+                    prop_assert!(v > last, "versions grow");
+                    last = v;
+                    versions[c.idx()].push(v);
+                    states[c.idx()] = ChunkState::Local;
+                    prop_assert!(store.apply(c, v));
+                    held[c.idx()] = Some(v);
+                }
+                PagedOp::CacheBase(c) => {
+                    disk.cache_base(c);
+                    if states[c.idx()] == ChunkState::Untouched {
+                        states[c.idx()] = ChunkState::CachedBase;
+                    }
+                }
+                PagedOp::Demote => {
+                    disk.demote_cached_base();
+                    for st in &mut states {
+                        if *st == ChunkState::CachedBase {
+                            *st = ChunkState::Untouched;
+                        }
+                    }
+                }
+                PagedOp::Redeliver(c, k) => {
+                    let history = &versions[c.idx()];
+                    let v = history[history.len().saturating_sub(k + 1)];
+                    let newer = held[c.idx()].is_none_or(|h| v > h);
+                    prop_assert_eq!(store.apply(c, v), newer, "apply {:?} v{}", c, v);
+                    if newer {
+                        held[c.idx()] = Some(v);
+                    }
+                }
+                PagedOp::Count(c, k) => {
+                    wc.record_writes(c, k);
+                    counts[c.idx()] = counts[c.idx()].saturating_add(k);
+                }
+            }
+        }
+        for i in 0..n {
+            let c = ChunkId(i as u32);
+            prop_assert_eq!(disk.version(c), *versions[i].last().unwrap(), "disk {:?}", c);
+            prop_assert_eq!(disk.state(c), states[i], "state {:?}", c);
+            prop_assert_eq!(disk.needs_repo_fetch(c), states[i] == ChunkState::Untouched);
+            prop_assert_eq!(store.has(c), held[i].is_some(), "present {:?}", c);
+            prop_assert_eq!(store.version(c), held[i].unwrap_or(0), "store {:?}", c);
+            prop_assert_eq!(wc.count(c), counts[i], "count {:?}", c);
+            prop_assert_eq!(wc.pushable(c), counts[i] < threshold);
+        }
+        prop_assert!(store.covers(&disk), "divergence: {:?}", store.divergence(&disk));
+    }
+
+    /// `VirtualDisk::local_count` is the size of `locally_present` after
+    /// every write, base fetch and demotion.
+    #[test]
+    fn local_count_matches_locally_present(
+        ops in prop::collection::vec((0u8..9, paged_chunk()), 1..300),
+    ) {
+        let mut disk = VirtualDisk::new(PAGED, 4096);
+        for (kind, c) in ops {
+            match kind {
+                0..=3 => {
+                    disk.write(c);
+                }
+                4..=7 => disk.cache_base(c),
+                _ => disk.demote_cached_base(),
+            }
+            prop_assert_eq!(disk.local_count(), disk.locally_present().count());
+        }
     }
 
     /// WriteCounter: a chunk becomes unpushable exactly at Threshold.

@@ -17,7 +17,7 @@ use super::types::*;
 use super::Engine;
 use crate::error::EngineError;
 use crate::policy::{HybridDest, StrategyKind};
-use lsm_blockdev::{ChunkId, ChunkSet};
+use lsm_blockdev::{ChunkId, ChunkSet, WriteCounter};
 use lsm_hypervisor::{MemoryProfile, NextStep, PostcopyMemory, PostcopyStep, PrecopyMemory};
 use lsm_netsim::TrafficTag;
 use lsm_simcore::time::SimDuration;
@@ -303,7 +303,7 @@ fn storage_converged(eng: &Engine, v: VmIdx) -> bool {
         Transfer::Mirror(src) => {
             src.converged() && mig.push_slots_busy == 0 && mig.mirror_flows_inflight == 0
         }
-        Transfer::Hybrid { .. } | Transfer::Shared => true,
+        Transfer::Hybrid { .. } | Transfer::Idle => true,
     }
 }
 
@@ -564,7 +564,7 @@ fn do_handoff(eng: &mut Engine, v: VmIdx) {
     );
 }
 
-fn transfer_io_control(eng: &mut Engine, v: VmIdx, remaining: ChunkSet, counts: Vec<u32>) {
+fn transfer_io_control(eng: &mut Engine, v: VmIdx, remaining: ChunkSet, counts: WriteCounter) {
     let prioritized = eng.cfg().prefetch_priority;
     {
         // The handoff message may arrive after a fault aborted the
@@ -578,7 +578,7 @@ fn transfer_io_control(eng: &mut Engine, v: VmIdx, remaining: ChunkSet, counts: 
         let Transfer::Hybrid { dst, .. } = &mut mig.transfer else {
             return;
         };
-        *dst = Some(HybridDest::start(remaining, &counts, prioritized));
+        *dst = Some(HybridDest::start(remaining, counts, prioritized));
     }
     set_phase(eng, v, MigPhase::PullPhase);
     control_transfer(eng, v);
@@ -1069,7 +1069,10 @@ fn complete_migration(eng: &mut Engine, v: VmIdx) {
         mig.completed_at = Some(now);
         mig.consistent = Some(consistent);
         mig.downtime = total_down - mig.downtime_before;
+        // Only the report's numbers outlive the migration; an aborted
+        // attempt keeps its state for partial-progress reports instead.
         mig.source_store = None;
+        mig.transfer = Transfer::Idle;
     }
     set_phase(eng, v, MigPhase::Complete);
     #[cfg(feature = "strict-verify")]
@@ -1114,4 +1117,40 @@ pub(crate) fn set_phase(eng: &mut Engine, v: VmIdx, phase: MigPhase) {
         eng.note_milestone(v, m);
     }
     eng.set_job_status(job, status);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ClusterConfig;
+    use lsm_simcore::units::MIB;
+    use lsm_simcore::SimTime;
+    use lsm_workloads::WorkloadSpec;
+
+    /// A completed Hybrid migration keeps the numbers its report needs
+    /// and drops its policy state and source store; its record still
+    /// reads no chunks remaining.
+    #[test]
+    fn completed_hybrid_migration_holds_no_policy_state() {
+        let mut eng = Engine::new(ClusterConfig::small_test()).unwrap();
+        let writer = WorkloadSpec::SeqWrite {
+            offset: 0,
+            total: 48 * MIB,
+            block: MIB,
+            think_secs: 0.02,
+        };
+        let vm = eng
+            .add_vm(0, &writer, StrategyKind::Hybrid, SimTime::ZERO)
+            .unwrap();
+        eng.schedule_migration(vm, 1, SimTime::from_secs_f64(1.0))
+            .unwrap();
+        let r = eng.run_until(SimTime::from_secs_f64(300.0));
+        let m = r.the_migration();
+        assert!(m.completed && m.pushed_chunks > 0);
+        let mig = eng.vm(vm.0).migration.as_ref().expect("the record");
+        assert_eq!(mig.phase, MigPhase::Complete);
+        assert!(matches!(mig.transfer, Transfer::Idle));
+        assert!(mig.source_store.is_none());
+        assert_eq!(mig.chunks_remaining(), 0);
+    }
 }

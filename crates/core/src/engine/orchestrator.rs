@@ -43,6 +43,10 @@ pub(crate) struct JobRt {
     pub source: u32,
     pub dest: u32,
     pub requested_at: SimTime,
+    /// The VM's strategy when the job was scheduled, replaced by the
+    /// planner's choice at admission: the strategy a job that never
+    /// started reports, whatever the VM's later jobs install.
+    pub strategy: StrategyKind,
     pub status: MigrationStatus,
     /// Abort-by deadline measured from `requested_at`, if configured.
     pub deadline: Option<SimDuration>,
@@ -425,6 +429,7 @@ impl Engine {
             source: vmrt.vm.host,
             dest,
             requested_at: at,
+            strategy: vmrt.strategy,
             status: MigrationStatus::Queued,
             deadline,
             failure: None,
@@ -477,7 +482,7 @@ impl Engine {
             vm: j.vm,
             source: j.source,
             dest: j.dest,
-            strategy: vm.strategy,
+            strategy: j.strategy,
             status: j.status,
             planner_held: j.held,
             mem_rounds: 0,
@@ -890,6 +895,7 @@ fn admit_intent_vm(eng: &mut Engine, v: VmIdx, origin: u32, attempts: u32) {
         source: host,
         dest,
         requested_at: now,
+        strategy,
         status: MigrationStatus::Queued,
         deadline: None,
         failure: None,
@@ -938,6 +944,7 @@ fn admit(
     eng.orch.decisions.push(decision);
     {
         let j = &mut eng.jobs[job.0 as usize];
+        j.strategy = strategy;
         j.held = false;
         j.counted = true;
     }
@@ -1085,7 +1092,7 @@ pub(crate) fn vm_view(eng: &Engine, v: VmIdx) -> VmView {
         rewrite_rate,
         io_pressure,
         cache_hit: cache_hit_ratio(vm.reads_hit_bytes, vm.reads_miss_bytes),
-        local_bytes: vm.disk.locally_present().count() as u64 * eng.cfg.chunk_size,
+        local_bytes: vm.disk.local_count() as u64 * eng.cfg.chunk_size,
         modified_bytes: vm.disk.modified().count() as u64 * eng.cfg.chunk_size,
     }
 }

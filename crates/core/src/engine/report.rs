@@ -295,7 +295,7 @@ pub(crate) fn build(eng: &Engine) -> RunReport {
                 vm: job.vm,
                 status: job.status,
                 failure: job.failure.clone(),
-                strategy: vm.strategy,
+                strategy: job.strategy,
                 requested_at: job.requested_at,
                 control_at: None,
                 completed_at: None,

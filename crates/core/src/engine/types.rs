@@ -3,7 +3,7 @@
 
 use super::job::JobId;
 use crate::policy::{HybridDest, HybridSource, MirrorSource, PrecopySource, StrategyKind};
-use lsm_blockdev::{ChunkId, ChunkSet, PageCache, VirtualDisk};
+use lsm_blockdev::{ChunkId, ChunkSet, PageCache, VirtualDisk, WriteCounter};
 use lsm_hypervisor::{PrecopyMemory, Vm};
 use lsm_netsim::NodeId;
 use lsm_simcore::fault::FaultKind;
@@ -93,10 +93,12 @@ pub(crate) enum Ctl {
     /// Source → destination: remaining set + write counts (Algorithm 3,
     /// TRANSFER_IO_CONTROL). The VM resumes at the destination once this
     /// arrives — the destination must be ready to intercept I/O first.
+    /// The source's counter travels by value and becomes the
+    /// destination's.
     TransferIoControl {
         vm: VmIdx,
         remaining: ChunkSet,
-        counts: Vec<u32>,
+        counts: WriteCounter,
     },
     /// Destination → source: request chunks (prefetch batch or on-demand).
     PullRequest {
@@ -424,8 +426,9 @@ pub(crate) enum Transfer {
     Precopy(PrecopySource),
     /// Background bulk copy with synchronous write mirroring.
     Mirror(MirrorSource),
-    /// A shared-FS guest: there is no local storage to move.
-    Shared,
+    /// Nothing to move: a shared-FS guest has no local storage, and a
+    /// completed migration has dropped its policy state.
+    Idle,
 }
 
 impl Transfer {
@@ -434,12 +437,12 @@ impl Transfer {
     pub fn start(strategy: StrategyKind, manifest: ChunkSet, threshold: u32) -> Transfer {
         match strategy {
             StrategyKind::Hybrid | StrategyKind::Postcopy => Transfer::Hybrid {
-                src: HybridSource::start(&manifest, threshold, strategy == StrategyKind::Hybrid),
+                src: HybridSource::start(manifest, threshold, strategy == StrategyKind::Hybrid),
                 dst: None,
             },
             StrategyKind::Precopy => Transfer::Precopy(PrecopySource::start(manifest)),
             StrategyKind::Mirror => Transfer::Mirror(MirrorSource::start(manifest)),
-            StrategyKind::SharedFs => Transfer::Shared,
+            StrategyKind::SharedFs => Transfer::Idle,
         }
     }
 
@@ -464,7 +467,7 @@ impl Transfer {
             Transfer::Hybrid { src, .. } => src.next_push(),
             Transfer::Precopy(src) => src.next_send(),
             Transfer::Mirror(src) => src.next_send(),
-            Transfer::Shared => None,
+            Transfer::Idle => None,
         }
     }
 
@@ -477,7 +480,7 @@ impl Transfer {
             Transfer::Hybrid { src, .. } => src.remaining_count(),
             Transfer::Precopy(src) => src.remaining(),
             Transfer::Mirror(src) => src.remaining(),
-            Transfer::Shared => 0,
+            Transfer::Idle => 0,
         }
     }
 
@@ -487,7 +490,7 @@ impl Transfer {
             Transfer::Hybrid { src, .. } => src.push_done(c),
             Transfer::Precopy(src) => src.send_done(),
             Transfer::Mirror(src) => src.send_done(),
-            Transfer::Shared => {}
+            Transfer::Idle => {}
         }
     }
 
@@ -498,7 +501,7 @@ impl Transfer {
             Transfer::Hybrid { src, .. } => src.push_lost(c),
             Transfer::Precopy(src) => src.send_lost(c),
             Transfer::Mirror(src) => src.send_lost(c),
-            Transfer::Shared => {}
+            Transfer::Idle => {}
         }
     }
 
@@ -510,7 +513,7 @@ impl Transfer {
             Transfer::Hybrid { src, .. } => src.on_write(c),
             Transfer::Precopy(src) => src.on_write(c),
             Transfer::Mirror(src) => src.on_write(c),
-            Transfer::Shared => {}
+            Transfer::Idle => {}
         }
         matches!(self, Transfer::Hybrid { .. } | Transfer::Precopy(_))
     }

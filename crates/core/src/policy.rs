@@ -105,7 +105,10 @@ pub struct HybridSource {
     remaining: ChunkSet,
     /// Chunks eligible for (re-)pushing, a subset of `remaining`.
     queue: ChunkSet,
-    /// Per-chunk write counts since migration start.
+    /// Per-chunk write counts since migration start, until [`handoff`]
+    /// gives them to the destination.
+    ///
+    /// [`handoff`]: HybridSource::handoff
     wc: WriteCounter,
     /// Chunks currently in the push pipeline.
     inflight: ChunkSet,
@@ -118,15 +121,15 @@ pub struct HybridSource {
 impl HybridSource {
     /// Algorithm 1, MIGRATION_REQUEST: `RemainingSet ← ModifiedSet`,
     /// all write counts reset, background push armed.
-    pub fn start(modified: &ChunkSet, threshold: u32, push_enabled: bool) -> Self {
+    pub fn start(modified: ChunkSet, threshold: u32, push_enabled: bool) -> Self {
         let n = modified.capacity();
         HybridSource {
-            remaining: modified.clone(),
             queue: if push_enabled {
                 modified.clone()
             } else {
                 ChunkSet::new(n)
             },
+            remaining: modified,
             wc: WriteCounter::new(n, threshold),
             inflight: ChunkSet::new(n),
             push_enabled,
@@ -180,10 +183,14 @@ impl HybridSource {
 
     /// SYNC / TRANSFER_IO_CONTROL: stop pushing and hand the destination
     /// the remaining set plus the write counts (Algorithm 3 parameters).
-    pub fn handoff(&mut self) -> (ChunkSet, Vec<u32>) {
+    /// The counter itself moves; writes that still reach the source count
+    /// into a fresh one, which nothing reads, since pushing has stopped.
+    pub fn handoff(&mut self) -> (ChunkSet, WriteCounter) {
         self.queue.clear();
         self.push_enabled = false;
-        (self.remaining.clone(), self.wc.snapshot())
+        let fresh = WriteCounter::new(self.remaining.capacity(), self.wc.threshold());
+        let counts = std::mem::replace(&mut self.wc, fresh);
+        (self.remaining.clone(), counts)
     }
 
     /// Chunks the destination still needs right now.
@@ -214,7 +221,7 @@ pub struct HybridDest {
     order: Vec<(u32, Reverse<u32>)>,
     /// The handed-over write counts, kept so chunks lost in flight can
     /// re-enter the order under their original priority.
-    counts: Vec<u32>,
+    counts: WriteCounter,
     /// Chunks currently being pulled (background or on-demand).
     inflight: ChunkSet,
     /// If false, prefetch in arrival order instead of write-count order
@@ -228,10 +235,10 @@ pub struct HybridDest {
 impl HybridDest {
     /// Algorithm 3, TRANSFER_IO_CONTROL: receive the remaining set and the
     /// write counts, start BACKGROUND_PULL.
-    pub fn start(remaining: ChunkSet, counts: &[u32], prioritized: bool) -> Self {
+    pub fn start(remaining: ChunkSet, counts: WriteCounter, prioritized: bool) -> Self {
         let mut order = Vec::with_capacity(remaining.count() as usize);
         order.extend(remaining.iter().map(|c| {
-            let wc = if prioritized { counts[c.idx()] } else { 0 };
+            let wc = if prioritized { counts.count(c) } else { 0 };
             (wc, Reverse(c.0))
         }));
         order.sort_unstable();
@@ -239,7 +246,7 @@ impl HybridDest {
         HybridDest {
             remaining,
             order,
-            counts: counts.to_vec(),
+            counts,
             inflight: ChunkSet::new(n),
             prioritized,
             background_pulls: 0,
@@ -296,7 +303,7 @@ impl HybridDest {
         if self.inflight.remove(c) {
             self.remaining.insert(c);
             let wc = if self.prioritized {
-                self.counts[c.idx()]
+                self.counts.count(c)
             } else {
                 0
             };
@@ -481,11 +488,20 @@ mod tests {
         ChunkSet::from_iter(n, ids.iter().map(|&i| ChunkId(i)))
     }
 
+    /// Write counts over 16 chunks, `(chunk, count)` pairs, 0 elsewhere.
+    fn counts(hot: &[(u32, u32)]) -> WriteCounter {
+        let mut wc = WriteCounter::new(16, 1);
+        for &(c, n) in hot {
+            wc.record_writes(ChunkId(c), n);
+        }
+        wc
+    }
+
     // ---- HybridSource (Algorithms 1 & 2) ----
 
     #[test]
     fn push_drains_modified_set() {
-        let mut s = HybridSource::start(&set(16, &[2, 5, 9]), 3, true);
+        let mut s = HybridSource::start(set(16, &[2, 5, 9]), 3, true);
         let mut pushed = vec![];
         while let Some(c) = s.next_push() {
             pushed.push(c.0);
@@ -497,19 +513,19 @@ mod tests {
 
     #[test]
     fn hot_chunk_withheld_after_threshold() {
-        let mut s = HybridSource::start(&set(16, &[1]), 2, true);
+        let mut s = HybridSource::start(set(16, &[1]), 2, true);
         s.on_write(ChunkId(1));
         s.on_write(ChunkId(1)); // count = 2 = Threshold: no longer pushable
         assert_eq!(s.next_push(), None);
         let (remaining, counts) = s.handoff();
         assert!(remaining.contains(ChunkId(1)));
-        assert_eq!(counts[1], 2);
+        assert_eq!(counts.count(ChunkId(1)), 2);
     }
 
     #[test]
     fn chunk_pushed_at_most_threshold_times() {
         let threshold = 3u32;
-        let mut s = HybridSource::start(&set(16, &[7]), threshold, true);
+        let mut s = HybridSource::start(set(16, &[7]), threshold, true);
         let mut pushes = 0;
         // Adversarial guest: rewrites the chunk right after every push.
         while let Some(c) = s.next_push() {
@@ -523,7 +539,7 @@ mod tests {
 
     #[test]
     fn rewrite_during_flight_requeues() {
-        let mut s = HybridSource::start(&set(16, &[4]), 3, true);
+        let mut s = HybridSource::start(set(16, &[4]), 3, true);
         let c = s.next_push().unwrap();
         s.on_write(c); // rewritten while the push is in the pipeline
         s.push_done(c);
@@ -532,7 +548,7 @@ mod tests {
 
     #[test]
     fn postcopy_mode_never_pushes() {
-        let mut s = HybridSource::start(&set(16, &[1, 2, 3]), 3, false);
+        let mut s = HybridSource::start(set(16, &[1, 2, 3]), 3, false);
         assert_eq!(s.next_push(), None);
         s.on_write(ChunkId(5));
         assert_eq!(s.next_push(), None);
@@ -541,24 +557,33 @@ mod tests {
         assert_eq!(s.total_pushes(), 0);
     }
 
+    /// The counter moves at the handoff: rewrites, hot chunks, fresh
+    /// chunks and a loss of the push still in flight all leave the push
+    /// stopped, and the handed-over counts fixed.
     #[test]
     fn handoff_stops_push_phase() {
-        let mut s = HybridSource::start(&set(16, &[1, 2]), 3, true);
-        let _ = s.handoff();
+        let mut s = HybridSource::start(set(16, &[1, 2, 3]), 2, true);
+        let inflight = s.next_push().unwrap();
+        s.on_write(ChunkId(2));
+        let (remaining, counts) = s.handoff();
         assert_eq!(s.next_push(), None);
-        s.on_write(ChunkId(3));
+        assert_eq!(counts.count(ChunkId(2)), 1);
+        for c in [2, 2, 2, 5, 15] {
+            s.on_write(ChunkId(c));
+        }
+        s.push_lost(inflight);
         assert_eq!(s.next_push(), None, "no pushing after sync");
+        assert_eq!(s.remaining_count(), remaining.count() + 3);
+        assert_eq!(counts.count(ChunkId(2)), 1, "handed-over counts are fixed");
+        assert_eq!(s.total_pushes(), 1);
     }
 
     // ---- HybridDest (Algorithms 3 & 4) ----
 
     #[test]
     fn prefetch_order_follows_write_counts() {
-        let mut counts = vec![0u32; 16];
-        counts[3] = 5;
-        counts[8] = 9;
-        counts[1] = 1;
-        let mut d = HybridDest::start(set(16, &[1, 3, 8]), &counts, true);
+        let counts = counts(&[(3, 5), (8, 9), (1, 1)]);
+        let mut d = HybridDest::start(set(16, &[1, 3, 8]), counts, true);
         let order: Vec<u32> = std::iter::from_fn(|| {
             d.next_pull().map(|c| {
                 d.pull_done(c);
@@ -572,10 +597,8 @@ mod tests {
 
     #[test]
     fn unprioritized_prefetch_is_chunk_order() {
-        let mut counts = vec![0u32; 16];
-        counts[3] = 5;
-        counts[8] = 9;
-        let mut d = HybridDest::start(set(16, &[3, 8, 1]), &counts, false);
+        let counts = counts(&[(3, 5), (8, 9)]);
+        let mut d = HybridDest::start(set(16, &[3, 8, 1]), counts, false);
         let order: Vec<u32> = std::iter::from_fn(|| {
             d.next_pull().map(|c| {
                 d.pull_done(c);
@@ -588,15 +611,14 @@ mod tests {
 
     #[test]
     fn tie_break_is_low_chunk_id() {
-        let counts = vec![2u32; 16];
-        let mut d = HybridDest::start(set(16, &[9, 4, 12]), &counts, true);
+        let counts = counts(&(0..16).map(|c| (c, 2)).collect::<Vec<_>>());
+        let mut d = HybridDest::start(set(16, &[9, 4, 12]), counts, true);
         assert_eq!(d.next_pull(), Some(ChunkId(4)));
     }
 
     #[test]
     fn read_paths_follow_algorithm_4() {
-        let counts = vec![0u32; 16];
-        let mut d = HybridDest::start(set(16, &[1, 2]), &counts, true);
+        let mut d = HybridDest::start(set(16, &[1, 2]), counts(&[]), true);
         // Chunk being pulled: wait.
         let pulled = d.next_pull().unwrap();
         assert_eq!(d.on_read(pulled), ReadPath::WaitForPull);
@@ -610,8 +632,7 @@ mod tests {
 
     #[test]
     fn write_cancels_pending_and_inflight_pulls() {
-        let counts = vec![0u32; 16];
-        let mut d = HybridDest::start(set(16, &[1, 2]), &counts, true);
+        let mut d = HybridDest::start(set(16, &[1, 2]), counts(&[]), true);
         // Write to a chunk never pulled: silently dropped from remaining.
         assert!(!d.on_write(ChunkId(2)), "no in-flight pull to cancel");
         // Write to an in-flight pull: engine must cancel the transfer.
@@ -623,8 +644,7 @@ mod tests {
 
     #[test]
     fn stale_heap_entries_skipped() {
-        let counts = vec![0u32; 16];
-        let mut d = HybridDest::start(set(16, &[1, 2, 3]), &counts, true);
+        let mut d = HybridDest::start(set(16, &[1, 2, 3]), counts(&[]), true);
         d.on_write(ChunkId(1));
         d.on_write(ChunkId(2));
         assert_eq!(d.next_pull(), Some(ChunkId(3)));

@@ -8,7 +8,7 @@ use lsm_core::engine::{Milestone, RecordingObserver};
 use lsm_core::policy::StrategyKind;
 use lsm_core::{
     EngineError, FaultKind, MigrationStatus, NodeId, OrchestratorConfig, PlannerKind,
-    RequestIntent, SkipReason,
+    RequestIntent, SkipReason, VmId,
 };
 use lsm_simcore::time::SimTime;
 use lsm_simcore::units::MIB;
@@ -464,6 +464,54 @@ fn adaptive_admission_before_first_window_samples_on_demand() {
         "hot writer admitted before the first window was misread as idle"
     );
     assert!(report.migrations[0].completed);
+}
+
+/// A job that never started reports the strategy it was given, not the
+/// VM's current one. The writer's first adaptive job fails before it
+/// starts (its destination crashed at 1 s); at 400 s a second adaptive
+/// job admits `Precopy` for the now idle VM. The failed job's record and
+/// progress must still read the VM's strategy when it was scheduled.
+#[test]
+fn never_started_job_keeps_its_strategy() {
+    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
+    b.with_orchestrator(adaptive_cfg()).expect("configures");
+    let writer = b
+        .add_vm(
+            NodeId(0),
+            WorkloadSpec::SeqWrite {
+                offset: 0,
+                total: 48 * MIB,
+                block: MIB,
+                think_secs: 0.02,
+            },
+            StrategyKind::Hybrid,
+            SimTime::ZERO,
+        )
+        .expect("vm");
+    b.inject_fault(secs(1.0), FaultKind::NodeCrash { node: 2 })
+        .expect("fault");
+    let failed = b
+        .migrate_adaptive(writer, NodeId(2), secs(2.0))
+        .expect("job");
+    let mut sim = b.build().expect("builds");
+    let report = sim.run_until(secs(300.0));
+    assert_eq!(report.migrations[0].strategy, StrategyKind::Hybrid);
+    let later = sim
+        .engine_mut()
+        .schedule_migration_adaptive(VmId(writer.index()), 1, secs(400.0), None)
+        .expect("job");
+    let report = sim.run_until(secs(600.0));
+
+    let first = &report.migrations[0];
+    assert_eq!(first.status, MigrationStatus::Failed);
+    assert!(first.timeline.is_empty(), "the first job never started");
+    assert_eq!(first.strategy, StrategyKind::Hybrid);
+    let second = &report.migrations[1];
+    assert!(second.completed);
+    assert_eq!(second.strategy, StrategyKind::Precopy, "idle by then");
+    let strategy = |job| sim.progress(job).expect("job").strategy;
+    assert_eq!(strategy(failed), StrategyKind::Hybrid);
+    assert_eq!(strategy(later), StrategyKind::Precopy);
 }
 
 /// The cost planner reads the same on-demand sample — and records the

@@ -3,10 +3,11 @@
 //! [`HybridDest`] sorts its prefetch order once at handoff and pops from
 //! the end. [`HeapDest`] is the same state machine over a max-heap of
 //! `(write_count, Reverse(chunk))`, popped lazily: the order as it was
-//! computed on every pop. Driven by the same calls, the two must answer
-//! every call alike.
+//! computed on every pop, over a dense vector of the counts. Driven by the
+//! same calls, the two must answer every call alike. `HybridDest` gets
+//! the counts as the source hands them over: a [`WriteCounter`], by value.
 
-use lsm_blockdev::{ChunkId, ChunkSet};
+use lsm_blockdev::{ChunkId, ChunkSet, WriteCounter};
 use lsm_core::policy::{HybridDest, ReadPath};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -109,7 +110,11 @@ proptest! {
             n,
             (0..n).filter(|&c| chunks[c as usize].0).map(ChunkId),
         );
-        let mut d = HybridDest::start(set.clone(), &counts, prioritized);
+        let mut wc = WriteCounter::new(n, 1);
+        for (c, &k) in counts.iter().enumerate() {
+            wc.record_writes(ChunkId(c as u32), k);
+        }
+        let mut d = HybridDest::start(set.clone(), wc, prioritized);
         let mut m = HeapDest::start(set, &counts, prioritized);
         for (step, &(op, pick)) in ops.iter().enumerate() {
             let any = ChunkId(pick as u32 % n);
