@@ -435,25 +435,32 @@ impl Observer for Chain<'_> {
     }
 }
 
+/// A finished run: its report, and under `--check` its finished
+/// invariant checkers (one per shard on the sharded path) and the
+/// shard count.
+struct Run {
+    report: RunReport,
+    checkers: Vec<lsm_check::InvariantObserver>,
+    shards: Option<usize>,
+}
+
 /// The sharded run path: partition the scenario into independent node
 /// components and run them on `threads` worker threads. Returns
-/// `Ok(false)` — without printing anything — when the partitioner
+/// `Ok(None)` — without printing anything — when the partitioner
 /// rejects the scenario, so the caller can fall back to the monolithic
-/// engine. Under `--check`, one invariant checker audits each shard and
-/// the verdicts are pooled.
-fn cmd_run_sharded(
+/// engine. Under `--check`, one invariant checker audits each shard;
+/// without it the shards run unobserved.
+fn run_sharded(
     spec: &ScenarioSpec,
-    json: bool,
     check: bool,
     threads: usize,
-    lint_diags: Option<&[lsm_analyze::Diag]>,
-) -> Result<bool, UsageError> {
+) -> Result<Option<Run>, UsageError> {
     use lsm_experiments::shard;
     let sharded = shard::run_scenario_sharded_observed(
         spec,
         threads,
         lsm_netsim::SolverMode::default(),
-        lsm_check::InvariantObserver::new,
+        || check.then(lsm_check::InvariantObserver::new),
     )
     .map_err(|e| UsageError(format!("scenario rejected: {e}")))?;
     let run = match sharded {
@@ -463,7 +470,7 @@ fn cmd_run_sharded(
                 "note: not shardable ({}); running monolithic",
                 shard::render_rejections(&reasons)
             );
-            return Ok(false);
+            return Ok(None);
         }
     };
     let nshards = run.shards.len();
@@ -472,42 +479,79 @@ fn cmd_run_sharded(
         nshards,
         threads.min(nshards)
     );
-    if json {
-        println!("{}", report_json(&run.report, lint_diags)?);
+    let checkers = run
+        .shards
+        .into_iter()
+        .filter_map(|(shard, checker)| {
+            checker.map(|mut c| {
+                c.finish(&shard.engine);
+                c
+            })
+        })
+        .collect();
+    Ok(Some(Run {
+        report: run.report,
+        checkers,
+        shards: Some(nshards),
+    }))
+}
+
+/// The monolithic run path, with `--progress` lines and the `--check`
+/// checker as asked.
+fn run_monolithic(spec: &ScenarioSpec, check: bool, progress: bool) -> Result<Run, UsageError> {
+    if !(spec.horizon_secs.is_finite() && spec.horizon_secs >= 0.0) {
+        return Err(UsageError(format!(
+            "invalid horizon_secs: {}",
+            spec.horizon_secs
+        )));
+    }
+    let mut sim = lsm_experiments::scenario::build_scenario(spec)
+        .map_err(|e| UsageError(format!("scenario rejected: {e}")))?;
+    let mut checker = check.then(lsm_check::InvariantObserver::new);
+    let horizon = SimTime::from_secs_f64(spec.horizon_secs);
+    let report = if progress {
+        sim.run_observed(horizon, &mut Chain(&mut ProgressPrinter, &mut checker))
     } else {
-        print_report(spec, &run.report);
+        sim.run_observed(horizon, &mut checker)
+    };
+    // The final full audit inspects the post-run engine state.
+    if let Some(c) = checker.as_mut() {
+        c.finish(sim.engine());
     }
-    if check {
-        let mut checks = 0u64;
-        let mut bad = 0u64;
-        let mut sample: Vec<String> = Vec::new();
-        for (shard, mut checker) in run.shards {
-            checker.finish(&shard.engine);
-            checks += checker.checks_run();
-            bad += checker.total_violations();
-            for v in checker.violations().iter().take(16 - sample.len().min(16)) {
-                sample.push(format!("{v}"));
-            }
+    Ok(Run {
+        report,
+        checkers: checker.into_iter().collect(),
+        shards: None,
+    })
+}
+
+/// Print `--check`'s verdict, pooled over the run's checkers. A clean
+/// line goes to stderr under `--json`, which owns stdout; violations
+/// fail the command.
+fn print_verdict(run: &Run, json: bool) -> Result<(), UsageError> {
+    let checks: u64 = run.checkers.iter().map(|c| c.checks_run()).sum();
+    let bad: u64 = run.checkers.iter().map(|c| c.total_violations()).sum();
+    if bad > 0 {
+        eprintln!("  invariants: {bad} violation(s):");
+        for v in run.checkers.iter().flat_map(|c| c.violations()).take(16) {
+            eprintln!("    {v}");
         }
-        if bad == 0 {
-            let line = format!(
-                "  invariants: clean ({checks} checks across {} event(s), {nshards} shard(s))",
-                run.report.events
-            );
-            if json {
-                eprintln!("{line}");
-            } else {
-                println!("{line}");
-            }
-        } else {
-            eprintln!("  invariants: {bad} violation(s):");
-            for v in sample.iter().take(16) {
-                eprintln!("    {v}");
-            }
-            return Err(UsageError("invariant violations detected".to_string()));
-        }
+        return Err(UsageError("invariant violations detected".to_string()));
     }
-    Ok(true)
+    let shards = run
+        .shards
+        .map(|n| format!(", {n} shard(s)"))
+        .unwrap_or_default();
+    let line = format!(
+        "  invariants: clean ({checks} checks across {} event(s){shards})",
+        run.report.events
+    );
+    if json {
+        eprintln!("{line}");
+    } else {
+        println!("{line}");
+    }
+    Ok(())
 }
 
 /// Load and parse a scenario file (TOML by default, JSON by extension).
@@ -580,67 +624,23 @@ fn cmd_run(
         threads
     };
 
-    if threads > 1 && cmd_run_sharded(&spec, json, check, threads, lint_diags.as_deref())? {
-        return Ok(());
-    }
-    // Partitioner said no (or --threads 1) — monolithic engine.
-
-    let (report, verdict) = if check {
-        // Invariant-audited run: keep the simulation handle so the
-        // final full audit can inspect the post-run engine state.
-        if !(spec.horizon_secs.is_finite() && spec.horizon_secs >= 0.0) {
-            return Err(UsageError(format!(
-                "invalid horizon_secs: {}",
-                spec.horizon_secs
-            )));
-        }
-        let mut sim = lsm_experiments::scenario::build_scenario(&spec)
-            .map_err(|e| UsageError(format!("scenario rejected: {e}")))?;
-        let mut checker = lsm_check::InvariantObserver::new();
-        let horizon = SimTime::from_secs_f64(spec.horizon_secs);
-        let report = if progress {
-            let mut printer = ProgressPrinter;
-            sim.run_observed(horizon, &mut Chain(&mut printer, &mut checker))
-        } else {
-            sim.run_observed(horizon, &mut checker)
-        };
-        checker.finish(sim.engine());
-        (report, Some(checker))
+    let sharded = if threads > 1 {
+        run_sharded(&spec, check, threads)?
     } else {
-        let report = if progress {
-            run_scenario_observed(&spec, &mut ProgressPrinter)
-        } else {
-            run_scenario(&spec)
-        }
-        .map_err(|e| UsageError(format!("scenario rejected: {e}")))?;
-        (report, None)
+        None
     };
-
+    // Partitioner said no (or --threads 1) — monolithic engine.
+    let run = match sharded {
+        Some(run) => run,
+        None => run_monolithic(&spec, check, progress)?,
+    };
     if json {
-        println!("{}", report_json(&report, lint_diags.as_deref())?);
+        println!("{}", report_json(&run.report, lint_diags.as_deref())?);
     } else {
-        print_report(&spec, &report);
+        print_report(&spec, &run.report);
     }
-    if let Some(checker) = verdict {
-        if checker.is_clean() {
-            let line = format!(
-                "  invariants: clean ({} checks across {} event(s))",
-                checker.checks_run(),
-                report.events
-            );
-            if json {
-                // Keep stdout parseable: `--json` owns it exclusively.
-                eprintln!("{line}");
-            } else {
-                println!("{line}");
-            }
-        } else {
-            eprintln!("  invariants: {} violation(s):", checker.total_violations());
-            for v in checker.violations().iter().take(16) {
-                eprintln!("    {v}");
-            }
-            return Err(UsageError("invariant violations detected".to_string()));
-        }
+    if check {
+        print_verdict(&run, json)?;
     }
     Ok(())
 }

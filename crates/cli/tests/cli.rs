@@ -362,6 +362,32 @@ fn run_with_check_reports_clean_invariants() {
 }
 
 #[test]
+fn sharded_run_prints_the_pooled_verdict_only_under_check() {
+    let scenario = repo_root().join("scenarios/demo.toml");
+    let path = scenario.to_str().unwrap();
+    let checked = lsm(&["run", path, "--threads", "2", "--check"]);
+    assert!(checked.status.success(), "stderr: {}", stderr(&checked));
+    assert!(stderr(&checked).contains("sharded: 2 component(s)"));
+    let text = stdout(&checked);
+    let verdict = text
+        .lines()
+        .find(|l| l.starts_with("  invariants: clean ("))
+        .unwrap_or_else(|| panic!("no verdict: {text}"));
+    assert!(verdict.ends_with(", 2 shard(s))"), "{verdict}");
+
+    let plain = lsm(&["run", path, "--threads", "2"]);
+    assert!(plain.status.success(), "stderr: {}", stderr(&plain));
+    assert!(stderr(&plain).contains("sharded: 2 component(s)"));
+    let out = format!("{}{}", stdout(&plain), stderr(&plain));
+    assert!(!out.contains("invariants"), "{out}");
+    assert_eq!(
+        stdout(&plain),
+        text.replace(&format!("{verdict}\n"), ""),
+        "the checker must not change the report"
+    );
+}
+
+#[test]
 fn run_deadline_scenario_reports_deadline_reason() {
     let scenario = repo_root().join("scenarios/fault_deadline.toml");
     let out = lsm(&["run", scenario.to_str().unwrap(), "--json"]);

@@ -86,8 +86,6 @@ pub struct ClusterConfig {
     pub pvfs_op_overhead: SimDuration,
     /// PVFS per-write overhead (synchronous qcow2-on-PVFS metadata).
     pub pvfs_write_overhead: SimDuration,
-    /// RNG seed for the run.
-    pub seed: u64,
 }
 
 impl Default for ClusterConfig {
@@ -123,7 +121,6 @@ impl Default for ClusterConfig {
             pvfs_stripe: 64 * KIB,
             pvfs_op_overhead: SimDuration::from_millis(2),
             pvfs_write_overhead: SimDuration::from_millis(16),
-            seed: 42,
         }
     }
 }

@@ -220,8 +220,7 @@ pub(crate) fn flow_lost(eng: &mut Engine, ctx: FlowCtx) {
         FlowCtx::MemRound { .. }
         | FlowCtx::MemStop { .. }
         | FlowCtx::MemPostPull { .. }
-        | FlowCtx::PushBatch { .. }
-        | FlowCtx::PullBatch { .. } => {}
+        | FlowCtx::Batch(_) => {}
         // A mirrored write gates a guest op: if the guest survived (the
         // destination crashed), the write completes locally — degraded,
         // not hung. For a dead guest the op was purged and this no-ops.
@@ -264,7 +263,7 @@ pub(crate) fn disk_lost(eng: &mut Engine, node: u32, ctx: DiskCtx) {
     match ctx {
         // Reads feeding migration transfers on a dead node: the owning
         // job was aborted when the node crashed; nothing to do.
-        DiskCtx::PushRead { .. } | DiskCtx::PullRead { .. } => {}
+        DiskCtx::BatchRead(_) => {}
         // Guest op on the dead host: the op was purged with the guest.
         DiskCtx::VmOp { op } => eng.op_part_done(op),
         DiskCtx::Writeback { vm, .. } => {
@@ -324,7 +323,7 @@ pub(crate) fn abort_migration(eng: &mut Engine, job: JobId, reason: FailureReaso
 pub(crate) fn teardown_transfer(eng: &mut Engine, v: VmIdx) {
     let now = eng.now;
 
-    // Sever the job's remaining transfer flows: memory rounds, push/pull
+    // Sever the job's remaining transfer flows: memory rounds, storage
     // batches and mirror writes. The crash path already removed those
     // touching the crashed node; deadlines sever all. Guest I/O flows
     // (repo fetches, PVFS legs, halos) are untouched: aborting a
@@ -334,8 +333,7 @@ pub(crate) fn teardown_transfer(eng: &mut Engine, v: VmIdx) {
             FlowCtx::MemRound { vm }
             | FlowCtx::MemStop { vm }
             | FlowCtx::MemPostPull { vm }
-            | FlowCtx::PushBatch { vm, .. }
-            | FlowCtx::PullBatch { vm, .. }
+            | FlowCtx::Batch(Batch { vm, .. })
             | FlowCtx::MirrorWrite { vm, .. } if *vm == v)
     });
     let lost = sever(eng, ids);
@@ -419,38 +417,16 @@ fn stall_transfer(eng: &mut Engine, v: VmIdx, secs: f64) {
     if super::resilient::try_retry_stall(eng, v) {
         return;
     }
-    // Sever in-flight storage batches (push and pull; memory flows ride
+    // Sever in-flight storage batches of every kind (memory flows ride
     // the hypervisor's own channel and are not storage transfers).
-    let ids = flows_where(eng, |ctx| {
-        matches!(ctx,
-            FlowCtx::PushBatch { vm, .. } | FlowCtx::PullBatch { vm, .. } if *vm == v)
-    });
+    let ids = flows_where(eng, |ctx| matches!(ctx, FlowCtx::Batch(b) if b.vm == v));
     let lost = sever(eng, ids);
     let Some(mig) = eng.vms[v as usize].migration.as_mut() else {
         return;
     };
     for ctx in lost {
-        match ctx {
-            FlowCtx::PushBatch { chunks, .. } => {
-                mig.push_slots_busy -= 1;
-                for (c, _) in chunks {
-                    mig.transfer.send_lost(c);
-                }
-            }
-            FlowCtx::PullBatch {
-                chunks, background, ..
-            } => {
-                if background {
-                    mig.pull_slots_busy -= 1;
-                }
-                mig.pulls_inflight -= 1;
-                if let Some(dst) = mig.transfer.dest_mut() {
-                    for (c, _) in chunks {
-                        dst.pull_lost(c);
-                    }
-                }
-            }
-            _ => {}
+        if let FlowCtx::Batch(batch) = ctx {
+            mig.batch_lost(batch);
         }
     }
     let until = now + SimDuration::from_secs_f64(secs);
@@ -480,23 +456,8 @@ pub(crate) fn stall_over(eng: &mut Engine, v: VmIdx) {
     };
     if !deferred.is_empty() {
         // Their reads are still parked as pull waiters; one batch
-        // re-requests the lot with on-demand priority.
-        let (src, dst, epoch) = {
-            let vm = &mut eng.vms[v as usize];
-            let mig = vm.migration.as_mut().expect("checked above");
-            mig.pulls_inflight += 1;
-            (mig.source, mig.dest, vm.mig_epoch)
-        };
-        eng.send_ctl(
-            dst,
-            src,
-            Ctl::PullRequest {
-                vm: v,
-                chunks: deferred,
-                background: false,
-                epoch,
-            },
-        );
+        // requests the lot with on-demand priority.
+        migration::issue_batch(eng, v, BatchKind::OnDemand, deferred);
     }
     migration::pump_push(eng, v);
     migration::pump_pull(eng, v);

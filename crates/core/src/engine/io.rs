@@ -162,7 +162,7 @@ fn submit_read(
     let mut cache_hit = 0u64;
     let mut disk_miss = 0u64;
     let mut fetch_chunks: Vec<ChunkId> = Vec::new();
-    let mut ondemand: Vec<ChunkId> = Vec::new();
+    let mut ondemand: Vec<(ChunkId, u64)> = Vec::new();
 
     for raw in first.0..=last.0 {
         let c = ChunkId(raw);
@@ -202,7 +202,7 @@ fn submit_read(
                         mig.pull_waiters.entry(c).or_default().push(op);
                         mig.ondemand_chunks += 1;
                     }
-                    ondemand.push(c);
+                    ondemand.push((c, 0));
                     continue;
                 }
             }
@@ -221,37 +221,19 @@ fn submit_read(
     }
 
     if !ondemand.is_empty() {
-        // All on-demand chunks of this read op travel as one request —
-        // one source disk read, one flow, one completion event. During
-        // a transfer stall the request is deferred instead: the reads
-        // stay parked as pull waiters and the batch goes out when the
-        // stall clears (the outage window admits *no* storage traffic).
-        let stalled = {
-            let mig = eng.vm_mut(v).migration.as_mut().expect("pull phase");
-            if mig.stalled_until.is_some() {
-                mig.stalled_ondemand.extend(ondemand.iter().copied());
-                true
-            } else {
-                mig.pulls_inflight += 1;
-                false
-            }
-        };
-        if !stalled {
-            let (src, dst, epoch) = {
-                let vm = eng.vm(v);
-                let mig = vm.migration.as_ref().expect("pull phase");
-                (mig.source, mig.dest, vm.mig_epoch)
-            };
-            eng.send_ctl(
-                dst,
-                src,
-                Ctl::PullRequest {
-                    vm: v,
-                    chunks: ondemand,
-                    background: false,
-                    epoch,
-                },
-            );
+        // All on-demand chunks of this read op travel as one batch (one
+        // request, one source disk read, one flow, one completion event).
+        // During a transfer stall they wait, their reads parked as pull
+        // waiters: they are not in flight until the stall clears and
+        // `fault::stall_over` issues them.
+        let stalled = eng
+            .vm_mut(v)
+            .migration
+            .as_mut()
+            .filter(|m| m.stalled_until.is_some());
+        match stalled {
+            Some(mig) => mig.stalled_ondemand.extend(ondemand),
+            None => super::migration::issue_batch(eng, v, BatchKind::OnDemand, ondemand),
         }
     }
     if !fetch_chunks.is_empty() {

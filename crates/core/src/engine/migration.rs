@@ -1,4 +1,4 @@
-//! Migration orchestration: memory rounds, the push/pull pipelines,
+//! Migration orchestration: memory rounds, the storage batch pipeline,
 //! control transfer, and completion — the engine-side realization of
 //! Figure 2 of the paper.
 //!
@@ -9,6 +9,20 @@
 //! chosen by the strategy at start. Its lifecycle phase changes only
 //! through [`set_phase`], which also moves the job's status at the three
 //! phases that are lifecycle steps.
+//!
+//! Local storage moves through one pipeline in three guises
+//! ([`BatchKind`]): the source's push (Algorithms 1–2) and the
+//! destination's prefetch and on-demand pulls (Algorithms 3–4).
+//! [`issue_batch`] counts a batch in flight and sends it: a push straight
+//! to the source disk, a pull as a request that the source serves from
+//! its disk. [`batch_read_done`] stamps the chunk versions and starts the
+//! flow under the kind's traffic tag. [`batch_arrived`] lands the chunks
+//! and runs the kind's tail: a push may refill the push window and let
+//! the handoff go, a pull wakes its reads, refills the prefetch window
+//! and may complete the migration. A transfer stall loses the batches
+//! in flight through [`MigrationRt::batch_lost`], which returns their
+//! chunks to the surviving manifest. One guard, [`batch_owner`], drops
+//! a batch, request or read whose migration ended or was superseded.
 
 use super::io;
 use super::job::{FailureReason, JobId, MigrationStatus};
@@ -169,9 +183,7 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
         linger_rounds: 0,
         pending_stop_bytes: 0,
         transfer,
-        push_slots_busy: 0,
-        pull_slots_busy: 0,
-        pulls_inflight: 0,
+        in_flight: [0; 3],
         pull_waiters: HashMap::new(),
         source_store: None,
         final_chunks: Vec::new(),
@@ -231,37 +243,7 @@ pub(crate) fn ctl_arrive(eng: &mut Engine, _node: u32, msg: Ctl) {
             remaining,
             counts,
         } => transfer_io_control(eng, vm, remaining, counts),
-        Ctl::PullRequest {
-            vm,
-            chunks,
-            background,
-            epoch,
-        } => {
-            // Serve the pull from the source's disk — unless the
-            // migration was aborted (fault/deadline) while the request
-            // was on the wire (possibly with a successor migration
-            // already running: the epoch check catches that), in which
-            // case it is dropped like any other message for a dead
-            // transfer.
-            if eng.vm(vm).mig_epoch != epoch {
-                return;
-            }
-            let source = match eng.vm(vm).migration.as_ref() {
-                Some(mig) if mig.phase == MigPhase::PullPhase => mig.source,
-                _ => return,
-            };
-            let bytes = eng.cfg().chunk_size * chunks.len() as u64;
-            eng.disk_submit(
-                source,
-                bytes,
-                DiskCtx::PullRead {
-                    vm,
-                    chunks,
-                    background,
-                    epoch,
-                },
-            );
-        }
+        Ctl::PullRequest(batch) => read_at_source(eng, batch),
     }
 }
 
@@ -299,9 +281,11 @@ fn storage_converged(eng: &Engine, v: VmIdx) -> bool {
         return true;
     };
     match &mig.transfer {
-        Transfer::Precopy(src) => src.converged() && mig.push_slots_busy == 0,
+        Transfer::Precopy(src) => src.converged() && mig.in_flight[BatchKind::Push as usize] == 0,
         Transfer::Mirror(src) => {
-            src.converged() && mig.push_slots_busy == 0 && mig.mirror_flows_inflight == 0
+            src.converged()
+                && mig.in_flight[BatchKind::Push as usize] == 0
+                && mig.mirror_flows_inflight == 0
         }
         Transfer::Hybrid { .. } | Transfer::Idle => true,
     }
@@ -661,14 +645,15 @@ pub(crate) fn mem_post_pull_done(eng: &mut Engine, v: VmIdx) {
     maybe_complete(eng, v);
 }
 
-// ---------------- push pipeline (source side) ----------------
+// ---------------- storage batches ----------------
 
+/// Source side of the push: keep `transfer_window` batches of up to
+/// `transfer_batch` chunks in flight while memory rounds run.
 pub(crate) fn pump_push(eng: &mut Engine, v: VmIdx) {
     let batch_max = eng.cfg().transfer_batch as usize;
     let window = eng.cfg().transfer_window;
-    let chunk_size = eng.cfg().chunk_size;
     loop {
-        let (batch, source) = {
+        let batch = {
             let Some(mig) = eng.vm_mut(v).migration.as_mut() else {
                 return;
             };
@@ -678,12 +663,10 @@ pub(crate) fn pump_push(eng: &mut Engine, v: VmIdx) {
             if mig.stalled_until.is_some() {
                 return; // transfer stall: initiate nothing until it clears
             }
-            if mig.push_slots_busy >= window {
+            if mig.in_flight[BatchKind::Push as usize] >= window {
                 return;
             }
-            // Versions are placeholders here; they are stamped in place
-            // when the source disk read completes (send time).
-            let mut batch: Vec<(ChunkId, u64)> =
+            let mut batch =
                 Vec::with_capacity(batch_max.min(mig.transfer.source_remaining() as usize));
             while batch.len() < batch_max {
                 match mig.transfer.next_send() {
@@ -691,160 +674,50 @@ pub(crate) fn pump_push(eng: &mut Engine, v: VmIdx) {
                     None => break,
                 }
             }
-            if batch.is_empty() {
-                return;
-            }
-            mig.push_slots_busy += 1;
-            (batch, mig.source)
+            batch
         };
-        let epoch = eng.vm(v).mig_epoch;
-        let bytes = chunk_size * batch.len() as u64;
-        eng.disk_submit(
-            source,
-            bytes,
-            DiskCtx::PushRead {
-                vm: v,
-                chunks: batch,
-                slot: 0,
-                epoch,
-            },
-        );
-    }
-}
-
-pub(crate) fn push_read_done(
-    eng: &mut Engine,
-    v: VmIdx,
-    mut chunks: Vec<(ChunkId, u64)>,
-    slot: u32,
-    epoch: u64,
-) {
-    if eng.vm(v).mig_epoch != epoch {
-        return; // issued by an aborted predecessor migration: drop
-    }
-    {
-        // A transfer stall declared while the source read was in flight:
-        // the wire is down, so the batch never leaves — its chunks go
-        // back to the surviving manifest like a severed flow's.
-        let vm = eng.vm_mut(v);
-        let Some(mig) = vm.migration.as_mut() else {
-            return;
-        };
-        if matches!(mig.phase, MigPhase::Complete | MigPhase::Aborted) {
-            return; // aborted while the source read was in flight
-        }
-        if mig.stalled_until.is_some() {
-            mig.push_slots_busy -= 1;
-            for (c, _) in chunks {
-                mig.transfer.send_lost(c);
-            }
+        if batch.is_empty() {
             return;
         }
+        issue_batch(eng, v, BatchKind::Push, batch);
     }
-    let (source, dest) = {
-        let vm = eng.vm(v);
-        let mig = vm.migration.as_ref().expect("checked above");
-        let store = mig.source_store.as_ref().unwrap_or(&vm.store);
-        // Stamp versions at send time, in place: the manifest allocation
-        // made at pump time travels through disk read and flow untouched.
-        for e in &mut chunks {
-            e.1 = store.version(e.0);
-        }
-        (mig.source, mig.dest)
-    };
-    let bytes = super::qos::wire_bytes_storage(eng, eng.cfg().chunk_size * chunks.len() as u64);
-    let cap = super::qos::storage_flow_cap(eng);
-    eng.start_flow(
-        source,
-        dest,
-        bytes,
-        cap,
-        TrafficTag::StoragePush,
-        FlowCtx::PushBatch {
-            vm: v,
-            chunks,
-            slot,
-            epoch,
-        },
-    );
-}
-
-pub(crate) fn push_batch_arrived(
-    eng: &mut Engine,
-    v: VmIdx,
-    chunks: Vec<(ChunkId, u64)>,
-    _slot: u32,
-    epoch: u64,
-) {
-    if eng.vm(v).mig_epoch != epoch {
-        return; // stale batch of an aborted predecessor migration
-    }
-    let bytes = eng.cfg().chunk_size * chunks.len() as u64;
-    let dest = {
-        let vm = eng.vm_mut(v);
-        let Some(mig) = vm.migration.as_mut() else {
-            return;
-        };
-        if matches!(mig.phase, MigPhase::Complete | MigPhase::Aborted) {
-            return;
-        }
-        let store = vm.dest_store.as_mut().unwrap_or(&mut vm.store);
-        for &(c, ver) in &chunks {
-            store.apply(c, ver);
-            mig.transfer.send_done(c);
-        }
-        mig.pushed_chunks += chunks.len() as u64;
-        mig.push_slots_busy -= 1;
-        mig.dest
-    };
-    eng.ingest(dest, bytes);
-    pump_push(eng, v);
-    maybe_handoff(eng, v);
 }
 
 /// Fire the remaining-set handoff once the push pipeline has drained
 /// after the stop-and-copy (in-flight pushes finish over TCP before the
 /// source sends the remaining-chunk list, Figure 2).
 pub(crate) fn maybe_handoff(eng: &mut Engine, v: VmIdx) {
-    let ready = {
-        let vm = eng.vm(v);
-        match vm.migration.as_ref() {
-            Some(mig) => {
-                mig.phase == MigPhase::SyncDrain
-                    && !mig.handoff_sent
-                    && mig.push_slots_busy == 0
-                    // A stall blocks the handoff too: chunks of severed
-                    // batches must be back in the remaining set first.
-                    && mig.stalled_until.is_none()
-            }
-            None => false,
-        }
+    let Some(mig) = eng.vm_mut(v).migration.as_mut() else {
+        return;
     };
+    let ready = mig.phase == MigPhase::SyncDrain
+        && !mig.handoff_sent
+        && mig.in_flight[BatchKind::Push as usize] == 0
+        // A stall blocks the handoff too: chunks of severed batches must
+        // be back in the remaining set first.
+        && mig.stalled_until.is_none();
     if ready {
-        eng.vm_mut(v)
-            .migration
-            .as_mut()
-            .expect("migrating")
-            .handoff_sent = true;
+        mig.handoff_sent = true;
         do_handoff(eng, v);
     }
 }
 
-// ---------------- pull pipeline (destination side) ----------------
-
+/// Destination side of the prefetch: one request (and later one flow and
+/// one completion event) carries up to `transfer_batch` chunks, and
+/// `transfer_window` of them may be in flight, so the outstanding-chunk
+/// budget matches the pre-batching pipeline (window × batch single-chunk
+/// requests).
 pub(crate) fn pump_pull(eng: &mut Engine, v: VmIdx) {
-    // One request (and later one flow + one completion event) carries up
-    // to `transfer_batch` chunks; `transfer_window` batches may be in
-    // flight, so the outstanding-chunk budget matches the pre-batching
-    // pipeline (window × batch single-chunk requests).
     let window = eng.cfg().transfer_window;
     let batch_max = eng.cfg().transfer_batch as usize;
     loop {
-        let req = {
+        let batch = {
             let Some(mig) = eng.vm_mut(v).migration.as_mut() else {
                 return;
             };
-            if mig.phase != MigPhase::PullPhase || mig.pull_slots_busy >= window {
+            if mig.phase != MigPhase::PullPhase
+                || mig.in_flight[BatchKind::Prefetch as usize] >= window
+            {
                 return;
             }
             if mig.stalled_until.is_some() {
@@ -856,147 +729,164 @@ pub(crate) fn pump_pull(eng: &mut Engine, v: VmIdx) {
             let mut batch = Vec::with_capacity(batch_max.min(dst_state.remaining_count() as usize));
             while batch.len() < batch_max {
                 match dst_state.next_pull() {
-                    Some(c) => batch.push(c),
+                    Some(c) => batch.push((c, 0)),
                     None => break,
                 }
             }
-            if batch.is_empty() {
-                return;
-            }
-            mig.pull_slots_busy += 1;
-            mig.pulls_inflight += 1;
-            (mig.dest, mig.source, batch)
+            batch
         };
-        let (dest, source, batch) = req;
-        let epoch = eng.vm(v).mig_epoch;
-        eng.send_ctl(
-            dest,
-            source,
-            Ctl::PullRequest {
-                vm: v,
-                chunks: batch,
-                background: true,
-                epoch,
-            },
-        );
+        if batch.is_empty() {
+            return;
+        }
+        issue_batch(eng, v, BatchKind::Prefetch, batch);
     }
 }
 
-pub(crate) fn pull_read_done(
+/// Issue a storage batch of `chunks` (versions not yet stamped): count it
+/// in flight and send it on its way, a push straight to the source's
+/// disk, a pull as a request to the source. Nothing is issued during a
+/// transfer stall: the pumps wait for it to clear, and
+/// `io::submit_read` parks on-demand chunks until
+/// [`super::fault::stall_over`] issues them.
+pub(crate) fn issue_batch(
     eng: &mut Engine,
     v: VmIdx,
-    chunks: Vec<ChunkId>,
-    background: bool,
-    epoch: u64,
-) {
-    if eng.vm(v).mig_epoch != epoch {
-        return; // issued by an aborted predecessor migration: drop
-    }
-    {
-        // Stall declared while the source read was in flight: the wire
-        // is down — release the pipeline slot and return the chunks to
-        // the prefetch manifest (their waiters stay parked; the resumed
-        // pull re-delivers).
-        let vm = eng.vm_mut(v);
-        let Some(mig) = vm.migration.as_mut() else {
-            return;
-        };
-        if mig.phase != MigPhase::PullPhase {
-            return; // aborted while the source read was in flight
-        }
-        if mig.stalled_until.is_some() {
-            if background {
-                mig.pull_slots_busy -= 1;
-            }
-            mig.pulls_inflight -= 1;
-            if let Some(dst) = mig.transfer.dest_mut() {
-                for c in chunks {
-                    dst.pull_lost(c);
-                }
-            }
-            return;
-        }
-    }
-    let (source, dest, withver) = {
-        let vm = eng.vm(v);
-        let mig = vm.migration.as_ref().expect("checked above");
-        let store = mig.source_store.as_ref().unwrap_or(&vm.store);
-        // The only manifest allocation of the pull path: versions are
-        // captured at send time and the vector moves into the flow
-        // context (no clone, no per-chunk flow registry).
-        let withver: Vec<(ChunkId, u64)> = chunks.iter().map(|&c| (c, store.version(c))).collect();
-        (mig.source, mig.dest, withver)
-    };
-    let bytes = super::qos::wire_bytes_storage(eng, eng.cfg().chunk_size * chunks.len() as u64);
-    let cap = super::qos::storage_flow_cap(eng);
-    eng.start_flow(
-        source,
-        dest,
-        bytes,
-        cap,
-        TrafficTag::StoragePull,
-        FlowCtx::PullBatch {
-            vm: v,
-            chunks: withver,
-            background,
-            epoch,
-        },
-    );
-}
-
-pub(crate) fn pull_batch_arrived(
-    eng: &mut Engine,
-    v: VmIdx,
+    kind: BatchKind,
     chunks: Vec<(ChunkId, u64)>,
-    background: bool,
-    epoch: u64,
 ) {
-    if eng.vm(v).mig_epoch != epoch {
-        return; // stale batch of an aborted predecessor migration
+    let vm = eng.vm_mut(v);
+    let epoch = vm.mig_epoch;
+    let Some(mig) = vm.migration.as_mut() else {
+        return;
+    };
+    mig.in_flight[kind as usize] += 1;
+    let (source, dest) = (mig.source, mig.dest);
+    let batch = Batch {
+        vm: v,
+        kind,
+        chunks,
+        epoch,
+    };
+    if kind == BatchKind::Push {
+        read_at_source(eng, batch);
+    } else {
+        eng.send_ctl(dest, source, Ctl::PullRequest(batch));
     }
-    let bytes = eng.cfg().chunk_size * chunks.len() as u64;
+}
+
+/// The migration a storage batch still belongs to: the VM's record, if
+/// it issued the batch (the batch's `epoch` is the VM's `current` one)
+/// and is not over. A batch, request or read of an aborted or completed
+/// migration is dropped like any other message for a dead transfer.
+fn batch_owner(
+    migration: &mut Option<MigrationRt>,
+    current: u64,
+    epoch: u64,
+) -> Option<&mut MigrationRt> {
+    migration
+        .as_mut()
+        .filter(|m| current == epoch && !matches!(m.phase, MigPhase::Complete | MigPhase::Aborted))
+}
+
+/// Queue a storage batch's read at the source disk.
+fn read_at_source(eng: &mut Engine, batch: Batch) {
+    let source = {
+        let vm = eng.vm_mut(batch.vm);
+        let Some(mig) = batch_owner(&mut vm.migration, vm.mig_epoch, batch.epoch) else {
+            return;
+        };
+        mig.source
+    };
+    let bytes = eng.cfg().chunk_size * batch.chunks.len() as u64;
+    eng.disk_submit(source, bytes, DiskCtx::BatchRead(batch));
+}
+
+/// A storage batch's source read finished: stamp the chunk versions and
+/// start its flow under the kind's traffic tag. A batch read while a
+/// stall cut the wire never leaves and is lost instead.
+pub(crate) fn batch_read_done(eng: &mut Engine, mut batch: Batch) {
+    let (source, dest) = {
+        let vm = eng.vm_mut(batch.vm);
+        let Some(mig) = batch_owner(&mut vm.migration, vm.mig_epoch, batch.epoch) else {
+            return;
+        };
+        if mig.stalled_until.is_some() {
+            mig.batch_lost(batch);
+            return;
+        }
+        // Stamp versions at send time, in place: the manifest allocated
+        // at issue travels through request, disk read and flow untouched.
+        let store = mig.source_store.as_ref().unwrap_or(&vm.store);
+        for e in &mut batch.chunks {
+            e.1 = store.version(e.0);
+        }
+        (mig.source, mig.dest)
+    };
+    let raw = eng.cfg().chunk_size * batch.chunks.len() as u64;
+    let bytes = super::qos::wire_bytes_storage(eng, raw);
+    let cap = super::qos::storage_flow_cap(eng);
+    let tag = batch.kind.tag();
+    eng.start_flow(source, dest, bytes, cap, tag, FlowCtx::Batch(batch));
+}
+
+/// A storage batch landed at the destination, chunk by chunk in manifest
+/// order. A push lands in the destination's staging store; then the push
+/// window refills and the handoff may go. A pull lands in the live store
+/// and streams through the host's page cache, and the reads waiting on
+/// its chunks complete; then the prefetch window refills and the
+/// migration may complete. A pulled chunk superseded by a local write
+/// mid-flight arrives with a stale version: the store rejects it, and the
+/// destination state saw `on_write` already.
+pub(crate) fn batch_arrived(eng: &mut Engine, batch: Batch) {
+    let v = batch.vm;
+    let push = batch.kind == BatchKind::Push;
+    let bytes = eng.cfg().chunk_size * batch.chunks.len() as u64;
     let mut waiters: Vec<OpId> = Vec::new();
     let dest = {
         let vm = eng.vm_mut(v);
-        let Some(mig) = vm.migration.as_mut() else {
+        let Some(mig) = batch_owner(&mut vm.migration, vm.mig_epoch, batch.epoch) else {
             return;
         };
-        if mig.phase != MigPhase::PullPhase {
-            return;
-        }
-        // Per-chunk completions delivered from the batch manifest, in
-        // manifest (chunk-request) order. A chunk superseded by a local
-        // write mid-flight arrives with a stale version: the store
-        // rejects it and the destination state saw `on_write` already.
-        for &(c, ver) in &chunks {
-            let applied = vm.store.apply(c, ver);
-            if applied && !vm.cache.is_dirty(c) {
-                // The pulled content just streamed through this host's
-                // page cache: it is resident (and supersedes any stale
-                // clean copy).
-                vm.cache.invalidate(c);
-                vm.cache.fill(c);
+        if push {
+            let store = vm.dest_store.as_mut().unwrap_or(&mut vm.store);
+            for &(c, ver) in &batch.chunks {
+                store.apply(c, ver);
+                mig.transfer.send_done(c);
             }
-            if let Some(dst) = mig.transfer.dest_mut() {
-                dst.pull_done(c);
-            }
-            mig.pulled_chunks += 1;
-            if let Some(w) = mig.pull_waiters.remove(&c) {
-                waiters.extend(w);
+            mig.pushed_chunks += batch.chunks.len() as u64;
+        } else {
+            for &(c, ver) in &batch.chunks {
+                let applied = vm.store.apply(c, ver);
+                if applied && !vm.cache.is_dirty(c) {
+                    // The pulled content just streamed through this
+                    // host's page cache: it is resident (and supersedes
+                    // any stale clean copy).
+                    vm.cache.invalidate(c);
+                    vm.cache.fill(c);
+                }
+                if let Some(dst) = mig.transfer.dest_mut() {
+                    dst.pull_done(c);
+                }
+                mig.pulled_chunks += 1;
+                if let Some(w) = mig.pull_waiters.remove(&c) {
+                    waiters.extend(w);
+                }
             }
         }
-        if background {
-            mig.pull_slots_busy -= 1;
-        }
-        mig.pulls_inflight -= 1;
+        mig.in_flight[batch.kind as usize] -= 1;
         mig.dest
     };
     for op in waiters {
         eng.op_part_done(op);
     }
     eng.ingest(dest, bytes);
-    pump_pull(eng, v);
-    maybe_complete(eng, v);
+    if push {
+        pump_push(eng, v);
+        maybe_handoff(eng, v);
+    } else {
+        pump_pull(eng, v);
+        maybe_complete(eng, v);
+    }
 }
 
 // ---------------- mirror writes ----------------
@@ -1040,7 +930,7 @@ pub(crate) fn maybe_complete(eng: &mut Engine, v: VmIdx) {
         let storage_done = match mig.strategy {
             StrategyKind::Hybrid | StrategyKind::Postcopy => {
                 mig.phase == MigPhase::PullPhase
-                    && mig.pulls_inflight == 0
+                    && mig.in_flight == [0; 3]
                     && mig.transfer.dest().is_none_or(|d| d.is_complete())
             }
             _ => mig.control_at.is_some(),
@@ -1123,9 +1013,88 @@ pub(crate) fn set_phase(eng: &mut Engine, v: VmIdx, phase: MigPhase) {
 mod tests {
     use super::*;
     use crate::config::ClusterConfig;
-    use lsm_simcore::units::MIB;
+    use crate::engine::NullObserver;
+    use lsm_simcore::fault::FaultKind;
+    use lsm_simcore::units::{KIB, MIB};
     use lsm_simcore::SimTime;
     use lsm_workloads::WorkloadSpec;
+
+    /// Batches of `kind` issued but not on the wire yet: reads at the
+    /// source disk, and pull requests on their way there.
+    fn before_the_wire(eng: &Engine, v: VmIdx, kind: BatchKind) -> u32 {
+        let Some(mig) = eng.vm(v).migration.as_ref() else {
+            return 0;
+        };
+        let flowing = eng
+            .flow_ctx
+            .values()
+            .filter(|ctx| matches!(ctx, FlowCtx::Batch(b) if b.vm == v && b.kind == kind))
+            .count();
+        mig.in_flight[kind as usize] - flowing as u32
+    }
+
+    /// A stall that lands while a batch is at the source disk (or, for a
+    /// pull, on its way there) loses it when the read finishes: halfway
+    /// through the stall nothing is in flight. Each migration still
+    /// completes consistent, with every per-kind count back at zero.
+    /// Postcopy pushes nothing, so its push-phase stall lands during the
+    /// first memory round instead.
+    #[test]
+    fn stalls_with_batches_at_the_source_disk_lose_them_and_complete() {
+        let mixed = WorkloadSpec::HotspotMixed {
+            offset: 0,
+            region_blocks: 64,
+            block: 256 * KIB,
+            count: 3000,
+            theta: 0.8,
+            read_fraction: 0.5,
+            think_secs: 0.005,
+            seed: 7,
+        };
+        for strategy in [StrategyKind::Hybrid, StrategyKind::Postcopy] {
+            for pull_phase in [false, true] {
+                let case = format!("{} pull phase {pull_phase}", strategy.label());
+                let mut eng = Engine::new(ClusterConfig::small_test()).unwrap();
+                let vm = eng.add_vm(0, &mixed, strategy, SimTime::ZERO).unwrap();
+                eng.schedule_migration(vm, 1, SimTime::from_secs_f64(1.0))
+                    .unwrap();
+                let v = vm.0;
+                let (phase, kinds) = if pull_phase {
+                    (
+                        MigPhase::PullPhase,
+                        &[BatchKind::Prefetch, BatchKind::OnDemand][..],
+                    )
+                } else {
+                    (MigPhase::Active, &[BatchKind::Push][..])
+                };
+                let idle_push = strategy == StrategyKind::Postcopy && !pull_phase;
+                let mut t = SimTime::from_secs_f64(1.0);
+                loop {
+                    t += SimDuration::from_millis(1);
+                    eng.step_until(t, &mut NullObserver);
+                    let mig = eng.vm(v).migration.as_ref();
+                    if mig.is_some_and(|m| m.phase == phase)
+                        && (idle_push || kinds.iter().any(|&k| before_the_wire(&eng, v, k) > 0))
+                    {
+                        break;
+                    }
+                    assert!(t.as_secs_f64() < 100.0, "{case}: no batch at the disk");
+                }
+                eng.schedule_fault(t, FaultKind::TransferStall { vm: v, secs: 0.5 })
+                    .unwrap();
+                eng.step_until(t + SimDuration::from_millis(250), &mut NullObserver);
+                let mig = eng.vm(v).migration.as_ref().unwrap();
+                assert!(mig.stalled_until.is_some(), "{case}");
+                assert_eq!(mig.in_flight, [0; 3], "{case}: mid-stall");
+                let r = eng.run_until(SimTime::from_secs_f64(600.0));
+                let m = r.the_migration();
+                assert!(m.completed, "{case}");
+                assert_eq!(m.consistent, Some(true), "{case}");
+                let mig = eng.vm(v).migration.as_ref().unwrap();
+                assert_eq!(mig.in_flight, [0; 3], "{case}: at completion");
+            }
+        }
+    }
 
     /// A completed Hybrid migration keeps the numbers its report needs
     /// and drops its policy state and source store; its record still

@@ -674,18 +674,7 @@ impl Engine {
             FlowCtx::MemRound { vm } => migration::mem_round_done(self, vm),
             FlowCtx::MemStop { vm } => migration::mem_stop_done(self, vm),
             FlowCtx::MemPostPull { vm } => migration::mem_post_pull_done(self, vm),
-            FlowCtx::PushBatch {
-                vm,
-                chunks,
-                slot,
-                epoch,
-            } => migration::push_batch_arrived(self, vm, chunks, slot, epoch),
-            FlowCtx::PullBatch {
-                vm,
-                chunks,
-                background,
-                epoch,
-            } => migration::pull_batch_arrived(self, vm, chunks, background, epoch),
+            FlowCtx::Batch(batch) => migration::batch_arrived(self, batch),
             FlowCtx::MirrorWrite { vm, op, chunks } => {
                 migration::mirror_write_arrived(self, vm, op, chunks)
             }
@@ -716,18 +705,7 @@ impl Engine {
         match ctx {
             DiskCtx::VmOp { op } => self.op_part_done(op),
             DiskCtx::Writeback { vm, chunk } => io::writeback_done(self, vm, chunk),
-            DiskCtx::PushRead {
-                vm,
-                chunks,
-                slot,
-                epoch,
-            } => migration::push_read_done(self, vm, chunks, slot, epoch),
-            DiskCtx::PullRead {
-                vm,
-                chunks,
-                background,
-                epoch,
-            } => migration::pull_read_done(self, vm, chunks, background, epoch),
+            DiskCtx::BatchRead(batch) => migration::batch_read_done(self, batch),
             DiskCtx::RepoRead {
                 vm,
                 node,

@@ -65,6 +65,32 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {}
 
+/// An optional observer: `None` observes nothing, like [`NullObserver`].
+impl<O: Observer> Observer for Option<O> {
+    fn on_status(
+        &mut self,
+        job: JobId,
+        status: MigrationStatus,
+        now: SimTime,
+        progress: &MigrationProgress,
+    ) -> RunControl {
+        self.as_mut().map_or(RunControl::Continue, |o| {
+            o.on_status(job, status, now, progress)
+        })
+    }
+
+    fn on_milestone(&mut self, job: JobId, milestone: Milestone, now: SimTime) -> RunControl {
+        self.as_mut().map_or(RunControl::Continue, |o| {
+            o.on_milestone(job, milestone, now)
+        })
+    }
+
+    fn on_tick(&mut self, eng: &crate::engine::Engine) -> RunControl {
+        self.as_mut()
+            .map_or(RunControl::Continue, |o| o.on_tick(eng))
+    }
+}
+
 /// An observer that records every callback (useful in tests and for
 /// post-hoc inspection of a watched run).
 #[derive(Debug, Default)]

@@ -1,11 +1,19 @@
 //! Internal runtime state of the engine: events, per-node and per-VM
 //! bookkeeping, in-flight operation contexts.
+//!
+//! Local storage moves in [`Batch`]es of one pipeline whatever their
+//! [`BatchKind`]: the source's push and the destination's prefetch and
+//! on-demand pulls. A batch carries `(chunk, version)` pairs from issue
+//! on, through a pull request ([`Ctl::PullRequest`]), the source disk
+//! read ([`DiskCtx::BatchRead`]) and its one flow ([`FlowCtx::Batch`]),
+//! and [`MigrationRt::in_flight`] counts it per kind until it lands or
+//! is lost.
 
 use super::job::JobId;
 use crate::policy::{HybridDest, HybridSource, MirrorSource, PrecopySource, StrategyKind};
 use lsm_blockdev::{ChunkId, ChunkSet, PageCache, VirtualDisk, WriteCounter};
 use lsm_hypervisor::{PrecopyMemory, Vm};
-use lsm_netsim::NodeId;
+use lsm_netsim::{NodeId, TrafficTag};
 use lsm_simcore::fault::FaultKind;
 use lsm_simcore::resource::SharedResource;
 use lsm_simcore::time::{SimDuration, SimTime};
@@ -100,17 +108,49 @@ pub(crate) enum Ctl {
         remaining: ChunkSet,
         counts: WriteCounter,
     },
-    /// Destination → source: request chunks (prefetch batch or on-demand).
-    PullRequest {
-        vm: VmIdx,
-        chunks: Vec<ChunkId>,
-        /// True for BACKGROUND_PULL slots, false for on-demand reads.
-        background: bool,
-        /// Migration generation that issued the request (see
-        /// `VmRt::mig_epoch`): a request raced by an abort + re-migration
-        /// must not be served against the successor migration's state.
-        epoch: u64,
-    },
+    /// Destination → source: serve a prefetch or on-demand batch.
+    PullRequest(Batch),
+}
+
+/// The three guises of the one storage transfer mechanism.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum BatchKind {
+    /// The source's background push (Algorithms 1–2), or the precopy
+    /// and mirror bulk streams.
+    Push,
+    /// The destination's write-count-ordered BACKGROUND_PULL
+    /// (Algorithm 3).
+    Prefetch,
+    /// Chunks a guest read at the destination waits for (Algorithm 4).
+    OnDemand,
+}
+
+impl BatchKind {
+    /// The traffic tag a batch's flow is accounted under.
+    pub fn tag(self) -> TrafficTag {
+        match self {
+            BatchKind::Push => TrafficTag::StoragePush,
+            BatchKind::Prefetch | BatchKind::OnDemand => TrafficTag::StoragePull,
+        }
+    }
+}
+
+/// Chunks that travel from the source to the destination together: one
+/// source disk read, one flow, one completion event, per-chunk landing
+/// in manifest order.
+#[derive(Debug)]
+pub(crate) struct Batch {
+    pub vm: VmIdx,
+    pub kind: BatchKind,
+    /// The chunks with their versions. Versions are 0 placeholders until
+    /// the source read completes and stamps them in place (send time).
+    pub chunks: Vec<(ChunkId, u64)>,
+    /// Migration generation that issued the batch (see
+    /// `VmRt::mig_epoch`). Aborts cancel a migration's flows, but not its
+    /// messages on the wire or its disk reads; a batch that outlives its
+    /// migration (possibly with a successor already running) is dropped,
+    /// never counted against the successor's pipeline.
+    pub epoch: u64,
 }
 
 /// Why a network flow exists (completion routing).
@@ -122,25 +162,8 @@ pub(crate) enum FlowCtx {
     MemStop { vm: VmIdx },
     /// Background memory pull of a post-copy memory migration.
     MemPostPull { vm: VmIdx },
-    /// A batch of pushed chunks with versions captured at send time.
-    /// One flow + one completion event per batch; the manifest delivers
-    /// per-chunk completions in chunk order on arrival.
-    PushBatch {
-        vm: VmIdx,
-        chunks: Vec<(ChunkId, u64)>,
-        slot: u32,
-        /// Issuing migration generation (stale batches are dropped).
-        epoch: u64,
-    },
-    /// A batch of pulled chunks (background prefetch or on-demand),
-    /// with the same one-flow-per-batch manifest scheme as `PushBatch`.
-    PullBatch {
-        vm: VmIdx,
-        chunks: Vec<(ChunkId, u64)>,
-        background: bool,
-        /// Issuing migration generation (stale batches are dropped).
-        epoch: u64,
-    },
+    /// A storage batch on the wire, its versions stamped.
+    Batch(Batch),
     /// Mirrored write: `op` is the guest write gated on it.
     MirrorWrite {
         vm: VmIdx,
@@ -173,28 +196,9 @@ pub(crate) enum DiskCtx {
     VmOp { op: OpId },
     /// Background write-back of a dirty page-cache chunk.
     Writeback { vm: VmIdx, chunk: ChunkId },
-    /// Source-side read of a push batch; flow starts when it completes.
-    /// Versions are zero placeholders until the read finishes (captured
-    /// at send time, in place — no per-stage manifest rebuild).
-    PushRead {
-        vm: VmIdx,
-        chunks: Vec<(ChunkId, u64)>,
-        slot: u32,
-        /// Issuing migration generation. Aborts cancel a migration's
-        /// *flows* but cannot cancel in-flight disk requests; a read
-        /// completing after its migration died (and possibly after a new
-        /// one started for the same VM) must be dropped, not attributed
-        /// to the successor's pipeline counters.
-        epoch: u64,
-    },
-    /// Source-side read serving a pull request; flow follows.
-    PullRead {
-        vm: VmIdx,
-        chunks: Vec<ChunkId>,
-        background: bool,
-        /// Issuing migration generation (stale reads are dropped).
-        epoch: u64,
-    },
+    /// Source-side read of a storage batch; its flow starts when the
+    /// read completes.
+    BatchRead(Batch),
     /// Replica-side read serving a repository fetch; flow follows.
     RepoRead {
         vm: VmIdx,
@@ -561,13 +565,12 @@ pub(crate) struct MigrationRt {
     pub pending_stop_bytes: u64,
     /// The storage transfer policy's state.
     pub transfer: Transfer,
-    /// Push pipeline slots currently busy (reading or flowing).
-    pub push_slots_busy: u32,
-    /// Background pull slots currently busy.
-    pub pull_slots_busy: u32,
-    /// Pull *requests* in the pipeline (background + on-demand batches),
-    /// counted from request send to batch arrival.
-    pub pulls_inflight: u32,
+    /// Storage batches in flight, indexed by [`BatchKind`]: counted from
+    /// issue to landing or loss. The push count fills the push window and
+    /// holds back convergence and the handoff, the prefetch count fills
+    /// the pull window, and no pull phase completes with a batch in
+    /// flight.
+    pub in_flight: [u32; 3],
     /// The source-side physical store, frozen at control transfer and
     /// kept while the destination still pulls from it.
     pub source_store: Option<lsm_blockdev::ChunkStore>,
@@ -585,10 +588,10 @@ pub(crate) struct MigrationRt {
     /// and pull pipelines initiate nothing (and the remaining-set
     /// handoff waits) until the stall clears.
     pub stalled_until: Option<SimTime>,
-    /// On-demand pull chunks deferred because the stall hit between the
-    /// guest read and the request send; re-requested (one batch, with
-    /// their reads still parked as pull waiters) when the stall clears.
-    pub stalled_ondemand: Vec<ChunkId>,
+    /// On-demand pull chunks a guest read asked for during the stall;
+    /// not in flight until the stall clears and they go out as one
+    /// batch, their reads still parked as pull waiters.
+    pub stalled_ondemand: Vec<(ChunkId, u64)>,
     /// Metrics.
     pub requested_at: SimTime,
     pub control_at: Option<SimTime>,
@@ -631,6 +634,22 @@ pub(crate) struct MigrationRt {
 }
 
 impl MigrationRt {
+    /// A storage batch was lost in flight: its flow severed by a stall,
+    /// or its source read finished while one cut the wire. It stops
+    /// counting, and its chunks return to the surviving manifest: the
+    /// source's for a push, the destination's pull order for a pull
+    /// (whose reads stay parked until the resumed pull delivers).
+    pub fn batch_lost(&mut self, batch: Batch) {
+        self.in_flight[batch.kind as usize] -= 1;
+        for (c, _) in batch.chunks {
+            if batch.kind == BatchKind::Push {
+                self.transfer.send_lost(c);
+            } else if let Some(dst) = self.transfer.dest_mut() {
+                dst.pull_lost(c);
+            }
+        }
+    }
+
     /// Chunks the destination still needs: exact during the pull phase,
     /// the strategy source's remaining set before the handoff.
     pub fn chunks_remaining(&self) -> u64 {

@@ -227,8 +227,8 @@ fn link_degradation_window_slows_the_migration() {
 
 #[test]
 fn transfer_stall_resumes_from_surviving_manifest() {
-    let run = |stall: Option<(f64, f64)>| {
-        let (mut b, _vm, _job) = one_migration(StrategyKind::Hybrid);
+    let run = |strategy: StrategyKind, stall: Option<(f64, f64)>| {
+        let (mut b, _vm, _job) = one_migration(strategy);
         if let Some((at, secs_)) = stall {
             b.inject_fault(secs(at), FaultKind::TransferStall { vm: 0, secs: secs_ })
                 .expect("valid");
@@ -236,31 +236,55 @@ fn transfer_stall_resumes_from_surviving_manifest() {
         let mut sim = b.build().expect("builds");
         sim.run_until(secs(600.0))
     };
-    let clean = run(None);
-    let stalled = run(Some((1.3, 2.0)));
-    let (mc, ms) = (&clean.migrations[0], &stalled.migrations[0]);
-    assert_eq!(ms.status, MigrationStatus::Completed);
-    assert_eq!(
-        ms.consistent,
-        Some(true),
-        "resume must preserve consistency"
-    );
-    assert!(
-        ms.migration_time.unwrap() >= mc.migration_time.unwrap(),
-        "a stalled run cannot be faster"
-    );
-    // Resume re-sends only what was actually lost in flight: at most one
-    // push window's worth of extra chunk transmissions versus the clean
-    // run (plus workload-timing noise from the stall window itself).
-    let budget = 64; // transfer_window * transfer_batch + generous slack
-    assert!(
-        ms.pushed_chunks + ms.pulled_chunks <= mc.pushed_chunks + mc.pulled_chunks + budget,
-        "stall re-sent the world: clean {}+{} vs stalled {}+{}",
-        mc.pushed_chunks,
-        mc.pulled_chunks,
-        ms.pushed_chunks,
-        ms.pulled_chunks
-    );
+    for strategy in [
+        StrategyKind::Hybrid,
+        StrategyKind::Postcopy,
+        StrategyKind::Precopy,
+        StrategyKind::Mirror,
+    ] {
+        let clean = run(strategy, None);
+        // The migration starts at 1.0 s with its first push reads (a
+        // batch of 1 MiB takes at least 19 ms on the 55 MB/s disk), so a
+        // stall at 1.005 s lands while they sit at the source disk; the
+        // one at 1.3 s lands mid-transfer.
+        for stall in [(1.005, 0.5), (1.3, 2.0)] {
+            let case = format!("{} stall {stall:?}", strategy.label());
+            let stalled = run(strategy, Some(stall));
+            let (mc, ms) = (&clean.migrations[0], &stalled.migrations[0]);
+            assert_eq!(ms.status, MigrationStatus::Completed, "{case}");
+            assert_eq!(
+                ms.consistent,
+                Some(true),
+                "{case}: resume must preserve consistency"
+            );
+            // A stalled run cannot be faster. Finish instants round to the
+            // nanosecond, so a stall off the critical path may move the
+            // finish by one: mirror's stall at 1.005 s finishes 1 ns before
+            // its clean run. Every other case holds exactly.
+            let slack = if (strategy, stall.0) == (StrategyKind::Mirror, 1.005) {
+                SimDuration::from_nanos(1)
+            } else {
+                SimDuration::ZERO
+            };
+            assert!(
+                ms.migration_time.unwrap() + slack >= mc.migration_time.unwrap(),
+                "{case}: a stalled run cannot be faster"
+            );
+            // Resume re-sends only what was actually lost in flight: at
+            // most one push window's worth of extra chunk transmissions
+            // versus the clean run (plus workload-timing noise from the
+            // stall window itself).
+            let budget = 64; // transfer_window * transfer_batch + generous slack
+            assert!(
+                ms.pushed_chunks + ms.pulled_chunks <= mc.pushed_chunks + mc.pulled_chunks + budget,
+                "{case}: stall re-sent the world: clean {}+{} vs stalled {}+{}",
+                mc.pushed_chunks,
+                mc.pulled_chunks,
+                ms.pushed_chunks,
+                ms.pulled_chunks
+            );
+        }
+    }
 }
 
 #[test]
@@ -422,8 +446,9 @@ fn stale_disk_reads_do_not_leak_into_a_successor_migration() {
     // flight (aborts cancel flows, not disk requests); the orchestrator
     // then re-migrates the VM with stepped horizons. Any stale read
     // completing under the successor migration must be dropped, not
-    // attributed to its pipeline counters (regression: push_slots_busy
-    // underflow panic). Several deadlines sweep the read window.
+    // attributed to its pipeline counters (regression: an underflow
+    // panic of the push in-flight count). Several deadlines sweep the
+    // read window.
     for deadline_ms in [200, 250, 300, 350, 450] {
         let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
         let vm = b
@@ -466,11 +491,15 @@ fn stale_disk_reads_do_not_leak_into_a_successor_migration() {
 
 #[test]
 fn stall_during_pull_phase_defers_ondemand_and_completes() {
-    // Mixed reader/writer so the destination issues on-demand pulls; a
-    // stall landing inside the pull phase must defer them (no storage
-    // traffic during the outage) and re-issue at stall end — the
-    // migration still completes consistently and no read hangs.
-    let hotspot = WorkloadSpec::HotspotWrite {
+    // A stall landing inside the pull phase must stop the prefetch and
+    // defer on-demand pulls (no storage traffic during the outage), then
+    // re-issue them at stall end: the migration still completes
+    // consistently and no read hangs. The writer churns the remaining set
+    // with twice the mixed guest's writes; the mixed reader/writer makes
+    // the destination issue on-demand pulls (postcopy does; the hybrid scheme has pushed
+    // what this guest reads). Precopy and mirror have no pull phase: they
+    // complete at control transfer.
+    let writer = WorkloadSpec::HotspotWrite {
         offset: 0,
         region_blocks: 64,
         block: 256 * 1024,
@@ -479,51 +508,53 @@ fn stall_during_pull_phase_defers_ondemand_and_completes() {
         think_secs: 0.01,
         seed: 7,
     };
-    // Locate the pull window from a clean run.
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let vm = b
-        .add_vm(
-            NodeId(0),
-            hotspot.clone(),
-            StrategyKind::Hybrid,
-            SimTime::ZERO,
-        )
-        .expect("vm");
-    b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-    let clean = b.build().expect("builds").run_until(secs(300.0));
-    let control_at = clean.migrations[0].control_at.expect("completes");
-
-    for offset in [0.02, 0.1, 0.3] {
+    let mixed = WorkloadSpec::HotspotMixed {
+        offset: 0,
+        region_blocks: 64,
+        block: 256 * 1024,
+        count: 2000,
+        theta: 0.8,
+        read_fraction: 0.5,
+        think_secs: 0.01,
+        seed: 7,
+    };
+    let build = |guest: &WorkloadSpec, strategy: StrategyKind| {
         let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
         let vm = b
-            .add_vm(
-                NodeId(0),
-                hotspot.clone(),
-                StrategyKind::Hybrid,
-                SimTime::ZERO,
-            )
+            .add_vm(NodeId(0), guest.clone(), strategy, SimTime::ZERO)
             .expect("vm");
         let job = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-        b.inject_fault(
-            SimTime::from_secs_f64(control_at.as_secs_f64() + offset),
-            FaultKind::TransferStall { vm: 0, secs: 0.8 },
-        )
-        .expect("valid");
-        let mut sim = b.build().expect("builds");
-        let report = sim.run_until(secs(300.0));
-        assert_eq!(
-            sim.status(job),
-            Some(MigrationStatus::Completed),
-            "offset {offset}"
-        );
-        assert_eq!(
-            report.migrations[0].consistent,
-            Some(true),
-            "offset {offset}"
-        );
-        assert!(
-            report.vms[0].finished_at.is_some(),
-            "offset {offset}: a deferred on-demand read must not hang the guest"
-        );
+        (b, job)
+    };
+    for (name, guest) in [("writer", &writer), ("mixed", &mixed)] {
+        for strategy in [StrategyKind::Hybrid, StrategyKind::Postcopy] {
+            // Locate the pull window from a clean run.
+            let clean = build(guest, strategy)
+                .0
+                .build()
+                .expect("builds")
+                .run_until(secs(300.0));
+            let control_at = clean.migrations[0].control_at.expect("completes");
+
+            // The first prefetch batches are requested at control
+            // transfer, so 5 ms later they sit at the source disk.
+            for offset in [0.005, 0.02, 0.1, 0.3] {
+                let case = format!("{name} {} offset {offset}", strategy.label());
+                let (mut b, job) = build(guest, strategy);
+                b.inject_fault(
+                    SimTime::from_secs_f64(control_at.as_secs_f64() + offset),
+                    FaultKind::TransferStall { vm: 0, secs: 0.8 },
+                )
+                .expect("valid");
+                let mut sim = b.build().expect("builds");
+                let report = sim.run_until(secs(300.0));
+                assert_eq!(sim.status(job), Some(MigrationStatus::Completed), "{case}");
+                assert_eq!(report.migrations[0].consistent, Some(true), "{case}");
+                assert!(
+                    report.vms[0].finished_at.is_some(),
+                    "{case}: a deferred on-demand read must not hang the guest"
+                );
+            }
+        }
     }
 }
