@@ -27,6 +27,10 @@
 //! * **The admission cap is never violated** — when the orchestrator is
 //!   configured with `max_concurrent`, the number of jobs past
 //!   admission (running, not yet terminal) never exceeds it.
+//! * **Admission slots are accounted exactly** — the engine's count of
+//!   held slots ([`Engine::active_migrations`]) equals the number of
+//!   running jobs, cap or no cap: a slot leaked by a retry or a re-plan
+//!   holds back admission with nothing running.
 //! * **Placements are legal** — every running job's destination is an
 //!   in-range, non-crashed node (planner-placed evacuations and
 //!   rebalances included; same-host requests are rejected at schedule
@@ -263,7 +267,7 @@ impl InvariantObserver {
         let mut total = 0.0f64;
         let mut control = RunControl::Continue;
         let eps = self.cfg.rel_epsilon;
-        let qos_ceiling = eng.qos_config().and_then(|q| q.cap_bytes());
+        let qos_ceiling = eng.qos_config().cap_bytes();
 
         for f in net.flow_views() {
             self.checks += 1;
@@ -373,8 +377,9 @@ impl InvariantObserver {
         // Terminal jobs must stay terminal (statuses recorded on_status;
         // this catches regressions that bypass the observer callback).
         // The same sweep audits the orchestration laws: running jobs
-        // are counted against the admission cap, and every running
-        // job's placement must still be legal.
+        // are counted against the admission cap and against the engine's
+        // own slot count, and every running job's placement must still
+        // be legal.
         let mut running = 0u32;
         for (i, job) in eng.job_ids().into_iter().enumerate() {
             if let Some(prev) = self.statuses.get(i).copied().flatten() {
@@ -490,6 +495,15 @@ impl InvariantObserver {
                     format!("{running} migrations running under a cap of {cap}"),
                 );
             }
+        }
+        self.checks += 1;
+        let held = eng.active_migrations();
+        if running != held {
+            control = self.violate(
+                now,
+                "admission-accounting",
+                format!("{running} migrations running but {held} admission slots held"),
+            );
         }
 
         // ---- SLA-accounting consistency ----

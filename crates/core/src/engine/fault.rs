@@ -34,6 +34,7 @@
 use super::job::{FailureReason, JobId};
 use super::types::*;
 use super::{io, migration, Engine};
+use crate::resilience::AttemptReason;
 use lsm_hypervisor::VmState;
 use lsm_netsim::{FlowId, NodeId};
 use lsm_simcore::fault::FaultKind;
@@ -403,18 +404,14 @@ pub(crate) fn teardown_transfer(eng: &mut Engine, v: VmIdx) {
 /// stamped at the destination is re-sent unless rewritten.
 fn stall_transfer(eng: &mut Engine, v: VmIdx, secs: f64) {
     let now = eng.now;
-    {
-        let Some(mig) = eng.vms[v as usize].migration.as_ref() else {
-            return;
-        };
-        if matches!(mig.phase, MigPhase::Complete | MigPhase::Aborted) {
-            return;
-        }
-    }
+    let job = match eng.vms[v as usize].migration.as_ref() {
+        Some(mig) if !matches!(mig.phase, MigPhase::Complete | MigPhase::Aborted) => mig.job,
+        _ => return,
+    };
     // A retrying policy abandons the stalled attempt outright (backed-
     // off resume at the surviving destination) instead of waiting the
     // stall out with the pipelines suspended.
-    if super::resilient::try_retry_stall(eng, v) {
+    if super::resilient::try_retry(eng, job, AttemptReason::Stalled) {
         return;
     }
     // Sever in-flight storage batches of every kind (memory flows ride
@@ -467,26 +464,20 @@ pub(crate) fn stall_over(eng: &mut Engine, v: VmIdx) {
 
 // ---------------- deadlines ----------------
 
-/// A job's configured deadline fired: abort unless it already finished.
-/// Under a retrying policy a superseded deadline (the retry re-arms a
-/// fresh per-attempt one) is stale and ignored, and a live one may be
+/// A job's deadline fired: abort unless it already finished. Only the
+/// armed deadline counts — the job's `deadline_at`, which a retry
+/// clears and its fire re-arms — so a fire at any other instant is
+/// stale and ignored. Under a retrying policy a live one may be
 /// absorbed into a backed-off retry instead of aborting.
 pub(crate) fn job_deadline(eng: &mut Engine, job: JobId) {
-    let (terminal, deadline) = {
-        let j = &eng.jobs[job.0 as usize];
-        (j.status.is_terminal(), j.deadline)
+    let j = &eng.jobs[job.0 as usize];
+    let deadline = match j.deadline {
+        Some(d) if j.deadline_at == Some(eng.now) && !j.status.is_terminal() => d,
+        _ => return,
     };
-    if terminal {
+    if super::resilient::try_retry(eng, job, AttemptReason::DeadlineExceeded) {
         return;
     }
-    if super::resilient::deadline_is_stale(eng, job) {
-        return;
-    }
-    if super::resilient::try_retry_deadline(eng, job) {
-        return;
-    }
-    let deadline_secs = deadline
-        .expect("deadline event implies a deadline")
-        .as_secs_f64();
+    let deadline_secs = deadline.as_secs_f64();
     abort_migration(eng, job, FailureReason::DeadlineExceeded { deadline_secs });
 }

@@ -32,6 +32,8 @@ use orchestrator::{JobEvent, JobEventKind, JobRt, OrchestratorRt};
 use crate::config::ClusterConfig;
 use crate::error::EngineError;
 use crate::policy::StrategyKind;
+use crate::qos::QosConfig;
+use crate::resilience::ResilienceConfig;
 use lsm_blockdev::{CacheConfig, ChunkStore, PageCache, VirtualDisk};
 use lsm_hypervisor::{Vm, VmId, VmState};
 use lsm_netsim::{FlowId, FlowNet, NodeId, Topology, TrafficTag};
@@ -71,14 +73,15 @@ pub struct Engine {
     /// monitor loop off and the event stream untouched; see the
     /// `rebalance` module).
     autonomic: Option<rebalance::AutonomicRt>,
-    /// Resilience-layer state (`None` — the default — leaves retries,
-    /// auto-converge, and the downtime limit off and the event stream
-    /// untouched; see the `resilient` module).
-    resilience: Option<resilient::ResilienceRt>,
-    /// Migration QoS state (`None` — the default — leaves flow caps,
-    /// stream counts and wire bytes at their historical values and the
-    /// event stream untouched; see the `qos` module).
-    qos: Option<qos::QosRt>,
+    /// The resilience configuration (`None` — the default — leaves
+    /// retries, auto-converge, and the downtime limit off and the event
+    /// stream untouched; each job holds its own retry state, see the
+    /// `resilient` module).
+    resilience: Option<ResilienceConfig>,
+    /// Migration QoS shaping. The default configuration shapes nothing,
+    /// so flow caps, stream counts and wire bytes keep their historical
+    /// values and the event stream is untouched (see the `qos` module).
+    qos: QosConfig,
 }
 
 impl Engine {
@@ -133,7 +136,7 @@ impl Engine {
             orch: OrchestratorRt::default(),
             autonomic: None,
             resilience: None,
-            qos: None,
+            qos: QosConfig::default(),
         })
     }
 
@@ -259,18 +262,10 @@ impl Engine {
             write_busy: SimDuration::ZERO,
             pvfs_file_base: id.0 as u64 * self.cfg.image_size,
             rewrite_chunk_writes: 0,
-            tele_last_at: SimTime::ZERO,
-            tele_last_write: 0,
-            tele_last_read: 0,
-            tele_last_modified: 0,
-            tele_last_rewrite: 0,
-            tele_write_rate: 0.0,
-            tele_read_rate: 0.0,
-            tele_dirty_rate: 0.0,
-            tele_rewrite_rate: 0.0,
-            tele_last_busy: SimDuration::ZERO,
-            tele_pressure: 0.0,
-            tele_sampled: false,
+            tele: Default::default(),
+            live_job: None,
+            last_moved: None,
+            deferred_since: None,
         });
         self.queue.schedule(start_at, Ev::VmStart(id.0));
         let expire = SimDuration::from_secs_f64(self.cfg.dirty_expire_secs);
@@ -916,18 +911,14 @@ impl Engine {
         // slowdown onto the guest until switchover releases it.
         if m.throttle_step > 0 {
             if let Some(r) = self.resilience.as_ref() {
-                f *= (1.0 - r.cfg.converge_step).powi(m.throttle_step as i32);
+                f *= (1.0 - r.converge_step).powi(m.throttle_step as i32);
             }
         }
         // Compression: the source guest pays the CPU cost while it is
         // still the one generating (and compressing) the transfer —
         // i.e. until control moves to the destination.
-        if m.control_at.is_none() {
-            if let Some(q) = self.qos.as_ref() {
-                if q.cfg.compressing() {
-                    f *= 1.0 - q.cfg.compress_cpu_frac;
-                }
-            }
+        if m.control_at.is_none() && self.qos.compressing() {
+            f *= 1.0 - self.qos.compress_cpu_frac;
         }
         f
     }

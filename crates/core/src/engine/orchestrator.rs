@@ -17,11 +17,20 @@
 //! unlimited cap): a ready job admits immediately, in the same event,
 //! with its requested destination and the VM's configured strategy.
 //!
+//! Per-job state lives on the job ([`JobRt`]): its admission flags, its
+//! armed deadline (`deadline_at`), and its retry state. Per-VM state
+//! lives on the VM: its telemetry record ([`Telemetry`]) and its one
+//! live job (`VmRt::live_job`), named when the job is created and
+//! cleared when [`Engine::set_job_status`] makes it terminal. A job
+//! gives its admission slot back in one place, [`release_slot`],
+//! whether it ends, backs off for a retry, or is re-planned.
+//!
 //! [`FixedPlanner`]: crate::planner::FixedPlanner
 
 use super::job::{FailureReason, JobId, MigrationProgress, MigrationStatus};
 use super::migration;
 use super::report::Milestone;
+use super::resilient::JobRetry;
 use super::types::{Ev, MigrationRt, VmIdx, VmRt};
 use super::Engine;
 use crate::error::EngineError;
@@ -50,6 +59,11 @@ pub(crate) struct JobRt {
     pub status: MigrationStatus,
     /// Abort-by deadline measured from `requested_at`, if configured.
     pub deadline: Option<SimDuration>,
+    /// When the job's armed `JobDeadline` fires: `requested_at +
+    /// deadline` at first, a retry's fire time + `deadline` after it. A
+    /// retry clears it until then, and a fire at any other instant is
+    /// stale.
+    pub deadline_at: Option<SimTime>,
     /// Failure reason, once `status == Failed`.
     pub failure: Option<FailureReason>,
     /// This job's last attempt, once another job of the same VM started
@@ -73,6 +87,8 @@ pub(crate) struct JobRt {
     /// How many times the autonomic rebalancer re-placed this job while
     /// in flight (bounded by `AutonomicConfig::replan_limit`).
     pub replans: u32,
+    /// Retry state (see the `resilient` module).
+    pub retry: JobRetry,
 }
 
 /// A job status change or milestone awaiting observer delivery.
@@ -110,18 +126,10 @@ pub(crate) enum ReadyItem {
     },
 }
 
-/// An intent step whose placement found no healthy destination,
-/// awaiting another attempt on the next queue drain.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ParkedStep {
-    pub vm: VmIdx,
-    pub origin: u32,
-    pub attempts: u32,
-}
-
 /// One VM's windowed I/O telemetry, as the planners see it (see
 /// [`Engine::vm_telemetry`]). All rates are bytes/second over the last
-/// full telemetry window.
+/// full telemetry window, or sampled on demand before the first (see
+/// [`IoTelemetry::sampled`]).
 #[derive(Clone, Copy, Debug)]
 pub struct IoTelemetry {
     /// Windowed guest write throughput.
@@ -134,9 +142,44 @@ pub struct IoTelemetry {
     /// chunks × chunk size) — the paper's threshold signal.
     pub rewrite_rate: f64,
     /// True once a telemetry tick has sampled the VM; while false, the
-    /// rates above are still their zero initial values (planner
-    /// decisions sample the counters on demand in that window).
+    /// rates above are sampled on demand from the counters since the
+    /// VM started (as planner decisions read them in that window).
     pub sampled: bool,
+}
+
+/// One VM's I/O telemetry: its cumulative counters at the last sample,
+/// and the rates of the window that ended there.
+#[derive(Default)]
+pub(crate) struct Telemetry {
+    /// When the last sample was taken.
+    pub at: SimTime,
+    /// Written and read bytes at `at`.
+    pub write: u64,
+    pub read: u64,
+    /// ModifiedSet size at `at` (dirty-set growth baseline).
+    pub modified: u32,
+    /// Overwrite counter at `at`.
+    pub rewrite: u64,
+    /// Combined read+write busy time at `at` (the I/O pressure
+    /// baseline).
+    pub busy: SimDuration,
+    /// The rates of the window that ended at `at`; `None` until a
+    /// telemetry tick has sampled the VM.
+    pub window: Option<IoRates>,
+}
+
+/// A VM's I/O rates over one window, bytes/second: throughput
+/// (write/read) and the paper's threshold signals (dirty-set growth and
+/// overwrites), plus the I/O pressure — the fraction of the window the
+/// VM had I/O in flight, the CPU-proxy signal the autonomic overload
+/// classifier sums per node.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IoRates {
+    pub write: f64,
+    pub read: f64,
+    pub dirty: f64,
+    pub rewrite: f64,
+    pub pressure: f64,
 }
 
 /// Orchestration runtime state (one per [`Engine`]).
@@ -153,9 +196,9 @@ pub(crate) struct OrchestratorRt {
     pub decisions: Vec<PlannerDecision>,
     /// Skipped intent steps in decision order (reported).
     pub skips: Vec<PlannerSkip>,
-    /// Intent steps parked for lack of a healthy destination; re-queued
-    /// (in order) at the next drain.
-    pub parked: Vec<ParkedStep>,
+    /// Intent steps ([`ReadyItem::IntentVm`]) parked for lack of a
+    /// healthy destination; re-queued (in order) at the next drain.
+    pub parked: Vec<ReadyItem>,
     /// A `PlannerDrain` event is already queued.
     pub drain_scheduled: bool,
     /// A `TelemetryTick` event is already queued.
@@ -238,26 +281,19 @@ impl Engine {
         &self.orch.skips
     }
 
-    /// Windowed `(write, read)` I/O rates of a VM, bytes/second — the
-    /// telemetry the adaptive planner reads. Zero until the first
-    /// telemetry tick (armed by the telemetry planners) has sampled.
-    pub fn vm_io_rates(&self, vm: u32) -> Option<(f64, f64)> {
-        self.vms
-            .get(vm as usize)
-            .map(|v| (v.tele_write_rate, v.tele_read_rate))
-    }
-
-    /// Full windowed I/O telemetry of a VM — what the adaptive and cost
-    /// planners read. Rates are zero until the first telemetry tick has
-    /// sampled (planner decisions made earlier sample the counters on
-    /// demand instead; see [`IoTelemetry`]).
+    /// Windowed I/O telemetry of a VM — what the adaptive and cost
+    /// planners read: the last window's rates once a telemetry tick has
+    /// sampled the VM, an on-demand sample of its counters before (see
+    /// [`IoTelemetry::sampled`]).
     pub fn vm_telemetry(&self, vm: u32) -> Option<IoTelemetry> {
-        self.vms.get(vm as usize).map(|v| IoTelemetry {
-            write_rate: v.tele_write_rate,
-            read_rate: v.tele_read_rate,
-            dirty_rate: v.tele_dirty_rate,
-            rewrite_rate: v.tele_rewrite_rate,
-            sampled: v.tele_sampled,
+        let sampled = self.vms.get(vm as usize)?.tele.window.is_some();
+        let r = vm_rates(self, vm);
+        Some(IoTelemetry {
+            write_rate: r.write,
+            read_rate: r.read,
+            dirty_rate: r.dirty,
+            rewrite_rate: r.rewrite,
+            sampled,
         })
     }
 
@@ -408,11 +444,7 @@ impl Engine {
         // A VM may migrate again once its previous job is terminal
         // (stepped-horizon workflows re-schedule between runs); two
         // *live* jobs for one VM are a duplicate.
-        if self
-            .jobs
-            .iter()
-            .any(|j| j.vm == vm.0 && !j.status.is_terminal())
-        {
+        if vmrt.live_job.is_some() {
             return Err(EngineError::DuplicateMigration { vm: vm.0 });
         }
         if self.cfg.postcopy_memory
@@ -423,8 +455,8 @@ impl Engine {
                 strategy: vmrt.strategy,
             });
         }
-        let job = JobId(self.jobs.len() as u32);
-        self.jobs.push(JobRt {
+        let deadline_at = deadline.map(|d| at + d);
+        let job = self.add_job(JobRt {
             vm: vm.0,
             source: vmrt.vm.host,
             dest,
@@ -432,6 +464,7 @@ impl Engine {
             strategy: vmrt.strategy,
             status: MigrationStatus::Queued,
             deadline,
+            deadline_at,
             failure: None,
             archived: None,
             adaptive,
@@ -439,10 +472,11 @@ impl Engine {
             held: false,
             origin: None,
             replans: 0,
+            retry: JobRetry::default(),
         });
         self.queue.schedule(at, Ev::MigrationStart(job.0));
-        if let Some(d) = deadline {
-            self.queue.schedule(at + d, Ev::JobDeadline(job.0));
+        if let Some(at) = deadline_at {
+            self.queue.schedule(at, Ev::JobDeadline(job.0));
         }
         if adaptive {
             // The sampling loop disarms itself once all work drains; an
@@ -455,6 +489,16 @@ impl Engine {
     }
 
     // ---------------- job bookkeeping ----------------
+
+    /// Add a job, which becomes its VM's live job until it ends.
+    fn add_job(&mut self, j: JobRt) -> JobId {
+        let job = JobId(self.jobs.len() as u32);
+        let vm = &mut self.vms[j.vm as usize];
+        debug_assert!(vm.live_job.is_none(), "vm {} has a live job", j.vm);
+        vm.live_job = Some(job);
+        self.jobs.push(j);
+        job
+    }
 
     /// Handles of all scheduled migration jobs, in scheduling order.
     pub fn job_ids(&self) -> Vec<JobId> {
@@ -528,7 +572,10 @@ impl Engine {
             kind: JobEventKind::Status(status),
         });
         if status.is_terminal() {
-            job_terminal(self, job);
+            let vm = &mut self.vms[j.vm as usize];
+            debug_assert_eq!(vm.live_job, Some(job), "an ending job is its VM's live job");
+            vm.live_job = None;
+            release_slot(self, job, false);
         }
     }
 
@@ -656,19 +703,28 @@ pub(crate) fn poke_drain(eng: &mut Engine) {
     }
 }
 
-/// A job reached a terminal status: release its admission slot (if it
-/// held one) and schedule a drain so a held request can take it.
-fn job_terminal(eng: &mut Engine, job: JobId) {
+/// The one release of an admission slot, whichever way a job gives it
+/// back: it ends, it backs off for a retry, or the rebalancer re-plans
+/// it. The job stops being planner-held either way (a deadline or crash
+/// can end a job that is still held). If it held a slot, the slot
+/// frees; a job that has not ended returns to `Queued`, straight onto
+/// the ready queue when `requeue` (a re-plan; a retry waits for its
+/// timer instead); and the drain wakes so a waiting request can take
+/// the slot.
+pub(crate) fn release_slot(eng: &mut Engine, job: JobId, requeue: bool) {
     let j = &mut eng.jobs[job.0 as usize];
-    // A terminal job is no longer deferred, whatever ends it (a
-    // deadline or crash can kill a job while it is still planner-held).
     j.held = false;
-    if !j.counted {
+    if !std::mem::take(&mut j.counted) {
         return;
     }
-    j.counted = false;
     debug_assert!(eng.orch.active > 0, "admission slot underflow");
     eng.orch.active -= 1;
+    if !eng.jobs[job.0 as usize].status.is_terminal() {
+        eng.set_job_status(job, MigrationStatus::Queued);
+        if requeue {
+            eng.orch.ready.push_back(ReadyItem::Job(job));
+        }
+    }
     poke_drain(eng);
 }
 
@@ -685,14 +741,11 @@ fn job_terminal(eng: &mut Engine, job: JobId) {
 fn drain(eng: &mut Engine) {
     requeue_parked(eng);
     let mut gang_parked: Vec<JobId> = Vec::new();
-    loop {
-        if eng.orch.ready.is_empty() {
+    while !eng.orch.cap_reached() {
+        let Some(item) = eng.orch.ready.pop_front() else {
             break;
-        }
-        if eng.orch.cap_reached() {
-            break;
-        }
-        match eng.orch.ready.pop_front().expect("checked non-empty") {
+        };
+        match item {
             ReadyItem::Job(job) => match job_gang(eng, job) {
                 Some(gid) => admit_gang(eng, job, gid, &mut gang_parked),
                 None => admit_job(eng, job),
@@ -761,13 +814,8 @@ fn admit_gang(eng: &mut Engine, head: JobId, gid: u32, gang_parked: &mut Vec<Job
 /// Move parked steps (failed placements awaiting retry) back into the
 /// ready queue, preserving their order.
 fn requeue_parked(eng: &mut Engine) {
-    for p in std::mem::take(&mut eng.orch.parked) {
-        eng.orch.ready.push_back(ReadyItem::IntentVm {
-            vm: p.vm,
-            origin: p.origin,
-            attempts: p.attempts,
-        });
-    }
+    let parked = std::mem::take(&mut eng.orch.parked);
+    eng.orch.ready.extend(parked);
 }
 
 /// Record one skipped intent step for the report.
@@ -842,11 +890,7 @@ fn admit_intent_vm(eng: &mut Engine, v: VmIdx, origin: u32, attempts: u32) {
         record_skip(eng, origin, v, SkipReason::VmCrashed, true);
         return;
     }
-    if eng
-        .jobs
-        .iter()
-        .any(|j| j.vm == v && !j.status.is_terminal())
-    {
+    if vmrt.live_job.is_some() {
         // Already migrating (e.g. an explicit job raced the intent).
         record_skip(eng, origin, v, SkipReason::AlreadyMigrating, true);
         return;
@@ -870,7 +914,7 @@ fn admit_intent_vm(eng: &mut Engine, v: VmIdx, origin: u32, attempts: u32) {
             if attempts == 1 {
                 record_skip(eng, origin, v, SkipReason::NoDestination, false);
             }
-            eng.orch.parked.push(ParkedStep {
+            eng.orch.parked.push(ReadyItem::IntentVm {
                 vm: v,
                 origin,
                 attempts,
@@ -889,8 +933,7 @@ fn admit_intent_vm(eng: &mut Engine, v: VmIdx, origin: u32, attempts: u32) {
     }
     let strategy = choose_strategy(eng, v);
     let now = eng.now;
-    let job = JobId(eng.jobs.len() as u32);
-    eng.jobs.push(JobRt {
+    let job = eng.add_job(JobRt {
         vm: v,
         source: host,
         dest,
@@ -898,6 +941,7 @@ fn admit_intent_vm(eng: &mut Engine, v: VmIdx, origin: u32, attempts: u32) {
         strategy,
         status: MigrationStatus::Queued,
         deadline: None,
+        deadline_at: None,
         failure: None,
         archived: None,
         adaptive: eng.orch.cfg.planner.uses_telemetry(),
@@ -905,6 +949,7 @@ fn admit_intent_vm(eng: &mut Engine, v: VmIdx, origin: u32, attempts: u32) {
         held: false,
         origin: Some(origin),
         replans: 0,
+        retry: JobRetry::default(),
     });
     // "Deferred" is measured against the intent's fire time: a step
     // admitted in a later instant than its request waited for a slot.
@@ -985,19 +1030,16 @@ fn expand_intent(eng: &mut Engine, req: u32) {
 /// a tick that just admitted a relief migration immediately sees the
 /// pressure moving with the VM.
 pub(crate) fn node_views(eng: &Engine) -> Vec<NodeView> {
-    let mut moving_to = vec![None::<u32>; eng.vms.len()];
-    for j in &eng.jobs {
-        if j.counted && !j.status.is_terminal() {
-            moving_to[j.vm as usize] = Some(j.dest);
-        }
-    }
     let mut load = vec![0u32; eng.cfg.nodes as usize];
     let mut pressure = vec![0.0f64; eng.cfg.nodes as usize];
     let mut hit = vec![0u64; eng.cfg.nodes as usize];
     let mut miss = vec![0u64; eng.cfg.nodes as usize];
     for (v, vm) in eng.vms.iter().enumerate() {
         if !vm.crashed {
-            let at = moving_to[v].unwrap_or(vm.vm.host) as usize;
+            let at = match vm.live_job.map(|j| &eng.jobs[j.0 as usize]) {
+                Some(j) if j.counted => j.dest,
+                _ => vm.vm.host,
+            } as usize;
             load[at] += 1;
             pressure[at] += vm_pressure(eng, v as VmIdx);
             hit[at] += vm.reads_hit_bytes;
@@ -1025,72 +1067,60 @@ fn cache_hit_ratio(hit: u64, miss: u64) -> f64 {
     }
 }
 
-/// Delta rates of `vm`'s cumulative counters against its last telemetry
-/// snapshot — the one formula both the windowed tick and the pre-window
-/// on-demand sample use, so the two paths cannot drift apart. Returns
-/// `(write, read, dirty, rewrite, pressure)`: rates in bytes/second
-/// plus the busy fraction (I/O-in-flight time over the window), or
-/// `None` when no time has passed since the snapshot.
-fn sample_rates(vm: &VmRt, now: SimTime, chunk: f64) -> Option<(f64, f64, f64, f64, f64)> {
-    let dt = now.since(vm.tele_last_at).as_secs_f64();
-    if dt <= 0.0 {
-        return None;
+impl VmRt {
+    /// Rates of the VM's counters since its last telemetry sample — the
+    /// one formula of the windowed tick and the on-demand sample. `None`
+    /// when no time has passed since the sample.
+    fn sample(&self, now: SimTime, chunk: f64) -> Option<IoRates> {
+        let t = &self.tele;
+        let dt = now.since(t.at).as_secs_f64();
+        if dt <= 0.0 {
+            return None;
+        }
+        let busy = (self.read_busy + self.write_busy) - t.busy;
+        Some(IoRates {
+            write: (self.write_bytes - t.write) as f64 / dt,
+            read: (self.read_bytes - t.read) as f64 / dt,
+            dirty: (self.disk.modified().count() - t.modified) as f64 * chunk / dt,
+            rewrite: (self.rewrite_chunk_writes - t.rewrite) as f64 * chunk / dt,
+            pressure: busy.as_secs_f64() / dt,
+        })
     }
-    let busy = (vm.read_busy + vm.write_busy) - vm.tele_last_busy;
-    Some((
-        (vm.write_bytes - vm.tele_last_write) as f64 / dt,
-        (vm.read_bytes - vm.tele_last_read) as f64 / dt,
-        (vm.disk.modified().count() - vm.tele_last_modified) as f64 * chunk / dt,
-        (vm.rewrite_chunk_writes - vm.tele_last_rewrite) as f64 * chunk / dt,
-        busy.as_secs_f64() / dt,
-    ))
 }
 
-/// One VM's windowed I/O pressure (busy fraction): the windowed sample
-/// when a tick has taken one, the on-demand delta otherwise — the same
-/// two-path contract as [`vm_view`]'s rates. Node pressure is the sum
-/// of this over a node's attributed VMs; `Engine::node_pressures`
-/// exposes the same computation to invariant checkers.
-pub(crate) fn vm_pressure(eng: &Engine, v: VmIdx) -> f64 {
+/// VM `v`'s I/O rates as the planners, the rebalancer and
+/// [`Engine::vm_telemetry`] read them: the last window's once a
+/// telemetry tick has sampled the VM, else an on-demand sample of its
+/// counters — read-only, so later windows are unaffected. Without the
+/// on-demand path, a hot writer admitted before its first window
+/// boundary would read all-zero rates and be misclassified as idle.
+fn vm_rates(eng: &Engine, v: VmIdx) -> IoRates {
     let vm = &eng.vms[v as usize];
-    if vm.tele_sampled {
-        vm.tele_pressure
-    } else {
-        sample_rates(vm, eng.now, eng.cfg.chunk_size as f64)
-            .map(|(_, _, _, _, p)| p)
-            .unwrap_or(0.0)
-    }
+    vm.tele
+        .window
+        .or_else(|| vm.sample(eng.now, eng.cfg.chunk_size as f64))
+        .unwrap_or_default()
+}
+
+/// One VM's I/O pressure (busy fraction). Node pressure is the sum of
+/// this over a node's attributed VMs; `Engine::node_pressures` exposes
+/// the same computation to invariant checkers.
+pub(crate) fn vm_pressure(eng: &Engine, v: VmIdx) -> f64 {
+    vm_rates(eng, v).pressure
 }
 
 pub(crate) fn vm_view(eng: &Engine, v: VmIdx) -> VmView {
     let vm = &eng.vms[v as usize];
-    let chunk = eng.cfg.chunk_size as f64;
-    let (write_rate, read_rate, dirty_rate, rewrite_rate, io_pressure) = if vm.tele_sampled {
-        (
-            vm.tele_write_rate,
-            vm.tele_read_rate,
-            vm.tele_dirty_rate,
-            vm.tele_rewrite_rate,
-            vm.tele_pressure,
-        )
-    } else {
-        // No telemetry tick has sampled this VM since it started (the
-        // decision came before its first window boundary): sample the
-        // cumulative counters on demand — read-only, so later windowed
-        // samples are unaffected. Without this, a hot writer admitted
-        // at t < window reads all-zero rates and is misclassified as
-        // idle.
-        sample_rates(vm, eng.now, chunk).unwrap_or((0.0, 0.0, 0.0, 0.0, 0.0))
-    };
+    let r = vm_rates(eng, v);
     VmView {
         vm: v,
         host: vm.vm.host,
         strategy: vm.strategy,
-        write_rate,
-        read_rate,
-        dirty_rate,
-        rewrite_rate,
-        io_pressure,
+        write_rate: r.write,
+        read_rate: r.read,
+        dirty_rate: r.dirty,
+        rewrite_rate: r.rewrite,
+        io_pressure: r.pressure,
         cache_hit: cache_hit_ratio(vm.reads_hit_bytes, vm.reads_miss_bytes),
         local_bytes: vm.disk.local_count() as u64 * eng.cfg.chunk_size,
         modified_bytes: vm.disk.modified().count() as u64 * eng.cfg.chunk_size,
@@ -1159,25 +1189,22 @@ pub(crate) fn telemetry_tick(eng: &mut Engine) {
             // made before its first post-start window must take the
             // on-demand path, not read a zero window sampled while the
             // VM did not exist yet.
-            vm.tele_last_at = now;
-            vm.tele_last_busy = vm.read_busy + vm.write_busy;
+            vm.tele.at = now;
+            vm.tele.busy = vm.read_busy + vm.write_busy;
             continue;
         }
-        let Some((w, r, d, rw, p)) = sample_rates(vm, now, chunk) else {
+        let Some(rates) = vm.sample(now, chunk) else {
             continue;
         };
-        vm.tele_write_rate = w;
-        vm.tele_read_rate = r;
-        vm.tele_dirty_rate = d;
-        vm.tele_rewrite_rate = rw;
-        vm.tele_pressure = p;
-        vm.tele_last_at = now;
-        vm.tele_last_write = vm.write_bytes;
-        vm.tele_last_read = vm.read_bytes;
-        vm.tele_last_modified = vm.disk.modified().count();
-        vm.tele_last_rewrite = vm.rewrite_chunk_writes;
-        vm.tele_last_busy = vm.read_busy + vm.write_busy;
-        vm.tele_sampled = true;
+        vm.tele = Telemetry {
+            at: now,
+            write: vm.write_bytes,
+            read: vm.read_bytes,
+            modified: vm.disk.modified().count(),
+            rewrite: vm.rewrite_chunk_writes,
+            busy: vm.read_busy + vm.write_busy,
+            window: Some(rates),
+        };
     }
     let work_remains = !eng.orch.ready.is_empty()
         || !eng.orch.parked.is_empty()

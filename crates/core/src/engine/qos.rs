@@ -3,13 +3,16 @@
 //! integrator. The pure configuration and report types live in
 //! [`crate::qos`]; this module alone may touch engine state.
 //!
-//! Inertness contract: with no [`QosConfig`] installed every helper
-//! here reproduces the historical behaviour exactly — memory flows
-//! carry `Some(migration_speed_cap())`, storage batches carry `None`,
-//! each copy is a single flow, and wire bytes equal raw bytes — so a
-//! `[qos]`-less run is event-for-event identical to one built before
-//! this module existed. The SLA integrator only writes report fields
-//! and never schedules events, so it stays on unconditionally.
+//! Inertness contract: the engine always holds a [`QosConfig`], and a
+//! run without `[qos]` holds its default, which shapes nothing: no cap,
+//! one stream, both compression ratios 1.0, no CPU cost. From it every
+//! helper here reproduces the historical behaviour exactly — memory
+//! flows carry `Some(migration_speed_cap())`, storage batches carry
+//! `None`, each copy is a single flow, and wire bytes equal raw bytes
+//! (`compress(raw, 1.0)` is `raw`) — so a `[qos]`-less run is
+//! event-for-event identical to one built before this module existed.
+//! The SLA integrator only writes report fields and never schedules
+//! events, so it stays on unconditionally.
 
 use super::types::*;
 use super::Engine;
@@ -17,12 +20,6 @@ use crate::error::EngineError;
 use crate::qos::QosConfig;
 use lsm_hypervisor::VmState;
 use lsm_netsim::TrafficTag;
-
-/// QoS runtime state (one per [`Engine`], present only when a
-/// `[qos]` section is installed).
-pub(crate) struct QosRt {
-    pub cfg: QosConfig,
-}
 
 impl Engine {
     /// Install a migration QoS configuration (bandwidth cap, multifd
@@ -40,14 +37,15 @@ impl Engine {
                 reason: "configure QoS before scheduling migrations or requests".to_string(),
             });
         }
-        self.qos = Some(QosRt { cfg });
+        self.qos = cfg;
         Ok(())
     }
 
-    /// The installed QoS configuration, if any (invariant checkers and
-    /// reports read the knobs through this).
-    pub fn qos_config(&self) -> Option<&QosConfig> {
-        self.qos.as_ref().map(|q| &q.cfg)
+    /// The QoS configuration: the installed one, or the default that
+    /// shapes nothing (invariant checkers and reports read the knobs
+    /// through this).
+    pub fn qos_config(&self) -> &QosConfig {
+        &self.qos
     }
 
     /// SLA audit pair for one VM's live migration: the recorded
@@ -96,7 +94,7 @@ impl Engine {
 /// is configured.
 pub(crate) fn mem_total_cap(eng: &Engine) -> f64 {
     let base = eng.cfg().migration_speed_cap();
-    match eng.qos.as_ref().and_then(|q| q.cfg.cap_bytes()) {
+    match eng.qos.cap_bytes() {
         Some(c) => base.min(c),
         None => base,
     }
@@ -111,7 +109,7 @@ pub(crate) fn post_pull_cap(eng: &Engine) -> Option<f64> {
 /// take whatever max–min share the NIC gives), the QoS ceiling when
 /// one is configured.
 pub(crate) fn storage_flow_cap(eng: &Engine) -> Option<f64> {
-    eng.qos.as_ref().and_then(|q| q.cfg.cap_bytes())
+    eng.qos.cap_bytes()
 }
 
 /// Scale on the guest-visible migration steal (`migration_cpu_steal`):
@@ -122,7 +120,7 @@ pub(crate) fn storage_flow_cap(eng: &Engine) -> Option<f64> {
 /// slow-but-smooth half of the trade `lsm judge` scores. 1.0 when no
 /// cap is configured (inert).
 pub(crate) fn interference_scale(eng: &Engine) -> f64 {
-    match eng.qos.as_ref().and_then(|q| q.cfg.cap_bytes()) {
+    match eng.qos.cap_bytes() {
         Some(cap) => (cap / eng.cfg().nic_bw).clamp(0.0, 1.0),
         None => 1.0,
     }
@@ -139,18 +137,12 @@ fn compress(raw: u64, ratio: f64) -> u64 {
 
 /// Wire bytes for a memory copy of `raw` guest bytes.
 pub(crate) fn wire_bytes_mem(eng: &Engine, raw: u64) -> u64 {
-    match eng.qos.as_ref() {
-        Some(q) => compress(raw, q.cfg.compress_mem_ratio),
-        None => raw,
-    }
+    compress(raw, eng.qos.compress_mem_ratio)
 }
 
 /// Wire bytes for a storage batch of `raw` chunk bytes.
 pub(crate) fn wire_bytes_storage(eng: &Engine, raw: u64) -> u64 {
-    match eng.qos.as_ref() {
-        Some(q) => compress(raw, q.cfg.compress_storage_ratio),
-        None => raw,
-    }
+    compress(raw, eng.qos.compress_storage_ratio)
 }
 
 // ---------------- multifd memory copies ----------------
@@ -171,7 +163,7 @@ pub(crate) fn start_mem_copy(
     stop: bool,
 ) {
     let wire = wire_bytes_mem(eng, raw);
-    let n = eng.qos.as_ref().map(|q| q.cfg.streams).unwrap_or(1) as u64;
+    let n = eng.qos.streams as u64;
     let shards: Vec<u64> = if n <= 1 || wire == 0 {
         vec![wire]
     } else {

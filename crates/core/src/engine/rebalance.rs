@@ -5,14 +5,20 @@
 //!
 //! The pure pieces — configuration, the hysteresis classifier, the
 //! typed action records — live in [`crate::autonomic`]; this module is
-//! the only place the subsystem touches engine state. Everything here
-//! is inert until [`Engine::configure_autonomic`] installs a config:
-//! with `[autonomic]` absent, no tick is ever armed and every run is
+//! the only place the subsystem touches engine state. The engine holds
+//! the node classes and the recorded actions ([`AutonomicRt`]); each VM
+//! holds its own marks (`VmRt::last_moved`, `VmRt::deferred_since`) and
+//! names its live job (`VmRt::live_job`), which keeps a migrating VM out
+//! of the candidates. A re-plan gives the job's admission slot back
+//! through the one release (`orchestrator::release_slot`), which puts
+//! the job straight back on the ready queue. Everything here is inert
+//! until [`Engine::configure_autonomic`] installs a config: with
+//! `[autonomic]` absent, no tick is ever armed and every run is
 //! event-for-event identical to an engine built without this module.
 
 use super::fault;
 use super::job::{FailureReason, JobId, MigrationStatus};
-use super::orchestrator::{self, ReadyItem};
+use super::orchestrator;
 use super::types::{Ev, MigPhase, VmIdx};
 use super::Engine;
 use crate::autonomic::{
@@ -21,7 +27,7 @@ use crate::autonomic::{
 };
 use crate::error::EngineError;
 use lsm_hypervisor::VmId;
-use lsm_simcore::time::{SimDuration, SimTime};
+use lsm_simcore::time::SimDuration;
 
 /// Autonomic runtime state (present iff the subsystem is configured).
 pub(crate) struct AutonomicRt {
@@ -30,12 +36,6 @@ pub(crate) struct AutonomicRt {
     pub armed: bool,
     /// Per-node hysteresis memory (lazily sized to the cluster).
     pub classes: Vec<NodeClass>,
-    /// Per-VM: when the rebalancer last originated a move of this VM
-    /// (the no-ping-pong cooldown reference).
-    pub last_moved: Vec<Option<SimTime>>,
-    /// Per-VM: when a hot-phase deferral of this VM began (cleared when
-    /// it cools or moves; drives the defer deadline).
-    pub deferred_since: Vec<Option<SimTime>>,
     /// Every decision, in tick order (reported).
     pub actions: Vec<RebalanceAction>,
 }
@@ -65,8 +65,6 @@ impl Engine {
             cfg,
             armed: false,
             classes: Vec::new(),
-            last_moved: Vec::new(),
-            deferred_since: Vec::new(),
             actions: Vec::new(),
         });
         // The monitor reads windowed rates: both loops must run.
@@ -151,11 +149,13 @@ fn arm_tick(eng: &mut Engine) {
     eng.queue.schedule(at, Ev::RebalanceTick);
 }
 
-/// Ensure a per-VM vector covers index `i`.
-fn grow<T: Clone + Default>(v: &mut Vec<T>, i: usize) {
-    if v.len() <= i {
-        v.resize(i + 1, T::default());
-    }
+/// What one monitor tick decides from: the configuration, the node
+/// pressures and the classes it gave them, and the moves made so far.
+struct Tick {
+    cfg: AutonomicConfig,
+    pressures: Vec<f64>,
+    classes: Vec<NodeClass>,
+    moves: u32,
 }
 
 /// `Ev::RebalanceTick`: one closed-loop pass — classify every node's
@@ -164,59 +164,44 @@ fn grow<T: Clone + Default>(v: &mut Vec<T>, i: usize) {
 /// most `max_moves_per_tick` originated moves), then re-arm while any
 /// guest still runs.
 pub(crate) fn rebalance_tick(eng: &mut Engine) {
+    let pressures = eng.node_pressures();
     let Some(a) = eng.autonomic.as_mut() else {
         return;
     };
     a.armed = false;
-    let cfg = a.cfg.clone();
-
-    let pressures = eng.node_pressures();
-    let nnodes = pressures.len();
-    let classes = {
-        let a = eng.autonomic.as_mut().expect("checked above");
-        a.classes.resize(nnodes, NodeClass::Neutral);
-        grow(&mut a.last_moved, eng.vms.len().saturating_sub(1));
-        grow(&mut a.deferred_since, eng.vms.len().saturating_sub(1));
-        for (n, &p) in pressures.iter().enumerate() {
-            a.classes[n] = if eng.nodes[n].crashed {
-                // A dead node has no pressure to classify; Neutral keeps
-                // its hysteresis memory from outliving the crash.
-                NodeClass::Neutral
-            } else {
-                classify(p, a.classes[n], &cfg)
-            };
-        }
-        a.classes.clone()
+    a.classes.resize(pressures.len(), NodeClass::Neutral);
+    for (n, &p) in pressures.iter().enumerate() {
+        a.classes[n] = if eng.nodes[n].crashed {
+            // A dead node has no pressure to classify; Neutral keeps
+            // its hysteresis memory from outliving the crash.
+            NodeClass::Neutral
+        } else {
+            classify(p, a.classes[n], &a.cfg)
+        };
+    }
+    let mut tick = Tick {
+        cfg: a.cfg.clone(),
+        classes: a.classes.clone(),
+        pressures,
+        moves: 0,
     };
 
-    let mut moves = 0u32;
-    replan_degraded(eng, &cfg, &classes, &pressures, &mut moves);
+    replan_degraded(eng, &mut tick);
 
-    for node in 0..nnodes as u32 {
-        if moves >= cfg.max_moves_per_tick {
+    for node in 0..tick.classes.len() as u32 {
+        if tick.moves >= tick.cfg.max_moves_per_tick {
             break;
         }
-        match classes[node as usize] {
+        let pressure = tick.pressures[node as usize];
+        match tick.classes[node as usize] {
             NodeClass::Overloaded => {
-                let trigger = RebalanceTrigger::Overload {
-                    node,
-                    pressure: pressures[node as usize],
-                };
-                run_action(eng, &cfg, node, trigger, DestMode::Planner, &mut moves);
+                let trigger = RebalanceTrigger::Overload { node, pressure };
+                run_action(eng, &mut tick, node, trigger, DestMode::Planner);
             }
             NodeClass::Underloaded => {
-                let trigger = RebalanceTrigger::Underload {
-                    node,
-                    pressure: pressures[node as usize],
-                };
-                run_action(
-                    eng,
-                    &cfg,
-                    node,
-                    trigger,
-                    DestMode::Consolidate { from: node },
-                    &mut moves,
-                );
+                let trigger = RebalanceTrigger::Underload { node, pressure };
+                let mode = DestMode::Consolidate { from: node };
+                run_action(eng, &mut tick, node, trigger, mode);
             }
             NodeClass::Neutral => {}
         }
@@ -227,6 +212,14 @@ pub(crate) fn rebalance_tick(eng: &mut Engine) {
         // Pressure reads windowed samples: keep the sampling loop alive
         // for as long as the monitor is.
         orchestrator::arm_telemetry(eng);
+    }
+}
+
+/// Record one decision (the rebalancer is configured wherever one is
+/// taken).
+fn record(eng: &mut Engine, action: RebalanceAction) {
+    if let Some(a) = eng.autonomic.as_mut() {
+        a.actions.push(action);
     }
 }
 
@@ -248,23 +241,17 @@ enum DestMode {
 /// deferral-only tick is auditable, not silent.
 fn run_action(
     eng: &mut Engine,
-    cfg: &AutonomicConfig,
+    tick: &mut Tick,
     node: u32,
     trigger: RebalanceTrigger,
     mode: DestMode,
-    moves: &mut u32,
 ) {
     let now = eng.now;
-    // Movable: hosted here, alive, not already migrating.
+    // Movable: hosted here, alive, without a live job.
     let mut candidates: Vec<VmIdx> = (0..eng.vms.len() as u32)
         .filter(|&v| {
             let vm = &eng.vms[v as usize];
-            !vm.crashed
-                && vm.vm.host == node
-                && !eng
-                    .jobs
-                    .iter()
-                    .any(|j| j.vm == v && !j.status.is_terminal())
+            !vm.crashed && vm.vm.host == node && vm.live_job.is_none()
         })
         .collect();
     if candidates.is_empty() {
@@ -272,6 +259,8 @@ fn run_action(
     }
     // Overload relieves its hottest VM first; a drain moves its coolest
     // first (cheapest to displace). Ties break to the lowest index.
+    // Pressures are finite and never -0.0, so `total_cmp` orders them
+    // as `<` does.
     let hottest_first = matches!(mode, DestMode::Planner);
     candidates.sort_by(|&x, &y| {
         let (px, py) = (
@@ -279,19 +268,18 @@ fn run_action(
             orchestrator::vm_pressure(eng, y),
         );
         let ord = if hottest_first {
-            py.partial_cmp(&px).expect("pressure is finite")
+            py.total_cmp(&px)
         } else {
-            px.partial_cmp(&py).expect("pressure is finite")
+            px.total_cmp(&py)
         };
         ord.then(x.cmp(&y))
     });
 
-    let classes = eng.autonomic.as_ref().expect("configured").classes.clone();
+    let cfg = &tick.cfg;
     let mut deferrals = Vec::new();
     let mut chosen = None;
     for &v in &candidates {
-        let last = eng.autonomic.as_ref().expect("configured").last_moved[v as usize];
-        if let Some(t) = last {
+        if let Some(t) = eng.vms[v as usize].last_moved {
             if now.since(t).as_secs_f64() < cfg.cooldown_secs {
                 deferrals.push(Deferral {
                     vm: v,
@@ -305,17 +293,12 @@ fn run_action(
         // Wait for the cycle to cool, up to the defer deadline.
         let view = orchestrator::vm_view(eng, v);
         let rate = view.dirty_rate.max(view.rewrite_rate);
-        if rate >= cfg.hot_dirty_frac * eng.cfg.nic_bw {
-            let since = eng.autonomic.as_ref().expect("configured").deferred_since[v as usize];
-            let deadline_passed = match since {
-                Some(t) => now.since(t).as_secs_f64() >= cfg.defer_deadline_secs,
-                None => {
-                    eng.autonomic.as_mut().expect("configured").deferred_since[v as usize] =
-                        Some(now);
-                    false
-                }
-            };
-            if !deadline_passed {
+        let hot = rate >= cfg.hot_dirty_frac * eng.cfg.nic_bw;
+        let vm = &mut eng.vms[v as usize];
+        if hot {
+            // The deferral clock starts at the first hot look.
+            let since = *vm.deferred_since.get_or_insert(now);
+            if now.since(since).as_secs_f64() < cfg.defer_deadline_secs {
                 deferrals.push(Deferral {
                     vm: v,
                     reason: DeferralReason::HotPhase { rate },
@@ -326,12 +309,12 @@ fn run_action(
             // anyway (fall through to placement).
         } else {
             // Cooled down: the deferral clock resets.
-            eng.autonomic.as_mut().expect("configured").deferred_since[v as usize] = None;
+            vm.deferred_since = None;
         }
         let dest = match mode {
             DestMode::Planner => orchestrator::place(eng, v)
-                .filter(|&d| classes[d as usize] != NodeClass::Overloaded),
-            DestMode::Consolidate { from } => consolidation_dest(eng, &classes, from),
+                .filter(|&d| tick.classes[d as usize] != NodeClass::Overloaded),
+            DestMode::Consolidate { from } => consolidation_dest(eng, &tick.classes, from),
         };
         let Some(dest) = dest else {
             deferrals.push(Deferral {
@@ -346,10 +329,10 @@ fn run_action(
         let adaptive = eng.orch.cfg.planner.uses_telemetry();
         match eng.schedule_migration_inner(VmId(v), dest, now, None, adaptive) {
             Ok(job) => {
-                let a = eng.autonomic.as_mut().expect("configured");
-                a.last_moved[v as usize] = Some(now);
-                a.deferred_since[v as usize] = None;
-                *moves += 1;
+                let vm = &mut eng.vms[v as usize];
+                vm.last_moved = Some(now);
+                vm.deferred_since = None;
+                tick.moves += 1;
                 chosen = Some((v, job.0, dest));
                 break;
             }
@@ -364,16 +347,18 @@ fn run_action(
         }
     }
 
-    let a = eng.autonomic.as_mut().expect("configured");
-    a.actions.push(RebalanceAction {
-        at: now,
-        trigger,
-        candidates,
-        deferrals,
-        chosen: chosen.map(|(v, _, _)| v),
-        job: chosen.map(|(_, j, _)| j),
-        dest: chosen.map(|(_, _, d)| d),
-    });
+    record(
+        eng,
+        RebalanceAction {
+            at: now,
+            trigger,
+            candidates,
+            deferrals,
+            chosen: chosen.map(|(v, _, _)| v),
+            job: chosen.map(|(_, j, _)| j),
+            dest: chosen.map(|(_, _, d)| d),
+        },
+    );
 }
 
 /// Drain destination: the busiest healthy, non-overloaded node at
@@ -401,13 +386,13 @@ fn consolidation_dest(eng: &Engine, classes: &[NodeClass], from: u32) -> Option<
 /// re-queued toward a healthier target instead of finishing into a hot
 /// spot. Bounded per job by `replan_limit` and per tick by
 /// `max_moves_per_tick`.
-fn replan_degraded(
-    eng: &mut Engine,
-    cfg: &AutonomicConfig,
-    classes: &[NodeClass],
-    pressures: &[f64],
-    moves: &mut u32,
-) {
+fn replan_degraded(eng: &mut Engine, tick: &mut Tick) {
+    let Tick {
+        cfg,
+        classes,
+        pressures,
+        moves,
+    } = tick;
     if !cfg.replan_inflight {
         return;
     }
@@ -520,39 +505,29 @@ pub(crate) fn try_replan_crash(eng: &mut Engine, job: JobId, reason: &FailureRea
 /// resumes at the source), re-point the job, release its admission
 /// slot, and re-queue it — it re-admits through the ordinary drain, so
 /// the re-placement gets a fresh planner decision and respects the cap.
+/// A job that was still queued (crash raced its start) holds no slot
+/// and keeps its pending start event; only its destination changes.
 fn replan_job(eng: &mut Engine, job: JobId, new_dest: u32, reason: ReplanReason) {
     let v = eng.jobs[job.0 as usize].vm;
     fault::teardown_transfer(eng, v);
-    let counted = {
-        let j = &mut eng.jobs[job.0 as usize];
-        j.dest = new_dest;
-        j.replans += 1;
-        j.held = false;
-        let was = j.counted;
-        j.counted = false;
-        was
-    };
-    if counted {
-        debug_assert!(eng.orch.active > 0, "admission slot underflow");
-        eng.orch.active -= 1;
-        eng.set_job_status(job, MigrationStatus::Queued);
-        eng.orch.ready.push_back(ReadyItem::Job(job));
-        orchestrator::poke_drain(eng);
-    }
+    let j = &mut eng.jobs[job.0 as usize];
+    j.dest = new_dest;
+    j.replans += 1;
+    orchestrator::release_slot(eng, job, true);
     // Unconditionally: the teardown released any auto-converge
     // throttle, which only takes effect through a compute refresh.
     eng.update_compute(v);
-    // A job that was still queued (crash raced its start) keeps its
-    // pending start event; only its destination changed.
     let at = eng.now;
-    let a = eng.autonomic.as_mut().expect("configured");
-    a.actions.push(RebalanceAction {
-        at,
-        trigger: RebalanceTrigger::Replan { job: job.0, reason },
-        candidates: vec![v],
-        deferrals: Vec::new(),
-        chosen: Some(v),
-        job: Some(job.0),
-        dest: Some(new_dest),
-    });
+    record(
+        eng,
+        RebalanceAction {
+            at,
+            trigger: RebalanceTrigger::Replan { job: job.0, reason },
+            candidates: vec![v],
+            deferrals: Vec::new(),
+            chosen: Some(v),
+            job: Some(job.0),
+            dest: Some(new_dest),
+        },
+    );
 }

@@ -4,26 +4,32 @@
 //!
 //! The pure pieces — configuration and the typed per-attempt records —
 //! live in [`crate::resilience`]; this module is the only place the
-//! subsystem touches engine state. Everything here is inert until
-//! [`Engine::configure_resilience`] installs a config: with
-//! `[resilience]` absent no retry timer is ever armed, no throttle step
-//! is ever taken, no switchover is ever deferred, and every run is
-//! event-for-event identical to an engine built without this module.
-//! ([`Engine::cancel_migration`] alone works without a config — an
-//! operator may always abandon a job.)
+//! subsystem touches engine state. The engine holds the configuration,
+//! and each job holds its own retry state ([`JobRetry`], in
+//! `JobRt::retry`): the attempt history, the armed `RetryFire`, the
+//! transfer checkpoint, and the reported throttle peak and deferral
+//! count. Everything here is inert until [`Engine::configure_resilience`]
+//! installs a config: with `[resilience]` absent no retry timer is ever
+//! armed, no throttle step is ever taken, no switchover is ever
+//! deferred, and every run is event-for-event identical to an engine
+//! built without this module. ([`Engine::cancel_migration`] alone works
+//! without a config — an operator may always abandon a job.)
 //!
 //! Retry mechanics, end to end: a retryable failure (destination crash,
 //! stall, deadline — each individually gated by `retry_on`) hits a
-//! live pre-control attempt; [`begin_retry`] stashes the surviving
+//! live pre-control attempt; [`try_retry`] stashes the surviving
 //! destination's chunk store as the job's *transfer checkpoint*, tears
-//! the attempt down, releases the admission slot, and arms a
-//! `RetryFire` after exponential backoff. The fire re-places the job if
-//! its destination died, re-arms a fresh per-attempt deadline, and
-//! re-queues the job through the ordinary planner path. When the new
-//! attempt starts, `start_migration` asks [`take_resume`] for the
-//! checkpoint: chunk versions already stamped there (and not rewritten
-//! since) are dropped from the initial source manifests — never
-//! re-sent — and the checkpoint store *becomes* the new attempt's
+//! the attempt down, gives the admission slot back through the one
+//! release (`orchestrator::release_slot`), and arms a `RetryFire` after
+//! exponential backoff. Through the backoff the job stays `Queued` and
+//! its VM's live job, so the VM takes no other. The fire re-places the
+//! job if its destination died, re-arms a fresh per-attempt deadline
+//! (the job's `deadline_at`, which makes any earlier deadline fire
+//! stale), and re-queues the job through the ordinary planner path.
+//! When the new attempt starts, `start_migration` asks [`take_resume`]
+//! for the checkpoint: chunk versions already stamped there (and not
+//! rewritten since) are dropped from the initial source manifests —
+//! never re-sent — and the checkpoint store *becomes* the new attempt's
 //! destination store.
 
 use super::fault;
@@ -38,16 +44,10 @@ use lsm_blockdev::ChunkStore;
 use lsm_simcore::time::{SimDuration, SimTime};
 use lsm_simcore::EventId;
 
-/// Resilience runtime state (present iff the subsystem is configured).
-pub(crate) struct ResilienceRt {
-    pub cfg: ResilienceConfig,
-    /// Per-job retry state, lazily grown (indexed by job id).
-    pub jobs: Vec<JobResilSt>,
-}
-
-/// Per-job retry bookkeeping.
+/// One job's retry bookkeeping (empty unless the resilience machinery
+/// touched the job).
 #[derive(Default)]
-pub(crate) struct JobResilSt {
+pub(crate) struct JobRetry {
     /// Failed-and-retried attempts, in order (reported).
     pub attempts: Vec<JobAttempt>,
     /// The armed `RetryFire`, while the job sits in backoff. `None` at
@@ -57,12 +57,6 @@ pub(crate) struct JobResilSt {
     /// The surviving destination's chunk store, stashed when the failed
     /// attempt was torn down; consumed by the next attempt's resume.
     pub checkpoint: Option<Checkpoint>,
-    /// True once a retry superseded the job's original deadline: a
-    /// `JobDeadline` fire is then stale unless it matches
-    /// [`JobResilSt::deadline_at`] exactly.
-    pub deadline_filtered: bool,
-    /// The current attempt's re-armed deadline instant, if any.
-    pub deadline_at: Option<SimTime>,
     /// Highest auto-converge throttle step reached (reported).
     pub max_throttle: u32,
     /// Switchovers deferred by the downtime limit (reported).
@@ -95,33 +89,28 @@ impl Engine {
                     .to_string(),
             });
         }
-        self.resilience = Some(ResilienceRt {
-            cfg,
-            jobs: Vec::new(),
-        });
+        self.resilience = Some(cfg);
         Ok(())
     }
 
     /// The installed resilience configuration, if any.
     pub fn resilience_config(&self) -> Option<&ResilienceConfig> {
-        self.resilience.as_ref().map(|r| &r.cfg)
+        self.resilience.as_ref()
     }
 
     /// The job's failed-and-retried attempt history (empty when the
     /// subsystem is off or the job never failed).
     pub fn job_attempts(&self, job: JobId) -> &[JobAttempt] {
-        self.resilience
-            .as_ref()
-            .and_then(|r| r.jobs.get(job.0 as usize))
-            .map_or(&[][..], |st| &st.attempts[..])
+        self.jobs
+            .get(job.0 as usize)
+            .map_or(&[][..], |j| &j.retry.attempts[..])
     }
 
     /// True while the job sits in retry backoff (a `RetryFire` armed).
     pub fn job_retry_pending(&self, job: JobId) -> bool {
-        self.resilience
-            .as_ref()
-            .and_then(|r| r.jobs.get(job.0 as usize))
-            .is_some_and(|st| st.pending.is_some())
+        self.jobs
+            .get(job.0 as usize)
+            .is_some_and(|j| j.retry.pending.is_some())
     }
 
     /// The VM's current auto-converge throttle step (0 when untouched,
@@ -139,25 +128,22 @@ impl Engine {
     pub fn resilience_report(&self) -> Vec<JobResilience> {
         let mut out = Vec::new();
         for (ji, j) in self.jobs.iter().enumerate() {
-            let st = self.resilience.as_ref().and_then(|r| r.jobs.get(ji));
-            let attempts = st.map(|s| s.attempts.clone()).unwrap_or_default();
+            let r = &j.retry;
             let cancelled = matches!(j.failure, Some(FailureReason::Cancelled));
-            let auto_converge_steps = st.map_or(0, |s| s.max_throttle);
-            let downtime_deferrals = st.map_or(0, |s| s.downtime_deferrals);
-            if attempts.is_empty()
+            if r.attempts.is_empty()
                 && !cancelled
-                && auto_converge_steps == 0
-                && downtime_deferrals == 0
+                && r.max_throttle == 0
+                && r.downtime_deferrals == 0
             {
                 continue;
             }
             out.push(JobResilience {
                 job: ji as u32,
                 vm: j.vm,
-                attempts,
+                attempts: r.attempts.clone(),
                 cancelled,
-                auto_converge_steps,
-                downtime_deferrals,
+                auto_converge_steps: r.max_throttle,
+                downtime_deferrals: r.downtime_deferrals,
             });
         }
         out
@@ -174,25 +160,14 @@ impl Engine {
     ///
     /// [`EngineError::InvalidRequest`] for an unknown job.
     pub fn cancel_migration(&mut self, job: JobId) -> Result<(), EngineError> {
-        let Some(j) = self.jobs.get(job.0 as usize) else {
-            return Err(EngineError::InvalidRequest {
-                reason: format!(
-                    "cancellation names job {}, but only {} are scheduled",
-                    job.0,
-                    self.jobs.len()
-                ),
-            });
-        };
+        self.known_job(job)?;
+        let j = &mut self.jobs[job.0 as usize];
         if j.status.is_terminal() {
             return Ok(());
         }
-        if let Some(r) = self.resilience.as_mut() {
-            if let Some(st) = r.jobs.get_mut(job.0 as usize) {
-                st.checkpoint = None;
-                if let Some(ev) = st.pending.take() {
-                    self.queue.cancel(ev);
-                }
-            }
+        j.retry.checkpoint = None;
+        if let Some(ev) = j.retry.pending.take() {
+            self.queue.cancel(ev);
         }
         fault::abort_migration(self, job, FailureReason::Cancelled);
         Ok(())
@@ -207,24 +182,29 @@ impl Engine {
     /// [`EngineError::InvalidTime`] when `at` is before [`Engine::now`].
     pub fn schedule_cancellation(&mut self, at: SimTime, job: JobId) -> Result<(), EngineError> {
         self.not_before_now("cancellation", at)?;
-        if job.0 as usize >= self.jobs.len() {
-            return Err(EngineError::InvalidRequest {
-                reason: format!(
-                    "cancellation names job {}, but only {} are scheduled",
-                    job.0,
-                    self.jobs.len()
-                ),
-            });
-        }
+        self.known_job(job)?;
         self.queue.schedule(at, Ev::CancelFire(job.0));
         Ok(())
+    }
+
+    /// Reject a cancellation naming a job that was never scheduled.
+    fn known_job(&self, job: JobId) -> Result<(), EngineError> {
+        if (job.0 as usize) < self.jobs.len() {
+            return Ok(());
+        }
+        Err(EngineError::InvalidRequest {
+            reason: format!(
+                "cancellation names job {}, but only {} are scheduled",
+                job.0,
+                self.jobs.len()
+            ),
+        })
     }
 
     /// Append a fabricated attempt record (checker detection tests).
     #[doc(hidden)]
     pub fn testing_force_job_attempt(&mut self, job: JobId, attempt: JobAttempt) {
-        let st = st_mut(self, job);
-        st.attempts.push(attempt);
+        self.jobs[job.0 as usize].retry.attempts.push(attempt);
     }
 
     /// Force a live migration's throttle step without the converge
@@ -244,23 +224,8 @@ impl Engine {
     pub fn testing_force_retry_pending(&mut self, job: JobId) {
         let at = self.now + SimDuration::from_secs_f64(1e9);
         let ev = self.queue.schedule(at, Ev::RetryFire(job.0));
-        let st = st_mut(self, job);
-        st.pending = Some(ev);
+        self.jobs[job.0 as usize].retry.pending = Some(ev);
     }
-}
-
-/// The job's retry state, lazily grown. Callers must have checked the
-/// subsystem is configured.
-fn st_mut(eng: &mut Engine, job: JobId) -> &mut JobResilSt {
-    let r = eng
-        .resilience
-        .as_mut()
-        .expect("resilience state touched while unconfigured");
-    let ji = job.0 as usize;
-    if r.jobs.len() <= ji {
-        r.jobs.resize_with(ji + 1, JobResilSt::default);
-    }
-    &mut r.jobs[ji]
 }
 
 /// True while the VM runs a live pre-control migration — the only
@@ -275,84 +240,83 @@ fn pre_control_live(eng: &Engine, v: VmIdx) -> bool {
     })
 }
 
-/// True while the job still has retry budget: `max_attempts` counts
-/// every attempt including the first, and `attempts` records only the
-/// failed ones, so a retry is allowed while `failed + 1 < max`.
-fn attempts_left(eng: &Engine, job: JobId) -> bool {
-    let r = eng.resilience.as_ref().expect("checked by caller");
-    let failed = r.jobs.get(job.0 as usize).map_or(0, |st| st.attempts.len());
-    failed + 1 < r.cfg.retry.max_attempts as usize
-}
-
-/// Abandon the job's current attempt and arm a backed-off retry:
-/// checkpoint the surviving destination replica (unless the destination
-/// died with the attempt), tear the transfer down, release the
-/// admission slot, and schedule `RetryFire`. The caller has already
-/// verified the gate ([`attempts_left`], `retry_on`, live pre-control
-/// attempt).
-fn begin_retry(eng: &mut Engine, job: JobId, reason: AttemptReason, keep_checkpoint: bool) {
-    let now = eng.now;
+/// Abandon `job`'s attempt for a backed-off retry, if the policy allows
+/// it: `[resilience]` is installed and its `retry_on` covers `reason`,
+/// the job runs a live pre-control attempt of a living guest, and retry
+/// budget is left (`max_attempts` counts every attempt including the
+/// first, and `attempts` records only the failed ones, so a retry is
+/// allowed while `failed + 1 < max`). Returns whether it retried.
+///
+/// The retry checkpoints the surviving destination replica (unless the
+/// destination died with the attempt), tears the transfer down, gives
+/// the admission slot back, and schedules `RetryFire`.
+pub(crate) fn try_retry(eng: &mut Engine, job: JobId, reason: AttemptReason) -> bool {
     let ji = job.0 as usize;
-    let v = eng.jobs[ji].vm;
-    let (backoff, max) = {
-        let r = eng.resilience.as_ref().expect("checked by caller");
-        let k = r.jobs.get(ji).map_or(0, |st| st.attempts.len()) as i32;
-        let b = (r.cfg.retry.backoff_secs * 2f64.powi(k)).min(r.cfg.retry.backoff_cap_secs);
-        (b, r.cfg.retry.max_attempts)
+    let j = &eng.jobs[ji];
+    let v = j.vm;
+    let Some(policy) = eng.resilience.as_ref().map(|r| &r.retry) else {
+        return false;
     };
-    // Stash the destination replica before teardown discards it; its
-    // stamped chunk versions are the resume set of the next attempt.
-    let (checkpoint, checkpoint_bytes) = if keep_checkpoint {
-        let dest = eng.vms[v as usize].migration.as_ref().map(|m| m.dest);
-        match (eng.vms[v as usize].dest_store.take(), dest) {
-            (Some(store), Some(dest)) => {
-                let bytes = store.present().count() as u64 * eng.cfg.chunk_size;
-                (Some(Checkpoint { dest, store }), bytes)
-            }
-            _ => (None, 0),
-        }
-    } else {
-        (None, 0)
+    let covered = match reason {
+        AttemptReason::DestinationCrashed { .. } => policy.retry_on.dest_crash,
+        AttemptReason::Stalled => policy.retry_on.stall,
+        AttemptReason::DeadlineExceeded => policy.retry_on.deadline,
     };
-    fault::teardown_transfer(eng, v);
-    // Release the admission slot (same accounting as a re-plan): the
-    // job returns to `Queued` but enters the ready queue only when the
-    // retry timer fires.
-    let counted = {
-        let j = &mut eng.jobs[ji];
-        j.held = false;
-        let was = j.counted;
-        j.counted = false;
-        was
-    };
-    if counted {
-        debug_assert!(eng.orch.active > 0, "admission accounting underflow");
-        eng.orch.active -= 1;
-        eng.set_job_status(job, MigrationStatus::Queued);
-        orchestrator::poke_drain(eng);
+    let failed = j.retry.attempts.len();
+    if !covered
+        || j.status.is_terminal()
+        || j.status == MigrationStatus::Queued
+        || eng.vms[v as usize].crashed
+        || !pre_control_live(eng, v)
+        || failed + 1 >= policy.max_attempts as usize
+    {
+        return false;
     }
+    let backoff = (policy.backoff_secs * 2f64.powi(failed as i32)).min(policy.backoff_cap_secs);
+    let max = policy.max_attempts;
+    let now = eng.now;
+    // Stash the destination replica before teardown discards it; its
+    // stamped chunk versions are the resume set of the next attempt. A
+    // crashed destination took its replica with it.
+    let checkpoint = match (reason, eng.vms[v as usize].migration.as_ref()) {
+        (AttemptReason::DestinationCrashed { .. }, _) | (_, None) => None,
+        (_, Some(m)) => {
+            let dest = m.dest;
+            eng.vms[v as usize]
+                .dest_store
+                .take()
+                .map(|store| Checkpoint { dest, store })
+        }
+    };
+    let checkpoint_bytes = checkpoint
+        .as_ref()
+        .map_or(0, |c| c.store.present().count() as u64 * eng.cfg.chunk_size);
+    fault::teardown_transfer(eng, v);
+    // The job returns to `Queued` but enters the ready queue only when
+    // the retry timer fires.
+    orchestrator::release_slot(eng, job, false);
     // Unconditionally: the teardown above released any auto-converge
     // throttle, and the release only takes effect through a compute
     // refresh — gating it on the admission accounting would leak the
     // throttle across the backoff for an uncounted (held) job.
     eng.update_compute(v);
     let ev = eng.schedule_in(SimDuration::from_secs_f64(backoff), Ev::RetryFire(job.0));
-    let st = st_mut(eng, job);
-    st.attempts.push(JobAttempt {
+    let j = &mut eng.jobs[ji];
+    j.retry.attempts.push(JobAttempt {
         at: now,
         reason,
         backoff_secs: backoff,
         checkpoint_bytes,
         resumed_bytes: 0,
     });
-    st.checkpoint = checkpoint;
-    st.pending = Some(ev);
+    j.retry.checkpoint = checkpoint;
+    j.retry.pending = Some(ev);
     // Any earlier-armed deadline (the original, or a prior attempt's)
     // no longer applies; the fire re-arms a fresh one.
-    st.deadline_filtered = true;
-    st.deadline_at = None;
-    let attempt = st.attempts.len() as u32 + 1;
+    j.deadline_at = None;
+    let attempt = j.retry.attempts.len() as u32 + 1;
     eng.note_milestone(v, Milestone::RetryBackoff { attempt, max });
+    true
 }
 
 /// `Ev::RetryFire`: the backoff elapsed — re-place the job if its
@@ -361,17 +325,9 @@ fn begin_retry(eng: &mut Engine, job: JobId, reason: AttemptReason, keep_checkpo
 /// is a no-op.
 pub(crate) fn retry_fire(eng: &mut Engine, job: JobId) {
     let ji = job.0 as usize;
-    {
-        let Some(st) = eng.resilience.as_mut().and_then(|r| r.jobs.get_mut(ji)) else {
-            return;
-        };
-        if st.pending.take().is_none() {
-            // Tombstoned: the job died (or was cancelled) mid-backoff
-            // and the cancel lost the race with this fire.
-            return;
-        }
-    }
-    if eng.jobs[ji].status.is_terminal() {
+    // No armed timer: the job died (or was cancelled) mid-backoff and
+    // the cancel lost the race with this fire.
+    if eng.jobs[ji].retry.pending.take().is_none() || eng.jobs[ji].status.is_terminal() {
         return;
     }
     let v = eng.jobs[ji].vm;
@@ -379,7 +335,7 @@ pub(crate) fn retry_fire(eng: &mut Engine, job: JobId) {
         // Defensive: the crash sweep tombstones pending retries of dead
         // guests, but a same-instant ordering may land here first.
         let node = eng.vms[v as usize].vm.host;
-        st_mut(eng, job).checkpoint = None;
+        eng.jobs[ji].retry.checkpoint = None;
         fault::abort_migration(eng, job, FailureReason::SourceCrashed { node });
         return;
     }
@@ -396,7 +352,7 @@ pub(crate) fn retry_fire(eng: &mut Engine, job: JobId) {
             Some(d) => d,
             None => {
                 // Nowhere healthy to go: the retry dies here.
-                st_mut(eng, job).checkpoint = None;
+                eng.jobs[ji].retry.checkpoint = None;
                 fault::abort_migration(
                     eng,
                     job,
@@ -408,28 +364,22 @@ pub(crate) fn retry_fire(eng: &mut Engine, job: JobId) {
     } else {
         old_dest
     };
-    eng.jobs[ji].dest = dest;
-    let deadline = eng.jobs[ji].deadline;
-    let deadline_at = deadline.map(|d| eng.now + d);
-    if let Some(at) = deadline_at {
-        eng.queue.schedule(at, Ev::JobDeadline(job.0));
-    }
+    let now = eng.now;
+    let dest_crashed = eng.nodes[dest as usize].crashed;
+    let j = &mut eng.jobs[ji];
+    j.dest = dest;
+    j.deadline_at = j.deadline.map(|d| now + d);
+    // A checkpoint is only a resume if the same replica survives at the
+    // same (re-chosen) destination.
+    if j.retry
+        .checkpoint
+        .as_ref()
+        .is_some_and(|c| c.dest != dest || dest_crashed)
     {
-        let dest_crashed = eng.nodes[dest as usize].crashed;
-        let st = st_mut(eng, job);
-        // A checkpoint is only a resume if the same replica survives at
-        // the same (re-chosen) destination.
-        if st
-            .checkpoint
-            .as_ref()
-            .is_some_and(|c| c.dest != dest || dest_crashed)
-        {
-            st.checkpoint = None;
-        }
-        if let Some(at) = deadline_at {
-            st.deadline_filtered = true;
-            st.deadline_at = Some(at);
-        }
+        j.retry.checkpoint = None;
+    }
+    if let Some(at) = j.deadline_at {
+        eng.queue.schedule(at, Ev::JobDeadline(job.0));
     }
     orchestrator::job_ready(eng, job);
 }
@@ -445,129 +395,38 @@ pub(crate) fn cancel_fire(eng: &mut Engine, job: JobId) {
 /// resilience layer absorbed the failure — the caller must then *not*
 /// abort the job.
 pub(crate) fn crash_rescue(eng: &mut Engine, job: JobId, reason: &FailureReason) -> bool {
-    if eng.resilience.is_none() {
-        return false;
-    }
-    let ji = job.0 as usize;
-    let pending = eng
-        .resilience
-        .as_ref()
-        .and_then(|r| r.jobs.get(ji))
-        .is_some_and(|st| st.pending.is_some());
+    let retry = &mut eng.jobs[job.0 as usize].retry;
     match *reason {
         FailureReason::SourceCrashed { .. } => {
-            if pending {
-                // The guest died mid-backoff: the armed RetryFire must
-                // not outlive the job. Tombstone and cancel it, then
-                // let the abort proceed.
-                let st = st_mut(eng, job);
-                st.checkpoint = None;
-                if let Some(ev) = st.pending.take() {
-                    eng.queue.cancel(ev);
-                }
+            // The guest died mid-backoff: the armed RetryFire must not
+            // outlive the job. Tombstone and cancel it, then let the
+            // abort proceed.
+            if let Some(ev) = retry.pending.take() {
+                retry.checkpoint = None;
+                eng.queue.cancel(ev);
             }
             false
         }
-        FailureReason::DestinationCrashed { node } => {
-            if pending {
-                // Still backing off: the timer survives (the fire will
-                // re-place), but a checkpoint at the dead node is gone.
-                let st = st_mut(eng, job);
-                if st.checkpoint.as_ref().is_some_and(|c| c.dest == node) {
-                    st.checkpoint = None;
-                }
-                return true;
+        FailureReason::DestinationCrashed { node } if retry.pending.is_some() => {
+            // Still backing off: the timer survives (the fire will
+            // re-place), but a checkpoint at the dead node is gone.
+            if retry.checkpoint.as_ref().is_some_and(|c| c.dest == node) {
+                retry.checkpoint = None;
             }
-            let retry_on = eng
-                .resilience
-                .as_ref()
-                .is_some_and(|r| r.cfg.retry.retry_on.dest_crash);
-            let v = eng.jobs[ji].vm;
-            if !retry_on
-                || eng.jobs[ji].status == MigrationStatus::Queued
-                || eng.vms[v as usize].crashed
-                || !pre_control_live(eng, v)
-                || !attempts_left(eng, job)
-            {
-                return false;
-            }
-            // The destination died with the replica: no checkpoint.
-            begin_retry(eng, job, AttemptReason::DestinationCrashed { node }, false);
             true
+        }
+        FailureReason::DestinationCrashed { node } => {
+            try_retry(eng, job, AttemptReason::DestinationCrashed { node })
         }
         _ => false,
     }
-}
-
-/// Stall hook, called before the stall machinery severs the pipelines.
-/// Returns true when the attempt was abandoned in favour of a
-/// backed-off resume (the destination survives a stall, so the
-/// checkpoint is kept).
-pub(crate) fn try_retry_stall(eng: &mut Engine, v: VmIdx) -> bool {
-    let retry_on = eng
-        .resilience
-        .as_ref()
-        .is_some_and(|r| r.cfg.retry.retry_on.stall);
-    if !retry_on {
-        return false;
-    }
-    let Some(job) = eng.vms[v as usize].migration.as_ref().map(|m| m.job) else {
-        return false;
-    };
-    let status = eng.jobs[job.0 as usize].status;
-    if status.is_terminal()
-        || status == MigrationStatus::Queued
-        || !pre_control_live(eng, v)
-        || !attempts_left(eng, job)
-    {
-        return false;
-    }
-    begin_retry(eng, job, AttemptReason::Stalled, true);
-    true
-}
-
-/// True when a `JobDeadline` fire is stale: a retry superseded the
-/// deadline it was armed for, and it is not the current attempt's
-/// re-armed one.
-pub(crate) fn deadline_is_stale(eng: &Engine, job: JobId) -> bool {
-    eng.resilience
-        .as_ref()
-        .and_then(|r| r.jobs.get(job.0 as usize))
-        .is_some_and(|st| st.deadline_filtered && st.deadline_at != Some(eng.now))
-}
-
-/// Deadline hook. Returns true when the attempt was abandoned in favour
-/// of a backed-off retry (with a fresh per-attempt deadline).
-pub(crate) fn try_retry_deadline(eng: &mut Engine, job: JobId) -> bool {
-    let retry_on = eng
-        .resilience
-        .as_ref()
-        .is_some_and(|r| r.cfg.retry.retry_on.deadline);
-    if !retry_on {
-        return false;
-    }
-    let ji = job.0 as usize;
-    let v = eng.jobs[ji].vm;
-    if eng.jobs[ji].status == MigrationStatus::Queued
-        || eng.vms[v as usize].crashed
-        || !pre_control_live(eng, v)
-        || !attempts_left(eng, job)
-    {
-        return false;
-    }
-    begin_retry(eng, job, AttemptReason::DeadlineExceeded, true);
-    true
 }
 
 /// Hand the job's transfer checkpoint to a starting attempt, if it is
 /// still valid: same destination, destination alive. Consumes the
 /// checkpoint either way.
 pub(crate) fn take_resume(eng: &mut Engine, job: JobId, dest: u32) -> Option<ChunkStore> {
-    let ckpt = eng
-        .resilience
-        .as_mut()
-        .and_then(|r| r.jobs.get_mut(job.0 as usize))
-        .and_then(|st| st.checkpoint.take())?;
+    let ckpt = eng.jobs[job.0 as usize].retry.checkpoint.take()?;
     if ckpt.dest != dest || eng.nodes[dest as usize].crashed {
         return None;
     }
@@ -577,12 +436,7 @@ pub(crate) fn take_resume(eng: &mut Engine, job: JobId, dest: u32) -> Option<Chu
 /// Record how many bytes a resuming attempt skipped, on the attempt
 /// record that stashed the checkpoint.
 pub(crate) fn record_resumed(eng: &mut Engine, job: JobId, bytes: u64) {
-    if let Some(a) = eng
-        .resilience
-        .as_mut()
-        .and_then(|r| r.jobs.get_mut(job.0 as usize))
-        .and_then(|st| st.attempts.last_mut())
-    {
+    if let Some(a) = eng.jobs[job.0 as usize].retry.attempts.last_mut() {
         a.resumed_bytes = bytes;
     }
 }
@@ -597,11 +451,7 @@ pub(crate) fn auto_converge_round(eng: &mut Engine, v: VmIdx, dirtied: u64) {
     let Some(r) = eng.resilience.as_ref() else {
         return;
     };
-    let (frac, patience, max_steps) = (
-        r.cfg.converge_frac,
-        r.cfg.converge_patience,
-        r.cfg.converge_max_steps,
-    );
+    let (frac, patience, max_steps) = (r.converge_frac, r.converge_patience, r.converge_max_steps);
     let now = eng.now;
     let nic = eng.cfg.nic_bw;
     let stepped = {
@@ -627,8 +477,8 @@ pub(crate) fn auto_converge_round(eng: &mut Engine, v: VmIdx, dirtied: u64) {
     if let Some((job, step)) = stepped {
         eng.note_milestone(v, Milestone::AutoConverge(step));
         eng.update_compute(v);
-        let st = st_mut(eng, job);
-        st.max_throttle = st.max_throttle.max(step);
+        let r = &mut eng.jobs[job.0 as usize].retry;
+        r.max_throttle = r.max_throttle.max(step);
     }
 }
 
@@ -647,17 +497,13 @@ pub(crate) fn release_throttle(mig: &mut super::types::MigrationRt) {
 /// the stop is retried when that round's flow lands. Returns true when
 /// the switchover was deferred (the caller must not stop).
 pub(crate) fn defer_switchover(eng: &mut Engine, v: VmIdx) -> bool {
-    let Some(limit_ms) = eng
+    let Some((limit_ms, extra)) = eng
         .resilience
         .as_ref()
-        .and_then(|r| r.cfg.downtime_limit_ms)
+        .and_then(|r| Some((r.downtime_limit_ms?, r.downtime_extra_rounds)))
     else {
         return false;
     };
-    let extra = eng
-        .resilience
-        .as_ref()
-        .map_or(0, |r| r.cfg.downtime_extra_rounds);
     let chunk_size = eng.cfg.chunk_size;
     // A QoS bandwidth cap slows the stop flush too: estimate against
     // the effective ceiling, not the raw hypervisor cap.
@@ -688,7 +534,7 @@ pub(crate) fn defer_switchover(eng: &mut Engine, v: VmIdx) -> bool {
     let (job, source, dest, bytes, n) = deferred;
     super::migration::set_phase(eng, v, MigPhase::Active);
     eng.note_milestone(v, Milestone::DowntimeDeferred(n));
-    st_mut(eng, job).downtime_deferrals += 1;
+    eng.jobs[job.0 as usize].retry.downtime_deferrals += 1;
     super::qos::start_mem_copy(eng, v, source, dest, bytes, false);
     true
 }

@@ -10,6 +10,7 @@
 //! is lost.
 
 use super::job::JobId;
+use super::orchestrator::Telemetry;
 use crate::policy::{HybridDest, HybridSource, MirrorSource, PrecopySource, StrategyKind};
 use lsm_blockdev::{ChunkId, ChunkSet, PageCache, VirtualDisk, WriteCounter};
 use lsm_hypervisor::{PrecopyMemory, Vm};
@@ -730,39 +731,19 @@ pub(crate) struct VmRt {
     /// tick turns its delta into the windowed re-write rate, the
     /// paper's threshold signal).
     pub rewrite_chunk_writes: u64,
-    /// I/O telemetry snapshot: when the last sample was taken, and the
-    /// cumulative counters at that instant (the orchestrator's
-    /// telemetry tick turns the deltas into windowed rates).
-    pub tele_last_at: SimTime,
-    pub tele_last_write: u64,
-    pub tele_last_read: u64,
-    /// ModifiedSet size at the last sample (dirty-set growth baseline).
-    pub tele_last_modified: u32,
-    /// Overwrite counter at the last sample.
-    pub tele_last_rewrite: u64,
-    /// Windowed write/read rates, bytes/second (what the telemetry
-    /// planners read).
-    pub tele_write_rate: f64,
-    pub tele_read_rate: f64,
-    /// Windowed dirty-set growth, bytes/second (newly modified chunks ×
-    /// chunk size).
-    pub tele_dirty_rate: f64,
-    /// Windowed overwrite rate, bytes/second (writes to already-modified
-    /// chunks × chunk size).
-    pub tele_rewrite_rate: f64,
-    /// Combined read+write busy time at the last sample (the I/O
-    /// pressure baseline).
-    pub tele_last_busy: SimDuration,
-    /// Windowed I/O pressure: fraction of the last window this VM had
-    /// I/O in flight (Δ(read_busy + write_busy) / window) — the
-    /// CPU-proxy signal the autonomic overload classifier sums per
-    /// node.
-    pub tele_pressure: f64,
-    /// True once a telemetry tick has sampled this VM. Until then the
-    /// windowed rates are meaningless zeros, and a planner decision
-    /// samples the cumulative counters on demand instead (a hot writer
-    /// admitted before the first window must not be misread as idle).
-    pub tele_sampled: bool,
+    /// I/O telemetry: the counters at the last sample and the rates of
+    /// the window that ended there.
+    pub tele: Telemetry,
+    /// The VM's one non-terminal job: named when the job is created,
+    /// cleared when it ends. It stays named through a retry's backoff,
+    /// so a VM with a live job can be given no other.
+    pub live_job: Option<JobId>,
+    /// When the autonomic rebalancer last originated a move of this VM
+    /// (the no-ping-pong cooldown reference).
+    pub last_moved: Option<SimTime>,
+    /// When a hot-phase deferral of this VM began (cleared when it
+    /// cools or moves; drives the defer deadline).
+    pub deferred_since: Option<SimTime>,
 }
 
 /// Workload group (barrier domain) state.

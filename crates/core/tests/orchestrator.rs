@@ -118,7 +118,7 @@ fn telemetry_rates_are_windowed() {
         .expect("job");
     let mut sim = b.build().expect("builds");
     sim.run_until(secs(6.0));
-    let (w_early, _) = sim.engine().vm_io_rates(0).expect("vm exists");
+    let w_early = sim.engine().vm_telemetry(0).expect("vm exists").write_rate;
     assert!(
         w_early > 1e6,
         "writer should show MB/s-scale write rate, got {w_early}"
@@ -126,7 +126,7 @@ fn telemetry_rates_are_windowed() {
     // The 32 MiB workload finishes in a few seconds; several windows
     // later the windowed rate must have decayed to zero.
     sim.run_until(secs(60.0));
-    let (w_late, _) = sim.engine().vm_io_rates(0).expect("vm exists");
+    let w_late = sim.engine().vm_telemetry(0).expect("vm exists").write_rate;
     assert_eq!(w_late, 0.0, "windowed rate must forget old activity");
 }
 

@@ -5,7 +5,10 @@
 //! network solvers with an invariant checker attached. Every case must
 //! produce bit-identical serialized `RunReport`s across solvers and zero
 //! invariant violations — the engine's recovery paths hold the
-//! conservation laws no matter what the plan throws at them.
+//! conservation laws no matter what the plan throws at them. One
+//! property also draws every orchestration layer at once: planners,
+//! admission caps, the autonomic rebalancer, evacuation and rebalance
+//! requests, and adaptive migrations.
 //!
 //! Deterministic: the compat proptest derives its seed from the test
 //! name (override with `PROPTEST_SEED`), and case counts are bounded
@@ -16,9 +19,13 @@
 use lsm_check::{CheckConfig, InvariantObserver};
 use lsm_core::config::ClusterConfig;
 use lsm_core::policy::StrategyKind;
-use lsm_core::{FaultKind, QosConfig, ResilienceConfig, RetryPolicy};
+use lsm_core::{
+    AutonomicConfig, FaultKind, OrchestratorConfig, PlannerKind, QosConfig, RequestIntent,
+    ResilienceConfig, RetryPolicy,
+};
 use lsm_experiments::scenario::{
-    run_scenario_observed_with_solver, CancelSpec, FaultSpec, MigrationSpec, ScenarioSpec, VmSpec,
+    run_scenario_observed_with_solver, CancelSpec, FaultSpec, MigrationSpec, RequestSpec,
+    ScenarioSpec, VmSpec,
 };
 use lsm_netsim::SolverMode;
 use lsm_simcore::units::MIB;
@@ -269,11 +276,160 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
         )
 }
 
+fn orchestrator_strategy() -> impl Strategy<Value = OrchestratorConfig> {
+    (
+        prop_oneof![
+            Just(PlannerKind::Fixed),
+            Just(PlannerKind::Adaptive),
+            Just(PlannerKind::Cost),
+        ],
+        prop::option::of(1u32..4),
+        0.3f64..5.0,
+    )
+        .prop_map(|(planner, cap, window)| OrchestratorConfig {
+            planner,
+            max_concurrent: cap,
+            telemetry_window_secs: window,
+            ..OrchestratorConfig::default()
+        })
+}
+
+fn autonomic_strategy() -> impl Strategy<Value = AutonomicConfig> {
+    (0.3f64..4.0, prop::bool::ANY).prop_map(|(interval, replan)| AutonomicConfig {
+        interval_secs: interval,
+        replan_inflight: replan,
+        ..AutonomicConfig::default()
+    })
+}
+
+/// [`scenario_strategy`]'s plans with every orchestration layer drawn
+/// on top: a planner with an optional admission cap and telemetry
+/// window, the autonomic rebalancer, evacuation requests and (in
+/// grouped plans) group rebalances, and adaptive migrations. The draws
+/// lean toward plans that build: each migration moves a different VM
+/// to a node other than its own, adaptive ones only under a telemetry
+/// planner, a group's ranks start together, and stalls and
+/// cancellations name VMs and jobs that exist.
+fn all_subsystems_strategy() -> impl Strategy<Value = ScenarioSpec> {
+    (
+        scenario_strategy(),
+        (
+            prop::option::of(orchestrator_strategy()),
+            prop::option::of(autonomic_strategy()),
+            prop::bool::ANY,
+        ),
+        prop::collection::vec(
+            (
+                1u32..NODES,
+                secs_or_clock_end(0.2..8.0),
+                prop::option::of(len_or_past_clock_end(0.3..30.0)),
+                prop::bool::ANY,
+            ),
+            0..4,
+        ),
+        prop::collection::vec((0.2f64..20.0, 0u32..NODES, prop::bool::ANY), 0..3),
+    )
+        .prop_map(
+            |(mut spec, (orchestrator, autonomic, grouped), moves, requests)| {
+                let nvms = spec.vms.len() as u32;
+                let telemetry = orchestrator
+                    .as_ref()
+                    .is_some_and(|o| o.planner.uses_telemetry());
+                spec.migrations = moves
+                    .into_iter()
+                    .zip(0..nvms)
+                    .map(|((offset, at, deadline, adaptive), vm)| MigrationSpec {
+                        vm,
+                        dest: (spec.vms[vm as usize].node + offset) % NODES,
+                        at_secs: at,
+                        deadline_secs: deadline,
+                        adaptive: Some(adaptive && telemetry),
+                    })
+                    .collect();
+                let requests: Vec<RequestSpec> = requests
+                    .into_iter()
+                    .map(|(at, node, rebalance)| RequestSpec {
+                        at_secs: at,
+                        intent: if rebalance && grouped {
+                            RequestIntent::Rebalance { group: 0 }
+                        } else {
+                            RequestIntent::Evacuate { node }
+                        },
+                    })
+                    .collect();
+                if grouped {
+                    for vm in &mut spec.vms {
+                        vm.start_secs = None;
+                    }
+                }
+                for f in spec.faults.iter_mut().flatten() {
+                    if let FaultKind::TransferStall { vm, .. } = &mut f.kind {
+                        *vm %= nvms;
+                    }
+                }
+                let njobs = spec.migrations.len() as u32;
+                spec.cancellations = spec.cancellations.take().filter(|_| njobs > 0);
+                for c in spec.cancellations.iter_mut().flatten() {
+                    c.job %= njobs;
+                }
+                ScenarioSpec {
+                    orchestrator,
+                    autonomic,
+                    grouped,
+                    requests: (!requests.is_empty()).then_some(requests),
+                    ..spec
+                }
+            },
+        )
+}
+
 fn checker() -> InvariantObserver {
     InvariantObserver::with_config(CheckConfig {
         deep_scan_interval: 512,
         ..CheckConfig::default()
     })
+}
+
+/// Run `spec` under both solver modes, each with an invariant checker:
+/// the reports must be bit-identical and neither run may break a law.
+/// Some generated plans are (deliberately) invalid — e.g. a migration
+/// whose destination equals the VM's node, or a stall naming a VM index
+/// that does not exist. Those must reject cleanly and are skipped.
+fn solver_identical_and_invariant_clean(spec: &ScenarioSpec) -> Result<(), TestCaseError> {
+    let mut reports = Vec::new();
+    for solver in [SolverMode::Incremental, SolverMode::Reference] {
+        let mut obs = checker();
+        match run_scenario_observed_with_solver(spec, solver, &mut obs) {
+            Err(_) => {
+                prop_assume!(false); // invalid plan: rejected, skip
+            }
+            Ok(r) => {
+                if !obs.is_clean() {
+                    return Err(TestCaseError::fail(format!(
+                        "invariant violations under {solver:?}:\n{}",
+                        obs.violations()
+                            .iter()
+                            .map(|v| format!("  {v}"))
+                            .collect::<Vec<_>>()
+                            .join("\n")
+                    )));
+                }
+                reports.push(serde_json::to_string_pretty(&r).expect("serializes"));
+            }
+        }
+    }
+    prop_assert_eq!(reports.len(), 2);
+    if reports[0] != reports[1] {
+        let diff = reports[0]
+            .lines()
+            .zip(reports[1].lines())
+            .enumerate()
+            .find(|(_, (a, b))| a != b);
+        return Err(TestCaseError::fail(format!(
+            "solver reports diverge at {diff:?}"
+        )));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -286,44 +442,9 @@ proptest! {
     fn random_fault_plans_are_solver_identical_and_invariant_clean(
         spec in scenario_strategy()
     ) {
-        // Some generated plans are (deliberately) invalid — e.g. a
-        // migration whose destination equals the VM's node, or a stall
-        // naming a VM index that does not exist. Those must reject
-        // cleanly; valid ones must run clean.
-        let mut reports = Vec::new();
-        for solver in [SolverMode::Incremental, SolverMode::Reference] {
-            let mut obs = checker();
-            match run_scenario_observed_with_solver(&spec, solver, &mut obs) {
-                Err(_) => {
-                    prop_assume!(false); // invalid plan: rejected, skip
-                }
-                Ok(r) => {
-                    if !obs.is_clean() {
-                        return Err(TestCaseError::fail(format!(
-                            "invariant violations under {solver:?}:\n{}",
-                            obs.violations()
-                                .iter()
-                                .map(|v| format!("  {v}"))
-                                .collect::<Vec<_>>()
-                                .join("\n")
-                        )));
-                    }
-                    reports.push(serde_json::to_string_pretty(&r).expect("serializes"));
-                }
-            }
-        }
-        prop_assert_eq!(reports.len(), 2);
-        if reports[0] != reports[1] {
-            let diff = reports[0]
-                .lines()
-                .zip(reports[1].lines())
-                .enumerate()
-                .find(|(_, (a, b))| a != b);
-            return Err(TestCaseError::fail(format!(
-                "solver reports diverge at {diff:?}"
-            )));
-        }
+        solver_identical_and_invariant_clean(&spec)?;
     }
+
 
     /// Determinism under fuzzing: the same plan run twice (same solver)
     /// is bit-identical — fault handling introduces no hidden
@@ -339,6 +460,23 @@ proptest! {
             (Err(_), Err(_)) => prop_assume!(false),
             (a, b) => prop_assert_eq!(a.ok(), b.ok(), "re-run diverged"),
         }
+    }
+}
+
+proptest! {
+    // Nearly every draw builds, and a plan runs in about a millisecond
+    // in release, so this sweep affords more cases than the others.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The headline property with every subsystem drawn at once: the
+    /// orchestrator's planners and cap, the autonomic rebalancer,
+    /// evacuation and group-rebalance requests and adaptive migrations,
+    /// on top of resilience, QoS, faults and cancellations.
+    #[test]
+    fn random_all_subsystem_plans_are_solver_identical_and_invariant_clean(
+        spec in all_subsystems_strategy()
+    ) {
+        solver_identical_and_invariant_clean(&spec)?;
     }
 }
 
