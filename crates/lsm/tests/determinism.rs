@@ -7,12 +7,17 @@
 //! The same runs are also pinned against [`GOLDEN`], so a change that
 //! moves any report shows up as a failing test that names the scenario.
 
+use lsm::core::config::ClusterConfig;
+use lsm::core::policy::StrategyKind;
+use lsm::core::QosConfig;
 use lsm::core::RunReport;
 use lsm::experiments::scenario::{run_scenario, run_scenario_with_solver, ScenarioSpec};
-use lsm::experiments::{faults, stress};
+use lsm::experiments::{faults, resilience, stress};
 use lsm::netsim::SolverMode;
+use lsm::workloads::WorkloadSpec;
 
-/// Golden fingerprints of the shipped scenarios and the quick fleets:
+/// Golden fingerprints of the shipped scenarios, the quick fleets and
+/// the memory-copy runs of [`memory_copy_specs`]:
 /// `(scenario, RunReport.events, FNV-1a 64 of the compact JSON report)`.
 /// The hash is the one lsmbench prints (`scale64.toml` is its
 /// `hybrid64`, `qos64.toml` its `qos64`). When a change moves a report
@@ -34,6 +39,10 @@ const GOLDEN: &[(&str, u64, &str)] = &[
     ("scale1024.toml", 5155508, "13f13d654e8cfa5d"),
     ("scale64-quick", 10587, "bbe33f7adebfb2c8"),
     ("scale1024-quick", 39996, "bdc195c1c7aacdd3"),
+    ("memory-deferral", 40605, "97bbf5c6c8758927"),
+    ("memory-linger-4-streams", 21820, "9c79d303a998f3a6"),
+    ("memory-postcopy-4-streams", 13237, "fb4fa07803f6ddd9"),
+    ("memory-postcopy-pvfs", 42131, "36b6be6e7e988237"),
 ];
 
 /// Every shipped scenario file has a golden entry, so a new file cannot
@@ -134,6 +143,74 @@ fn scale64_file_is_deterministic() {
     let spec =
         ScenarioSpec::from_toml(include_str!("../../../scenarios/scale64.toml")).expect("parses");
     assert_golden("scale64.toml", &assert_deterministic("scale64.toml", &spec));
+}
+
+/// Runs that reach the memory copies no shipped file makes: deferral
+/// rounds with auto-converge steps, linger rounds split into shards,
+/// a sharded post-copy handover with its one-flow background pull,
+/// and post-copy under the PVFS I/O path, whose pull starts and lands
+/// while the phase is still the stop-and-copy.
+fn memory_copy_specs() -> Vec<(&'static str, ScenarioSpec)> {
+    let mut deferral = resilience::auto_converge_spec();
+    deferral.strategy = StrategyKind::Hybrid;
+    let res = deferral
+        .resilience
+        .as_mut()
+        .expect("auto-converge sets [resilience]");
+    res.downtime_limit_ms = Some(1.0);
+    res.downtime_extra_rounds = 3;
+    // The quick hotspot writer and cluster of the Threshold ablation.
+    let hotspot = WorkloadSpec::HotspotWrite {
+        offset: 0,
+        region_blocks: 256,
+        block: 256 * 1024,
+        count: 6000,
+        theta: 0.85,
+        think_secs: 0.005,
+        seed: 11,
+    };
+    let cluster = ClusterConfig {
+        nodes: 4,
+        threshold: 3,
+        dirty_expire_secs: 1.0,
+        ..ClusterConfig::small_test()
+    };
+    let postcopy = ClusterConfig {
+        postcopy_memory: true,
+        ..cluster.clone()
+    };
+    let streams = QosConfig {
+        streams: 4,
+        compress_mem_ratio: 0.5,
+        ..QosConfig::default()
+    };
+    let single = |strategy, cluster: &ClusterConfig| {
+        ScenarioSpec::single_migration(strategy, hotspot.clone(), 5.0)
+            .with_cluster(cluster.clone())
+            .with_horizon(400.0)
+    };
+    vec![
+        ("memory-deferral", deferral),
+        (
+            "memory-linger-4-streams",
+            single(StrategyKind::Precopy, &cluster).with_qos(streams.clone()),
+        ),
+        (
+            "memory-postcopy-4-streams",
+            single(StrategyKind::Hybrid, &postcopy).with_qos(streams),
+        ),
+        (
+            "memory-postcopy-pvfs",
+            single(StrategyKind::SharedFs, &postcopy),
+        ),
+    ]
+}
+
+#[test]
+fn memory_copy_kinds_are_deterministic() {
+    for (name, spec) in memory_copy_specs() {
+        assert_golden(name, &assert_deterministic(name, &spec));
+    }
 }
 
 /// The orchestrated scenarios (planner placement, adaptive strategy
