@@ -28,7 +28,7 @@
 //!   couples disk I/O to memory dirtying during live migration.
 //!
 //! Physical disk *time* is not modeled here: nodes use
-//! [`lsm_simcore::SharedResource`] for that. This crate is pure state.
+//! `lsm_simcore::SharedResource` for that. This crate is pure state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

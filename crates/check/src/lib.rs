@@ -57,7 +57,9 @@
 //!   (`resumed_bytes ≤ checkpoint_bytes` on every attempt).
 //! * **Throttle is always released** — auto-converge guest throttling
 //!   only exists while memory pre-copy is fighting flux: a job that is
-//!   terminal, queued, or past switchover must have throttle step 0.
+//!   terminal, queued, or past switchover must leave its VM at throttle
+//!   step 0, unless a later job of the VM is transferring memory or
+//!   switching over (the throttle is then that job's).
 //! * **No dangling retry timers** — a pending retry backoff implies the
 //!   job is sitting in `Queued`; a terminal (or started) job with a
 //!   live retry timer is a leak.
@@ -381,6 +383,19 @@ impl InvariantObserver {
         // own slot count, and every running job's placement must still
         // be legal.
         let mut running = 0u32;
+        // VMs a job may legally throttle: it transfers memory or switches
+        // over. An earlier, finished job of such a VM is not to blame.
+        let throttling: Vec<u32> = eng
+            .job_ids()
+            .into_iter()
+            .filter(|&job| {
+                matches!(
+                    eng.job_status(job),
+                    Some(MigrationStatus::TransferringMemory | MigrationStatus::SwitchingOver)
+                )
+            })
+            .filter_map(|job| eng.job_progress(job).map(|p| p.vm))
+            .collect();
         for (i, job) in eng.job_ids().into_iter().enumerate() {
             if let Some(prev) = self.statuses.get(i).copied().flatten() {
                 if prev.is_terminal() {
@@ -444,7 +459,10 @@ impl InvariantObserver {
                     MigrationStatus::Queued | MigrationStatus::TransferringStorage
                 );
             if throttle_free {
-                if let Some(p) = eng.job_progress(job) {
+                if let Some(p) = eng
+                    .job_progress(job)
+                    .filter(|p| !throttling.contains(&p.vm))
+                {
                     self.checks += 1;
                     let step = eng.vm_throttle_step(p.vm);
                     if step != 0 {

@@ -617,6 +617,69 @@ fn checker_detects_unreleased_throttle() {
     );
 }
 
+/// A VM's throttle belongs to its live job: a later migration of the
+/// VM that auto-converge throttles is not blamed on an earlier,
+/// cancelled one. The fuzzer's auto-converge draws found this false
+/// alarm on a rebalancer move after a cancellation.
+#[test]
+fn throttled_successor_is_not_blamed_on_a_cancelled_job() {
+    let res = lsm_core::ResilienceConfig {
+        converge_frac: 0.03,
+        converge_patience: 2,
+        converge_step: 0.35,
+        converge_max_steps: 4,
+        ..resilience_cfg(1)
+    };
+    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
+    b.with_resilience(res).expect("configures");
+    let hot = WorkloadSpec::HotspotWrite {
+        offset: 0,
+        region_blocks: 64,
+        block: 256 * 1024,
+        count: 20000,
+        theta: 0.8,
+        think_secs: 0.005,
+        seed: 13,
+    };
+    let vm = b
+        .add_vm(NodeId(0), hot, StrategyKind::Mirror, SimTime::ZERO)
+        .expect("vm");
+    let first = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
+    // A degraded destination link keeps rounds long, so the dirty flux
+    // outruns them.
+    b.inject_fault(
+        secs(0.5),
+        FaultKind::LinkDegrade {
+            node: 1,
+            factor: 0.1,
+        },
+    )
+    .expect("valid");
+    let mut sim = b.build().expect("builds");
+    sim.run_until(secs(1.2));
+    sim.engine_mut()
+        .cancel_migration(first)
+        .expect("cancellable");
+    let second = sim
+        .engine_mut()
+        .schedule_migration(lsm_core::VmId(vm.index()), 1, secs(1.5))
+        .expect("a successor is legal after a terminal job");
+    let mut obs = checker();
+    let report = sim.run_observed(secs(300.0), &mut obs);
+    obs.finish(sim.engine());
+    obs.assert_clean("throttled successor of a cancelled job");
+    let row = report
+        .resilience
+        .iter()
+        .find(|r| r.job == second.0)
+        .expect("the successor's resilience row");
+    assert!(
+        row.auto_converge_steps > 0,
+        "the successor was never throttled"
+    );
+    assert_eq!(sim.status(second), Some(MigrationStatus::Completed));
+}
+
 /// A live retry timer on a job that is not waiting in `Queued` must be
 /// flagged — that is a leaked backoff.
 #[test]

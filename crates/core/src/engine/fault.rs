@@ -218,39 +218,19 @@ pub(crate) fn flow_lost(eng: &mut Engine, ctx: FlowCtx) {
         // Migration transfers: the owning job was already aborted (a
         // migration flow always touches the crashed source or
         // destination); the state teardown happened in abort_migration.
-        FlowCtx::MemRound { .. }
-        | FlowCtx::MemStop { .. }
-        | FlowCtx::MemPostPull { .. }
-        | FlowCtx::Batch(_) => {}
+        FlowCtx::Mem { .. } | FlowCtx::Batch(_) => {}
         // A mirrored write gates a guest op: if the guest survived (the
         // destination crashed), the write completes locally — degraded,
         // not hung. For a dead guest the op was purged and this no-ops.
         FlowCtx::MirrorWrite { op, .. } => eng.op_part_done(op),
-        // A repository fetch lost its wire: release the replica's load
-        // and retry from a surviving replica (selection now avoids the
-        // dead node, and the retry re-resolves the VM's *current* host —
-        // the recorded requester node may be a host the VM migrated off
-        // of). Only a dead guest drops the fetch (its op was purged).
-        FlowCtx::RepoFetch {
-            vm,
-            node: _,
-            chunks,
-            op,
-            replica,
-        } => {
-            for _ in &chunks {
-                eng.repo.end_fetch(replica);
-            }
-            if eng.vms[vm as usize].crashed {
-                return;
-            }
-            io::repo_refetch(eng, vm, op, chunks);
-        }
+        // A repository fetch lost its wire: retried from a surviving
+        // replica while the guest lives.
+        FlowCtx::RepoFetch(fetch) => io::repo_lost(eng, fetch),
         // One stripe leg of a PVFS op: complete the part degraded so the
         // guest does not hang on a dead server (full PVFS failover is
         // out of scope; the repository models replication, PVFS does
         // not).
-        FlowCtx::PvfsLeg { op, .. } => eng.op_part_done(op),
+        FlowCtx::PvfsLeg(leg) => eng.op_part_done(leg.op),
         // Application message to/from a dead peer: the op completes as
         // an error-return to the guest (no payload modeling).
         FlowCtx::Halo { op } => eng.op_part_done(op),
@@ -273,31 +253,16 @@ pub(crate) fn disk_lost(eng: &mut Engine, node: u32, ctx: DiskCtx) {
             let vmrt = &mut eng.vms[vm as usize];
             vmrt.wb_inflight = vmrt.wb_inflight.saturating_sub(1);
         }
-        // Replica-side read for a repository fetch: release the load and
-        // retry from a live replica while the requesting guest lives
-        // (the retry re-resolves its current host).
-        DiskCtx::RepoRead {
-            vm,
-            node: _,
-            chunks,
-            op,
-            replica,
-        } => {
-            for _ in &chunks {
-                eng.repo.end_fetch(replica);
-            }
-            if eng.vms[vm as usize].crashed {
-                return;
-            }
-            io::repo_refetch(eng, vm, op, chunks);
-        }
+        // Replica-side read for a repository fetch: retried from a live
+        // replica while the guest lives.
+        DiskCtx::RepoRead(fetch) => io::repo_lost(eng, fetch),
         DiskCtx::Ingest { .. } => {
             let n = &mut eng.nodes[node as usize];
             n.ingest_inflight = n.ingest_inflight.saturating_sub(1);
             n.ingest_backlog = 0; // received bytes die with the host cache
         }
         // PVFS server-side work on a dead server: degraded completion.
-        DiskCtx::PvfsServer { op, .. } => eng.op_part_done(op),
+        DiskCtx::PvfsServer(leg) => eng.op_part_done(leg.op),
     }
 }
 
@@ -331,9 +296,7 @@ pub(crate) fn teardown_transfer(eng: &mut Engine, v: VmIdx) {
     // migration must not break the workload.
     let ids = flows_where(eng, |ctx| {
         matches!(ctx,
-            FlowCtx::MemRound { vm }
-            | FlowCtx::MemStop { vm }
-            | FlowCtx::MemPostPull { vm }
+            FlowCtx::Mem { vm }
             | FlowCtx::Batch(Batch { vm, .. })
             | FlowCtx::MirrorWrite { vm, .. } if *vm == v)
     });
@@ -365,12 +328,6 @@ pub(crate) fn teardown_transfer(eng: &mut Engine, v: VmIdx) {
             mig.downtime = total - mig.downtime_before;
             mig.stalled_until = None;
             mig.source_store = None;
-            // A deferred stop flush died with its flows; left set, a
-            // successor attempt would treat its own first round as a
-            // retried stop and pause the guest immediately.
-            mig.downtime_round = false;
-            mig.pending_stop_bytes = 0;
-            mig.mem_streams_inflight = 0;
             // An auto-converge throttle never outlives its attempt (the
             // caller's update_compute makes this take effect).
             super::resilient::release_throttle(mig);

@@ -1,6 +1,7 @@
 //! The VM I/O path for local-storage strategies.
 //!
-//! Guest I/O flows through the guest page cache first ([`PageCache`]);
+//! Guest I/O flows through the guest page cache first
+//! ([`PageCache`](lsm_blockdev::PageCache));
 //! the migration manager (and therefore every transfer policy) sees chunk
 //! writes only when they are *flushed* — write-back completions, throttled
 //! write-through, or fsync — exactly like the FUSE-level interposition of
@@ -393,12 +394,20 @@ pub(crate) fn repo_fetch(eng: &mut Engine, v: VmIdx, op: Option<OpId>, chunks: V
     repo_dispatch(eng, v, op, chunks);
 }
 
-/// Re-issue a fetch whose replica or wire was lost to a crash: the op's
-/// outstanding parts were already counted by the original
-/// [`repo_fetch`], so only the dispatch repeats — now avoiding the dead
-/// replica.
-pub(crate) fn repo_refetch(eng: &mut Engine, v: VmIdx, op: Option<OpId>, chunks: Vec<ChunkId>) {
-    repo_dispatch(eng, v, op, chunks);
+/// A fetch lost its replica's disk or its wire to a crash: release the
+/// replica's load and, while the requesting guest lives, dispatch the
+/// chunks again. The op's outstanding parts were already counted by the
+/// original [`repo_fetch`]; selection now avoids the dead replica, and
+/// the dispatch re-resolves the VM's *current* host (the recorded
+/// requester node may be one the VM migrated off of). A dead guest's op
+/// was purged, so its fetch is dropped.
+pub(crate) fn repo_lost(eng: &mut Engine, fetch: RepoFetch) {
+    for _ in &fetch.chunks {
+        eng.repo_mut().end_fetch(fetch.replica);
+    }
+    if !eng.vm(fetch.vm).crashed {
+        repo_dispatch(eng, fetch.vm, fetch.op, fetch.chunks);
+    }
 }
 
 fn repo_dispatch(eng: &mut Engine, v: VmIdx, op: Option<OpId>, chunks: Vec<ChunkId>) {
@@ -433,59 +442,44 @@ fn repo_dispatch(eng: &mut Engine, v: VmIdx, op: Option<OpId>, chunks: Vec<Chunk
             continue;
         }
         let bytes = chunk_size * group.len() as u64;
-        eng.disk_submit(
-            replica.0,
-            bytes,
-            DiskCtx::RepoRead {
-                vm: v,
-                node,
-                chunks: group,
-                op,
-                replica,
-            },
-        );
+        let fetch = RepoFetch {
+            vm: v,
+            node,
+            chunks: group,
+            op,
+            replica,
+        };
+        eng.disk_submit(replica.0, bytes, DiskCtx::RepoRead(fetch));
     }
 }
 
 /// Replica-side disk read finished: forward over the network (or locally).
-pub(crate) fn repo_read_done(
-    eng: &mut Engine,
-    v: VmIdx,
-    node: u32,
-    chunks: Vec<ChunkId>,
-    op: Option<OpId>,
-    replica: NodeId,
-) {
-    let bytes = eng.cfg().chunk_size * chunks.len() as u64;
-    if replica.0 == node {
-        repo_fetch_arrived(eng, v, node, chunks, op, replica);
+pub(crate) fn repo_read_done(eng: &mut Engine, fetch: RepoFetch) {
+    if fetch.replica.0 == fetch.node {
+        repo_fetch_arrived(eng, fetch);
         return;
     }
+    let bytes = eng.cfg().chunk_size * fetch.chunks.len() as u64;
+    let (src, dst) = (fetch.replica.0, fetch.node);
     eng.start_flow(
-        replica.0,
-        node,
+        src,
+        dst,
         bytes,
         None,
         TrafficTag::RepoFetch,
-        FlowCtx::RepoFetch {
-            vm: v,
-            node,
-            chunks,
-            op,
-            replica,
-        },
+        FlowCtx::RepoFetch(fetch),
     );
 }
 
 /// Base content landed at the requesting node.
-pub(crate) fn repo_fetch_arrived(
-    eng: &mut Engine,
-    v: VmIdx,
-    node: u32,
-    chunks: Vec<ChunkId>,
-    op: Option<OpId>,
-    replica: NodeId,
-) {
+pub(crate) fn repo_fetch_arrived(eng: &mut Engine, fetch: RepoFetch) {
+    let RepoFetch {
+        vm: v,
+        node,
+        chunks,
+        op,
+        replica,
+    } = fetch;
     // Fetch load is accounted per chunk (begin_fetch in `repo_fetch`),
     // so a batched arrival releases one unit per carried chunk.
     for _ in &chunks {

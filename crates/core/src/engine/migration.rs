@@ -1,6 +1,6 @@
-//! Migration orchestration: memory rounds, the storage batch pipeline,
-//! control transfer, and completion — the engine-side realization of
-//! Figure 2 of the paper.
+//! Migration orchestration: the memory copy pipeline, the storage batch
+//! pipeline, control transfer, and completion — the engine-side
+//! realization of Figure 2 of the paper.
 //!
 //! Each attempt of a job is one [`MigrationRt`] record in its VM's
 //! `migration` slot. The record names its job (`MigrationRt::job`), so
@@ -23,6 +23,20 @@
 //! in flight through [`MigrationRt::batch_lost`], which returns their
 //! chunks to the surviving manifest. One guard, [`batch_owner`], drops
 //! a batch, request or read whose migration ended or was superseded.
+//!
+//! Guest memory moves through one pipeline too, in six kinds of copy
+//! ([`CopyKind`]): pre-copy rounds (the first pass counts as one),
+//! linger rounds while a pre-copy or mirror storage stream converges,
+//! deferral rounds the hard downtime limit orders, the stop-and-copy
+//! flush, and post-copy memory's handover and background pull.
+//! [`start_copy`] starts each: it counts the copy on the record by its
+//! kind, notes its milestone, and puts it on the wire under
+//! [`FlowCtx::Mem`], as `streams` shards except the one-flow pull. The
+//! record holds at most one copy in flight ([`MigrationRt::copy`]).
+//! [`mem_copy_done`] lands every shard behind one guard, a live record
+//! with a copy in flight; the last shard clears the copy and its kind
+//! decides what follows. The guest memory dirtied between copies is
+//! measured by [`MigrationRt::take_dirt`] against one dirt mark.
 
 use super::io;
 use super::job::{FailureReason, JobId, MigrationStatus};
@@ -32,7 +46,7 @@ use super::Engine;
 use crate::error::EngineError;
 use crate::policy::{HybridDest, StrategyKind};
 use lsm_blockdev::{ChunkId, ChunkSet, WriteCounter};
-use lsm_hypervisor::{MemoryProfile, NextStep, PostcopyMemory, PostcopyStep, PrecopyMemory};
+use lsm_hypervisor::{MemoryProfile, NextStep, PostcopyMemory, PrecopyMemory};
 use lsm_netsim::TrafficTag;
 use lsm_simcore::time::SimDuration;
 use std::collections::HashMap;
@@ -152,10 +166,7 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
     let (first, postcopy_mem) = if postcopy_memory {
         let hot = (64u64 << 20).min(touched);
         let mut pm = PostcopyMemory::new(profile, hot);
-        let PostcopyStep::Handover { bytes } = pm.start() else {
-            unreachable!("start returns Handover");
-        };
-        (bytes, Some(pm))
+        (pm.start(), Some(pm))
     } else {
         (mem.start(), None)
     };
@@ -177,8 +188,8 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
         phase: MigPhase::Active,
         mem,
         postcopy_mem,
+        copy: None,
         round_started: now,
-        round_bytes: first,
         io_dirty_accum: 0.0,
         linger_rounds: 0,
         pending_stop_bytes: 0,
@@ -186,7 +197,6 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
         in_flight: [0; 3],
         pull_waiters: HashMap::new(),
         source_store: None,
-        final_chunks: Vec::new(),
         mirror_flows_inflight: 0,
         handoff_sent: false,
         stalled_until: None,
@@ -194,7 +204,7 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
         requested_at: now,
         control_at: None,
         completed_at: None,
-        mem_rounds: 1,
+        mem_rounds: 0,
         throttled: false,
         pushed_chunks: 0,
         pulled_chunks: 0,
@@ -205,8 +215,6 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
         throttle_step: 0,
         converge_hot_rounds: 0,
         downtime_deferrals: 0,
-        downtime_round: false,
-        mem_streams_inflight: 0,
         degraded_secs: 0.0,
         degrade_mark: now,
         degrade_loss: 0.0,
@@ -224,10 +232,10 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
         eng.vm_mut(v).vm.pause(now);
         set_phase(eng, v, MigPhase::StopAndCopy);
         eng.update_compute(v);
-        super::qos::start_mem_copy(eng, v, source, dest, first, true);
+        start_copy(eng, v, CopyKind::Handover, first);
         return;
     }
-    super::qos::start_mem_copy(eng, v, source, dest, first, false);
+    start_copy(eng, v, CopyKind::Round, first);
     pump_push(eng, v);
     eng.update_compute(v);
 }
@@ -247,23 +255,146 @@ pub(crate) fn ctl_arrive(eng: &mut Engine, _node: u32, msg: Ctl) {
     }
 }
 
-// ---------------- memory rounds ----------------
+// ---------------- memory copies ----------------
 
-/// Dirty bytes accumulated since the round started: anonymous-memory
-/// churn plus guest page-cache dirtying from buffered writes.
-fn take_round_dirt(eng: &mut Engine, v: VmIdx) -> (u64, f64) {
-    let now = eng.now();
-    let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-    let wall = now.since(mig.round_started).as_secs_f64();
-    let anon = mig.mem.profile().base_dirty_rate * wall;
-    let dirtied = (anon + mig.io_dirty_accum) as u64;
-    mig.io_dirty_accum = 0.0;
-    let rate = if wall > 1e-9 {
-        mig.round_bytes as f64 / wall
-    } else {
-        f64::MAX
+/// Start a memory copy of `raw` guest bytes. Its kind is counted on the
+/// record first: every kind but the stop flush and the post-copy pull
+/// counts a memory round, a linger round also counts a linger round and
+/// a deferral round a deferral. A pre-copy round after the first notes
+/// [`Milestone::MemRound`] (the first pass begins at
+/// [`Milestone::Requested`]), a deferral round
+/// [`Milestone::DowntimeDeferred`]. Then the copy goes on the wire as
+/// `streams` shards ([`super::qos::mem_shards`]), except the post-copy
+/// pull, which is one flow at the full ceiling. The record names it in
+/// `copy` until its last shard lands in [`mem_copy_done`].
+pub(crate) fn start_copy(eng: &mut Engine, v: VmIdx, kind: CopyKind, raw: u64) {
+    let streams = match kind {
+        CopyKind::Pull => 1,
+        _ => eng.qos.streams,
     };
-    (dirtied, rate)
+    let (shards, cap) = super::qos::mem_shards(eng, raw, streams);
+    let (source, dest, milestone) = {
+        let Some(mig) = eng.vm_mut(v).migration.as_mut() else {
+            return;
+        };
+        let milestone = match kind {
+            CopyKind::Round => {
+                mig.mem_rounds += 1;
+                (mig.mem_rounds > 1).then_some(Milestone::MemRound(mig.mem_rounds))
+            }
+            CopyKind::Linger => {
+                mig.mem_rounds += 1;
+                mig.linger_rounds += 1;
+                None
+            }
+            CopyKind::Deferral => {
+                mig.mem_rounds += 1;
+                mig.downtime_deferrals += 1;
+                Some(Milestone::DowntimeDeferred(mig.downtime_deferrals))
+            }
+            CopyKind::Handover => {
+                mig.mem_rounds += 1;
+                None
+            }
+            CopyKind::Stop { .. } | CopyKind::Pull => None,
+        };
+        mig.copy = Some(MemCopy {
+            kind,
+            raw,
+            shards: shards.len() as u32,
+        });
+        (mig.source, mig.dest, milestone)
+    };
+    if let Some(m) = milestone {
+        eng.note_milestone(v, m);
+    }
+    for bytes in shards {
+        let ctx = FlowCtx::Mem { vm: v };
+        eng.start_flow(source, dest, bytes, Some(cap), TrafficTag::Memory, ctx);
+    }
+}
+
+/// One shard of VM `v`'s memory copy landed. Only a live record with a
+/// copy in flight counts it; the copy lands with its last shard, leaves
+/// the record, and its kind decides what follows:
+///
+/// * a pre-copy round asks the pre-copy machine for another round or
+///   the stop;
+/// * a linger round takes the next linger step;
+/// * a deferral round makes what dirtied meanwhile the stop backlog and
+///   tries the stop again;
+/// * the stop flush lands its forced chunks, and it and the post-copy
+///   handover switch over;
+/// * the post-copy pull ends the remote page faults and may complete
+///   the migration.
+pub(crate) fn mem_copy_done(eng: &mut Engine, v: VmIdx) {
+    let now = eng.now();
+    let vm = eng.vm_mut(v);
+    let Some(mig) = vm
+        .migration
+        .as_mut()
+        .filter(|m| !matches!(m.phase, MigPhase::Complete | MigPhase::Aborted))
+    else {
+        return;
+    };
+    // Multifd: the copy lands with its last shard.
+    let Some(copy) = mig.copy.take_if(|c| {
+        c.shards -= 1;
+        c.shards == 0
+    }) else {
+        return;
+    };
+    let strategy = mig.strategy;
+    match copy.kind {
+        CopyKind::Round => {
+            let (dirtied, wall) = mig.take_dirt(now);
+            let rate = if wall > 1e-9 {
+                copy.raw as f64 / wall
+            } else {
+                f64::MAX
+            };
+            match mig.mem.round_done(dirtied, rate) {
+                NextStep::Round { bytes } => {
+                    // Auto-converge inspects the finished round's dirty
+                    // flux before the next round starts.
+                    super::resilient::auto_converge_round(eng, v, dirtied, wall);
+                    start_copy(eng, v, CopyKind::Round, bytes);
+                }
+                NextStep::StopAndCopy { bytes, throttled } => {
+                    mig.throttled |= throttled;
+                    mig.pending_stop_bytes = bytes;
+                    try_stop(eng, v);
+                }
+            }
+        }
+        CopyKind::Linger => linger_step(eng, v),
+        CopyKind::Deferral => {
+            // The backlog is delivered. The pre-copy machine already
+            // decided to stop and is not consulted again.
+            mig.pending_stop_bytes = mig.take_dirt(now).0;
+            try_stop(eng, v);
+        }
+        CopyKind::Stop { forced } => {
+            // The chunks a forced convergence owed travelled inside the
+            // flush.
+            if let Some(ds) = vm.dest_store.as_mut() {
+                for &c in &forced {
+                    ds.apply(c, vm.store.version(c));
+                }
+            }
+            mig.pushed_chunks += forced.len() as u64;
+            mig.mem.finish();
+            switch_over(eng, v, strategy);
+        }
+        CopyKind::Handover => switch_over(eng, v, strategy),
+        CopyKind::Pull => {
+            if let Some(pm) = mig.postcopy_mem.as_mut() {
+                pm.pull_done();
+            }
+            eng.update_compute(v);
+            maybe_complete(eng, v);
+        }
+    }
 }
 
 /// Storage-side gate for the stop-and-copy.
@@ -291,93 +422,6 @@ fn storage_converged(eng: &Engine, v: VmIdx) -> bool {
     }
 }
 
-pub(crate) fn mem_round_done(eng: &mut Engine, v: VmIdx) {
-    let now = eng.now();
-    // Defensive: a fault may have aborted the migration while this
-    // round's completion was already being delivered.
-    let Some(phase) = eng.vm(v).migration.as_ref().map(|m| m.phase) else {
-        return;
-    };
-    if matches!(phase, MigPhase::Complete | MigPhase::Aborted) {
-        return;
-    }
-    // Multifd: the round completes when its last shard lands.
-    if !super::qos::mem_copy_shard_done(eng, v) {
-        return;
-    }
-    let (dirtied, rate) = take_round_dirt(eng, v);
-    // A downtime-deferral round finished: its backlog is delivered,
-    // whatever dirtied meanwhile becomes the new stop backlog, and the
-    // stop is retried. The pre-copy memory machine already decided to
-    // stop and is not consulted again.
-    if eng
-        .vm(v)
-        .migration
-        .as_ref()
-        .is_some_and(|m| m.downtime_round)
-    {
-        {
-            let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-            mig.downtime_round = false;
-            mig.pending_stop_bytes = dirtied;
-        }
-        try_stop(eng, v);
-        return;
-    }
-    match phase {
-        MigPhase::Active => {
-            let step = {
-                let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-                mig.mem.round_done(dirtied, rate)
-            };
-            match step {
-                NextStep::Round { bytes } => {
-                    // Auto-converge inspects the finished round's dirty
-                    // flux before the next round rearms the clock.
-                    super::resilient::auto_converge_round(eng, v, dirtied);
-                    start_mem_round(eng, v, bytes);
-                }
-                NextStep::StopAndCopy { bytes, throttled } => {
-                    {
-                        let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-                        mig.throttled |= throttled;
-                        mig.pending_stop_bytes = bytes;
-                    }
-                    try_stop(eng, v);
-                }
-            }
-        }
-        MigPhase::Linger => {
-            // An engine-driven linger round finished.
-            {
-                let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-                mig.round_bytes = 0;
-                mig.round_started = now;
-                // Linger rounds re-send freshly dirtied memory; the
-                // pending stop stays what the machine computed.
-                let _ = dirtied;
-            }
-            linger_step(eng, v, dirtied);
-        }
-        _ => {
-            // Stale completion after a phase change; nothing to do.
-        }
-    }
-}
-
-fn start_mem_round(eng: &mut Engine, v: VmIdx, bytes: u64) {
-    let now = eng.now();
-    let (source, dest, round) = {
-        let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-        mig.mem_rounds += 1;
-        mig.round_started = now;
-        mig.round_bytes = bytes;
-        (mig.source, mig.dest, mig.mem_rounds)
-    };
-    eng.note_milestone(v, Milestone::MemRound(round));
-    super::qos::start_mem_copy(eng, v, source, dest, bytes, false);
-}
-
 /// Attempt the stop-and-copy; if storage has not converged, enter the
 /// linger phase (extra memory rounds while the block/bulk stream drains).
 fn try_stop(eng: &mut Engine, v: VmIdx) {
@@ -386,65 +430,43 @@ fn try_stop(eng: &mut Engine, v: VmIdx) {
         return;
     }
     set_phase(eng, v, MigPhase::Linger);
-    {
-        let now = eng.now();
-        let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-        mig.round_started = now;
-        mig.round_bytes = 0;
-    }
     eng.schedule_in(LINGER_POLL, Ev::ConvergencePoll(v));
 }
 
-/// Linger bookkeeping: either converged (stop), over the cap (force), or
-/// keep re-sending dirtied memory / polling.
-fn linger_step(eng: &mut Engine, v: VmIdx, dirtied: u64) {
+/// One linger step, when a linger round lands or a poll finds none in
+/// flight: take the dirt since the mark, then stop if storage has
+/// converged, force the stop at the round cap, or re-send the fresh dirt
+/// (or poll again while there is too little of it).
+fn linger_step(eng: &mut Engine, v: VmIdx) {
+    let now = eng.now();
+    let cap = eng.cfg().linger_round_cap;
+    let Some(mig) = eng.vm_mut(v).migration.as_mut() else {
+        return;
+    };
+    let (dirtied, _) = mig.take_dirt(now);
+    let rounds = mig.linger_rounds;
     if storage_converged(eng, v) {
         initiate_stop(eng, v, false);
-        return;
-    }
-    let (rounds, cap) = {
-        let mig = eng.vm(v).migration.as_ref().expect("migrating");
-        (mig.linger_rounds, eng.cfg().linger_round_cap)
-    };
-    if rounds >= cap {
+    } else if rounds >= cap {
         initiate_stop(eng, v, true);
-        return;
-    }
-    if dirtied >= LINGER_ROUND_MIN {
-        // Another memory round carrying the fresh dirt.
-        let now = eng.now();
-        let (source, dest) = {
-            let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-            mig.linger_rounds += 1;
-            mig.mem_rounds += 1;
-            mig.round_started = now;
-            mig.round_bytes = dirtied;
-            (mig.source, mig.dest)
-        };
-        super::qos::start_mem_copy(eng, v, source, dest, dirtied, false);
+    } else if dirtied >= LINGER_ROUND_MIN {
+        start_copy(eng, v, CopyKind::Linger, dirtied);
     } else {
         eng.schedule_in(LINGER_POLL, Ev::ConvergencePoll(v));
     }
 }
 
+/// A linger poll fired: stale unless the migration still lingers with
+/// no copy in flight.
 pub(crate) fn convergence_poll(eng: &mut Engine, v: VmIdx) {
-    let in_linger = eng
+    let lingering = eng
         .vm(v)
         .migration
         .as_ref()
-        .map(|m| m.phase == MigPhase::Linger && m.round_bytes == 0)
-        .unwrap_or(false);
-    if !in_linger {
-        return; // stale poll
+        .is_some_and(|m| m.phase == MigPhase::Linger && m.copy.is_none());
+    if lingering {
+        linger_step(eng, v);
     }
-    let (dirtied, _) = take_round_dirt(eng, v);
-    let now = eng.now();
-    eng.vm_mut(v)
-        .migration
-        .as_mut()
-        .expect("migrating")
-        .round_started = now;
-    linger_step(eng, v, dirtied);
 }
 
 /// Pause the VM and flush the final memory (plus, on forced convergence,
@@ -458,58 +480,26 @@ fn initiate_stop(eng: &mut Engine, v: VmIdx, force_storage: bool) {
         return;
     }
     let chunk_size = eng.cfg().chunk_size;
-    let (source, dest, bytes) = {
-        let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-        if force_storage {
-            mig.throttled = true;
-            let owed = mig.transfer.drain_bulk();
-            mig.final_chunks.extend(owed);
-        }
-        let bytes = mig.pending_stop_bytes + mig.final_chunks.len() as u64 * chunk_size;
-        (mig.source, mig.dest, bytes)
+    let Some(mig) = eng.vm_mut(v).migration.as_mut() else {
+        return;
     };
+    let forced = if force_storage {
+        mig.throttled = true;
+        mig.transfer.drain_bulk()
+    } else {
+        Vec::new()
+    };
+    let raw = mig.pending_stop_bytes + forced.len() as u64 * chunk_size;
     set_phase(eng, v, MigPhase::StopAndCopy);
     eng.vm_mut(v).vm.pause(now);
     eng.update_compute(v);
-    super::qos::start_mem_copy(eng, v, source, dest, bytes, true);
+    start_copy(eng, v, CopyKind::Stop { forced }, raw);
 }
 
-pub(crate) fn mem_stop_done(eng: &mut Engine, v: VmIdx) {
-    match eng.vm(v).migration.as_ref().map(|m| m.phase) {
-        None | Some(MigPhase::Complete | MigPhase::Aborted) => return,
-        Some(_) => {}
-    }
-    // Multifd: the stop flush completes when its last shard lands.
-    if !super::qos::mem_copy_shard_done(eng, v) {
-        return;
-    }
-    // Apply the force-flushed chunks at the destination (they travelled
-    // inside the stop-and-copy flush).
-    let finals = std::mem::take(
-        &mut eng
-            .vm_mut(v)
-            .migration
-            .as_mut()
-            .expect("migrating")
-            .final_chunks,
-    );
-    if !finals.is_empty() {
-        let vm = eng.vm_mut(v);
-        let mig = vm.migration.as_mut().expect("migrating");
-        let ds = vm.dest_store.as_mut().expect("dest store");
-        for c in &finals {
-            let ver = vm.store.version(*c);
-            ds.apply(*c, ver);
-            mig.pushed_chunks += 1;
-        }
-    }
-    let strategy = {
-        let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-        if mig.postcopy_mem.is_none() {
-            mig.mem.finish();
-        }
-        mig.strategy
-    };
+/// The stop flush or the post-copy handover landed. The hybrid and
+/// storage post-copy schemes drain their pushes before the remaining-set
+/// handoff moves control; the others move control now.
+fn switch_over(eng: &mut Engine, v: VmIdx, strategy: StrategyKind) {
     match strategy {
         StrategyKind::Hybrid | StrategyKind::Postcopy => {
             set_phase(eng, v, MigPhase::SyncDrain);
@@ -571,17 +561,22 @@ fn transfer_io_control(eng: &mut Engine, v: VmIdx, remaining: ChunkSet, counts: 
 }
 
 /// Control moves to the destination: swap the physical stores, drop the
-/// source's cached base chunks, resume the guest on the new host.
+/// source's cached base chunks, resume the guest on the new host. Under
+/// post-copy memory the background pull starts.
 fn control_transfer(eng: &mut Engine, v: VmIdx) {
     let now = eng.now();
     {
         let vm = eng.vm_mut(v);
-        let mig = vm.migration.as_mut().expect("migrating");
+        let Some(mig) = vm.migration.as_mut() else {
+            return;
+        };
+        let Some(dest_store) = vm.dest_store.take() else {
+            return;
+        };
         mig.control_at = Some(now);
         // Switchover releases the auto-converge throttle (the
         // update_compute below makes it take effect).
         super::resilient::release_throttle(mig);
-        let dest_store = vm.dest_store.take().expect("dest store");
         let source_store = std::mem::replace(&mut vm.store, dest_store);
         mig.source_store = Some(source_store);
         let dest = mig.dest;
@@ -602,47 +597,18 @@ fn control_transfer(eng: &mut Engine, v: VmIdx) {
     eng.update_compute(v);
     eng.release_held(v);
     io::pump_writeback(eng, v);
-
-    // Post-copy memory: kick off the background page pull now that the
+    // Post-copy memory: the background page pull starts now that the
     // guest runs at the destination.
-    let pull = {
-        let mig = eng.vm_mut(v).migration.as_mut().expect("migrating");
-        mig.postcopy_mem.as_mut().map(|pm| {
-            let PostcopyStep::BackgroundPull { bytes } = pm.handover_done() else {
-                unreachable!("handover_done returns BackgroundPull");
-            };
-            (mig.source, mig.dest, bytes)
-        })
-    };
-    if let Some((source, dest, bytes)) = pull {
-        let cap = super::qos::post_pull_cap(eng);
-        let wire = super::qos::wire_bytes_mem(eng, bytes);
-        eng.start_flow(
-            source,
-            dest,
-            wire,
-            cap,
-            TrafficTag::Memory,
-            FlowCtx::MemPostPull { vm: v },
-        );
+    let pull = eng
+        .vm_mut(v)
+        .migration
+        .as_mut()
+        .and_then(|m| m.postcopy_mem.as_mut())
+        .map(|pm| pm.handover_done());
+    if let Some(bytes) = pull {
+        start_copy(eng, v, CopyKind::Pull, bytes);
         eng.update_compute(v); // fault slowdown while pulling
     }
-}
-
-/// The post-copy background memory pull finished.
-pub(crate) fn mem_post_pull_done(eng: &mut Engine, v: VmIdx) {
-    let Some(mig) = eng.vm_mut(v).migration.as_mut() else {
-        return;
-    };
-    if matches!(mig.phase, MigPhase::Complete | MigPhase::Aborted) {
-        return;
-    }
-    mig.postcopy_mem
-        .as_mut()
-        .expect("post-copy memory")
-        .pull_done();
-    eng.update_compute(v);
-    maybe_complete(eng, v);
 }
 
 // ---------------- storage batches ----------------
@@ -955,7 +921,9 @@ fn complete_migration(eng: &mut Engine, v: VmIdx) {
     {
         let vm = eng.vm_mut(v);
         let total_down = vm.vm.total_downtime();
-        let mig = vm.migration.as_mut().expect("migrating");
+        let Some(mig) = vm.migration.as_mut() else {
+            return;
+        };
         mig.completed_at = Some(now);
         mig.consistent = Some(consistent);
         mig.downtime = total_down - mig.downtime_before;

@@ -666,26 +666,13 @@ impl Engine {
 
     fn flow_done(&mut self, ctx: FlowCtx) {
         match ctx {
-            FlowCtx::MemRound { vm } => migration::mem_round_done(self, vm),
-            FlowCtx::MemStop { vm } => migration::mem_stop_done(self, vm),
-            FlowCtx::MemPostPull { vm } => migration::mem_post_pull_done(self, vm),
+            FlowCtx::Mem { vm } => migration::mem_copy_done(self, vm),
             FlowCtx::Batch(batch) => migration::batch_arrived(self, batch),
             FlowCtx::MirrorWrite { vm, op, chunks } => {
                 migration::mirror_write_arrived(self, vm, op, chunks)
             }
-            FlowCtx::RepoFetch {
-                vm,
-                node,
-                chunks,
-                op,
-                replica,
-            } => io::repo_fetch_arrived(self, vm, node, chunks, op, replica),
-            FlowCtx::PvfsLeg {
-                op,
-                server,
-                bytes,
-                write,
-            } => pvfs::leg_flow_done(self, op, server, bytes, write),
+            FlowCtx::RepoFetch(fetch) => io::repo_fetch_arrived(self, fetch),
+            FlowCtx::PvfsLeg(leg) => pvfs::leg_flow_done(self, leg),
             FlowCtx::Halo { op } => self.op_part_done(op),
         }
     }
@@ -701,23 +688,12 @@ impl Engine {
             DiskCtx::VmOp { op } => self.op_part_done(op),
             DiskCtx::Writeback { vm, chunk } => io::writeback_done(self, vm, chunk),
             DiskCtx::BatchRead(batch) => migration::batch_read_done(self, batch),
-            DiskCtx::RepoRead {
-                vm,
-                node,
-                chunks,
-                op,
-                replica,
-            } => io::repo_read_done(self, vm, node, chunks, op, replica),
+            DiskCtx::RepoRead(fetch) => io::repo_read_done(self, fetch),
             DiskCtx::Ingest { node } => {
                 self.nodes[node as usize].ingest_inflight -= 1;
                 self.pump_ingest(node);
             }
-            DiskCtx::PvfsServer {
-                op,
-                write,
-                bytes,
-                server,
-            } => pvfs::server_disk_done(self, op, write, bytes, server),
+            DiskCtx::PvfsServer(leg) => pvfs::server_disk_done(self, leg),
         }
     }
 

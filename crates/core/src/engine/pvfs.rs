@@ -9,7 +9,7 @@
 
 use super::types::*;
 use super::Engine;
-use lsm_netsim::{NodeId, TrafficTag};
+use lsm_netsim::TrafficTag;
 use lsm_workloads::{ActionToken, IoKind};
 
 /// Entry point for a driver `Io` action on a `pvfs-shared` VM.
@@ -36,104 +36,62 @@ pub(crate) fn submit_io(
     // Fixed per-op cost (metadata lookup, request processing, and for
     // writes the synchronous qcow2 metadata updates).
     eng.schedule_in(overhead, Ev::OpTimer(op));
-    for leg in legs {
-        if write {
-            if leg.server.0 == client {
-                // Local stripe: straight to the server disk.
-                eng.disk_submit(
-                    leg.server.0,
-                    leg.bytes,
-                    DiskCtx::PvfsServer {
-                        op,
-                        write: true,
-                        bytes: leg.bytes,
-                        server: leg.server,
-                    },
-                );
-            } else {
-                eng.start_flow(
-                    client,
-                    leg.server.0,
-                    leg.bytes,
-                    None,
-                    TrafficTag::PvfsIo,
-                    FlowCtx::PvfsLeg {
-                        op,
-                        server: leg.server,
-                        bytes: leg.bytes,
-                        write: true,
-                    },
-                );
-            }
-        } else {
-            // Read: server disk first, then the wire back to the client.
-            eng.disk_submit(
+    for stripe in legs {
+        let leg = PvfsLeg {
+            op,
+            server: stripe.server,
+            bytes: stripe.bytes,
+            write,
+        };
+        if write && leg.server.0 != client {
+            // Remote stripe: over the wire first.
+            eng.start_flow(
+                client,
                 leg.server.0,
                 leg.bytes,
-                DiskCtx::PvfsServer {
-                    op,
-                    write: false,
-                    bytes: leg.bytes,
-                    server: leg.server,
-                },
+                None,
+                TrafficTag::PvfsIo,
+                FlowCtx::PvfsLeg(leg),
             );
+        } else {
+            // A local write stripe goes straight to the server disk; a
+            // read hits the server disk first, then the wire back.
+            eng.disk_submit(leg.server.0, leg.bytes, DiskCtx::PvfsServer(leg));
         }
     }
 }
 
-/// A client→server write leg finished its network hop: hit the server
-/// disk next.
-pub(crate) fn leg_flow_done(eng: &mut Engine, op: OpId, server: NodeId, bytes: u64, write: bool) {
-    if write {
-        eng.disk_submit(
-            server.0,
-            bytes,
-            DiskCtx::PvfsServer {
-                op,
-                write: true,
-                bytes,
-                server,
-            },
-        );
+/// A leg's network hop finished: a write leg hits the server disk next,
+/// a read leg's data has arrived at the client.
+pub(crate) fn leg_flow_done(eng: &mut Engine, leg: PvfsLeg) {
+    if leg.write {
+        eng.disk_submit(leg.server.0, leg.bytes, DiskCtx::PvfsServer(leg));
     } else {
-        // Read data arrived at the client: leg complete.
-        eng.op_part_done(op);
+        eng.op_part_done(leg.op);
     }
 }
 
-/// Server-side disk work finished.
-pub(crate) fn server_disk_done(
-    eng: &mut Engine,
-    op: OpId,
-    write: bool,
-    bytes: u64,
-    server: NodeId,
-) {
-    if write {
-        // Write leg fully durable on the server.
-        eng.op_part_done(op);
+/// Server-side disk work finished: a write leg is durable, a read leg
+/// ships its data back to the client.
+pub(crate) fn server_disk_done(eng: &mut Engine, leg: PvfsLeg) {
+    if leg.write {
+        eng.op_part_done(leg.op);
         return;
     }
-    // Read leg: ship the data back to the client.
-    let client = match eng.op_vm(op) {
+    let client = match eng.op_vm(leg.op) {
         Some(v) => eng.vm(v).vm.host,
         None => return, // op already finished (duplicate completion)
     };
-    if server.0 == client {
-        eng.op_part_done(op);
+    if leg.server.0 == client {
+        eng.op_part_done(leg.op);
         return;
     }
     eng.start_flow(
-        server.0,
+        leg.server.0,
         client,
-        bytes,
+        leg.bytes,
         None,
         TrafficTag::PvfsIo,
-        FlowCtx::PvfsLeg {
-            op,
-            server,
-            bytes,
-            write: false,
-        },
+        FlowCtx::PvfsLeg(leg),
     );
 }

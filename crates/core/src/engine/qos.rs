@@ -1,5 +1,5 @@
-//! Engine half of the QoS layer: flow-cap selection, multifd shard
-//! accounting, compression of wire bytes, and the SLA degradation
+//! Engine half of the QoS layer: flow-cap selection, multifd sharding
+//! of memory copies, compression of wire bytes, and the SLA degradation
 //! integrator. The pure configuration and report types live in
 //! [`crate::qos`]; this module alone may touch engine state.
 //!
@@ -8,7 +8,7 @@
 //! one stream, both compression ratios 1.0, no CPU cost. From it every
 //! helper here reproduces the historical behaviour exactly — memory
 //! flows carry `Some(migration_speed_cap())`, storage batches carry
-//! `None`, each copy is a single flow, and wire bytes equal raw bytes
+//! `None`, each memory copy is a single flow, and wire bytes equal raw bytes
 //! (`compress(raw, 1.0)` is `raw`) — so a `[qos]`-less run is
 //! event-for-event identical to one built before this module existed.
 //! The SLA integrator only writes report fields and never schedules
@@ -73,7 +73,7 @@ impl Engine {
             bytes,
             None,
             TrafficTag::Memory,
-            FlowCtx::MemPostPull { vm: 0 },
+            FlowCtx::Mem { vm: 0 },
         );
     }
 
@@ -98,11 +98,6 @@ pub(crate) fn mem_total_cap(eng: &Engine) -> f64 {
         Some(c) => base.min(c),
         None => base,
     }
-}
-
-/// Cap for the post-copy background memory pull (always a single flow).
-pub(crate) fn post_pull_cap(eng: &Engine) -> Option<f64> {
-    Some(mem_total_cap(eng))
 }
 
 /// Cap for storage push/pull batch flows: historically `None` (they
@@ -136,7 +131,7 @@ fn compress(raw: u64, ratio: f64) -> u64 {
 }
 
 /// Wire bytes for a memory copy of `raw` guest bytes.
-pub(crate) fn wire_bytes_mem(eng: &Engine, raw: u64) -> u64 {
+fn wire_bytes_mem(eng: &Engine, raw: u64) -> u64 {
     compress(raw, eng.qos.compress_mem_ratio)
 }
 
@@ -147,23 +142,14 @@ pub(crate) fn wire_bytes_storage(eng: &Engine, raw: u64) -> u64 {
 
 // ---------------- multifd memory copies ----------------
 
-/// Start one memory copy (a pre-copy round or the stop-and-copy flush)
-/// as `streams` concurrent flows with deterministic byte sharding:
-/// `wire / n` per stream with the remainder on the first, zero-byte
-/// shards skipped, and the memory ceiling split evenly across the
-/// shards actually started so their aggregate never exceeds it. The
-/// caller's completion handler must wait for the last shard via
-/// [`mem_copy_shard_done`].
-pub(crate) fn start_mem_copy(
-    eng: &mut Engine,
-    v: VmIdx,
-    source: u32,
-    dest: u32,
-    raw: u64,
-    stop: bool,
-) {
+/// The flows of a memory copy of `raw` guest bytes in `streams` shards,
+/// and the cap of each: `wire / n` bytes per stream with the remainder
+/// on the first, zero-byte shards skipped, and the memory ceiling split
+/// evenly across the shards returned, so their aggregate never exceeds
+/// it. `migration::start_copy` starts them.
+pub(crate) fn mem_shards(eng: &Engine, raw: u64, streams: u32) -> (Vec<u64>, f64) {
     let wire = wire_bytes_mem(eng, raw);
-    let n = eng.qos.streams as u64;
+    let n = streams as u64;
     let shards: Vec<u64> = if n <= 1 || wire == 0 {
         vec![wire]
     } else {
@@ -174,34 +160,8 @@ pub(crate) fn start_mem_copy(
             .filter(|&b| b > 0)
             .collect()
     };
-    let k = shards.len() as u32;
-    let cap = Some(mem_total_cap(eng) / k as f64);
-    eng.vm_mut(v)
-        .migration
-        .as_mut()
-        .expect("migrating")
-        .mem_streams_inflight = k;
-    for bytes in shards {
-        let ctx = if stop {
-            FlowCtx::MemStop { vm: v }
-        } else {
-            FlowCtx::MemRound { vm: v }
-        };
-        eng.start_flow(source, dest, bytes, cap, TrafficTag::Memory, ctx);
-    }
-}
-
-/// One shard of the current memory copy landed; returns true when it
-/// was the last one (the round/flush is complete). The caller has
-/// already checked the migration is live.
-pub(crate) fn mem_copy_shard_done(eng: &mut Engine, v: VmIdx) -> bool {
-    let mig = eng
-        .vm_mut(v)
-        .migration
-        .as_mut()
-        .expect("caller checked migration is live");
-    mig.mem_streams_inflight = mig.mem_streams_inflight.saturating_sub(1);
-    mig.mem_streams_inflight == 0
+    let cap = mem_total_cap(eng) / shards.len() as f64;
+    (shards, cap)
 }
 
 // ---------------- SLA degradation integrator ----------------
@@ -240,23 +200,16 @@ pub(crate) fn degrade_loss(eng: &Engine, v: VmIdx) -> f64 {
 /// the unshaped fast path.
 pub(crate) fn sla_transition(eng: &mut Engine, v: VmIdx, factor: f64) {
     let now = eng.now();
-    let vm = eng.vm(v);
-    let Some(m) = vm.migration.as_ref() else {
+    let vm = eng.vm_mut(v);
+    let idle = vm.crashed || vm.vm.state() == VmState::Paused;
+    let Some(m) = vm.migration.as_mut() else {
         return;
     };
-    let loss = if vm.crashed
-        || vm.vm.state() == VmState::Paused
-        || matches!(m.phase, MigPhase::Complete | MigPhase::Aborted)
-    {
+    let loss = if idle || matches!(m.phase, MigPhase::Complete | MigPhase::Aborted) {
         0.0
     } else {
         (1.0 - factor).clamp(0.0, 1.0)
     };
-    let m = eng
-        .vm_mut(v)
-        .migration
-        .as_mut()
-        .expect("migration record checked above");
     let dt = now.since(m.degrade_mark).as_secs_f64();
     if dt > 0.0 && m.degrade_loss > 0.0 {
         m.degraded_secs += dt * m.degrade_loss;

@@ -36,7 +36,7 @@ use super::fault;
 use super::job::{FailureReason, JobId, MigrationStatus};
 use super::orchestrator;
 use super::report::Milestone;
-use super::types::{Ev, MigPhase, VmIdx};
+use super::types::{CopyKind, Ev, MigPhase, VmIdx};
 use super::Engine;
 use crate::error::EngineError;
 use crate::resilience::{AttemptReason, JobAttempt, JobResilience, ResilienceConfig};
@@ -441,24 +441,23 @@ pub(crate) fn record_resumed(eng: &mut Engine, job: JobId, bytes: u64) {
     }
 }
 
-/// Auto-converge: called at the end of every pre-control memory round
-/// with the bytes the guest dirtied during it. A round whose dirty flux
+/// Auto-converge: called at the end of every pre-copy memory round with
+/// the bytes the guest dirtied during it and the round's seconds. A
+/// round whose dirty flux
 /// stays at or above `converge_frac · nic_bw` for `converge_patience`
 /// consecutive rounds earns the guest one more throttle step (stepped
 /// compute slowdown), up to the ceiling. Any cool round resets the
 /// patience counter.
-pub(crate) fn auto_converge_round(eng: &mut Engine, v: VmIdx, dirtied: u64) {
+pub(crate) fn auto_converge_round(eng: &mut Engine, v: VmIdx, dirtied: u64, wall: f64) {
     let Some(r) = eng.resilience.as_ref() else {
         return;
     };
     let (frac, patience, max_steps) = (r.converge_frac, r.converge_patience, r.converge_max_steps);
-    let now = eng.now;
     let nic = eng.cfg.nic_bw;
     let stepped = {
         let Some(mig) = eng.vms[v as usize].migration.as_mut() else {
             return;
         };
-        let wall = now.since(mig.round_started).as_secs_f64();
         let hot = wall > 1e-9 && dirtied as f64 / wall >= frac * nic;
         if hot {
             mig.converge_hot_rounds += 1;
@@ -494,8 +493,8 @@ pub(crate) fn release_throttle(mig: &mut super::types::MigrationRt) {
 /// `initiate_stop`. When the estimated stop-and-copy transfer would
 /// blow the budget and deferral rounds remain, the dirty backlog rides
 /// one more live copy round instead — the guest keeps running — and
-/// the stop is retried when that round's flow lands. Returns true when
-/// the switchover was deferred (the caller must not stop).
+/// the stop is retried when that round lands. Returns true when the
+/// switchover was deferred (the caller must not stop).
 pub(crate) fn defer_switchover(eng: &mut Engine, v: VmIdx) -> bool {
     let Some((limit_ms, extra)) = eng
         .resilience
@@ -504,37 +503,21 @@ pub(crate) fn defer_switchover(eng: &mut Engine, v: VmIdx) -> bool {
     else {
         return false;
     };
-    let chunk_size = eng.cfg.chunk_size;
     // A QoS bandwidth cap slows the stop flush too: estimate against
     // the effective ceiling, not the raw hypervisor cap.
     let speed = super::qos::mem_total_cap(eng);
-    let now = eng.now;
-    let deferred = {
-        let Some(mig) = eng.vms[v as usize].migration.as_mut() else {
+    let (job, bytes) = {
+        let Some(mig) = eng.vms[v as usize].migration.as_ref() else {
             return false;
         };
-        let bytes = mig.pending_stop_bytes + mig.final_chunks.len() as u64 * chunk_size;
-        let est_ms = bytes as f64 / speed * 1e3;
+        let est_ms = mig.pending_stop_bytes as f64 / speed * 1e3;
         if est_ms <= limit_ms || mig.downtime_deferrals >= extra {
             return false;
         }
-        mig.downtime_deferrals += 1;
-        mig.downtime_round = true;
-        mig.round_started = now;
-        mig.round_bytes = mig.pending_stop_bytes;
-        mig.mem_rounds += 1;
-        (
-            mig.job,
-            mig.source,
-            mig.dest,
-            mig.pending_stop_bytes,
-            mig.downtime_deferrals,
-        )
+        (mig.job, mig.pending_stop_bytes)
     };
-    let (job, source, dest, bytes, n) = deferred;
     super::migration::set_phase(eng, v, MigPhase::Active);
-    eng.note_milestone(v, Milestone::DowntimeDeferred(n));
     eng.jobs[job.0 as usize].retry.downtime_deferrals += 1;
-    super::qos::start_mem_copy(eng, v, source, dest, bytes, false);
+    super::migration::start_copy(eng, v, CopyKind::Deferral, bytes);
     true
 }

@@ -8,6 +8,14 @@
 //! read ([`DiskCtx::BatchRead`]) and its one flow ([`FlowCtx::Batch`]),
 //! and [`MigrationRt::in_flight`] counts it per kind until it lands or
 //! is lost.
+//!
+//! Guest memory moves in [`MemCopy`]s, one [`CopyKind`] each, under one
+//! flow context ([`FlowCtx::Mem`]); [`MigrationRt::copy`] names the copy
+//! in flight and the shards it still has out.
+//!
+//! The two guest-I/O pipelines carry one context each through their
+//! disk read and their flow: a [`RepoFetch`] from a repository replica,
+//! a [`PvfsLeg`] to or from a PVFS server.
 
 use super::job::JobId;
 use super::orchestrator::Telemetry;
@@ -154,15 +162,65 @@ pub(crate) struct Batch {
     pub epoch: u64,
 }
 
+/// The kinds of memory copy a migration makes.
+#[derive(Debug)]
+pub(crate) enum CopyKind {
+    /// An iterative pre-copy round; the first pass is round 1.
+    Round,
+    /// An extra round of fresh dirt while a pre-copy or mirror storage
+    /// stream converges before the stop.
+    Linger,
+    /// The stop backlog riding one more live round, because the stop
+    /// would blow the hard downtime limit.
+    Deferral,
+    /// The stop-and-copy flush, carrying the chunks a forced convergence
+    /// still owed; they land at the destination with it.
+    Stop { forced: Vec<ChunkId> },
+    /// Post-copy: the hot set, moved while the guest is paused.
+    Handover,
+    /// Post-copy: the rest of the touched memory, pulled while the guest
+    /// runs at the destination.
+    Pull,
+}
+
+/// The memory copy a migration has in flight.
+#[derive(Debug)]
+pub(crate) struct MemCopy {
+    pub kind: CopyKind,
+    /// Guest bytes copied (before compression).
+    pub raw: u64,
+    /// Multifd shards still on the wire; the copy lands with the last.
+    pub shards: u32,
+}
+
+/// A repository fetch of base chunks for the guest on `vm`: the replica
+/// disk read, then the flow to the requesting `node` (skipped when the
+/// replica is that node).
+#[derive(Debug)]
+pub(crate) struct RepoFetch {
+    pub vm: VmIdx,
+    pub node: u32,
+    pub chunks: Vec<ChunkId>,
+    /// The guest op waiting on the chunks (None: background prefetch).
+    pub op: Option<OpId>,
+    pub replica: NodeId,
+}
+
+/// One stripe leg of a PVFS op: a write goes over the wire, then to the
+/// server disk; a read the other way round.
+#[derive(Debug)]
+pub(crate) struct PvfsLeg {
+    pub op: OpId,
+    pub server: NodeId,
+    pub bytes: u64,
+    pub write: bool,
+}
+
 /// Why a network flow exists (completion routing).
 #[derive(Debug)]
 pub(crate) enum FlowCtx {
-    /// Iterative memory round or first pass.
-    MemRound { vm: VmIdx },
-    /// Final stop-and-copy memory flush.
-    MemStop { vm: VmIdx },
-    /// Background memory pull of a post-copy memory migration.
-    MemPostPull { vm: VmIdx },
+    /// One shard of the VM's memory copy in flight.
+    Mem { vm: VmIdx },
     /// A storage batch on the wire, its versions stamped.
     Batch(Batch),
     /// Mirrored write: `op` is the guest write gated on it.
@@ -171,21 +229,10 @@ pub(crate) enum FlowCtx {
         op: OpId,
         chunks: Vec<(ChunkId, u64)>,
     },
-    /// Repository chunk fetch for op `op` (None: background prefetch).
-    RepoFetch {
-        vm: VmIdx,
-        node: u32,
-        chunks: Vec<ChunkId>,
-        op: Option<OpId>,
-        replica: NodeId,
-    },
-    /// One stripe leg of a PVFS op.
-    PvfsLeg {
-        op: OpId,
-        server: NodeId,
-        bytes: u64,
-        write: bool,
-    },
+    /// Repository chunks on their way to the requesting node.
+    RepoFetch(RepoFetch),
+    /// A PVFS leg's network hop.
+    PvfsLeg(PvfsLeg),
     /// Application message (CM1 halo).
     Halo { op: OpId },
 }
@@ -201,23 +248,12 @@ pub(crate) enum DiskCtx {
     /// read completes.
     BatchRead(Batch),
     /// Replica-side read serving a repository fetch; flow follows.
-    RepoRead {
-        vm: VmIdx,
-        node: u32,
-        chunks: Vec<ChunkId>,
-        op: Option<OpId>,
-        replica: NodeId,
-    },
+    RepoRead(RepoFetch),
     /// Ingest of network-received bytes to the local disk (host-cache
     /// drain); non-blocking for the pipelines.
     Ingest { node: u32 },
     /// PVFS server-side disk work for one stripe leg.
-    PvfsServer {
-        op: OpId,
-        write: bool,
-        bytes: u64,
-        server: NodeId,
-    },
+    PvfsServer(PvfsLeg),
 }
 
 /// An in-flight VM operation (one driver Action).
@@ -556,13 +592,17 @@ pub(crate) struct MigrationRt {
     /// Post-copy memory migration state (memory-strategy ablation);
     /// `Some` replaces the pre-copy rounds entirely.
     pub postcopy_mem: Option<lsm_hypervisor::PostcopyMemory>,
+    /// The memory copy in flight, if any.
+    pub copy: Option<MemCopy>,
+    /// The dirt mark: when [`MigrationRt::take_dirt`] last measured the
+    /// guest memory dirtied.
     pub round_started: SimTime,
-    pub round_bytes: u64,
-    /// Memory dirtied by I/O (guest page cache) since round start.
+    /// Memory dirtied by I/O (guest page cache) since the dirt mark.
     pub io_dirty_accum: f64,
     /// Engine-driven linger rounds performed (bounded).
     pub linger_rounds: u32,
-    /// Deferred stop-and-copy bytes from the memory machine.
+    /// The memory the stop-and-copy will flush: what the memory machine
+    /// asked for, or what dirtied during a deferral round.
     pub pending_stop_bytes: u64,
     /// The storage transfer policy's state.
     pub transfer: Transfer,
@@ -575,10 +615,6 @@ pub(crate) struct MigrationRt {
     /// The source-side physical store, frozen at control transfer and
     /// kept while the destination still pulls from it.
     pub source_store: Option<lsm_blockdev::ChunkStore>,
-    /// Chunks force-flushed during the stop-and-copy (forced convergence
-    /// of precopy/mirror), applied at the destination when the final
-    /// memory flush lands.
-    pub final_chunks: Vec<ChunkId>,
     /// Reads waiting for a specific chunk to be pulled.
     pub pull_waiters: HashMap<ChunkId, Vec<OpId>>,
     /// Synchronous mirror flows currently in flight (mirror gating).
@@ -613,14 +649,6 @@ pub(crate) struct MigrationRt {
     pub converge_hot_rounds: u32,
     /// Switchovers deferred by the hard downtime limit this attempt.
     pub downtime_deferrals: u32,
-    /// The current memory round is a downtime-deferral round: when its
-    /// flow lands, the stop is retried instead of consulting the
-    /// pre-copy memory machine (which already decided to stop).
-    pub downtime_round: bool,
-    /// Multifd memory-copy shards still in flight for the current
-    /// round/stop flush (1 outside `[qos]` multifd runs); the round
-    /// completes when the last shard lands.
-    pub mem_streams_inflight: u32,
     /// SLA accounting: throughput-weighted seconds the guest ran
     /// degraded while this migration was live (∫ degrade_loss dt).
     pub degraded_secs: f64,
@@ -635,6 +663,18 @@ pub(crate) struct MigrationRt {
 }
 
 impl MigrationRt {
+    /// The guest memory dirtied since the dirt mark, anonymous-memory
+    /// churn plus page-cache dirtying by buffered writes, and the seconds
+    /// since the mark, which moves to `now`.
+    pub fn take_dirt(&mut self, now: SimTime) -> (u64, f64) {
+        let wall = now.since(self.round_started).as_secs_f64();
+        let anon = self.mem.profile().base_dirty_rate * wall;
+        let dirtied = (anon + self.io_dirty_accum) as u64;
+        self.io_dirty_accum = 0.0;
+        self.round_started = now;
+        (dirtied, wall)
+    }
+
     /// A storage batch was lost in flight: its flow severed by a stall,
     /// or its source read finished while one cut the wire. It stops
     /// counting, and its chunks return to the surviving manifest: the

@@ -2,11 +2,11 @@
 //! and the static analyzer.
 //!
 //! These are the per-scheme formulas of the [`CostPlanner`] model (see
-//! [`super::cost`]) factored into free functions of plain numbers, so
-//! they can be evaluated both *dynamically* (against live telemetry,
-//! by the planner) and *statically* (against a scenario spec, by
-//! `lsm-analyze`'s feasibility and convergence lints) without either
-//! caller re-implementing the math. The planner calls these with the
+//! the planner's `cost` module) factored into free functions of plain
+//! numbers, so they can be evaluated both *dynamically* (against live
+//! telemetry, by the planner) and *statically* (against a scenario
+//! spec, by `lsm-analyze`'s feasibility and convergence lints) without
+//! either caller re-implementing the math. The planner calls these with the
 //! exact same operation order as before the extraction — its decisions
 //! (and the pinned `cost64` determinism) are bit-identical.
 //!

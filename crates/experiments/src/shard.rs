@@ -21,7 +21,8 @@
 //!   adaptive-strategy migrations (planner telemetry), and no
 //!   `SharedFs` strategy (PVFS stripes over every node);
 //! * every workload passes
-//!   [`WorkloadSpec::chunk_aligned_write_only`] — write-only and
+//!   [`WorkloadSpec::chunk_aligned_write_only`](lsm_workloads::WorkloadSpec::chunk_aligned_write_only)
+//!   — write-only and
 //!   chunk-aligned I/O never triggers on-demand repository fetches
 //!   from nodes outside the component;
 //! * the fabric is switch-decoupled (switch aggregate ≥ 2× the summed

@@ -1,7 +1,8 @@
 //! The scenario fuzzer: random cluster/workload/migration/fault plans
 //! — including device speeds from 30 MB/s to 100 GB/s, instants and
-//! lengths up to the end of the clock, node restores, retry policies
-//! and operator cancellations — each run under **both**
+//! lengths up to the end of the clock, node restores, retry policies,
+//! hard downtime limits, auto-converge triggers, post-copy memory and
+//! operator cancellations — each run under **both**
 //! network solvers with an invariant checker attached. Every case must
 //! produce bit-identical serialized `RunReport`s across solvers and zero
 //! invariant violations — the engine's recovery paths hold the
@@ -111,7 +112,11 @@ fn fault_strategy() -> impl Strategy<Value = FaultSpec> {
 }
 
 /// A small-but-live retry policy: enough attempts and short enough
-/// backoffs that retries actually fire inside the fuzzed horizons.
+/// backoffs that retries actually fire inside the fuzzed horizons. It
+/// may carry a hard downtime limit of 0.5–20 ms with 1–4 deferral
+/// rounds, and its auto-converge trigger is drawn log-uniformly from
+/// 0.01 of the NIC up to the default 0.9, which the small cluster's
+/// guests rarely reach.
 fn resilience_strategy() -> impl Strategy<Value = ResilienceConfig> {
     (
         1u32..4,
@@ -119,21 +124,30 @@ fn resilience_strategy() -> impl Strategy<Value = ResilienceConfig> {
         0.0f64..6.0,
         prop::bool::ANY,
         prop::bool::ANY,
+        prop::option::of((0.5f64..20.0, 1u32..5)),
+        (0.0f64..1.0).prop_map(|u| 0.01 * 90f64.powf(u)),
     )
-        .prop_map(|(max_attempts, backoff, extra, stall, deadline)| {
-            let mut cfg = ResilienceConfig {
-                retry: RetryPolicy {
-                    max_attempts,
-                    backoff_secs: backoff,
-                    backoff_cap_secs: backoff + extra,
-                    ..RetryPolicy::default()
-                },
-                ..ResilienceConfig::default()
-            };
-            cfg.retry.retry_on.stall = stall;
-            cfg.retry.retry_on.deadline = deadline;
-            cfg
-        })
+        .prop_map(
+            |(max_attempts, backoff, extra, stall, deadline, limit, converge_frac)| {
+                let mut cfg = ResilienceConfig {
+                    retry: RetryPolicy {
+                        max_attempts,
+                        backoff_secs: backoff,
+                        backoff_cap_secs: backoff + extra,
+                        ..RetryPolicy::default()
+                    },
+                    converge_frac,
+                    ..ResilienceConfig::default()
+                };
+                cfg.retry.retry_on.stall = stall;
+                cfg.retry.retry_on.deadline = deadline;
+                if let Some((ms, rounds)) = limit {
+                    cfg.downtime_limit_ms = Some(ms);
+                    cfg.downtime_extra_rounds = rounds;
+                }
+                cfg
+            },
+        )
 }
 
 /// Random QoS shaping: caps tight enough to bite on the small test
@@ -207,6 +221,10 @@ fn cancel_strategy() -> impl Strategy<Value = CancelSpec> {
     })
 }
 
+/// Raw plans: migrations may name a VM twice or its own node, and
+/// stalls and cancellations VMs and jobs that do not exist, so many do
+/// not build (see [`buildable`]). Post-copy memory is drawn for the
+/// strategies it works with, Hybrid and Postcopy.
 fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
     let vm_start = prop_oneof![4 => Just(None), 1 => secs_or_clock_end(0.0..5.0).prop_map(Some)];
     (
@@ -218,23 +236,37 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
                 secs_or_clock_end(0.2..8.0),
                 prop::option::of(len_or_past_clock_end(0.3..30.0)),
             ),
-            0..3,
+            0..4,
         ),
         prop::collection::vec(fault_strategy(), 0..5),
         (
             cluster_strategy(),
             prop::option::of(resilience_strategy()),
             prop::option::of(qos_strategy()),
+            prop::bool::ANY,
         ),
         prop::collection::vec(cancel_strategy(), 0..3),
         30.0f64..90.0,
     )
         .prop_map(
-            |(strategy, vms, migs, faults, (cluster, resilience, qos), cancels, horizon)| {
+            |(
+                strategy,
+                vms,
+                migs,
+                faults,
+                (cluster, resilience, qos, postcopy),
+                cancels,
+                horizon,
+            )| {
                 let nvms = vms.len() as u32;
+                let postcopy_memory =
+                    postcopy && matches!(strategy, StrategyKind::Hybrid | StrategyKind::Postcopy);
                 ScenarioSpec {
                     name: None,
-                    cluster: Some(cluster),
+                    cluster: Some(ClusterConfig {
+                        postcopy_memory,
+                        ..cluster
+                    }),
                     orchestrator: None,
                     autonomic: None,
                     resilience,
@@ -302,50 +334,55 @@ fn autonomic_strategy() -> impl Strategy<Value = AutonomicConfig> {
     })
 }
 
-/// [`scenario_strategy`]'s plans with every orchestration layer drawn
-/// on top: a planner with an optional admission cap and telemetry
-/// window, the autonomic rebalancer, evacuation requests and (in
-/// grouped plans) group rebalances, and adaptive migrations. The draws
-/// lean toward plans that build: each migration moves a different VM
-/// to a node other than its own, adaptive ones only under a telemetry
-/// planner, a group's ranks start together, and stalls and
-/// cancellations name VMs and jobs that exist.
+/// A raw plan made one that builds: migration `i` moves VM `i` (one
+/// migration per VM, the surplus dropped) to another node, its drawn
+/// destination read as an offset of 1 to `NODES - 1` from the VM's
+/// node, and stalls and cancellations name VMs and jobs that exist
+/// (their indices taken modulo the counts).
+fn buildable(mut spec: ScenarioSpec) -> ScenarioSpec {
+    let nvms = spec.vms.len() as u32;
+    spec.migrations.truncate(spec.vms.len());
+    for (m, vm) in spec.migrations.iter_mut().zip(0..) {
+        m.vm = vm;
+        m.dest = (spec.vms[vm as usize].node + 1 + m.dest % (NODES - 1)) % NODES;
+    }
+    for f in spec.faults.iter_mut().flatten() {
+        if let FaultKind::TransferStall { vm, .. } = &mut f.kind {
+            *vm %= nvms;
+        }
+    }
+    let njobs = spec.migrations.len() as u32;
+    spec.cancellations = spec.cancellations.take().filter(|_| njobs > 0);
+    for c in spec.cancellations.iter_mut().flatten() {
+        c.job %= njobs;
+    }
+    spec
+}
+
+/// [`buildable`] plans with every orchestration layer drawn on top: a
+/// planner with an optional admission cap and telemetry window, the
+/// autonomic rebalancer, evacuation requests and (in grouped plans,
+/// whose ranks start together) group rebalances, and adaptive
+/// migrations under a telemetry planner.
 fn all_subsystems_strategy() -> impl Strategy<Value = ScenarioSpec> {
     (
-        scenario_strategy(),
+        scenario_strategy().prop_map(buildable),
         (
             prop::option::of(orchestrator_strategy()),
             prop::option::of(autonomic_strategy()),
             prop::bool::ANY,
         ),
-        prop::collection::vec(
-            (
-                1u32..NODES,
-                secs_or_clock_end(0.2..8.0),
-                prop::option::of(len_or_past_clock_end(0.3..30.0)),
-                prop::bool::ANY,
-            ),
-            0..4,
-        ),
+        prop::collection::vec(prop::bool::ANY, 3),
         prop::collection::vec((0.2f64..20.0, 0u32..NODES, prop::bool::ANY), 0..3),
     )
         .prop_map(
-            |(mut spec, (orchestrator, autonomic, grouped), moves, requests)| {
-                let nvms = spec.vms.len() as u32;
+            |(mut spec, (orchestrator, autonomic, grouped), adaptive, requests)| {
                 let telemetry = orchestrator
                     .as_ref()
                     .is_some_and(|o| o.planner.uses_telemetry());
-                spec.migrations = moves
-                    .into_iter()
-                    .zip(0..nvms)
-                    .map(|((offset, at, deadline, adaptive), vm)| MigrationSpec {
-                        vm,
-                        dest: (spec.vms[vm as usize].node + offset) % NODES,
-                        at_secs: at,
-                        deadline_secs: deadline,
-                        adaptive: Some(adaptive && telemetry),
-                    })
-                    .collect();
+                for (m, adaptive) in spec.migrations.iter_mut().zip(adaptive) {
+                    m.adaptive = Some(adaptive && telemetry);
+                }
                 let requests: Vec<RequestSpec> = requests
                     .into_iter()
                     .map(|(at, node, rebalance)| RequestSpec {
@@ -361,16 +398,6 @@ fn all_subsystems_strategy() -> impl Strategy<Value = ScenarioSpec> {
                     for vm in &mut spec.vms {
                         vm.start_secs = None;
                     }
-                }
-                for f in spec.faults.iter_mut().flatten() {
-                    if let FaultKind::TransferStall { vm, .. } = &mut f.kind {
-                        *vm %= nvms;
-                    }
-                }
-                let njobs = spec.migrations.len() as u32;
-                spec.cancellations = spec.cancellations.take().filter(|_| njobs > 0);
-                for c in spec.cancellations.iter_mut().flatten() {
-                    c.job %= njobs;
                 }
                 ScenarioSpec {
                     orchestrator,
@@ -433,14 +460,16 @@ fn solver_identical_and_invariant_clean(spec: &ScenarioSpec) -> Result<(), TestC
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    // Nearly every draw builds, and a plan runs in about a millisecond
+    // in release, so the sweeps afford many cases.
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The headline fuzz property: any valid random cluster/fault plan
     /// yields bit-identical reports under both solver modes and breaks
     /// no conservation law in either.
     #[test]
     fn random_fault_plans_are_solver_identical_and_invariant_clean(
-        spec in scenario_strategy()
+        spec in scenario_strategy().prop_map(buildable)
     ) {
         solver_identical_and_invariant_clean(&spec)?;
     }
@@ -450,7 +479,9 @@ proptest! {
     /// is bit-identical — fault handling introduces no hidden
     /// nondeterminism (hash-map iteration, allocation order, ...).
     #[test]
-    fn random_fault_plans_are_run_to_run_deterministic(spec in scenario_strategy()) {
+    fn random_fault_plans_are_run_to_run_deterministic(
+        spec in scenario_strategy().prop_map(buildable)
+    ) {
         let run = || {
             let mut obs = checker();
             run_scenario_observed_with_solver(&spec, SolverMode::Incremental, &mut obs)
@@ -461,12 +492,6 @@ proptest! {
             (a, b) => prop_assert_eq!(a.ok(), b.ok(), "re-run diverged"),
         }
     }
-}
-
-proptest! {
-    // Nearly every draw builds, and a plan runs in about a millisecond
-    // in release, so this sweep affords more cases than the others.
-    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The headline property with every subsystem drawn at once: the
     /// orchestrator's planners and cap, the autonomic rebalancer,

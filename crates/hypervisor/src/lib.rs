@@ -35,6 +35,6 @@ pub mod precopy;
 pub mod vm;
 
 pub use memory::{MemMigrationConfig, MemoryProfile};
-pub use postcopy::{PostcopyMemory, PostcopyStep};
+pub use postcopy::PostcopyMemory;
 pub use precopy::{NextStep, PrecopyMemory};
 pub use vm::{Vm, VmId, VmState};

@@ -10,23 +10,6 @@
 
 use crate::memory::MemoryProfile;
 
-/// Driving steps for a post-copy memory migration.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PostcopyStep {
-    /// Pause the VM and move `bytes` (device state + hot pages), then
-    /// resume it **at the destination**.
-    Handover {
-        /// Bytes moved during the pause.
-        bytes: u64,
-    },
-    /// Background-pull `bytes` of remaining memory while the guest runs
-    /// at the destination.
-    BackgroundPull {
-        /// Bytes still to pull.
-        bytes: u64,
-    },
-}
-
 /// The post-copy state machine.
 #[derive(Clone, Debug)]
 pub struct PostcopyMemory {
@@ -47,22 +30,21 @@ impl PostcopyMemory {
         }
     }
 
-    /// Begin: returns the handover step.
-    pub fn start(&mut self) -> PostcopyStep {
+    /// Begin: pause the VM and move the returned bytes (device state and
+    /// hot pages), then resume it **at the destination**.
+    pub fn start(&mut self) -> u64 {
         assert_eq!(self.phase, 0, "migration already started");
         self.phase = 1;
-        PostcopyStep::Handover {
-            bytes: self.hot_set_bytes,
-        }
+        self.hot_set_bytes
     }
 
-    /// The handover pause finished; returns the background pull step.
-    pub fn handover_done(&mut self) -> PostcopyStep {
+    /// The handover pause finished: background-pull the returned bytes,
+    /// the rest of the touched memory, while the guest runs at the
+    /// destination.
+    pub fn handover_done(&mut self) -> u64 {
         assert_eq!(self.phase, 1, "handover_done out of phase");
         self.phase = 2;
-        PostcopyStep::BackgroundPull {
-            bytes: self.profile.touched_bytes - self.hot_set_bytes,
-        }
+        self.profile.touched_bytes - self.hot_set_bytes
     }
 
     /// The background pull finished: migration complete.
@@ -96,12 +78,9 @@ mod tests {
     fn lifecycle_moves_each_byte_once() {
         let p = MemoryProfile::new(4 * GIB, 1024 * MIB, 256 * MIB, 0.0);
         let mut m = PostcopyMemory::new(p, 64 * MIB);
-        assert_eq!(m.start(), PostcopyStep::Handover { bytes: 64 * MIB });
+        assert_eq!(m.start(), 64 * MIB);
         assert!(!m.faulting());
-        assert_eq!(
-            m.handover_done(),
-            PostcopyStep::BackgroundPull { bytes: 960 * MIB }
-        );
+        assert_eq!(m.handover_done(), 960 * MIB);
         assert!(m.faulting());
         m.pull_done();
         assert!(m.is_done());
