@@ -8,7 +8,7 @@
 //! one stream, both compression ratios 1.0, no CPU cost. From it every
 //! helper here reproduces the historical behaviour exactly — memory
 //! flows carry `Some(migration_speed_cap())`, storage batches carry
-//! `None`, each memory copy is a single flow, and wire bytes equal raw bytes
+//! `None`, each copy is a single flow, and wire bytes equal raw bytes
 //! (`compress(raw, 1.0)` is `raw`) — so a `[qos]`-less run is
 //! event-for-event identical to one built before this module existed.
 //! The SLA integrator only writes report fields and never schedules

@@ -443,11 +443,10 @@ pub(crate) fn record_resumed(eng: &mut Engine, job: JobId, bytes: u64) {
 
 /// Auto-converge: called at the end of every pre-copy memory round with
 /// the bytes the guest dirtied during it and the round's seconds. A
-/// round whose dirty flux
-/// stays at or above `converge_frac · nic_bw` for `converge_patience`
-/// consecutive rounds earns the guest one more throttle step (stepped
-/// compute slowdown), up to the ceiling. Any cool round resets the
-/// patience counter.
+/// round whose dirty flux stays at or above `converge_frac · nic_bw`
+/// for `converge_patience` consecutive rounds earns the guest one more
+/// throttle step (stepped compute slowdown), up to the ceiling. Any
+/// cool round resets the patience counter.
 pub(crate) fn auto_converge_round(eng: &mut Engine, v: VmIdx, dirtied: u64, wall: f64) {
     let Some(r) = eng.resilience.as_ref() else {
         return;

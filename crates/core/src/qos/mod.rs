@@ -46,9 +46,10 @@ pub struct QosConfig {
     /// historical per-flow caps in place.
     pub bandwidth_cap_mb: Option<f64>,
     /// Multifd-style parallel memory streams: each memory copy (the
-    /// pre-copy rounds, the stop-and-copy, the post-copy background
-    /// pull) splits into this many concurrent flows with deterministic
-    /// byte sharding. `1` keeps the single-stream wire behaviour.
+    /// pre-copy, linger and deferral rounds, the stop-and-copy, the
+    /// post-copy handover) splits into this many concurrent flows with
+    /// deterministic byte sharding; the post-copy background pull stays
+    /// one flow. `1` keeps the single-stream wire behaviour.
     pub streams: u32,
     /// Memory-traffic compressibility: wire bytes are `ratio` × guest
     /// bytes for memory flows. `1.0` disables memory compression.
