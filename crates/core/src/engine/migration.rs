@@ -328,9 +328,9 @@ pub(crate) fn start_copy(eng: &mut Engine, v: VmIdx, kind: CopyKind, raw: u64) {
 /// * the post-copy pull ends the remote page faults and may complete
 ///   the migration.
 ///
-/// Kept out of line: memory copies are under 1 % of events, and inlined
-/// into the network drain that lands every flow this landing slowed
-/// lsmbench's `fleet1024` by several percent.
+/// Kept out of line, as the per-kind landings it replaces were: memory
+/// copies are under 1 % of events, and inlined into the network drain
+/// that lands every flow it made lsmbench's `fleet1024` slower.
 #[inline(never)]
 pub(crate) fn mem_copy_done(eng: &mut Engine, v: VmIdx) {
     let now = eng.now();
