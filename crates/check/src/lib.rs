@@ -154,9 +154,8 @@ impl std::fmt::Display for Violation {
 }
 
 /// The invariant-checking observer. Attach to
-/// [`lsm_core::builder::Simulation::run_observed`] (or the engine's
-/// `run_until_observed`); call [`InvariantObserver::finish`] after the
-/// run for the final audit.
+/// [`lsm_core::Engine::run_until_observed`]; call
+/// [`InvariantObserver::finish`] after the run for the final audit.
 #[derive(Debug, Default)]
 pub struct InvariantObserver {
     cfg: CheckConfig,

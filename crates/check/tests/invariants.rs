@@ -3,11 +3,10 @@
 //! vacuously green.
 
 use lsm_check::{CheckConfig, InvariantObserver};
-use lsm_core::builder::SimulationBuilder;
 use lsm_core::config::ClusterConfig;
 use lsm_core::engine::{JobId, MigrationProgress, MigrationStatus};
 use lsm_core::policy::StrategyKind;
-use lsm_core::{FaultKind, NodeId, Observer};
+use lsm_core::{Engine, FaultKind, Observer, RequestIntent};
 use lsm_simcore::time::SimTime;
 use lsm_simcore::units::MIB;
 use lsm_workloads::WorkloadSpec;
@@ -41,15 +40,14 @@ fn clean_migration_upholds_every_law() {
         StrategyKind::Postcopy,
         StrategyKind::SharedFs,
     ] {
-        let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-        let vm = b
-            .add_vm(NodeId(0), writer(), strategy, SimTime::ZERO)
+        let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+        let vm = sim
+            .add_vm(0, &writer(), strategy, SimTime::ZERO)
             .expect("vm");
-        b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-        let mut sim = b.build().expect("builds");
+        sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
         let mut obs = checker();
-        sim.run_observed(secs(600.0), &mut obs);
-        obs.finish(sim.engine());
+        sim.run_until_observed(secs(600.0), &mut obs);
+        obs.finish(&sim);
         assert!(
             obs.checks_run() > 1000,
             "{}: audit barely ran",
@@ -63,15 +61,15 @@ fn clean_migration_upholds_every_law() {
 fn faulted_migrations_uphold_every_law() {
     // Crash + degradation + stall in one run; the engine's recovery
     // paths must not bend any conservation law while tearing down.
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let vm0 = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let vm0 = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let _vm1 = b
-        .add_vm(NodeId(2), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let _vm1 = sim
+        .add_vm(2, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.migrate(vm0, NodeId(1), secs(1.0)).expect("job");
-    b.inject_fault(
+    sim.schedule_migration(vm0, 1, secs(1.0)).expect("job");
+    sim.schedule_fault(
         secs(0.8),
         FaultKind::LinkDegrade {
             node: 1,
@@ -79,14 +77,13 @@ fn faulted_migrations_uphold_every_law() {
         },
     )
     .expect("valid");
-    b.inject_fault(secs(1.1), FaultKind::TransferStall { vm: 0, secs: 0.5 })
+    sim.schedule_fault(secs(1.1), FaultKind::TransferStall { vm: 0, secs: 0.5 })
         .expect("valid");
-    b.inject_fault(secs(1.6), FaultKind::NodeCrash { node: 1 })
+    sim.schedule_fault(secs(1.6), FaultKind::NodeCrash { node: 1 })
         .expect("valid");
-    let mut sim = b.build().expect("builds");
     let mut obs = checker();
-    sim.run_observed(secs(600.0), &mut obs);
-    obs.finish(sim.engine());
+    sim.run_until_observed(secs(600.0), &mut obs);
+    obs.finish(&sim);
     obs.assert_clean("fault cocktail");
 }
 
@@ -94,26 +91,25 @@ fn faulted_migrations_uphold_every_law() {
 /// evaluated (the positive half of the detection pair below).
 #[test]
 fn capped_orchestrated_run_upholds_every_law() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(lsm_core::OrchestratorConfig {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(lsm_core::OrchestratorConfig {
         max_concurrent: Some(1),
         ..lsm_core::OrchestratorConfig::default()
     })
     .expect("configures");
-    let vm0 = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let vm0 = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let vm1 = b
-        .add_vm(NodeId(1), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let vm1 = sim
+        .add_vm(1, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.migrate(vm0, NodeId(2), secs(1.0)).expect("job");
-    b.migrate(vm1, NodeId(3), secs(1.0)).expect("job");
-    b.request_evacuation(NodeId(0), secs(60.0))
+    sim.schedule_migration(vm0, 2, secs(1.0)).expect("job");
+    sim.schedule_migration(vm1, 3, secs(1.0)).expect("job");
+    sim.submit_request(secs(60.0), RequestIntent::Evacuate { node: 0 })
         .expect("request");
-    let mut sim = b.build().expect("builds");
     let mut obs = checker();
-    let report = sim.run_observed(secs(900.0), &mut obs);
-    obs.finish(sim.engine());
+    let report = sim.run_until_observed(secs(900.0), &mut obs);
+    obs.finish(&sim);
     obs.assert_clean("capped orchestrated run");
     assert!(
         report.migrations.iter().all(|m| m.completed),
@@ -126,23 +122,22 @@ fn capped_orchestrated_run_upholds_every_law() {
 /// engine's testing hook) must be flagged — the law is not vacuous.
 #[test]
 fn checker_detects_admission_cap_violation() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let vm0 = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let vm0 = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let vm1 = b
-        .add_vm(NodeId(1), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let vm1 = sim
+        .add_vm(1, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.migrate(vm0, NodeId(2), secs(1.0)).expect("job");
-    b.migrate(vm1, NodeId(3), secs(1.0)).expect("job");
-    let mut sim = b.build().expect("builds");
+    sim.schedule_migration(vm0, 2, secs(1.0)).expect("job");
+    sim.schedule_migration(vm1, 3, secs(1.0)).expect("job");
     // Let both migrations start under the unlimited default...
     sim.run_until(secs(3.0));
-    assert_eq!(sim.engine().active_migrations(), 2, "both must be running");
+    assert_eq!(sim.active_migrations(), 2, "both must be running");
     // ...then shrink the cap under them without re-admission checks.
-    sim.engine_mut().testing_force_admission_cap(Some(1));
+    sim.testing_force_admission_cap(Some(1));
     let mut obs = checker();
-    sim.run_observed(secs(60.0), &mut obs);
+    sim.run_until_observed(secs(60.0), &mut obs);
     assert!(
         !obs.is_clean(),
         "2 running under a cap of 1 must be flagged"
@@ -158,21 +153,20 @@ fn checker_detects_admission_cap_violation() {
 /// must be flagged by the placement law.
 #[test]
 fn checker_detects_illegal_placement() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let vm0 = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let vm0 = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let job = b.migrate(vm0, NodeId(1), secs(1.0)).expect("job");
-    let mut sim = b.build().expect("builds");
+    let job = sim.schedule_migration(vm0, 1, secs(1.0)).expect("job");
     sim.run_until(secs(3.0));
     assert_eq!(
-        sim.status(job),
+        sim.job_status(job),
         Some(MigrationStatus::TransferringMemory),
         "the job must be mid-flight for the law to apply"
     );
-    sim.engine_mut().testing_force_job_dest(job, 99);
+    sim.testing_force_job_dest(job, 99);
     let mut obs = checker();
-    sim.run_observed(secs(60.0), &mut obs);
+    sim.run_until_observed(secs(60.0), &mut obs);
     assert!(!obs.is_clean());
     assert!(
         obs.violations().iter().any(|v| v.law == "placement-legal"),
@@ -263,24 +257,23 @@ fn checker_detects_illegal_transition_and_missing_reason() {
 /// every law, including requeue-traces-to-replan.
 #[test]
 fn destination_crash_replans_and_completes_cleanly() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_autonomic(lsm_core::AutonomicConfig {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_autonomic(lsm_core::AutonomicConfig {
         overload_pressure: 50.0, // unreachable: replanning is the only autonomic act
         underload_pressure: 0.01,
         hysteresis: 0.0,
         ..lsm_core::AutonomicConfig::default()
     })
     .expect("configures");
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-    b.inject_fault(secs(1.6), FaultKind::NodeCrash { node: 1 })
+    sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
+    sim.schedule_fault(secs(1.6), FaultKind::NodeCrash { node: 1 })
         .expect("valid");
-    let mut sim = b.build().expect("builds");
     let mut obs = checker();
-    let report = sim.run_observed(secs(600.0), &mut obs);
-    obs.finish(sim.engine());
+    let report = sim.run_until_observed(secs(600.0), &mut obs);
+    obs.finish(&sim);
     obs.assert_clean("crash replan");
     assert_eq!(report.migrations.len(), 1);
     assert!(
@@ -308,8 +301,8 @@ fn destination_crash_replans_and_completes_cleanly() {
 /// node mid-flight — cleanly.
 #[test]
 fn degraded_destination_replans_cleanly() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_autonomic(lsm_core::AutonomicConfig {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_autonomic(lsm_core::AutonomicConfig {
         interval_secs: 0.5,
         overload_pressure: 0.05, // the resident writer's busy fraction clears this
         underload_pressure: 0.001,
@@ -318,10 +311,10 @@ fn degraded_destination_replans_cleanly() {
     })
     .expect("configures");
     // A resident heavy writer keeps the destination hot.
-    let _hot = b
+    let _hot = sim
         .add_vm(
-            NodeId(1),
-            WorkloadSpec::HotspotWrite {
+            1,
+            &WorkloadSpec::HotspotWrite {
                 offset: 0,
                 region_blocks: 64,
                 block: 256 * 1024,
@@ -334,14 +327,13 @@ fn degraded_destination_replans_cleanly() {
             SimTime::ZERO,
         )
         .expect("vm");
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.migrate(vm, NodeId(1), secs(1.5)).expect("job");
-    let mut sim = b.build().expect("builds");
+    sim.schedule_migration(vm, 1, secs(1.5)).expect("job");
     let mut obs = checker();
-    let report = sim.run_observed(secs(600.0), &mut obs);
-    obs.finish(sim.engine());
+    let report = sim.run_until_observed(secs(600.0), &mut obs);
+    obs.finish(&sim);
     obs.assert_clean("degraded replan");
     assert!(
         report.rebalance.iter().any(|a| matches!(
@@ -372,8 +364,8 @@ fn degraded_destination_replans_cleanly() {
 /// hold must be flagged — the threshold law is not vacuous.
 #[test]
 fn checker_detects_rebalance_threshold_violation() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_autonomic(lsm_core::AutonomicConfig {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_autonomic(lsm_core::AutonomicConfig {
         interval_secs: 1e6, // no real ticks: only the forged action exists
         overload_pressure: 50.0,
         underload_pressure: 0.05,
@@ -381,28 +373,26 @@ fn checker_detects_rebalance_threshold_violation() {
         ..lsm_core::AutonomicConfig::default()
     })
     .expect("configures");
-    let _vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let _vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let mut sim = b.build().expect("builds");
     sim.run_until(secs(2.0));
     // Claim node 0 sits at pressure 49 — nothing remotely close holds.
-    sim.engine_mut()
-        .testing_force_rebalance_action(lsm_core::RebalanceAction {
-            at: secs(2.0),
-            trigger: lsm_core::RebalanceTrigger::Overload {
-                node: 0,
-                pressure: 49.0,
-            },
-            candidates: vec![0],
-            deferrals: Vec::new(),
-            chosen: None,
-            job: None,
-            dest: None,
-        });
+    sim.testing_force_rebalance_action(lsm_core::RebalanceAction {
+        at: secs(2.0),
+        trigger: lsm_core::RebalanceTrigger::Overload {
+            node: 0,
+            pressure: 49.0,
+        },
+        candidates: vec![0],
+        deferrals: Vec::new(),
+        chosen: None,
+        job: None,
+        dest: None,
+    });
     let mut obs = checker();
-    sim.run_observed(secs(10.0), &mut obs);
-    obs.finish(sim.engine());
+    sim.run_until_observed(secs(10.0), &mut obs);
+    obs.finish(&sim);
     assert!(!obs.is_clean(), "impossible trigger must be flagged");
     assert!(
         obs.violations()
@@ -418,38 +408,36 @@ fn checker_detects_rebalance_threshold_violation() {
 /// are chosen so their threshold condition genuinely holds).
 #[test]
 fn checker_detects_rebalance_ping_pong() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_autonomic(lsm_core::AutonomicConfig {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_autonomic(lsm_core::AutonomicConfig {
         interval_secs: 1e6,
         cooldown_secs: 120.0,
         ..lsm_core::AutonomicConfig::default()
     })
     .expect("configures");
-    let _vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let _vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let mut sim = b.build().expect("builds");
     sim.run_until(secs(1.0));
     // Node 3 hosts nothing, so pressure 0 satisfies the underload
     // threshold; the second identical choice is the only illegal part.
     for at in [1.0, 2.0] {
-        sim.engine_mut()
-            .testing_force_rebalance_action(lsm_core::RebalanceAction {
-                at: secs(at),
-                trigger: lsm_core::RebalanceTrigger::Underload {
-                    node: 3,
-                    pressure: 0.0,
-                },
-                candidates: vec![0],
-                deferrals: Vec::new(),
-                chosen: Some(0),
-                job: None,
-                dest: Some(1),
-            });
+        sim.testing_force_rebalance_action(lsm_core::RebalanceAction {
+            at: secs(at),
+            trigger: lsm_core::RebalanceTrigger::Underload {
+                node: 3,
+                pressure: 0.0,
+            },
+            candidates: vec![0],
+            deferrals: Vec::new(),
+            chosen: Some(0),
+            job: None,
+            dest: Some(1),
+        });
     }
     let mut obs = checker();
-    sim.run_observed(secs(10.0), &mut obs);
-    obs.finish(sim.engine());
+    sim.run_until_observed(secs(10.0), &mut obs);
+    obs.finish(&sim);
     assert!(
         !obs.is_clean(),
         "repeat move inside cooldown must be flagged"
@@ -474,11 +462,10 @@ fn checker_detects_rebalance_ping_pong() {
 /// action must be flagged once the engine state is consulted.
 #[test]
 fn checker_detects_requeue_without_replan() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let _vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let _vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let mut sim = b.build().expect("builds");
     sim.run_until(secs(1.0));
     let mut obs = InvariantObserver::new();
     let p = |s| progress(7, s);
@@ -499,7 +486,7 @@ fn checker_detects_requeue_without_replan() {
         "the transition itself is provisionally legal"
     );
     // No autonomic config, no actions: the regression cannot trace.
-    obs.finish(sim.engine());
+    obs.finish(&sim);
     assert!(!obs.is_clean());
     assert!(
         obs.violations()
@@ -534,21 +521,20 @@ fn forged_attempt(checkpoint_bytes: u64, resumed_bytes: u64) -> lsm_core::JobAtt
 /// retry-within-policy law is not vacuous.
 #[test]
 fn checker_detects_retry_beyond_policy() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_resilience(resilience_cfg(2)).expect("configures");
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_resilience(resilience_cfg(2))
+        .expect("configures");
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let job = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-    let mut sim = b.build().expect("builds");
+    let job = sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
     sim.run_until(secs(2.0));
     // max_attempts = 2 permits at most one retry; forge two.
     for _ in 0..2 {
-        sim.engine_mut()
-            .testing_force_job_attempt(job, forged_attempt(0, 0));
+        sim.testing_force_job_attempt(job, forged_attempt(0, 0));
     }
     let mut obs = checker();
-    sim.run_observed(secs(10.0), &mut obs);
+    sim.run_until_observed(secs(10.0), &mut obs);
     assert!(!obs.is_clean(), "over-policy retries must be flagged");
     assert!(
         obs.violations()
@@ -563,18 +549,17 @@ fn checker_detects_retry_beyond_policy() {
 /// be flagged — resumption cannot invent progress.
 #[test]
 fn checker_detects_resume_overrun() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_resilience(resilience_cfg(3)).expect("configures");
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_resilience(resilience_cfg(3))
+        .expect("configures");
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let job = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-    let mut sim = b.build().expect("builds");
+    let job = sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
     sim.run_until(secs(2.0));
-    sim.engine_mut()
-        .testing_force_job_attempt(job, forged_attempt(MIB, 2 * MIB));
+    sim.testing_force_job_attempt(job, forged_attempt(MIB, 2 * MIB));
     let mut obs = checker();
-    sim.run_observed(secs(10.0), &mut obs);
+    sim.run_until_observed(secs(10.0), &mut obs);
     assert!(!obs.is_clean(), "resume overrun must be flagged");
     assert!(
         obs.violations().iter().any(|v| v.law == "resume-bounded"),
@@ -587,26 +572,26 @@ fn checker_detects_resume_overrun() {
 /// degradation is only legal while memory pre-copy fights flux.
 #[test]
 fn checker_detects_unreleased_throttle() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_resilience(resilience_cfg(3)).expect("configures");
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_resilience(resilience_cfg(3))
+        .expect("configures");
     // Postcopy switches over early and pulls storage afterwards,
     // guaranteeing a long TransferringStorage window to forge inside.
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Postcopy, SimTime::ZERO)
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Postcopy, SimTime::ZERO)
         .expect("vm");
-    let job = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-    let mut sim = b.build().expect("builds");
+    let job = sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
     // Step until the job is past switchover but still pulling storage
     // (the migration runtime must be live for the forced throttle).
     let mut t = 1.0;
-    while sim.status(job) != Some(MigrationStatus::TransferringStorage) {
+    while sim.job_status(job) != Some(MigrationStatus::TransferringStorage) {
         t += 0.1;
         assert!(t < 600.0, "job never reached TransferringStorage");
         sim.run_until(secs(t));
     }
-    sim.engine_mut().testing_force_throttle_step(0, 2);
+    sim.testing_force_throttle_step(0, 2);
     let mut obs = checker();
-    sim.run_observed(secs(t + 5.0), &mut obs);
+    sim.run_until_observed(secs(t + 5.0), &mut obs);
     assert!(!obs.is_clean(), "post-switchover throttle must be flagged");
     assert!(
         obs.violations()
@@ -630,8 +615,8 @@ fn throttled_successor_is_not_blamed_on_a_cancelled_job() {
         converge_max_steps: 4,
         ..resilience_cfg(1)
     };
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_resilience(res).expect("configures");
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_resilience(res).expect("configures");
     let hot = WorkloadSpec::HotspotWrite {
         offset: 0,
         region_blocks: 64,
@@ -641,13 +626,13 @@ fn throttled_successor_is_not_blamed_on_a_cancelled_job() {
         think_secs: 0.005,
         seed: 13,
     };
-    let vm = b
-        .add_vm(NodeId(0), hot, StrategyKind::Mirror, SimTime::ZERO)
+    let vm = sim
+        .add_vm(0, &hot, StrategyKind::Mirror, SimTime::ZERO)
         .expect("vm");
-    let first = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
+    let first = sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
     // A degraded destination link keeps rounds long, so the dirty flux
     // outruns them.
-    b.inject_fault(
+    sim.schedule_fault(
         secs(0.5),
         FaultKind::LinkDegrade {
             node: 1,
@@ -655,18 +640,14 @@ fn throttled_successor_is_not_blamed_on_a_cancelled_job() {
         },
     )
     .expect("valid");
-    let mut sim = b.build().expect("builds");
     sim.run_until(secs(1.2));
-    sim.engine_mut()
-        .cancel_migration(first)
-        .expect("cancellable");
+    sim.cancel_migration(first).expect("cancellable");
     let second = sim
-        .engine_mut()
-        .schedule_migration(lsm_core::VmId(vm.index()), 1, secs(1.5))
+        .schedule_migration(vm, 1, secs(1.5))
         .expect("a successor is legal after a terminal job");
     let mut obs = checker();
-    let report = sim.run_observed(secs(300.0), &mut obs);
-    obs.finish(sim.engine());
+    let report = sim.run_until_observed(secs(300.0), &mut obs);
+    obs.finish(&sim);
     obs.assert_clean("throttled successor of a cancelled job");
     let row = report
         .resilience
@@ -677,29 +658,29 @@ fn throttled_successor_is_not_blamed_on_a_cancelled_job() {
         row.auto_converge_steps > 0,
         "the successor was never throttled"
     );
-    assert_eq!(sim.status(second), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(second), Some(MigrationStatus::Completed));
 }
 
 /// A live retry timer on a job that is not waiting in `Queued` must be
 /// flagged — that is a leaked backoff.
 #[test]
 fn checker_detects_dangling_retry_timer() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_resilience(resilience_cfg(3)).expect("configures");
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_resilience(resilience_cfg(3))
+        .expect("configures");
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let job = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-    let mut sim = b.build().expect("builds");
+    let job = sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
     sim.run_until(secs(2.0));
     assert_eq!(
-        sim.status(job),
+        sim.job_status(job),
         Some(MigrationStatus::TransferringMemory),
         "the job must be mid-flight for the law to apply"
     );
-    sim.engine_mut().testing_force_retry_pending(job);
+    sim.testing_force_retry_pending(job);
     let mut obs = checker();
-    sim.run_observed(secs(10.0), &mut obs);
+    sim.run_until_observed(secs(10.0), &mut obs);
     assert!(!obs.is_clean(), "dangling retry timer must be flagged");
     assert!(
         obs.violations()
@@ -720,8 +701,8 @@ fn qos_shaped_run_upholds_every_law() {
         StrategyKind::Precopy,
         StrategyKind::Postcopy,
     ] {
-        let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-        b.with_qos(lsm_core::QosConfig {
+        let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+        sim.configure_qos(lsm_core::QosConfig {
             bandwidth_cap_mb: Some(40.0),
             streams: 4,
             compress_mem_ratio: 0.7,
@@ -729,14 +710,13 @@ fn qos_shaped_run_upholds_every_law() {
             compress_cpu_frac: 0.1,
         })
         .expect("configures");
-        let vm = b
-            .add_vm(NodeId(0), writer(), strategy, SimTime::ZERO)
+        let vm = sim
+            .add_vm(0, &writer(), strategy, SimTime::ZERO)
             .expect("vm");
-        b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-        let mut sim = b.build().expect("builds");
+        sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
         let mut obs = checker();
-        let report = sim.run_observed(secs(600.0), &mut obs);
-        obs.finish(sim.engine());
+        let report = sim.run_until_observed(secs(600.0), &mut obs);
+        obs.finish(&sim);
         obs.assert_clean(strategy.label());
         assert!(report.migrations[0].completed, "{}", strategy.label());
         assert!(
@@ -751,24 +731,23 @@ fn qos_shaped_run_upholds_every_law() {
 /// be flagged — the cap-respected law is not vacuous.
 #[test]
 fn checker_detects_uncapped_migration_flow() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_qos(lsm_core::QosConfig {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_qos(lsm_core::QosConfig {
         bandwidth_cap_mb: Some(40.0),
         ..lsm_core::QosConfig::default()
     })
     .expect("configures");
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-    let mut sim = b.build().expect("builds");
+    sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
     sim.run_until(secs(2.0));
     // Large enough to stay in flight for the whole observed window: the
     // law must catch the flow while it is live, and a completing forged
     // flow would trip real completion machinery it has no state for.
-    sim.engine_mut().testing_force_uncapped_flow(0, 1, 1 << 40);
+    sim.testing_force_uncapped_flow(0, 1, 1 << 40);
     let mut obs = checker();
-    sim.run_observed(secs(10.0), &mut obs);
+    sim.run_until_observed(secs(10.0), &mut obs);
     assert!(!obs.is_clean(), "uncapped migration flow must be flagged");
     assert!(
         obs.violations().iter().any(|v| v.law == "cap-respected"),
@@ -782,21 +761,20 @@ fn checker_detects_uncapped_migration_flow() {
 /// vacuous.
 #[test]
 fn checker_detects_sla_accounting_drift() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let job = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-    let mut sim = b.build().expect("builds");
+    let job = sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
     sim.run_until(secs(2.0));
     assert_eq!(
-        sim.status(job),
+        sim.job_status(job),
         Some(MigrationStatus::TransferringMemory),
         "the migration must be live for the law to apply"
     );
-    sim.engine_mut().testing_force_degrade_loss(0, 0.73);
+    sim.testing_force_degrade_loss(0, 0.73);
     let mut obs = checker();
-    sim.run_observed(secs(2.5), &mut obs);
+    sim.run_until_observed(secs(2.5), &mut obs);
     assert!(!obs.is_clean(), "forged degradation slope must be flagged");
     assert!(
         obs.violations().iter().any(|v| v.law == "sla-consistent"),

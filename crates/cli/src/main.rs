@@ -505,18 +505,19 @@ fn run_monolithic(spec: &ScenarioSpec, check: bool, progress: bool) -> Result<Ru
             spec.horizon_secs
         )));
     }
-    let mut sim = lsm_experiments::scenario::build_scenario(spec)
-        .map_err(|e| UsageError(format!("scenario rejected: {e}")))?;
+    let mut eng = lsm_experiments::scenario::build_scenario(spec)
+        .map_err(|e| UsageError(format!("scenario rejected: {e}")))?
+        .into_engine();
     let mut checker = check.then(lsm_check::InvariantObserver::new);
     let horizon = SimTime::from_secs_f64(spec.horizon_secs);
     let report = if progress {
-        sim.run_observed(horizon, &mut Chain(&mut ProgressPrinter, &mut checker))
+        eng.run_until_observed(horizon, &mut Chain(&mut ProgressPrinter, &mut checker))
     } else {
-        sim.run_observed(horizon, &mut checker)
+        eng.run_until_observed(horizon, &mut checker)
     };
     // The final full audit inspects the post-run engine state.
     if let Some(c) = checker.as_mut() {
-        c.finish(sim.engine());
+        c.finish(&eng);
     }
     Ok(Run {
         report,

@@ -146,9 +146,9 @@ impl ClusterConfig {
     }
 
     /// Check every field for usability. [`crate::engine::Engine::new`]
-    /// and [`crate::builder::SimulationBuilder::new`] call this, so a
-    /// bad configuration surfaces as [`EngineError::InvalidConfig`]
-    /// instead of a panic (or a hang) deep inside a run.
+    /// calls this, so a bad configuration surfaces as
+    /// [`EngineError::InvalidConfig`] instead of a panic (or a hang)
+    /// deep inside a run.
     pub fn validate(&self) -> Result<(), EngineError> {
         fn fail(reason: impl Into<String>) -> Result<(), EngineError> {
             Err(EngineError::InvalidConfig {

@@ -123,15 +123,18 @@ fn submit_write(
         eng.op_add_parts(op, 1);
         eng.disk_submit(node, throttled, DiskCtx::VmOp { op });
     }
-    if !mirror_batch.is_empty() {
-        // Synchronous mirroring: the guest write completes only after the
-        // remote copy does (Haselhorst semantics) — the write-latency
-        // penalty the paper criticizes in §3.
-        let dest = {
-            let mig = eng.vm_mut(v).migration.as_mut().expect("mirroring");
-            mig.mirror_flows_inflight += 1;
-            mig.dest
-        };
+    // Synchronous mirroring: the guest write completes only after the
+    // remote copy does (Haselhorst semantics) — the write-latency penalty
+    // the paper criticizes in §3. Only a mirroring migration fills the
+    // batch.
+    let mirroring = eng
+        .vm_mut(v)
+        .migration
+        .as_mut()
+        .filter(|_| !mirror_batch.is_empty());
+    if let Some(mig) = mirroring {
+        mig.mirror_flows_inflight += 1;
+        let dest = mig.dest;
         eng.op_add_parts(op, 1);
         let bytes = bytes_per_chunk * mirror_batch.len() as u64;
         eng.start_flow(
@@ -175,37 +178,25 @@ fn submit_read(
             cache_hit += bytes_per_chunk;
             continue;
         }
-        // Destination-side reads during the pull phase follow Algorithm 4.
-        let path = eng
-            .vm_mut(v)
+        // Destination-side reads during the pull phase follow Algorithm 4:
+        // a chunk not yet local parks the read until its pull lands, and
+        // one no pull has claimed yet is pulled on demand.
+        let vm = eng.vm_mut(v);
+        if let Some(mig) = vm
             .migration
             .as_mut()
             .filter(|m| m.phase == MigPhase::PullPhase)
-            .and_then(|m| m.transfer.dest_mut())
-            .map(|dst| dst.on_read(c));
-        if let Some(path) = path {
-            match path {
-                ReadPath::Local => {}
-                ReadPath::WaitForPull => {
-                    eng.op_add_parts(op, 1);
-                    let vm = eng.vm_mut(v);
-                    vm.reads_pull_blocked += 1;
-                    let mig = vm.migration.as_mut().expect("pull phase");
-                    mig.pull_waiters.entry(c).or_default().push(op);
-                    continue;
-                }
-                ReadPath::PullOnDemand => {
-                    eng.op_add_parts(op, 1);
-                    {
-                        let vm = eng.vm_mut(v);
-                        vm.reads_pull_blocked += 1;
-                        let mig = vm.migration.as_mut().expect("pull phase");
-                        mig.pull_waiters.entry(c).or_default().push(op);
-                        mig.ondemand_chunks += 1;
-                    }
+        {
+            let path = mig.transfer.dest_mut().map(|dst| dst.on_read(c));
+            if let Some(path @ (ReadPath::WaitForPull | ReadPath::PullOnDemand)) = path {
+                vm.reads_pull_blocked += 1;
+                mig.pull_waiters.entry(c).or_default().push(op);
+                if path == ReadPath::PullOnDemand {
+                    mig.ondemand_chunks += 1;
                     ondemand.push((c, 0));
-                    continue;
                 }
+                eng.op_add_parts(op, 1);
+                continue;
             }
         }
         if eng.vm(v).disk.needs_repo_fetch(c) {

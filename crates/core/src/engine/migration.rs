@@ -103,7 +103,7 @@ pub(crate) fn start_migration(eng: &mut Engine, job: JobId) {
     // cache is *not* guest memory and does not migrate — the destination
     // host starts cold (which is why reads there can need on-demand
     // pulls, §4.3).
-    let spec = eng.vm(v).driver.as_ref().expect("driver").mem_spec();
+    let spec = eng.vm(v).driver.mem_spec();
     let ram = eng.vm(v).vm.ram_bytes;
     let touched = spec.touched_bytes.min(ram);
     let wss = spec.wss_bytes.min(touched);
@@ -352,7 +352,7 @@ pub(crate) fn mem_copy_done(eng: &mut Engine, v: VmIdx) {
     let strategy = mig.strategy;
     match copy.kind {
         CopyKind::Round => {
-            let (dirtied, wall) = mig.take_dirt(now);
+            let (dirtied, wall) = mig.take_dirt(now, vm.started_at);
             let rate = if wall > 1e-9 {
                 copy.raw as f64 / wall
             } else {
@@ -376,7 +376,7 @@ pub(crate) fn mem_copy_done(eng: &mut Engine, v: VmIdx) {
         CopyKind::Deferral => {
             // The backlog is delivered. The pre-copy machine already
             // decided to stop and is not consulted again.
-            mig.pending_stop_bytes = mig.take_dirt(now).0;
+            mig.pending_stop_bytes = mig.take_dirt(now, vm.started_at).0;
             try_stop(eng, v);
         }
         CopyKind::Stop { forced } => {
@@ -445,10 +445,11 @@ fn try_stop(eng: &mut Engine, v: VmIdx) {
 fn linger_step(eng: &mut Engine, v: VmIdx) {
     let now = eng.now();
     let cap = eng.cfg().linger_round_cap;
-    let Some(mig) = eng.vm_mut(v).migration.as_mut() else {
+    let vm = eng.vm_mut(v);
+    let Some(mig) = vm.migration.as_mut() else {
         return;
     };
-    let (dirtied, _) = mig.take_dirt(now);
+    let (dirtied, _) = mig.take_dirt(now, vm.started_at);
     let rounds = mig.linger_rounds;
     if storage_converged(eng, v) {
         initiate_stop(eng, v, false);

@@ -226,7 +226,6 @@ impl Engine {
     ) -> Result<VmId, EngineError> {
         self.validate_placement(node, spec)?;
         let id = VmId(self.vms.len() as u32);
-        let driver = spec.build();
         let nchunks = self.cfg.nchunks();
         let cache = PageCache::new(
             nchunks,
@@ -236,8 +235,8 @@ impl Engine {
             vm: Vm::new(id, node, self.cfg.vm_ram, 2),
             crashed: false,
             strategy,
-            driver: Some(driver),
-            started: false,
+            driver: spec.build(),
+            started_at: None,
             finished_at: None,
             disk: VirtualDisk::new(nchunks, self.cfg.chunk_size),
             cache,
@@ -559,13 +558,11 @@ impl Engine {
 
     fn vm_start(&mut self, v: VmIdx) {
         let vm = &mut self.vms[v as usize];
-        if vm.started || vm.crashed {
+        if vm.started_at.is_some() || vm.crashed {
             return;
         }
-        vm.started = true;
-        let mut driver = vm.driver.take().expect("driver present");
-        let actions = driver.start(self.now);
-        self.vms[v as usize].driver = Some(driver);
+        vm.started_at = Some(self.now);
+        let actions = vm.driver.start(self.now);
         self.handle_actions(v, actions);
     }
 
@@ -801,9 +798,7 @@ impl Engine {
             vm.held_completions.push_back(token);
             return;
         }
-        let mut driver = vm.driver.take().expect("driver present");
-        let actions = driver.on_complete(self.now, token);
-        self.vms[v as usize].driver = Some(driver);
+        let actions = vm.driver.on_complete(self.now, token);
         self.handle_actions(v, actions);
     }
 
@@ -812,14 +807,13 @@ impl Engine {
             return;
         }
         while let Some(token) = self.vms[v as usize].held_completions.pop_front() {
-            if self.vms[v as usize].vm.state() == VmState::Paused {
+            let vm = &mut self.vms[v as usize];
+            if vm.vm.state() == VmState::Paused {
                 // Re-paused mid-drain: put it back and stop.
-                self.vms[v as usize].held_completions.push_front(token);
+                vm.held_completions.push_front(token);
                 break;
             }
-            let mut driver = self.vms[v as usize].driver.take().expect("driver present");
-            let actions = driver.on_complete(self.now, token);
-            self.vms[v as usize].driver = Some(driver);
+            let actions = vm.driver.on_complete(self.now, token);
             self.handle_actions(v, actions);
         }
     }

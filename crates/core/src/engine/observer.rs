@@ -1,13 +1,12 @@
 //! Run observers: milestone callbacks and cooperative abort.
 //!
 //! An [`Observer`] is handed to [`crate::engine::Engine::run_until_observed`]
-//! (or [`crate::builder::Simulation::run_observed`]) and receives every
-//! job status change and lifecycle milestone as it happens, together
-//! with a queryable [`MigrationProgress`] snapshot. Returning
-//! [`RunControl::Stop`] from any callback aborts the run at the current
-//! simulated instant; the report then reflects the partial state —
-//! callers can watch, log, or cancel instead of waiting for a post-hoc
-//! `RunReport`.
+//! and receives every job status change and lifecycle milestone as it
+//! happens, together with a queryable [`MigrationProgress`] snapshot.
+//! Returning [`RunControl::Stop`] from any callback aborts the run at
+//! the current simulated instant; the report then reflects the partial
+//! state — callers can watch, log, or cancel instead of waiting for a
+//! post-hoc `RunReport`.
 
 use super::job::{JobId, MigrationProgress, MigrationStatus};
 use super::report::Milestone;

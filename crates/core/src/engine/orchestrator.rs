@@ -1182,7 +1182,7 @@ pub(crate) fn telemetry_tick(eng: &mut Engine) {
     let now = eng.now;
     let chunk = eng.cfg.chunk_size as f64;
     for vm in &mut eng.vms {
-        if !vm.started {
+        if vm.started_at.is_none() {
             // The workload has not begun: advance the snapshot so its
             // eventual rates are measured from (approximately) the
             // start instant, and leave the VM *unsampled* — a decision

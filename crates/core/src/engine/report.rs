@@ -321,7 +321,7 @@ pub(crate) fn build(eng: &Engine) -> RunReport {
         }
     }
     for (i, vm) in eng.vms().iter().enumerate() {
-        let progress = vm.driver.as_ref().map(|d| d.progress()).unwrap_or_default();
+        let progress = vm.driver.progress();
         let wt = if vm.write_busy.as_secs_f64() > 0.0 {
             vm.write_bytes as f64 / vm.write_busy.as_secs_f64()
         } else {
@@ -334,11 +334,7 @@ pub(crate) fn build(eng: &Engine) -> RunReport {
         };
         vms.push(VmRecord {
             vm: i as u32,
-            label: vm
-                .driver
-                .as_ref()
-                .map(|d| d.label().to_string())
-                .unwrap_or_default(),
+            label: vm.driver.label().to_string(),
             final_host: vm.vm.host,
             finished_at: vm.finished_at,
             iterations: progress.iterations,

@@ -665,10 +665,14 @@ pub(crate) struct MigrationRt {
 impl MigrationRt {
     /// The guest memory dirtied since the dirt mark, anonymous-memory
     /// churn plus page-cache dirtying by buffered writes, and the seconds
-    /// since the mark, which moves to `now`.
-    pub fn take_dirt(&mut self, now: SimTime) -> (u64, f64) {
+    /// since the mark, which moves to `now`. A guest that has not started
+    /// (`started_at` is its workload's start) churns no anonymous memory,
+    /// so that dirt runs from the later of the mark and the start.
+    pub fn take_dirt(&mut self, now: SimTime, started_at: Option<SimTime>) -> (u64, f64) {
         let wall = now.since(self.round_started).as_secs_f64();
-        let anon = self.mem.profile().base_dirty_rate * wall;
+        let running =
+            started_at.map_or(0.0, |s| now.since(s.max(self.round_started)).as_secs_f64());
+        let anon = self.mem.profile().base_dirty_rate * running;
         let dirtied = (anon + self.io_dirty_accum) as u64;
         self.io_dirty_accum = 0.0;
         self.round_started = now;
@@ -720,8 +724,9 @@ pub(crate) struct VmRt {
     /// driver never runs again, completions addressed to it are dropped.
     pub crashed: bool,
     pub strategy: StrategyKind,
-    pub driver: Option<Box<dyn Workload>>,
-    pub started: bool,
+    pub driver: Box<dyn Workload>,
+    /// When the workload started; `None` until its start event.
+    pub started_at: Option<SimTime>,
     pub finished_at: Option<SimTime>,
     /// Manager-level (flushed) disk state.
     pub disk: VirtualDisk,

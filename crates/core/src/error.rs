@@ -1,11 +1,10 @@
 //! Typed errors for every way user input can be wrong.
 //!
-//! The engine, [`crate::builder::SimulationBuilder`] and the scenario
-//! layer return [`EngineError`] instead of panicking: misuse of the
-//! public API (out-of-range nodes, duplicate migrations, inconsistent
-//! configurations) is a recoverable condition for callers — a CLI can
-//! print it, a service can reject the request — while internal
-//! invariant violations remain `debug_assert`s.
+//! The engine and the scenario layer return [`EngineError`] instead of
+//! panicking: misuse of the public API (out-of-range nodes, duplicate
+//! migrations, inconsistent configurations) is a recoverable condition
+//! for callers — a CLI can print it, a service can reject the request —
+//! while internal invariant violations remain `debug_assert`s.
 
 use crate::policy::StrategyKind;
 use std::fmt;

@@ -6,18 +6,16 @@
 //! alongside the four comparison baselines on a deterministic simulated
 //! cluster.
 //!
-//! * [`builder`] — the checked orchestration API:
-//!   [`SimulationBuilder`] validates every request and returns
-//!   [`EngineError`] on misuse; [`builder::Simulation`] runs the cluster
-//!   and exposes per-job [`MigrationStatus`]/[`MigrationProgress`],
-//!   watchable (and abortable) through an [`engine::Observer`].
 //! * [`policy`] — the transfer strategies as pure, engine-free state
 //!   machines: the paper's Algorithms 1–4 ([`policy::HybridSource`],
 //!   [`policy::HybridDest`]) plus `precopy`, `mirror` and `postcopy`
 //!   source states.
 //! * [`engine`] — the event-driven simulator coupling
 //!   network/disk/page-cache models, workloads, memory pre-copy and the
-//!   policies. One [`engine::Engine`] per experiment run.
+//!   policies. One [`Engine`] per experiment run; its API is checked:
+//!   every request is validated and misuse returns [`EngineError`], and
+//!   each job exposes its [`MigrationStatus`]/[`MigrationProgress`],
+//!   watchable (and abortable) through an [`engine::Observer`].
 //! * [`config`] — cluster parameters, defaulting to the paper's
 //!   Grid'5000 *graphene* testbed numbers.
 //! * [`planner`] — the cluster orchestration layer: a pluggable
@@ -50,29 +48,27 @@
 //!   installed; the SLA accounting is always on.
 //!
 //! ```
-//! use lsm_core::builder::SimulationBuilder;
 //! use lsm_core::config::ClusterConfig;
 //! use lsm_core::policy::StrategyKind;
-//! use lsm_core::{MigrationStatus, NodeId};
+//! use lsm_core::{Engine, MigrationStatus};
 //! use lsm_simcore::SimTime;
 //! use lsm_workloads::WorkloadSpec;
 //!
 //! # fn main() -> Result<(), lsm_core::EngineError> {
-//! let mut b = SimulationBuilder::new(ClusterConfig::small_test())?;
-//! let vm = b.add_vm(
-//!     NodeId(0),
-//!     WorkloadSpec::SeqWrite { offset: 0, total: 16 << 20, block: 1 << 20, think_secs: 0.05 },
+//! let mut eng = Engine::new(ClusterConfig::small_test())?;
+//! let vm = eng.add_vm(
+//!     0,
+//!     &WorkloadSpec::SeqWrite { offset: 0, total: 16 << 20, block: 1 << 20, think_secs: 0.05 },
 //!     StrategyKind::Hybrid,
 //!     SimTime::ZERO,
 //! )?;
-//! let job = b.migrate(vm, NodeId(1), SimTime::from_secs(1))?;
+//! let job = eng.schedule_migration(vm, 1, SimTime::from_secs(1))?;
 //!
 //! // Misuse is an error, not a panic:
-//! assert!(b.migrate(vm, NodeId(1), SimTime::from_secs(2)).is_err());
+//! assert!(eng.schedule_migration(vm, 1, SimTime::from_secs(2)).is_err());
 //!
-//! let mut sim = b.build()?;
-//! let report = sim.run_until(SimTime::from_secs(120));
-//! assert_eq!(sim.status(job), Some(MigrationStatus::Completed));
+//! let report = eng.run_until(SimTime::from_secs(120));
+//! assert_eq!(eng.job_status(job), Some(MigrationStatus::Completed));
 //! let m = report.the_migration();
 //! assert!(m.completed && m.consistent == Some(true));
 //! # Ok(())
@@ -84,7 +80,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod autonomic;
-pub mod builder;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -98,7 +93,6 @@ pub use autonomic::{
     AutonomicConfig, Deferral, DeferralReason, NodeClass, RebalanceAction, RebalanceTrigger,
     ReplanReason,
 };
-pub use builder::{Simulation, SimulationBuilder, VmHandle};
 pub use config::ClusterConfig;
 pub use engine::{
     Engine, FailureReason, FaultKind, IoTelemetry, JobId, MigrationProgress, MigrationRecord,

@@ -2,14 +2,13 @@
 //! error (never a panic), jobs expose lifecycle + progress mid-run, and
 //! observers can watch or abort runs.
 
-use lsm_core::builder::{Simulation, SimulationBuilder};
 use lsm_core::config::ClusterConfig;
 use lsm_core::engine::{
     Engine, FaultKind, JobId, MigrationProgress, MigrationStatus, Milestone, Observer,
     RecordingObserver, RunControl,
 };
 use lsm_core::policy::StrategyKind;
-use lsm_core::{EngineError, NodeId, OrchestratorConfig, PlannerKind, RequestIntent, VmId};
+use lsm_core::{EngineError, OrchestratorConfig, PlannerKind, RequestIntent, VmId};
 use lsm_simcore::units::MIB;
 use lsm_simcore::{SimDuration, SimTime};
 use lsm_workloads::WorkloadSpec;
@@ -27,49 +26,49 @@ fn writer() -> WorkloadSpec {
     }
 }
 
-fn builder() -> SimulationBuilder {
-    SimulationBuilder::new(ClusterConfig::small_test()).expect("small_test validates")
+fn engine() -> Engine {
+    Engine::new(ClusterConfig::small_test()).expect("small_test validates")
 }
 
 // ---------------- error paths ----------------
 
 #[test]
 fn out_of_range_node_is_an_error() {
-    let mut b = builder();
-    let err = b
-        .add_vm(NodeId(99), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = engine();
+    let err = sim
+        .add_vm(99, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap_err();
     assert_eq!(err, EngineError::NodeOutOfRange { node: 99, nodes: 4 });
 }
 
 #[test]
 fn migration_to_out_of_range_dest_is_an_error() {
-    let mut b = builder();
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = engine();
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    let err = b.migrate(vm, NodeId(7), t(1.0)).unwrap_err();
+    let err = sim.schedule_migration(vm, 7, t(1.0)).unwrap_err();
     assert_eq!(err, EngineError::NodeOutOfRange { node: 7, nodes: 4 });
 }
 
 #[test]
 fn migration_to_current_host_is_an_error() {
-    let mut b = builder();
-    let vm = b
-        .add_vm(NodeId(2), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = engine();
+    let vm = sim
+        .add_vm(2, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    let err = b.migrate(vm, NodeId(2), t(1.0)).unwrap_err();
+    let err = sim.schedule_migration(vm, 2, t(1.0)).unwrap_err();
     assert_eq!(err, EngineError::SameHost { vm: 0, node: 2 });
 }
 
 #[test]
 fn second_migration_of_same_vm_is_an_error() {
-    let mut b = builder();
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = engine();
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    b.migrate(vm, NodeId(1), t(1.0)).unwrap();
-    let err = b.migrate(vm, NodeId(2), t(5.0)).unwrap_err();
+    sim.schedule_migration(vm, 1, t(1.0)).unwrap();
+    let err = sim.schedule_migration(vm, 2, t(5.0)).unwrap_err();
     assert_eq!(err, EngineError::DuplicateMigration { vm: 0 });
 }
 
@@ -126,25 +125,23 @@ fn zero_capacity_configs_are_errors() {
             "repo_replication",
         ),
     ] {
-        let err = SimulationBuilder::new(cfg.clone()).err().expect("rejected");
+        let err = Engine::new(cfg).err().expect("rejected");
         match &err {
             EngineError::InvalidConfig { reason } => {
                 assert!(reason.contains(needle), "expected `{needle}` in `{reason}`");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
-        // Engine::new applies the same validation.
-        assert!(Engine::new(cfg).is_err());
     }
 }
 
 #[test]
 fn oversized_workload_is_an_error() {
-    let mut b = builder();
-    let err = b
+    let mut sim = engine();
+    let err = sim
         .add_vm(
-            NodeId(0),
-            WorkloadSpec::SeqWrite {
+            0,
+            &WorkloadSpec::SeqWrite {
                 offset: 0,
                 total: 10 << 30,
                 block: MIB,
@@ -159,11 +156,11 @@ fn oversized_workload_is_an_error() {
 
 #[test]
 fn group_workload_outside_group_is_an_error() {
-    let mut b = builder();
-    let err = b
+    let mut sim = engine();
+    let err = sim
         .add_vm(
-            NodeId(0),
-            WorkloadSpec::cm1_small(0, 4, 2, 2),
+            0,
+            &WorkloadSpec::cm1_small(0, 4, 2, 2),
             StrategyKind::Hybrid,
             SimTime::ZERO,
         )
@@ -173,12 +170,12 @@ fn group_workload_outside_group_is_an_error() {
 
 #[test]
 fn group_rank_mismatch_is_an_error() {
-    let mut b = builder();
+    let mut sim = engine();
     // cm1_small declares 4 ranks but only 2 members are deployed.
-    let placements: Vec<(NodeId, WorkloadSpec)> = (0..2)
-        .map(|r| (NodeId(r), WorkloadSpec::cm1_small(r, 4, 2, 2)))
+    let placements: Vec<(u32, WorkloadSpec)> = (0..2)
+        .map(|r| (r, WorkloadSpec::cm1_small(r, 4, 2, 2)))
         .collect();
-    let err = b
+    let err = sim
         .add_group(&placements, StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap_err();
     assert_eq!(
@@ -192,8 +189,8 @@ fn group_rank_mismatch_is_an_error() {
 
 #[test]
 fn empty_group_is_an_error() {
-    let mut b = builder();
-    let err = b
+    let mut sim = engine();
+    let err = sim
         .add_group(&[], StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap_err();
     assert_eq!(err, EngineError::EmptyGroup);
@@ -201,8 +198,8 @@ fn empty_group_is_an_error() {
 
 #[test]
 fn engine_level_misuse_is_also_fallible() {
-    // The low-level Engine API applies the same validation as the
-    // builder — no panic is reachable by skipping the builder.
+    // Misuse classes back to back on one engine: each is rejected
+    // without a panic and leaves the engine usable for the next call.
     let mut eng = Engine::new(ClusterConfig::small_test()).unwrap();
     assert!(matches!(
         eng.add_vm(9, &writer(), StrategyKind::Hybrid, SimTime::ZERO),
@@ -224,18 +221,17 @@ fn engine_level_misuse_is_also_fallible() {
 
 #[test]
 fn job_lifecycle_reaches_completed_with_monotone_statuses() {
-    let mut b = builder();
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = engine();
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    let job = b.migrate(vm, NodeId(1), t(1.0)).unwrap();
-    let mut sim = b.build().unwrap();
-    assert_eq!(sim.status(job), Some(MigrationStatus::Queued));
+    let job = sim.schedule_migration(vm, 1, t(1.0)).unwrap();
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Queued));
 
     let mut rec = RecordingObserver::default();
-    let report = sim.run_observed(t(300.0), &mut rec);
+    let report = sim.run_until_observed(t(300.0), &mut rec);
 
-    assert_eq!(sim.status(job), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Completed));
     let statuses: Vec<MigrationStatus> = rec.statuses.iter().map(|&(_, _, s)| s).collect();
     assert_eq!(
         statuses,
@@ -264,19 +260,18 @@ fn job_lifecycle_reaches_completed_with_monotone_statuses() {
 
 #[test]
 fn progress_is_queryable_mid_run() {
-    let mut b = builder();
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = engine();
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    let job = b.migrate(vm, NodeId(1), t(1.0)).unwrap();
-    let mut sim = b.build().unwrap();
+    let job = sim.schedule_migration(vm, 1, t(1.0)).unwrap();
 
     // Step the horizon: query between steps while the job is live.
     let mut seen_running = false;
     let mut last_pushed = 0;
     for step in 1..=60 {
         sim.run_until(t(step as f64 * 0.5));
-        let p = sim.progress(job).expect("job exists");
+        let p = sim.job_progress(job).expect("job exists");
         assert!(p.chunks_pushed >= last_pushed, "push counter is monotone");
         last_pushed = p.chunks_pushed;
         if !p.status.is_terminal() && p.status != MigrationStatus::Queued {
@@ -286,7 +281,7 @@ fn progress_is_queryable_mid_run() {
     }
     assert!(seen_running, "never observed the job mid-flight");
     sim.run_until(t(300.0));
-    let p = sim.progress(job).unwrap();
+    let p = sim.job_progress(job).unwrap();
     assert_eq!(p.status, MigrationStatus::Completed);
     assert_eq!(p.chunks_remaining, 0);
     assert!(p.storage_fraction() >= 1.0 - 1e-12);
@@ -316,14 +311,13 @@ impl Observer for AbortAtSwitchover {
 
 #[test]
 fn observer_can_abort_a_run() {
-    let mut b = builder();
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = engine();
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    let job = b.migrate(vm, NodeId(1), t(1.0)).unwrap();
-    let mut sim = b.build().unwrap();
+    let job = sim.schedule_migration(vm, 1, t(1.0)).unwrap();
     let mut obs = AbortAtSwitchover { aborted_at: None };
-    let report = sim.run_observed(t(300.0), &mut obs);
+    let report = sim.run_until_observed(t(300.0), &mut obs);
 
     let stopped = obs.aborted_at.expect("abort fired");
     assert_eq!(sim.now(), stopped, "run stopped at the abort instant");
@@ -333,20 +327,19 @@ fn observer_can_abort_a_run() {
     assert!(!m.completed);
     // The same simulation can be resumed past the abort point.
     let report = sim.run_until(t(300.0));
-    assert_eq!(sim.status(job), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Completed));
     assert!(report.the_migration().completed);
 }
 
 #[test]
 fn queued_beyond_horizon_stays_queued_in_report() {
-    let mut b = builder();
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = engine();
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    let job = b.migrate(vm, NodeId(1), t(500.0)).unwrap();
-    let mut sim = b.build().unwrap();
+    let job = sim.schedule_migration(vm, 1, t(500.0)).unwrap();
     let report = sim.run_until(t(10.0));
-    assert_eq!(sim.status(job), Some(MigrationStatus::Queued));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Queued));
     let m = report.the_migration();
     assert_eq!(m.status, MigrationStatus::Queued);
     assert!(!m.completed);
@@ -355,36 +348,33 @@ fn queued_beyond_horizon_stays_queued_in_report() {
 
 #[test]
 fn vm_can_migrate_again_after_its_job_is_terminal() {
-    let mut b = builder();
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = engine();
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    let first = b.migrate(vm, NodeId(1), t(1.0)).unwrap();
-    let mut sim = b.build().unwrap();
+    let first = sim.schedule_migration(vm, 1, t(1.0)).unwrap();
     // Two live jobs for one VM are still a duplicate.
     assert!(matches!(
-        sim.engine_mut()
-            .schedule_migration(lsm_hypervisor::VmId(0), 2, t(5.0)),
+        sim.schedule_migration(lsm_hypervisor::VmId(0), 2, t(5.0)),
         Err(EngineError::DuplicateMigration { vm: 0 })
     ));
     sim.run_until(t(300.0));
-    assert_eq!(sim.status(first), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(first), Some(MigrationStatus::Completed));
     // Once terminal, the VM may migrate again (stepped-horizon workflow).
     let second = sim
-        .engine_mut()
         .schedule_migration(lsm_hypervisor::VmId(0), 0, t(310.0))
         .expect("re-migration after completion");
     let report = sim.run_until(t(900.0));
-    assert_eq!(sim.status(first), Some(MigrationStatus::Completed));
-    assert_eq!(sim.status(second), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(first), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(second), Some(MigrationStatus::Completed));
     assert_eq!(report.migrations.len(), 2);
     // Each record keeps its own job's data: opposite directions, both
     // consistent, and the first record survived the archive move.
     assert!(report.migrations.iter().all(|m| m.completed));
     assert!(report.migrations.iter().all(|m| m.consistent == Some(true)));
     assert_eq!(report.vms[0].final_host, 0, "migrated back home");
-    let p1 = sim.progress(first).unwrap();
-    let p2 = sim.progress(second).unwrap();
+    let p1 = sim.job_progress(first).unwrap();
+    let p2 = sim.job_progress(second).unwrap();
     assert_eq!(p1.dest, 1);
     assert_eq!(p2.dest, 0);
     assert!(
@@ -395,12 +385,12 @@ fn vm_can_migrate_again_after_its_job_is_terminal() {
 
 #[test]
 fn invalid_workload_parameters_are_errors_not_panics() {
-    let mut b = builder();
+    let mut sim = engine();
     // Zero block size would assert inside the Ior constructor.
-    let err = b
+    let err = sim
         .add_vm(
-            NodeId(0),
-            WorkloadSpec::Ior(lsm_workloads::IorParams {
+            0,
+            &WorkloadSpec::Ior(lsm_workloads::IorParams {
                 file_size: MIB,
                 block_size: 0,
                 iterations: 1,
@@ -413,10 +403,10 @@ fn invalid_workload_parameters_are_errors_not_panics() {
         .unwrap_err();
     assert!(matches!(err, EngineError::InvalidWorkload { .. }), "{err}");
     // Zipf exponent out of range would silently misbehave.
-    let err = b
+    let err = sim
         .add_vm(
-            NodeId(0),
-            WorkloadSpec::HotspotWrite {
+            0,
+            &WorkloadSpec::HotspotWrite {
                 offset: 0,
                 region_blocks: 8,
                 block: MIB,
@@ -431,10 +421,10 @@ fn invalid_workload_parameters_are_errors_not_panics() {
         .unwrap_err();
     assert!(err.to_string().contains("theta"), "{err}");
     // Non-rectangular CM1 decomposition would assert in the group path.
-    let placements: Vec<(NodeId, WorkloadSpec)> = (0..3)
-        .map(|r| (NodeId(r), WorkloadSpec::cm1_small(r, 3, 2, 1)))
+    let placements: Vec<(u32, WorkloadSpec)> = (0..3)
+        .map(|r| (r, WorkloadSpec::cm1_small(r, 3, 2, 1)))
         .collect();
-    let err = b
+    let err = sim
         .add_group(&placements, StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap_err();
     assert!(matches!(err, EngineError::InvalidWorkload { .. }), "{err}");
@@ -442,22 +432,21 @@ fn invalid_workload_parameters_are_errors_not_panics() {
 
 #[test]
 fn per_vm_mixed_strategies_coexist() {
-    let mut b = builder();
-    let a = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = engine();
+    let a = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    let c = b
-        .add_vm(NodeId(1), writer(), StrategyKind::Postcopy, SimTime::ZERO)
+    let c = sim
+        .add_vm(1, &writer(), StrategyKind::Postcopy, SimTime::ZERO)
         .unwrap();
-    let ja = b.migrate(a, NodeId(2), t(1.0)).unwrap();
-    let jc = b.migrate(c, NodeId(3), t(2.0)).unwrap();
-    let mut sim = b.build().unwrap();
+    let ja = sim.schedule_migration(a, 2, t(1.0)).unwrap();
+    let jc = sim.schedule_migration(c, 3, t(2.0)).unwrap();
     sim.run_until(t(600.0));
     for job in [ja, jc] {
-        assert_eq!(sim.status(job), Some(MigrationStatus::Completed));
+        assert_eq!(sim.job_status(job), Some(MigrationStatus::Completed));
     }
-    let pa = sim.progress(ja).unwrap();
-    let pc = sim.progress(jc).unwrap();
+    let pa = sim.job_progress(ja).unwrap();
+    let pc = sim.job_progress(jc).unwrap();
     assert_eq!(pa.strategy, StrategyKind::Hybrid);
     assert_eq!(pc.strategy, StrategyKind::Postcopy);
     assert!(pa.chunks_pushed > 0, "hybrid pushes");
@@ -469,18 +458,17 @@ fn per_vm_mixed_strategies_coexist() {
 
 /// A simulation run to 10 s: writers on nodes 0 and 1, and a job for VM 0
 /// queued at 500 s. VM 1 has no job.
-fn run_to_10s(orchestrator: Option<OrchestratorConfig>) -> (Simulation, JobId) {
-    let mut b = builder();
+fn run_to_10s(orchestrator: Option<OrchestratorConfig>) -> (Engine, JobId) {
+    let mut sim = engine();
     if let Some(cfg) = orchestrator {
-        b.with_orchestrator(cfg).unwrap();
+        sim.configure_orchestrator(cfg).unwrap();
     }
-    let vm0 = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let vm0 = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    b.add_vm(NodeId(1), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    sim.add_vm(1, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    let job = b.migrate(vm0, NodeId(2), t(500.0)).unwrap();
-    let mut sim = b.build().unwrap();
+    let job = sim.schedule_migration(vm0, 2, t(500.0)).unwrap();
     sim.run_until(t(10.0));
     assert_eq!(sim.now(), t(10.0));
     (sim, job)
@@ -501,13 +489,12 @@ fn fault_before_the_clock_is_an_error() {
         node: 0,
         factor: 0.5,
     };
-    let eng = sim.engine_mut();
     assert_eq!(
-        eng.schedule_fault(t(5.0), degrade),
+        sim.schedule_fault(t(5.0), degrade),
         Err(at_5s_before_the_clock("fault"))
     );
     // The clock itself is legal, and the run goes on from it.
-    eng.schedule_fault(t(10.0), degrade).unwrap();
+    sim.schedule_fault(t(10.0), degrade).unwrap();
     sim.run_until(t(20.0));
     assert_eq!(sim.now(), t(20.0));
 }
@@ -515,13 +502,12 @@ fn fault_before_the_clock_is_an_error() {
 #[test]
 fn migration_before_the_clock_is_an_error() {
     let (mut sim, _) = run_to_10s(None);
-    let eng = sim.engine_mut();
     assert_eq!(
-        eng.schedule_migration(VmId(1), 3, t(5.0)),
+        sim.schedule_migration(VmId(1), 3, t(5.0)),
         Err(at_5s_before_the_clock("migration"))
     );
-    assert_eq!(eng.job_ids().len(), 1, "the rejected job was not added");
-    eng.schedule_migration(VmId(1), 3, t(10.0)).unwrap();
+    assert_eq!(sim.job_ids().len(), 1, "the rejected job was not added");
+    sim.schedule_migration(VmId(1), 3, t(10.0)).unwrap();
 }
 
 #[test]
@@ -529,8 +515,7 @@ fn migration_with_deadline_before_the_clock_is_an_error() {
     let (mut sim, _) = run_to_10s(None);
     let deadline = Some(SimDuration::from_secs(60));
     assert_eq!(
-        sim.engine_mut()
-            .schedule_migration_with_deadline(VmId(1), 3, t(5.0), deadline),
+        sim.schedule_migration_with_deadline(VmId(1), 3, t(5.0), deadline),
         Err(at_5s_before_the_clock("migration"))
     );
 }
@@ -543,8 +528,7 @@ fn adaptive_migration_before_the_clock_is_an_error() {
     };
     let (mut sim, _) = run_to_10s(Some(adaptive));
     assert_eq!(
-        sim.engine_mut()
-            .schedule_migration_adaptive(VmId(1), 3, t(5.0), None),
+        sim.schedule_migration_adaptive(VmId(1), 3, t(5.0), None),
         Err(at_5s_before_the_clock("migration"))
     );
 }
@@ -553,8 +537,7 @@ fn adaptive_migration_before_the_clock_is_an_error() {
 fn request_before_the_clock_is_an_error() {
     let (mut sim, _) = run_to_10s(None);
     assert_eq!(
-        sim.engine_mut()
-            .submit_request(t(5.0), RequestIntent::Evacuate { node: 1 }),
+        sim.submit_request(t(5.0), RequestIntent::Evacuate { node: 1 }),
         Err(at_5s_before_the_clock("request"))
     );
 }
@@ -563,7 +546,7 @@ fn request_before_the_clock_is_an_error() {
 fn cancellation_before_the_clock_is_an_error() {
     let (mut sim, job) = run_to_10s(None);
     assert_eq!(
-        sim.engine_mut().schedule_cancellation(t(5.0), job),
+        sim.schedule_cancellation(t(5.0), job),
         Err(at_5s_before_the_clock("cancellation"))
     );
 }
@@ -571,24 +554,22 @@ fn cancellation_before_the_clock_is_an_error() {
 #[test]
 fn vm_start_before_the_clock_is_an_error() {
     let (mut sim, _) = run_to_10s(None);
-    let eng = sim.engine_mut();
     assert_eq!(
-        eng.add_vm(2, &writer(), StrategyKind::Hybrid, t(5.0)),
+        sim.add_vm(2, &writer(), StrategyKind::Hybrid, t(5.0)),
         Err(at_5s_before_the_clock("VM start"))
     );
-    assert_eq!(eng.vm_count(), 2, "the rejected VM was not deployed");
+    assert_eq!(sim.vm_count(), 2, "the rejected VM was not deployed");
 }
 
 #[test]
 fn group_start_before_the_clock_is_an_error() {
     let (mut sim, _) = run_to_10s(None);
-    let eng = sim.engine_mut();
     let placements = [(2, writer()), (3, writer())];
     assert_eq!(
-        eng.add_group(&placements, StrategyKind::Hybrid, t(5.0)),
+        sim.add_group(&placements, StrategyKind::Hybrid, t(5.0)),
         Err(at_5s_before_the_clock("group start"))
     );
-    assert_eq!(eng.vm_count(), 2, "no member of the group was deployed");
+    assert_eq!(sim.vm_count(), 2, "no member of the group was deployed");
 }
 
 // ---------------- instants past the end of the clock ----------------
@@ -598,15 +579,14 @@ const CLOCK_END_SECS: f64 = 18_446_744_073.0;
 
 #[test]
 fn vm_starting_at_the_end_of_the_clock_is_no_overflow() {
-    let mut b = builder();
-    let late = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, t(CLOCK_END_SECS))
+    let mut sim = engine();
+    let late = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, t(CLOCK_END_SECS))
         .unwrap();
-    let job = b.migrate(late, NodeId(1), t(1.0)).unwrap();
-    let mut sim = b.build().unwrap();
+    let job = sim.schedule_migration(late, 1, t(1.0)).unwrap();
     sim.run_until(t(300.0));
     assert_eq!(sim.now(), t(300.0));
-    assert_eq!(sim.status(job), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Completed));
     // A VM starting 0.2 s before the clock ends runs out of instants:
     // every later event would fall past the end, so the run stops.
     let mut eng = Engine::new(ClusterConfig::small_test()).unwrap();
@@ -619,35 +599,33 @@ fn vm_starting_at_the_end_of_the_clock_is_no_overflow() {
 
 #[test]
 fn deadline_past_the_end_of_the_clock_is_no_overflow() {
-    let mut b = builder();
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = engine();
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    let job = b
-        .migrate_with_deadline(
+    let job = sim
+        .schedule_migration_with_deadline(
             vm,
-            NodeId(1),
+            1,
             t(18_446_744_000.0),
-            SimDuration::from_secs(100),
+            Some(SimDuration::from_secs(100)),
         )
         .unwrap();
-    let mut sim = b.build().unwrap();
     sim.run_until(t(300.0));
-    assert_eq!(sim.status(job), Some(MigrationStatus::Queued));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Queued));
 }
 
 #[test]
 fn stall_past_the_end_of_the_clock_is_no_overflow() {
-    let mut b = builder();
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = engine();
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    let job = b.migrate(vm, NodeId(1), t(1.0)).unwrap();
-    b.inject_fault(t(1.5), FaultKind::TransferStall { vm: 0, secs: 1e18 })
+    let job = sim.schedule_migration(vm, 1, t(1.0)).unwrap();
+    sim.schedule_fault(t(1.5), FaultKind::TransferStall { vm: 0, secs: 1e18 })
         .unwrap();
-    let mut sim = b.build().unwrap();
     sim.run_until(t(300.0));
     assert_eq!(sim.now(), t(300.0));
     // The stall never clears, so the storage transfer never finishes.
-    assert!(!sim.status(job).unwrap().is_terminal());
+    assert!(!sim.job_status(job).unwrap().is_terminal());
 }

@@ -526,3 +526,33 @@ fn migration_timeline_follows_figure_2() {
         .unwrap();
     assert!(pull <= total);
 }
+
+/// A guest whose workload has not started dirties no memory: the first
+/// pre-copy pass of a VM that starts long after its migration leaves
+/// nothing behind, so the stop-and-copy follows it with no second round.
+#[test]
+fn a_guest_that_has_not_started_dirties_no_memory() {
+    use lsm_core::engine::Milestone;
+    let seq = WorkloadSpec::SeqWrite {
+        offset: 0,
+        total: 16 * MIB,
+        block: MIB,
+        think_secs: 0.05,
+    };
+    for strategy in [
+        StrategyKind::Hybrid,
+        StrategyKind::Precopy,
+        StrategyKind::Mirror,
+    ] {
+        let mut eng = Engine::new(ClusterConfig::small_test()).unwrap();
+        let vm = eng.add_vm(0, &seq, strategy, t(1e6)).unwrap();
+        eng.schedule_migration(vm, 1, t(3.0)).unwrap();
+        let r = eng.run_until(t(300.0));
+        let m = r.the_migration();
+        assert!(m.completed, "{strategy:?}");
+        assert_eq!(m.mem_rounds, 1, "{strategy:?}: {:?}", m.timeline);
+        let kinds: Vec<Milestone> = m.timeline.iter().map(|&(_, k)| k).collect();
+        assert!(!kinds.contains(&Milestone::MemRound(2)), "{strategy:?}");
+        assert!(kinds.contains(&Milestone::StopAndCopy), "{strategy:?}");
+    }
+}

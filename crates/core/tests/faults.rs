@@ -3,11 +3,10 @@
 //! degradation windows, transfer stalls with manifest-preserving
 //! resume, and migration deadlines with partial-progress reporting.
 
-use lsm_core::builder::SimulationBuilder;
 use lsm_core::config::ClusterConfig;
 use lsm_core::engine::Milestone;
 use lsm_core::policy::StrategyKind;
-use lsm_core::{FailureReason, FaultKind, MigrationStatus, NodeId};
+use lsm_core::{Engine, FailureReason, FaultKind, MigrationStatus};
 use lsm_simcore::time::{SimDuration, SimTime};
 use lsm_simcore::units::MIB;
 use lsm_workloads::WorkloadSpec;
@@ -30,30 +29,23 @@ fn writer() -> WorkloadSpec {
 
 /// A hybrid migration with a sustained writer, so there is always a
 /// storage transfer in flight to interrupt.
-fn one_migration(
-    strategy: StrategyKind,
-) -> (
-    SimulationBuilder,
-    lsm_core::builder::VmHandle,
-    lsm_core::JobId,
-) {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let vm = b
-        .add_vm(NodeId(0), writer(), strategy, SimTime::ZERO)
+fn one_migration(strategy: StrategyKind) -> (Engine, lsm_core::VmId, lsm_core::JobId) {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let vm = sim
+        .add_vm(0, &writer(), strategy, SimTime::ZERO)
         .expect("vm");
-    let job = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-    (b, vm, job)
+    let job = sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
+    (sim, vm, job)
 }
 
 #[test]
 fn destination_crash_mid_push_fails_cleanly_and_guest_survives() {
-    let (mut b, _vm, job) = one_migration(StrategyKind::Hybrid);
-    b.inject_fault(secs(1.2), FaultKind::NodeCrash { node: 1 })
+    let (mut sim, _vm, job) = one_migration(StrategyKind::Hybrid);
+    sim.schedule_fault(secs(1.2), FaultKind::NodeCrash { node: 1 })
         .expect("valid fault");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(300.0));
 
-    assert_eq!(sim.status(job), Some(MigrationStatus::Failed));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Failed));
     let m = &report.migrations[0];
     assert_eq!(
         m.failure,
@@ -74,12 +66,15 @@ fn destination_crash_during_stop_and_copy_resumes_the_guest() {
     // Crash exactly inside the switch-over window: the engine must
     // un-pause the guest at the source instead of stranding it.
     for at in [1.05, 1.5, 2.0, 3.0] {
-        let (mut b, _vm, job) = one_migration(StrategyKind::Hybrid);
-        b.inject_fault(secs(at), FaultKind::NodeCrash { node: 1 })
+        let (mut sim, _vm, job) = one_migration(StrategyKind::Hybrid);
+        sim.schedule_fault(secs(at), FaultKind::NodeCrash { node: 1 })
             .expect("valid fault");
-        let mut sim = b.build().expect("builds");
         let report = sim.run_until(secs(300.0));
-        assert_eq!(sim.status(job), Some(MigrationStatus::Failed), "at={at}");
+        assert_eq!(
+            sim.job_status(job),
+            Some(MigrationStatus::Failed),
+            "at={at}"
+        );
         assert!(
             report.vms[0].finished_at.is_some(),
             "guest stranded after crash at t={at}"
@@ -89,13 +84,12 @@ fn destination_crash_during_stop_and_copy_resumes_the_guest() {
 
 #[test]
 fn source_crash_kills_the_guest_and_job() {
-    let (mut b, _vm, job) = one_migration(StrategyKind::Hybrid);
-    b.inject_fault(secs(1.2), FaultKind::NodeCrash { node: 0 })
+    let (mut sim, _vm, job) = one_migration(StrategyKind::Hybrid);
+    sim.schedule_fault(secs(1.2), FaultKind::NodeCrash { node: 0 })
         .expect("valid fault");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(300.0));
 
-    assert_eq!(sim.status(job), Some(MigrationStatus::Failed));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Failed));
     assert_eq!(
         report.migrations[0].failure,
         Some(FailureReason::SourceCrashed { node: 0 })
@@ -121,19 +115,18 @@ fn source_crash_during_pull_phase_spares_the_guest() {
         seed: 7,
     };
     let one_hotspot_migration = || {
-        let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-        let vm = b
-            .add_vm(NodeId(0), hotspot(), StrategyKind::Hybrid, SimTime::ZERO)
+        let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+        let vm = sim
+            .add_vm(0, &hotspot(), StrategyKind::Hybrid, SimTime::ZERO)
             .expect("vm");
-        let job = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-        (b, vm, job)
+        let job = sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
+        (sim, vm, job)
     };
     // Find the control-transfer instant from a clean run, then crash the
     // source right after it in a second run: the guest (already at the
     // destination) must survive, reads blocked on pulls must unblock,
     // and the job must fail with partial progress.
-    let (b, _vm, _job) = one_hotspot_migration();
-    let mut sim = b.build().expect("builds");
+    let (mut sim, _vm, _job) = one_hotspot_migration();
     let clean = sim.run_until(secs(300.0));
     let control_at = clean.migrations[0].control_at.expect("clean run completes");
     let completed_at = clean.migrations[0]
@@ -143,13 +136,12 @@ fn source_crash_during_pull_phase_spares_the_guest() {
     let crash_at =
         control_at.as_secs_f64() + 0.6 * (completed_at.as_secs_f64() - control_at.as_secs_f64());
 
-    let (mut b, _vm, job) = one_hotspot_migration();
-    b.inject_fault(
+    let (mut sim, _vm, job) = one_hotspot_migration();
+    sim.schedule_fault(
         SimTime::from_secs_f64(crash_at),
         FaultKind::NodeCrash { node: 0 },
     )
     .expect("valid fault");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(300.0));
 
     let m = &report.migrations[0];
@@ -164,7 +156,7 @@ fn source_crash_during_pull_phase_spares_the_guest() {
             m.pushed_chunks + m.pulled_chunks > 0,
             "partial progress is reported"
         );
-        assert_eq!(sim.status(job), Some(MigrationStatus::Failed));
+        assert_eq!(sim.job_status(job), Some(MigrationStatus::Failed));
     } else {
         // The pull drained before the crash instant in this timing; the
         // migration legitimately completed.
@@ -174,18 +166,17 @@ fn source_crash_during_pull_phase_spares_the_guest() {
 
 #[test]
 fn crash_is_idempotent_and_unrelated_vms_continue() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let _a = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let _a = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let _bystander = b
-        .add_vm(NodeId(2), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let _bystander = sim
+        .add_vm(2, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.inject_fault(secs(0.5), FaultKind::NodeCrash { node: 0 })
+    sim.schedule_fault(secs(0.5), FaultKind::NodeCrash { node: 0 })
         .expect("valid");
-    b.inject_fault(secs(0.6), FaultKind::NodeCrash { node: 0 })
+    sim.schedule_fault(secs(0.6), FaultKind::NodeCrash { node: 0 })
         .expect("valid (no-op repeat)");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(300.0));
     assert!(report.vms[0].finished_at.is_none());
     assert!(
@@ -197,9 +188,9 @@ fn crash_is_idempotent_and_unrelated_vms_continue() {
 #[test]
 fn link_degradation_window_slows_the_migration() {
     let run = |with_fault: bool| {
-        let (mut b, _vm, _job) = one_migration(StrategyKind::Hybrid);
+        let (mut sim, _vm, _job) = one_migration(StrategyKind::Hybrid);
         if with_fault {
-            b.inject_fault(
+            sim.schedule_fault(
                 secs(1.1),
                 FaultKind::LinkDegrade {
                     node: 1,
@@ -207,10 +198,9 @@ fn link_degradation_window_slows_the_migration() {
                 },
             )
             .expect("valid");
-            b.inject_fault(secs(6.0), FaultKind::LinkRestore { node: 1 })
+            sim.schedule_fault(secs(6.0), FaultKind::LinkRestore { node: 1 })
                 .expect("valid");
         }
-        let mut sim = b.build().expect("builds");
         let r = sim.run_until(secs(600.0));
         let m = &r.migrations[0];
         assert_eq!(m.status, MigrationStatus::Completed, "fault={with_fault}");
@@ -228,12 +218,11 @@ fn link_degradation_window_slows_the_migration() {
 #[test]
 fn transfer_stall_resumes_from_surviving_manifest() {
     let run = |strategy: StrategyKind, stall: Option<(f64, f64)>| {
-        let (mut b, _vm, _job) = one_migration(strategy);
+        let (mut sim, _vm, _job) = one_migration(strategy);
         if let Some((at, secs_)) = stall {
-            b.inject_fault(secs(at), FaultKind::TransferStall { vm: 0, secs: secs_ })
+            sim.schedule_fault(secs(at), FaultKind::TransferStall { vm: 0, secs: secs_ })
                 .expect("valid");
         }
-        let mut sim = b.build().expect("builds");
         sim.run_until(secs(600.0))
     };
     for strategy in [
@@ -289,24 +278,23 @@ fn transfer_stall_resumes_from_surviving_manifest() {
 
 #[test]
 fn deadline_aborts_with_partial_progress() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
     // A deadline far too short for a 64 MiB image: the job must abort.
-    let job = b
-        .migrate_with_deadline(vm, NodeId(1), secs(1.0), SimDuration::from_millis(400))
+    let job = sim
+        .schedule_migration_with_deadline(vm, 1, secs(1.0), Some(SimDuration::from_millis(400)))
         .expect("job");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(300.0));
 
-    assert_eq!(sim.status(job), Some(MigrationStatus::Failed));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Failed));
     let m = &report.migrations[0];
     assert_eq!(
         m.failure,
         Some(FailureReason::DeadlineExceeded { deadline_secs: 0.4 })
     );
-    let progress = sim.progress(job).expect("progress");
+    let progress = sim.job_progress(job).expect("progress");
     assert_eq!(
         progress.failure,
         Some(FailureReason::DeadlineExceeded { deadline_secs: 0.4 })
@@ -320,16 +308,15 @@ fn deadline_aborts_with_partial_progress() {
 
 #[test]
 fn generous_deadline_never_fires() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let job = b
-        .migrate_with_deadline(vm, NodeId(1), secs(1.0), SimDuration::from_secs(250))
+    let job = sim
+        .schedule_migration_with_deadline(vm, 1, secs(1.0), Some(SimDuration::from_secs(250)))
         .expect("job");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(300.0));
-    assert_eq!(sim.status(job), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Completed));
     assert_eq!(report.migrations[0].consistent, Some(true));
 }
 
@@ -337,19 +324,17 @@ fn generous_deadline_never_fires() {
 fn remigration_after_destination_crash_succeeds() {
     // Stepped horizons: fail a migration via destination crash, then
     // schedule a fresh job to a healthy node and let it complete.
-    let (mut b, vm, job) = one_migration(StrategyKind::Hybrid);
-    b.inject_fault(secs(1.2), FaultKind::NodeCrash { node: 1 })
+    let (mut sim, vm, job) = one_migration(StrategyKind::Hybrid);
+    sim.schedule_fault(secs(1.2), FaultKind::NodeCrash { node: 1 })
         .expect("valid");
-    let mut sim = b.build().expect("builds");
     sim.run_until(secs(60.0));
-    assert_eq!(sim.status(job), Some(MigrationStatus::Failed));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Failed));
 
     let retry = sim
-        .engine_mut()
-        .schedule_migration(lsm_hypervisor::VmId(vm.index()), 2, secs(61.0))
+        .schedule_migration(vm, 2, secs(61.0))
         .expect("re-migration after a terminal job is legal");
     let report = sim.run_until(secs(600.0));
-    assert_eq!(sim.status(retry), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(retry), Some(MigrationStatus::Completed));
     let rec = report
         .migrations
         .iter()
@@ -361,40 +346,40 @@ fn remigration_after_destination_crash_succeeds() {
 
 #[test]
 fn fault_plan_validation_rejects_garbage() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let vm = b
-        .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let vm = sim
+        .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
     // Node out of range.
-    assert!(b
-        .inject_fault(secs(1.0), FaultKind::NodeCrash { node: 99 })
+    assert!(sim
+        .schedule_fault(secs(1.0), FaultKind::NodeCrash { node: 99 })
         .is_err());
     // Factor outside (0, 1].
     for factor in [0.0, -1.0, 1.5, f64::NAN] {
-        assert!(b
-            .inject_fault(secs(1.0), FaultKind::LinkDegrade { node: 0, factor })
+        assert!(sim
+            .schedule_fault(secs(1.0), FaultKind::LinkDegrade { node: 0, factor })
             .is_err());
     }
     // Unknown VM and non-positive stall duration.
-    assert!(b
-        .inject_fault(secs(1.0), FaultKind::TransferStall { vm: 9, secs: 1.0 })
+    assert!(sim
+        .schedule_fault(secs(1.0), FaultKind::TransferStall { vm: 9, secs: 1.0 })
         .is_err());
-    assert!(b
-        .inject_fault(secs(1.0), FaultKind::TransferStall { vm: 0, secs: 0.0 })
+    assert!(sim
+        .schedule_fault(secs(1.0), FaultKind::TransferStall { vm: 0, secs: 0.0 })
         .is_err());
     // Zero deadline.
-    assert!(b
-        .migrate_with_deadline(vm, NodeId(1), secs(1.0), SimDuration::ZERO)
+    assert!(sim
+        .schedule_migration_with_deadline(vm, 1, secs(1.0), Some(SimDuration::ZERO))
         .is_err());
 }
 
 #[test]
 fn crash_runs_are_deterministic() {
     let run = || {
-        let (mut b, _vm, _job) = one_migration(StrategyKind::Hybrid);
-        b.inject_fault(secs(1.2), FaultKind::NodeCrash { node: 1 })
+        let (mut sim, _vm, _job) = one_migration(StrategyKind::Hybrid);
+        sim.schedule_fault(secs(1.2), FaultKind::NodeCrash { node: 1 })
             .expect("valid");
-        b.inject_fault(
+        sim.schedule_fault(
             secs(0.8),
             FaultKind::LinkDegrade {
                 node: 0,
@@ -402,7 +387,6 @@ fn crash_runs_are_deterministic() {
             },
         )
         .expect("valid");
-        let mut sim = b.build().expect("builds");
         let r = sim.run_until(secs(300.0));
         serde_json::to_string_pretty(&r).expect("serializes")
     };
@@ -418,14 +402,13 @@ fn faults_work_for_every_strategy() {
         StrategyKind::Postcopy,
         StrategyKind::SharedFs,
     ] {
-        let (mut b, _vm, job) = one_migration(strategy);
-        b.inject_fault(secs(1.15), FaultKind::NodeCrash { node: 1 })
+        let (mut sim, _vm, job) = one_migration(strategy);
+        sim.schedule_fault(secs(1.15), FaultKind::NodeCrash { node: 1 })
             .expect("valid");
-        b.inject_fault(secs(0.5), FaultKind::TransferStall { vm: 0, secs: 0.5 })
+        sim.schedule_fault(secs(0.5), FaultKind::TransferStall { vm: 0, secs: 0.5 })
             .expect("valid");
-        let mut sim = b.build().expect("builds");
         let report = sim.run_until(secs(300.0));
-        let status = sim.status(job).expect("job exists");
+        let status = sim.job_status(job).expect("job exists");
         assert!(
             status.is_terminal(),
             "{}: job neither completed nor failed",
@@ -450,32 +433,30 @@ fn stale_disk_reads_do_not_leak_into_a_successor_migration() {
     // panic of the push in-flight count). Several deadlines sweep the
     // read window.
     for deadline_ms in [200, 250, 300, 350, 450] {
-        let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-        let vm = b
-            .add_vm(NodeId(0), writer(), StrategyKind::Hybrid, SimTime::ZERO)
+        let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+        let vm = sim
+            .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
             .expect("vm");
-        let job = b
-            .migrate_with_deadline(
+        let job = sim
+            .schedule_migration_with_deadline(
                 vm,
-                NodeId(1),
+                1,
                 secs(1.0),
-                SimDuration::from_millis(deadline_ms),
+                Some(SimDuration::from_millis(deadline_ms)),
             )
             .expect("job");
-        let mut sim = b.build().expect("builds");
         sim.run_until(secs(30.0));
         assert_eq!(
-            sim.status(job),
+            sim.job_status(job),
             Some(MigrationStatus::Failed),
             "deadline {deadline_ms}ms"
         );
         let retry = sim
-            .engine_mut()
-            .schedule_migration(lsm_hypervisor::VmId(vm.index()), 2, secs(30.5))
+            .schedule_migration(vm, 2, secs(30.5))
             .expect("re-migration after abort");
         let report = sim.run_until(secs(600.0));
         assert_eq!(
-            sim.status(retry),
+            sim.job_status(retry),
             Some(MigrationStatus::Completed),
             "deadline {deadline_ms}ms: successor migration must complete"
         );
@@ -519,36 +500,33 @@ fn stall_during_pull_phase_defers_ondemand_and_completes() {
         seed: 7,
     };
     let build = |guest: &WorkloadSpec, strategy: StrategyKind| {
-        let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-        let vm = b
-            .add_vm(NodeId(0), guest.clone(), strategy, SimTime::ZERO)
-            .expect("vm");
-        let job = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
-        (b, job)
+        let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+        let vm = sim.add_vm(0, guest, strategy, SimTime::ZERO).expect("vm");
+        let job = sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
+        (sim, job)
     };
     for (name, guest) in [("writer", &writer), ("mixed", &mixed)] {
         for strategy in [StrategyKind::Hybrid, StrategyKind::Postcopy] {
             // Locate the pull window from a clean run.
-            let clean = build(guest, strategy)
-                .0
-                .build()
-                .expect("builds")
-                .run_until(secs(300.0));
+            let clean = build(guest, strategy).0.run_until(secs(300.0));
             let control_at = clean.migrations[0].control_at.expect("completes");
 
             // The first prefetch batches are requested at control
             // transfer, so 5 ms later they sit at the source disk.
             for offset in [0.005, 0.02, 0.1, 0.3] {
                 let case = format!("{name} {} offset {offset}", strategy.label());
-                let (mut b, job) = build(guest, strategy);
-                b.inject_fault(
+                let (mut sim, job) = build(guest, strategy);
+                sim.schedule_fault(
                     SimTime::from_secs_f64(control_at.as_secs_f64() + offset),
                     FaultKind::TransferStall { vm: 0, secs: 0.8 },
                 )
                 .expect("valid");
-                let mut sim = b.build().expect("builds");
                 let report = sim.run_until(secs(300.0));
-                assert_eq!(sim.status(job), Some(MigrationStatus::Completed), "{case}");
+                assert_eq!(
+                    sim.job_status(job),
+                    Some(MigrationStatus::Completed),
+                    "{case}"
+                );
                 assert_eq!(report.migrations[0].consistent, Some(true), "{case}");
                 assert!(
                     report.vms[0].finished_at.is_some(),

@@ -2,13 +2,12 @@
 //! live telemetry, admission-cap deferral, node evacuation, group
 //! rebalancing, and the request-validation surface.
 
-use lsm_core::builder::SimulationBuilder;
 use lsm_core::config::ClusterConfig;
 use lsm_core::engine::{Milestone, RecordingObserver};
 use lsm_core::policy::StrategyKind;
 use lsm_core::{
-    EngineError, FaultKind, MigrationStatus, NodeId, OrchestratorConfig, PlannerKind,
-    RequestIntent, SkipReason, VmId,
+    Engine, EngineError, FaultKind, MigrationStatus, OrchestratorConfig, PlannerKind,
+    RequestIntent, SkipReason,
 };
 use lsm_simcore::time::SimTime;
 use lsm_simcore::units::MIB;
@@ -53,26 +52,21 @@ fn adaptive_cfg() -> OrchestratorConfig {
 /// with `Precopy` — chosen from windowed write rates, not configured.
 #[test]
 fn adaptive_planner_picks_hybrid_for_writers_and_precopy_for_idle() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(adaptive_cfg()).expect("configures");
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(adaptive_cfg())
+        .expect("configures");
     // Both VMs are *configured* Hybrid; the planner must override from
     // telemetry, not echo the configuration.
-    let writer = b
-        .add_vm(
-            NodeId(0),
-            heavy_writer(),
-            StrategyKind::Hybrid,
-            SimTime::ZERO,
-        )
+    let writer = sim
+        .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let idler = b
-        .add_vm(NodeId(1), idle(), StrategyKind::Hybrid, SimTime::ZERO)
+    let idler = sim
+        .add_vm(1, &idle(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.migrate_adaptive(writer, NodeId(2), secs(12.0))
+    sim.schedule_migration_adaptive(writer, 2, secs(12.0), None)
         .expect("job");
-    b.migrate_adaptive(idler, NodeId(3), secs(12.0))
+    sim.schedule_migration_adaptive(idler, 3, secs(12.0), None)
         .expect("job");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(600.0));
 
     assert_eq!(report.planner.len(), 2, "one decision per admission");
@@ -98,12 +92,13 @@ fn adaptive_planner_picks_hybrid_for_writers_and_precopy_for_idle() {
 /// the writer goes quiet for a few windows, its rate decays to zero.
 #[test]
 fn telemetry_rates_are_windowed() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(adaptive_cfg()).expect("configures");
-    let writer = b
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(adaptive_cfg())
+        .expect("configures");
+    let writer = sim
         .add_vm(
-            NodeId(0),
-            WorkloadSpec::SeqWrite {
+            0,
+            &WorkloadSpec::SeqWrite {
                 offset: 0,
                 total: 32 * MIB,
                 block: MIB,
@@ -114,11 +109,10 @@ fn telemetry_rates_are_windowed() {
         )
         .expect("vm");
     // A far-future adaptive job keeps the telemetry ticking.
-    b.migrate_adaptive(writer, NodeId(1), secs(90.0))
+    sim.schedule_migration_adaptive(writer, 1, secs(90.0), None)
         .expect("job");
-    let mut sim = b.build().expect("builds");
     sim.run_until(secs(6.0));
-    let w_early = sim.engine().vm_telemetry(0).expect("vm exists").write_rate;
+    let w_early = sim.vm_telemetry(0).expect("vm exists").write_rate;
     assert!(
         w_early > 1e6,
         "writer should show MB/s-scale write rate, got {w_early}"
@@ -126,7 +120,7 @@ fn telemetry_rates_are_windowed() {
     // The 32 MiB workload finishes in a few seconds; several windows
     // later the windowed rate must have decayed to zero.
     sim.run_until(secs(60.0));
-    let w_late = sim.engine().vm_telemetry(0).expect("vm exists").write_rate;
+    let w_late = sim.vm_telemetry(0).expect("vm exists").write_rate;
     assert_eq!(w_late, 0.0, "windowed rate must forget old activity");
 }
 
@@ -138,18 +132,18 @@ fn telemetry_rates_are_windowed() {
 /// point do two jobs hold slots.
 #[test]
 fn admission_cap_serializes_concurrent_migrations() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(OrchestratorConfig {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(OrchestratorConfig {
         max_concurrent: Some(1),
         ..OrchestratorConfig::default()
     })
     .expect("configures");
     let mut jobs = Vec::new();
     for node in 0..3 {
-        let vm = b
+        let vm = sim
             .add_vm(
-                NodeId(node),
-                WorkloadSpec::SeqWrite {
+                node,
+                &WorkloadSpec::SeqWrite {
                     offset: 0,
                     total: 24 * MIB,
                     block: MIB,
@@ -159,14 +153,13 @@ fn admission_cap_serializes_concurrent_migrations() {
                 SimTime::ZERO,
             )
             .expect("vm");
-        jobs.push(b.migrate(vm, NodeId(3), secs(1.0)).expect("job"));
+        jobs.push(sim.schedule_migration(vm, 3, secs(1.0)).expect("job"));
     }
-    let mut sim = b.build().expect("builds");
     let mut obs = RecordingObserver::default();
-    let report = sim.run_observed(secs(900.0), &mut obs);
+    let report = sim.run_until_observed(secs(900.0), &mut obs);
 
     for &job in &jobs {
-        assert_eq!(sim.status(job), Some(MigrationStatus::Completed));
+        assert_eq!(sim.job_status(job), Some(MigrationStatus::Completed));
     }
     let deferred: Vec<_> = obs
         .milestones
@@ -182,8 +175,8 @@ fn admission_cap_serializes_concurrent_migrations() {
     for w in report.planner.windows(2) {
         assert!(w[0].decided_at < w[1].decided_at, "admissions overlap");
     }
-    assert_eq!(sim.engine().active_migrations(), 0, "all slots released");
-    assert_eq!(sim.engine().admission_cap(), Some(1));
+    assert_eq!(sim.active_migrations(), 0, "all slots released");
+    assert_eq!(sim.admission_cap(), Some(1));
 }
 
 /// A deadline can fire while the job is still planner-held: the job
@@ -191,47 +184,41 @@ fn admission_cap_serializes_concurrent_migrations() {
 /// moves on.
 #[test]
 fn deadline_fires_while_planner_held() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(OrchestratorConfig {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(OrchestratorConfig {
         max_concurrent: Some(1),
         ..OrchestratorConfig::default()
     })
     .expect("configures");
-    let vm0 = b
-        .add_vm(
-            NodeId(0),
-            heavy_writer(),
-            StrategyKind::Hybrid,
-            SimTime::ZERO,
-        )
+    let vm0 = sim
+        .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let vm1 = b
-        .add_vm(NodeId(1), idle(), StrategyKind::Hybrid, SimTime::ZERO)
+    let vm1 = sim
+        .add_vm(1, &idle(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let long = b.migrate(vm0, NodeId(2), secs(1.0)).expect("job");
+    let long = sim.schedule_migration(vm0, 2, secs(1.0)).expect("job");
     // Pin the slot: a 30 s transfer stall keeps the first migration
     // in flight far past the held job's deadline.
-    b.inject_fault(
+    sim.schedule_fault(
         secs(1.2),
         lsm_core::FaultKind::TransferStall { vm: 0, secs: 30.0 },
     )
     .expect("fault");
     // Held behind the stalled migration; its 3 s deadline expires long
     // before a slot frees.
-    let held = b
-        .migrate_with_deadline(
+    let held = sim
+        .schedule_migration_with_deadline(
             vm1,
-            NodeId(3),
+            3,
             secs(1.5),
-            lsm_simcore::time::SimDuration::from_secs(3),
+            Some(lsm_simcore::time::SimDuration::from_secs(3)),
         )
         .expect("job");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(900.0));
-    assert_eq!(sim.status(long), Some(MigrationStatus::Completed));
-    assert_eq!(sim.status(held), Some(MigrationStatus::Failed));
+    assert_eq!(sim.job_status(long), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(held), Some(MigrationStatus::Failed));
     // A terminal job is no longer planner-held, whatever killed it.
-    let p = sim.progress(held).expect("progress");
+    let p = sim.job_progress(held).expect("progress");
     assert!(!p.planner_held, "terminal job still reports planner-held");
     let failed = &report.migrations[held.0 as usize];
     assert!(
@@ -253,11 +240,11 @@ fn deadline_fires_while_planner_held() {
 /// request in the decision log.
 #[test]
 fn evacuation_drains_the_node() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
     for node in [1, 1, 0] {
-        b.add_vm(
-            NodeId(node),
-            WorkloadSpec::SeqWrite {
+        sim.add_vm(
+            node,
+            &WorkloadSpec::SeqWrite {
                 offset: 0,
                 total: 16 * MIB,
                 block: MIB,
@@ -268,8 +255,9 @@ fn evacuation_drains_the_node() {
         )
         .expect("vm");
     }
-    let req = b.request_evacuation(NodeId(1), secs(5.0)).expect("request");
-    let mut sim = b.build().expect("builds");
+    let req = sim
+        .submit_request(secs(5.0), RequestIntent::Evacuate { node: 1 })
+        .expect("request");
     let report = sim.run_until(secs(600.0));
 
     assert_eq!(report.migrations.len(), 2, "both node-1 guests moved");
@@ -294,16 +282,17 @@ fn evacuation_drains_the_node() {
 /// once the spread cannot improve by more than one.
 #[test]
 fn rebalance_spreads_a_stacked_group() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(adaptive_cfg()).expect("configures");
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(adaptive_cfg())
+        .expect("configures");
     let placements = vec![
-        (NodeId(0), WorkloadSpec::cm1_small(0, 2, 1, 1)),
-        (NodeId(0), WorkloadSpec::cm1_small(1, 2, 1, 1)),
+        (0, WorkloadSpec::cm1_small(0, 2, 1, 1)),
+        (0, WorkloadSpec::cm1_small(1, 2, 1, 1)),
     ];
-    b.add_group(&placements, StrategyKind::Hybrid, SimTime::ZERO)
+    sim.add_group(&placements, StrategyKind::Hybrid, SimTime::ZERO)
         .expect("group");
-    b.request_rebalance(0, secs(2.0)).expect("request");
-    let mut sim = b.build().expect("builds");
+    sim.submit_request(secs(2.0), RequestIntent::Rebalance { group: 0 })
+        .expect("request");
     let report = sim.run_until(secs(600.0));
 
     assert_eq!(report.migrations.len(), 1, "one move evens a 2-on-1 stack");
@@ -321,24 +310,19 @@ fn rebalance_spreads_a_stacked_group() {
 #[test]
 fn planner_decisions_are_deterministic() {
     let run = || {
-        let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-        b.with_orchestrator(OrchestratorConfig {
+        let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+        sim.configure_orchestrator(OrchestratorConfig {
             max_concurrent: Some(2),
             planner: PlannerKind::Adaptive,
             ..OrchestratorConfig::default()
         })
         .expect("configures");
         for node in [1, 1, 2] {
-            b.add_vm(
-                NodeId(node),
-                heavy_writer(),
-                StrategyKind::Hybrid,
-                SimTime::ZERO,
-            )
-            .expect("vm");
+            sim.add_vm(node, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
+                .expect("vm");
         }
-        b.request_evacuation(NodeId(1), secs(8.0)).expect("request");
-        let mut sim = b.build().expect("builds");
+        sim.submit_request(secs(8.0), RequestIntent::Evacuate { node: 1 })
+            .expect("request");
         let report = sim.run_until(secs(600.0));
         format!("{:?}", report.planner)
     };
@@ -350,30 +334,30 @@ fn planner_decisions_are_deterministic() {
 #[test]
 fn orchestration_misuse_is_an_error_not_a_panic() {
     // Adaptive migration without the adaptive planner.
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let vm = b
-        .add_vm(NodeId(0), idle(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let vm = sim
+        .add_vm(0, &idle(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
     assert!(matches!(
-        b.migrate_adaptive(vm, NodeId(1), secs(1.0)),
+        sim.schedule_migration_adaptive(vm, 1, secs(1.0), None),
         Err(EngineError::InvalidRequest { .. })
     ));
 
     // Configuring after scheduling work.
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let vm = b
-        .add_vm(NodeId(0), idle(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let vm = sim
+        .add_vm(0, &idle(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
+    sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
     assert!(matches!(
-        b.with_orchestrator(adaptive_cfg()),
+        sim.configure_orchestrator(adaptive_cfg()),
         Err(EngineError::InvalidRequest { .. })
     ));
 
     // Unusable configurations.
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
     assert!(matches!(
-        b.with_orchestrator(OrchestratorConfig {
+        sim.configure_orchestrator(OrchestratorConfig {
             max_concurrent: Some(0),
             ..OrchestratorConfig::default()
         }),
@@ -381,13 +365,13 @@ fn orchestration_misuse_is_an_error_not_a_panic() {
     ));
 
     // Out-of-range evacuation target; unknown rebalance group.
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
     assert!(matches!(
-        b.request_evacuation(NodeId(99), secs(1.0)),
+        sim.submit_request(secs(1.0), RequestIntent::Evacuate { node: 99 }),
         Err(EngineError::InvalidRequest { .. })
     ));
     assert!(matches!(
-        b.request_rebalance(0, secs(1.0)),
+        sim.submit_request(secs(1.0), RequestIntent::Rebalance { group: 0 }),
         Err(EngineError::InvalidRequest { .. })
     ));
 }
@@ -396,11 +380,11 @@ fn orchestration_misuse_is_an_error_not_a_panic() {
 /// a VM with a live explicit job is skipped by a racing intent.
 #[test]
 fn evacuation_edge_cases_are_noops() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    let vm = b
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let vm = sim
         .add_vm(
-            NodeId(1),
-            WorkloadSpec::SeqWrite {
+            1,
+            &WorkloadSpec::SeqWrite {
                 offset: 0,
                 total: 16 * MIB,
                 block: MIB,
@@ -411,11 +395,12 @@ fn evacuation_edge_cases_are_noops() {
         )
         .expect("vm");
     // Explicit job already moving the VM when the evacuation fires.
-    b.migrate(vm, NodeId(2), secs(1.0)).expect("job");
-    b.request_evacuation(NodeId(1), secs(1.5)).expect("request");
+    sim.schedule_migration(vm, 2, secs(1.0)).expect("job");
+    sim.submit_request(secs(1.5), RequestIntent::Evacuate { node: 1 })
+        .expect("request");
     // Nothing lives on node 3.
-    b.request_evacuation(NodeId(3), secs(2.0)).expect("request");
-    let mut sim = b.build().expect("builds");
+    sim.submit_request(secs(2.0), RequestIntent::Evacuate { node: 3 })
+        .expect("request");
     let report = sim.run_until(secs(600.0));
     assert_eq!(
         report.migrations.len(),
@@ -442,20 +427,15 @@ fn evacuation_edge_cases_are_noops() {
 /// demand and sees the true MB/s-scale write rate.
 #[test]
 fn adaptive_admission_before_first_window_samples_on_demand() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(adaptive_cfg()).expect("configures");
-    let writer = b
-        .add_vm(
-            NodeId(0),
-            heavy_writer(),
-            StrategyKind::Hybrid,
-            SimTime::ZERO,
-        )
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(adaptive_cfg())
+        .expect("configures");
+    let writer = sim
+        .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
     // Admission at 2 s < the 5 s telemetry window: no tick has sampled.
-    b.migrate_adaptive(writer, NodeId(2), secs(2.0))
+    sim.schedule_migration_adaptive(writer, 2, secs(2.0), None)
         .expect("job");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(600.0));
     assert_eq!(report.planner.len(), 1);
     assert_eq!(
@@ -473,12 +453,13 @@ fn adaptive_admission_before_first_window_samples_on_demand() {
 /// progress must still read the VM's strategy when it was scheduled.
 #[test]
 fn never_started_job_keeps_its_strategy() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(adaptive_cfg()).expect("configures");
-    let writer = b
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(adaptive_cfg())
+        .expect("configures");
+    let writer = sim
         .add_vm(
-            NodeId(0),
-            WorkloadSpec::SeqWrite {
+            0,
+            &WorkloadSpec::SeqWrite {
                 offset: 0,
                 total: 48 * MIB,
                 block: MIB,
@@ -488,17 +469,15 @@ fn never_started_job_keeps_its_strategy() {
             SimTime::ZERO,
         )
         .expect("vm");
-    b.inject_fault(secs(1.0), FaultKind::NodeCrash { node: 2 })
+    sim.schedule_fault(secs(1.0), FaultKind::NodeCrash { node: 2 })
         .expect("fault");
-    let failed = b
-        .migrate_adaptive(writer, NodeId(2), secs(2.0))
+    let failed = sim
+        .schedule_migration_adaptive(writer, 2, secs(2.0), None)
         .expect("job");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(300.0));
     assert_eq!(report.migrations[0].strategy, StrategyKind::Hybrid);
     let later = sim
-        .engine_mut()
-        .schedule_migration_adaptive(VmId(writer.index()), 1, secs(400.0), None)
+        .schedule_migration_adaptive(writer, 1, secs(400.0), None)
         .expect("job");
     let report = sim.run_until(secs(600.0));
 
@@ -509,7 +488,7 @@ fn never_started_job_keeps_its_strategy() {
     let second = &report.migrations[1];
     assert!(second.completed);
     assert_eq!(second.strategy, StrategyKind::Precopy, "idle by then");
-    let strategy = |job| sim.progress(job).expect("job").strategy;
+    let strategy = |job| sim.job_progress(job).expect("job").strategy;
     assert_eq!(strategy(failed), StrategyKind::Hybrid);
     assert_eq!(strategy(later), StrategyKind::Precopy);
 }
@@ -518,23 +497,17 @@ fn never_started_job_keeps_its_strategy() {
 /// per-scheme estimates it decided from on the decision.
 #[test]
 fn cost_admission_before_first_window_samples_on_demand() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(OrchestratorConfig {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(OrchestratorConfig {
         planner: PlannerKind::Cost,
         ..OrchestratorConfig::default()
     })
     .expect("configures");
-    let writer = b
-        .add_vm(
-            NodeId(0),
-            heavy_writer(),
-            StrategyKind::Hybrid,
-            SimTime::ZERO,
-        )
+    let writer = sim
+        .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.migrate_adaptive(writer, NodeId(2), secs(2.0))
+    sim.schedule_migration_adaptive(writer, 2, secs(2.0), None)
         .expect("job");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(600.0));
     let d = &report.planner[0];
     assert_eq!(d.planner, "cost");
@@ -556,14 +529,14 @@ fn cost_admission_before_first_window_samples_on_demand() {
 /// real post-start write rate.
 #[test]
 fn late_started_hot_writer_is_not_misread_by_prestart_ticks() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(adaptive_cfg()).expect("configures");
-    let writer = b
-        .add_vm(NodeId(0), heavy_writer(), StrategyKind::Hybrid, secs(7.0))
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(adaptive_cfg())
+        .expect("configures");
+    let writer = sim
+        .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, secs(7.0))
         .expect("vm");
-    b.migrate_adaptive(writer, NodeId(2), secs(9.0))
+    sim.schedule_migration_adaptive(writer, 2, secs(9.0), None)
         .expect("job");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(600.0));
     assert_eq!(
         report.planner[0].strategy,
@@ -579,22 +552,18 @@ fn late_started_hot_writer_is_not_misread_by_prestart_ticks() {
 /// reverse.
 #[test]
 fn telemetry_separates_rewrite_from_dirty_growth() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(adaptive_cfg()).expect("configures");
-    let hot = b
-        .add_vm(
-            NodeId(0),
-            heavy_writer(),
-            StrategyKind::Hybrid,
-            SimTime::ZERO,
-        )
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(adaptive_cfg())
+        .expect("configures");
+    let hot = sim
+        .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    let seq = b
+    let seq = sim
         .add_vm(
-            NodeId(1),
+            1,
             // Slow enough to still be writing fresh chunks in the
             // second telemetry window (0.5 s think per 1 MiB block).
-            WorkloadSpec::SeqWrite {
+            &WorkloadSpec::SeqWrite {
                 offset: 0,
                 total: 60 * MIB,
                 block: MIB,
@@ -605,13 +574,13 @@ fn telemetry_separates_rewrite_from_dirty_growth() {
         )
         .expect("vm");
     // A far-future adaptive job keeps the telemetry loop armed.
-    b.migrate_adaptive(hot, NodeId(2), secs(90.0)).expect("job");
-    let mut sim = b.build().expect("builds");
+    sim.schedule_migration_adaptive(hot, 2, secs(90.0), None)
+        .expect("job");
     // Past the second window (5 s → 10 s): the hotspot's region is
     // fully dirty, so its writes are pure overwrites now.
     sim.run_until(secs(11.0));
-    let h = sim.engine().vm_telemetry(0).expect("vm exists");
-    let s = sim.engine().vm_telemetry(seq.index()).expect("vm exists");
+    let h = sim.vm_telemetry(0).expect("vm exists");
+    let s = sim.vm_telemetry(seq.0).expect("vm exists");
     assert!(h.sampled && s.sampled);
     assert!(
         h.rewrite_rate > 10.0 * h.dirty_rate.max(1.0),
@@ -635,10 +604,10 @@ fn telemetry_separates_rewrite_from_dirty_growth() {
 /// retry places it — the VM eventually leaves the drained node.
 #[test]
 fn evacuation_step_parks_and_retries_after_node_restore() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.add_vm(
-        NodeId(0),
-        WorkloadSpec::SeqWrite {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.add_vm(
+        0,
+        &WorkloadSpec::SeqWrite {
             offset: 0,
             total: 16 * MIB,
             block: MIB,
@@ -650,14 +619,14 @@ fn evacuation_step_parks_and_retries_after_node_restore() {
     .expect("vm");
     // Every possible destination is down when the drain fires...
     for node in [1, 2, 3] {
-        b.inject_fault(secs(1.0), FaultKind::NodeCrash { node })
+        sim.schedule_fault(secs(1.0), FaultKind::NodeCrash { node })
             .expect("fault");
     }
-    b.request_evacuation(NodeId(0), secs(2.0)).expect("request");
+    sim.submit_request(secs(2.0), RequestIntent::Evacuate { node: 0 })
+        .expect("request");
     // ...and one comes back later.
-    b.inject_fault(secs(30.0), FaultKind::NodeRestore { node: 2 })
+    sim.schedule_fault(secs(30.0), FaultKind::NodeRestore { node: 2 })
         .expect("fault");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(600.0));
 
     assert_eq!(report.migrations.len(), 1, "the step must eventually run");
@@ -680,21 +649,22 @@ fn evacuation_step_parks_and_retries_after_node_restore() {
 /// silently pretending the evacuation completed).
 #[test]
 fn evacuation_placement_exhausts_after_bounded_retries() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.add_vm(NodeId(0), idle(), StrategyKind::Hybrid, SimTime::ZERO)
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.add_vm(0, &idle(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
     for node in [1, 2, 3] {
-        b.inject_fault(secs(1.0), FaultKind::NodeCrash { node })
+        sim.schedule_fault(secs(1.0), FaultKind::NodeCrash { node })
             .expect("fault");
     }
-    b.request_evacuation(NodeId(0), secs(2.0)).expect("request");
+    sim.submit_request(secs(2.0), RequestIntent::Evacuate { node: 0 })
+        .expect("request");
     // Each later request drains the queue — a retry opportunity for the
     // parked step. The default limit (4 attempts) is exceeded by the
     // fourth drain.
     for t in [3.0, 4.0, 5.0, 6.0] {
-        b.request_evacuation(NodeId(3), secs(t)).expect("request");
+        sim.submit_request(secs(t), RequestIntent::Evacuate { node: 3 })
+            .expect("request");
     }
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(600.0));
 
     assert!(report.migrations.is_empty(), "nothing could ever place");
@@ -718,33 +688,28 @@ fn evacuation_placement_exhausts_after_bounded_retries() {
 /// cap is skipped with a terminal `VmCrashed` record.
 #[test]
 fn crashed_vm_step_is_recorded_as_skipped() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(OrchestratorConfig {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(OrchestratorConfig {
         max_concurrent: Some(2),
         ..OrchestratorConfig::default()
     })
     .expect("configures");
     // A long-running migration pins one slot...
-    let heavy = b
-        .add_vm(
-            NodeId(0),
-            heavy_writer(),
-            StrategyKind::Hybrid,
-            SimTime::ZERO,
-        )
+    let heavy = sim
+        .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.migrate(heavy, NodeId(3), secs(1.0)).expect("job");
+    sim.schedule_migration(heavy, 3, secs(1.0)).expect("job");
     // ...two guests on node 1: the drain admits the first into the
     // remaining slot, the second stays expanded-but-queued.
-    b.add_vm(NodeId(1), idle(), StrategyKind::Hybrid, SimTime::ZERO)
+    sim.add_vm(1, &idle(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.add_vm(NodeId(1), idle(), StrategyKind::Hybrid, SimTime::ZERO)
+    sim.add_vm(1, &idle(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    b.request_evacuation(NodeId(1), secs(2.0)).expect("request");
+    sim.submit_request(secs(2.0), RequestIntent::Evacuate { node: 1 })
+        .expect("request");
     // The node dies while that second step waits.
-    b.inject_fault(secs(2.5), FaultKind::NodeCrash { node: 1 })
+    sim.schedule_fault(secs(2.5), FaultKind::NodeCrash { node: 1 })
         .expect("fault");
-    let mut sim = b.build().expect("builds");
     let report = sim.run_until(secs(600.0));
 
     let crashed_skips: Vec<_> = report
@@ -779,18 +744,18 @@ fn request_intent_serde_roundtrip() {
 /// goes in whole once enough slots free together.
 #[test]
 fn gang_admission_never_strands_half_a_group() {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_orchestrator(OrchestratorConfig {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_orchestrator(OrchestratorConfig {
         max_concurrent: Some(2),
         ..OrchestratorConfig::default()
     })
     .expect("configures");
     // Two cap-filling singles with distinct workloads/strategies, so
     // their completions land at distinct instants.
-    let short = b
+    let short = sim
         .add_vm(
-            NodeId(0),
-            WorkloadSpec::SeqWrite {
+            0,
+            &WorkloadSpec::SeqWrite {
                 offset: 0,
                 total: 8 * MIB,
                 block: MIB,
@@ -800,10 +765,10 @@ fn gang_admission_never_strands_half_a_group() {
             SimTime::ZERO,
         )
         .expect("vm");
-    let long = b
+    let long = sim
         .add_vm(
-            NodeId(1),
-            WorkloadSpec::SeqWrite {
+            1,
+            &WorkloadSpec::SeqWrite {
                 offset: 0,
                 total: 48 * MIB,
                 block: MIB,
@@ -813,24 +778,23 @@ fn gang_admission_never_strands_half_a_group() {
             SimTime::ZERO,
         )
         .expect("vm");
-    let gang = b
+    let gang = sim
         .add_group(
-            &[(NodeId(0), idle()), (NodeId(1), idle())],
+            &[(0, idle()), (1, idle())],
             StrategyKind::Precopy,
             SimTime::ZERO,
         )
         .expect("group");
-    let single = b
-        .add_vm(NodeId(2), idle(), StrategyKind::Precopy, SimTime::ZERO)
+    let single = sim
+        .add_vm(2, &idle(), StrategyKind::Precopy, SimTime::ZERO)
         .expect("vm");
     // Fill both slots...
-    b.migrate(short, NodeId(2), secs(0.5)).expect("job");
-    b.migrate(long, NodeId(3), secs(0.5)).expect("job");
+    sim.schedule_migration(short, 2, secs(0.5)).expect("job");
+    sim.schedule_migration(long, 3, secs(0.5)).expect("job");
     // ...then queue the gang, then an ungrouped straggler behind it.
-    b.migrate(gang[0], NodeId(2), secs(1.0)).expect("job");
-    b.migrate(gang[1], NodeId(3), secs(1.0)).expect("job");
-    b.migrate(single, NodeId(0), secs(2.0)).expect("job");
-    let mut sim = b.build().expect("builds");
+    sim.schedule_migration(gang[0], 2, secs(1.0)).expect("job");
+    sim.schedule_migration(gang[1], 3, secs(1.0)).expect("job");
+    sim.schedule_migration(single, 0, secs(2.0)).expect("job");
     let report = sim.run_until(secs(900.0));
 
     for m in &report.migrations {

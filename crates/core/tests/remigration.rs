@@ -3,11 +3,10 @@
 //! attempt, whatever jobs the VM is given later; a job that never
 //! started reads empty.
 
-use lsm_core::builder::{Simulation, SimulationBuilder};
 use lsm_core::config::ClusterConfig;
 use lsm_core::engine::{FailureReason, FaultKind, JobId, MigrationRecord, MigrationStatus};
 use lsm_core::policy::StrategyKind;
-use lsm_core::{NodeId, ResilienceConfig, VmId};
+use lsm_core::{Engine, ResilienceConfig, VmId};
 use lsm_simcore::units::MIB;
 use lsm_simcore::{SimDuration, SimTime};
 use lsm_workloads::WorkloadSpec;
@@ -30,20 +29,20 @@ fn writer(mib: u64) -> WorkloadSpec {
 /// to node 1 at 1 s has completed by 300 s (under `[resilience]`
 /// defaults when `resilience`). Returns the simulation and job 0's
 /// record and progress, serialized.
-fn first_job_done(resilience: bool) -> (Simulation, String, String) {
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).unwrap();
+fn first_job_done(resilience: bool) -> (Engine, String, String) {
+    let mut sim = Engine::new(ClusterConfig::small_test()).unwrap();
     if resilience {
-        b.with_resilience(ResilienceConfig::default()).unwrap();
+        sim.configure_resilience(ResilienceConfig::default())
+            .unwrap();
     }
-    let vm = b
-        .add_vm(NodeId(0), writer(48), StrategyKind::Hybrid, SimTime::ZERO)
+    let vm = sim
+        .add_vm(0, &writer(48), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
-    b.migrate(vm, NodeId(1), t(1.0)).unwrap();
-    let mut sim = b.build().unwrap();
+    sim.schedule_migration(vm, 1, t(1.0)).unwrap();
     let report = sim.run_until(t(300.0));
     let first = &report.migrations[0];
     assert!(first.completed && first.pushed_chunks > 0);
-    let progress = sim.progress(JobId(0)).unwrap();
+    let progress = sim.job_progress(JobId(0)).unwrap();
     (
         sim,
         serde_json::to_string(first).unwrap(),
@@ -70,19 +69,16 @@ fn assert_never_started(rec: &MigrationRecord, at: SimTime) {
 #[test]
 fn a_queued_remigration_leaves_the_finished_record_alone() {
     let (mut sim, first, progress) = first_job_done(false);
-    let next = sim
-        .engine_mut()
-        .schedule_migration(VmId(0), 2, t(1000.0))
-        .unwrap();
+    let next = sim.schedule_migration(VmId(0), 2, t(1000.0)).unwrap();
     let report = sim.run_until(t(500.0));
     assert_eq!(serde_json::to_string(&report.migrations[0]).unwrap(), first);
     assert_eq!(
-        serde_json::to_string(&sim.progress(JobId(0)).unwrap()).unwrap(),
+        serde_json::to_string(&sim.job_progress(JobId(0)).unwrap()).unwrap(),
         progress
     );
     assert_eq!(report.migrations[1].status, MigrationStatus::Queued);
     assert_never_started(&report.migrations[1], t(1000.0));
-    let p = sim.progress(next).unwrap();
+    let p = sim.job_progress(next).unwrap();
     assert_eq!(p.status, MigrationStatus::Queued);
     assert_eq!((p.source, p.dest), (1, 2));
     assert_eq!((p.mem_rounds, p.chunks_pushed, p.chunks_pulled), (0, 0, 0));
@@ -94,20 +90,16 @@ fn a_queued_remigration_leaves_the_finished_record_alone() {
 #[test]
 fn a_job_failed_before_its_start_takes_no_record() {
     let (mut sim, first, progress) = first_job_done(false);
-    let eng = sim.engine_mut();
-    eng.schedule_fault(t(305.0), FaultKind::NodeCrash { node: 2 })
+    sim.schedule_fault(t(305.0), FaultKind::NodeCrash { node: 2 })
         .unwrap();
-    let failed = eng.schedule_migration(VmId(0), 2, t(310.0)).unwrap();
+    let failed = sim.schedule_migration(VmId(0), 2, t(310.0)).unwrap();
     sim.run_until(t(320.0));
-    assert_eq!(sim.status(failed), Some(MigrationStatus::Failed));
-    let last = sim
-        .engine_mut()
-        .schedule_migration(VmId(0), 3, t(330.0))
-        .unwrap();
+    assert_eq!(sim.job_status(failed), Some(MigrationStatus::Failed));
+    let last = sim.schedule_migration(VmId(0), 3, t(330.0)).unwrap();
     let report = sim.run_until(t(900.0));
     assert_eq!(serde_json::to_string(&report.migrations[0]).unwrap(), first);
     assert_eq!(
-        serde_json::to_string(&sim.progress(JobId(0)).unwrap()).unwrap(),
+        serde_json::to_string(&sim.job_progress(JobId(0)).unwrap()).unwrap(),
         progress
     );
     let rec = &report.migrations[failed.0 as usize];
@@ -117,7 +109,7 @@ fn a_job_failed_before_its_start_takes_no_record() {
     );
     assert_never_started(rec, t(310.0));
     assert_eq!(
-        sim.progress(failed).unwrap().source,
+        sim.job_progress(failed).unwrap().source,
         1,
         "scheduled from node 1"
     );
@@ -132,24 +124,18 @@ fn a_job_failed_before_its_start_takes_no_record() {
 #[test]
 fn a_retried_attempt_lands_on_no_other_job() {
     let (mut sim, first, progress) = first_job_done(true);
-    let eng = sim.engine_mut();
-    eng.schedule_fault(t(305.0), FaultKind::NodeCrash { node: 2 })
+    sim.schedule_fault(t(305.0), FaultKind::NodeCrash { node: 2 })
         .unwrap();
-    let failed = eng.schedule_migration(VmId(0), 2, t(310.0)).unwrap();
+    let failed = sim.schedule_migration(VmId(0), 2, t(310.0)).unwrap();
     sim.run_until(t(320.0));
-    let eng = sim.engine_mut();
-    let last = eng.schedule_migration(VmId(0), 3, t(330.0)).unwrap();
-    eng.schedule_fault(t(330.5), FaultKind::TransferStall { vm: 0, secs: 2.0 })
+    let last = sim.schedule_migration(VmId(0), 3, t(330.0)).unwrap();
+    sim.schedule_fault(t(330.5), FaultKind::TransferStall { vm: 0, secs: 2.0 })
         .unwrap();
     let report = sim.run_until(t(900.0));
-    assert_eq!(
-        sim.engine().job_attempts(last).len(),
-        1,
-        "the stall retried"
-    );
+    assert_eq!(sim.job_attempts(last).len(), 1, "the stall retried");
     assert_eq!(serde_json::to_string(&report.migrations[0]).unwrap(), first);
     assert_eq!(
-        serde_json::to_string(&sim.progress(JobId(0)).unwrap()).unwrap(),
+        serde_json::to_string(&sim.job_progress(JobId(0)).unwrap()).unwrap(),
         progress
     );
     assert_never_started(&report.migrations[failed.0 as usize], t(310.0));
@@ -245,15 +231,14 @@ fn plan_strategy() -> impl Strategy<Value = Plan> {
 }
 
 /// Schedule `step`'s job for `v` at `at`, with its trouble.
-fn schedule(sim: &mut Simulation, v: u32, at: SimTime, step: &Step) -> JobId {
+fn schedule(sim: &mut Engine, v: u32, at: SimTime, step: &Step) -> JobId {
     let now = sim.now();
-    let eng = sim.engine_mut();
-    let dest = (eng.inspect_vm(v).unwrap().host() + step.dest_offset) % 4;
+    let dest = (sim.inspect_vm(v).unwrap().host() + step.dest_offset) % 4;
     let deadline = match step.trouble {
         Trouble::Deadline(secs) => Some(SimDuration::from_secs_f64(secs)),
         _ => None,
     };
-    let job = eng
+    let job = sim
         .schedule_migration_with_deadline(VmId(v), dest, at, deadline)
         .unwrap();
     let after = |s: f64| at + SimDuration::from_secs_f64(s);
@@ -261,16 +246,16 @@ fn schedule(sim: &mut Simulation, v: u32, at: SimTime, step: &Step) -> JobId {
         Trouble::None | Trouble::Deadline(_) => {}
         Trouble::CrashDest => {
             let crash_at = now + SimDuration::from_secs_f64(step.delay / 2.0);
-            eng.schedule_fault(crash_at, FaultKind::NodeCrash { node: dest })
+            sim.schedule_fault(crash_at, FaultKind::NodeCrash { node: dest })
                 .unwrap();
-            eng.schedule_fault(after(5.0), FaultKind::NodeRestore { node: dest })
+            sim.schedule_fault(after(5.0), FaultKind::NodeRestore { node: dest })
                 .unwrap();
         }
         Trouble::Stall { after: s, secs } => {
             let stall = FaultKind::TransferStall { vm: v, secs };
-            eng.schedule_fault(after(s), stall).unwrap();
+            sim.schedule_fault(after(s), stall).unwrap();
         }
-        Trouble::Cancel { after: s } => eng.schedule_cancellation(after(s), job).unwrap(),
+        Trouble::Cancel { after: s } => sim.schedule_cancellation(after(s), job).unwrap(),
     }
     job
 }
@@ -284,14 +269,13 @@ proptest! {
     /// requested before its job's scheduled instant.
     #[test]
     fn finished_jobs_keep_their_records(plan in plan_strategy()) {
-        let mut b = SimulationBuilder::new(ClusterConfig::small_test()).unwrap();
+        let mut sim = Engine::new(ClusterConfig::small_test()).unwrap();
         if plan.resilience {
-            b.with_resilience(ResilienceConfig::default()).unwrap();
+            sim.configure_resilience(ResilienceConfig::default()).unwrap();
         }
         for (i, &(strategy, mib)) in plan.vms.iter().enumerate() {
-            b.add_vm(NodeId(i as u32), writer(mib), strategy, SimTime::ZERO).unwrap();
+            sim.add_vm(i as u32, &writer(mib), strategy, SimTime::ZERO).unwrap();
         }
-        let mut sim = b.build().unwrap();
         let nvms = plan.vms.len();
         let mut last_job: Vec<Option<JobId>> = vec![None; nvms];
         // Per job: its scheduled instant, and its record and progress
@@ -300,7 +284,7 @@ proptest! {
         let mut terminal: Vec<Option<(String, String)>> = Vec::new();
         for step in &plan.steps {
             let idle = |v: usize| {
-                last_job[v].is_none_or(|j| sim.status(j).is_some_and(|s| s.is_terminal()))
+                last_job[v].is_none_or(|j| sim.job_status(j).is_some_and(|s| s.is_terminal()))
             };
             if let Some(v) = [step.vm % nvms, (step.vm + 1) % nvms].into_iter().find(|&v| idle(v)) {
                 let at = sim.now() + SimDuration::from_secs_f64(step.delay);
@@ -320,7 +304,7 @@ proptest! {
                 );
                 let now = (
                     serde_json::to_string(rec).unwrap(),
-                    serde_json::to_string(&sim.progress(JobId(j as u32)).unwrap()).unwrap(),
+                    serde_json::to_string(&sim.job_progress(JobId(j as u32)).unwrap()).unwrap(),
                 );
                 match &terminal[j] {
                     Some(then) => {

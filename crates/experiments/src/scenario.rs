@@ -1,23 +1,22 @@
 //! Declarative scenarios: the serializable description of one
-//! simulation run, and the checked runner that executes it through
-//! [`SimulationBuilder`].
+//! simulation run, and the checked runner that executes it through the
+//! [`Engine`]'s own API.
 //!
 //! A [`ScenarioSpec`] round-trips through TOML and JSON (see
 //! [`ScenarioSpec::to_toml`] / [`ScenarioSpec::from_toml`]), so a run
 //! that today is a Rust program can be checked into a file and replayed
 //! with `lsm run scenario.toml` — producing the same [`RunReport`] as
-//! the equivalent builder-API program. Multi-VM, multi-migration and
+//! the equivalent engine-API program. Multi-VM, multi-migration and
 //! mixed-strategy scenarios are first-class: each VM may override the
 //! scenario-wide default strategy.
 
-use lsm_core::builder::{Simulation, SimulationBuilder};
 use lsm_core::config::ClusterConfig;
 use lsm_core::engine::Observer;
 use lsm_core::error::EngineError;
 use lsm_core::planner::{OrchestratorConfig, RequestIntent};
 use lsm_core::policy::StrategyKind;
 use lsm_core::AutonomicConfig;
-use lsm_core::{FaultKind, NodeId, QosConfig, ResilienceConfig, RunReport};
+use lsm_core::{Engine, FaultKind, QosConfig, ResilienceConfig, RunReport};
 use lsm_simcore::time::{SimDuration, SimTime};
 use lsm_workloads::WorkloadSpec;
 use serde::{Deserialize, Serialize};
@@ -327,24 +326,35 @@ fn secs(what: &str, value: f64) -> Result<SimTime, EngineError> {
     Ok(SimTime::from_secs_f64(value))
 }
 
+/// A deployed scenario, built and validated by [`build_scenario`] and
+/// not yet run.
+pub struct Simulation(Engine);
+
+impl Simulation {
+    /// The engine, ready to run, observe, poll or step to any horizon.
+    pub fn into_engine(self) -> Engine {
+        self.0
+    }
+}
+
 /// Build (and validate) the simulation a spec describes, without
 /// running it — callers can then attach observers, poll progress, or
 /// step the horizon themselves.
 pub fn build_scenario(spec: &ScenarioSpec) -> Result<Simulation, EngineError> {
-    let mut b = SimulationBuilder::new(spec.cluster_config())?;
+    let mut eng = Engine::new(spec.cluster_config())?;
     if let Some(orch) = &spec.orchestrator {
-        b.with_orchestrator(orch.clone())?;
+        eng.configure_orchestrator(orch.clone())?;
     }
     if let Some(auto) = &spec.autonomic {
-        b.with_autonomic(auto.clone())?;
+        eng.configure_autonomic(auto.clone())?;
     }
     if let Some(res) = &spec.resilience {
-        b.with_resilience(res.clone())?;
+        eng.configure_resilience(res.clone())?;
     }
     if let Some(qos) = &spec.qos {
-        b.with_qos(qos.clone())?;
+        eng.configure_qos(qos.clone())?;
     }
-    let mut handles = Vec::with_capacity(spec.vms.len());
+    let mut vms = Vec::with_capacity(spec.vms.len());
     if spec.grouped {
         // A group runs under one strategy and one start time; silently
         // dropping per-VM overrides would run a different experiment
@@ -367,59 +377,41 @@ pub fn build_scenario(spec: &ScenarioSpec) -> Result<Simulation, EngineError> {
             }
         }
         let start = secs("group start", start0)?;
-        let placements: Vec<(NodeId, WorkloadSpec)> = spec
+        let placements: Vec<(u32, WorkloadSpec)> = spec
             .vms
             .iter()
-            .map(|v| (NodeId(v.node), v.workload.clone()))
+            .map(|v| (v.node, v.workload.clone()))
             .collect();
-        handles.extend(b.add_group(&placements, spec.strategy, start)?);
+        vms.extend(eng.add_group(&placements, spec.strategy, start)?);
     } else {
         for (i, v) in spec.vms.iter().enumerate() {
             let start = secs("workload start", v.start_secs.unwrap_or(0.0))?;
-            handles.push(b.add_vm(
-                NodeId(v.node),
-                v.workload.clone(),
-                spec.vm_strategy(i),
-                start,
-            )?);
+            vms.push(eng.add_vm(v.node, &v.workload, spec.vm_strategy(i), start)?);
         }
     }
     let mut jobs = Vec::with_capacity(spec.migrations.len());
     for m in &spec.migrations {
-        let Some(&vm) = handles.get(m.vm as usize) else {
+        let Some(&vm) = vms.get(m.vm as usize) else {
             return Err(EngineError::UnknownVm { vm: m.vm });
         };
         let at = secs("migration", m.at_secs)?;
-        let adaptive = m.adaptive.unwrap_or(false);
-        let job = match (adaptive, m.deadline_secs) {
-            (false, None) => b.migrate(vm, NodeId(m.dest), at)?,
-            (false, Some(d)) => {
-                let d = secs("migration deadline", d)?;
-                b.migrate_with_deadline(
-                    vm,
-                    NodeId(m.dest),
-                    at,
-                    SimDuration::from_secs_f64(d.as_secs_f64()),
-                )?
-            }
-            (true, None) => b.migrate_adaptive(vm, NodeId(m.dest), at)?,
-            (true, Some(d)) => {
-                let d = secs("migration deadline", d)?;
-                b.migrate_adaptive_with_deadline(
-                    vm,
-                    NodeId(m.dest),
-                    at,
-                    SimDuration::from_secs_f64(d.as_secs_f64()),
-                )?
-            }
+        let deadline = m
+            .deadline_secs
+            .map(|d| secs("migration deadline", d))
+            .transpose()?
+            .map(|d| SimDuration::from_secs_f64(d.as_secs_f64()));
+        let job = if m.adaptive.unwrap_or(false) {
+            eng.schedule_migration_adaptive(vm, m.dest, at, deadline)?
+        } else {
+            eng.schedule_migration_with_deadline(vm, m.dest, at, deadline)?
         };
         jobs.push(job);
     }
     for r in spec.request_plan() {
-        b.request(secs("request", r.at_secs)?, r.intent)?;
+        eng.submit_request(secs("request", r.at_secs)?, r.intent)?;
     }
     for f in spec.fault_plan() {
-        b.inject_fault(secs("fault", f.at_secs)?, f.kind)?;
+        eng.schedule_fault(secs("fault", f.at_secs)?, f.kind)?;
     }
     for c in spec.cancellation_plan() {
         let Some(&job) = jobs.get(c.job as usize) else {
@@ -431,15 +423,15 @@ pub fn build_scenario(spec: &ScenarioSpec) -> Result<Simulation, EngineError> {
                 ),
             });
         };
-        b.cancel_at(secs("cancellation", c.at_secs)?, job)?;
+        eng.schedule_cancellation(secs("cancellation", c.at_secs)?, job)?;
     }
-    b.build()
+    Ok(Simulation(eng))
 }
 
 /// Build, run to the horizon, and report.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<RunReport, EngineError> {
-    let mut sim = build_scenario(spec)?;
-    Ok(sim.run_until(secs("horizon", spec.horizon_secs)?))
+    let mut eng = build_scenario(spec)?.into_engine();
+    Ok(eng.run_until(secs("horizon", spec.horizon_secs)?))
 }
 
 /// Like [`run_scenario`], but forcing the network rate solver — used by
@@ -452,9 +444,9 @@ pub fn run_scenario_with_solver(
     spec: &ScenarioSpec,
     solver: lsm_netsim::SolverMode,
 ) -> Result<RunReport, EngineError> {
-    let mut sim = build_scenario(spec)?;
-    sim.engine_mut().set_solver_mode(solver);
-    Ok(sim.run_until(secs("horizon", spec.horizon_secs)?))
+    let mut eng = build_scenario(spec)?.into_engine();
+    eng.set_solver_mode(solver);
+    Ok(eng.run_until(secs("horizon", spec.horizon_secs)?))
 }
 
 /// Like [`run_scenario`], with observer callbacks on every job status
@@ -463,8 +455,8 @@ pub fn run_scenario_observed(
     spec: &ScenarioSpec,
     obs: &mut dyn Observer,
 ) -> Result<RunReport, EngineError> {
-    let mut sim = build_scenario(spec)?;
-    Ok(sim.run_observed(secs("horizon", spec.horizon_secs)?, obs))
+    let mut eng = build_scenario(spec)?.into_engine();
+    Ok(eng.run_until_observed(secs("horizon", spec.horizon_secs)?, obs))
 }
 
 /// Observed run under an explicit solver — what the scenario fuzzer
@@ -478,10 +470,9 @@ pub fn run_scenario_observed_with_solver(
     solver: lsm_netsim::SolverMode,
     obs: &mut dyn Observer,
 ) -> Result<RunReport, EngineError> {
-    let mut sim = build_scenario(spec)?;
-    sim.engine_mut().set_solver_mode(solver);
-    let report = sim.run_observed(secs("horizon", spec.horizon_secs)?, obs);
-    Ok(report)
+    let mut eng = build_scenario(spec)?.into_engine();
+    eng.set_solver_mode(solver);
+    Ok(eng.run_until_observed(secs("horizon", spec.horizon_secs)?, obs))
 }
 
 #[cfg(test)]

@@ -415,10 +415,10 @@ pub fn partition(spec: &ScenarioSpec) -> Result<Vec<SubScenario>, Vec<ShardRejec
 fn build_shards(subs: Vec<SubScenario>, solver: SolverMode) -> Result<Vec<Shard>, EngineError> {
     let mut shards = Vec::with_capacity(subs.len());
     for sub in subs {
-        let mut sim = build_scenario(&sub.spec)?;
-        sim.engine_mut().set_solver_mode(solver);
+        let mut engine = build_scenario(&sub.spec)?.into_engine();
+        engine.set_solver_mode(solver);
         shards.push(Shard {
-            engine: sim.into_engine(),
+            engine,
             vms: sub.vms,
             jobs: sub.jobs,
             nodes: sub.nodes,

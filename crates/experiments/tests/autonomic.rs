@@ -38,13 +38,13 @@ fn checked_in_scenarios_match_producers() {
 #[test]
 fn hotspot_drill_balances_clean_under_check() {
     let spec = hotspot_drill_spec();
-    let mut sim = build_scenario(&spec).expect("builds");
+    let mut sim = build_scenario(&spec).expect("builds").into_engine();
     let mut obs = InvariantObserver::with_config(CheckConfig {
         deep_scan_interval: 1024,
         ..CheckConfig::default()
     });
-    let report = sim.run_observed(SimTime::from_secs_f64(spec.horizon_secs), &mut obs);
-    obs.finish(sim.engine());
+    let report = sim.run_until_observed(SimTime::from_secs_f64(spec.horizon_secs), &mut obs);
+    obs.finish(&sim);
     obs.assert_clean("hotspot_drill.toml");
     assert!(obs.checks_run() > 10_000, "audit barely ran");
 
@@ -55,14 +55,14 @@ fn hotspot_drill_balances_clean_under_check() {
     }
     // Balanced steady state: every node classifies inside the band at
     // the end, and the loop went quiet well before the horizon.
-    let acfg = sim.engine().autonomic_config().expect("configured");
-    for (n, p) in sim.engine().node_pressures().iter().enumerate() {
+    let acfg = sim.autonomic_config().expect("configured");
+    for (n, p) in sim.node_pressures().iter().enumerate() {
         assert!(
             *p < acfg.overload_pressure,
             "node {n} still overloaded at the horizon ({p:.3})"
         );
     }
-    let classes = sim.engine().node_classes();
+    let classes = sim.node_classes();
     assert!(
         !classes.contains(&NodeClass::Overloaded),
         "not steady: {classes:?}"
@@ -79,13 +79,13 @@ fn hotspot_drill_balances_clean_under_check() {
 #[test]
 fn slow_drain_empties_the_node_clean_under_check() {
     let spec = slow_drain_spec();
-    let mut sim = build_scenario(&spec).expect("builds");
+    let mut sim = build_scenario(&spec).expect("builds").into_engine();
     let mut obs = InvariantObserver::with_config(CheckConfig {
         deep_scan_interval: 256,
         ..CheckConfig::default()
     });
-    let report = sim.run_observed(SimTime::from_secs_f64(spec.horizon_secs), &mut obs);
-    obs.finish(sim.engine());
+    let report = sim.run_until_observed(SimTime::from_secs_f64(spec.horizon_secs), &mut obs);
+    obs.finish(&sim);
     obs.assert_clean("slow_drain.toml");
 
     assert!(report

@@ -334,12 +334,18 @@ fn autonomic_strategy() -> impl Strategy<Value = AutonomicConfig> {
     })
 }
 
-/// A raw plan made one that builds: migration `i` moves VM `i` (one
-/// migration per VM, the surplus dropped) to another node, its drawn
-/// destination read as an offset of 1 to `NODES - 1` from the VM's
-/// node, and stalls and cancellations name VMs and jobs that exist
+/// A raw plan made one that builds: a `SeqWrite` writes at least one
+/// block (its total raised to its block), migration `i` moves VM `i`
+/// (one migration per VM, the surplus dropped) to another node, its
+/// drawn destination read as an offset of 1 to `NODES - 1` from the
+/// VM's node, and stalls and cancellations name VMs and jobs that exist
 /// (their indices taken modulo the counts).
 fn buildable(mut spec: ScenarioSpec) -> ScenarioSpec {
+    for v in &mut spec.vms {
+        if let WorkloadSpec::SeqWrite { total, block, .. } = &mut v.workload {
+            *total = (*total).max(*block);
+        }
+    }
     let nvms = spec.vms.len() as u32;
     spec.migrations.truncate(spec.vms.len());
     for (m, vm) in spec.migrations.iter_mut().zip(0..) {

@@ -257,47 +257,44 @@ fn job_in_retry_backoff_keeps_its_vm() {
     });
     spec.faults = Some(stall_at_1_2());
     let secs = SimTime::from_secs_f64;
-    let mut sim = build_scenario(&spec).expect("builds");
-    let job = sim.jobs()[0];
+    let mut sim = build_scenario(&spec).expect("builds").into_engine();
+    let job = sim.job_ids()[0];
     let mut obs = CheckedUntil {
         check: checker(),
         ends: job,
     };
 
     // The stall at 1.2 s retries the job; its timer fires at 6.2 s.
-    sim.run_observed(secs(3.0), &mut obs);
-    assert_eq!(sim.status(job), Some(MigrationStatus::Queued));
-    assert!(sim.engine().job_retry_pending(job));
-    let aborted = sim.progress(job).expect("job exists");
+    sim.run_until_observed(secs(3.0), &mut obs);
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Queued));
+    assert!(sim.job_retry_pending(job));
+    let aborted = sim.job_progress(job).expect("job exists");
     assert!(
         aborted.mem_rounds > 0,
         "the aborted attempt is the VM's record"
     );
     let now = sim.now();
     assert!(matches!(
-        sim.engine_mut().schedule_migration(VmId(0), 2, now),
+        sim.schedule_migration(VmId(0), 2, now),
         Err(EngineError::DuplicateMigration { vm: 0 })
     ));
     let evacuation = sim
-        .engine_mut()
         .submit_request(now, RequestIntent::Evacuate { node: 0 })
         .expect("valid request");
 
-    sim.run_observed(secs(6.0), &mut obs);
+    sim.run_until_observed(secs(6.0), &mut obs);
     assert_eq!(
-        sim.status(job),
+        sim.job_status(job),
         Some(MigrationStatus::Queued),
         "still backing off"
     );
     let skip = sim
-        .engine()
         .planner_skips()
         .iter()
         .find(|s| s.request == evacuation && s.vm == 0)
         .expect("the evacuation looked at vm 0");
     assert_eq!(skip.reason, SkipReason::AlreadyMigrating);
     let in_backoff: Vec<_> = sim
-        .engine()
         .rebalance_actions()
         .iter()
         .filter(|a| a.at > secs(1.2))
@@ -313,16 +310,15 @@ fn job_in_retry_backoff_keeps_its_vm() {
 
     // Stop the instant the job ends, before the rebalancer can give
     // the VM a job of its own.
-    sim.run_observed(secs(60.0), &mut obs);
-    assert_eq!(sim.status(job), Some(MigrationStatus::Completed));
+    sim.run_until_observed(secs(60.0), &mut obs);
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Completed));
     let now = sim.now();
     let again = sim
-        .engine_mut()
         .schedule_migration(VmId(0), 2, now)
         .expect("a VM whose job ended may migrate again");
     obs.ends = again;
-    sim.run_observed(secs(300.0), &mut obs);
-    assert_eq!(sim.status(again), Some(MigrationStatus::Completed));
-    obs.check.finish(sim.engine());
+    sim.run_until_observed(secs(300.0), &mut obs);
+    assert_eq!(sim.job_status(again), Some(MigrationStatus::Completed));
+    obs.check.finish(&sim);
     obs.check.assert_clean("live_job_backoff");
 }

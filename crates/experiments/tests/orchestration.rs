@@ -41,13 +41,13 @@ fn checked_in_scenarios_match_producers() {
 #[test]
 fn evacuation_completes_clean_under_check() {
     let spec = evacuate_spec();
-    let mut sim = build_scenario(&spec).expect("builds");
+    let mut sim = build_scenario(&spec).expect("builds").into_engine();
     let mut obs = InvariantObserver::with_config(CheckConfig {
         deep_scan_interval: 1024,
         ..CheckConfig::default()
     });
-    let report = sim.run_observed(SimTime::from_secs_f64(spec.horizon_secs), &mut obs);
-    obs.finish(sim.engine());
+    let report = sim.run_until_observed(SimTime::from_secs_f64(spec.horizon_secs), &mut obs);
+    obs.finish(&sim);
     obs.assert_clean("evacuate.toml");
     assert!(obs.checks_run() > 10_000, "audit barely ran");
 

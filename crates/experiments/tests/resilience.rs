@@ -232,8 +232,7 @@ fn source_crash_during_retry_backoff_cancels_the_pending_retry() {
 /// slope), and the fresh attempt must start from throttle step 0.
 #[test]
 fn throttle_is_released_across_retry_backoff() {
-    use lsm_core::builder::SimulationBuilder;
-    use lsm_core::NodeId;
+    use lsm_core::Engine;
     use lsm_simcore::time::SimTime;
     let secs = SimTime::from_secs_f64;
     let mut res = ResilienceConfig {
@@ -250,12 +249,12 @@ fn throttle_is_released_across_retry_backoff() {
         ..ResilienceConfig::default()
     };
     res.retry.retry_on.deadline = false;
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_resilience(res).expect("configures");
-    let vm = b
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_resilience(res).expect("configures");
+    let vm = sim
         .add_vm(
-            NodeId(0),
-            WorkloadSpec::HotspotWrite {
+            0,
+            &WorkloadSpec::HotspotWrite {
                 offset: 0,
                 region_blocks: 64,
                 block: 256 * 1024,
@@ -268,10 +267,10 @@ fn throttle_is_released_across_retry_backoff() {
             SimTime::ZERO,
         )
         .expect("vm");
-    let job = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
+    let job = sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
     // The degraded destination link makes the pre-copy non-convergent,
     // which engages the throttle (empirically by ~51 s)...
-    b.inject_fault(
+    sim.schedule_fault(
         secs(0.5),
         FaultKind::LinkDegrade {
             node: 1,
@@ -280,26 +279,25 @@ fn throttle_is_released_across_retry_backoff() {
     )
     .expect("valid");
     // ...and then the destination dies under the throttled attempt.
-    b.inject_fault(secs(55.0), FaultKind::NodeCrash { node: 1 })
+    sim.schedule_fault(secs(55.0), FaultKind::NodeCrash { node: 1 })
         .expect("valid");
-    let mut sim = b.build().expect("builds");
     sim.run_until(secs(54.9));
     assert!(
-        sim.engine().vm_throttle_step(0) >= 1,
+        sim.vm_throttle_step(0) >= 1,
         "precondition: the first attempt must be throttled before the crash"
     );
     // Inside the backoff window: the teardown must have released the
     // throttle AND re-run the compute update, so the guest's recorded
     // SLA degradation slope matches its (full-speed) state.
     sim.run_until(secs(56.0));
-    assert_eq!(sim.status(job), Some(MigrationStatus::Queued));
-    assert!(sim.engine().job_retry_pending(job), "backoff must be armed");
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Queued));
+    assert!(sim.job_retry_pending(job), "backoff must be armed");
     assert_eq!(
-        sim.engine().vm_throttle_step(0),
+        sim.vm_throttle_step(0),
         0,
         "throttle leaked into the backoff window"
     );
-    let (recorded, expected) = sim.engine().sla_audit(0).expect("migration state exists");
+    let (recorded, expected) = sim.sla_audit(0).expect("migration state exists");
     assert!(
         (recorded - expected).abs() < 1e-9 && expected == 0.0,
         "stale degradation slope in backoff: recorded {recorded}, expected {expected}"
@@ -308,10 +306,10 @@ fn throttle_is_released_across_retry_backoff() {
     // and the whole tail is invariant-clean (throttle-released and
     // sla-consistent laws included).
     let mut obs = checker();
-    let report = sim.run_observed(secs(600.0), &mut obs);
-    obs.finish(sim.engine());
+    let report = sim.run_until_observed(secs(600.0), &mut obs);
+    obs.finish(&sim);
     obs.assert_clean("throttle retry");
-    assert_eq!(sim.status(job), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Completed));
     let row = report
         .resilience
         .iter()
@@ -331,9 +329,8 @@ fn throttle_is_released_across_retry_backoff() {
 /// like a first-class first attempt.
 #[test]
 fn cancel_during_downtime_deferral_is_clean() {
-    use lsm_core::builder::SimulationBuilder;
     use lsm_core::engine::Milestone;
-    use lsm_core::{NodeId, Observer, RunControl};
+    use lsm_core::{Engine, Observer, RunControl};
     use lsm_simcore::time::SimTime;
     let secs = SimTime::from_secs_f64;
 
@@ -362,12 +359,12 @@ fn cancel_during_downtime_deferral_is_clean() {
         downtime_extra_rounds: 3,
         ..ResilienceConfig::default()
     };
-    let mut b = SimulationBuilder::new(ClusterConfig::small_test()).expect("config");
-    b.with_resilience(res).expect("configures");
-    let vm = b
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    sim.configure_resilience(res).expect("configures");
+    let vm = sim
         .add_vm(
-            NodeId(0),
-            WorkloadSpec::HotspotWrite {
+            0,
+            &WorkloadSpec::HotspotWrite {
                 offset: 0,
                 region_blocks: 64,
                 block: 256 * 1024,
@@ -380,10 +377,10 @@ fn cancel_during_downtime_deferral_is_clean() {
             SimTime::ZERO,
         )
         .expect("vm");
-    let job = b.migrate(vm, NodeId(1), secs(1.0)).expect("job");
+    let job = sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
     // A degraded destination link keeps rounds long, so plenty of
     // memory dirties before each stop estimate.
-    b.inject_fault(
+    sim.schedule_fault(
         secs(0.5),
         FaultKind::LinkDegrade {
             node: 1,
@@ -391,16 +388,15 @@ fn cancel_during_downtime_deferral_is_clean() {
         },
     )
     .expect("valid");
-    let mut sim = b.build().expect("builds");
     let mut trap = DeferralTrap::default();
-    sim.run_observed(secs(600.0), &mut trap);
+    sim.run_until_observed(secs(600.0), &mut trap);
     let deferred_at = trap.at.expect("the hot guest must defer its switchover");
 
     // Cancel inside the deferral round: `downtime_round` is armed and
     // the backlog is riding a live copy round right now.
-    sim.engine_mut().cancel_migration(job).expect("cancellable");
-    assert_eq!(sim.status(job), Some(MigrationStatus::Failed));
-    let p = sim.progress(job).expect("progress");
+    sim.cancel_migration(job).expect("cancellable");
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Failed));
+    let p = sim.job_progress(job).expect("progress");
     assert_eq!(p.failure, Some(lsm_core::FailureReason::Cancelled));
     // The guest never paused in the deferral window, so the stamped
     // downtime must be (near) zero — mis-attributed stop backlog would
@@ -410,7 +406,7 @@ fn cancel_during_downtime_deferral_is_clean() {
         "phantom downtime stamped by the cancelled deferral: {:?}",
         p.downtime
     );
-    let (recorded, expected) = sim.engine().sla_audit(0).expect("migration state exists");
+    let (recorded, expected) = sim.sla_audit(0).expect("migration state exists");
     assert!(
         (recorded - expected).abs() < 1e-9,
         "stale degradation slope after cancel: {recorded} vs {expected}"
@@ -419,18 +415,13 @@ fn cancel_during_downtime_deferral_is_clean() {
     // A successor migration must start with a clean slate: no inherited
     // stop round, a real pre-copy, and an invariant-clean run.
     let retry = sim
-        .engine_mut()
-        .schedule_migration(
-            lsm_core::VmId(vm.index()),
-            2,
-            secs(deferred_at.as_secs_f64() + 1.0),
-        )
+        .schedule_migration(vm, 2, secs(deferred_at.as_secs_f64() + 1.0))
         .expect("successor is legal after a terminal job");
     let mut obs = checker();
-    let report = sim.run_observed(secs(900.0), &mut obs);
-    obs.finish(sim.engine());
+    let report = sim.run_until_observed(secs(900.0), &mut obs);
+    obs.finish(&sim);
     obs.assert_clean("cancel during deferral");
-    assert_eq!(sim.status(retry), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(retry), Some(MigrationStatus::Completed));
     let rec = report
         .migrations
         .iter()

@@ -1,5 +1,5 @@
 //! A small CM1 cluster (2×2 ranks) with two successive live migrations —
-//! the Figure 5 scenario at laptop scale, on the checked builder API.
+//! the Figure 5 scenario at laptop scale, on the engine's checked API.
 //! Shows how one migrated rank drags the whole barrier-synchronized
 //! application.
 //!
@@ -7,34 +7,32 @@
 //! cargo run --release --example cm1_cluster
 //! ```
 
-use lsm::core::builder::SimulationBuilder;
 use lsm::core::config::ClusterConfig;
 use lsm::core::policy::StrategyKind;
-use lsm::core::NodeId;
+use lsm::core::Engine;
 use lsm::simcore::SimTime;
 use lsm::workloads::WorkloadSpec;
 
 fn run(migrations: u32) -> (f64, f64) {
-    let mut b = SimulationBuilder::new(ClusterConfig {
+    let mut sim = Engine::new(ClusterConfig {
         nodes: 8,
         ..ClusterConfig::small_test()
     })
     .expect("config is valid");
-    let placements: Vec<(NodeId, WorkloadSpec)> = (0..4)
-        .map(|r| (NodeId(r), WorkloadSpec::cm1_small(r, 4, 2, 4)))
+    let placements: Vec<(u32, WorkloadSpec)> = (0..4)
+        .map(|r| (r, WorkloadSpec::cm1_small(r, 4, 2, 4)))
         .collect();
-    let ids = b
+    let ids = sim
         .add_group(&placements, StrategyKind::Hybrid, SimTime::ZERO)
         .expect("group is valid");
     for i in 0..migrations {
-        b.migrate(
+        sim.schedule_migration(
             ids[i as usize],
-            NodeId(4 + i),
+            4 + i,
             SimTime::from_secs_f64(10.0 * (i + 1) as f64),
         )
         .expect("migration is valid");
     }
-    let mut sim = b.build().expect("simulation builds");
     let r = sim.run_until(SimTime::from_secs(900));
     for m in &r.migrations {
         assert!(m.completed && m.consistent == Some(true));

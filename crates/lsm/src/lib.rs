@@ -14,7 +14,7 @@
 //! | [`repo`] | BlobSeer-like striped repository + PVFS-like parallel FS |
 //! | [`hypervisor`] | VM lifecycle and pre-/post-copy memory migration |
 //! | [`workloads`] | IOR, AsyncWR, CM1 and synthetic closed-loop drivers |
-//! | [`core`] | checked orchestration (`SimulationBuilder`, migration jobs, observers), the migration engine and the five storage transfer policies |
+//! | [`core`] | the migration engine and its checked API (migration jobs, observers), and the five storage transfer policies |
 //! | [`experiments`] | serializable scenarios + harnesses regenerating every figure of the paper |
 //!
 //! ## Quickstart (declarative scenario)
@@ -40,28 +40,26 @@
 //! assert_eq!(ScenarioSpec::from_toml(&toml).unwrap(), spec);
 //! ```
 //!
-//! ## Quickstart (builder + observable migration jobs)
+//! ## Quickstart (engine API + observable migration jobs)
 //!
 //! ```
-//! use lsm::core::builder::SimulationBuilder;
 //! use lsm::core::config::ClusterConfig;
-//! use lsm::core::{MigrationStatus, NodeId, StrategyKind};
+//! use lsm::core::{Engine, MigrationStatus, StrategyKind};
 //! use lsm::simcore::SimTime;
 //! use lsm::workloads::WorkloadSpec;
 //!
 //! # fn main() -> Result<(), lsm::core::EngineError> {
-//! let mut b = SimulationBuilder::new(ClusterConfig::small_test())?;
-//! let vm = b.add_vm(
-//!     NodeId(0),
-//!     WorkloadSpec::SeqWrite { offset: 0, total: 16 << 20, block: 1 << 20, think_secs: 0.05 },
+//! let mut eng = Engine::new(ClusterConfig::small_test())?;
+//! let vm = eng.add_vm(
+//!     0,
+//!     &WorkloadSpec::SeqWrite { offset: 0, total: 16 << 20, block: 1 << 20, think_secs: 0.05 },
 //!     StrategyKind::Hybrid,
 //!     SimTime::ZERO,
 //! )?;
-//! let job = b.migrate(vm, NodeId(1), SimTime::from_secs(1))?;
-//! let mut sim = b.build()?;
-//! sim.run_until(SimTime::from_secs(120));
-//! assert_eq!(sim.status(job), Some(MigrationStatus::Completed));
-//! assert_eq!(sim.progress(job).unwrap().chunks_remaining, 0);
+//! let job = eng.schedule_migration(vm, 1, SimTime::from_secs(1))?;
+//! eng.run_until(SimTime::from_secs(120));
+//! assert_eq!(eng.job_status(job), Some(MigrationStatus::Completed));
+//! assert_eq!(eng.job_progress(job).unwrap().chunks_remaining, 0);
 //! # Ok(())
 //! # }
 //! ```

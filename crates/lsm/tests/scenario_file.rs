@@ -1,9 +1,8 @@
 //! The shipped `scenarios/demo.toml` must parse, run end-to-end, and
-//! produce exactly the same report as the equivalent builder-API
+//! produce exactly the same report as the equivalent engine-API
 //! program.
 
-use lsm::core::builder::SimulationBuilder;
-use lsm::core::{MigrationStatus, NodeId, StrategyKind};
+use lsm::core::{Engine, MigrationStatus, StrategyKind};
 use lsm::experiments::scenario::{run_scenario, ScenarioSpec};
 use lsm::simcore::SimTime;
 
@@ -30,48 +29,40 @@ fn demo_file_parses_and_roundtrips() {
 }
 
 #[test]
-fn demo_file_runs_identically_to_the_builder_program() {
+fn demo_file_runs_identically_to_the_engine_program() {
     let spec = ScenarioSpec::from_toml(DEMO).expect("demo.toml parses");
     let from_file = run_scenario(&spec).expect("runs");
 
-    // The same scenario, written against the builder API directly.
-    let mut b = SimulationBuilder::new(spec.cluster_config()).unwrap();
-    let a = b
+    // The same scenario, written against the engine API directly.
+    let mut sim = Engine::new(spec.cluster_config()).unwrap();
+    let a = sim
         .add_vm(
-            NodeId(0),
-            spec.vms[0].workload.clone(),
+            0,
+            &spec.vms[0].workload,
             StrategyKind::Hybrid,
             SimTime::ZERO,
         )
         .unwrap();
-    let c = b
+    let c = sim
         .add_vm(
-            NodeId(1),
-            spec.vms[1].workload.clone(),
+            1,
+            &spec.vms[1].workload,
             StrategyKind::Postcopy,
             SimTime::ZERO,
         )
         .unwrap();
-    let ja = b
-        .migrate(a, NodeId(2), SimTime::from_secs_f64(1.0))
+    let ja = sim
+        .schedule_migration(a, 2, SimTime::from_secs_f64(1.0))
         .unwrap();
-    let jc = b
-        .migrate(c, NodeId(3), SimTime::from_secs_f64(2.0))
+    let jc = sim
+        .schedule_migration(c, 3, SimTime::from_secs_f64(2.0))
         .unwrap();
-    let mut sim = b.build().unwrap();
-    let from_builder = sim.run_until(SimTime::from_secs_f64(300.0));
+    let from_program = sim.run_until(SimTime::from_secs_f64(300.0));
 
-    assert_eq!(from_file.events, from_builder.events);
-    assert_eq!(from_file.total_traffic, from_builder.total_traffic);
-    assert_eq!(from_file.migrations.len(), from_builder.migrations.len());
-    for (x, y) in from_file.migrations.iter().zip(&from_builder.migrations) {
-        assert_eq!(x.completed_at, y.completed_at);
-        assert_eq!(x.downtime, y.downtime);
-        assert_eq!(x.pushed_chunks, y.pushed_chunks);
-        assert_eq!(x.pulled_chunks, y.pulled_chunks);
-    }
-    assert_eq!(sim.status(ja), Some(MigrationStatus::Completed));
-    assert_eq!(sim.status(jc), Some(MigrationStatus::Completed));
+    let json = |r| serde_json::to_string(r).expect("report serializes");
+    assert_eq!(json(&from_file), json(&from_program));
+    assert_eq!(sim.job_status(ja), Some(MigrationStatus::Completed));
+    assert_eq!(sim.job_status(jc), Some(MigrationStatus::Completed));
 }
 
 // ---------------- scenarios/scale64.toml ----------------
