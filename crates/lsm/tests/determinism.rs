@@ -12,12 +12,14 @@ use lsm::core::policy::StrategyKind;
 use lsm::core::QosConfig;
 use lsm::core::RunReport;
 use lsm::experiments::scenario::{run_scenario, run_scenario_with_solver, ScenarioSpec};
-use lsm::experiments::{faults, resilience, stress};
+use lsm::experiments::sweep::parallel_map;
+use lsm::experiments::{faults, fig3, fig4, fig5, resilience, stress, Scale};
 use lsm::netsim::SolverMode;
 use lsm::workloads::WorkloadSpec;
 
-/// Golden fingerprints of the shipped scenarios, the quick fleets and
-/// the memory-copy runs of [`memory_copy_specs`]:
+/// Golden fingerprints of the shipped scenarios, the quick fleets, the
+/// memory-copy runs of [`memory_copy_specs`] and the figure runs of
+/// [`figure_specs`]:
 /// `(scenario, RunReport.events, FNV-1a 64 of the compact JSON report)`.
 /// The hash is the one lsmbench prints (`scale64.toml` is its
 /// `hybrid64`, `qos64.toml` its `qos64`). When a change moves a report
@@ -43,6 +45,116 @@ const GOLDEN: &[(&str, u64, &str)] = &[
     ("memory-linger-4-streams", 21820, "9c79d303a998f3a6"),
     ("memory-postcopy-4-streams", 13237, "fb4fa07803f6ddd9"),
     ("memory-postcopy-pvfs", 42131, "36b6be6e7e988237"),
+    // Quick-scale figure runs (`quick_figures_match_golden`).
+    ("fig3-our-approach-IOR", 3502, "5c024f75503eebd6"),
+    ("fig3-our-approach-AsyncWR", 755, "cf16f229f2b3d609"),
+    ("fig4-our-approach-k0", 3556, "2f457d9172bb4dbe"),
+    ("fig4-our-approach-k1", 3630, "30fdddbedd222b28"),
+    ("fig4-our-approach-k2", 3650, "285d78d7c8e380da"),
+    ("fig4-our-approach-k4", 3690, "14174f3ede323711"),
+    ("fig5-our-approach-n0", 716, "751119ba33067417"),
+    ("fig5-our-approach-n1", 782, "cb6ac19f24e5b74c"),
+    ("fig5-our-approach-n2", 865, "369ba2b7bd405a26"),
+    ("fig3-mirror-IOR", 3501, "a29b4066202e6269"),
+    ("fig3-mirror-AsyncWR", 680, "66a0a6c6128e2e21"),
+    ("fig4-mirror-k0", 3556, "2f457d9172bb4dbe"),
+    ("fig4-mirror-k1", 3561, "49ad29a993c9f08d"),
+    ("fig4-mirror-k2", 3532, "456b7fa098c18095"),
+    ("fig4-mirror-k4", 3474, "58aa9b6a70f974a7"),
+    ("fig5-mirror-n0", 716, "751119ba33067417"),
+    ("fig5-mirror-n1", 762, "e4d6591118127539"),
+    ("fig5-mirror-n2", 844, "8ccfcd2b0fbdb205"),
+    ("fig3-postcopy-IOR", 3629, "677e7acfc842df2e"),
+    ("fig3-postcopy-AsyncWR", 811, "107ef23a88d5ec37"),
+    ("fig4-postcopy-k0", 3556, "2f457d9172bb4dbe"),
+    ("fig4-postcopy-k1", 3704, "364fffff73cd9ded"),
+    ("fig4-postcopy-k2", 3807, "f11fca778752fce3"),
+    ("fig4-postcopy-k4", 4013, "a5dd80659d4fbe14"),
+    ("fig5-postcopy-n0", 716, "751119ba33067417"),
+    ("fig5-postcopy-n1", 816, "18a14f49320a3f2c"),
+    ("fig5-postcopy-n2", 947, "a18306c44b04b2aa"),
+    ("fig3-precopy-IOR", 3501, "59c8b51194062d83"),
+    ("fig3-precopy-AsyncWR", 754, "e42310668af1e6a6"),
+    ("fig4-precopy-k0", 3556, "2f457d9172bb4dbe"),
+    ("fig4-precopy-k1", 3629, "798c02e426fb7167"),
+    ("fig4-precopy-k2", 3648, "6d5680a7933139fd"),
+    ("fig4-precopy-k4", 3686, "628791acece0195e"),
+    ("fig5-precopy-n0", 716, "751119ba33067417"),
+    ("fig5-precopy-n1", 781, "dd393676398dc318"),
+    ("fig5-precopy-n2", 863, "f58739fabc771072"),
+    ("fig3-pvfs-shared-IOR", 18441, "9d78e695956bb04a"),
+    ("fig3-pvfs-shared-AsyncWR", 344, "5aca78e0f1615a9e"),
+    ("fig4-pvfs-shared-k0", 1470, "4dee98b0c28fdd79"),
+    ("fig4-pvfs-shared-k1", 1741, "536aa2e68aa70cc5"),
+    ("fig4-pvfs-shared-k2", 1914, "3d8cf254085ed920"),
+    ("fig4-pvfs-shared-k4", 1816, "b1a4088372d069b2"),
+    ("fig5-pvfs-shared-n0", 1761, "2b090f9ebc32a0d8"),
+    ("fig5-pvfs-shared-n1", 1734, "ec009fb30edcc38a"),
+    ("fig5-pvfs-shared-n2", 1744, "df5ff3386c642e2d"),
+    // Paper-scale figure runs (`paper_figures_match_golden`, ignored).
+    ("paper-fig3-our-approach-IOR", 99890, "51f1b8d3462af36f"),
+    ("paper-fig3-our-approach-AsyncWR", 5262, "a99f79c7862be371"),
+    ("paper-fig4-our-approach-k0", 119790, "79d86a38b0fae93d"),
+    ("paper-fig4-our-approach-k1", 121059, "4d29aa8115e4eada"),
+    ("paper-fig4-our-approach-k10", 129537, "cfb6077a64126788"),
+    ("paper-fig4-our-approach-k20", 138562, "1502066322cec3df"),
+    ("paper-fig4-our-approach-k30", 145551, "1c06175478eea4b2"),
+    ("paper-fig5-our-approach-n0", 235248, "2cccdcc17961d0fb"),
+    ("paper-fig5-our-approach-n1", 235566, "e975ef2efa9ecd58"),
+    ("paper-fig5-our-approach-n2", 236489, "9cf94ba263203cf4"),
+    ("paper-fig5-our-approach-n3", 237774, "225f5968be8fbe2d"),
+    ("paper-fig5-our-approach-n4", 240009, "8bee608be760d488"),
+    ("paper-fig5-our-approach-n5", 242130, "aba6b0d3d55a5793"),
+    ("paper-fig5-our-approach-n6", 244251, "8ccdd541e1a7a346"),
+    ("paper-fig5-our-approach-n7", 246372, "4a8ed57dcf7deaa3"),
+    ("paper-fig3-mirror-IOR", 102217, "bd89f3c9475244dc"),
+    ("paper-fig3-mirror-AsyncWR", 4966, "cad01c82889f9fe9"),
+    ("paper-fig4-mirror-k0", 119790, "79d86a38b0fae93d"),
+    ("paper-fig4-mirror-k1", 120763, "92ea01193848c259"),
+    ("paper-fig4-mirror-k10", 125767, "5f115ac896d356d1"),
+    ("paper-fig4-mirror-k20", 130903, "e582466ef5667aab"),
+    ("paper-fig4-mirror-k30", 135443, "650954b83c553417"),
+    ("paper-fig5-mirror-n0", 235248, "2cccdcc17961d0fb"),
+    ("paper-fig5-mirror-n1", 235565, "a9f00f2388c3766e"),
+    ("paper-fig5-mirror-n2", 236450, "f0c9b517f68454ff"),
+    ("paper-fig5-mirror-n3", 237670, "30994eb3e02fef17"),
+    ("paper-fig5-mirror-n4", 239389, "a2a3a37d99ab2bb8"),
+    ("paper-fig5-mirror-n5", 241390, "bb29c94a40c91cce"),
+    ("paper-fig5-mirror-n6", 243391, "92851c20a2b1d478"),
+    ("paper-fig5-mirror-n7", 245392, "9e109c45b03b06c2"),
+    ("paper-fig3-postcopy-IOR", 100453, "d473188011e0803f"),
+    ("paper-fig3-postcopy-AsyncWR", 5491, "bf2fbb086d4321a4"),
+    ("paper-fig4-postcopy-k0", 119790, "79d86a38b0fae93d"),
+    ("paper-fig4-postcopy-k1", 121288, "0354542bdef4c2af"),
+    ("paper-fig4-postcopy-k10", 131935, "b952384b7fa676b5"),
+    ("paper-fig4-postcopy-k20", 143771, "241213fb453bf475"),
+    ("paper-fig4-postcopy-k30", 159218, "fae96863331adccb"),
+    ("paper-fig5-postcopy-n0", 235248, "2cccdcc17961d0fb"),
+    ("paper-fig5-postcopy-n1", 235766, "3a525d63ba12d539"),
+    ("paper-fig5-postcopy-n2", 237352, "09fd5b46b62ac628"),
+    ("paper-fig5-postcopy-n3", 239379, "bb885dc8a14ae1b4"),
+    ("paper-fig5-postcopy-n4", 241994, "e3e11ecf6ec8cfb2"),
+    ("paper-fig5-postcopy-n5", 245007, "400a13ddb084935a"),
+    ("paper-fig5-postcopy-n6", 248020, "aac67d1d77448466"),
+    ("paper-fig5-postcopy-n7", 251033, "e65419425d2d4eab"),
+    ("paper-fig3-precopy-IOR", 103535, "d84e300d206c0f87"),
+    ("paper-fig3-precopy-AsyncWR", 5326, "af65e028d9be3a82"),
+    ("paper-fig4-precopy-k0", 119790, "79d86a38b0fae93d"),
+    ("paper-fig4-precopy-k1", 121123, "a51c9f30b9b3fe80"),
+    ("paper-fig4-precopy-k10", 128359, "2eed5834305c3d41"),
+    ("paper-fig4-precopy-k20", 135904, "beba583a99219b93"),
+    ("paper-fig4-precopy-k30", 143686, "aa4a0ff5975a124a"),
+    ("paper-fig5-precopy-n0", 235248, "2cccdcc17961d0fb"),
+    ("paper-fig5-precopy-n1", 235565, "e30e746614215d12"),
+    ("paper-fig5-precopy-n2", 236487, "936ac3c95a480df9"),
+    ("paper-fig5-precopy-n3", 237771, "05eb54063bb2d159"),
+    ("paper-fig5-precopy-n4", 239840, "aec0253e5d07839f"),
+    ("paper-fig5-precopy-n5", 241841, "61879ecb4759f053"),
+    ("paper-fig5-precopy-n6", 243842, "cee3e7da5ef9c672"),
+    ("paper-fig5-precopy-n7", 245843, "680c22d3efa08e6b"),
+    ("paper-fig3-pvfs-shared-IOR", 491604, "3c85f66f5b819732"),
+    ("paper-fig3-pvfs-shared-AsyncWR", 2019, "49c6f1c631f0160b"),
+    ("paper-fig4-pvfs-shared-k1", 46927, "4b43bad21b817c9c"),
 ];
 
 /// Every shipped scenario file has a golden entry, so a new file cannot
@@ -78,17 +190,37 @@ fn fingerprint(report: &RunReport) -> String {
     format!("{h:016x}")
 }
 
-fn assert_golden(name: &str, report: &RunReport) {
+/// Why `report` does not match `name`'s golden entry, if it does not.
+fn golden_mismatch(name: &str, report: &RunReport) -> Option<String> {
     let (events, hash) = (report.events, fingerprint(report));
     let line = format!("(\"{name}\", {events}, \"{hash}\"),");
     let Some(&(_, want_events, want_hash)) = GOLDEN.iter().find(|(n, ..)| *n == name) else {
-        panic!("{name}: no golden entry; add {line}");
+        return Some(format!("{name}: no golden entry; add {line}"));
     };
-    assert!(
-        (events, hash.as_str()) == (want_events, want_hash),
-        "{name}: fingerprint {hash} with {events} events, golden {want_hash} with \
-         {want_events} events; if the change is meant, replace its line with {line}"
-    );
+    ((events, hash.as_str()) != (want_events, want_hash)).then(|| {
+        format!(
+            "{name}: fingerprint {hash} with {events} events, golden {want_hash} with \
+             {want_events} events; if the change is meant, replace its line with {line}"
+        )
+    })
+}
+
+fn assert_golden(name: &str, report: &RunReport) {
+    if let Some(why) = golden_mismatch(name, report) {
+        panic!("{why}");
+    }
+}
+
+/// Run every `(name, spec)` once, on all cores, and list every run that
+/// misses its golden entry.
+fn assert_all_golden(runs: Vec<(String, ScenarioSpec)>) {
+    let misses: Vec<String> = parallel_map(runs, |(name, spec)| {
+        golden_mismatch(&name, &run_scenario(&spec).expect("figure scenario runs"))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(misses.is_empty(), "{}", misses.join("\n"));
 }
 
 fn pretty(report: &RunReport) -> String {
@@ -211,6 +343,77 @@ fn memory_copy_kinds_are_deterministic() {
     for (name, spec) in memory_copy_specs() {
         assert_golden(name, &assert_deterministic(name, &spec));
     }
+}
+
+/// The figure generators' scenarios: fig3's two workloads under every
+/// strategy in `fig3_strategies`, fig4 at each `ks` and fig5 at each
+/// `ns` under every strategy in `strategies`, exactly as `lsm fig3`,
+/// `lsm fig4` and `lsm fig5` build them. Named
+/// `fig3-<strategy>-<workload>`, `fig4-<strategy>-k<k>` and
+/// `fig5-<strategy>-n<n>`, with a `paper-` prefix at paper scale.
+fn figure_specs(
+    scale: Scale,
+    strategies: &[StrategyKind],
+    ks: &[u32],
+    ns: &[u32],
+) -> Vec<(String, ScenarioSpec)> {
+    let prefix = if scale == Scale::Paper { "paper-" } else { "" };
+    let (p4, p5) = (
+        fig4::Fig4Params::for_scale(scale),
+        fig5::Fig5Params::for_scale(scale),
+    );
+    let mut runs = Vec::new();
+    for &s in strategies {
+        for (workload, spec) in fig3::scenarios(scale, s) {
+            runs.push((format!("{prefix}fig3-{}-{workload}", s.label()), spec));
+        }
+        for &k in ks {
+            let spec = fig4::scenario(&p4, s, k);
+            runs.push((format!("{prefix}fig4-{}-k{k}", s.label()), spec));
+        }
+        for &n in ns {
+            let spec = fig5::scenario(&p5, s, n);
+            runs.push((format!("{prefix}fig5-{}-n{n}", s.label()), spec));
+        }
+    }
+    runs
+}
+
+/// Every quick-scale figure run, under every strategy: 45 runs, 15 of
+/// them the `pvfs-shared` baseline.
+#[test]
+fn quick_figures_match_golden() {
+    assert_all_golden(figure_specs(
+        Scale::Quick,
+        &StrategyKind::ALL,
+        &[0, 1, 2, 4],
+        &[0, 1, 2],
+    ));
+}
+
+/// The paper-scale figure runs: fig3 under every strategy, fig4 and
+/// fig5 across their sweeps under the four local-storage strategies,
+/// and fig4's `pvfs-shared` k = 1, whose ~1,800 live flows are the
+/// network's many-flow regime (~30 s in release on 2 cores, the rest
+/// ~7 s). Too slow for every debug `cargo test`; CI runs it in release:
+/// `cargo test --release -p lsm --test determinism -- --ignored --exact
+/// paper_figures_match_golden`.
+#[test]
+#[ignore = "63 paper-scale runs; run explicitly with -- --ignored"]
+fn paper_figures_match_golden() {
+    let local: Vec<StrategyKind> = StrategyKind::ALL
+        .into_iter()
+        .filter(|&s| s != StrategyKind::SharedFs)
+        .collect();
+    let ns: Vec<u32> = (0..=7).collect();
+    let mut runs = figure_specs(Scale::Paper, &local, &[0, 1, 10, 20, 30], &ns);
+    runs.extend(figure_specs(
+        Scale::Paper,
+        &[StrategyKind::SharedFs],
+        &[1],
+        &[],
+    ));
+    assert_all_golden(runs);
 }
 
 /// The orchestrated scenarios (planner placement, adaptive strategy
