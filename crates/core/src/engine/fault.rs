@@ -165,10 +165,7 @@ fn sever(eng: &mut Engine, ids: Vec<FlowId>) -> Vec<FlowCtx> {
     let now = eng.now;
     let lost: Vec<FlowCtx> = ids
         .into_iter()
-        .filter_map(|id| {
-            eng.net.cancel_flow(now, id);
-            eng.flow_ctx.remove(&id)
-        })
+        .filter_map(|id| eng.net.cancel_flow(now, id).map(|(_, ctx)| ctx))
         .collect();
     if !lost.is_empty() {
         eng.resync_net();
@@ -178,14 +175,11 @@ fn sever(eng: &mut Engine, ids: Vec<FlowId>) -> Vec<FlowCtx> {
 
 /// The flows whose context `pick` selects, in ascending id order.
 fn flows_where(eng: &Engine, pick: impl Fn(&FlowCtx) -> bool) -> Vec<FlowId> {
-    let mut ids: Vec<FlowId> = eng
-        .flow_ctx
-        .iter()
+    eng.net
+        .contexts()
         .filter(|(_, ctx)| pick(ctx))
-        .map(|(&id, _)| id)
-        .collect();
-    ids.sort_unstable();
-    ids
+        .map(|(id, _)| id)
+        .collect()
 }
 
 /// The guest on `v` dies: stop the VM, cancel its compute timer, purge

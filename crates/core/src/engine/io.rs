@@ -12,7 +12,7 @@ use super::Engine;
 use crate::policy::ReadPath;
 use lsm_blockdev::{byte_range_to_chunks, ChunkId, ReadClass, WriteClass};
 use lsm_hypervisor::VmState;
-use lsm_netsim::{NodeId, TrafficTag};
+use lsm_netsim::NodeId;
 use lsm_workloads::{ActionToken, IoKind};
 
 /// Entry point for a driver `Io` action on a local-storage VM.
@@ -142,7 +142,6 @@ fn submit_write(
             dest,
             bytes,
             None,
-            TrafficTag::Mirror,
             FlowCtx::MirrorWrite {
                 vm: v,
                 op,
@@ -452,14 +451,7 @@ pub(crate) fn repo_read_done(eng: &mut Engine, fetch: RepoFetch) {
     }
     let bytes = eng.cfg().chunk_size * fetch.chunks.len() as u64;
     let (src, dst) = (fetch.replica.0, fetch.node);
-    eng.start_flow(
-        src,
-        dst,
-        bytes,
-        None,
-        TrafficTag::RepoFetch,
-        FlowCtx::RepoFetch(fetch),
-    );
+    eng.start_flow(src, dst, bytes, None, FlowCtx::RepoFetch(fetch));
 }
 
 /// Base content landed at the requesting node.

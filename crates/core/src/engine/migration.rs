@@ -47,7 +47,6 @@ use crate::error::EngineError;
 use crate::policy::{HybridDest, StrategyKind};
 use lsm_blockdev::{ChunkId, ChunkSet, WriteCounter};
 use lsm_hypervisor::{MemoryProfile, NextStep, PostcopyMemory, PrecopyMemory};
-use lsm_netsim::TrafficTag;
 use lsm_simcore::time::SimDuration;
 use std::collections::HashMap;
 
@@ -309,8 +308,7 @@ pub(crate) fn start_copy(eng: &mut Engine, v: VmIdx, kind: CopyKind, raw: u64) {
         eng.note_milestone(v, m);
     }
     for bytes in shards {
-        let ctx = FlowCtx::Mem { vm: v };
-        eng.start_flow(source, dest, bytes, Some(cap), TrafficTag::Memory, ctx);
+        eng.start_flow(source, dest, bytes, Some(cap), FlowCtx::Mem { vm: v });
     }
 }
 
@@ -797,8 +795,7 @@ pub(crate) fn batch_read_done(eng: &mut Engine, mut batch: Batch) {
     let raw = eng.cfg().chunk_size * batch.chunks.len() as u64;
     let bytes = super::qos::wire_bytes_storage(eng, raw);
     let cap = super::qos::storage_flow_cap(eng);
-    let tag = batch.kind.tag();
-    eng.start_flow(source, dest, bytes, cap, tag, FlowCtx::Batch(batch));
+    eng.start_flow(source, dest, bytes, cap, FlowCtx::Batch(batch));
 }
 
 /// A storage batch landed at the destination, chunk by chunk in manifest
@@ -1000,9 +997,9 @@ mod tests {
             return 0;
         };
         let flowing = eng
-            .flow_ctx
-            .values()
-            .filter(|ctx| matches!(ctx, FlowCtx::Batch(b) if b.vm == v && b.kind == kind))
+            .net
+            .contexts()
+            .filter(|(_, ctx)| matches!(ctx, FlowCtx::Batch(b) if b.vm == v && b.kind == kind))
             .count();
         mig.in_flight[kind as usize] - flowing as u32
     }

@@ -36,12 +36,11 @@ use crate::qos::QosConfig;
 use crate::resilience::ResilienceConfig;
 use lsm_blockdev::{CacheConfig, ChunkStore, PageCache, VirtualDisk};
 use lsm_hypervisor::{Vm, VmId, VmState};
-use lsm_netsim::{FlowId, FlowNet, NodeId, Topology, TrafficTag};
+use lsm_netsim::{FlowNet, NodeId, Topology};
 use lsm_repo::{PvfsConfig, PvfsFs, RepoConfig, StripedRepo};
 use lsm_simcore::time::{SimDuration, SimTime};
 use lsm_simcore::{EventId, EventQueue};
 use lsm_workloads::{Action, ActionToken, WorkloadSpec};
-use std::collections::HashMap;
 use types::*;
 
 /// The simulation engine. Build one per experiment run.
@@ -49,9 +48,8 @@ pub struct Engine {
     cfg: ClusterConfig,
     now: SimTime,
     queue: EventQueue<Ev>,
-    net: FlowNet,
+    net: FlowNet<FlowCtx>,
     net_wake: Option<(EventId, SimTime)>,
-    flow_ctx: HashMap<FlowId, FlowCtx>,
     nodes: Vec<NodeRt>,
     vms: Vec<VmRt>,
     groups: Vec<GroupRt>,
@@ -123,7 +121,6 @@ impl Engine {
             queue: EventQueue::new(),
             net,
             net_wake: None,
-            flow_ctx: HashMap::new(),
             nodes,
             vms: Vec::new(),
             groups: Vec::new(),
@@ -399,11 +396,7 @@ impl Engine {
     /// `until` — the clock stays at the last processed event, so a
     /// later window (or a final `finish_run`) continues seamlessly.
     pub fn step_until(&mut self, until: SimTime, obs: &mut dyn Observer) -> RunControl {
-        while let Some(t) = self.queue.peek_time() {
-            if t > until {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked event");
+        while let Some((now, ev)) = self.queue.pop_until(until) {
             debug_assert!(now >= self.now, "event time went backwards");
             self.now = now;
             self.events_processed += 1;
@@ -490,8 +483,9 @@ impl Engine {
     }
 
     /// The network model (read-only): flow views, topology, delivered
-    /// bytes — everything a conservation audit needs.
-    pub fn network(&self) -> &FlowNet {
+    /// bytes — everything a conservation audit needs. Its flow contexts
+    /// are the engine's own and stay opaque.
+    pub fn network(&self) -> &FlowNet<impl Sized> {
         &self.net
     }
 
@@ -579,34 +573,33 @@ impl Engine {
             if t > self.now {
                 break;
             }
-            self.net.complete(self.now, id);
-            let ctx = self.flow_ctx.remove(&id).expect("flow has context");
+            let ctx = self.net.complete(self.now, id);
             self.flow_done(ctx);
         }
         self.resync_net();
     }
 
-    /// Start a bulk transfer with completion routing. A flow toward (or
-    /// from) a crashed node never enters the network: it is treated as
-    /// severed on the spot and its context routed through the same loss
-    /// handler a crash uses, so callers need no per-site crash checks.
+    /// Start a bulk transfer with completion routing: the network
+    /// carries `ctx` and hands it back when the flow ends, and the
+    /// context names the flow's traffic class. A flow toward (or from) a
+    /// crashed node never enters the network: it is treated as severed
+    /// on the spot and its context routed through the same loss handler
+    /// a crash uses, so callers need no per-site crash checks.
     pub(crate) fn start_flow(
         &mut self,
         src: u32,
         dst: u32,
         bytes: u64,
         cap: Option<f64>,
-        tag: TrafficTag,
         ctx: FlowCtx,
     ) {
         if self.nodes[src as usize].crashed || self.nodes[dst as usize].crashed {
             fault::flow_lost(self, ctx);
             return;
         }
-        let id = self
-            .net
-            .start_flow(self.now, NodeId(src), NodeId(dst), bytes, cap, tag);
-        self.flow_ctx.insert(id, ctx);
+        let (now, tag) = (self.now, ctx.tag());
+        self.net
+            .start(now, NodeId(src), NodeId(dst), bytes, cap, tag, ctx);
         self.resync_net();
     }
 
@@ -985,14 +978,7 @@ impl Engine {
             self.op_part_done(op);
             return;
         }
-        self.start_flow(
-            src,
-            dst,
-            bytes,
-            None,
-            TrafficTag::AppNet,
-            FlowCtx::Halo { op },
-        );
+        self.start_flow(src, dst, bytes, None, FlowCtx::Halo { op });
     }
 
     fn barrier_arrive(&mut self, v: VmIdx, token: ActionToken) {
@@ -1032,10 +1018,6 @@ impl Engine {
 
     pub(crate) fn vms(&self) -> &[VmRt] {
         &self.vms
-    }
-
-    pub(crate) fn net(&self) -> &FlowNet {
-        &self.net
     }
 
     pub(crate) fn repo_mut(&mut self) -> &mut StripedRepo {

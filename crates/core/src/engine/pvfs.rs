@@ -9,7 +9,6 @@
 
 use super::types::*;
 use super::Engine;
-use lsm_netsim::TrafficTag;
 use lsm_workloads::{ActionToken, IoKind};
 
 /// Entry point for a driver `Io` action on a `pvfs-shared` VM.
@@ -45,14 +44,7 @@ pub(crate) fn submit_io(
         };
         if write && leg.server.0 != client {
             // Remote stripe: over the wire first.
-            eng.start_flow(
-                client,
-                leg.server.0,
-                leg.bytes,
-                None,
-                TrafficTag::PvfsIo,
-                FlowCtx::PvfsLeg(leg),
-            );
+            eng.start_flow(client, leg.server.0, leg.bytes, None, FlowCtx::PvfsLeg(leg));
         } else {
             // A local write stripe goes straight to the server disk; a
             // read hits the server disk first, then the wire back.
@@ -86,12 +78,5 @@ pub(crate) fn server_disk_done(eng: &mut Engine, leg: PvfsLeg) {
         eng.op_part_done(leg.op);
         return;
     }
-    eng.start_flow(
-        leg.server.0,
-        client,
-        leg.bytes,
-        None,
-        TrafficTag::PvfsIo,
-        FlowCtx::PvfsLeg(leg),
-    );
+    eng.start_flow(leg.server.0, client, leg.bytes, None, FlowCtx::PvfsLeg(leg));
 }

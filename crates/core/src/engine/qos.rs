@@ -19,7 +19,6 @@ use super::Engine;
 use crate::error::EngineError;
 use crate::qos::QosConfig;
 use lsm_hypervisor::VmState;
-use lsm_netsim::TrafficTag;
 
 impl Engine {
     /// Install a migration QoS configuration (bandwidth cap, multifd
@@ -67,14 +66,7 @@ impl Engine {
     /// it from production code.
     #[doc(hidden)]
     pub fn testing_force_uncapped_flow(&mut self, src: u32, dst: u32, bytes: u64) {
-        self.start_flow(
-            src,
-            dst,
-            bytes,
-            None,
-            TrafficTag::Memory,
-            FlowCtx::Mem { vm: 0 },
-        );
+        self.start_flow(src, dst, bytes, None, FlowCtx::Mem { vm: 0 });
     }
 
     /// Overwrite a migration's recorded degradation loss **without** an

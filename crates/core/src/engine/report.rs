@@ -353,7 +353,7 @@ pub(crate) fn build(eng: &Engine) -> RunReport {
     }
     let traffic: Vec<(TrafficTag, u64)> = TrafficTag::ALL
         .iter()
-        .map(|&t| (t, eng.net().delivered(t)))
+        .map(|&t| (t, eng.net.delivered(t)))
         .collect();
     RunReport {
         horizon,
@@ -364,10 +364,10 @@ pub(crate) fn build(eng: &Engine) -> RunReport {
         rebalance: eng.rebalance_actions().to_vec(),
         resilience: eng.resilience_report(),
         sla: crate::qos::SlaReport::from_jobs(sla_jobs),
-        total_traffic: eng.net().total_delivered(),
-        migration_traffic: eng.net().migration_delivered(),
+        total_traffic: eng.net.total_delivered(),
+        migration_traffic: eng.net.migration_delivered(),
         traffic,
         events: eng.events_processed(),
-        peak_flows: eng.net().peak_active() as u64,
+        peak_flows: eng.net.peak_active() as u64,
     }
 }

@@ -216,7 +216,10 @@ pub(crate) struct PvfsLeg {
     pub write: bool,
 }
 
-/// Why a network flow exists (completion routing).
+/// Why a network flow exists. The network carries it with the flow and
+/// hands it back when the flow completes (completion routing) or is
+/// severed (loss routing); it also names the flow's traffic class
+/// ([`FlowCtx::tag`]).
 #[derive(Debug)]
 pub(crate) enum FlowCtx {
     /// One shard of the VM's memory copy in flight.
@@ -235,6 +238,20 @@ pub(crate) enum FlowCtx {
     PvfsLeg(PvfsLeg),
     /// Application message (CM1 halo).
     Halo { op: OpId },
+}
+
+impl FlowCtx {
+    /// The traffic class a flow of this kind is accounted under.
+    pub fn tag(&self) -> TrafficTag {
+        match self {
+            FlowCtx::Mem { .. } => TrafficTag::Memory,
+            FlowCtx::Batch(batch) => batch.kind.tag(),
+            FlowCtx::MirrorWrite { .. } => TrafficTag::Mirror,
+            FlowCtx::RepoFetch(_) => TrafficTag::RepoFetch,
+            FlowCtx::PvfsLeg(_) => TrafficTag::PvfsIo,
+            FlowCtx::Halo { .. } => TrafficTag::AppNet,
+        }
+    }
 }
 
 /// Why a disk request exists.

@@ -85,6 +85,7 @@ fn strategy_strategy() -> impl Strategy<Value = StrategyKind> {
         1 => Just(StrategyKind::Postcopy),
         1 => Just(StrategyKind::Precopy),
         1 => Just(StrategyKind::Mirror),
+        1 => Just(StrategyKind::SharedFs),
     ]
 }
 

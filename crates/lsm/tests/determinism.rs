@@ -345,10 +345,10 @@ fn memory_copy_kinds_are_deterministic() {
     }
 }
 
-/// The figure generators' scenarios: fig3's two workloads under every
-/// strategy in `fig3_strategies`, fig4 at each `ks` and fig5 at each
-/// `ns` under every strategy in `strategies`, exactly as `lsm fig3`,
-/// `lsm fig4` and `lsm fig5` build them. Named
+/// The figure generators' scenarios: fig3's two workloads, fig4 at each
+/// of `ks` and fig5 at each of `ns`, under every strategy in
+/// `strategies`, exactly as `lsm fig3`, `lsm fig4` and `lsm fig5` build
+/// them. Named
 /// `fig3-<strategy>-<workload>`, `fig4-<strategy>-k<k>` and
 /// `fig5-<strategy>-n<n>`, with a `paper-` prefix at paper scale.
 fn figure_specs(
@@ -394,8 +394,9 @@ fn quick_figures_match_golden() {
 /// The paper-scale figure runs: fig3 under every strategy, fig4 and
 /// fig5 across their sweeps under the four local-storage strategies,
 /// and fig4's `pvfs-shared` k = 1, whose ~1,800 live flows are the
-/// network's many-flow regime (~30 s in release on 2 cores, the rest
-/// ~7 s). Too slow for every debug `cargo test`; CI runs it in release:
+/// network's many-flow regime. About 30 s in release on 2 cores, nearly
+/// all of it that one run. Too slow for every debug `cargo test`; CI
+/// runs it in release:
 /// `cargo test --release -p lsm --test determinism -- --ignored --exact
 /// paper_figures_match_golden`.
 #[test]

@@ -22,16 +22,25 @@
 //! flows sharing an Ethernet switch, which is exactly the regime of the
 //! paper's storage and memory transfers.
 //!
+//! Like [`lsm_simcore::SharedResource`], a [`FlowNet<C>`](FlowNet)
+//! carries each flow's context `C`, the caller's record of why the flow
+//! exists: [`FlowNet::start`] stores it with the flow,
+//! [`FlowNet::complete`] and [`FlowNet::cancel_flow`] hand it back, and
+//! [`FlowNet::contexts`] lists the live ones in flow-id order, so the
+//! caller keeps no side table keyed by [`FlowId`]. A `FlowNet` (that is,
+//! `FlowNet<()>`) carries nothing and starts flows with
+//! [`FlowNet::start_flow`].
+//!
 //! ```
 //! use lsm_netsim::{FlowNet, Topology, TrafficTag, NodeId};
 //! use lsm_simcore::{SimTime, units::{mb_per_s, MIB}};
 //!
 //! let topo = Topology::symmetric(4, mb_per_s(100.0), mb_per_s(1000.0));
-//! let mut net = FlowNet::new(topo);
+//! let mut net: FlowNet<&str> = FlowNet::new(topo);
 //! assert!(net.next_completion().is_none(), "idle network: nothing due");
 //!
-//! let f = net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MIB,
-//!                        None, TrafficTag::StoragePush);
+//! let f = net.start(SimTime::ZERO, NodeId(0), NodeId(1), 100 * MIB,
+//!                   None, TrafficTag::StoragePush, "push batch 0");
 //! let Some((done, id)) = net.next_completion() else {
 //!     panic!("one flow is in flight");
 //! };
@@ -41,8 +50,12 @@
 //! // Links can degrade mid-run (fault injection): halving node 0's NIC
 //! // halves the flow's rate, and its completion moves out accordingly.
 //! net.set_link_factor(SimTime::ZERO, NodeId(0), 0.5);
-//! let (later, _) = net.next_completion().expect("flow still in flight");
+//! let (later, id) = net.next_completion().expect("flow still in flight");
 //! assert!((later.as_secs_f64() - 2.0).abs() < 1e-6);
+//!
+//! // Completing the flow hands its context back.
+//! assert_eq!(net.complete(later, id), "push batch 0");
+//! assert_eq!(net.active(), 0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,5 +1,15 @@
 //! The flow scheduler: incremental max–min fair rate allocation.
 //!
+//! # Flow records
+//!
+//! Every live flow is one `Flow` record in a vector ascending by id:
+//! its endpoints, size, cap and traffic tag, its progress triple, its
+//! cached finish instant, and the caller's context `C`. The context
+//! takes no part in the solve; it is moved in by [`FlowNet::start`] and
+//! out by [`FlowNet::complete`] or [`FlowNet::cancel_flow`], and
+//! [`FlowNet::contexts`] reads the live ones in id order. So a caller
+//! that needs to know why a flow exists keeps no map of its own.
+//!
 //! # Allocator architecture
 //!
 //! Rates are the classic progressive-filling max–min fair allocation over
@@ -93,7 +103,7 @@
 //! The same triple fixes the flow's finish instant, so each flow caches
 //! it as `due`: `touched` for a sub-byte residue, `FAR_FUTURE` at rate
 //! zero, otherwise `touched + remaining / rate` rounded to the
-//! nanosecond. Only [`FlowNet::start_flow`] and a committed rate change
+//! nanosecond. Only [`FlowNet::start`] and a committed rate change
 //! write the triple of a flow that stays live, and both recompute `due`.
 //! [`FlowNet::next_completion`] is then a compare-only scan of
 //! `due.max(now)`, lowest id on ties: it converts nothing, and returns
@@ -220,8 +230,8 @@ pub struct FlowView {
     pub tag: TrafficTag,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct Flow {
+#[derive(Debug)]
+pub(crate) struct Flow<C> {
     pub(crate) id: FlowId,
     pub(crate) src: NodeId,
     pub(crate) dst: NodeId,
@@ -238,9 +248,12 @@ pub(crate) struct Flow {
     /// Finish instant implied by `(touched, remaining, rate)`; see
     /// [`Flow::finish`]. Recomputed whenever any of the three changes.
     pub(crate) due: SimTime,
+    /// The caller's record of why the flow exists, handed back when the
+    /// flow completes or is cancelled.
+    pub(crate) ctx: C,
 }
 
-impl Flow {
+impl<C> Flow<C> {
     /// The finish instant of the module docs: at `touched` for a
     /// sub-byte residue, never at rate zero, otherwise after `remaining`
     /// at `rate`, rounded to the nanosecond.
@@ -310,17 +323,18 @@ fn max_nic(topo: &Topology) -> (f64, f64) {
 
 /// Position of flow `id` in the id-ordered flow vector, if live.
 #[inline]
-fn flow_pos(flows: &[Flow], id: FlowId) -> Option<usize> {
+fn flow_pos<C>(flows: &[Flow<C>], id: FlowId) -> Option<usize> {
     flows.binary_search_by_key(&id, |f| f.id).ok()
 }
 
-/// The flow-level network simulator. See the crate docs for the model.
+/// The flow-level network simulator, whose flows each carry a context
+/// `C` (nothing, for the default `()`). See the crate docs.
 #[derive(Debug)]
-pub struct FlowNet {
+pub struct FlowNet<C = ()> {
     topo: Topology,
     /// Active flows, ascending by id (ids are issued monotonically, so
     /// insertion is a push; removal is a binary search + shift).
-    flows: Vec<Flow>,
+    flows: Vec<Flow<C>>,
     /// Persistent per-flow resource rows, parallel to `flows`:
     /// `[src uplink, dst downlink, switch, virtual-cap or NO_RES]`. Rows
     /// are constants except the virtual-cap index, which shifts when an
@@ -379,6 +393,37 @@ pub struct FlowNet {
 }
 
 impl FlowNet {
+    /// Whether the switch aggregate is provably never the most
+    /// constrained resource on `topo`, however many of its nodes carry
+    /// flows: the module docs' rule with every node busy, `n × max_up`
+    /// or `n × max_down` at most `switch / (1 + 2⁻¹⁰)`. (The mediant
+    /// inequality gives `min_i up_i/c_i ≤ Σup/Σc ≤ switch_left/Σc`
+    /// whenever `switch ≥ Σup`; the margin keeps the comparison out of
+    /// floating-point rounding range.) When true, flows on disjoint node
+    /// sets are always independent and the incremental solver re-solves
+    /// only the changed component. When false, it still does so while
+    /// few enough nodes are busy.
+    pub fn switch_decoupled(topo: &Topology) -> bool {
+        let (max_up, max_down) = max_nic(topo);
+        let n = topo.len() as u32;
+        switch_cannot_bind(topo.switch_capacity, n, max_up, n, max_down)
+    }
+
+    /// [`FlowNet::start`] for a network whose flows carry no context.
+    pub fn start_flow(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        cap: Option<f64>,
+        tag: TrafficTag,
+    ) -> FlowId {
+        self.start(now, src, dst, bytes, cap, tag, ())
+    }
+}
+
+impl<C> FlowNet<C> {
     /// Create a network over `topo` with no flows.
     pub fn new(topo: Topology) -> Self {
         let n = topo.len();
@@ -421,22 +466,6 @@ impl FlowNet {
                 ..Scratch::default()
             },
         }
-    }
-
-    /// Whether the switch aggregate is provably never the most
-    /// constrained resource on `topo`, however many of its nodes carry
-    /// flows: the module docs' rule with every node busy, `n × max_up`
-    /// or `n × max_down` at most `switch / (1 + 2⁻¹⁰)`. (The mediant
-    /// inequality gives `min_i up_i/c_i ≤ Σup/Σc ≤ switch_left/Σc`
-    /// whenever `switch ≥ Σup`; the margin keeps the comparison out of
-    /// floating-point rounding range.) When true, flows on disjoint node
-    /// sets are always independent and the incremental solver re-solves
-    /// only the changed component. When false, it still does so while
-    /// few enough nodes are busy.
-    pub fn switch_decoupled(topo: &Topology) -> bool {
-        let (max_up, max_down) = max_nic(topo);
-        let n = topo.len() as u32;
-        switch_cannot_bind(topo.switch_capacity, n, max_up, n, max_down)
     }
 
     /// Select the rate solver. The reference solver is a from-scratch
@@ -511,14 +540,16 @@ impl FlowNet {
         }
     }
 
-    /// Start a bulk transfer of `bytes` from `src` to `dst`.
+    /// Start a bulk transfer of `bytes` from `src` to `dst`, carrying
+    /// `ctx` until it completes or is cancelled.
     ///
     /// `cap` optionally rate-limits this flow (bytes/second) on top of the
     /// fair share — this is how QEMU's `migrate_set_speed` is modeled.
     ///
     /// Panics if `src == dst`; local data movement never crosses the
     /// network and must be modeled on the node's disk/cache instead.
-    pub fn start_flow(
+    #[allow(clippy::too_many_arguments)]
+    pub fn start(
         &mut self,
         now: SimTime,
         src: NodeId,
@@ -526,6 +557,7 @@ impl FlowNet {
         bytes: u64,
         cap: Option<f64>,
         tag: TrafficTag,
+        ctx: C,
     ) -> FlowId {
         assert!(src != dst, "loopback flows are not network flows");
         assert!(src.idx() < self.topo.len() && dst.idx() < self.topo.len());
@@ -543,6 +575,7 @@ impl FlowNet {
             tag,
             touched: now,
             due: now,
+            ctx,
         };
         // The solve below leaves a flow that stays at rate zero alone.
         flow.due = flow.finish();
@@ -573,7 +606,7 @@ impl FlowNet {
     /// clock, dropping its resource row, physical-resource and busy-node
     /// counts and adjacency entries. Later capped flows' virtual-resource
     /// indices shift down if the flow was capped.
-    fn take_flow(&mut self, id: FlowId) -> Option<Flow> {
+    fn take_flow(&mut self, id: FlowId) -> Option<Flow<C>> {
         let pos = flow_pos(&self.flows, id)?;
         self.materialize(pos);
         let f = self.flows.remove(pos);
@@ -598,8 +631,9 @@ impl FlowNet {
         Some(f)
     }
 
-    /// Cancel an in-flight flow, returning the bytes not yet delivered.
-    pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<u64> {
+    /// Cancel an in-flight flow, returning the bytes not yet delivered
+    /// and its context; `None` if `id` is not in flight.
+    pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<(u64, C)> {
         self.advance(now);
         let f = self.take_flow(id)?;
         let left = f.remaining.ceil().max(0.0) as u64;
@@ -608,12 +642,13 @@ impl FlowNet {
         self.finished_total += done;
         self.log_load();
         self.reallocate(f.src, f.dst);
-        Some(left)
+        Some((left, f.ctx))
     }
 
     /// Mark a flow complete at `now` (which must be its completion time as
-    /// previously reported by [`Self::next_completion`]).
-    pub fn complete(&mut self, now: SimTime, id: FlowId) {
+    /// previously reported by [`Self::next_completion`]) and return its
+    /// context.
+    pub fn complete(&mut self, now: SimTime, id: FlowId) -> C {
         self.advance(now);
         let f = self.take_flow(id).expect("completing unknown flow");
         debug_assert!(
@@ -628,6 +663,7 @@ impl FlowNet {
         self.finished_total += f.bytes;
         self.log_load();
         self.reallocate(f.src, f.dst);
+        f.ctx
     }
 
     /// Earliest `(finish_time, flow)` among in-flight flows. Deterministic:
@@ -790,6 +826,12 @@ impl FlowNet {
             cap: f.cap,
             tag: f.tag,
         })
+    }
+
+    /// Every in-flight flow's id and context, ascending by id, so a
+    /// caller can pick flows by why they exist.
+    pub fn contexts(&self) -> impl Iterator<Item = (FlowId, &C)> + '_ {
+        self.flows.iter().map(|f| (f.id, &f.ctx))
     }
 
     /// Ids of every in-flight flow with `node` as source or destination
@@ -976,7 +1018,7 @@ impl FlowNet {
 /// full-set and member-solve commit paths so their progress tracking
 /// cannot drift apart.
 #[inline]
-fn commit_rate(f: &mut Flow, new_rate: f64, now: SimTime) {
+fn commit_rate<C>(f: &mut Flow<C>, new_rate: f64, now: SimTime) {
     if f.rate.to_bits() == new_rate.to_bits() {
         return;
     }
@@ -1202,7 +1244,7 @@ mod tests {
             None,
             TrafficTag::StoragePull,
         );
-        let left = net.cancel_flow(t(0.5), f).unwrap();
+        let (left, ()) = net.cancel_flow(t(0.5), f).unwrap();
         assert_eq!(left / MIB, 50);
         assert_eq!(net.delivered(TrafficTag::StoragePull) / MIB, 50);
     }
@@ -1223,7 +1265,7 @@ mod tests {
 
     #[test]
     fn control_accounting() {
-        let mut net = FlowNet::new(topo(2));
+        let mut net: FlowNet = FlowNet::new(topo(2));
         net.account_control(1500);
         assert_eq!(net.delivered(TrafficTag::Control), 1500);
         assert_eq!(net.total_delivered(), 1500);
@@ -1312,7 +1354,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "link factor")]
     fn zero_factor_rejected() {
-        let mut net = FlowNet::new(topo(2));
+        let mut net: FlowNet = FlowNet::new(topo(2));
         net.set_link_factor(Z, NodeId(0), 0.0);
     }
 
@@ -1333,6 +1375,33 @@ mod tests {
         assert_eq!(net.flows_touching(NodeId(0)), vec![a, b]);
         assert_eq!(net.flows_touching(NodeId(3)), vec![c]);
         assert!(net.flows_touching(NodeId(1)).contains(&a));
+    }
+
+    #[test]
+    fn contexts_ascend_by_id_and_come_back_once() {
+        type Net = FlowNet<&'static str>;
+        fn start(net: &mut Net, at: SimTime, src: u32, dst: u32, ctx: &'static str) -> FlowId {
+            let (src, dst) = (NodeId(src), NodeId(dst));
+            net.start(at, src, dst, MIB, None, TrafficTag::Memory, ctx)
+        }
+        fn live(net: &Net) -> Vec<(FlowId, &'static str)> {
+            net.contexts().map(|(id, &ctx)| (id, ctx)).collect()
+        }
+        let mut net = FlowNet::new(topo(4));
+        let a = start(&mut net, Z, 0, 1, "a");
+        let b = start(&mut net, Z, 2, 3, "b");
+        let c = start(&mut net, Z, 1, 0, "c");
+        assert_eq!(live(&net), [(a, "a"), (b, "b"), (c, "c")]);
+        // A removal from the middle keeps the order.
+        assert_eq!(net.cancel_flow(t(0.001), b).map(|(_, ctx)| ctx), Some("b"));
+        assert_eq!(live(&net), [(a, "a"), (c, "c")]);
+        let (done, first) = net.next_completion().unwrap();
+        assert_eq!(first, a);
+        assert_eq!(net.complete(done, a), "a");
+        let d = start(&mut net, done, 3, 2, "d");
+        assert_eq!(live(&net), [(c, "c"), (d, "d")]);
+        // A flow that left hands nothing back a second time.
+        assert_eq!(net.cancel_flow(done, b), None);
     }
 
     #[test]

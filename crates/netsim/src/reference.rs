@@ -23,7 +23,7 @@ use crate::topology::{NodeId, Topology};
 /// Each iteration saturates the currently most-constrained resource
 /// (lowest index on ties) and freezes the flows crossing it, so the loop
 /// runs at most `|flows|` times.
-pub(crate) fn rates(topo: &Topology, flows: &[Flow]) -> Vec<f64> {
+pub(crate) fn rates<C>(topo: &Topology, flows: &[Flow<C>]) -> Vec<f64> {
     let n = topo.len();
     let nfix = 2 * n + 1;
     if flows.is_empty() {

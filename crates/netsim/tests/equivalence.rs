@@ -15,6 +15,11 @@
 //! switch to within half a percent of `k` NICs to cross that threshold
 //! often. One case runs on a sparse 1024-node fabric, where a component
 //! solve renumbers only the few resources its flows cross.
+//!
+//! Each flow carries the index of the step that started it as its
+//! context. Both nets must list the live flows' contexts in id order,
+//! and hand back each flow's own context when it completes or is
+//! cancelled.
 
 use lsm_netsim::{FlowId, FlowNet, NodeCaps, NodeId, SolverMode, Topology, TrafficTag};
 use lsm_simcore::time::SimTime;
@@ -25,9 +30,12 @@ use proptest::prelude::*;
 type RawOp = (u8, u32, u32, u64, f64);
 
 struct Lockstep {
-    inc: FlowNet,
-    refr: FlowNet,
-    live: Vec<FlowId>,
+    inc: FlowNet<usize>,
+    refr: FlowNet<usize>,
+    /// Live flows, ascending by id, with the step that started each.
+    live: Vec<(FlowId, usize)>,
+    /// Steps taken so far.
+    steps: usize,
     now: SimTime,
     /// Nodes that flows run between (an op's raw endpoint indexes this).
     endpoints: Vec<u32>,
@@ -51,6 +59,7 @@ impl Lockstep {
             inc,
             refr,
             live: Vec::new(),
+            steps: 0,
             now: SimTime::ZERO,
             endpoints,
             fault_nodes,
@@ -58,7 +67,12 @@ impl Lockstep {
     }
 
     fn check(&self) -> Result<(), TestCaseError> {
-        for &id in &self.live {
+        let contexts = |net: &FlowNet<usize>| -> Vec<(FlowId, usize)> {
+            net.contexts().map(|(id, &op)| (id, op)).collect()
+        };
+        prop_assert_eq!(&contexts(&self.inc), &self.live);
+        prop_assert_eq!(&contexts(&self.refr), &self.live);
+        for &(id, _) in &self.live {
             let ri = self.inc.rate_of(id).expect("live in incremental");
             let rr = self.refr.rate_of(id).expect("live in reference");
             prop_assert_eq!(
@@ -79,8 +93,25 @@ impl Lockstep {
         Ok(())
     }
 
+    /// The context `id` started with, dropping it from the live list.
+    fn retire(&mut self, id: FlowId) -> usize {
+        let pos = self.live.iter().position(|&(f, _)| f == id);
+        self.live.remove(pos.expect("a live flow")).1
+    }
+
+    /// Complete `id` at `at` on both nets: each hands back the context
+    /// the flow started with.
+    fn complete(&mut self, at: SimTime, id: FlowId) -> Result<(), TestCaseError> {
+        self.now = at;
+        let want = self.retire(id);
+        prop_assert_eq!(self.inc.complete(at, id), want);
+        prop_assert_eq!(self.refr.complete(at, id), want);
+        Ok(())
+    }
+
     fn step(&mut self, op: RawOp) -> Result<(), TestCaseError> {
         let (code, a, b, bytes, x) = op;
+        self.steps += 1;
         let n = self.endpoints.len() as u32;
         // Every step first moves the clock a little (exercises the lazy
         // advance against the eager-equivalent projection).
@@ -104,10 +135,11 @@ impl Lockstep {
                 };
                 let tag = TrafficTag::ALL[(a as usize + b as usize) % TrafficTag::ALL.len()];
                 let sz = bytes % (64 * MIB);
-                let fi = self.inc.start_flow(self.now, src, dst, sz, cap, tag);
-                let fr = self.refr.start_flow(self.now, src, dst, sz, cap, tag);
+                let ctx = self.steps;
+                let fi = self.inc.start(self.now, src, dst, sz, cap, tag, ctx);
+                let fr = self.refr.start(self.now, src, dst, sz, cap, tag, ctx);
                 prop_assert_eq!(fi, fr, "flow id streams diverged");
-                self.live.push(fi);
+                self.live.push((fi, ctx));
             }
             2 => {
                 // Degrade (or restore) a node's NIC at runtime.
@@ -135,22 +167,19 @@ impl Lockstep {
                 if ti == SimTime::FAR_FUTURE {
                     return Ok(());
                 }
-                let at = ti.max(self.now);
-                self.now = at;
-                self.inc.complete(at, id);
-                self.refr.complete(at, id);
-                self.live.retain(|&f| f != id);
+                self.complete(ti.max(self.now), id)?;
             }
             _ => {
                 // Cancel a random live flow.
                 if self.live.is_empty() {
                     return Ok(());
                 }
-                let id = self.live[a as usize % self.live.len()];
+                let (id, _) = self.live[a as usize % self.live.len()];
+                let want = self.retire(id);
                 let li = self.inc.cancel_flow(self.now, id);
                 let lr = self.refr.cancel_flow(self.now, id);
                 prop_assert_eq!(li, lr, "cancel leftovers diverged for {:?}", id);
-                self.live.retain(|&f| f != id);
+                prop_assert_eq!(li.map(|(_, op)| op), Some(want));
             }
         }
         self.check()
@@ -171,11 +200,7 @@ fn run_lockstep(mut ls: Lockstep, ops: &[RawOp]) -> Result<(), TestCaseError> {
             break;
         }
         prop_assert_eq!(Some((t, id)), ls.refr.next_completion());
-        let at = t.max(ls.now);
-        ls.now = at;
-        ls.inc.complete(at, id);
-        ls.refr.complete(at, id);
-        ls.live.retain(|&f| f != id);
+        ls.complete(t.max(ls.now), id)?;
         ls.check()?;
     }
     Ok(())

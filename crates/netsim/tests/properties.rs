@@ -141,7 +141,7 @@ proptest! {
                 }
                 Op::CancelOldest => {
                     if let Some((&id, _)) = live.iter().next() {
-                        let left = net.cancel_flow(now, id).unwrap();
+                        let (left, ()) = net.cancel_flow(now, id).unwrap();
                         let req = requested.remove(&id).unwrap();
                         prop_assert!(left <= req + 1);
                         cancelled_partial += req - left.min(req);

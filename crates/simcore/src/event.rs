@@ -182,7 +182,14 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest live event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let key = self.head()?;
+        self.pop_until(SimTime::FAR_FUTURE)
+    }
+
+    /// Remove and return the earliest live event if it fires at or
+    /// before `until`; a later one stays pending. An event loop bounded
+    /// by a horizon steps with this alone, with no peek before it.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+        let key = self.head().filter(|key| key.time <= until.as_nanos())?;
         self.near.pop_front();
         self.fired += 1;
         Some((SimTime::from_nanos(key.time), self.vacate(key.slot)))

@@ -160,8 +160,9 @@ proptest! {
     }
 
     /// The queue agrees with [`Model`] after every step of a random mix
-    /// of schedules, pops, peeks, and cancels of any id ever issued:
-    /// pending, fired, cancelled, or one whose slot was since reused.
+    /// of schedules, pops, bounded pops, peeks, and cancels of any id
+    /// ever issued: pending, fired, cancelled, or one whose slot was
+    /// since reused.
     /// Schedules land at or just after the last popped time, before it,
     /// before the last peeked head, at `FAR_FUTURE`, or at instants
     /// spread over all 64 bit positions up to `u64::MAX − 1`. Every
@@ -208,12 +209,21 @@ proptest! {
                     prop_assert_eq!(q.cancel(id), hit.is_some(), "cancel at step {}", step);
                 }
                 11..=13 => {
-                    let want = m.prune().map(|i| m.live.remove(i));
+                    // Op 13 pops only an event due within `dt` of the
+                    // last popped time.
+                    let until = if op == 13 { now.saturating_add(dt) } else { u64::MAX };
+                    let head = m.prune().filter(|&i| m.live[i].0 <= until);
+                    let want = head.map(|i| m.live.remove(i));
                     if let Some((t, _, _)) = want {
                         now = t;
                         fired += 1;
                     }
-                    let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
+                    let got = if op == 13 {
+                        q.pop_until(SimTime::from_nanos(until))
+                    } else {
+                        q.pop()
+                    };
+                    let got = got.map(|(t, p)| (t.as_nanos(), p));
                     prop_assert_eq!(got, want.map(|(t, _, p)| (t, p)), "pop at step {}", step);
                 }
                 _ => {
