@@ -388,6 +388,43 @@ fn sharded_run_prints_the_pooled_verdict_only_under_check() {
 }
 
 #[test]
+fn unshardable_run_falls_back_to_the_monolith_with_a_note() {
+    // The fault plan keeps this scenario from sharding.
+    let scenario = repo_root().join("scenarios/fault_dest_crash.toml");
+    let path = scenario.to_str().unwrap();
+    let serial = lsm(&["run", path, "--threads", "1"]);
+    assert!(serial.status.success(), "stderr: {}", stderr(&serial));
+    assert!(!stderr(&serial).contains("note:"), "{}", stderr(&serial));
+    let threaded = lsm(&["run", path, "--threads", "2"]);
+    assert!(threaded.status.success(), "stderr: {}", stderr(&threaded));
+    let err = stderr(&threaded);
+    assert!(
+        err.contains("note: not shardable (fault plans are not yet component-attributed"),
+        "{err}"
+    );
+    assert!(err.contains("); running monolithic"), "{err}");
+    assert!(!err.contains("sharded:"), "{err}");
+    assert_eq!(stdout(&threaded), stdout(&serial));
+}
+
+#[test]
+fn progress_pins_the_monolith_with_a_note() {
+    let scenario = repo_root().join("scenarios/fault_dest_crash.toml");
+    let path = scenario.to_str().unwrap();
+    let out = lsm(&["run", path, "--progress", "--threads", "2"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("note: --progress is serial; running monolithic (--threads 1)"),
+        "{err}"
+    );
+    assert!(!err.contains("not shardable"), "{err}");
+    let text = stdout(&out);
+    assert!(text.contains("job 0 (vm 0)"), "progress lines: {text}");
+    assert!(text.contains("destination node 1 crashed"), "{text}");
+}
+
+#[test]
 fn run_deadline_scenario_reports_deadline_reason() {
     let scenario = repo_root().join("scenarios/fault_deadline.toml");
     let out = lsm(&["run", scenario.to_str().unwrap(), "--json"]);
