@@ -9,9 +9,10 @@
 //! chunk: version 0 is the pristine base content, and every write stamps a
 //! fresh, globally unique version drawn from the disk's monotonic counter.
 //! Two stores hold the same bytes iff they hold the same version — which
-//! gives the test-suite (and the engine's `strict-verify` mode) an exact
-//! equality check between the logical disk the VM observed and the
-//! physical replica reconstructed at the migration destination.
+//! gives the engine (each migration record's `consistent` flag) and the
+//! test-suite an exact equality check between the logical disk the VM
+//! observed and the physical replica reconstructed at the migration
+//! destination.
 //!
 //! # Per-chunk numbers in pages
 //!

@@ -79,21 +79,23 @@
 //!
 //! [`RebalanceAction`]: lsm_core::RebalanceAction
 //!
-//! Violations are collected (bounded) with timestamps and law names;
-//! [`InvariantObserver::finish`] runs a final full audit and
-//! [`InvariantObserver::assert_clean`] panics with a readable digest —
-//! the shape integration tests and the scenario fuzzer want.
+//! Violations are collected (bounded) with timestamps and law names.
+//! Every run ends with the *final audit*: the engine calls
+//! [`Observer::on_finish`] once per engine, and the checker runs the
+//! full chunk-version scan and the cheap laws on the state the run ended
+//! in. [`InvariantObserver::assert_clean`] then panics with a readable
+//! digest — the shape integration tests and the scenario fuzzer want.
 //!
 //! The expensive audit (every chunk of every VM) is throttled: it runs
 //! on every job status change (targeted at that VM), every
-//! `deep_scan_interval` events (full), and at `finish`. The cheap
-//! audits run on every event.
+//! `deep_scan_interval` events (full), and in the final audit. The
+//! cheap audits run on every event.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use lsm_core::engine::{Engine, JobId, MigrationProgress, MigrationStatus, Milestone};
+use lsm_core::engine::{Engine, JobId, MigrationProgress, MigrationStatus};
 use lsm_core::{Observer, RebalanceTrigger, ReplanReason, RunControl};
 use lsm_simcore::time::SimTime;
 
@@ -154,8 +156,9 @@ impl std::fmt::Display for Violation {
 }
 
 /// The invariant-checking observer. Attach to
-/// [`lsm_core::Engine::run_until_observed`]; call
-/// [`InvariantObserver::finish`] after the run for the final audit.
+/// [`lsm_core::Engine::run_until_observed`] (or hand one per engine to
+/// a scenario runner); the run's [`Observer::on_finish`] runs the final
+/// audit.
 #[derive(Debug, Default)]
 pub struct InvariantObserver {
     cfg: CheckConfig,
@@ -217,12 +220,6 @@ impl InvariantObserver {
     /// a "clean" run with zero checks checked nothing).
     pub fn checks_run(&self) -> u64 {
         self.checks
-    }
-
-    /// Run the final full audit against the post-run engine state.
-    pub fn finish(&mut self, eng: &Engine) {
-        self.deep_scan(eng, None);
-        self.cheap_audit(eng);
     }
 
     /// Panic with a digest of the first violations unless clean.
@@ -774,10 +771,6 @@ impl Observer for InvariantObserver {
         RunControl::Continue
     }
 
-    fn on_milestone(&mut self, _job: JobId, _m: Milestone, _now: SimTime) -> RunControl {
-        RunControl::Continue
-    }
-
     fn on_tick(&mut self, eng: &Engine) -> RunControl {
         self.ticks += 1;
         let mut control = self.cheap_audit(eng);
@@ -795,5 +788,12 @@ impl Observer for InvariantObserver {
             control = RunControl::Stop;
         }
         control
+    }
+
+    /// The final audit: a full chunk-version scan and the cheap laws,
+    /// on the state the run ended in.
+    fn on_finish(&mut self, eng: &Engine) {
+        self.deep_scan(eng, None);
+        self.cheap_audit(eng);
     }
 }

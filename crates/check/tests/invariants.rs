@@ -47,7 +47,6 @@ fn clean_migration_upholds_every_law() {
         sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
         let mut obs = checker();
         sim.run_until_observed(secs(600.0), &mut obs);
-        obs.finish(&sim);
         assert!(
             obs.checks_run() > 1000,
             "{}: audit barely ran",
@@ -83,7 +82,6 @@ fn faulted_migrations_uphold_every_law() {
         .expect("valid");
     let mut obs = checker();
     sim.run_until_observed(secs(600.0), &mut obs);
-    obs.finish(&sim);
     obs.assert_clean("fault cocktail");
 }
 
@@ -109,7 +107,6 @@ fn capped_orchestrated_run_upholds_every_law() {
         .expect("request");
     let mut obs = checker();
     let report = sim.run_until_observed(secs(900.0), &mut obs);
-    obs.finish(&sim);
     obs.assert_clean("capped orchestrated run");
     assert!(
         report.migrations.iter().all(|m| m.completed),
@@ -273,7 +270,6 @@ fn destination_crash_replans_and_completes_cleanly() {
         .expect("valid");
     let mut obs = checker();
     let report = sim.run_until_observed(secs(600.0), &mut obs);
-    obs.finish(&sim);
     obs.assert_clean("crash replan");
     assert_eq!(report.migrations.len(), 1);
     assert!(
@@ -333,7 +329,6 @@ fn degraded_destination_replans_cleanly() {
     sim.schedule_migration(vm, 1, secs(1.5)).expect("job");
     let mut obs = checker();
     let report = sim.run_until_observed(secs(600.0), &mut obs);
-    obs.finish(&sim);
     obs.assert_clean("degraded replan");
     assert!(
         report.rebalance.iter().any(|a| matches!(
@@ -392,7 +387,6 @@ fn checker_detects_rebalance_threshold_violation() {
     });
     let mut obs = checker();
     sim.run_until_observed(secs(10.0), &mut obs);
-    obs.finish(&sim);
     assert!(!obs.is_clean(), "impossible trigger must be flagged");
     assert!(
         obs.violations()
@@ -437,7 +431,6 @@ fn checker_detects_rebalance_ping_pong() {
     }
     let mut obs = checker();
     sim.run_until_observed(secs(10.0), &mut obs);
-    obs.finish(&sim);
     assert!(
         !obs.is_clean(),
         "repeat move inside cooldown must be flagged"
@@ -486,7 +479,8 @@ fn checker_detects_requeue_without_replan() {
         "the transition itself is provisionally legal"
     );
     // No autonomic config, no actions: the regression cannot trace.
-    obs.finish(&sim);
+    // No run drives this checker, so it closes itself.
+    obs.on_finish(&sim);
     assert!(!obs.is_clean());
     assert!(
         obs.violations()
@@ -647,7 +641,6 @@ fn throttled_successor_is_not_blamed_on_a_cancelled_job() {
         .expect("a successor is legal after a terminal job");
     let mut obs = checker();
     let report = sim.run_until_observed(secs(300.0), &mut obs);
-    obs.finish(&sim);
     obs.assert_clean("throttled successor of a cancelled job");
     let row = report
         .resilience
@@ -716,7 +709,6 @@ fn qos_shaped_run_upholds_every_law() {
         sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
         let mut obs = checker();
         let report = sim.run_until_observed(secs(600.0), &mut obs);
-        obs.finish(&sim);
         obs.assert_clean(strategy.label());
         assert!(report.migrations[0].completed, "{}", strategy.label());
         assert!(

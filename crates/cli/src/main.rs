@@ -24,8 +24,9 @@ use lsm_core::engine::{JobId, MigrationProgress, MigrationStatus, Milestone};
 use lsm_core::engine::{Observer, RunControl};
 use lsm_core::policy::StrategyKind;
 use lsm_core::RunReport;
-use lsm_experiments::scenario::{run_scenario, run_scenario_observed, ScenarioSpec};
+use lsm_experiments::scenario::{run_scenario_with, ScenarioRun, ScenarioSpec};
 use lsm_experiments::{ablations, fig3, fig4, fig5, Scale};
+use lsm_netsim::SolverMode;
 use lsm_simcore::time::SimTime;
 use serde::Serialize;
 use std::process::ExitCode;
@@ -340,64 +341,24 @@ fn emit(tables: &[lsm_experiments::table::Table], csv: bool) {
 
 // ---------------- `lsm run` ----------------
 
-/// Prints every job status change and milestone as the run progresses.
-struct ProgressPrinter;
+/// The observer of one engine: `--progress` lines and the `--check`
+/// invariant checker, each when asked for. A sharded run has one per
+/// shard.
+struct Watch {
+    progress: bool,
+    check: Option<lsm_check::InvariantObserver>,
+}
 
-impl Observer for ProgressPrinter {
-    fn on_status(
-        &mut self,
-        job: JobId,
-        status: MigrationStatus,
-        now: SimTime,
-        progress: &MigrationProgress,
-    ) -> RunControl {
-        println!(
-            "[{:>9.3}s] job {} (vm {}): {} — {} rounds, {}/{} chunks pushed/pulled, {} remaining",
-            now.as_secs_f64(),
-            job.0,
-            progress.vm,
-            status.label(),
-            progress.mem_rounds,
-            progress.chunks_pushed,
-            progress.chunks_pulled,
-            progress.chunks_remaining,
-        );
-        RunControl::Continue
-    }
-
-    fn on_milestone(&mut self, job: JobId, milestone: Milestone, now: SimTime) -> RunControl {
-        if milestone == Milestone::PlannerDeferred {
-            // Distinct from engine-queued (start time not reached):
-            // this job is ready but held by the admission cap.
-            println!(
-                "[{:>9.3}s] job {}: planner-queued (admission cap reached)",
-                now.as_secs_f64(),
-                job.0
-            );
-        } else if let Milestone::RetryBackoff { attempt, max } = milestone {
-            // Distinct from planner-queued and engine-queued: this job
-            // failed and is waiting out its backoff before a re-try.
-            println!(
-                "[{:>9.3}s] job {}: backing off (retry {attempt}/{max})",
-                now.as_secs_f64(),
-                job.0
-            );
-        } else if !matches!(milestone, Milestone::MemRound(_)) {
-            println!(
-                "[{:>9.3}s] job {}: {:?}",
-                now.as_secs_f64(),
-                job.0,
-                milestone
-            );
+impl Watch {
+    fn new(progress: bool, check: bool) -> Self {
+        Watch {
+            progress,
+            check: check.then(lsm_check::InvariantObserver::new),
         }
-        RunControl::Continue
     }
 }
 
-/// Forwards callbacks to both observers; either can stop the run.
-struct Chain<'a>(&'a mut dyn Observer, &'a mut dyn Observer);
-
-impl Observer for Chain<'_> {
+impl Observer for Watch {
     fn on_status(
         &mut self,
         job: JobId,
@@ -405,142 +366,72 @@ impl Observer for Chain<'_> {
         now: SimTime,
         progress: &MigrationProgress,
     ) -> RunControl {
-        let a = self.0.on_status(job, status, now, progress);
-        let b = self.1.on_status(job, status, now, progress);
-        if a == RunControl::Stop || b == RunControl::Stop {
-            RunControl::Stop
-        } else {
-            RunControl::Continue
+        if self.progress {
+            println!(
+                "[{:>9.3}s] job {} (vm {}): {} — {} rounds, {}/{} chunks pushed/pulled, {} remaining",
+                now.as_secs_f64(),
+                job.0,
+                progress.vm,
+                status.label(),
+                progress.mem_rounds,
+                progress.chunks_pushed,
+                progress.chunks_pulled,
+                progress.chunks_remaining,
+            );
         }
+        self.check.on_status(job, status, now, progress)
     }
 
     fn on_milestone(&mut self, job: JobId, milestone: Milestone, now: SimTime) -> RunControl {
-        let a = self.0.on_milestone(job, milestone, now);
-        let b = self.1.on_milestone(job, milestone, now);
-        if a == RunControl::Stop || b == RunControl::Stop {
-            RunControl::Stop
-        } else {
-            RunControl::Continue
+        if self.progress {
+            let (at, job) = (now.as_secs_f64(), job.0);
+            match milestone {
+                // Distinct from engine-queued (start time not reached):
+                // this job is ready but held by the admission cap.
+                Milestone::PlannerDeferred => {
+                    println!("[{at:>9.3}s] job {job}: planner-queued (admission cap reached)")
+                }
+                // Distinct from planner-queued and engine-queued: this
+                // job failed and is waiting out its backoff before a
+                // re-try.
+                Milestone::RetryBackoff { attempt, max } => {
+                    println!("[{at:>9.3}s] job {job}: backing off (retry {attempt}/{max})")
+                }
+                Milestone::MemRound(_) => {}
+                _ => println!("[{at:>9.3}s] job {job}: {milestone:?}"),
+            }
         }
+        self.check.on_milestone(job, milestone, now)
     }
 
     fn on_tick(&mut self, eng: &lsm_core::Engine) -> RunControl {
-        let a = self.0.on_tick(eng);
-        let b = self.1.on_tick(eng);
-        if a == RunControl::Stop || b == RunControl::Stop {
-            RunControl::Stop
-        } else {
-            RunControl::Continue
-        }
+        self.check.on_tick(eng)
+    }
+
+    fn on_finish(&mut self, eng: &lsm_core::Engine) {
+        self.check.on_finish(eng);
     }
 }
 
-/// A finished run: its report, and under `--check` its finished
-/// invariant checkers (one per shard on the sharded path) and the
-/// shard count.
-struct Run {
-    report: RunReport,
-    checkers: Vec<lsm_check::InvariantObserver>,
+/// Print `--check`'s verdict, pooled over the run's checkers (one per
+/// shard on a sharded run). A clean line goes to stderr under `--json`,
+/// which owns stdout; violations fail the command.
+fn print_verdict(
+    run: &ScenarioRun<Watch>,
     shards: Option<usize>,
-}
-
-/// The sharded run path: partition the scenario into independent node
-/// components and run them on `threads` worker threads. Returns
-/// `Ok(None)` — without printing anything — when the partitioner
-/// rejects the scenario, so the caller can fall back to the monolithic
-/// engine. Under `--check`, one invariant checker audits each shard;
-/// without it the shards run unobserved.
-fn run_sharded(
-    spec: &ScenarioSpec,
-    check: bool,
-    threads: usize,
-) -> Result<Option<Run>, UsageError> {
-    use lsm_experiments::shard;
-    let sharded = shard::run_scenario_sharded_observed(
-        spec,
-        threads,
-        lsm_netsim::SolverMode::default(),
-        || check.then(lsm_check::InvariantObserver::new),
-    )
-    .map_err(|e| UsageError(format!("scenario rejected: {e}")))?;
-    let run = match sharded {
-        Ok(run) => run,
-        Err(reasons) => {
-            eprintln!(
-                "note: not shardable ({}); running monolithic",
-                shard::render_rejections(&reasons)
-            );
-            return Ok(None);
-        }
-    };
-    let nshards = run.shards.len();
-    eprintln!(
-        "sharded: {} component(s) on {} thread(s)",
-        nshards,
-        threads.min(nshards)
-    );
-    let checkers = run
-        .shards
-        .into_iter()
-        .filter_map(|(shard, checker)| {
-            checker.map(|mut c| {
-                c.finish(&shard.engine);
-                c
-            })
-        })
-        .collect();
-    Ok(Some(Run {
-        report: run.report,
-        checkers,
-        shards: Some(nshards),
-    }))
-}
-
-/// The monolithic run path, with `--progress` lines and the `--check`
-/// checker as asked.
-fn run_monolithic(spec: &ScenarioSpec, check: bool, progress: bool) -> Result<Run, UsageError> {
-    if !(spec.horizon_secs.is_finite() && spec.horizon_secs >= 0.0) {
-        return Err(UsageError(format!(
-            "invalid horizon_secs: {}",
-            spec.horizon_secs
-        )));
-    }
-    let mut eng = lsm_experiments::scenario::build_scenario(spec)
-        .map_err(|e| UsageError(format!("scenario rejected: {e}")))?
-        .into_engine();
-    let mut checker = check.then(lsm_check::InvariantObserver::new);
-    let horizon = SimTime::from_secs_f64(spec.horizon_secs);
-    let report = if progress {
-        eng.run_until_observed(horizon, &mut Chain(&mut ProgressPrinter, &mut checker))
-    } else {
-        eng.run_until_observed(horizon, &mut checker)
-    };
-    // The final full audit inspects the post-run engine state.
-    if let Some(c) = checker.as_mut() {
-        c.finish(&eng);
-    }
-    Ok(Run {
-        report,
-        checkers: checker.into_iter().collect(),
-        shards: None,
-    })
-}
-
-/// Print `--check`'s verdict, pooled over the run's checkers. A clean
-/// line goes to stderr under `--json`, which owns stdout; violations
-/// fail the command.
-fn print_verdict(run: &Run, json: bool) -> Result<(), UsageError> {
-    let checks: u64 = run.checkers.iter().map(|c| c.checks_run()).sum();
-    let bad: u64 = run.checkers.iter().map(|c| c.total_violations()).sum();
+    json: bool,
+) -> Result<(), UsageError> {
+    let checkers = || run.observers.iter().filter_map(|w| w.check.as_ref());
+    let checks: u64 = checkers().map(|c| c.checks_run()).sum();
+    let bad: u64 = checkers().map(|c| c.total_violations()).sum();
     if bad > 0 {
         eprintln!("  invariants: {bad} violation(s):");
-        for v in run.checkers.iter().flat_map(|c| c.violations()).take(16) {
+        for v in checkers().flat_map(|c| c.violations()).take(16) {
             eprintln!("    {v}");
         }
         return Err(UsageError("invariant violations detected".to_string()));
     }
-    let shards = run
-        .shards
+    let shards = shards
         .map(|n| format!(", {n} shard(s)"))
         .unwrap_or_default();
     let line = format!(
@@ -625,23 +516,27 @@ fn cmd_run(
         threads
     };
 
-    let sharded = if threads > 1 {
-        run_sharded(&spec, check, threads)?
-    } else {
-        None
-    };
-    // Partitioner said no (or --threads 1) — monolithic engine.
-    let run = match sharded {
-        Some(run) => run,
-        None => run_monolithic(&spec, check, progress)?,
-    };
+    let run = run_scenario_with(&spec, threads, SolverMode::default(), || {
+        Watch::new(progress, check)
+    })
+    .map_err(|e| UsageError(format!("scenario rejected: {e}")))?;
+    if !run.not_sharded.is_empty() {
+        eprintln!(
+            "note: not shardable ({}); running monolithic",
+            lsm_experiments::shard::render_rejections(&run.not_sharded)
+        );
+    }
+    let shards = (threads > 1 && run.not_sharded.is_empty()).then_some(run.observers.len());
+    if let Some(n) = shards {
+        eprintln!("sharded: {n} component(s) on {} thread(s)", threads.min(n));
+    }
     if json {
         println!("{}", report_json(&run.report, lint_diags.as_deref())?);
     } else {
         print_report(&spec, &run.report);
     }
     if check {
-        print_verdict(&run, json)?;
+        print_verdict(&run, shards, json)?;
     }
     Ok(())
 }
@@ -1004,12 +899,11 @@ fn demo(strategy: StrategyKind, quiet: bool) {
     let spec = ScenarioSpec::single_migration(strategy, WorkloadSpec::async_wr_short(), 20.0)
         .with_horizon(400.0)
         .with_name("demo");
-    let r = if quiet {
-        run_scenario(&spec)
-    } else {
-        run_scenario_observed(&spec, &mut ProgressPrinter)
-    }
-    .expect("demo scenario is valid");
+    let r = run_scenario_with(&spec, 1, SolverMode::default(), || {
+        Watch::new(!quiet, false)
+    })
+    .expect("demo scenario is valid")
+    .report;
     let m = r.the_migration();
     println!("  status              : {}", m.status.label());
     println!(

@@ -425,6 +425,29 @@ fn progress_pins_the_monolith_with_a_note() {
 }
 
 #[test]
+fn bad_horizon_reads_the_same_at_any_thread_count() {
+    // Demo shards into two components at --threads 2 and runs one
+    // engine at --threads 1; one horizon check words both.
+    let demo = std::fs::read_to_string(repo_root().join("scenarios/demo.toml")).unwrap();
+    let bad = demo.replacen("horizon_secs = 300.0", "horizon_secs = -1.0", 1);
+    assert_ne!(bad, demo, "demo.toml names its horizon");
+    let path = std::env::temp_dir().join("lsm-cli-test-bad-horizon.toml");
+    std::fs::write(&path, bad).unwrap();
+    let path = path.to_str().unwrap();
+    let [serial, threaded] = ["1", "2"].map(|t| lsm(&["run", path, "--threads", t]));
+    std::fs::remove_file(path).ok();
+    for out in [&serial, &threaded] {
+        assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(out));
+        assert!(
+            stderr(out).starts_with("error: scenario rejected: invalid horizon timestamp: -1\n"),
+            "{}",
+            stderr(out)
+        );
+    }
+    assert_eq!(stderr(&serial), stderr(&threaded));
+}
+
+#[test]
 fn run_deadline_scenario_reports_deadline_reason() {
     let scenario = repo_root().join("scenarios/fault_deadline.toml");
     let out = lsm(&["run", scenario.to_str().unwrap(), "--json"]);

@@ -380,17 +380,21 @@ impl Engine {
     /// change and migration milestone to `obs` as it happens. The
     /// observer can stop the run early by returning
     /// [`RunControl::Stop`]; the report then reflects the state at the
-    /// abort instant.
+    /// abort instant. Either way the run ends with one
+    /// [`Observer::on_finish`], after the report is built.
     pub fn run_until_observed(&mut self, horizon: SimTime, obs: &mut dyn Observer) -> RunReport {
         let stopped = self.step_until(horizon, obs) == RunControl::Stop;
-        self.finish_run(horizon, stopped)
+        let report = self.finish_run(horizon, stopped);
+        obs.on_finish(self);
+        report
     }
 
     /// Process every pending event with time ≤ `until`, delivering
     /// observer callbacks, and return whether the observer stopped the
     /// run. This is the windowed building block of the sharded runner:
     /// a shard steps to each window barrier in turn, and a full run is
-    /// one `step_until(horizon)` followed by [`Engine::finish_run`].
+    /// one `step_until(horizon)` followed by [`Engine::finish_run`] and
+    /// the observer's [`Observer::on_finish`].
     ///
     /// Unlike a finished run, this does **not** move the clock to
     /// `until` — the clock stays at the last processed event, so a
@@ -416,7 +420,8 @@ impl Engine {
     /// Close out a run that was stepped to `horizon` with
     /// [`Engine::step_until`]: move the clock to the horizon (unless an
     /// observer aborted, in which case the report reflects the abort
-    /// instant), settle the network clock, and build the report.
+    /// instant), settle the network clock, and build the report. The
+    /// caller that holds the observer calls its [`Observer::on_finish`].
     pub fn finish_run(&mut self, horizon: SimTime, stopped: bool) -> RunReport {
         if !stopped {
             self.now = horizon;

@@ -1,4 +1,5 @@
-//! Run observers: milestone callbacks and cooperative abort.
+//! Run observers: milestone callbacks, cooperative abort, and a hook
+//! that closes the run.
 //!
 //! An [`Observer`] is handed to [`crate::engine::Engine::run_until_observed`]
 //! and receives every job status change and lifecycle milestone as it
@@ -6,7 +7,10 @@
 //! Returning [`RunControl::Stop`] from any callback aborts the run at
 //! the current simulated instant; the report then reflects the partial
 //! state — callers can watch, log, or cancel instead of waiting for a
-//! post-hoc `RunReport`.
+//! post-hoc `RunReport`. Every run, stopped or not, ends with one
+//! [`Observer::on_finish`] on the engine it leaves behind, so an
+//! observer's closing work (`lsm-check`'s final audit) runs without its
+//! caller holding the engine.
 
 use super::job::{JobId, MigrationProgress, MigrationStatus};
 use super::report::Milestone;
@@ -21,7 +25,8 @@ pub enum RunControl {
     Stop,
 }
 
-/// Callbacks invoked by the engine while a run is in flight.
+/// Callbacks invoked by the engine while a run is in flight, and once
+/// when it ends.
 ///
 /// All methods default to no-ops that continue the run, so an observer
 /// implements only what it cares about.
@@ -56,6 +61,14 @@ pub trait Observer {
         let _ = eng;
         RunControl::Continue
     }
+
+    /// Called once when the run ends, after its report is built, with
+    /// the engine in the state the run ended in: at the horizon, or at
+    /// the instant an observer stopped it. The sharded runner calls it
+    /// once per shard, on that shard's engine.
+    fn on_finish(&mut self, eng: &crate::engine::Engine) {
+        let _ = eng;
+    }
 }
 
 /// The do-nothing observer used by plain `run_until`.
@@ -87,6 +100,12 @@ impl<O: Observer> Observer for Option<O> {
     fn on_tick(&mut self, eng: &crate::engine::Engine) -> RunControl {
         self.as_mut()
             .map_or(RunControl::Continue, |o| o.on_tick(eng))
+    }
+
+    fn on_finish(&mut self, eng: &crate::engine::Engine) {
+        if let Some(o) = self {
+            o.on_finish(eng);
+        }
     }
 }
 

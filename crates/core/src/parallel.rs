@@ -35,9 +35,7 @@
 //! pinned by `lsm`'s determinism suite at `--threads 1/2/8` under both
 //! solver modes.
 
-use crate::engine::{
-    Engine, MigrationRecord, NullObserver, Observer, RunControl, RunReport, VmRecord,
-};
+use crate::engine::{Engine, MigrationRecord, Observer, RunControl, RunReport, VmRecord};
 use lsm_netsim::TrafficTag;
 use lsm_simcore::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,26 +95,13 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Run `shards` to `horizon` and merge the results. Convenience wrapper
-/// of [`run_sharded_observed`] with null observers, discarding the
-/// finished shard engines.
-pub fn run_sharded(
-    shards: Vec<Shard>,
-    shape: FleetShape,
-    horizon: SimTime,
-    opts: ParallelOpts,
-) -> RunReport {
-    let observers = shards.iter().map(|_| NullObserver).collect();
-    run_sharded_observed(shards, observers, shape, horizon, opts).0
-}
-
 /// Run every shard to `horizon` in bounded windows on `opts.threads`
 /// workers, with one observer per shard (`observers[i]` watches
 /// `shards[i]` — e.g. a per-shard invariant checker), and merge the
-/// shard reports into the fleet-wide [`RunReport`]. Returns the merged
-/// report and the finished `(shard, observer)` pairs so callers can
-/// audit per-shard state (`lsm run --check` finalizes each checker
-/// against its shard engine).
+/// shard reports into the fleet-wide [`RunReport`]. Each observer's
+/// [`Observer::on_finish`] runs on its shard's engine right after that
+/// shard's report is built. Returns the merged report and the finished
+/// `(shard, observer)` pairs.
 ///
 /// If any observer stops its shard, the remaining shards halt at the
 /// next window barrier and the merged report reflects the partial run.
@@ -195,8 +180,9 @@ pub fn run_sharded_observed<O: Observer + Send>(
     let mut finished = Vec::with_capacity(slots.len());
     let mut reports = Vec::with_capacity(slots.len());
     for slot in slots {
-        let (mut shard, obs, stopped) = slot.into_inner().expect("shard lock");
+        let (mut shard, mut obs, stopped) = slot.into_inner().expect("shard lock");
         reports.push(shard.engine.finish_run(horizon, stopped));
+        obs.on_finish(&shard.engine);
         finished.push((shard, obs));
     }
     let merged = merge_reports(&finished, &reports, &shape, horizon);

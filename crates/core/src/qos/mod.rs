@@ -4,13 +4,15 @@
 //! The paper's hybrid scheme wins by bounding migration interference
 //! with the guest's own I/O; this module makes that bound an explicit,
 //! tunable contract. A [`QosConfig`] (the `[qos]` scenario section)
-//! shapes every migration in the run three ways: a per-migration
-//! **bandwidth cap** holds the transfer's aggregate wire rate below its
-//! max–min NIC share, **multifd streams** split each memory copy into N
-//! concurrent flows with deterministic sharding and merged progress
-//! accounting, and a **compression** model shrinks wire bytes by a
-//! per-traffic-class ratio at a guest CPU cost that feeds the
-//! auto-converge throttle model.
+//! shapes every migration in the run three ways: a **bandwidth cap**
+//! holds each migration flow's wire rate below its max–min NIC share
+//! (a memory copy's multifd shards split it, every storage batch flow
+//! gets all of it, so one migration's flows together can exceed it),
+//! **multifd streams** split each memory copy into N concurrent flows
+//! with deterministic sharding and merged progress accounting, and a
+//! **compression** model shrinks wire bytes by a per-traffic-class
+//! ratio at a guest CPU cost that feeds the auto-converge throttle
+//! model.
 //!
 //! The user-visible price of a migration is not wire traffic but
 //! SLA-violation time (Voorsluys et al.): the seconds the guest was
@@ -39,11 +41,14 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct QosConfig {
-    /// Per-migration wire ceiling, MB/s (the unit
-    /// `ClusterConfig` quotes NIC speeds in): the *aggregate* rate of
-    /// one migration's memory + storage flows never exceeds this, even
-    /// when the max–min NIC share would allow more. `None` leaves the
-    /// historical per-flow caps in place.
+    /// Wire ceiling per migration flow, MB/s (the unit `ClusterConfig`
+    /// quotes NIC speeds in), even when the max–min NIC share would
+    /// allow more. A memory copy's shards split
+    /// `min(migration_speed_cap, cap)` between them; every storage push
+    /// or pull batch flow gets the whole cap. The cap binds each flow,
+    /// not their sum: a migration with a memory copy and storage
+    /// batches in flight at once moves more than the cap in total.
+    /// `None` leaves the historical per-flow caps in place.
     pub bandwidth_cap_mb: Option<f64>,
     /// Multifd-style parallel memory streams: each memory copy (the
     /// pre-copy, linger and deferral rounds, the stop-and-copy, the

@@ -9,14 +9,25 @@
 //! the equivalent engine-API program. Multi-VM, multi-migration and
 //! mixed-strategy scenarios are first-class: each VM may override the
 //! scenario-wide default strategy.
+//!
+//! Two calls run a spec. [`run_scenario`] returns the report.
+//! [`run_scenario_with`] picks the network solver and the thread count,
+//! and watches every engine with an observer of its own: it shards the
+//! spec when more than one thread is asked for and [`partition`] admits
+//! it, and runs one engine otherwise. The reports are byte-identical
+//! either way, and every observer comes back finished
+//! ([`Observer::on_finish`] has run on its engine).
 
+use crate::shard::{partition, ShardRejection};
 use lsm_core::config::ClusterConfig;
-use lsm_core::engine::Observer;
+use lsm_core::engine::{NullObserver, Observer};
 use lsm_core::error::EngineError;
+use lsm_core::parallel::{run_sharded_observed, FleetShape, ParallelOpts, Shard};
 use lsm_core::planner::{OrchestratorConfig, RequestIntent};
 use lsm_core::policy::StrategyKind;
 use lsm_core::AutonomicConfig;
 use lsm_core::{Engine, FaultKind, QosConfig, ResilienceConfig, RunReport};
+use lsm_netsim::SolverMode;
 use lsm_simcore::time::{SimDuration, SimTime};
 use lsm_workloads::WorkloadSpec;
 use serde::{Deserialize, Serialize};
@@ -280,6 +291,12 @@ impl ScenarioSpec {
         self.cancellations.as_deref().unwrap_or(&[])
     }
 
+    /// The horizon as a simulated instant; a negative or non-finite
+    /// `horizon_secs` is an error.
+    pub fn horizon(&self) -> Result<SimTime, EngineError> {
+        secs("horizon", self.horizon_secs)
+    }
+
     /// The effective cluster configuration.
     pub fn cluster_config(&self) -> ClusterConfig {
         self.cluster
@@ -430,49 +447,84 @@ pub fn build_scenario(spec: &ScenarioSpec) -> Result<Simulation, EngineError> {
 
 /// Build, run to the horizon, and report.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<RunReport, EngineError> {
-    let mut eng = build_scenario(spec)?.into_engine();
-    Ok(eng.run_until(secs("horizon", spec.horizon_secs)?))
+    run_scenario_with(spec, 1, SolverMode::default(), || NullObserver).map(|run| run.report)
 }
 
-/// Like [`run_scenario`], but forcing the network rate solver — used by
-/// the solver-equivalence tests, which run the same scenario under
-/// [`lsm_netsim::SolverMode::Incremental`] and
-/// [`lsm_netsim::SolverMode::Reference`] and assert the serialized
-/// [`RunReport`]s (rates, traffic, milestone timelines, event counts)
-/// are bit-identical.
-pub fn run_scenario_with_solver(
-    spec: &ScenarioSpec,
-    solver: lsm_netsim::SolverMode,
-) -> Result<RunReport, EngineError> {
-    let mut eng = build_scenario(spec)?.into_engine();
-    eng.set_solver_mode(solver);
-    Ok(eng.run_until(secs("horizon", spec.horizon_secs)?))
+/// A finished [`run_scenario_with`].
+pub struct ScenarioRun<O> {
+    /// The fleet-wide report.
+    pub report: RunReport,
+    /// One finished observer per engine: one for a monolithic run, one
+    /// per shard, in shard order, for a sharded one.
+    pub observers: Vec<O>,
+    /// Why the spec ran on one engine although more than one thread was
+    /// asked for (every rule [`partition`] found broken); empty when it
+    /// sharded or when one thread was asked for.
+    pub not_sharded: Vec<ShardRejection>,
 }
 
-/// Like [`run_scenario`], with observer callbacks on every job status
-/// change and milestone.
-pub fn run_scenario_observed(
+/// Build and run a spec under `solver`, each engine watched by an
+/// observer from `make_obs`. With `threads > 1` and a spec that
+/// [`partition`] admits, the shards run on up to `threads` workers;
+/// otherwise one engine runs. Build errors come before horizon errors.
+pub fn run_scenario_with<O, F>(
     spec: &ScenarioSpec,
-    obs: &mut dyn Observer,
-) -> Result<RunReport, EngineError> {
-    let mut eng = build_scenario(spec)?.into_engine();
-    Ok(eng.run_until_observed(secs("horizon", spec.horizon_secs)?, obs))
-}
-
-/// Observed run under an explicit solver — what the scenario fuzzer
-/// uses: the same random cluster/fault plan under both [`SolverMode`]s,
-/// each watched by an invariant checker, asserting report identity and
-/// invariant cleanliness.
-///
-/// [`SolverMode`]: lsm_netsim::SolverMode
-pub fn run_scenario_observed_with_solver(
-    spec: &ScenarioSpec,
-    solver: lsm_netsim::SolverMode,
-    obs: &mut dyn Observer,
-) -> Result<RunReport, EngineError> {
-    let mut eng = build_scenario(spec)?.into_engine();
-    eng.set_solver_mode(solver);
-    Ok(eng.run_until_observed(secs("horizon", spec.horizon_secs)?, obs))
+    threads: usize,
+    solver: SolverMode,
+    mut make_obs: F,
+) -> Result<ScenarioRun<O>, EngineError>
+where
+    O: Observer + Send,
+    F: FnMut() -> O,
+{
+    let subs = if threads > 1 {
+        partition(spec)
+    } else {
+        Err(Vec::new())
+    };
+    let subs = match subs {
+        Ok(subs) => subs,
+        Err(not_sharded) => {
+            let mut eng = build_scenario(spec)?.into_engine();
+            eng.set_solver_mode(solver);
+            let horizon = spec.horizon()?;
+            let mut obs = make_obs();
+            let report = eng.run_until_observed(horizon, &mut obs);
+            return Ok(ScenarioRun {
+                report,
+                observers: vec![obs],
+                not_sharded,
+            });
+        }
+    };
+    let mut shards = Vec::with_capacity(subs.len());
+    for sub in subs {
+        let mut engine = build_scenario(&sub.spec)?.into_engine();
+        engine.set_solver_mode(solver);
+        shards.push(Shard {
+            engine,
+            vms: sub.vms,
+            jobs: sub.jobs,
+            nodes: sub.nodes,
+        });
+    }
+    let horizon = spec.horizon()?;
+    let observers = shards.iter().map(|_| make_obs()).collect();
+    let shape = FleetShape {
+        vms: spec.vms.len() as u32,
+        jobs: spec.migrations.len() as u32,
+        switch_capacity: spec.cluster_config().switch_bw,
+    };
+    let opts = ParallelOpts {
+        threads,
+        ..ParallelOpts::default()
+    };
+    let (report, finished) = run_sharded_observed(shards, observers, shape, horizon, opts);
+    Ok(ScenarioRun {
+        report,
+        observers: finished.into_iter().map(|(_, obs)| obs).collect(),
+        not_sharded: Vec::new(),
+    })
 }
 
 #[cfg(test)]
@@ -633,6 +685,118 @@ mod tests {
         let text = spec.to_json().expect("serializes");
         let back = ScenarioSpec::from_json(&text).expect("parses");
         assert_eq!(back, spec);
+    }
+
+    /// Counts its `on_finish` calls; with `stop`, stops the run at its
+    /// engine's first job status change.
+    #[derive(Default)]
+    struct Finishes {
+        stop: bool,
+        finished: u32,
+    }
+
+    impl Observer for Finishes {
+        fn on_status(
+            &mut self,
+            _job: lsm_core::JobId,
+            _status: lsm_core::MigrationStatus,
+            _now: SimTime,
+            _progress: &lsm_core::MigrationProgress,
+        ) -> lsm_core::RunControl {
+            if self.stop {
+                lsm_core::RunControl::Stop
+            } else {
+                lsm_core::RunControl::Continue
+            }
+        }
+
+        fn on_finish(&mut self, _eng: &Engine) {
+            self.finished += 1;
+        }
+    }
+
+    fn finishes(run: &ScenarioRun<Finishes>) -> Vec<u32> {
+        run.observers.iter().map(|o| o.finished).collect()
+    }
+
+    #[test]
+    fn a_one_engine_run_finishes_its_observer_once() {
+        let run = run_scenario_with(&small_single(), 1, SolverMode::default(), Finishes::default)
+            .expect("runs");
+        assert_eq!(finishes(&run), [1]);
+        assert!(run.not_sharded.is_empty());
+    }
+
+    #[test]
+    fn a_sharded_run_finishes_each_shard_observer_once() {
+        let spec = crate::stress::scale1024_quick_spec();
+        let run =
+            run_scenario_with(&spec, 2, SolverMode::default(), Finishes::default).expect("runs");
+        assert!(run.not_sharded.is_empty(), "{:?}", run.not_sharded);
+        assert_eq!(finishes(&run), [1; 32]);
+    }
+
+    #[test]
+    fn a_stopped_run_still_finishes_its_observer_once() {
+        let stop = || Finishes {
+            stop: true,
+            finished: 0,
+        };
+        let run = run_scenario_with(&small_single(), 1, SolverMode::default(), stop).expect("runs");
+        assert_eq!(finishes(&run), [1]);
+        assert!(
+            run.report.horizon < SimTime::from_secs_f64(2.0),
+            "stopped at the migration's first status change, not at {:?}",
+            run.report.horizon
+        );
+    }
+
+    #[test]
+    fn an_unshardable_spec_runs_one_engine_and_says_why() {
+        let run = run_scenario_with(&small_single(), 2, SolverMode::default(), Finishes::default)
+            .expect("runs");
+        assert_eq!(run.not_sharded, [ShardRejection::SingleComponent]);
+        assert_eq!(finishes(&run), [1]);
+        assert_eq!(
+            serde_json::to_string(&run.report).expect("serializes"),
+            serde_json::to_string(&run_scenario(&small_single()).expect("runs"))
+                .expect("serializes")
+        );
+    }
+
+    #[test]
+    fn build_errors_come_before_horizon_errors() {
+        // Two components ({0, 1} and {2, 3}): shardable at 2 threads.
+        let mut spec = small_single().with_horizon(-1.0);
+        spec.vms.push(VmSpec::new(2, spec.vms[0].workload.clone()));
+        spec.migrations.push(MigrationSpec {
+            vm: 1,
+            dest: 3,
+            ..spec.migrations[0].clone()
+        });
+        assert_eq!(partition(&spec).map(|subs| subs.len()), Ok(2));
+        for threads in [1, 2] {
+            let err = |spec: &ScenarioSpec| {
+                run_scenario_with(spec, threads, SolverMode::default(), || NullObserver)
+                    .err()
+                    .expect("rejected")
+            };
+            assert!(matches!(
+                err(&spec),
+                EngineError::InvalidTime { ref what, .. } if what == "horizon"
+            ));
+            let mut too_big = spec.clone();
+            too_big.vms[1].workload = WorkloadSpec::SeqWrite {
+                offset: 0,
+                total: 10 << 30,
+                block: MIB,
+                think_secs: 0.0,
+            };
+            assert!(matches!(
+                err(&too_big),
+                EngineError::WorkloadExceedsImage { .. }
+            ));
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! traffic provably never leaves the component — and emits one
 //! sub-scenario per component, each a complete, self-contained spec
 //! over the component's nodes re-indexed densely in ascending global
-//! order. [`run_scenario_threaded_with_solver`] builds one engine per
-//! component and hands them to [`lsm_core::parallel::run_sharded`];
-//! anything the partitioner cannot prove independent falls back to the
-//! monolithic engine, whose behaviour is the definition of correct.
+//! order. [`run_scenario_with`](crate::scenario::run_scenario_with)
+//! builds one engine per component and hands them to
+//! [`lsm_core::parallel::run_sharded_observed`]; anything the
+//! partitioner cannot prove independent runs on the monolithic engine,
+//! whose behaviour is the definition of correct.
 //!
 //! The admission rules are deliberately conservative. A scenario
 //! shards only when:
@@ -38,14 +39,9 @@
 //! monolithic one — `lsm`'s determinism suite pins this at `--threads
 //! 1/2/8` under both solver modes.
 
-use crate::scenario::{build_scenario, run_scenario_with_solver, ScenarioSpec};
+use crate::scenario::ScenarioSpec;
 use lsm_core::config::ClusterConfig;
-use lsm_core::error::EngineError;
-use lsm_core::parallel::{run_sharded, run_sharded_observed, FleetShape, ParallelOpts, Shard};
 use lsm_core::policy::StrategyKind;
-use lsm_core::{Observer, RunReport};
-use lsm_netsim::SolverMode;
-use lsm_simcore::time::SimTime;
 
 /// One component of a partitioned scenario: a self-contained spec over
 /// the component's nodes plus the maps back to global identity.
@@ -409,113 +405,4 @@ pub fn partition(spec: &ScenarioSpec) -> Result<Vec<SubScenario>, Vec<ShardRejec
         });
     }
     Ok(subs)
-}
-
-/// Build the per-component shard engines under `solver`.
-fn build_shards(subs: Vec<SubScenario>, solver: SolverMode) -> Result<Vec<Shard>, EngineError> {
-    let mut shards = Vec::with_capacity(subs.len());
-    for sub in subs {
-        let mut engine = build_scenario(&sub.spec)?.into_engine();
-        engine.set_solver_mode(solver);
-        shards.push(Shard {
-            engine,
-            vms: sub.vms,
-            jobs: sub.jobs,
-            nodes: sub.nodes,
-        });
-    }
-    Ok(shards)
-}
-
-fn shape_of(spec: &ScenarioSpec) -> FleetShape {
-    FleetShape {
-        vms: spec.vms.len() as u32,
-        jobs: spec.migrations.len() as u32,
-        switch_capacity: spec.cluster_config().switch_bw,
-    }
-}
-
-fn horizon_of(spec: &ScenarioSpec) -> Result<SimTime, EngineError> {
-    if !(spec.horizon_secs.is_finite() && spec.horizon_secs >= 0.0) {
-        return Err(EngineError::InvalidTime {
-            what: "horizon".to_string(),
-            value: spec.horizon_secs,
-        });
-    }
-    Ok(SimTime::from_secs_f64(spec.horizon_secs))
-}
-
-/// Run a scenario on `threads` worker threads under an explicit solver.
-/// `threads ≤ 1` — or any scenario the partitioner rejects — runs the
-/// monolithic engine; the two paths produce byte-identical reports.
-pub fn run_scenario_threaded_with_solver(
-    spec: &ScenarioSpec,
-    threads: usize,
-    solver: SolverMode,
-) -> Result<RunReport, EngineError> {
-    if threads <= 1 {
-        return run_scenario_with_solver(spec, solver);
-    }
-    let subs = match partition(spec) {
-        Ok(subs) => subs,
-        Err(_) => return run_scenario_with_solver(spec, solver),
-    };
-    let shards = build_shards(subs, solver)?;
-    let shape = shape_of(spec);
-    let horizon = horizon_of(spec)?;
-    Ok(run_sharded(
-        shards,
-        shape,
-        horizon,
-        ParallelOpts {
-            threads,
-            ..ParallelOpts::default()
-        },
-    ))
-}
-
-/// Outcome of a sharded observed run: the merged report plus each
-/// finished `(shard, observer)` pair, so callers can finalize per-shard
-/// audits (e.g. `lsm run --check` runs one invariant checker per shard
-/// and finishes each against its shard engine).
-pub struct ShardedRun<O> {
-    /// The merged fleet-wide report.
-    pub report: RunReport,
-    /// Finished shards with their observers, in shard order.
-    pub shards: Vec<(Shard, O)>,
-}
-
-/// Run a partitionable scenario sharded with one observer per shard,
-/// built by `make_obs` (called once per shard, in shard order).
-/// Returns `Err` with the partitioner's full rejection list if the
-/// scenario is not shardable — the caller decides how to fall back.
-pub fn run_scenario_sharded_observed<O, F>(
-    spec: &ScenarioSpec,
-    threads: usize,
-    solver: SolverMode,
-    mut make_obs: F,
-) -> Result<Result<ShardedRun<O>, Vec<ShardRejection>>, EngineError>
-where
-    O: Observer + Send,
-    F: FnMut() -> O,
-{
-    let subs = match partition(spec) {
-        Ok(subs) => subs,
-        Err(why) => return Ok(Err(why)),
-    };
-    let shards = build_shards(subs, solver)?;
-    let observers: Vec<O> = shards.iter().map(|_| make_obs()).collect();
-    let shape = shape_of(spec);
-    let horizon = horizon_of(spec)?;
-    let (report, shards) = run_sharded_observed(
-        shards,
-        observers,
-        shape,
-        horizon,
-        ParallelOpts {
-            threads: threads.max(1),
-            ..ParallelOpts::default()
-        },
-    );
-    Ok(Ok(ShardedRun { report, shards }))
 }

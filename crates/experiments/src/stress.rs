@@ -301,12 +301,12 @@ mod tests {
             assert!(m.completed, "vm {} migration incomplete", m.vm);
             assert_eq!(m.consistent, Some(true), "vm {} diverged", m.vm);
         }
-        let sharded = crate::shard::run_scenario_threaded_with_solver(
-            &spec,
-            4,
-            lsm_netsim::SolverMode::default(),
-        )
-        .expect("runs");
+        let sharded =
+            crate::scenario::run_scenario_with(&spec, 4, lsm_netsim::SolverMode::default(), || {
+                lsm_core::engine::NullObserver
+            })
+            .expect("runs")
+            .report;
         let a = serde_json::to_string_pretty(&mono).expect("serializes");
         let b = serde_json::to_string_pretty(&sharded).expect("serializes");
         if a != b {

@@ -44,7 +44,6 @@ fn hotspot_drill_balances_clean_under_check() {
         ..CheckConfig::default()
     });
     let report = sim.run_until_observed(SimTime::from_secs_f64(spec.horizon_secs), &mut obs);
-    obs.finish(&sim);
     obs.assert_clean("hotspot_drill.toml");
     assert!(obs.checks_run() > 10_000, "audit barely ran");
 
@@ -85,7 +84,6 @@ fn slow_drain_empties_the_node_clean_under_check() {
         ..CheckConfig::default()
     });
     let report = sim.run_until_observed(SimTime::from_secs_f64(spec.horizon_secs), &mut obs);
-    obs.finish(&sim);
     obs.assert_clean("slow_drain.toml");
 
     assert!(report

@@ -5,11 +5,12 @@
 //! whose argmin is the chosen strategy, and the whole decision log must
 //! be bit-identical across network solvers.
 
+use lsm_core::engine::NullObserver;
 use lsm_core::planner::PlannerKind;
 use lsm_core::policy::StrategyKind;
 use lsm_experiments::judge::judge_adaptive64;
 use lsm_experiments::orchestration::cost64_spec;
-use lsm_experiments::scenario::run_scenario_with_solver;
+use lsm_experiments::scenario::run_scenario_with;
 use lsm_netsim::SolverMode;
 
 /// The headline acceptance criterion: on the full 64-VM fleet, the
@@ -85,8 +86,11 @@ fn qos_shaping_trades_makespan_for_lower_sla() {
 #[test]
 fn cost64_decisions_carry_argmin_estimates_and_match_across_solvers() {
     let spec = cost64_spec();
-    let incremental = run_scenario_with_solver(&spec, SolverMode::Incremental).expect("runs");
-    let reference = run_scenario_with_solver(&spec, SolverMode::Reference).expect("runs");
+    let [incremental, reference] = [SolverMode::Incremental, SolverMode::Reference].map(|solver| {
+        run_scenario_with(&spec, 1, solver, || NullObserver)
+            .expect("runs")
+            .report
+    });
 
     assert_eq!(incremental.planner.len(), 64);
     for d in &incremental.planner {

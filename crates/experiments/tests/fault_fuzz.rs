@@ -25,8 +25,7 @@ use lsm_core::{
     ResilienceConfig, RetryPolicy,
 };
 use lsm_experiments::scenario::{
-    run_scenario_observed_with_solver, CancelSpec, FaultSpec, MigrationSpec, RequestSpec,
-    ScenarioSpec, VmSpec,
+    run_scenario_with, CancelSpec, FaultSpec, MigrationSpec, RequestSpec, ScenarioSpec, VmSpec,
 };
 use lsm_netsim::SolverMode;
 use lsm_simcore::units::MIB;
@@ -432,12 +431,12 @@ fn checker() -> InvariantObserver {
 fn solver_identical_and_invariant_clean(spec: &ScenarioSpec) -> Result<(), TestCaseError> {
     let mut reports = Vec::new();
     for solver in [SolverMode::Incremental, SolverMode::Reference] {
-        let mut obs = checker();
-        match run_scenario_observed_with_solver(spec, solver, &mut obs) {
+        match run_scenario_with(spec, 1, solver, checker) {
             Err(_) => {
                 prop_assume!(false); // invalid plan: rejected, skip
             }
-            Ok(r) => {
+            Ok(run) => {
+                let obs = &run.observers[0];
                 if !obs.is_clean() {
                     return Err(TestCaseError::fail(format!(
                         "invariant violations under {solver:?}:\n{}",
@@ -448,7 +447,7 @@ fn solver_identical_and_invariant_clean(spec: &ScenarioSpec) -> Result<(), TestC
                             .join("\n")
                     )));
                 }
-                reports.push(serde_json::to_string_pretty(&r).expect("serializes"));
+                reports.push(serde_json::to_string_pretty(&run.report).expect("serializes"));
             }
         }
     }
@@ -490,9 +489,8 @@ proptest! {
         spec in scenario_strategy().prop_map(buildable)
     ) {
         let run = || {
-            let mut obs = checker();
-            run_scenario_observed_with_solver(&spec, SolverMode::Incremental, &mut obs)
-                .map(|r| serde_json::to_string_pretty(&r).expect("serializes"))
+            run_scenario_with(&spec, 1, SolverMode::Incremental, checker)
+                .map(|run| serde_json::to_string_pretty(&run.report).expect("serializes"))
         };
         match (run(), run()) {
             (Err(_), Err(_)) => prop_assume!(false),
@@ -601,10 +599,9 @@ fn fixed_fault_cocktail_is_clean() {
     };
     let mut reports = Vec::new();
     for solver in [SolverMode::Incremental, SolverMode::Reference] {
-        let mut obs = checker();
-        let r = run_scenario_observed_with_solver(&spec, solver, &mut obs).expect("runs");
-        obs.assert_clean("cocktail");
-        reports.push(serde_json::to_string_pretty(&r).expect("serializes"));
+        let run = run_scenario_with(&spec, 1, solver, checker).expect("runs");
+        run.observers[0].assert_clean("cocktail");
+        reports.push(serde_json::to_string_pretty(&run.report).expect("serializes"));
     }
     assert_eq!(reports[0], reports[1], "cocktail reports diverge");
 }

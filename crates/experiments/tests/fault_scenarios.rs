@@ -7,7 +7,7 @@
 use lsm_check::{CheckConfig, InvariantObserver};
 use lsm_core::policy::StrategyKind;
 use lsm_core::{FailureReason, MigrationStatus, RunReport};
-use lsm_experiments::scenario::{run_scenario, run_scenario_observed_with_solver, ScenarioSpec};
+use lsm_experiments::scenario::{run_scenario, run_scenario_with, ScenarioSpec};
 use lsm_experiments::{faults, fig3, fig4, fig5, stress, Scale};
 use lsm_netsim::SolverMode;
 
@@ -25,13 +25,14 @@ fn run_checked_both_solvers(name: &str, spec: &ScenarioSpec) -> RunReport {
     let mut kept = None;
     let mut reports = Vec::new();
     for solver in [SolverMode::Incremental, SolverMode::Reference] {
-        let mut obs = checker();
-        let r = run_scenario_observed_with_solver(spec, solver, &mut obs)
+        let run = run_scenario_with(spec, 1, solver, checker)
             .unwrap_or_else(|e| panic!("{name}: scenario rejected: {e}"));
-        assert!(obs.checks_run() > 0, "{name}: checker never ran");
-        obs.assert_clean(name);
-        reports.push(serde_json::to_string_pretty(&r).expect("serializes"));
-        kept.get_or_insert(r);
+        for obs in &run.observers {
+            assert!(obs.checks_run() > 0, "{name}: checker never ran");
+            obs.assert_clean(name);
+        }
+        reports.push(serde_json::to_string_pretty(&run.report).expect("serializes"));
+        kept.get_or_insert(run.report);
     }
     if reports[0] != reports[1] {
         let diff = reports[0]
@@ -124,22 +125,23 @@ fn figure_scenarios_are_invariant_clean() {
         fig5::scenario(&p5, StrategyKind::Hybrid, n),
     ));
     for (name, spec) in specs {
-        let mut obs = checker();
-        run_scenario_observed_with_solver(&spec, SolverMode::Incremental, &mut obs)
+        let run = run_scenario_with(&spec, 1, SolverMode::Incremental, checker)
             .unwrap_or_else(|e| panic!("{name}: rejected: {e}"));
-        obs.assert_clean(&name);
+        run.observers[0].assert_clean(&name);
     }
 }
 
 #[test]
 fn scale64_quick_is_invariant_clean() {
     let spec = stress::scale64_quick_spec();
-    let mut obs = InvariantObserver::with_config(CheckConfig {
-        deep_scan_interval: 16384, // 16 VMs x 64 MiB images: keep it fast
-        ..CheckConfig::default()
-    });
-    run_scenario_observed_with_solver(&spec, SolverMode::Incremental, &mut obs)
-        .expect("scale64-quick runs");
+    let run = run_scenario_with(&spec, 1, SolverMode::Incremental, || {
+        InvariantObserver::with_config(CheckConfig {
+            deep_scan_interval: 16384, // 16 VMs x 64 MiB images: keep it fast
+            ..CheckConfig::default()
+        })
+    })
+    .expect("scale64-quick runs");
+    let obs = &run.observers[0];
     obs.assert_clean("scale64-quick");
     assert!(
         obs.checks_run() > 100_000,

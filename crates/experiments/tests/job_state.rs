@@ -16,8 +16,9 @@ use lsm_core::{
 };
 use lsm_experiments::resilience::chaos_storm_spec;
 use lsm_experiments::scenario::{
-    build_scenario, run_scenario_observed, FaultSpec, MigrationSpec, ScenarioSpec, VmSpec,
+    build_scenario, run_scenario_with, FaultSpec, MigrationSpec, ScenarioSpec, VmSpec,
 };
+use lsm_netsim::SolverMode;
 use lsm_simcore::time::SimTime;
 use lsm_simcore::units::MIB;
 use lsm_workloads::WorkloadSpec;
@@ -131,14 +132,19 @@ impl Observer for CheckedUntil {
     fn on_tick(&mut self, eng: &Engine) -> RunControl {
         self.check.on_tick(eng)
     }
+
+    fn on_finish(&mut self, eng: &Engine) {
+        self.check.on_finish(eng);
+    }
 }
 
 fn run_checked(name: &str, spec: &ScenarioSpec) -> RunReport {
-    let mut obs = checker();
-    let r = run_scenario_observed(spec, &mut obs)
+    let run = run_scenario_with(spec, 1, SolverMode::Incremental, checker)
         .unwrap_or_else(|e| panic!("{name}: scenario rejected: {e}"));
-    obs.assert_clean(name);
-    r
+    for obs in &run.observers {
+        obs.assert_clean(name);
+    }
+    run.report
 }
 
 /// A retry supersedes the deadline it was armed under. The stall at
@@ -319,6 +325,5 @@ fn job_in_retry_backoff_keeps_its_vm() {
     obs.ends = again;
     sim.run_until_observed(secs(300.0), &mut obs);
     assert_eq!(sim.job_status(again), Some(MigrationStatus::Completed));
-    obs.check.finish(&sim);
     obs.check.assert_clean("live_job_backoff");
 }

@@ -78,16 +78,16 @@ fn demo_on_fast_devices_lints_clean_and_runs_clean() {
         let toml = DEMO.replacen(section, &format!("{section}{fast}\n"), 1);
         let spec = ScenarioSpec::from_toml(&toml).expect("parses");
         assert_clean(&spec);
-        let mut obs = lsm_check::InvariantObserver::new();
-        let report = lsm_experiments::scenario::run_scenario_observed_with_solver(
+        let run = lsm_experiments::scenario::run_scenario_with(
             &spec,
+            1,
             lsm_netsim::SolverMode::Incremental,
-            &mut obs,
+            lsm_check::InvariantObserver::new,
         )
         .expect("runs");
-        obs.assert_clean(fast);
+        run.observers[0].assert_clean(fast);
         assert!(
-            report.migrations.iter().all(|m| m.completed),
+            run.report.migrations.iter().all(|m| m.completed),
             "{fast}: every migration completes"
         );
     }

@@ -47,7 +47,6 @@ fn evacuation_completes_clean_under_check() {
         ..CheckConfig::default()
     });
     let report = sim.run_until_observed(SimTime::from_secs_f64(spec.horizon_secs), &mut obs);
-    obs.finish(&sim);
     obs.assert_clean("evacuate.toml");
     assert!(obs.checks_run() > 10_000, "audit barely ran");
 

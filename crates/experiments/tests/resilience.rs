@@ -16,7 +16,7 @@ use lsm_core::{
 };
 use lsm_experiments::resilience::{auto_converge_spec, chaos_storm_spec};
 use lsm_experiments::scenario::{
-    run_scenario, run_scenario_observed_with_solver, FaultSpec, MigrationSpec, ScenarioSpec, VmSpec,
+    run_scenario, run_scenario_with, FaultSpec, MigrationSpec, ScenarioSpec, VmSpec,
 };
 use lsm_netsim::SolverMode;
 use lsm_simcore::units::MIB;
@@ -36,13 +36,14 @@ fn run_checked_both_solvers(name: &str, spec: &ScenarioSpec) -> RunReport {
     let mut kept = None;
     let mut reports = Vec::new();
     for solver in [SolverMode::Incremental, SolverMode::Reference] {
-        let mut obs = checker();
-        let r = run_scenario_observed_with_solver(spec, solver, &mut obs)
+        let run = run_scenario_with(spec, 1, solver, checker)
             .unwrap_or_else(|e| panic!("{name}: scenario rejected: {e}"));
-        assert!(obs.checks_run() > 0, "{name}: checker never ran");
-        obs.assert_clean(name);
-        reports.push(serde_json::to_string_pretty(&r).expect("serializes"));
-        kept.get_or_insert(r);
+        for obs in &run.observers {
+            assert!(obs.checks_run() > 0, "{name}: checker never ran");
+            obs.assert_clean(name);
+        }
+        reports.push(serde_json::to_string_pretty(&run.report).expect("serializes"));
+        kept.get_or_insert(run.report);
     }
     assert!(reports[0] == reports[1], "{name}: solver reports diverge");
     kept.expect("two runs happened")
@@ -307,7 +308,6 @@ fn throttle_is_released_across_retry_backoff() {
     // sla-consistent laws included).
     let mut obs = checker();
     let report = sim.run_until_observed(secs(600.0), &mut obs);
-    obs.finish(&sim);
     obs.assert_clean("throttle retry");
     assert_eq!(sim.job_status(job), Some(MigrationStatus::Completed));
     let row = report
@@ -323,10 +323,10 @@ fn throttle_is_released_across_retry_backoff() {
 }
 
 /// Regression: an operator cancellation landing inside a downtime
-/// deferral window (`downtime_round` armed, backlog riding one more
-/// live round) must tear down cleanly — downtime stamped, no stale
-/// stop state — and a successor migration of the same VM must behave
-/// like a first-class first attempt.
+/// deferral window (the record's `copy` holding a `CopyKind::Deferral`,
+/// the backlog riding one more live round) must tear down cleanly —
+/// downtime stamped, no stale stop state — and a successor migration of
+/// the same VM must behave like a first-class first attempt.
 #[test]
 fn cancel_during_downtime_deferral_is_clean() {
     use lsm_core::engine::Milestone;
@@ -392,8 +392,9 @@ fn cancel_during_downtime_deferral_is_clean() {
     sim.run_until_observed(secs(600.0), &mut trap);
     let deferred_at = trap.at.expect("the hot guest must defer its switchover");
 
-    // Cancel inside the deferral round: `downtime_round` is armed and
-    // the backlog is riding a live copy round right now.
+    // Cancel inside the deferral round: the record's `copy` holds a
+    // `CopyKind::Deferral`, the backlog riding a live copy round right
+    // now.
     sim.cancel_migration(job).expect("cancellable");
     assert_eq!(sim.job_status(job), Some(MigrationStatus::Failed));
     let p = sim.job_progress(job).expect("progress");
@@ -419,7 +420,6 @@ fn cancel_during_downtime_deferral_is_clean() {
         .expect("successor is legal after a terminal job");
     let mut obs = checker();
     let report = sim.run_until_observed(secs(900.0), &mut obs);
-    obs.finish(&sim);
     obs.assert_clean("cancel during deferral");
     assert_eq!(sim.job_status(retry), Some(MigrationStatus::Completed));
     let rec = report

@@ -7,9 +7,10 @@
 //! Equality is asserted on the serialized [`RunReport`], so any field —
 //! present or future — that diverges fails the test.
 
+use lsm_core::engine::NullObserver;
 use lsm_core::policy::StrategyKind;
 use lsm_core::RunReport;
-use lsm_experiments::scenario::{run_scenario_with_solver, ScenarioSpec};
+use lsm_experiments::scenario::{run_scenario_with, ScenarioSpec};
 use lsm_experiments::stress::StressParams;
 use lsm_experiments::{fig3, fig4, fig5, Scale};
 use lsm_netsim::SolverMode;
@@ -17,8 +18,11 @@ use lsm_netsim::SolverMode;
 /// Run `spec` under both solvers, require identical reports, and return
 /// the incremental one.
 fn assert_solver_equivalent(name: &str, spec: &ScenarioSpec) -> RunReport {
-    let inc = run_scenario_with_solver(spec, SolverMode::Incremental).expect("scenario runs");
-    let refr = run_scenario_with_solver(spec, SolverMode::Reference).expect("scenario runs");
+    let [inc, refr] = [SolverMode::Incremental, SolverMode::Reference].map(|solver| {
+        run_scenario_with(spec, 1, solver, || NullObserver)
+            .expect("scenario runs")
+            .report
+    });
     let ser = |r: &RunReport| serde_json::to_string_pretty(r).expect("report serializes");
     let (a, b) = (ser(&inc), ser(&refr));
     if a != b {

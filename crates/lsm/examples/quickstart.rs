@@ -8,7 +8,8 @@
 
 use lsm::core::engine::{JobId, MigrationProgress, MigrationStatus, Observer, RunControl};
 use lsm::core::policy::StrategyKind;
-use lsm::experiments::scenario::{run_scenario_observed, ScenarioSpec};
+use lsm::experiments::scenario::{run_scenario_with, ScenarioSpec};
+use lsm::netsim::SolverMode;
 use lsm::simcore::units::fmt_bytes;
 use lsm::simcore::SimTime;
 use lsm::workloads::WorkloadSpec;
@@ -45,7 +46,9 @@ fn main() {
         ScenarioSpec::single_migration(StrategyKind::Hybrid, WorkloadSpec::async_wr_short(), 20.0)
             .with_horizon(400.0);
 
-    let report = run_scenario_observed(&spec, &mut Watch).expect("scenario is valid");
+    let report = run_scenario_with(&spec, 1, SolverMode::default(), || Watch)
+        .expect("scenario is valid")
+        .report;
     let m = report.the_migration();
 
     println!("\n=== hybrid live storage migration ===");

@@ -8,10 +8,11 @@
 //! moves any report shows up as a failing test that names the scenario.
 
 use lsm::core::config::ClusterConfig;
+use lsm::core::engine::NullObserver;
 use lsm::core::policy::StrategyKind;
 use lsm::core::QosConfig;
 use lsm::core::RunReport;
-use lsm::experiments::scenario::{run_scenario, run_scenario_with_solver, ScenarioSpec};
+use lsm::experiments::scenario::{run_scenario, run_scenario_with, ScenarioSpec};
 use lsm::experiments::sweep::parallel_map;
 use lsm::experiments::{faults, fig3, fig4, fig5, resilience, stress, Scale};
 use lsm::netsim::SolverMode;
@@ -229,6 +230,13 @@ fn pretty(report: &RunReport) -> String {
 
 fn serialized(spec: &ScenarioSpec) -> String {
     pretty(&run_scenario(spec).expect("scenario runs"))
+}
+
+/// The report of `spec` on `threads` worker threads under `solver`.
+fn run_on(spec: &ScenarioSpec, threads: usize, solver: SolverMode) -> RunReport {
+    run_scenario_with(spec, threads, solver, || NullObserver)
+        .expect("scenario runs")
+        .report
 }
 
 /// Run `spec` twice, require byte-identical reports, and return the
@@ -457,12 +465,8 @@ fn orchestrated_scenarios_are_deterministic_across_runs_and_solvers() {
     ] {
         let spec = ScenarioSpec::from_toml(text).expect("parses");
         assert_golden(file, &assert_deterministic(file, &spec));
-        let incremental = run_scenario_with_solver(&spec, SolverMode::Incremental)
-            .map(|r| serde_json::to_string_pretty(&r).expect("serializes"))
-            .expect("runs");
-        let reference = run_scenario_with_solver(&spec, SolverMode::Reference)
-            .map(|r| serde_json::to_string_pretty(&r).expect("serializes"))
-            .expect("runs");
+        let incremental = pretty(&run_on(&spec, 1, SolverMode::Incremental));
+        let reference = pretty(&run_on(&spec, 1, SolverMode::Reference));
         if incremental != reference {
             let diff = incremental
                 .lines()
@@ -482,12 +486,11 @@ fn orchestrated_scenarios_are_deterministic_across_runs_and_solvers() {
 /// engine's whole contract: thread count is a performance knob, never
 /// an observable. Returns the monolithic incremental run's report.
 fn assert_thread_count_invariant(name: &str, spec: &ScenarioSpec) -> RunReport {
-    use lsm::experiments::shard::run_scenario_threaded_with_solver;
     let mut first = None;
     for solver in [SolverMode::Incremental, SolverMode::Reference] {
         let mut reports = Vec::new();
         for threads in [1usize, 2, 8] {
-            let report = run_scenario_threaded_with_solver(spec, threads, solver).expect("runs");
+            let report = run_on(spec, threads, solver);
             reports.push(pretty(&report));
             first.get_or_insert(report);
         }
@@ -548,7 +551,7 @@ fn tracked_scenarios_are_thread_count_invariant() {
 /// slow at this fleet size for every `cargo test`.)
 #[test]
 fn sparse_fleet_monolith_matches_reference_shards() {
-    use lsm::experiments::shard::{partition, run_scenario_threaded_with_solver};
+    use lsm::experiments::shard::partition;
     let mut spec = stress::scale1024_quick_spec();
     let cluster = spec.cluster.as_mut().expect("pair specs set a cluster");
     cluster.nodes = 1024;
@@ -558,11 +561,7 @@ fn sparse_fleet_monolith_matches_reference_shards() {
         (1usize, SolverMode::Incremental),
         (2, SolverMode::Reference),
     ]
-    .map(|(threads, solver)| {
-        run_scenario_threaded_with_solver(&spec, threads, solver)
-            .map(|r| serde_json::to_string_pretty(&r).expect("serializes"))
-            .expect("runs")
-    });
+    .map(|(threads, solver)| pretty(&run_on(&spec, threads, solver)));
     if monolith != shards {
         let diff = monolith
             .lines()
@@ -585,10 +584,7 @@ fn scale1024_file_spec() -> ScenarioSpec {
 #[test]
 #[ignore = "one paper-scale run; run explicitly with -- --ignored"]
 fn scale1024_file_matches_golden() {
-    use lsm::experiments::shard::run_scenario_threaded_with_solver;
-    let report =
-        run_scenario_threaded_with_solver(&scale1024_file_spec(), 2, SolverMode::Incremental)
-            .expect("runs");
+    let report = run_on(&scale1024_file_spec(), 2, SolverMode::Incremental);
     assert_golden("scale1024.toml", &report);
 }
 
