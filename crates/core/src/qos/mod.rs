@@ -47,7 +47,7 @@ pub struct QosConfig {
     /// `min(migration_speed_cap, cap)` between them; every storage push
     /// or pull batch flow gets the whole cap. The cap binds each flow,
     /// not their sum: a migration with a memory copy and storage
-    /// batches in flight at once moves more than the cap in total.
+    /// batches in flight at once can move more than the cap in total.
     /// `None` leaves the historical per-flow caps in place.
     pub bandwidth_cap_mb: Option<f64>,
     /// Multifd-style parallel memory streams: each memory copy (the
