@@ -10,8 +10,7 @@
 use lsm::core::config::ClusterConfig;
 use lsm::core::engine::NullObserver;
 use lsm::core::policy::StrategyKind;
-use lsm::core::QosConfig;
-use lsm::core::RunReport;
+use lsm::core::{AutonomicConfig, FaultKind, QosConfig, RebalanceTrigger, ReplanReason, RunReport};
 use lsm::experiments::scenario::{run_scenario, run_scenario_with, ScenarioSpec};
 use lsm::experiments::sweep::parallel_map;
 use lsm::experiments::{faults, fig3, fig4, fig5, resilience, stress, Scale};
@@ -19,8 +18,8 @@ use lsm::netsim::SolverMode;
 use lsm::workloads::WorkloadSpec;
 
 /// Golden fingerprints of the shipped scenarios, the quick fleets, the
-/// memory-copy runs of [`memory_copy_specs`] and the figure runs of
-/// [`figure_specs`]:
+/// memory-copy runs of [`memory_copy_specs`], the autonomic crash
+/// re-plan and the figure runs of [`figure_specs`]:
 /// `(scenario, RunReport.events, FNV-1a 64 of the compact JSON report)`.
 /// The hash is the one lsmbench prints (`scale64.toml` is its
 /// `hybrid64`, `qos64.toml` its `qos64`). When a change moves a report
@@ -46,6 +45,7 @@ const GOLDEN: &[(&str, u64, &str)] = &[
     ("memory-linger-4-streams", 21820, "9c79d303a998f3a6"),
     ("memory-postcopy-4-streams", 13237, "fb4fa07803f6ddd9"),
     ("memory-postcopy-pvfs", 42131, "36b6be6e7e988237"),
+    ("autonomic-crash-replan", 270, "2e96a3a1e54c3281"),
     // Quick-scale figure runs (`quick_figures_match_golden`).
     ("fig3-our-approach-IOR", 3502, "5c024f75503eebd6"),
     ("fig3-our-approach-AsyncWR", 755, "cf16f229f2b3d609"),
@@ -351,6 +351,49 @@ fn memory_copy_kinds_are_deterministic() {
     for (name, spec) in memory_copy_specs() {
         assert_golden(name, &assert_deterministic(name, &spec));
     }
+}
+
+/// The autonomic destination-crash re-plan, which no shipped file
+/// makes: one Hybrid writer migrating from node 0 to node 1 at 1 s,
+/// node 1 crashing at 1.6 s mid-transfer, and an overload threshold no
+/// node can reach, so the re-plan is the rebalancer's only act. The pin
+/// covers the placement `try_replan_crash` asks the planner for.
+#[test]
+fn autonomic_crash_replan_is_deterministic() {
+    let writer = WorkloadSpec::SeqWrite {
+        offset: 0,
+        total: 48 << 20,
+        block: 1 << 20,
+        think_secs: 0.05,
+    };
+    let spec = ScenarioSpec::single_migration(StrategyKind::Hybrid, writer, 1.0)
+        .with_cluster(ClusterConfig::small_test())
+        .with_autonomic(AutonomicConfig {
+            overload_pressure: 50.0,
+            underload_pressure: 0.01,
+            hysteresis: 0.0,
+            ..AutonomicConfig::default()
+        })
+        .with_fault(1.6, FaultKind::NodeCrash { node: 1 })
+        .with_horizon(600.0);
+    let name = "autonomic-crash-replan";
+    let report = assert_deterministic(name, &spec);
+    assert!(
+        report.rebalance.iter().any(|a| matches!(
+            a.trigger,
+            RebalanceTrigger::Replan {
+                reason: ReplanReason::DestinationCrashed { node: 1 },
+                ..
+            }
+        )),
+        "{name}: the crash must be re-planned, not failed"
+    );
+    assert_eq!(report.planner.len(), 2, "{name}: admission + re-admission");
+    assert!(
+        report.migrations[0].completed,
+        "{name}: the re-planned job completes"
+    );
+    assert_golden(name, &report);
 }
 
 /// The figure generators' scenarios: fig3's two workloads, fig4 at each
