@@ -5,17 +5,18 @@
 //! [`RequestIntent`] (evacuate a node, rebalance a group) — flows
 //! through one queue: when a request's time arrives it becomes *ready*,
 //! and ready requests are admitted in FIFO order while the configured
-//! [`OrchestratorConfig::max_concurrent`] cap has room. At admission the
-//! configured [`Planner`] decides destination placement (for intents)
-//! and, for adaptive requests, which transfer scheme to use — reading
-//! windowed per-VM write/read rates sampled on a telemetry tick. Every
-//! decision is recorded as a [`PlannerDecision`] and lands in the
-//! [`RunReport`](super::report::RunReport).
+//! [`OrchestratorConfig::max_concurrent`] cap has room. At admission
+//! the configured [`PlannerKind`] decides destination placement (for
+//! intents) and, for adaptive requests, which transfer scheme to use —
+//! reading windowed per-VM write/read rates sampled on a telemetry
+//! tick. Every decision is recorded as a [`PlannerDecision`] and lands
+//! in the [`RunReport`](super::report::RunReport).
 //!
 //! The historical `Engine::schedule_migration` semantics are exactly
-//! this machinery under the default configuration ([`FixedPlanner`],
-//! unlimited cap): a ready job admits immediately, in the same event,
-//! with its requested destination and the VM's configured strategy.
+//! this machinery under the default configuration
+//! ([`PlannerKind::Fixed`], unlimited cap): a ready job admits
+//! immediately, in the same event, with its requested destination and
+//! the VM's configured strategy.
 //!
 //! Per-job state lives on the job ([`JobRt`]): its admission flags, its
 //! armed deadline (`deadline_at`), and its retry state. Per-VM state
@@ -25,7 +26,8 @@
 //! gives its admission slot back in one place, [`release_slot`],
 //! whether it ends, backs off for a retry, or is re-planned.
 //!
-//! [`FixedPlanner`]: crate::planner::FixedPlanner
+//! [`PlannerKind`]: crate::planner::PlannerKind
+//! [`PlannerKind::Fixed`]: crate::planner::PlannerKind::Fixed
 
 use super::job::{FailureReason, JobId, MigrationProgress, MigrationStatus};
 use super::migration;
@@ -35,8 +37,8 @@ use super::types::{Ev, MigrationRt, VmIdx, VmRt};
 use super::Engine;
 use crate::error::EngineError;
 use crate::planner::{
-    NodeView, OrchestratorConfig, PlanContext, Planner, PlannerDecision, PlannerSkip,
-    RequestIntent, SkipReason, VmView,
+    NodeView, OrchestratorConfig, PlanContext, PlannerDecision, PlannerSkip, RequestIntent,
+    SchemeEstimate, SkipReason, VmView,
 };
 use crate::policy::StrategyKind;
 use lsm_hypervisor::VmId;
@@ -183,9 +185,9 @@ pub(crate) struct IoRates {
 }
 
 /// Orchestration runtime state (one per [`Engine`]).
+#[derive(Default)]
 pub(crate) struct OrchestratorRt {
     pub cfg: OrchestratorConfig,
-    pub planner: Box<dyn Planner>,
     /// Submitted intents, by request id.
     pub intents: Vec<IntentRt>,
     /// Requests whose time arrived, awaiting admission.
@@ -203,25 +205,6 @@ pub(crate) struct OrchestratorRt {
     pub drain_scheduled: bool,
     /// A `TelemetryTick` event is already queued.
     pub telemetry_armed: bool,
-}
-
-impl Default for OrchestratorRt {
-    fn default() -> Self {
-        let cfg = OrchestratorConfig::default();
-        let planner = cfg.build_planner();
-        OrchestratorRt {
-            cfg,
-            planner,
-            intents: Vec::new(),
-            ready: VecDeque::new(),
-            active: 0,
-            decisions: Vec::new(),
-            skips: Vec::new(),
-            parked: Vec::new(),
-            drain_scheduled: false,
-            telemetry_armed: false,
-        }
-    }
 }
 
 impl OrchestratorRt {
@@ -251,7 +234,6 @@ impl Engine {
                     .to_string(),
             });
         }
-        self.orch.planner = cfg.build_planner();
         self.orch.cfg = cfg;
         if self.orch.cfg.planner.uses_telemetry() {
             arm_telemetry(self);
@@ -857,19 +839,17 @@ fn mark_held(eng: &mut Engine) {
 /// Admit one explicitly scheduled job: resolve its strategy (adaptive
 /// jobs ask the planner), record the decision, take a slot, start.
 fn admit_job(eng: &mut Engine, job: JobId) {
-    let (v, dest, adaptive, ready_at, origin) = {
-        let j = &eng.jobs[job.0 as usize];
-        if j.status.is_terminal() {
-            return; // died while held (crash fault, deadline)
-        }
-        (j.vm, j.dest, j.adaptive, j.requested_at, j.origin)
-    };
-    let strategy = if adaptive {
-        choose_strategy(eng, v)
+    let j = &eng.jobs[job.0 as usize];
+    if j.status.is_terminal() {
+        return; // died while held (crash fault, deadline)
+    }
+    let ready_at = j.requested_at;
+    let choice = if j.adaptive {
+        choose_strategy(eng, j.vm)
     } else {
-        eng.vms[v as usize].strategy
+        (eng.vms[j.vm as usize].strategy, Vec::new())
     };
-    admit(eng, job, v, dest, strategy, ready_at, origin);
+    admit(eng, job, choice, ready_at);
 }
 
 /// Admit one intent-expanded VM migration: the planner places it, the
@@ -931,14 +911,14 @@ fn admit_intent_vm(eng: &mut Engine, v: VmIdx, origin: u32, attempts: u32) {
             return;
         }
     }
-    let strategy = choose_strategy(eng, v);
+    let choice = choose_strategy(eng, v);
     let now = eng.now;
     let job = eng.add_job(JobRt {
         vm: v,
         source: host,
         dest,
         requested_at: now,
-        strategy,
+        strategy: choice.0,
         status: MigrationStatus::Queued,
         deadline: None,
         deadline_at: None,
@@ -954,26 +934,25 @@ fn admit_intent_vm(eng: &mut Engine, v: VmIdx, origin: u32, attempts: u32) {
     // "Deferred" is measured against the intent's fire time: a step
     // admitted in a later instant than its request waited for a slot.
     let ready_at = eng.orch.intents[origin as usize].at;
-    admit(eng, job, v, dest, strategy, ready_at, Some(origin));
+    admit(eng, job, choice, ready_at);
 }
 
-/// Shared admission tail: install the strategy, record the decision,
-/// take the slot, and hand the job to the migration machinery (which
-/// may immediately fail it — failing releases the slot again).
+/// Shared admission tail: install the planner's strategy choice, record
+/// the decision with the estimates behind it, take the slot, and hand
+/// the job to the migration machinery (which may immediately fail it —
+/// failing releases the slot again).
 fn admit(
     eng: &mut Engine,
     job: JobId,
-    v: VmIdx,
-    dest: u32,
-    strategy: StrategyKind,
+    (strategy, estimates): (StrategyKind, Vec<SchemeEstimate>),
     ready_at: SimTime,
-    origin: Option<u32>,
 ) {
     let now = eng.now;
+    let (v, dest, origin) = {
+        let j = &eng.jobs[job.0 as usize];
+        (j.vm, j.dest, j.origin)
+    };
     eng.vms[v as usize].strategy = strategy;
-    // The cost planner leaves its per-scheme estimates behind after
-    // `choose_strategy`; move them onto the record (empty otherwise).
-    let estimates = eng.orch.planner.take_estimates();
     let decision = PlannerDecision {
         request: origin,
         job: job.0,
@@ -983,7 +962,7 @@ fn admit(
         strategy,
         decided_at: now,
         deferred: now > ready_at,
-        planner: eng.orch.planner.name(),
+        planner: eng.orch.cfg.planner.label(),
         estimates,
     };
     eng.orch.decisions.push(decision);
@@ -1127,37 +1106,36 @@ pub(crate) fn vm_view(eng: &Engine, v: VmIdx) -> VmView {
     }
 }
 
-pub(crate) fn place(eng: &mut Engine, v: VmIdx) -> Option<u32> {
-    let nodes = node_views(eng);
-    let ctx = PlanContext {
-        now: eng.now,
+/// What the planner sees when it decides about VM `v`, over the node
+/// views `nodes` (from [`node_views`]).
+fn plan_context<'a>(eng: &'a Engine, v: VmIdx, nodes: &'a [NodeView]) -> PlanContext<'a> {
+    PlanContext {
         nic_bw: eng.cfg.nic_bw,
         postcopy_memory: eng.cfg.postcopy_memory,
         threshold: eng.cfg.threshold,
         cfg: &eng.orch.cfg,
-        nodes: &nodes,
+        nodes,
         vm: vm_view(eng, v),
-    };
-    eng.orch.planner.place(&ctx)
+    }
 }
 
-fn choose_strategy(eng: &mut Engine, v: VmIdx) -> StrategyKind {
+/// The configured planner's destination for VM `v`: a healthy node
+/// other than its host, or `None` when there is none.
+pub(crate) fn place(eng: &Engine, v: VmIdx) -> Option<u32> {
+    let nodes = node_views(eng);
+    eng.orch.cfg.planner.place(&plan_context(eng, v, &nodes))
+}
+
+/// The configured planner's strategy for VM `v`, with the per-scheme
+/// estimates behind it.
+fn choose_strategy(eng: &Engine, v: VmIdx) -> (StrategyKind, Vec<SchemeEstimate>) {
     // A shared-FS guest has no local storage to transfer; no planner
     // may move its I/O path mid-run.
     if eng.vms[v as usize].strategy == StrategyKind::SharedFs {
-        return StrategyKind::SharedFs;
+        return (StrategyKind::SharedFs, Vec::new());
     }
     let nodes = node_views(eng);
-    let ctx = PlanContext {
-        now: eng.now,
-        nic_bw: eng.cfg.nic_bw,
-        postcopy_memory: eng.cfg.postcopy_memory,
-        threshold: eng.cfg.threshold,
-        cfg: &eng.orch.cfg,
-        nodes: &nodes,
-        vm: vm_view(eng, v),
-    };
-    eng.orch.planner.choose_strategy(&ctx)
+    eng.orch.cfg.planner.choose(&plan_context(eng, v, &nodes))
 }
 
 // ---------------- telemetry ----------------

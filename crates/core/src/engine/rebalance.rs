@@ -491,9 +491,9 @@ pub(crate) fn try_replan_crash(eng: &mut Engine, job: JobId, reason: &FailureRea
     {
         return false;
     }
-    let Some(dest) =
-        orchestrator::place(eng, v).filter(|&d| d != node && !eng.nodes[d as usize].crashed)
-    else {
+    // The crash path marked `node` down before asking, so the planner
+    // cannot name it.
+    let Some(dest) = orchestrator::place(eng, v) else {
         return false;
     };
     let reason = ReplanReason::DestinationCrashed { node };

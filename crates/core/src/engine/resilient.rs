@@ -342,13 +342,9 @@ pub(crate) fn retry_fire(eng: &mut Engine, job: JobId) {
     let host = eng.vms[v as usize].vm.host;
     let old_dest = eng.jobs[ji].dest;
     let dest = if eng.nodes[old_dest as usize].crashed || old_dest == host {
-        // Fresh placement: ask the planner, falling back to any healthy
-        // node it refuses to name.
-        let planned =
-            orchestrator::place(eng, v).filter(|&d| d != host && !eng.nodes[d as usize].crashed);
-        let fallback =
-            (0..eng.nodes.len() as u32).find(|&d| d != host && !eng.nodes[d as usize].crashed);
-        match planned.or(fallback) {
+        // Fresh placement: the planner names a healthy node other than
+        // the host whenever one exists.
+        match orchestrator::place(eng, v) {
             Some(d) => d,
             None => {
                 // Nowhere healthy to go: the retry dies here.

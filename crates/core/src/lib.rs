@@ -18,10 +18,11 @@
 //!   watchable (and abortable) through an [`engine::Observer`].
 //! * [`config`] — cluster parameters, defaulting to the paper's
 //!   Grid'5000 *graphene* testbed numbers.
-//! * [`planner`] — the cluster orchestration layer: a pluggable
-//!   [`planner::Planner`] decides placement, admission order (under a
-//!   configurable max-concurrent cap) and — for adaptive requests —
-//!   which transfer scheme to use from live per-VM I/O telemetry;
+//! * [`planner`] — the cluster orchestration layer: one of three
+//!   built-in planners ([`PlannerKind`]) decides placement, admission
+//!   order (under a configurable max-concurrent cap) and — for adaptive
+//!   requests — which transfer scheme to use from live per-VM I/O
+//!   telemetry;
 //!   high-level intents ([`planner::RequestIntent`]) express node
 //!   evacuation and group rebalancing.
 //! * [`autonomic`] — the closed-loop rebalancer: a periodic monitor
@@ -102,8 +103,8 @@ pub use error::EngineError;
 pub use lsm_hypervisor::VmId;
 pub use lsm_netsim::NodeId;
 pub use planner::{
-    AdaptivePlanner, CostPlanner, FixedPlanner, OrchestratorConfig, Planner, PlannerDecision,
-    PlannerKind, PlannerSkip, RequestIntent, SchemeEstimate, SkipReason,
+    OrchestratorConfig, PlannerDecision, PlannerKind, PlannerSkip, RequestIntent, SchemeEstimate,
+    SkipReason,
 };
 pub use policy::StrategyKind;
 pub use qos::{QosConfig, SlaJob, SlaReport};

@@ -1,11 +1,11 @@
-//! The load- and intensity-aware planner: least-loaded placement plus
-//! the paper's §4 strategy decision operationalized over live telemetry.
+//! The adaptive planner's strategy rule: the paper's §4 decision
+//! operationalized over live telemetry.
 
-use super::{PlanContext, Planner};
+use super::PlanContext;
 use crate::policy::StrategyKind;
 
-/// Places migrations onto the least-loaded healthy node and resolves
-/// adaptive strategy requests from the VM's windowed I/O rates:
+/// Resolve an adaptive strategy request from the VM's windowed I/O
+/// rates:
 ///
 /// | observed intensity (fraction of NIC) | chosen scheme |
 /// |---|---|
@@ -17,46 +17,26 @@ use crate::policy::StrategyKind;
 /// Under post-copy memory migration the pre-copy storage schemes are
 /// unavailable (no pull path), so the rule degrades to
 /// `Hybrid`/`Postcopy` along the same write-intensity split.
-///
-/// Ties in placement break to the lowest node index, so decisions are
-/// bit-reproducible across runs and solvers.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AdaptivePlanner;
-
-impl Planner for AdaptivePlanner {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn place(&mut self, ctx: &PlanContext<'_>) -> Option<u32> {
-        ctx.nodes
-            .iter()
-            .filter(|n| !n.crashed && n.node != ctx.vm.host)
-            .min_by_key(|n| (n.load, n.node))
-            .map(|n| n.node)
-    }
-
-    fn choose_strategy(&mut self, ctx: &PlanContext<'_>) -> StrategyKind {
-        let w = ctx.vm.write_rate / ctx.nic_bw;
-        let r = ctx.vm.read_rate / ctx.nic_bw;
-        let c = ctx.cfg;
-        if ctx.postcopy_memory {
-            // Pre-copy storage streams cannot run under post-copy
-            // memory; split on write intensity only.
-            return if w >= c.adaptive_write_lo_frac {
-                StrategyKind::Hybrid
-            } else {
-                StrategyKind::Postcopy
-            };
-        }
-        if w >= c.adaptive_write_hi_frac {
+pub(super) fn choose(ctx: &PlanContext<'_>) -> StrategyKind {
+    let w = ctx.vm.write_rate / ctx.nic_bw;
+    let r = ctx.vm.read_rate / ctx.nic_bw;
+    let c = ctx.cfg;
+    if ctx.postcopy_memory {
+        // Pre-copy storage streams cannot run under post-copy
+        // memory; split on write intensity only.
+        return if w >= c.adaptive_write_lo_frac {
             StrategyKind::Hybrid
-        } else if w >= c.adaptive_write_lo_frac {
-            StrategyKind::Mirror
-        } else if r >= c.adaptive_read_hi_frac {
-            StrategyKind::Postcopy
         } else {
-            StrategyKind::Precopy
-        }
+            StrategyKind::Postcopy
+        };
+    }
+    if w >= c.adaptive_write_hi_frac {
+        StrategyKind::Hybrid
+    } else if w >= c.adaptive_write_lo_frac {
+        StrategyKind::Mirror
+    } else if r >= c.adaptive_read_hi_frac {
+        StrategyKind::Postcopy
+    } else {
+        StrategyKind::Precopy
     }
 }

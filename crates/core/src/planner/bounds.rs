@@ -1,16 +1,17 @@
 //! Pure closed-form transfer-time bounds shared by the cost planner
 //! and the static analyzer.
 //!
-//! These are the per-scheme formulas of the [`CostPlanner`] model (see
-//! the planner's `cost` module) factored into free functions of plain
-//! numbers, so they can be evaluated both *dynamically* (against live
-//! telemetry, by the planner) and *statically* (against a scenario
-//! spec, by `lsm-analyze`'s feasibility and convergence lints) without
-//! either caller re-implementing the math. The planner calls these with the
-//! exact same operation order as before the extraction — its decisions
-//! (and the pinned `cost64` determinism) are bit-identical.
+//! These are the per-scheme formulas of the cost planner's model
+//! ([`PlannerKind::Cost`], see the planner's `cost` module) factored
+//! into free functions of plain numbers, so they can be evaluated both
+//! *dynamically* (against live telemetry, by the planner) and
+//! *statically* (against a scenario spec, by `lsm-analyze`'s
+//! feasibility and convergence lints) without either caller
+//! re-implementing the math. The planner calls these with the exact
+//! same operation order as before the extraction — its decisions (and
+//! the pinned `cost64` determinism) are bit-identical.
 //!
-//! [`CostPlanner`]: super::CostPlanner
+//! [`PlannerKind::Cost`]: super::PlannerKind::Cost
 
 /// Re-dirty flux at or above this fraction of the available bandwidth
 /// is treated as non-convergent for the pre-copy-style schemes — the

@@ -1,8 +1,8 @@
-//! The predictive cost-model planner: per-scheme migration time and
+//! The cost planner's strategy rule: per-scheme migration time and
 //! bytes-on-wire estimated from live telemetry, argmin admitted.
 //!
-//! Where the [`AdaptivePlanner`](super::AdaptivePlanner) applies the
-//! paper's §4 rule through fixed write-rate thresholds, this planner
+//! Where the adaptive planner ([`PlannerKind::Adaptive`]) applies the
+//! paper's §4 rule through fixed write-rate thresholds, this rule
 //! *predicts* what each scheme would cost on the observed workload —
 //! the §5.2 analysis (bulk size over available NIC share, a dirty-rate
 //! re-send term for the pre-copy styles, a withheld-set + on-demand
@@ -46,25 +46,18 @@
 //! solvers. Memory migration time is common to every scheme and drops
 //! out of the argmin, so the model omits it.
 
+//!
+//! [`PlannerKind::Adaptive`]: super::PlannerKind::Adaptive
+
 use super::bounds;
-use super::{PlanContext, Planner, SchemeEstimate};
+use super::{PlanContext, SchemeEstimate};
 use crate::policy::StrategyKind;
 
 const GIB: f64 = (1u64 << 30) as f64;
 
-/// Predictive planner: least-loaded placement (like the adaptive
-/// planner) and cost-model strategy selection. See the module docs for
-/// the model.
-#[derive(Debug, Default)]
-pub struct CostPlanner {
-    /// Estimates behind the latest `choose_strategy`, until the
-    /// orchestrator moves them onto the decision record.
-    last_estimates: Vec<SchemeEstimate>,
-}
-
 /// Predict `(time_secs, bytes)` for migrating `ctx.vm` with `k` —
 /// pure and unit-testable.
-pub fn estimate_scheme(ctx: &PlanContext<'_>, k: StrategyKind) -> SchemeEstimate {
+fn estimate_scheme(ctx: &PlanContext<'_>, k: StrategyKind) -> SchemeEstimate {
     let b = ctx.nic_bw;
     let vm = &ctx.vm;
     let s_alloc = vm.local_bytes as f64;
@@ -142,55 +135,37 @@ fn candidates(postcopy_memory: bool) -> &'static [StrategyKind] {
     }
 }
 
-impl Planner for CostPlanner {
-    fn name(&self) -> &'static str {
-        "cost"
-    }
-
-    fn place(&mut self, ctx: &PlanContext<'_>) -> Option<u32> {
-        ctx.nodes
-            .iter()
-            .filter(|n| !n.crashed && n.node != ctx.vm.host)
-            .min_by_key(|n| (n.load, n.node))
-            .map(|n| n.node)
-    }
-
-    fn choose_strategy(&mut self, ctx: &PlanContext<'_>) -> StrategyKind {
-        let estimates: Vec<SchemeEstimate> = candidates(ctx.postcopy_memory)
-            .iter()
-            .map(|&k| estimate_scheme(ctx, k))
-            .collect();
-        let best = estimates
-            .iter()
-            .enumerate()
-            .min_by(|(ai, a), (bi, b)| {
-                a.score
-                    .partial_cmp(&b.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(ai.cmp(bi))
-            })
-            .map(|(_, e)| e.strategy)
-            .expect("candidate list is never empty");
-        self.last_estimates = estimates;
-        best
-    }
-
-    fn take_estimates(&mut self) -> Vec<SchemeEstimate> {
-        std::mem::take(&mut self.last_estimates)
-    }
+/// Score every candidate scheme for `ctx.vm` and pick the argmin (see
+/// the module docs for the model); the estimates come back with the
+/// choice for the decision record.
+pub(super) fn choose(ctx: &PlanContext<'_>) -> (StrategyKind, Vec<SchemeEstimate>) {
+    let estimates: Vec<SchemeEstimate> = candidates(ctx.postcopy_memory)
+        .iter()
+        .map(|&k| estimate_scheme(ctx, k))
+        .collect();
+    let best = estimates
+        .iter()
+        .enumerate()
+        .min_by(|(ai, a), (bi, b)| {
+            a.score
+                .partial_cmp(&b.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(ai.cmp(bi))
+        })
+        .map(|(_, e)| e.strategy)
+        .expect("candidate list is never empty");
+    (best, estimates)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{NodeView, OrchestratorConfig, VmView};
-    use lsm_simcore::time::SimTime;
+    use crate::planner::{NodeView, OrchestratorConfig, PlannerKind, VmView};
 
     const NIC: f64 = 100.0e6;
 
     fn ctx<'a>(cfg: &'a OrchestratorConfig, nodes: &'a [NodeView], vm: VmView) -> PlanContext<'a> {
         PlanContext {
-            now: SimTime::ZERO,
             nic_bw: NIC,
             postcopy_memory: false,
             threshold: 3,
@@ -232,25 +207,22 @@ mod tests {
     fn idle_vm_ties_break_to_precopy() {
         let cfg = OrchestratorConfig::default();
         let nv = nodes();
-        let mut p = CostPlanner::default();
         let c = ctx(&cfg, &nv, vm(0.0, 0.0, 0.0, 0.0, 16 << 20, 16 << 20));
-        assert_eq!(p.choose_strategy(&c), StrategyKind::Precopy);
-        let est = p.take_estimates();
+        let (chosen, est) = choose(&c);
+        assert_eq!(chosen, StrategyKind::Precopy);
         assert_eq!(est.len(), 4, "every candidate is estimated");
-        assert!(p.take_estimates().is_empty(), "take moves them out");
     }
 
     #[test]
     fn hot_overwriter_gets_hybrid() {
         let cfg = OrchestratorConfig::default();
         let nv = nodes();
-        let mut p = CostPlanner::default();
         // 25 MB/s of overwrites into a 16 MiB working set: the pre-copy
         // styles re-send forever, mirror pays the wire for every write,
         // hybrid withholds the hot set and pulls it once.
         let c = ctx(&cfg, &nv, vm(25.0e6, 0.0, 0.0, 25.0e6, 16 << 20, 16 << 20));
-        assert_eq!(p.choose_strategy(&c), StrategyKind::Hybrid);
-        let est = p.take_estimates();
+        let (chosen, est) = choose(&c);
+        assert_eq!(chosen, StrategyKind::Hybrid);
         let by = |k: StrategyKind| est.iter().find(|e| e.strategy == k).unwrap();
         assert!(by(StrategyKind::Hybrid).score < by(StrategyKind::Precopy).score);
         assert!(by(StrategyKind::Hybrid).score < by(StrategyKind::Mirror).score);
@@ -264,12 +236,10 @@ mod tests {
     fn light_writer_avoids_mirror_wire_cost() {
         let cfg = OrchestratorConfig::default();
         let nv = nodes();
-        let mut p = CostPlanner::default();
         // Light writes, big modified set: postcopy moves each chunk
         // exactly once and wins on bytes.
         let c = ctx(&cfg, &nv, vm(1.5e6, 0.0, 0.5e6, 1.0e6, 64 << 20, 64 << 20));
-        let chosen = p.choose_strategy(&c);
-        let est = p.take_estimates();
+        let (chosen, est) = choose(&c);
         let best = est
             .iter()
             .find(|e| e.strategy == chosen)
@@ -284,12 +254,11 @@ mod tests {
     fn cached_base_footprint_penalizes_bulk_schemes() {
         let cfg = OrchestratorConfig::default();
         let nv = nodes();
-        let mut p = CostPlanner::default();
         // A read-mostly guest: huge locally cached base, tiny modified
         // set. The bulk schemes would ship the cache; the pull schemes
         // let the destination re-fetch it from the repository.
         let c = ctx(&cfg, &nv, vm(0.0, 30.0e6, 0.0, 0.0, 1 << 30, 4 << 20));
-        let chosen = p.choose_strategy(&c);
+        let (chosen, _) = choose(&c);
         assert!(
             matches!(chosen, StrategyKind::Hybrid | StrategyKind::Postcopy),
             "bulk scheme chosen despite a 1 GiB cached-base footprint: {chosen:?}"
@@ -300,14 +269,12 @@ mod tests {
     fn nonconvergent_flux_is_penalized() {
         let cfg = OrchestratorConfig::default();
         let nv = nodes();
-        let mut p = CostPlanner::default();
         let c = ctx(
             &cfg,
             &nv,
             vm(98.0e6, 0.0, 10.0e6, 88.0e6, 64 << 20, 64 << 20),
         );
-        let _ = p.choose_strategy(&c);
-        let est = p.take_estimates();
+        let (_, est) = choose(&c);
         let pre = est
             .iter()
             .find(|e| e.strategy == StrategyKind::Precopy)
@@ -324,12 +291,11 @@ mod tests {
     fn postcopy_memory_restricts_candidates() {
         let cfg = OrchestratorConfig::default();
         let nv = nodes();
-        let mut p = CostPlanner::default();
         let mut c = ctx(&cfg, &nv, vm(0.0, 0.0, 0.0, 0.0, 16 << 20, 16 << 20));
         c.postcopy_memory = true;
-        let s = p.choose_strategy(&c);
+        let (s, est) = choose(&c);
         assert!(matches!(s, StrategyKind::Hybrid | StrategyKind::Postcopy));
-        assert_eq!(p.take_estimates().len(), 2);
+        assert_eq!(est.len(), 2);
     }
 
     #[test]
@@ -342,19 +308,17 @@ mod tests {
         let nv = nodes();
         let guest = || vm(2.0e6, 50.0e6, 0.0, 2.0e6, 256 << 20, 128 << 20);
         let cfg = OrchestratorConfig::default();
-        let mut p = CostPlanner::default();
-        let chosen = p.choose_strategy(&ctx(&cfg, &nv, guest()));
+        let (chosen, _) = choose(&ctx(&cfg, &nv, guest()));
         assert_eq!(chosen, StrategyKind::Hybrid);
         let weighted = OrchestratorConfig {
             cost_sla_weight: 10.0,
             ..OrchestratorConfig::default()
         };
-        let chosen = p.choose_strategy(&ctx(&weighted, &nv, guest()));
+        let (chosen, est) = choose(&ctx(&weighted, &nv, guest()));
         assert!(
             matches!(chosen, StrategyKind::Precopy | StrategyKind::Mirror),
             "SLA weight should favour the low-stall bulk styles, got {chosen:?}"
         );
-        let est = p.take_estimates();
         let by = |k: StrategyKind| est.iter().find(|e| e.strategy == k).unwrap();
         assert!(
             by(StrategyKind::Hybrid).est_sla_secs > by(StrategyKind::Precopy).est_sla_secs,
@@ -392,8 +356,7 @@ mod tests {
                 cache_hit: 1.0,
             },
         ];
-        let mut p = CostPlanner::default();
         let c = ctx(&cfg, &nv, vm(0.0, 0.0, 0.0, 0.0, 0, 0));
-        assert_eq!(p.place(&c), Some(2));
+        assert_eq!(PlannerKind::Cost.place(&c), Some(2));
     }
 }

@@ -1,5 +1,5 @@
-//! Cluster-level migration planning: the pluggable layer between
-//! scenario intent and the engine.
+//! Cluster-level migration planning: the layer between scenario intent
+//! and the engine.
 //!
 //! The paper's central claim is that the *right* storage-transfer scheme
 //! depends on the workload's I/O intensity (§4, §5.2). At cluster scale
@@ -7,12 +7,13 @@
 //! migrations run concurrently (Baruchi et al., Voorsluys et al.). This
 //! module makes both decisions first-class:
 //!
-//! * A [`Planner`] receives migration requests — explicit jobs as well
-//!   as high-level intents like "evacuate node N" or "rebalance group G"
-//!   ([`RequestIntent`]) — together with live per-VM I/O telemetry
-//!   (windowed write/read rates sampled from the workload hooks) and
-//!   per-node load, and decides **destination placement** and, for
-//!   adaptive requests, **which of the transfer schemes to use**.
+//! * The configured [`PlannerKind`] receives migration requests —
+//!   explicit jobs as well as high-level intents like "evacuate node N"
+//!   or "rebalance group G" ([`RequestIntent`]) — together with live
+//!   per-VM I/O telemetry (windowed write/read rates sampled from the
+//!   workload hooks) and per-node load, and decides **destination
+//!   placement** and, for adaptive requests, **which of the transfer
+//!   schemes to use**.
 //! * The engine's orchestration layer (`engine::orchestrator`) drains a
 //!   request queue through the planner under a configurable
 //!   max-concurrent-migrations **admission cap**
@@ -20,16 +21,17 @@
 //!   cap are held (visible as planner-queued jobs) and admitted in
 //!   deterministic FIFO order as slots free up.
 //!
-//! Three planners ship: [`FixedPlanner`] — the trivial planner that
-//! reproduces the engine's historical explicit scheduling — the
-//! load-aware [`AdaptivePlanner`], which places onto the least-loaded
-//! healthy node and operationalizes the paper's §4 decision rule by
-//! picking the transfer scheme from observed write intensity, and the
-//! predictive [`CostPlanner`], which estimates per-scheme migration
-//! time and bytes-on-wire from an analytic model over the same
-//! telemetry (the paper's §5.2 dirty-rate × threshold analysis) and
-//! admits the argmin — recording the per-scheme estimates on the
-//! [`PlannerDecision`] so reports show *why* a scheme won.
+//! Three planners are built in, chosen by `[orchestrator] planner`:
+//! [`PlannerKind::Fixed`] — the trivial planner that reproduces the
+//! engine's historical explicit scheduling — the load-aware
+//! [`PlannerKind::Adaptive`], which places onto the least-loaded healthy
+//! node and operationalizes the paper's §4 decision rule by picking the
+//! transfer scheme from observed write intensity, and the predictive
+//! [`PlannerKind::Cost`], which places the same way, estimates
+//! per-scheme migration time and bytes-on-wire from an analytic model
+//! over the same telemetry (the paper's §5.2 dirty-rate × threshold
+//! analysis) and admits the argmin — recording the per-scheme estimates
+//! on the [`PlannerDecision`] so reports show *why* a scheme won.
 //!
 //! Everything here is deterministic: no randomness, ties broken by the
 //! lowest index, so two runs of the same scenario produce bit-identical
@@ -38,11 +40,6 @@
 mod adaptive;
 pub mod bounds;
 mod cost;
-mod fixed;
-
-pub use adaptive::AdaptivePlanner;
-pub use cost::CostPlanner;
-pub use fixed::FixedPlanner;
 
 use crate::policy::StrategyKind;
 use lsm_simcore::time::SimTime;
@@ -83,18 +80,27 @@ impl RequestIntent {
     }
 }
 
-/// Which planner the orchestrator uses.
+/// Which planner the orchestrator uses: it decides placement (for
+/// intents, retries and re-plans) and strategy (for adaptive requests).
+///
+/// Every decision is deterministic (no clocks, no RNG; ties break on
+/// the lowest index): planner decisions are part of the engine's
+/// bit-identical replay contract.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PlannerKind {
-    /// [`FixedPlanner`]: explicit requests as given, first-healthy-node
-    /// placement for intents, never overrides strategies.
+    /// Admits requests exactly as given: explicit migrations keep their
+    /// destination and strategy; intent-driven placements take the
+    /// first healthy node other than the VM's host (lowest index,
+    /// load-blind). The historical `Engine::schedule_migration`
+    /// behaviour is this planner under an unlimited admission cap.
     Fixed,
-    /// [`AdaptivePlanner`]: least-loaded placement, write-intensity
-    /// strategy selection for adaptive requests.
+    /// Least-loaded placement; adaptive requests get the scheme the
+    /// paper's §4 rule picks from the VM's windowed write and read
+    /// intensity (the rule is in the `adaptive` module).
     Adaptive,
-    /// [`CostPlanner`]: least-loaded placement; adaptive requests get
-    /// the scheme whose predicted migration cost (time + weighted
-    /// traffic, from the analytic model) is lowest.
+    /// Least-loaded placement; adaptive requests get the scheme whose
+    /// predicted migration cost (time + weighted traffic, from the
+    /// analytic model in the `cost` module) is lowest.
     Cost,
 }
 
@@ -112,6 +118,33 @@ impl PlannerKind {
     /// needs the sampling loop armed and accepts adaptive requests).
     pub fn uses_telemetry(self) -> bool {
         !matches!(self, PlannerKind::Fixed)
+    }
+
+    /// Choose a destination for `ctx.vm` (intent, retry and re-plan
+    /// placement): a healthy node other than the VM's host, or `None`
+    /// when there is none. `Fixed` takes the first such node; the
+    /// others take the least loaded, ties to the lowest index.
+    pub(crate) fn place(self, ctx: &PlanContext<'_>) -> Option<u32> {
+        let mut healthy = ctx
+            .nodes
+            .iter()
+            .filter(|n| !n.crashed && n.node != ctx.vm.host);
+        match self {
+            PlannerKind::Fixed => healthy.next(),
+            PlannerKind::Adaptive | PlannerKind::Cost => healthy.min_by_key(|n| (n.load, n.node)),
+        }
+        .map(|n| n.node)
+    }
+
+    /// Resolve the transfer strategy for a request on `ctx.vm`, with
+    /// the per-scheme estimates behind it (empty unless `Cost` chose).
+    /// `Fixed` never second-guesses the VM's configured strategy.
+    pub(crate) fn choose(self, ctx: &PlanContext<'_>) -> (StrategyKind, Vec<SchemeEstimate>) {
+        match self {
+            PlannerKind::Fixed => (ctx.vm.strategy, Vec::new()),
+            PlannerKind::Adaptive => (adaptive::choose(ctx), Vec::new()),
+            PlannerKind::Cost => cost::choose(ctx),
+        }
     }
 }
 
@@ -266,15 +299,6 @@ impl OrchestratorConfig {
         }
         Ok(())
     }
-
-    /// Build the configured planner.
-    pub fn build_planner(&self) -> Box<dyn Planner> {
-        match self.planner {
-            PlannerKind::Fixed => Box::new(FixedPlanner),
-            PlannerKind::Adaptive => Box::new(AdaptivePlanner),
-            PlannerKind::Cost => Box::new(CostPlanner::default()),
-        }
-    }
 }
 
 /// Per-node load view handed to planners.
@@ -345,8 +369,6 @@ pub struct VmView {
 /// planner cannot mutate the engine, which keeps decisions replayable.
 #[derive(Debug)]
 pub struct PlanContext<'a> {
-    /// Current simulated time.
-    pub now: SimTime,
     /// Per-NIC bandwidth, bytes/second (the adaptive thresholds are
     /// fractions of it).
     pub nic_bw: f64,
@@ -366,36 +388,10 @@ pub struct PlanContext<'a> {
     pub vm: VmView,
 }
 
-/// A pluggable migration planner: placement for intent-driven
-/// migrations and strategy resolution for adaptive requests.
-///
-/// Implementations must be deterministic (no clocks, no RNG; break ties
-/// on the lowest index) — planner decisions are part of the engine's
-/// bit-identical replay contract.
-pub trait Planner: std::fmt::Debug + Send {
-    /// The planner's name, recorded on every [`PlannerDecision`].
-    fn name(&self) -> &'static str;
-
-    /// Choose a destination for `ctx.vm` (evacuation/rebalance
-    /// placement). Must return a healthy node different from the VM's
-    /// host, or `None` when no such node exists.
-    fn place(&mut self, ctx: &PlanContext<'_>) -> Option<u32>;
-
-    /// Resolve the transfer strategy for an adaptive request on
-    /// `ctx.vm`.
-    fn choose_strategy(&mut self, ctx: &PlanContext<'_>) -> StrategyKind;
-
-    /// Per-scheme estimates behind the most recent
-    /// [`Planner::choose_strategy`] call, moved out for the decision
-    /// record (empty for planners that do not predict).
-    fn take_estimates(&mut self) -> Vec<SchemeEstimate> {
-        Vec::new()
-    }
-}
-
 /// One candidate scheme's predicted migration cost, as computed by the
-/// [`CostPlanner`] at admission time and recorded on the
-/// [`PlannerDecision`] (so `lsm run --json` shows *why* a scheme won).
+/// cost planner ([`PlannerKind::Cost`]) at admission time and recorded
+/// on the [`PlannerDecision`] (so `lsm run --json` shows *why* a scheme
+/// won).
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct SchemeEstimate {
     /// The candidate scheme.
@@ -495,7 +491,6 @@ mod tests {
 
     fn ctx<'a>(cfg: &'a OrchestratorConfig, nodes: &'a [NodeView], vm: VmView) -> PlanContext<'a> {
         PlanContext {
-            now: SimTime::ZERO,
             nic_bw: 100.0e6,
             postcopy_memory: false,
             threshold: 3,
@@ -539,54 +534,58 @@ mod tests {
     fn fixed_planner_places_first_healthy_other_node() {
         let cfg = OrchestratorConfig::default();
         let nv = nodes(&[(false, 3), (true, 0), (false, 9), (false, 0)]);
-        let mut p = FixedPlanner;
+        let p = PlannerKind::Fixed;
         assert_eq!(p.place(&ctx(&cfg, &nv, vm_on(0, 0.0, 0.0))), Some(2));
         assert_eq!(p.place(&ctx(&cfg, &nv, vm_on(2, 0.0, 0.0))), Some(0));
         // Only crashed alternatives: no placement.
         let nv = nodes(&[(false, 0), (true, 0)]);
         assert_eq!(p.place(&ctx(&cfg, &nv, vm_on(0, 0.0, 0.0))), None);
+        // The configured strategy stands, with no estimates.
+        let (s, estimates) = p.choose(&ctx(&cfg, &nv, vm_on(0, 100.0e6, 0.0)));
+        assert_eq!(s, StrategyKind::Hybrid);
+        assert!(estimates.is_empty());
     }
 
     #[test]
     fn adaptive_planner_places_least_loaded() {
         let cfg = OrchestratorConfig::default();
         let nv = nodes(&[(false, 1), (false, 4), (true, 0), (false, 1)]);
-        let mut p = AdaptivePlanner;
-        // Tie between 0 and 3 at load 1, but 0 is the host: pick 3.
-        assert_eq!(p.place(&ctx(&cfg, &nv, vm_on(0, 0.0, 0.0))), Some(3));
-        // From node 1, the tie breaks to the lowest index.
-        assert_eq!(p.place(&ctx(&cfg, &nv, vm_on(1, 0.0, 0.0))), Some(0));
+        for p in [PlannerKind::Adaptive, PlannerKind::Cost] {
+            // Tie between 0 and 3 at load 1, but 0 is the host: pick 3.
+            assert_eq!(p.place(&ctx(&cfg, &nv, vm_on(0, 0.0, 0.0))), Some(3));
+            // From node 1, the tie breaks to the lowest index.
+            assert_eq!(p.place(&ctx(&cfg, &nv, vm_on(1, 0.0, 0.0))), Some(0));
+        }
     }
 
     #[test]
     fn adaptive_rule_covers_the_intensity_spectrum() {
         let cfg = OrchestratorConfig::default();
         let nv = nodes(&[(false, 0), (false, 0)]);
-        let mut p = AdaptivePlanner;
         let nic = 100.0e6;
+        let choose = |w: f64, r: f64| {
+            let (s, estimates) = PlannerKind::Adaptive.choose(&ctx(&cfg, &nv, vm_on(0, w, r)));
+            assert!(estimates.is_empty(), "the adaptive rule predicts nothing");
+            s
+        };
         // Write-heavy: the paper's hybrid scheme.
-        let c = ctx(&cfg, &nv, vm_on(0, 0.10 * nic, 0.0));
-        assert_eq!(p.choose_strategy(&c), StrategyKind::Hybrid);
+        assert_eq!(choose(0.10 * nic, 0.0), StrategyKind::Hybrid);
         // Light writer: synchronous mirroring.
-        let c = ctx(&cfg, &nv, vm_on(0, 0.01 * nic, 0.0));
-        assert_eq!(p.choose_strategy(&c), StrategyKind::Mirror);
+        assert_eq!(choose(0.01 * nic, 0.0), StrategyKind::Mirror);
         // Read-mostly: storage post-copy.
-        let c = ctx(&cfg, &nv, vm_on(0, 0.0, 0.2 * nic));
-        assert_eq!(p.choose_strategy(&c), StrategyKind::Postcopy);
+        assert_eq!(choose(0.0, 0.2 * nic), StrategyKind::Postcopy);
         // Idle: incremental block pre-copy converges immediately.
-        let c = ctx(&cfg, &nv, vm_on(0, 0.0, 0.0));
-        assert_eq!(p.choose_strategy(&c), StrategyKind::Precopy);
+        assert_eq!(choose(0.0, 0.0), StrategyKind::Precopy);
     }
 
     #[test]
     fn adaptive_rule_respects_postcopy_memory() {
         let cfg = OrchestratorConfig::default();
         let nv = nodes(&[(false, 0), (false, 0)]);
-        let mut p = AdaptivePlanner;
         for (w, r) in [(0.0, 0.0), (0.01, 0.0), (0.10, 0.0), (0.0, 0.2)] {
             let mut c = ctx(&cfg, &nv, vm_on(0, w * 100.0e6, r * 100.0e6));
             c.postcopy_memory = true;
-            let s = p.choose_strategy(&c);
+            let (s, _) = PlannerKind::Adaptive.choose(&c);
             assert!(
                 matches!(s, StrategyKind::Hybrid | StrategyKind::Postcopy),
                 "post-copy memory admits no pre-copy storage stream, got {s:?}"

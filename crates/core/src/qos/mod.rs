@@ -18,8 +18,8 @@
 //! SLA-violation time (Voorsluys et al.): the seconds the guest was
 //! down plus the seconds it ran degraded, weighted by how degraded.
 //! The engine integrates that quantity per job — see
-//! `RunReport.sla` — whether or not `[qos]` is present, and the
-//! `CostPlanner` can price it into placement via
+//! `RunReport.sla` — whether or not `[qos]` is present, and the cost
+//! planner can price it into its strategy choice via
 //! [`OrchestratorConfig::cost_sla_weight`](crate::planner::OrchestratorConfig::cost_sla_weight).
 //!
 //! This file holds the pure, engine-free pieces: the configuration and

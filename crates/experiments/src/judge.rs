@@ -1,11 +1,11 @@
 //! Planner judge harness: the same fleet scenario run under two
 //! planners, scored on completion makespan and bytes moved.
 //!
-//! The ROADMAP's acceptance question for the predictive
-//! [`CostPlanner`](lsm_core::planner::CostPlanner) is concrete: on the
-//! `adaptive64` fleet, does picking the per-VM argmin of the analytic
-//! cost model beat (or at least match) the threshold-rule
-//! [`AdaptivePlanner`](lsm_core::planner::AdaptivePlanner)? This module
+//! The ROADMAP's acceptance question for the predictive cost planner
+//! ([`PlannerKind::Cost`]) is concrete: on the `adaptive64` fleet, does
+//! picking the per-VM argmin of the analytic cost model beat (or at
+//! least match) the threshold-rule adaptive planner
+//! ([`PlannerKind::Adaptive`])? This module
 //! runs exactly that comparison — one run per planner, identical VMs,
 //! migrations, cap and horizon — and reports, per planner, the
 //! completion makespan (latest source-relinquish instant over all

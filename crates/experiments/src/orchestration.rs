@@ -205,12 +205,11 @@ pub fn adaptive64_spec() -> ScenarioSpec {
 }
 
 /// The `scenarios/cost64.toml` scenario: the same 64-VM three-class
-/// fleet as `adaptive64`, admitted by the predictive [`CostPlanner`]
-/// instead of the threshold rule — the per-scheme time/traffic
-/// estimates land on every decision, and the judge harness
-/// ([`crate::judge`]) compares the two planners head to head.
-///
-/// [`CostPlanner`]: lsm_core::planner::CostPlanner
+/// fleet as `adaptive64`, admitted by the predictive cost planner
+/// ([`PlannerKind::Cost`]) instead of the threshold rule — the
+/// per-scheme time/traffic estimates land on every decision, and the
+/// judge harness ([`crate::judge`]) compares the two planners head to
+/// head.
 pub fn cost64_spec() -> ScenarioSpec {
     let mut spec = AdaptiveParams::adaptive64().spec("cost64");
     spec.orchestrator = Some(OrchestratorConfig {
