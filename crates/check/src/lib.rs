@@ -99,23 +99,23 @@ use lsm_core::engine::{Engine, JobId, MigrationProgress, MigrationStatus};
 use lsm_core::{Observer, RebalanceTrigger, ReplanReason, RunControl};
 use lsm_simcore::time::SimTime;
 
+/// Relative tolerance for capacity comparisons (the solver's arithmetic
+/// is exact per water-fill round, but sums of many flows accumulate
+/// rounding).
+const REL_EPSILON: f64 = 1e-6;
+
+/// Absolute slack in bytes for the delivered-bytes law (sub-byte
+/// completion residues are accounted exactly; rounding of queries is
+/// not).
+const DELIVERED_SLACK: f64 = 64.0 * 1024.0;
+
 /// Tuning for the checker (defaults are right for tests and CI).
 #[derive(Clone, Debug)]
 pub struct CheckConfig {
-    /// Relative tolerance for capacity comparisons (the solver's
-    /// arithmetic is exact per water-fill round, but sums of many flows
-    /// accumulate rounding).
-    pub rel_epsilon: f64,
-    /// Absolute slack in bytes for the delivered-bytes law (sub-byte
-    /// completion residues are accounted exactly; rounding of queries is
-    /// not).
-    pub delivered_slack: f64,
     /// Run the full chunk-version audit every this many events
     /// (`0` disables the periodic audit; job-status-targeted and final
     /// audits still run).
     pub deep_scan_interval: u64,
-    /// Stop the run at the first violation instead of collecting.
-    pub fail_fast: bool,
     /// Keep at most this many violations (the first ones matter most).
     pub max_violations: usize,
 }
@@ -123,10 +123,7 @@ pub struct CheckConfig {
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
-            rel_epsilon: 1e-6,
-            delivered_slack: 64.0 * 1024.0,
             deep_scan_interval: 8192,
-            fail_fast: false,
             max_violations: 64,
         }
     }
@@ -239,21 +236,16 @@ impl InvariantObserver {
         panic!("{msg}");
     }
 
-    fn violate(&mut self, at: SimTime, law: &'static str, detail: String) -> RunControl {
+    fn violate(&mut self, at: SimTime, law: &'static str, detail: String) {
         self.total_violations += 1;
         if self.violations.len() < self.cfg.max_violations {
             self.violations.push(Violation { at, law, detail });
-        }
-        if self.cfg.fail_fast {
-            RunControl::Stop
-        } else {
-            RunControl::Continue
         }
     }
 
     // ---------------- cheap per-event audits ----------------
 
-    fn cheap_audit(&mut self, eng: &Engine) -> RunControl {
+    fn cheap_audit(&mut self, eng: &Engine) {
         let now = eng.now();
         let net = eng.network();
         let topo = net.topology();
@@ -263,22 +255,20 @@ impl InvariantObserver {
         self.down_sum.clear();
         self.down_sum.resize(n, 0.0);
         let mut total = 0.0f64;
-        let mut control = RunControl::Continue;
-        let eps = self.cfg.rel_epsilon;
         let qos_ceiling = eng.qos_config().cap_bytes();
 
         for f in net.flow_views() {
             self.checks += 1;
             if f.rate < 0.0 || !f.rate.is_finite() {
-                control = self.violate(
+                self.violate(
                     now,
                     "rate-sane",
                     format!("flow {:?} has rate {}", f.id, f.rate),
                 );
             }
             if let Some(cap) = f.cap {
-                if f.rate > cap * (1.0 + eps) {
-                    control = self.violate(
+                if f.rate > cap * (1.0 + REL_EPSILON) {
+                    self.violate(
                         now,
                         "flow-cap",
                         format!("flow {:?} rate {} exceeds its cap {}", f.id, f.rate, cap),
@@ -292,9 +282,9 @@ impl InvariantObserver {
                     // Migration-class flows must carry a per-flow cap at
                     // least as tight as the configured QoS ceiling; shards
                     // split the ceiling, so strictly tighter is fine.
-                    let capped = f.cap.is_some_and(|c| c <= ceiling * (1.0 + eps));
+                    let capped = f.cap.is_some_and(|c| c <= ceiling * (1.0 + REL_EPSILON));
                     if !capped {
-                        control = self.violate(
+                        self.violate(
                             now,
                             "cap-respected",
                             format!(
@@ -307,7 +297,7 @@ impl InvariantObserver {
             }
             for (node, what) in [(f.src, "source"), (f.dst, "destination")] {
                 if eng.node_crashed(node.0) {
-                    control = self.violate(
+                    self.violate(
                         now,
                         "no-flow-on-crashed-node",
                         format!(
@@ -325,8 +315,8 @@ impl InvariantObserver {
         for i in 0..n {
             let caps = topo.caps(lsm_netsim::NodeId(i as u32));
             self.checks += 2;
-            if self.up_sum[i] > caps.up * (1.0 + eps) {
-                control = self.violate(
+            if self.up_sum[i] > caps.up * (1.0 + REL_EPSILON) {
+                self.violate(
                     now,
                     "uplink-conservation",
                     format!(
@@ -335,8 +325,8 @@ impl InvariantObserver {
                     ),
                 );
             }
-            if self.down_sum[i] > caps.down * (1.0 + eps) {
-                control = self.violate(
+            if self.down_sum[i] > caps.down * (1.0 + REL_EPSILON) {
+                self.violate(
                     now,
                     "downlink-conservation",
                     format!(
@@ -347,8 +337,8 @@ impl InvariantObserver {
             }
         }
         self.checks += 1;
-        if total > topo.switch_capacity * (1.0 + eps) {
-            control = self.violate(
+        if total > topo.switch_capacity * (1.0 + REL_EPSILON) {
+            self.violate(
                 now,
                 "switch-conservation",
                 format!("switch carries {total} > capacity {}", topo.switch_capacity),
@@ -363,9 +353,9 @@ impl InvariantObserver {
         let carried =
             net.total_delivered() as f64 - net.delivered(lsm_netsim::TrafficTag::Control) as f64;
         let bound =
-            topo.switch_capacity * now.as_secs_f64() * (1.0 + eps) + self.cfg.delivered_slack;
+            topo.switch_capacity * now.as_secs_f64() * (1.0 + REL_EPSILON) + DELIVERED_SLACK;
         if carried > bound {
-            control = self.violate(
+            self.violate(
                 now,
                 "delivered-bytes-bound",
                 format!("{carried} bytes delivered > switch capacity x time = {bound}"),
@@ -398,7 +388,7 @@ impl InvariantObserver {
                     self.checks += 1;
                     let cur = eng.job_status(job).expect("job exists");
                     if cur != prev {
-                        control = self.violate(
+                        self.violate(
                             now,
                             "terminal-job-regressed",
                             format!("job {i} left terminal {prev:?} for {cur:?}"),
@@ -414,7 +404,7 @@ impl InvariantObserver {
                 if !attempts.is_empty() {
                     self.checks += 1;
                     if attempts.len() as u32 >= rcfg.retry.max_attempts {
-                        control = self.violate(
+                        self.violate(
                             now,
                             "retry-within-policy",
                             format!(
@@ -429,7 +419,7 @@ impl InvariantObserver {
             for a in attempts {
                 self.checks += 1;
                 if a.resumed_bytes > a.checkpoint_bytes {
-                    control = self.violate(
+                    self.violate(
                         now,
                         "resume-bounded",
                         format!(
@@ -442,7 +432,7 @@ impl InvariantObserver {
             if eng.job_retry_pending(job) {
                 self.checks += 1;
                 if status != MigrationStatus::Queued {
-                    control = self.violate(
+                    self.violate(
                         now,
                         "no-dangling-retry",
                         format!("job {i} has a pending retry timer while {status:?}"),
@@ -462,7 +452,7 @@ impl InvariantObserver {
                     self.checks += 1;
                     let step = eng.vm_throttle_step(p.vm);
                     if step != 0 {
-                        control = self.violate(
+                        self.violate(
                             now,
                             "throttle-released",
                             format!(
@@ -487,13 +477,13 @@ impl InvariantObserver {
             let dest = eng.job_dest(job).expect("job exists");
             self.checks += 1;
             if dest >= n as u32 {
-                control = self.violate(
+                self.violate(
                     now,
                     "placement-legal",
                     format!("job {i} runs toward out-of-range node {dest} (cluster has {n})"),
                 );
             } else if eng.node_crashed(dest) {
-                control = self.violate(
+                self.violate(
                     now,
                     "placement-legal",
                     format!("job {i} still runs toward crashed node {dest}"),
@@ -503,7 +493,7 @@ impl InvariantObserver {
         if let Some(cap) = eng.admission_cap() {
             self.checks += 1;
             if running > cap {
-                control = self.violate(
+                self.violate(
                     now,
                     "admission-cap",
                     format!("{running} migrations running under a cap of {cap}"),
@@ -513,7 +503,7 @@ impl InvariantObserver {
         self.checks += 1;
         let held = eng.active_migrations();
         if running != held {
-            control = self.violate(
+            self.violate(
                 now,
                 "admission-accounting",
                 format!("{running} migrations running but {held} admission slots held"),
@@ -528,7 +518,7 @@ impl InvariantObserver {
             if let Some((recorded, expected)) = eng.sla_audit(v) {
                 self.checks += 1;
                 if (recorded - expected).abs() > 1e-9 {
-                    control = self.violate(
+                    self.violate(
                         now,
                         "sla-consistent",
                         format!(
@@ -553,7 +543,7 @@ impl InvariantObserver {
                         RebalanceTrigger::Replan { job, .. } if job == jid)
                 }) || !eng.job_attempts(JobId(jid)).is_empty();
                 if !traced {
-                    control = self.violate(
+                    self.violate(
                         at,
                         "requeue-without-replan",
                         format!(
@@ -599,7 +589,7 @@ impl InvariantObserver {
                     } => pressure >= acfg.overload_pressure - acfg.hysteresis - tol,
                 };
                 if !held {
-                    control = self.violate(
+                    self.violate(
                         a.at,
                         "rebalance-threshold-held",
                         format!(
@@ -624,7 +614,7 @@ impl InvariantObserver {
                         if let Some(prev) = self.last_chosen[idx] {
                             let gap = a.at.since(prev).as_secs_f64();
                             if gap < acfg.cooldown_secs - tol {
-                                control = self.violate(
+                                self.violate(
                                     a.at,
                                     "rebalance-no-ping-pong",
                                     format!(
@@ -641,7 +631,6 @@ impl InvariantObserver {
             }
             self.seen_actions = actions.len();
         }
-        control
     }
 
     // ---------------- deep (chunk-version) audit ----------------
@@ -721,11 +710,12 @@ impl Observer for InvariantObserver {
             // (crash faults, runtime rejections, deadlines).
             (None, MigrationStatus::Failed) => true,
             (Some(p), s) if p.is_terminal() => {
-                return self.violate(
+                self.violate(
                     now,
                     "terminal-job-regressed",
                     format!("job {} left terminal {p:?} for {s:?}", job.0),
                 );
+                return RunControl::Continue;
             }
             (Some(MigrationStatus::Queued), MigrationStatus::TransferringMemory) => true,
             // Autonomic re-plan: a started job may return to the queue
@@ -748,13 +738,13 @@ impl Observer for InvariantObserver {
             _ => false,
         };
         if !legal {
-            let v = self.violate(
+            self.violate(
                 now,
                 "illegal-status-transition",
                 format!("job {}: {prev:?} -> {status:?}", job.0),
             );
             self.statuses[idx] = Some(status);
-            return v;
+            return RunControl::Continue;
         }
         self.statuses[idx] = Some(status);
         // A status change is exactly when migration machinery rewires
@@ -762,7 +752,7 @@ impl Observer for InvariantObserver {
         // engine reference is available).
         self.scan_queue.push(progress.vm);
         if status == MigrationStatus::Failed && progress.failure.is_none() {
-            return self.violate(
+            self.violate(
                 now,
                 "failed-without-reason",
                 format!("job {} failed with no FailureReason", job.0),
@@ -773,7 +763,7 @@ impl Observer for InvariantObserver {
 
     fn on_tick(&mut self, eng: &Engine) -> RunControl {
         self.ticks += 1;
-        let mut control = self.cheap_audit(eng);
+        self.cheap_audit(eng);
         if !self.scan_queue.is_empty() {
             let queued = std::mem::take(&mut self.scan_queue);
             for v in queued {
@@ -784,10 +774,7 @@ impl Observer for InvariantObserver {
         {
             self.deep_scan(eng, None);
         }
-        if self.cfg.fail_fast && !self.is_clean() {
-            control = RunControl::Stop;
-        }
-        control
+        RunControl::Continue
     }
 
     /// The final audit: a full chunk-version scan and the cheap laws,
