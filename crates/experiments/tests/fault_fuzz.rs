@@ -483,14 +483,19 @@ proptest! {
 
     /// Determinism under fuzzing: the same plan run twice (same solver)
     /// is bit-identical — fault handling introduces no hidden
-    /// nondeterminism (hash-map iteration, allocation order, ...).
+    /// nondeterminism (hash-map iteration, allocation order, ...) — and
+    /// both runs uphold every law.
     #[test]
     fn random_fault_plans_are_run_to_run_deterministic(
         spec in scenario_strategy().prop_map(buildable)
     ) {
         let run = || {
-            run_scenario_with(&spec, 1, SolverMode::Incremental, checker)
-                .map(|run| serde_json::to_string_pretty(&run.report).expect("serializes"))
+            run_scenario_with(&spec, 1, SolverMode::Incremental, checker).map(|run| {
+                for obs in &run.observers {
+                    obs.assert_clean("run-to-run determinism");
+                }
+                serde_json::to_string_pretty(&run.report).expect("serializes")
+            })
         };
         match (run(), run()) {
             (Err(_), Err(_)) => prop_assume!(false),
