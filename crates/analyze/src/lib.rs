@@ -775,26 +775,12 @@ fn shard_admission(spec: &ScenarioSpec, out: &mut Vec<Diag>) {
             // One diagnostic per *kind* of reason; a reason repeated
             // across many migrations/VMs (e.g. 2048 adaptive
             // migrations) collapses to its first occurrence + count.
-            let mut groups: Vec<(std::mem::Discriminant<shard::ShardRejection>, String, usize)> =
-                Vec::new();
-            for r in &rejections {
-                let d = std::mem::discriminant(r);
-                match groups.iter_mut().find(|(k, _, _)| *k == d) {
-                    Some((_, _, n)) => *n += 1,
-                    None => groups.push((d, r.to_string(), 1)),
-                }
-            }
-            for (_, first, n) in groups {
-                let more = if n > 1 {
-                    format!(" ({} more like this)", n - 1)
-                } else {
-                    String::new()
-                };
+            for group in shard::rejection_groups(&rejections) {
                 out.push(Diag::new(
                     DiagCode::ShardInadmissible,
                     Span::Scenario,
                     format!(
-                        "not shardable: {first}{more} — `lsm run --threads N` falls back to monolithic"
+                        "not shardable: {group} — `lsm run --threads N` falls back to monolithic"
                     ),
                 ));
             }

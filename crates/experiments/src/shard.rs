@@ -196,14 +196,35 @@ impl std::fmt::Display for ShardRejection {
     }
 }
 
-/// Render a rejection list as one semicolon-joined line (the compact
-/// form the CLI fallback note and error contexts use).
+/// The rejection list grouped by kind, in first-occurrence order: each
+/// kind's first reason, plus `(N more like this)` when the kind
+/// repeats, so 2048 adaptive migrations make one entry, not 2048.
+pub fn rejection_groups(reasons: &[ShardRejection]) -> Vec<String> {
+    let mut groups: Vec<(&ShardRejection, usize)> = Vec::new();
+    for r in reasons {
+        let kind = std::mem::discriminant(r);
+        match groups
+            .iter_mut()
+            .find(|(first, _)| std::mem::discriminant(*first) == kind)
+        {
+            Some((_, n)) => *n += 1,
+            None => groups.push((r, 1)),
+        }
+    }
+    groups
+        .into_iter()
+        .map(|(first, n)| match n {
+            1 => first.to_string(),
+            n => format!("{first} ({} more like this)", n - 1),
+        })
+        .collect()
+}
+
+/// Render a rejection list as one semicolon-joined line of its
+/// [`rejection_groups`] (the compact form the CLI fallback note and
+/// error contexts use).
 pub fn render_rejections(reasons: &[ShardRejection]) -> String {
-    reasons
-        .iter()
-        .map(|r| r.to_string())
-        .collect::<Vec<_>>()
-        .join("; ")
+    rejection_groups(reasons).join("; ")
 }
 
 /// Prove `spec` partitions into ≥ 2 independent components and build
@@ -405,4 +426,31 @@ pub fn partition(spec: &ScenarioSpec) -> Result<Vec<SubScenario>, Vec<ShardRejec
         });
     }
     Ok(subs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repeated_rejections_collapse_by_kind() {
+        let reasons = [
+            ShardRejection::Orchestrator,
+            ShardRejection::AdaptiveMigration { migration: 3 },
+            ShardRejection::SharedFs { vm: 0 },
+            ShardRejection::AdaptiveMigration { migration: 5 },
+            ShardRejection::AdaptiveMigration { migration: 9 },
+        ];
+        assert_eq!(
+            render_rejections(&reasons),
+            "an [orchestrator] section takes fleet-global admission decisions; \
+             migration 3 is adaptive-strategy (reads planner telemetry) (2 more like this); \
+             vm 0 uses the SharedFs strategy (stripes every write over the whole PVFS)"
+        );
+        assert_eq!(
+            render_rejections(&reasons[..1]),
+            "an [orchestrator] section takes fleet-global admission decisions"
+        );
+        assert!(rejection_groups(&[]).is_empty());
+    }
 }
