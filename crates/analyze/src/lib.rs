@@ -772,9 +772,7 @@ fn shard_admission(spec: &ScenarioSpec, out: &mut Vec<Diag>) {
             ),
         )),
         Err(rejections) => {
-            // One diagnostic per *kind* of reason; a reason repeated
-            // across many migrations/VMs (e.g. 2048 adaptive
-            // migrations) collapses to its first occurrence + count.
+            // One diagnostic per kind of reason, not per migration/VM.
             for group in shard::rejection_groups(&rejections) {
                 out.push(Diag::new(
                     DiagCode::ShardInadmissible,

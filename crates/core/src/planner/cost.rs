@@ -45,7 +45,6 @@
 //! earlier candidate, so decisions are bit-reproducible across runs and
 //! solvers. Memory migration time is common to every scheme and drops
 //! out of the argmin, so the model omits it.
-
 //!
 //! [`PlannerKind::Adaptive`]: super::PlannerKind::Adaptive
 
