@@ -820,3 +820,54 @@ fn gang_admission_never_strands_half_a_group() {
         g0.decided_at
     );
 }
+
+// ---------------- pressure attribution ----------------
+
+/// `Engine::node_pressures` attributes each guest's I/O pressure the way
+/// placement attributes load: at its host until an admitted job moves
+/// it, then at the job's destination (while it transfers and after it
+/// lands there), and nowhere once the guest dies with its node.
+#[test]
+fn node_pressure_follows_the_admitted_job_and_dies_with_the_guest() {
+    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
+    let vm = sim
+        .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
+        .expect("vm");
+    let job = sim.schedule_migration(vm, 1, secs(5.0)).expect("job");
+    sim.schedule_fault(secs(400.0), FaultKind::NodeCrash { node: 1 })
+        .expect("fault");
+    // Only `node` carries pressure, and it carries some.
+    let only_at = |sim: &Engine, node: usize| {
+        let p = sim.node_pressures();
+        for (n, &x) in p.iter().enumerate() {
+            if n == node {
+                assert!(x > 0.0, "node {n} should carry the writer: {p:?}");
+            } else {
+                assert_eq!(x, 0.0, "node {n} should carry nothing: {p:?}");
+            }
+        }
+    };
+
+    sim.run_until(secs(4.0));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Queued));
+    only_at(&sim, 0);
+
+    sim.run_until(secs(5.5));
+    let status = sim.job_status(job).expect("job");
+    assert!(
+        status != MigrationStatus::Queued && !status.is_terminal(),
+        "the job should be transferring, got {status:?}"
+    );
+    only_at(&sim, 1);
+
+    sim.run_until(secs(300.0));
+    assert_eq!(sim.job_status(job), Some(MigrationStatus::Completed));
+    only_at(&sim, 1);
+
+    sim.run_until(secs(500.0));
+    assert!(
+        sim.node_pressures().iter().all(|&x| x == 0.0),
+        "a crashed guest counts nowhere: {:?}",
+        sim.node_pressures()
+    );
+}
