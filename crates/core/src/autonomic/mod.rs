@@ -41,28 +41,14 @@ pub struct AutonomicConfig {
     /// `underload_pressure + hysteresis`. Prevents threshold chatter
     /// from re-classifying a node every tick.
     pub hysteresis: f64,
-    /// Cycle-timing deferral (Baruchi-style): a candidate VM whose
-    /// windowed dirty or re-write rate is at or above this fraction of
-    /// the NIC bandwidth is in a hot workload phase — moving it now
-    /// maximizes re-transfer — and is deferred until it cools.
-    pub hot_dirty_frac: f64,
-    /// A hot-phase VM deferred for longer than this is migrated anyway
-    /// (the workload may never cool; the overload still needs relief).
+    /// A hot-phase VM (windowed dirty or re-write rate at or above 2 %
+    /// of the NIC bandwidth) deferred for longer than this is migrated
+    /// anyway (the workload may never cool; the overload still needs
+    /// relief).
     pub defer_deadline_secs: f64,
     /// A VM the rebalancer moved is not moved again for this long
     /// (no-ping-pong guard; `lsm-check` enforces it as a law).
     pub cooldown_secs: f64,
-    /// At most this many rebalancer-originated migrations per tick
-    /// (gradual convergence: each move changes the pressures the next
-    /// tick sees).
-    pub max_moves_per_tick: u32,
-    /// Re-plan in-flight jobs: a migration whose destination crashes
-    /// before control transfer is re-queued for re-placement instead of
-    /// failing, and one whose destination classifies overloaded is
-    /// re-pointed while still queued-equivalent.
-    pub replan_inflight: bool,
-    /// How many times one job may be re-planned (bounds crash-chasing).
-    pub replan_limit: u32,
 }
 
 impl Default for AutonomicConfig {
@@ -72,12 +58,8 @@ impl Default for AutonomicConfig {
             overload_pressure: 0.6,
             underload_pressure: 0.1,
             hysteresis: 0.1,
-            hot_dirty_frac: 0.02,
             defer_deadline_secs: 60.0,
             cooldown_secs: 120.0,
-            max_moves_per_tick: 1,
-            replan_inflight: true,
-            replan_limit: 2,
         }
     }
 }
@@ -91,7 +73,6 @@ impl AutonomicConfig {
             ("interval_secs", self.interval_secs),
             ("defer_deadline_secs", self.defer_deadline_secs),
             ("cooldown_secs", self.cooldown_secs),
-            ("hot_dirty_frac", self.hot_dirty_frac),
             ("overload_pressure", self.overload_pressure),
         ] {
             if !(x.is_finite() && x > 0.0) {
@@ -118,9 +99,6 @@ impl AutonomicConfig {
                  overload {}",
                 self.hysteresis, self.underload_pressure, self.overload_pressure
             ));
-        }
-        if self.max_moves_per_tick == 0 {
-            return fail("max_moves_per_tick of 0 would never originate a migration".to_string());
         }
         Ok(())
     }
@@ -223,9 +201,9 @@ pub enum ReplanReason {
 #[derive(Clone, Copy, PartialEq, Debug, Serialize)]
 pub enum DeferralReason {
     /// The VM is in a hot workload phase (windowed dirty/re-write rate
-    /// at or above [`AutonomicConfig::hot_dirty_frac`] × NIC): moving it
-    /// now maximizes re-transfer, so the move waits for the cycle to
-    /// cool — until [`AutonomicConfig::defer_deadline_secs`] forces it.
+    /// at or above 2 % of the NIC bandwidth): moving it now maximizes
+    /// re-transfer, so the move waits for the cycle to cool — until
+    /// [`AutonomicConfig::defer_deadline_secs`] forces it.
     HotPhase {
         /// The offending rate, bytes/second.
         rate: f64,
@@ -327,10 +305,6 @@ mod tests {
             },
             AutonomicConfig {
                 hysteresis: 0.6,
-                ..ok.clone()
-            },
-            AutonomicConfig {
-                max_moves_per_tick: 0,
                 ..ok.clone()
             },
             AutonomicConfig {

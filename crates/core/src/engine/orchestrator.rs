@@ -38,7 +38,7 @@ use super::Engine;
 use crate::error::EngineError;
 use crate::planner::{
     NodeView, OrchestratorConfig, PlanContext, PlannerDecision, PlannerSkip, RequestIntent,
-    SchemeEstimate, SkipReason, VmView,
+    SchemeEstimate, SkipReason, VmView, TELEMETRY_WINDOW_SECS,
 };
 use crate::policy::StrategyKind;
 use lsm_hypervisor::VmId;
@@ -87,7 +87,7 @@ pub(crate) struct JobRt {
     /// from an intent.
     pub origin: Option<u32>,
     /// How many times the autonomic rebalancer re-placed this job while
-    /// in flight (bounded by `AutonomicConfig::replan_limit`).
+    /// in flight (bounded by the rebalancer's `REPLAN_LIMIT`).
     pub replans: u32,
     /// Retry state (see the `resilient` module).
     pub retry: JobRetry,
@@ -120,7 +120,7 @@ pub(crate) enum ReadyItem {
     Intent(u32),
     /// One VM's migration expanded from intent `origin`. `attempts`
     /// counts placement attempts that found no healthy destination
-    /// (bounded by [`OrchestratorConfig::placement_retry_limit`]).
+    /// (bounded by [`PLACEMENT_RETRY_LIMIT`]).
     IntentVm {
         vm: VmIdx,
         origin: u32,
@@ -219,8 +219,8 @@ impl OrchestratorRt {
 // ---------------- public scheduling API (on Engine) ----------------
 
 impl Engine {
-    /// Replace the orchestrator configuration (admission cap, planner,
-    /// telemetry window). Must happen before any migration or request
+    /// Replace the orchestrator configuration (admission cap and
+    /// planner). Must happen before any migration or request
     /// is scheduled, so every decision in a run is made by one planner.
     ///
     /// # Errors
@@ -852,6 +852,12 @@ fn admit_job(eng: &mut Engine, job: JobId) {
     admit(eng, job, choice, ready_at);
 }
 
+/// How many placement attempts an intent-expanded step whose placement
+/// found no healthy destination gets (on later queue drains — slot
+/// releases, new requests, node restores) before it is abandoned with a
+/// terminal [`SkipReason::PlacementExhausted`] record.
+const PLACEMENT_RETRY_LIMIT: u32 = 4;
+
 /// Admit one intent-expanded VM migration: the planner places it, the
 /// strategy is resolved (telemetry planners: from live rates), a job is
 /// created on the spot and started.
@@ -859,7 +865,7 @@ fn admit_job(eng: &mut Engine, job: JobId) {
 /// Steps that cannot be admitted leave a [`PlannerSkip`] record. A step
 /// whose placement finds no healthy destination is *parked* — re-queued
 /// on the next drain (slot release, new request, node restore) — until
-/// the retry limit abandons it with a terminal
+/// [`PLACEMENT_RETRY_LIMIT`] abandons it with a terminal
 /// [`SkipReason::PlacementExhausted`]; silently dropping it would let
 /// an `Evacuate` intent "complete" with guests still on the drained
 /// node.
@@ -884,11 +890,12 @@ fn admit_intent_vm(eng: &mut Engine, v: VmIdx, origin: u32, attempts: u32) {
             return;
         }
     }
-    let Some(dest) = place(eng, v) else {
+    let nodes = node_views(eng);
+    let Some(dest) = eng.orch.cfg.planner.place(host, &nodes) else {
         // No healthy destination exists right now: park for a bounded
         // retry instead of dropping the step.
         let attempts = attempts + 1;
-        if attempts >= eng.orch.cfg.placement_retry_limit {
+        if attempts >= PLACEMENT_RETRY_LIMIT {
             record_skip(eng, origin, v, SkipReason::PlacementExhausted, true);
         } else {
             if attempts == 1 {
@@ -905,8 +912,7 @@ fn admit_intent_vm(eng: &mut Engine, v: VmIdx, origin: u32, attempts: u32) {
     if let RequestIntent::Rebalance { .. } = intent {
         // Move only while it improves the spread: the host must carry
         // more than the target even after the move.
-        let views = node_views(eng);
-        if views[host as usize].load <= views[dest as usize].load + 1 {
+        if nodes[host as usize].load <= nodes[dest as usize].load + 1 {
             record_skip(eng, origin, v, SkipReason::SpreadSatisfied, true);
             return;
         }
@@ -1001,28 +1007,28 @@ fn expand_intent(eng: &mut Engine, req: u32) {
 
 // ---------------- planner context ----------------
 
-/// Per-node load. A live VM counts at its host — unless an admitted
-/// migration is moving it, in which case it counts at the migration's
-/// destination (it is leaving the source and arriving there), so
-/// back-to-back placements see the loads earlier decisions created.
-/// I/O pressure and cache hits aggregate under the same attribution, so
-/// a tick that just admitted a relief migration immediately sees the
-/// pressure moving with the VM.
+/// The node VM `v` counts at, for load and I/O pressure alike: an
+/// admitted migration's destination while one moves it (it is leaving
+/// the source and arriving there, so back-to-back placements see the
+/// loads earlier decisions created), otherwise its host; `None` once
+/// the VM crashed.
+pub(crate) fn attributed_node(eng: &Engine, v: VmIdx) -> Option<u32> {
+    let vm = &eng.vms[v as usize];
+    if vm.crashed {
+        return None;
+    }
+    match vm.live_job.map(|j| &eng.jobs[j.0 as usize]) {
+        Some(j) if j.counted => Some(j.dest),
+        _ => Some(vm.vm.host),
+    }
+}
+
+/// Per-node load: live VMs counted at their [`attributed_node`].
 pub(crate) fn node_views(eng: &Engine) -> Vec<NodeView> {
     let mut load = vec![0u32; eng.cfg.nodes as usize];
-    let mut pressure = vec![0.0f64; eng.cfg.nodes as usize];
-    let mut hit = vec![0u64; eng.cfg.nodes as usize];
-    let mut miss = vec![0u64; eng.cfg.nodes as usize];
-    for (v, vm) in eng.vms.iter().enumerate() {
-        if !vm.crashed {
-            let at = match vm.live_job.map(|j| &eng.jobs[j.0 as usize]) {
-                Some(j) if j.counted => j.dest,
-                _ => vm.vm.host,
-            } as usize;
-            load[at] += 1;
-            pressure[at] += vm_pressure(eng, v as VmIdx);
-            hit[at] += vm.reads_hit_bytes;
-            miss[at] += vm.reads_miss_bytes;
+    for v in 0..eng.vms.len() as VmIdx {
+        if let Some(at) = attributed_node(eng, v) {
+            load[at as usize] += 1;
         }
     }
     (0..eng.cfg.nodes)
@@ -1030,20 +1036,8 @@ pub(crate) fn node_views(eng: &Engine) -> Vec<NodeView> {
             node: n,
             crashed: eng.nodes[n as usize].crashed,
             load: load[n as usize],
-            io_pressure: pressure[n as usize],
-            cache_hit: cache_hit_ratio(hit[n as usize], miss[n as usize]),
         })
         .collect()
-}
-
-/// Cache-hit ratio with the no-reads convention (nothing missed yet —
-/// report a perfect ratio rather than NaN).
-fn cache_hit_ratio(hit: u64, miss: u64) -> f64 {
-    if hit + miss == 0 {
-        1.0
-    } else {
-        hit as f64 / (hit + miss) as f64
-    }
 }
 
 impl VmRt {
@@ -1073,7 +1067,7 @@ impl VmRt {
 /// counters — read-only, so later windows are unaffected. Without the
 /// on-demand path, a hot writer admitted before its first window
 /// boundary would read all-zero rates and be misclassified as idle.
-fn vm_rates(eng: &Engine, v: VmIdx) -> IoRates {
+pub(crate) fn vm_rates(eng: &Engine, v: VmIdx) -> IoRates {
     let vm = &eng.vms[v as usize];
     vm.tele
         .window
@@ -1081,61 +1075,45 @@ fn vm_rates(eng: &Engine, v: VmIdx) -> IoRates {
         .unwrap_or_default()
 }
 
-/// One VM's I/O pressure (busy fraction). Node pressure is the sum of
-/// this over a node's attributed VMs; `Engine::node_pressures` exposes
-/// the same computation to invariant checkers.
+/// One VM's I/O pressure (busy fraction). A node's pressure
+/// (`Engine::node_pressures`) is the sum of this over the VMs
+/// attributed to it.
 pub(crate) fn vm_pressure(eng: &Engine, v: VmIdx) -> f64 {
     vm_rates(eng, v).pressure
-}
-
-pub(crate) fn vm_view(eng: &Engine, v: VmIdx) -> VmView {
-    let vm = &eng.vms[v as usize];
-    let r = vm_rates(eng, v);
-    VmView {
-        vm: v,
-        host: vm.vm.host,
-        strategy: vm.strategy,
-        write_rate: r.write,
-        read_rate: r.read,
-        dirty_rate: r.dirty,
-        rewrite_rate: r.rewrite,
-        io_pressure: r.pressure,
-        cache_hit: cache_hit_ratio(vm.reads_hit_bytes, vm.reads_miss_bytes),
-        local_bytes: vm.disk.local_count() as u64 * eng.cfg.chunk_size,
-        modified_bytes: vm.disk.modified().count() as u64 * eng.cfg.chunk_size,
-    }
-}
-
-/// What the planner sees when it decides about VM `v`, over the node
-/// views `nodes` (from [`node_views`]).
-fn plan_context<'a>(eng: &'a Engine, v: VmIdx, nodes: &'a [NodeView]) -> PlanContext<'a> {
-    PlanContext {
-        nic_bw: eng.cfg.nic_bw,
-        postcopy_memory: eng.cfg.postcopy_memory,
-        threshold: eng.cfg.threshold,
-        cfg: &eng.orch.cfg,
-        nodes,
-        vm: vm_view(eng, v),
-    }
 }
 
 /// The configured planner's destination for VM `v`: a healthy node
 /// other than its host, or `None` when there is none.
 pub(crate) fn place(eng: &Engine, v: VmIdx) -> Option<u32> {
-    let nodes = node_views(eng);
-    eng.orch.cfg.planner.place(&plan_context(eng, v, &nodes))
+    let host = eng.vms[v as usize].vm.host;
+    eng.orch.cfg.planner.place(host, &node_views(eng))
 }
 
 /// The configured planner's strategy for VM `v`, with the per-scheme
 /// estimates behind it.
 fn choose_strategy(eng: &Engine, v: VmIdx) -> (StrategyKind, Vec<SchemeEstimate>) {
+    let vm = &eng.vms[v as usize];
     // A shared-FS guest has no local storage to transfer; no planner
     // may move its I/O path mid-run.
-    if eng.vms[v as usize].strategy == StrategyKind::SharedFs {
+    if vm.strategy == StrategyKind::SharedFs {
         return (StrategyKind::SharedFs, Vec::new());
     }
-    let nodes = node_views(eng);
-    eng.orch.cfg.planner.choose(&plan_context(eng, v, &nodes))
+    let r = vm_rates(eng, v);
+    let ctx = PlanContext {
+        nic_bw: eng.cfg.nic_bw,
+        postcopy_memory: eng.cfg.postcopy_memory,
+        threshold: eng.cfg.threshold,
+        vm: VmView {
+            strategy: vm.strategy,
+            write_rate: r.write,
+            read_rate: r.read,
+            dirty_rate: r.dirty,
+            rewrite_rate: r.rewrite,
+            local_bytes: vm.disk.local_count() as u64 * eng.cfg.chunk_size,
+            modified_bytes: vm.disk.modified().count() as u64 * eng.cfg.chunk_size,
+        },
+    };
+    eng.orch.cfg.planner.choose(&ctx)
 }
 
 // ---------------- telemetry ----------------
@@ -1146,7 +1124,7 @@ pub(crate) fn arm_telemetry(eng: &mut Engine) {
         return;
     }
     eng.orch.telemetry_armed = true;
-    let window = SimDuration::from_secs_f64(eng.orch.cfg.telemetry_window_secs);
+    let window = SimDuration::from_secs_f64(TELEMETRY_WINDOW_SECS);
     let at = eng.now + window;
     eng.queue.schedule(at, Ev::TelemetryTick);
 }

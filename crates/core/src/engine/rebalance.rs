@@ -86,12 +86,18 @@ impl Engine {
 
     /// Current per-node I/O pressure (summed windowed busy fraction of
     /// each node's attributed VMs) — exactly the signal the rebalancer
-    /// classifies, so invariant checkers can recompute its decisions.
+    /// classifies, so invariant checkers can recompute its decisions. A
+    /// VM counts where placement counts its load: at its admitted job's
+    /// destination while one moves it, otherwise at its host, and
+    /// nowhere once it crashed.
     pub fn node_pressures(&self) -> Vec<f64> {
-        orchestrator::node_views(self)
-            .iter()
-            .map(|n| n.io_pressure)
-            .collect()
+        let mut pressure = vec![0.0f64; self.cfg.nodes as usize];
+        for v in 0..self.vms.len() as VmIdx {
+            if let Some(at) = orchestrator::attributed_node(self, v) {
+                pressure[at as usize] += orchestrator::vm_pressure(self, v);
+            }
+        }
+        pressure
     }
 
     /// The rebalancer's sticky per-node classification (hysteresis
@@ -149,19 +155,31 @@ fn arm_tick(eng: &mut Engine) {
     eng.queue.schedule(at, Ev::RebalanceTick);
 }
 
+/// A candidate whose windowed dirty or re-write rate is at or above
+/// this fraction of the NIC bandwidth is in a hot workload phase
+/// (Baruchi-style cycle timing): moving it now maximizes re-transfer,
+/// so the move waits for it to cool, up to `defer_deadline_secs`.
+const HOT_DIRTY_FRAC: f64 = 0.02;
+
+/// How many times one in-flight job may be re-planned (bounds
+/// crash-chasing).
+const REPLAN_LIMIT: u32 = 2;
+
 /// What one monitor tick decides from: the configuration, the node
-/// pressures and the classes it gave them, and the moves made so far.
+/// pressures and the classes it gave them, and whether it moved a VM
+/// yet (a tick moves at most one: each move changes the pressures the
+/// next tick sees).
 struct Tick {
     cfg: AutonomicConfig,
     pressures: Vec<f64>,
     classes: Vec<NodeClass>,
-    moves: u32,
+    moved: bool,
 }
 
 /// `Ev::RebalanceTick`: one closed-loop pass — classify every node's
-/// pressure (with hysteresis), re-plan in-flight jobs whose destination
-/// degraded, relieve overloaded nodes and drain underloaded ones (at
-/// most `max_moves_per_tick` originated moves), then re-arm while any
+/// pressure (with hysteresis), re-plan an in-flight job whose
+/// destination degraded, or else relieve an overloaded node or drain an
+/// underloaded one (at most one move per tick), then re-arm while any
 /// guest still runs.
 pub(crate) fn rebalance_tick(eng: &mut Engine) {
     let pressures = eng.node_pressures();
@@ -183,13 +201,13 @@ pub(crate) fn rebalance_tick(eng: &mut Engine) {
         cfg: a.cfg.clone(),
         classes: a.classes.clone(),
         pressures,
-        moves: 0,
+        moved: false,
     };
 
     replan_degraded(eng, &mut tick);
 
     for node in 0..tick.classes.len() as u32 {
-        if tick.moves >= tick.cfg.max_moves_per_tick {
+        if tick.moved {
             break;
         }
         let pressure = tick.pressures[node as usize];
@@ -291,9 +309,9 @@ fn run_action(
         // Cycle timing (Baruchi-style): a candidate re-dirtying its
         // disk fast is mid-phase — migrating now maximizes re-transfer.
         // Wait for the cycle to cool, up to the defer deadline.
-        let view = orchestrator::vm_view(eng, v);
-        let rate = view.dirty_rate.max(view.rewrite_rate);
-        let hot = rate >= cfg.hot_dirty_frac * eng.cfg.nic_bw;
+        let r = orchestrator::vm_rates(eng, v);
+        let rate = r.dirty.max(r.rewrite);
+        let hot = rate >= HOT_DIRTY_FRAC * eng.cfg.nic_bw;
         let vm = &mut eng.vms[v as usize];
         if hot {
             // The deferral clock starts at the first hot look.
@@ -332,7 +350,7 @@ fn run_action(
                 let vm = &mut eng.vms[v as usize];
                 vm.last_moved = Some(now);
                 vm.deferred_since = None;
-                tick.moves += 1;
+                tick.moved = true;
                 chosen = Some((v, job.0, dest));
                 break;
             }
@@ -381,25 +399,19 @@ fn consolidation_dest(eng: &Engine, classes: &[NodeClass], from: u32) -> Option<
 
 // ---------------- in-flight re-planning ----------------
 
-/// Re-plan in-flight jobs whose destination classified overloaded: a
-/// job still in its active (pre-control) phase is torn down and
-/// re-queued toward a healthier target instead of finishing into a hot
-/// spot. Bounded per job by `replan_limit` and per tick by
-/// `max_moves_per_tick`.
+/// Re-plan the first in-flight job whose destination classified
+/// overloaded: a job still in its active (pre-control) phase is torn
+/// down and re-queued toward a healthier target instead of finishing
+/// into a hot spot. Bounded per job by [`REPLAN_LIMIT`]; the re-plan is
+/// the tick's one move.
 fn replan_degraded(eng: &mut Engine, tick: &mut Tick) {
     let Tick {
         cfg,
         classes,
         pressures,
-        moves,
+        moved,
     } = tick;
-    if !cfg.replan_inflight {
-        return;
-    }
     for ji in 0..eng.jobs.len() as u32 {
-        if *moves >= cfg.max_moves_per_tick {
-            return;
-        }
         let job = JobId(ji);
         let (v, dest, counted, replans, status) = {
             let j = &eng.jobs[ji as usize];
@@ -407,7 +419,7 @@ fn replan_degraded(eng: &mut Engine, tick: &mut Tick) {
         };
         if !counted
             || status != MigrationStatus::TransferringMemory
-            || replans >= cfg.replan_limit
+            || replans >= REPLAN_LIMIT
             || classes[dest as usize] != NodeClass::Overloaded
             || eng.vms[v as usize].crashed
         {
@@ -452,7 +464,8 @@ fn replan_degraded(eng: &mut Engine, tick: &mut Tick) {
             pressure: pressures[dest as usize],
         };
         replan_job(eng, job, new_dest, reason);
-        *moves += 1;
+        *moved = true;
+        return;
     }
 }
 
@@ -462,10 +475,7 @@ fn replan_degraded(eng: &mut Engine, tick: &mut Tick) {
 /// fresh placement instead of failing with `DestinationCrashed`.
 /// Returns false when the caller should abort as usual.
 pub(crate) fn try_replan_crash(eng: &mut Engine, job: JobId, reason: &FailureReason) -> bool {
-    let Some(a) = eng.autonomic.as_ref() else {
-        return false;
-    };
-    if !a.cfg.replan_inflight {
+    if eng.autonomic.is_none() {
         return false;
     }
     let FailureReason::DestinationCrashed { node } = reason else {
@@ -477,7 +487,7 @@ pub(crate) fn try_replan_crash(eng: &mut Engine, job: JobId, reason: &FailureRea
         let j = &eng.jobs[job.0 as usize];
         (j.vm, j.replans)
     };
-    if replans >= a.cfg.replan_limit || eng.vms[v as usize].crashed {
+    if replans >= REPLAN_LIMIT || eng.vms[v as usize].crashed {
         return false;
     }
     // Control already moved: the guest was at the destination and died

@@ -86,21 +86,22 @@ impl RequestIntent {
 /// Every decision is deterministic (no clocks, no RNG; ties break on
 /// the lowest index): planner decisions are part of the engine's
 /// bit-identical replay contract.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PlannerKind {
     /// Admits requests exactly as given: explicit migrations keep their
     /// destination and strategy; intent-driven placements take the
     /// first healthy node other than the VM's host (lowest index,
     /// load-blind). The historical `Engine::schedule_migration`
     /// behaviour is this planner under an unlimited admission cap.
+    #[default]
     Fixed,
     /// Least-loaded placement; adaptive requests get the scheme the
     /// paper's §4 rule picks from the VM's windowed write and read
     /// intensity (the rule is in the `adaptive` module).
     Adaptive,
     /// Least-loaded placement; adaptive requests get the scheme whose
-    /// predicted migration cost (time + weighted traffic, from the
-    /// analytic model in the `cost` module) is lowest.
+    /// predicted migration cost (time + traffic, from the analytic
+    /// model in the `cost` module) is lowest.
     Cost,
 }
 
@@ -120,15 +121,12 @@ impl PlannerKind {
         !matches!(self, PlannerKind::Fixed)
     }
 
-    /// Choose a destination for `ctx.vm` (intent, retry and re-plan
-    /// placement): a healthy node other than the VM's host, or `None`
+    /// Choose a destination for a VM on `host` (intent, retry and
+    /// re-plan placement): a healthy node other than `host`, or `None`
     /// when there is none. `Fixed` takes the first such node; the
     /// others take the least loaded, ties to the lowest index.
-    pub(crate) fn place(self, ctx: &PlanContext<'_>) -> Option<u32> {
-        let mut healthy = ctx
-            .nodes
-            .iter()
-            .filter(|n| !n.crashed && n.node != ctx.vm.host);
+    pub(crate) fn place(self, host: u32, nodes: &[NodeView]) -> Option<u32> {
+        let mut healthy = nodes.iter().filter(|n| !n.crashed && n.node != host);
         match self {
             PlannerKind::Fixed => healthy.next(),
             PlannerKind::Adaptive | PlannerKind::Cost => healthy.min_by_key(|n| (n.load, n.node)),
@@ -139,7 +137,7 @@ impl PlannerKind {
     /// Resolve the transfer strategy for a request on `ctx.vm`, with
     /// the per-scheme estimates behind it (empty unless `Cost` chose).
     /// `Fixed` never second-guesses the VM's configured strategy.
-    pub(crate) fn choose(self, ctx: &PlanContext<'_>) -> (StrategyKind, Vec<SchemeEstimate>) {
+    pub(crate) fn choose(self, ctx: &PlanContext) -> (StrategyKind, Vec<SchemeEstimate>) {
         match self {
             PlannerKind::Fixed => (ctx.vm.strategy, Vec::new()),
             PlannerKind::Adaptive => (adaptive::choose(ctx), Vec::new()),
@@ -171,13 +169,13 @@ impl serde::Deserialize for PlannerKind {
     }
 }
 
-/// Orchestrator tuning: the admission cap, the placement/strategy
-/// planner, and the telemetry window the adaptive decision reads.
+/// Orchestrator tuning: the admission cap and the placement/strategy
+/// planner.
 ///
 /// Deserialization fills absent fields from
 /// [`OrchestratorConfig::default`], so a scenario's `[orchestrator]`
 /// section only spells out the knobs it changes (like `[cluster]`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct OrchestratorConfig {
     /// Maximum concurrently running migrations (`None` — the default —
@@ -188,122 +186,29 @@ pub struct OrchestratorConfig {
     /// Which planner decides placement and (for adaptive requests)
     /// strategy.
     pub planner: PlannerKind,
-    /// Width of the per-VM I/O telemetry sampling window, seconds. The
-    /// windowed write/read rates the adaptive rule reads cover the last
-    /// full window before the decision instant.
-    pub telemetry_window_secs: f64,
-    /// Adaptive rule: windowed write rate at or above this fraction of
-    /// the NIC bandwidth selects `Hybrid` (the paper's scheme — built
-    /// for I/O-intensive writers).
-    pub adaptive_write_hi_frac: f64,
-    /// Adaptive rule: write rates in `[lo, hi)` of the NIC select
-    /// `Mirror` (synchronous mirroring is cheap for light writers).
-    pub adaptive_write_lo_frac: f64,
-    /// Adaptive rule: with negligible writes, a windowed read rate at or
-    /// above this fraction of the NIC selects `Postcopy` (pull-on-read);
-    /// below it the VM is idle and gets `Precopy` (the block stream
-    /// converges immediately).
-    pub adaptive_read_hi_frac: f64,
-    /// Cost model: seconds of score added per GiB of predicted
-    /// bytes-on-wire (the time/traffic exchange rate — 0 optimizes time
-    /// alone).
-    pub cost_bytes_weight: f64,
-    /// Cost model: pull-phase slowdown multiplier per unit of read
-    /// intensity (fraction of NIC): on-demand reads block on pulls, so
-    /// a read-hot guest stretches the Hybrid/Postcopy pull phase by
-    /// `1 + penalty × read_frac`.
-    pub cost_ondemand_penalty: f64,
-    /// Cost model: predicted time charged to a pre-copy-style scheme
-    /// (Precopy, Mirror) whose re-dirty/write flux is at or above the
-    /// NIC share — the non-convergent case the paper criticizes.
-    pub cost_nonconverge_penalty_secs: f64,
-    /// Cost model: seconds of score added per predicted SLA-violation
-    /// second (guest degradation the scheme is expected to impose — see
-    /// [`SchemeEstimate::est_sla_secs`]). 0 — the default — reproduces
-    /// the historical time+bytes objective exactly.
-    pub cost_sla_weight: f64,
-    /// How many times an intent-expanded migration step whose placement
-    /// found no healthy destination is retried (on later queue drains —
-    /// slot releases, new requests, node restores) before the step is
-    /// abandoned with a terminal [`SkipReason::PlacementExhausted`]
-    /// record.
-    pub placement_retry_limit: u32,
-}
-
-impl Default for OrchestratorConfig {
-    fn default() -> Self {
-        OrchestratorConfig {
-            max_concurrent: None,
-            planner: PlannerKind::Fixed,
-            telemetry_window_secs: 5.0,
-            adaptive_write_hi_frac: 0.05,
-            adaptive_write_lo_frac: 0.005,
-            adaptive_read_hi_frac: 0.05,
-            cost_bytes_weight: 1.0,
-            cost_ondemand_penalty: 4.0,
-            cost_nonconverge_penalty_secs: 1.0e6,
-            cost_sla_weight: 0.0,
-            placement_retry_limit: 4,
-        }
-    }
 }
 
 impl OrchestratorConfig {
     /// Check every field for usability (the orchestration analogue of
     /// [`crate::config::ClusterConfig::validate`]).
     pub fn validate(&self) -> Result<(), crate::error::EngineError> {
-        let fail = |reason: String| Err(crate::error::EngineError::InvalidRequest { reason });
         if self.max_concurrent == Some(0) {
-            return fail("max_concurrent of 0 would never admit a migration".to_string());
-        }
-        if !(self.telemetry_window_secs.is_finite() && self.telemetry_window_secs > 0.0) {
-            return fail(format!(
-                "telemetry_window_secs must be positive and finite, got {}",
-                self.telemetry_window_secs
-            ));
-        }
-        for (name, x) in [
-            ("adaptive_write_hi_frac", self.adaptive_write_hi_frac),
-            ("adaptive_write_lo_frac", self.adaptive_write_lo_frac),
-            ("adaptive_read_hi_frac", self.adaptive_read_hi_frac),
-        ] {
-            if !(x.is_finite() && x > 0.0) {
-                return fail(format!("{name} must be positive and finite, got {x}"));
-            }
-        }
-        if self.adaptive_write_lo_frac > self.adaptive_write_hi_frac {
-            return fail(format!(
-                "adaptive_write_lo_frac {} exceeds adaptive_write_hi_frac {}",
-                self.adaptive_write_lo_frac, self.adaptive_write_hi_frac
-            ));
-        }
-        for (name, x) in [
-            ("cost_bytes_weight", self.cost_bytes_weight),
-            ("cost_ondemand_penalty", self.cost_ondemand_penalty),
-            ("cost_sla_weight", self.cost_sla_weight),
-        ] {
-            if !(x.is_finite() && x >= 0.0) {
-                return fail(format!("{name} must be non-negative and finite, got {x}"));
-            }
-        }
-        if !(self.cost_nonconverge_penalty_secs.is_finite()
-            && self.cost_nonconverge_penalty_secs > 0.0)
-        {
-            return fail(format!(
-                "cost_nonconverge_penalty_secs must be positive and finite, got {}",
-                self.cost_nonconverge_penalty_secs
-            ));
-        }
-        if self.placement_retry_limit == 0 {
-            return fail("placement_retry_limit of 0 would never attempt a placement".to_string());
+            return Err(crate::error::EngineError::InvalidRequest {
+                reason: "max_concurrent of 0 would never admit a migration".to_string(),
+            });
         }
         Ok(())
     }
 }
 
-/// Per-node load view handed to planners.
+/// Width of the per-VM I/O telemetry sampling window, seconds. The
+/// windowed rates the adaptive and cost rules read cover the last full
+/// window before the decision instant.
+pub(crate) const TELEMETRY_WINDOW_SECS: f64 = 5.0;
+
+/// One node as placement sees it.
 #[derive(Clone, Copy, Debug)]
-pub struct NodeView {
+pub(crate) struct NodeView {
     /// The node index.
     pub node: u32,
     /// True once a crash fault took the node down.
@@ -311,17 +216,9 @@ pub struct NodeView {
     /// Live VMs resident on the node plus admitted inbound migrations
     /// still heading there.
     pub load: u32,
-    /// Summed windowed I/O busy fraction of the node's attributed VMs
-    /// (each VM contributes its I/O-in-flight time over the telemetry
-    /// window, so one saturated VM contributes ~1.0). The autonomic
-    /// rebalancer's overload/underload signal.
-    pub io_pressure: f64,
-    /// Cumulative page-cache hit ratio over the node's attributed VMs'
-    /// guest reads (1.0 when no reads were issued yet).
-    pub cache_hit: f64,
 }
 
-/// The VM a planner is deciding about.
+/// The VM a strategy rule is deciding about.
 ///
 /// The windowed rates cover the last full telemetry window before the
 /// decision instant; when no telemetry tick has sampled the VM yet
@@ -329,11 +226,7 @@ pub struct NodeView {
 /// samples the cumulative counters on demand, so a freshly admitted hot
 /// writer is never misread as idle.
 #[derive(Clone, Copy, Debug)]
-pub struct VmView {
-    /// The VM index.
-    pub vm: u32,
-    /// Its current host node.
-    pub host: u32,
+pub(crate) struct VmView {
     /// Its configured storage transfer strategy.
     pub strategy: StrategyKind,
     /// Windowed write rate, bytes/second.
@@ -350,12 +243,6 @@ pub struct VmView {
     /// hot working set that pre-copy streams re-send forever and the
     /// hybrid scheme withholds.
     pub rewrite_rate: f64,
-    /// Windowed I/O busy fraction (I/O-in-flight time over the window,
-    /// reads + writes): ~0.0 idle, ~1.0 saturating its disk path.
-    pub io_pressure: f64,
-    /// Cumulative page-cache hit ratio of the VM's guest reads (1.0
-    /// when no reads were issued yet).
-    pub cache_hit: f64,
     /// Bytes with any local presence (modified or cached base) — what a
     /// `Precopy`/`Mirror` bulk phase must copy.
     pub local_bytes: u64,
@@ -365,10 +252,10 @@ pub struct VmView {
     pub modified_bytes: u64,
 }
 
-/// Everything a planner may consult for one decision. Views only — a
-/// planner cannot mutate the engine, which keeps decisions replayable.
+/// Everything a strategy rule may consult for one decision. Views only —
+/// a rule cannot mutate the engine, which keeps decisions replayable.
 #[derive(Debug)]
-pub struct PlanContext<'a> {
+pub(crate) struct PlanContext {
     /// Per-NIC bandwidth, bytes/second (the adaptive thresholds are
     /// fractions of it).
     pub nic_bw: f64,
@@ -380,11 +267,7 @@ pub struct PlanContext<'a> {
     /// is withheld from the hybrid active push) — the cost model's
     /// bound on re-push traffic.
     pub threshold: u32,
-    /// The orchestrator configuration (thresholds).
-    pub cfg: &'a OrchestratorConfig,
-    /// Per-node load, indexed by node.
-    pub nodes: &'a [NodeView],
-    /// The VM being placed / strategized.
+    /// The VM being strategized.
     pub vm: VmView,
 }
 
@@ -403,12 +286,10 @@ pub struct SchemeEstimate {
     /// Predicted SLA-violation seconds: the guest-degradation fraction
     /// the scheme imposes (read-stall exposure for the pull styles,
     /// wire contention for the pre-copy styles), integrated over the
-    /// predicted time. Weighted into the score by
-    /// [`OrchestratorConfig::cost_sla_weight`].
+    /// predicted time. Reported only; the score does not read it.
     pub est_sla_secs: f64,
-    /// The scalar score the argmin ran on: `est_time_secs +
-    /// cost_bytes_weight × est_bytes / GiB + cost_sla_weight ×
-    /// est_sla_secs`.
+    /// The scalar score the argmin ran on: `est_time_secs + est_bytes
+    /// / GiB` (before the bytes are rounded).
     pub score: f64,
 }
 
@@ -463,8 +344,7 @@ pub enum SkipReason {
     /// request, node restore).
     NoDestination,
     /// Every retry found no healthy destination; the step is abandoned
-    /// ([`OrchestratorConfig::placement_retry_limit`] bounds the
-    /// attempts).
+    /// (after four placement attempts).
     PlacementExhausted,
 }
 
@@ -489,13 +369,11 @@ pub struct PlannerSkip {
 mod tests {
     use super::*;
 
-    fn ctx<'a>(cfg: &'a OrchestratorConfig, nodes: &'a [NodeView], vm: VmView) -> PlanContext<'a> {
+    fn ctx(vm: VmView) -> PlanContext {
         PlanContext {
             nic_bw: 100.0e6,
             postcopy_memory: false,
             threshold: 3,
-            cfg,
-            nodes,
             vm,
         }
     }
@@ -508,23 +386,17 @@ mod tests {
                 node: i as u32,
                 crashed,
                 load,
-                io_pressure: load as f64 * 0.1,
-                cache_hit: 1.0,
             })
             .collect()
     }
 
-    fn vm_on(host: u32, write_rate: f64, read_rate: f64) -> VmView {
+    fn vm(write_rate: f64, read_rate: f64) -> VmView {
         VmView {
-            vm: 0,
-            host,
             strategy: StrategyKind::Hybrid,
             write_rate,
             read_rate,
             dirty_rate: 0.0,
             rewrite_rate: write_rate,
-            io_pressure: 0.0,
-            cache_hit: 1.0,
             local_bytes: 64 << 20,
             modified_bytes: 64 << 20,
         }
@@ -532,39 +404,35 @@ mod tests {
 
     #[test]
     fn fixed_planner_places_first_healthy_other_node() {
-        let cfg = OrchestratorConfig::default();
         let nv = nodes(&[(false, 3), (true, 0), (false, 9), (false, 0)]);
         let p = PlannerKind::Fixed;
-        assert_eq!(p.place(&ctx(&cfg, &nv, vm_on(0, 0.0, 0.0))), Some(2));
-        assert_eq!(p.place(&ctx(&cfg, &nv, vm_on(2, 0.0, 0.0))), Some(0));
+        assert_eq!(p.place(0, &nv), Some(2));
+        assert_eq!(p.place(2, &nv), Some(0));
         // Only crashed alternatives: no placement.
         let nv = nodes(&[(false, 0), (true, 0)]);
-        assert_eq!(p.place(&ctx(&cfg, &nv, vm_on(0, 0.0, 0.0))), None);
+        assert_eq!(p.place(0, &nv), None);
         // The configured strategy stands, with no estimates.
-        let (s, estimates) = p.choose(&ctx(&cfg, &nv, vm_on(0, 100.0e6, 0.0)));
+        let (s, estimates) = p.choose(&ctx(vm(100.0e6, 0.0)));
         assert_eq!(s, StrategyKind::Hybrid);
         assert!(estimates.is_empty());
     }
 
     #[test]
     fn adaptive_planner_places_least_loaded() {
-        let cfg = OrchestratorConfig::default();
         let nv = nodes(&[(false, 1), (false, 4), (true, 0), (false, 1)]);
         for p in [PlannerKind::Adaptive, PlannerKind::Cost] {
             // Tie between 0 and 3 at load 1, but 0 is the host: pick 3.
-            assert_eq!(p.place(&ctx(&cfg, &nv, vm_on(0, 0.0, 0.0))), Some(3));
+            assert_eq!(p.place(0, &nv), Some(3));
             // From node 1, the tie breaks to the lowest index.
-            assert_eq!(p.place(&ctx(&cfg, &nv, vm_on(1, 0.0, 0.0))), Some(0));
+            assert_eq!(p.place(1, &nv), Some(0));
         }
     }
 
     #[test]
     fn adaptive_rule_covers_the_intensity_spectrum() {
-        let cfg = OrchestratorConfig::default();
-        let nv = nodes(&[(false, 0), (false, 0)]);
         let nic = 100.0e6;
         let choose = |w: f64, r: f64| {
-            let (s, estimates) = PlannerKind::Adaptive.choose(&ctx(&cfg, &nv, vm_on(0, w, r)));
+            let (s, estimates) = PlannerKind::Adaptive.choose(&ctx(vm(w, r)));
             assert!(estimates.is_empty(), "the adaptive rule predicts nothing");
             s
         };
@@ -580,10 +448,8 @@ mod tests {
 
     #[test]
     fn adaptive_rule_respects_postcopy_memory() {
-        let cfg = OrchestratorConfig::default();
-        let nv = nodes(&[(false, 0), (false, 0)]);
         for (w, r) in [(0.0, 0.0), (0.01, 0.0), (0.10, 0.0), (0.0, 0.2)] {
-            let mut c = ctx(&cfg, &nv, vm_on(0, w * 100.0e6, r * 100.0e6));
+            let mut c = ctx(vm(w * 100.0e6, r * 100.0e6));
             c.postcopy_memory = true;
             let (s, _) = PlannerKind::Adaptive.choose(&c);
             assert!(
@@ -599,17 +465,6 @@ mod tests {
         assert!(ok.validate().is_ok());
         let bad = OrchestratorConfig {
             max_concurrent: Some(0),
-            ..ok.clone()
-        };
-        assert!(bad.validate().is_err());
-        let bad = OrchestratorConfig {
-            telemetry_window_secs: 0.0,
-            ..ok.clone()
-        };
-        assert!(bad.validate().is_err());
-        let bad = OrchestratorConfig {
-            adaptive_write_lo_frac: 0.5,
-            adaptive_write_hi_frac: 0.1,
             ..ok
         };
         assert!(bad.validate().is_err());
@@ -617,20 +472,13 @@ mod tests {
 
     #[test]
     fn orchestrator_config_partial_deserialization() {
-        let v = serde::Value::Map(vec![
-            ("max_concurrent".to_string(), serde::Value::U64(4)),
-            (
-                "planner".to_string(),
-                serde::Value::Str("Adaptive".to_string()),
-            ),
-        ]);
+        let v = serde::Value::Map(vec![(
+            "planner".to_string(),
+            serde::Value::Str("Adaptive".to_string()),
+        )]);
         let cfg = <OrchestratorConfig as serde::Deserialize>::from_value(&v).expect("partial");
-        assert_eq!(cfg.max_concurrent, Some(4));
+        assert_eq!(cfg.max_concurrent, None);
         assert_eq!(cfg.planner, PlannerKind::Adaptive);
-        assert_eq!(
-            cfg.telemetry_window_secs,
-            OrchestratorConfig::default().telemetry_window_secs
-        );
         let bad = serde::Value::Map(vec![("max_conc".to_string(), serde::Value::U64(4))]);
         let err = <OrchestratorConfig as serde::Deserialize>::from_value(&bad).unwrap_err();
         assert!(err.to_string().contains("unknown OrchestratorConfig field"));

@@ -19,8 +19,8 @@
 //! down plus the seconds it ran degraded, weighted by how degraded.
 //! The engine integrates that quantity per job — see
 //! `RunReport.sla` — whether or not `[qos]` is present, and the cost
-//! planner can price it into its strategy choice via
-//! [`OrchestratorConfig::cost_sla_weight`](crate::planner::OrchestratorConfig::cost_sla_weight).
+//! planner predicts it per candidate scheme
+//! ([`SchemeEstimate::est_sla_secs`](crate::planner::SchemeEstimate::est_sla_secs)).
 //!
 //! This file holds the pure, engine-free pieces: the configuration and
 //! the SLA report types. The mutating plumbing (flow caps, shard

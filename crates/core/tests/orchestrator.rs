@@ -314,7 +314,6 @@ fn planner_decisions_are_deterministic() {
         sim.configure_orchestrator(OrchestratorConfig {
             max_concurrent: Some(2),
             planner: PlannerKind::Adaptive,
-            ..OrchestratorConfig::default()
         })
         .expect("configures");
         for node in [1, 1, 2] {

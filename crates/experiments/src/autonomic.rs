@@ -97,17 +97,12 @@ pub fn hotspot_drill_spec() -> ScenarioSpec {
             overload_pressure: 0.5,
             underload_pressure: 0.02,
             hysteresis: 0.1,
-            hot_dirty_frac: 0.02,
             defer_deadline_secs: 12.0,
             cooldown_secs: 60.0,
-            max_moves_per_tick: 1,
-            replan_inflight: true,
-            replan_limit: 2,
         }),
         orchestrator: Some(OrchestratorConfig {
             max_concurrent: Some(2),
             planner: PlannerKind::Adaptive,
-            ..OrchestratorConfig::default()
         }),
         resilience: None,
         qos: None,
@@ -148,12 +143,8 @@ pub fn slow_drain_spec() -> ScenarioSpec {
             overload_pressure: 0.5,
             underload_pressure: 0.05,
             hysteresis: 0.05,
-            hot_dirty_frac: 0.02,
             defer_deadline_secs: 12.0,
             cooldown_secs: 60.0,
-            max_moves_per_tick: 1,
-            replan_inflight: true,
-            replan_limit: 2,
         }),
         orchestrator: None,
         resilience: None,
@@ -169,14 +160,6 @@ pub fn slow_drain_spec() -> ScenarioSpec {
     }
 }
 
-/// All shipped autonomic scenarios with their `scenarios/` file names.
-pub fn all() -> Vec<(&'static str, ScenarioSpec)> {
-    vec![
-        ("hotspot_drill.toml", hotspot_drill_spec()),
-        ("slow_drain.toml", slow_drain_spec()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,7 +167,7 @@ mod tests {
 
     #[test]
     fn shapes_are_consistent() {
-        for (_, spec) in all() {
+        for spec in [hotspot_drill_spec(), slow_drain_spec()] {
             assert!(spec.migrations.is_empty(), "nothing is scripted");
             assert!(spec.requests.is_none(), "nothing is scripted");
             assert!(spec.autonomic.is_some(), "the monitor drives the run");

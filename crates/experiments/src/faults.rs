@@ -155,12 +155,3 @@ pub fn deadline_spec() -> ScenarioSpec {
         horizon_secs: 120.0,
     }
 }
-
-/// All shipped fault scenarios with their `scenarios/` file names.
-pub fn all() -> Vec<(&'static str, ScenarioSpec)> {
-    vec![
-        ("fault_dest_crash.toml", dest_crash_spec()),
-        ("fault_degraded_link.toml", degraded_link_spec()),
-        ("fault_deadline.toml", deadline_spec()),
-    ]
-}

@@ -16,15 +16,14 @@
 use crate::orchestration::AdaptiveParams;
 use crate::scenario::{run_scenario, ScenarioSpec};
 use crate::table::Table;
+use lsm_core::engine::RunReport;
 use lsm_core::planner::{OrchestratorConfig, PlannerKind};
 use lsm_core::policy::StrategyKind;
 use lsm_core::EngineError;
 
-/// One planner's outcome on the judged fleet.
+/// What every judge row reports about one run.
 #[derive(Clone, Debug)]
-pub struct PlannerOutcome {
-    /// The planner that made the decisions.
-    pub planner: PlannerKind,
+pub struct RunSummary {
     /// Migrations that completed within the horizon.
     pub completed: usize,
     /// Scheduled migrations.
@@ -40,6 +39,82 @@ pub struct PlannerOutcome {
     /// SLA-violation seconds aggregated over all jobs: downtime plus
     /// degraded-throughput time (`RunReport.sla`).
     pub sla_violation_secs: f64,
+}
+
+/// The headers of the columns [`RunSummary::cells`] fills.
+const SUMMARY_COLUMNS: [&str; 5] = [
+    "completed",
+    "makespan [s]",
+    "migration traffic [MB]",
+    "downtime [s]",
+    "SLA violation [s]",
+];
+
+impl RunSummary {
+    /// Summarize one run.
+    pub fn of(report: &RunReport) -> Self {
+        let completed = report.migrations.iter().filter(|m| m.completed).count();
+        let makespan_secs = if completed == report.migrations.len() {
+            report
+                .migrations
+                .iter()
+                .filter_map(|m| m.completed_at.map(|t| t.as_secs_f64()))
+                .fold(0.0, f64::max)
+        } else {
+            f64::NAN
+        };
+        RunSummary {
+            completed,
+            migrations: report.migrations.len(),
+            makespan_secs,
+            migration_traffic: report.migration_traffic,
+            total_downtime_secs: report
+                .migrations
+                .iter()
+                .map(|m| m.downtime.as_secs_f64())
+                .sum(),
+            sla_violation_secs: report.sla.total_violation_secs,
+        }
+    }
+
+    /// The summary's table cells, in [`SUMMARY_COLUMNS`] order.
+    fn cells(&self) -> [String; 5] {
+        [
+            format!("{}/{}", self.completed, self.migrations),
+            format!("{:.2}", self.makespan_secs),
+            format!("{:.1}", self.migration_traffic as f64 / 1.0e6),
+            format!("{:.2}", self.total_downtime_secs),
+            format!("{:.2}", self.sla_violation_secs),
+        ]
+    }
+}
+
+/// A judge table: the `lead` columns, the summary columns, then `tail`.
+fn summary_table(title: &str, lead: &[&str], tail: &[&str]) -> Table {
+    let headers: Vec<&str> = lead
+        .iter()
+        .chain(&SUMMARY_COLUMNS)
+        .chain(tail)
+        .copied()
+        .collect();
+    Table::new(title, &headers)
+}
+
+/// One table row: the `lead` cells, `run`'s summary cells, then `tail`.
+fn summary_row(lead: &[String], run: &RunSummary, tail: &[String]) -> Vec<String> {
+    let lead = lead.iter().cloned();
+    lead.chain(run.cells())
+        .chain(tail.iter().cloned())
+        .collect()
+}
+
+/// One planner's outcome on the judged fleet.
+#[derive(Clone, Debug)]
+pub struct PlannerOutcome {
+    /// The planner that made the decisions.
+    pub planner: PlannerKind,
+    /// The run's summary.
+    pub run: RunSummary,
     /// Decisions per chosen strategy, in [`StrategyKind::ALL`] order
     /// (zero-count strategies included).
     pub strategy_mix: Vec<(StrategyKind, usize)>,
@@ -60,32 +135,13 @@ pub fn run_with_planner(
         planner.label()
     ));
     let report = run_scenario(&spec)?;
-    let completed = report.migrations.iter().filter(|m| m.completed).count();
-    let makespan_secs = if completed == report.migrations.len() {
-        report
-            .migrations
-            .iter()
-            .filter_map(|m| m.completed_at.map(|t| t.as_secs_f64()))
-            .fold(0.0, f64::max)
-    } else {
-        f64::NAN
-    };
     let strategy_mix = StrategyKind::ALL
         .iter()
         .map(|&k| (k, report.planner.iter().filter(|d| d.strategy == k).count()))
         .collect();
     Ok(PlannerOutcome {
         planner,
-        completed,
-        migrations: report.migrations.len(),
-        makespan_secs,
-        migration_traffic: report.migration_traffic,
-        total_downtime_secs: report
-            .migrations
-            .iter()
-            .map(|m| m.downtime.as_secs_f64())
-            .sum(),
-        sla_violation_secs: report.sla.total_violation_secs,
+        run: RunSummary::of(&report),
         strategy_mix,
     })
 }
@@ -130,53 +186,22 @@ pub fn judge_quick() -> Result<Vec<PlannerOutcome>, EngineError> {
 pub struct ShapedOutcome {
     /// Row label: `unshaped` or `qos-shaped`.
     pub label: &'static str,
-    /// Migrations that completed within the horizon.
-    pub completed: usize,
-    /// Scheduled migrations.
-    pub migrations: usize,
-    /// Completion makespan, seconds (`NaN` when incomplete).
-    pub makespan_secs: f64,
-    /// Migration-attributable bytes on the wire.
-    pub migration_traffic: u64,
-    /// Guest downtime summed over all migrations, seconds.
-    pub total_downtime_secs: f64,
-    /// SLA-violation seconds aggregated over all jobs.
-    pub sla_violation_secs: f64,
+    /// The run's summary.
+    pub run: RunSummary,
 }
 
 /// Run `spec` as checked in and summarize it for the shaping trade.
 pub fn run_shaped(label: &'static str, spec: &ScenarioSpec) -> Result<ShapedOutcome, EngineError> {
-    let report = run_scenario(spec)?;
-    let completed = report.migrations.iter().filter(|m| m.completed).count();
-    let makespan_secs = if completed == report.migrations.len() {
-        report
-            .migrations
-            .iter()
-            .filter_map(|m| m.completed_at.map(|t| t.as_secs_f64()))
-            .fold(0.0, f64::max)
-    } else {
-        f64::NAN
-    };
     Ok(ShapedOutcome {
         label,
-        completed,
-        migrations: report.migrations.len(),
-        makespan_secs,
-        migration_traffic: report.migration_traffic,
-        total_downtime_secs: report
-            .migrations
-            .iter()
-            .map(|m| m.downtime.as_secs_f64())
-            .sum(),
-        sla_violation_secs: report.sla.total_violation_secs,
+        run: RunSummary::of(&run_scenario(spec)?),
     })
 }
 
 /// The qos64 acceptance comparison: the `adaptive64` fleet unshaped
 /// against the identical fleet under `qos64`'s `[qos]` section. The
 /// capped, compressed run must stretch the makespan and *lower* the
-/// aggregate SLA violation — the trade `cost_sla_weight` lets the cost
-/// planner optimize.
+/// aggregate SLA violation.
 pub fn judge_shaping() -> Result<Vec<ShapedOutcome>, EngineError> {
     Ok(vec![
         run_shaped("unshaped", &crate::orchestration::adaptive64_spec())?,
@@ -192,18 +217,8 @@ pub struct QosSweepPoint {
     pub cap_mb: Option<f64>,
     /// Whether qos64's compression model was on for this point.
     pub compressed: bool,
-    /// Migrations that completed within the horizon.
-    pub completed: usize,
-    /// Scheduled migrations.
-    pub migrations: usize,
-    /// Completion makespan, seconds (`NaN` when incomplete).
-    pub makespan_secs: f64,
-    /// Migration-attributable bytes on the wire.
-    pub migration_traffic: u64,
-    /// Guest downtime summed over all migrations, seconds.
-    pub total_downtime_secs: f64,
-    /// SLA-violation seconds aggregated over all jobs.
-    pub sla_violation_secs: f64,
+    /// The run's summary.
+    pub run: RunSummary,
 }
 
 /// `lsm judge --sweep`: the makespan-vs-SLA frontier of qos64's two
@@ -211,8 +226,7 @@ pub struct QosSweepPoint {
 /// compression on/off, every point the same fleet (`adaptive64`'s, or
 /// its quick reduction) at qos64's four memory streams. Walking the cap
 /// column down trades completion makespan for SLA-violation seconds;
-/// the compression column buys wire bytes back for guest CPU. The
-/// frontier is what `cost_sla_weight` lets the cost planner pick from.
+/// the compression column buys wire bytes back for guest CPU.
 pub fn judge_qos_sweep(scale: crate::Scale) -> Result<Vec<QosSweepPoint>, EngineError> {
     let base = match scale {
         crate::Scale::Paper => AdaptiveParams::adaptive64().spec("qos-sweep"),
@@ -229,30 +243,10 @@ pub fn judge_qos_sweep(scale: crate::Scale) -> Result<Vec<QosSweepPoint>, Engine
                 compress_storage_ratio: if compressed { 0.7 } else { 1.0 },
                 compress_cpu_frac: if compressed { 0.03 } else { 0.0 },
             });
-            let report = run_scenario(&spec)?;
-            let completed = report.migrations.iter().filter(|m| m.completed).count();
-            let makespan_secs = if completed == report.migrations.len() {
-                report
-                    .migrations
-                    .iter()
-                    .filter_map(|m| m.completed_at.map(|t| t.as_secs_f64()))
-                    .fold(0.0, f64::max)
-            } else {
-                f64::NAN
-            };
             points.push(QosSweepPoint {
                 cap_mb,
                 compressed,
-                completed,
-                migrations: report.migrations.len(),
-                makespan_secs,
-                migration_traffic: report.migration_traffic,
-                total_downtime_secs: report
-                    .migrations
-                    .iter()
-                    .map(|m| m.downtime.as_secs_f64())
-                    .sum(),
-                sla_violation_secs: report.sla.total_violation_secs,
+                run: RunSummary::of(&run_scenario(&spec)?),
             });
         }
     }
@@ -261,73 +255,41 @@ pub fn judge_qos_sweep(scale: crate::Scale) -> Result<Vec<QosSweepPoint>, Engine
 
 /// Render the QoS sweep as a frontier table (`lsm judge --sweep`).
 pub fn sweep_table(points: &[QosSweepPoint]) -> Table {
-    let mut t = Table::new(
+    let mut t = summary_table(
         "qos sweep — makespan vs SLA frontier (cap x compression, 4 streams)",
-        &[
-            "cap [MB/s]",
-            "compression",
-            "completed",
-            "makespan [s]",
-            "migration traffic [MB]",
-            "downtime [s]",
-            "SLA violation [s]",
-        ],
+        &["cap [MB/s]", "compression"],
+        &[],
     );
     for p in points {
-        t.row(vec![
-            p.cap_mb
-                .map(|c| format!("{c:.0}"))
-                .unwrap_or_else(|| "uncapped".to_string()),
-            if p.compressed { "on" } else { "off" }.to_string(),
-            format!("{}/{}", p.completed, p.migrations),
-            format!("{:.2}", p.makespan_secs),
-            format!("{:.1}", p.migration_traffic as f64 / 1.0e6),
-            format!("{:.2}", p.total_downtime_secs),
-            format!("{:.2}", p.sla_violation_secs),
-        ]);
+        let cap = p
+            .cap_mb
+            .map(|c| format!("{c:.0}"))
+            .unwrap_or_else(|| "uncapped".to_string());
+        let compression = if p.compressed { "on" } else { "off" }.to_string();
+        t.row(summary_row(&[cap, compression], &p.run, &[]));
     }
     t
 }
 
 /// Render the shaping trade as a table (`lsm judge`'s second table).
 pub fn shaping_table(outcomes: &[ShapedOutcome]) -> Table {
-    let mut t = Table::new(
+    let mut t = summary_table(
         "qos shaping trade — makespan vs SLA violation (adaptive64 fleet)",
-        &[
-            "run",
-            "completed",
-            "makespan [s]",
-            "migration traffic [MB]",
-            "downtime [s]",
-            "SLA violation [s]",
-        ],
+        &["run"],
+        &[],
     );
     for o in outcomes {
-        t.row(vec![
-            o.label.to_string(),
-            format!("{}/{}", o.completed, o.migrations),
-            format!("{:.2}", o.makespan_secs),
-            format!("{:.1}", o.migration_traffic as f64 / 1.0e6),
-            format!("{:.2}", o.total_downtime_secs),
-            format!("{:.2}", o.sla_violation_secs),
-        ]);
+        t.row(summary_row(&[o.label.to_string()], &o.run, &[]));
     }
     t
 }
 
 /// Render the comparison as a table (`lsm judge`).
 pub fn table(outcomes: &[PlannerOutcome]) -> Table {
-    let mut t = Table::new(
+    let mut t = summary_table(
         "planner judge — completion makespan + bytes moved",
-        &[
-            "planner",
-            "completed",
-            "makespan [s]",
-            "migration traffic [MB]",
-            "downtime [s]",
-            "SLA violation [s]",
-            "strategy mix",
-        ],
+        &["planner"],
+        &["strategy mix"],
     );
     for o in outcomes {
         let mix = o
@@ -337,15 +299,11 @@ pub fn table(outcomes: &[PlannerOutcome]) -> Table {
             .map(|(k, n)| format!("{} x{}", k.label(), n))
             .collect::<Vec<_>>()
             .join(", ");
-        t.row(vec![
-            o.planner.label().to_string(),
-            format!("{}/{}", o.completed, o.migrations),
-            format!("{:.2}", o.makespan_secs),
-            format!("{:.1}", o.migration_traffic as f64 / 1.0e6),
-            format!("{:.2}", o.total_downtime_secs),
-            format!("{:.2}", o.sla_violation_secs),
-            mix,
-        ]);
+        t.row(summary_row(
+            &[o.planner.label().to_string()],
+            &o.run,
+            &[mix],
+        ));
     }
     t
 }
@@ -363,11 +321,12 @@ mod tests {
         assert_eq!(outcomes[0].planner, PlannerKind::Adaptive);
         assert_eq!(outcomes[1].planner, PlannerKind::Cost);
         for o in &outcomes {
-            assert_eq!(o.completed, o.migrations, "{:?} left work", o.planner);
-            assert!(o.makespan_secs.is_finite() && o.makespan_secs > 0.0);
-            assert!(o.migration_traffic > 0);
+            let r = &o.run;
+            assert_eq!(r.completed, r.migrations, "{:?} left work", o.planner);
+            assert!(r.makespan_secs.is_finite() && r.makespan_secs > 0.0);
+            assert!(r.migration_traffic > 0);
             assert!(
-                o.sla_violation_secs.is_finite() && o.sla_violation_secs >= 0.0,
+                r.sla_violation_secs.is_finite() && r.sla_violation_secs >= 0.0,
                 "SLA accounting must always be populated"
             );
         }
@@ -383,9 +342,10 @@ mod tests {
         let points = judge_qos_sweep(crate::Scale::Quick).expect("sweep runs");
         assert_eq!(points.len(), 8);
         for p in &points {
-            assert_eq!(p.completed, p.migrations, "cap {:?} left work", p.cap_mb);
-            assert!(p.makespan_secs.is_finite() && p.makespan_secs > 0.0);
-            assert!(p.sla_violation_secs.is_finite());
+            let r = &p.run;
+            assert_eq!(r.completed, r.migrations, "cap {:?} left work", p.cap_mb);
+            assert!(r.makespan_secs.is_finite() && r.makespan_secs > 0.0);
+            assert!(r.sla_violation_secs.is_finite());
         }
         let uncapped = points
             .iter()
@@ -395,7 +355,7 @@ mod tests {
             .iter()
             .find(|p| p.cap_mb == Some(30.0) && !p.compressed)
             .unwrap();
-        assert!(hardest.makespan_secs > uncapped.makespan_secs);
+        assert!(hardest.run.makespan_secs > uncapped.run.makespan_secs);
         let rendered = sweep_table(&points).render();
         assert!(rendered.contains("uncapped") && rendered.contains("30"));
     }

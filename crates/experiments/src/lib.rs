@@ -65,6 +65,27 @@ pub mod stress;
 pub mod sweep;
 pub mod table;
 
+/// Every generated file under `scenarios/` with its producer, by file
+/// name: all shipped scenarios but the hand-written `demo.toml`.
+/// `cargo run -p lsm-experiments --example regen` writes them, and a
+/// test keeps each file byte-identical to its producer.
+pub fn generated_scenarios() -> Vec<(&'static str, scenario::ScenarioSpec)> {
+    vec![
+        ("adaptive64.toml", orchestration::adaptive64_spec()),
+        ("chaos_storm.toml", resilience::chaos_storm_spec()),
+        ("cost64.toml", orchestration::cost64_spec()),
+        ("evacuate.toml", orchestration::evacuate_spec()),
+        ("fault_deadline.toml", faults::deadline_spec()),
+        ("fault_degraded_link.toml", faults::degraded_link_spec()),
+        ("fault_dest_crash.toml", faults::dest_crash_spec()),
+        ("hotspot_drill.toml", autonomic::hotspot_drill_spec()),
+        ("qos64.toml", orchestration::qos64_spec()),
+        ("scale1024.toml", stress::scale1024_spec()),
+        ("scale64.toml", stress::scale64_spec()),
+        ("slow_drain.toml", autonomic::slow_drain_spec()),
+    ]
+}
+
 /// Experiment scale: the paper's parameters or a fast test reduction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {

@@ -268,8 +268,3 @@ pub fn auto_converge_spec() -> ScenarioSpec {
         horizon_secs: 300.0,
     }
 }
-
-/// All shipped resilience scenarios with their `scenarios/` file names.
-pub fn all() -> Vec<(&'static str, ScenarioSpec)> {
-    vec![("chaos_storm.toml", chaos_storm_spec())]
-}

@@ -467,6 +467,12 @@ pub struct ScenarioRun<O> {
 /// observer from `make_obs`. With `threads > 1` and a spec that
 /// [`partition`] admits, the shards run on up to `threads` workers;
 /// otherwise one engine runs. Build errors come before horizon errors.
+///
+/// A stopped run's report depends on the thread count: when one
+/// observer stops its shard, the other shards halt only at the next
+/// window barrier (see [`run_sharded_observed`]), so a sharded run that
+/// an observer stops reports more of the run than the same stop on one
+/// engine.
 pub fn run_scenario_with<O, F>(
     spec: &ScenarioSpec,
     threads: usize,

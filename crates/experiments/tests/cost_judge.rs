@@ -19,10 +19,10 @@ use lsm_netsim::SolverMode;
 #[test]
 fn cost_beats_or_matches_adaptive_on_adaptive64() {
     let outcomes = judge_adaptive64().expect("judge runs");
-    let adaptive = &outcomes[0];
-    let cost = &outcomes[1];
-    assert_eq!(adaptive.planner, PlannerKind::Adaptive);
-    assert_eq!(cost.planner, PlannerKind::Cost);
+    assert_eq!(outcomes[0].planner, PlannerKind::Adaptive);
+    assert_eq!(outcomes[1].planner, PlannerKind::Cost);
+    let adaptive = &outcomes[0].run;
+    let cost = &outcomes[1].run;
     assert_eq!(
         adaptive.completed, adaptive.migrations,
         "adaptive left migrations incomplete"
@@ -51,8 +51,8 @@ fn cost_beats_or_matches_adaptive_on_adaptive64() {
 #[test]
 fn qos_shaping_trades_makespan_for_lower_sla() {
     let trade = lsm_experiments::judge::judge_shaping().expect("judge runs");
-    let unshaped = &trade[0];
-    let shaped = &trade[1];
+    let unshaped = &trade[0].run;
+    let shaped = &trade[1].run;
     assert_eq!(
         unshaped.completed, unshaped.migrations,
         "unshaped left work"

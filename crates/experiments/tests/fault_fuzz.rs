@@ -316,20 +316,16 @@ fn orchestrator_strategy() -> impl Strategy<Value = OrchestratorConfig> {
             Just(PlannerKind::Cost),
         ],
         prop::option::of(1u32..4),
-        0.3f64..5.0,
     )
-        .prop_map(|(planner, cap, window)| OrchestratorConfig {
+        .prop_map(|(planner, cap)| OrchestratorConfig {
             planner,
             max_concurrent: cap,
-            telemetry_window_secs: window,
-            ..OrchestratorConfig::default()
         })
 }
 
 fn autonomic_strategy() -> impl Strategy<Value = AutonomicConfig> {
-    (0.3f64..4.0, prop::bool::ANY).prop_map(|(interval, replan)| AutonomicConfig {
+    (0.3f64..4.0).prop_map(|interval| AutonomicConfig {
         interval_secs: interval,
-        replan_inflight: replan,
         ..AutonomicConfig::default()
     })
 }

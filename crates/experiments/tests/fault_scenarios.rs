@@ -148,21 +148,3 @@ fn scale64_quick_is_invariant_clean() {
         "audit must actually cover the run"
     );
 }
-
-#[test]
-fn fault_scenarios_match_checked_in_files() {
-    for (file, spec) in faults::all() {
-        let path = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
-        let on_disk =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        assert_eq!(
-            on_disk,
-            spec.to_toml().expect("serializes"),
-            "scenarios/{file} drifted from its producer; regenerate with \
-             `cargo run -p lsm-experiments --example regen_faults`"
-        );
-        // And the file parses back to the exact producer spec.
-        let parsed = ScenarioSpec::from_toml(&on_disk).expect("parses");
-        assert_eq!(parsed, spec);
-    }
-}

@@ -15,36 +15,14 @@ use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
 fn orchestrator_strategy() -> impl Strategy<Value = OrchestratorConfig> {
-    (
-        (prop::option::of(1u32..16), 0u8..3, 0.5f64..30.0),
-        (0.01f64..0.5, 0.001f64..0.01, 0.01f64..0.5),
-        (0.0f64..10.0, 0.0f64..16.0, 1.0f64..1.0e7, 1u32..12),
-        0.0f64..20.0,
-    )
-        .prop_map(
-            |(
-                (cap, planner, window),
-                (w_hi, w_lo, r_hi),
-                (bytes_w, ondemand, nonconverge, retry),
-                sla_w,
-            )| OrchestratorConfig {
-                max_concurrent: cap,
-                planner: match planner {
-                    0 => PlannerKind::Fixed,
-                    1 => PlannerKind::Adaptive,
-                    _ => PlannerKind::Cost,
-                },
-                telemetry_window_secs: window,
-                adaptive_write_hi_frac: w_hi,
-                adaptive_write_lo_frac: w_lo,
-                adaptive_read_hi_frac: r_hi,
-                cost_bytes_weight: bytes_w,
-                cost_ondemand_penalty: ondemand,
-                cost_nonconverge_penalty_secs: nonconverge,
-                cost_sla_weight: sla_w,
-                placement_retry_limit: retry,
-            },
-        )
+    (prop::option::of(1u32..16), 0u8..3).prop_map(|(cap, planner)| OrchestratorConfig {
+        max_concurrent: cap,
+        planner: match planner {
+            0 => PlannerKind::Fixed,
+            1 => PlannerKind::Adaptive,
+            _ => PlannerKind::Cost,
+        },
+    })
 }
 
 fn qos_strategy() -> impl Strategy<Value = QosConfig> {
@@ -467,10 +445,47 @@ fn orchestrator_sections_reject_unknown_fields() {
     let orch = spec.orchestrator.expect("present");
     assert_eq!(orch.max_concurrent, Some(4));
     assert_eq!(orch.planner, PlannerKind::Adaptive);
-    assert_eq!(
-        orch.telemetry_window_secs,
-        OrchestratorConfig::default().telemetry_window_secs
-    );
+    let toml = format!("{base}[orchestrator]\nplanner = \"cost\"\n");
+    let spec = ScenarioSpec::from_toml(&toml).expect("partial section parses");
+    assert_eq!(spec.orchestrator.expect("present").max_concurrent, None);
+}
+
+/// The planner and rebalancer hold these settings as constants, so
+/// they are not scenario keys: a scenario naming one fails to parse,
+/// and the error names the knob.
+#[test]
+fn removed_planner_and_rebalancer_knobs_fail_by_name() {
+    let base = "strategy = \"our-approach\"\ngrouped = false\nhorizon_secs = 1.0\nvms = []\nmigrations = []\n";
+    let orchestrator = [
+        "telemetry_window_secs",
+        "adaptive_write_hi_frac",
+        "adaptive_write_lo_frac",
+        "adaptive_read_hi_frac",
+        "cost_bytes_weight",
+        "cost_ondemand_penalty",
+        "cost_nonconverge_penalty_secs",
+        "cost_sla_weight",
+        "placement_retry_limit",
+    ];
+    let autonomic = [
+        "hot_dirty_frac",
+        "max_moves_per_tick",
+        "replan_inflight",
+        "replan_limit",
+    ];
+    for (section, owner, knobs) in [
+        ("orchestrator", "OrchestratorConfig", &orchestrator[..]),
+        ("autonomic", "AutonomicConfig", &autonomic[..]),
+    ] {
+        for knob in knobs {
+            let toml = format!("{base}[{section}]\n{knob} = 1\n");
+            let err = ScenarioSpec::from_toml(&toml).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unknown {owner} field `{knob}`")),
+                "{knob}: {err}"
+            );
+        }
+    }
 }
 
 /// The `[resilience]` section and the `[[cancellations]]` plan reject

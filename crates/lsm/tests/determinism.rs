@@ -13,7 +13,7 @@ use lsm::core::policy::StrategyKind;
 use lsm::core::{AutonomicConfig, FaultKind, QosConfig, RebalanceTrigger, ReplanReason, RunReport};
 use lsm::experiments::scenario::{run_scenario, run_scenario_with, ScenarioSpec};
 use lsm::experiments::sweep::parallel_map;
-use lsm::experiments::{faults, fig3, fig4, fig5, resilience, stress, Scale};
+use lsm::experiments::{faults, fig3, fig4, fig5, generated_scenarios, resilience, stress, Scale};
 use lsm::netsim::SolverMode;
 use lsm::workloads::WorkloadSpec;
 
@@ -262,9 +262,16 @@ fn demo_scenario_is_deterministic() {
     assert_golden("demo.toml", &assert_deterministic("demo.toml", &spec));
 }
 
+/// The shipped `fault_*.toml` scenarios, from their producers.
+fn fault_scenarios() -> impl Iterator<Item = (&'static str, ScenarioSpec)> {
+    generated_scenarios()
+        .into_iter()
+        .filter(|(file, _)| file.starts_with("fault_"))
+}
+
 #[test]
 fn fault_scenarios_are_deterministic() {
-    for (file, spec) in faults::all() {
+    for (file, spec) in fault_scenarios() {
         assert_golden(file, &assert_deterministic(file, &spec));
     }
 }
@@ -580,7 +587,7 @@ fn tracked_scenarios_are_thread_count_invariant() {
         let spec = ScenarioSpec::from_toml(text).expect("parses");
         assert_golden(file, &assert_thread_count_invariant(file, &spec));
     }
-    for (file, spec) in faults::all() {
+    for (file, spec) in fault_scenarios() {
         assert_golden(file, &assert_thread_count_invariant(file, &spec));
     }
 }

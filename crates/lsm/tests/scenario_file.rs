@@ -1,6 +1,7 @@
 //! The shipped `scenarios/demo.toml` must parse, run end-to-end, and
 //! produce exactly the same report as the equivalent engine-API
-//! program.
+//! program; every other shipped scenario is its producer's
+//! serialization, byte for byte.
 
 use lsm::core::{Engine, MigrationStatus, StrategyKind};
 use lsm::experiments::scenario::{run_scenario, ScenarioSpec};
@@ -65,25 +66,48 @@ fn demo_file_runs_identically_to_the_engine_program() {
     assert_eq!(sim.job_status(jc), Some(MigrationStatus::Completed));
 }
 
+// ---------------- generated scenarios ----------------
+
+/// Every shipped file but `demo.toml` is generated, byte-identical to
+/// its producer, and parses back to it — so `lsm run scenarios/<f>` and
+/// the tests that build the spec in code run the same experiment.
+#[test]
+fn generated_scenario_files_match_their_producers() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+    let generated = lsm::experiments::generated_scenarios();
+    let mut shipped: Vec<String> = std::fs::read_dir(dir)
+        .expect("scenarios/ is readable")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8")
+        })
+        .filter(|f| f.ends_with(".toml") && f != "demo.toml")
+        .collect();
+    shipped.sort();
+    let listed: Vec<&str> = generated.iter().map(|(f, _)| *f).collect();
+    assert_eq!(
+        shipped, listed,
+        "scenarios/ and generated_scenarios() disagree"
+    );
+    for (file, spec) in generated {
+        let on_disk = std::fs::read_to_string(format!("{dir}/{file}")).expect("readable");
+        assert!(
+            on_disk == spec.to_toml().expect("serializes"),
+            "scenarios/{file} drifted from its producer; regenerate with \
+             `cargo run -p lsm-experiments --example regen`"
+        );
+        assert!(
+            ScenarioSpec::from_toml(&on_disk).expect("parses") == spec,
+            "scenarios/{file} does not parse back to its producer"
+        );
+    }
+}
+
 // ---------------- scenarios/scale64.toml ----------------
 
 const SCALE64: &str = include_str!("../../../scenarios/scale64.toml");
-
-/// The checked-in paper-scale scenario must stay byte-identical to
-/// its generator, so tests that build it in code and `lsm run
-/// scenarios/scale64.toml` run the same experiment.
-#[test]
-fn scale64_file_matches_generator() {
-    let expected = lsm::experiments::stress::scale64_spec()
-        .to_toml()
-        .expect("scenario serializes");
-    assert!(
-        SCALE64 == expected,
-        "scenarios/scale64.toml drifted from stress::scale64_spec(); \
-         regenerate with `cargo run -p lsm-experiments --example regen_scale64 \
-         > scenarios/scale64.toml`"
-    );
-}
 
 #[test]
 fn scale64_file_parses_to_the_paper_scale_shape() {
@@ -97,22 +121,6 @@ fn scale64_file_parses_to_the_paper_scale_shape() {
 
 const SCALE1024: &str = include_str!("../../../scenarios/scale1024.toml");
 
-/// The checked-in 1024-node sharded-engine scenario must stay
-/// byte-identical to its generator, so tests that build it in code and
-/// `lsm run scenarios/scale1024.toml` run the same experiment.
-#[test]
-fn scale1024_file_matches_generator() {
-    let expected = lsm::experiments::stress::scale1024_spec()
-        .to_toml()
-        .expect("scenario serializes");
-    assert!(
-        SCALE1024 == expected,
-        "scenarios/scale1024.toml drifted from stress::scale1024_spec(); \
-         regenerate with `cargo run -p lsm-experiments --example regen_scale1024 \
-         > scenarios/scale1024.toml`"
-    );
-}
-
 #[test]
 fn scale1024_file_parses_to_the_fleet_shape() {
     let spec = ScenarioSpec::from_toml(SCALE1024).expect("scale1024.toml parses");
@@ -124,21 +132,6 @@ fn scale1024_file_parses_to_the_fleet_shape() {
 // ---------------- scenarios/chaos_storm.toml ----------------
 
 const CHAOS_STORM: &str = include_str!("../../../scenarios/chaos_storm.toml");
-
-/// The checked-in chaos-storm scenario must stay byte-identical to its
-/// producer, so `lsm run scenarios/chaos_storm.toml --check` replays
-/// exactly the episode the resilience acceptance tests pin.
-#[test]
-fn chaos_storm_file_matches_generator() {
-    let expected = lsm::experiments::resilience::chaos_storm_spec()
-        .to_toml()
-        .expect("scenario serializes");
-    assert!(
-        CHAOS_STORM == expected,
-        "scenarios/chaos_storm.toml drifted from resilience::chaos_storm_spec(); \
-         regenerate with `cargo run -p lsm-experiments --example regen_resilience`"
-    );
-}
 
 #[test]
 fn chaos_storm_file_parses_to_the_storm_shape() {
