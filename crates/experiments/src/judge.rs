@@ -91,21 +91,12 @@ impl RunSummary {
 
 /// A judge table: the `lead` columns, the summary columns, then `tail`.
 fn summary_table(title: &str, lead: &[&str], tail: &[&str]) -> Table {
-    let headers: Vec<&str> = lead
-        .iter()
-        .chain(&SUMMARY_COLUMNS)
-        .chain(tail)
-        .copied()
-        .collect();
-    Table::new(title, &headers)
+    Table::new(title, &[lead, &SUMMARY_COLUMNS, tail].concat())
 }
 
 /// One table row: the `lead` cells, `run`'s summary cells, then `tail`.
 fn summary_row(lead: &[String], run: &RunSummary, tail: &[String]) -> Vec<String> {
-    let lead = lead.iter().cloned();
-    lead.chain(run.cells())
-        .chain(tail.iter().cloned())
-        .collect()
+    [lead, &run.cells(), tail].concat()
 }
 
 /// One planner's outcome on the judged fleet.

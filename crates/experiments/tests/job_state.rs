@@ -313,10 +313,9 @@ fn job_in_retry_backoff_keeps_its_vm() {
     }
 
     // Stop the instant the job ends, before the rebalancer can give
-    // the VM a job of its own. The job may have landed on node 2: the
-    // rebalancer re-plans it once the evacuated second writer loads
-    // node 1. Either way node 0, where the VM started, is free to take
-    // it back.
+    // the VM a job of its own. The job lands on node 2: the rebalancer
+    // re-plans it off node 1 once the evacuated second writer loads
+    // that node. Node 0, where the VM started, is free to take it back.
     sim.run_until_observed(secs(60.0), &mut obs);
     assert_eq!(sim.job_status(job), Some(MigrationStatus::Completed));
     let now = sim.now();
