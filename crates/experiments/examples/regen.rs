@@ -5,15 +5,15 @@
 //! ```
 //!
 //! Each file [`lsm_experiments::generated_scenarios`] lists must stay
-//! byte-identical to its producer — a test asserts it, so edit the
-//! producer, rerun this, and commit both. `scenarios/demo.toml` is
-//! written by hand.
+//! byte-identical to its producer — tests assert it through
+//! [`lsm_experiments::check_generated`], so edit the producer, rerun
+//! this, and commit both. `scenarios/demo.toml` is written by hand.
 
 fn main() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
     for (file, spec) in lsm_experiments::generated_scenarios() {
         let toml = spec.to_toml().expect("scenario serializes");
-        std::fs::write(format!("{dir}/{file}"), &toml).expect("write scenario file");
+        let path = format!("{}/{file}", lsm_experiments::SCENARIOS_DIR);
+        std::fs::write(path, &toml).expect("write scenario file");
         eprintln!("wrote scenarios/{file} ({} bytes)", toml.len());
     }
 }

@@ -65,10 +65,13 @@ pub mod stress;
 pub mod sweep;
 pub mod table;
 
+/// The shipped `scenarios/` directory of the source tree.
+pub const SCENARIOS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+
 /// Every generated file under `scenarios/` with its producer, by file
 /// name: all shipped scenarios but the hand-written `demo.toml`.
-/// `cargo run -p lsm-experiments --example regen` writes them, and a
-/// test keeps each file byte-identical to its producer.
+/// `cargo run -p lsm-experiments --example regen` writes them, and
+/// [`check_generated`] keeps each file byte-identical to its producer.
 pub fn generated_scenarios() -> Vec<(&'static str, scenario::ScenarioSpec)> {
     vec![
         ("adaptive64.toml", orchestration::adaptive64_spec()),
@@ -84,6 +87,36 @@ pub fn generated_scenarios() -> Vec<(&'static str, scenario::ScenarioSpec)> {
         ("scale64.toml", stress::scale64_spec()),
         ("slow_drain.toml", autonomic::slow_drain_spec()),
     ]
+}
+
+/// Checks that each of `files` under [`SCENARIOS_DIR`] is its
+/// producer's serialization in [`generated_scenarios`], byte for byte,
+/// and parses back to that producer. The error names the file and the
+/// `regen` example that rewrites it.
+pub fn check_generated(files: &[&str]) -> Result<(), String> {
+    let generated = generated_scenarios();
+    for file in files {
+        let (_, spec) = generated
+            .iter()
+            .find(|(f, _)| f == file)
+            .ok_or_else(|| format!("{file} is not in generated_scenarios()"))?;
+        let path = format!("{SCENARIOS_DIR}/{file}");
+        let on_disk =
+            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let produced = spec.to_toml().map_err(|e| format!("{file}: {e}"))?;
+        if on_disk != produced {
+            return Err(format!(
+                "scenarios/{file} drifted from its producer; regenerate with \
+                 `cargo run -p lsm-experiments --example regen`"
+            ));
+        }
+        if scenario::ScenarioSpec::from_toml(&on_disk).ok().as_ref() != Some(spec) {
+            return Err(format!(
+                "scenarios/{file} does not parse back to its producer"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Experiment scale: the paper's parameters or a fast test reduction.

@@ -1,5 +1,6 @@
 //! Acceptance tests for the shipped autonomic-rebalancer scenarios:
-//! both closed-loop runs — which contain **zero** scripted migrations —
+//! the checked-in files match their producers byte for byte, and both
+//! closed-loop runs — which contain **zero** scripted migrations —
 //! reach a balanced steady state invariant-clean under the full
 //! checker, including the rebalancer laws (thresholds held, no
 //! ping-pong, re-queues trace to re-plans).
@@ -9,6 +10,15 @@ use lsm_core::{NodeClass, RebalanceTrigger};
 use lsm_experiments::autonomic::{hotspot_drill_spec, slow_drain_spec};
 use lsm_experiments::scenario::build_scenario;
 use lsm_simcore::time::SimTime;
+
+/// The checked-in `scenarios/*.toml` files are the producers'
+/// serializations, byte for byte (edit the producer, rerun `regen`,
+/// commit both).
+#[test]
+fn checked_in_scenarios_match_producers() {
+    lsm_experiments::check_generated(&["hotspot_drill.toml", "slow_drain.toml"])
+        .unwrap_or_else(|e| panic!("{e}"));
+}
 
 /// The hotspot drill reaches a balanced steady state purely from
 /// rebalancer-originated migrations, invariant-clean: the overloaded

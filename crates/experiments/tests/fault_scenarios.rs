@@ -148,3 +148,13 @@ fn scale64_quick_is_invariant_clean() {
         "audit must actually cover the run"
     );
 }
+
+#[test]
+fn fault_scenarios_match_checked_in_files() {
+    lsm_experiments::check_generated(&[
+        "fault_dest_crash.toml",
+        "fault_degraded_link.toml",
+        "fault_deadline.toml",
+    ])
+    .unwrap_or_else(|e| panic!("{e}"));
+}

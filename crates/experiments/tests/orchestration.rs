@@ -1,6 +1,7 @@
 //! Acceptance tests for the shipped orchestration scenarios: the
-//! evacuation completes invariant-clean under the admission cap, and
-//! the adaptive fleet's strategy choices follow the paper's §4 rule.
+//! checked-in files match their producers byte for byte, the evacuation
+//! completes invariant-clean under the admission cap, and the adaptive
+//! fleet's strategy choices follow the paper's §4 rule.
 
 use lsm_check::{CheckConfig, InvariantObserver};
 use lsm_core::policy::StrategyKind;
@@ -10,6 +11,20 @@ use lsm_experiments::scenario::{build_scenario, run_scenario, ScenarioSpec};
 use lsm_simcore::time::SimTime;
 use lsm_simcore::units::MIB;
 use lsm_workloads::WorkloadSpec;
+
+/// The checked-in `scenarios/*.toml` files are the producers'
+/// serializations, byte for byte (edit the producer, rerun `regen`,
+/// commit both).
+#[test]
+fn checked_in_scenarios_match_producers() {
+    lsm_experiments::check_generated(&[
+        "evacuate.toml",
+        "adaptive64.toml",
+        "cost64.toml",
+        "qos64.toml",
+    ])
+    .unwrap_or_else(|e| panic!("{e}"));
+}
 
 /// The evacuation scenario drains node 1 completely, under the cap,
 /// with zero invariant violations — including the new admission-cap

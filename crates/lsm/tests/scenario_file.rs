@@ -68,14 +68,12 @@ fn demo_file_runs_identically_to_the_engine_program() {
 
 // ---------------- generated scenarios ----------------
 
-/// Every shipped file but `demo.toml` is generated, byte-identical to
-/// its producer, and parses back to it — so `lsm run scenarios/<f>` and
-/// the tests that build the spec in code run the same experiment.
+/// Every shipped file but `demo.toml` is generated: `scenarios/` and
+/// `generated_scenarios()` name the same files. The drift tests below
+/// and in `lsm-experiments` check each file against its producer.
 #[test]
-fn generated_scenario_files_match_their_producers() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
-    let generated = lsm::experiments::generated_scenarios();
-    let mut shipped: Vec<String> = std::fs::read_dir(dir)
+fn generated_scenarios_list_every_shipped_file_but_demo() {
+    let mut shipped: Vec<String> = std::fs::read_dir(lsm::experiments::SCENARIOS_DIR)
         .expect("scenarios/ is readable")
         .map(|e| {
             e.expect("dir entry")
@@ -86,28 +84,25 @@ fn generated_scenario_files_match_their_producers() {
         .filter(|f| f.ends_with(".toml") && f != "demo.toml")
         .collect();
     shipped.sort();
+    let generated = lsm::experiments::generated_scenarios();
     let listed: Vec<&str> = generated.iter().map(|(f, _)| *f).collect();
     assert_eq!(
         shipped, listed,
         "scenarios/ and generated_scenarios() disagree"
     );
-    for (file, spec) in generated {
-        let on_disk = std::fs::read_to_string(format!("{dir}/{file}")).expect("readable");
-        assert!(
-            on_disk == spec.to_toml().expect("serializes"),
-            "scenarios/{file} drifted from its producer; regenerate with \
-             `cargo run -p lsm-experiments --example regen`"
-        );
-        assert!(
-            ScenarioSpec::from_toml(&on_disk).expect("parses") == spec,
-            "scenarios/{file} does not parse back to its producer"
-        );
-    }
 }
 
 // ---------------- scenarios/scale64.toml ----------------
 
 const SCALE64: &str = include_str!("../../../scenarios/scale64.toml");
+
+/// The checked-in paper-scale scenario must stay byte-identical to
+/// its generator, so tests that build it in code and `lsm run
+/// scenarios/scale64.toml` run the same experiment.
+#[test]
+fn scale64_file_matches_generator() {
+    lsm::experiments::check_generated(&["scale64.toml"]).unwrap_or_else(|e| panic!("{e}"));
+}
 
 #[test]
 fn scale64_file_parses_to_the_paper_scale_shape() {
@@ -121,6 +116,14 @@ fn scale64_file_parses_to_the_paper_scale_shape() {
 
 const SCALE1024: &str = include_str!("../../../scenarios/scale1024.toml");
 
+/// The checked-in 1024-node sharded-engine scenario must stay
+/// byte-identical to its generator, so tests that build it in code and
+/// `lsm run scenarios/scale1024.toml` run the same experiment.
+#[test]
+fn scale1024_file_matches_generator() {
+    lsm::experiments::check_generated(&["scale1024.toml"]).unwrap_or_else(|e| panic!("{e}"));
+}
+
 #[test]
 fn scale1024_file_parses_to_the_fleet_shape() {
     let spec = ScenarioSpec::from_toml(SCALE1024).expect("scale1024.toml parses");
@@ -132,6 +135,14 @@ fn scale1024_file_parses_to_the_fleet_shape() {
 // ---------------- scenarios/chaos_storm.toml ----------------
 
 const CHAOS_STORM: &str = include_str!("../../../scenarios/chaos_storm.toml");
+
+/// The checked-in chaos-storm scenario must stay byte-identical to its
+/// producer, so `lsm run scenarios/chaos_storm.toml --check` replays
+/// exactly the episode the resilience acceptance tests pin.
+#[test]
+fn chaos_storm_file_matches_generator() {
+    lsm::experiments::check_generated(&["chaos_storm.toml"]).unwrap_or_else(|e| panic!("{e}"));
+}
 
 #[test]
 fn chaos_storm_file_parses_to_the_storm_shape() {
