@@ -385,8 +385,9 @@ fn capacity(
 
 /// `L002`: the pre-copy convergence condition, evaluated statically.
 /// Fires only for migrations whose scheme is *statically* Precopy or
-/// Mirror (adaptive ones are resolved at run time from telemetry),
-/// whose workload is still writing when the migration is requested,
+/// Mirror (a telemetry planner chooses every scheme at run time, so
+/// none is static under one), whose workload is still writing when the
+/// migration is requested,
 /// and which have nothing armed to bound the job — `[resilience]`
 /// auto-converge throttles the guest, a deadline turns livelock into a
 /// bounded abort.
@@ -396,14 +397,18 @@ fn convergence(
     models: &[WorkloadModel],
     out: &mut Vec<Diag>,
 ) {
+    if spec
+        .orchestrator
+        .as_ref()
+        .is_some_and(|o| o.planner.uses_telemetry())
+    {
+        return;
+    }
     let qos = spec.qos.as_ref();
     let eff = bounds::effective_migration_bandwidth(cluster, qos);
     let mem_ratio = qos.map(|q| q.compress_mem_ratio).unwrap_or(1.0);
     let storage_ratio = qos.map(|q| q.compress_storage_ratio).unwrap_or(1.0);
     for (j, m) in spec.migrations.iter().enumerate() {
-        if m.adaptive == Some(true) {
-            continue;
-        }
         let strat = spec.vm_strategy(m.vm as usize);
         if !matches!(strat, StrategyKind::Precopy | StrategyKind::Mirror) {
             continue;

@@ -6,8 +6,8 @@
 use lsm_analyze::{fails, has_errors, lint, Diag, DiagCode, Severity};
 use lsm_core::planner::RequestIntent;
 use lsm_core::{
-    AutonomicConfig, FailureReason, FaultKind, OrchestratorConfig, QosConfig, ResilienceConfig,
-    StrategyKind,
+    AutonomicConfig, FailureReason, FaultKind, OrchestratorConfig, PlannerKind, QosConfig,
+    ResilienceConfig, StrategyKind,
 };
 use lsm_experiments::scenario::{run_scenario, MigrationSpec, ScenarioSpec, VmSpec};
 use lsm_simcore::units::{GIB, MIB};
@@ -84,7 +84,6 @@ fn l000_collects_every_structural_error() {
         dest: 1,
         at_secs: f64::NAN, // bad time
         deadline_secs: None,
-        adaptive: None,
     });
     let diags = lint(&spec);
     let n = diags
@@ -162,9 +161,11 @@ fn l002_respects_every_suppression() {
     let spec = nonconvergent_mirror().with_resilience(ResilienceConfig::default());
     assert_silent(&lint(&spec), DiagCode::NonConvergent);
 
-    // An adaptive migration's scheme is chosen from run-time telemetry.
-    let mut spec = nonconvergent_mirror();
-    spec.migrations[0].adaptive = Some(true);
+    // A telemetry planner chooses every scheme from run-time telemetry.
+    let spec = nonconvergent_mirror().with_orchestrator(OrchestratorConfig {
+        planner: PlannerKind::Adaptive,
+        ..OrchestratorConfig::default()
+    });
     assert_silent(&lint(&spec), DiagCode::NonConvergent);
 
     // Hybrid withholds hot chunks instead of chasing them.
@@ -262,7 +263,6 @@ fn l011_events_after_the_horizon_never_fire() {
         dest: 2,
         at_secs: 400.0,
         deadline_secs: None,
-        adaptive: None,
     });
     let diags = lint(&spec);
     let n = diags
@@ -380,9 +380,6 @@ fn l030_explains_inadmissible_scenarios() {
 #[test]
 fn l030_collapses_repeated_reasons() {
     let mut spec = clean_spec();
-    for m in &mut spec.migrations {
-        m.adaptive = Some(true);
-    }
     spec.vms.push(VmSpec::new(
         2,
         WorkloadSpec::SeqWrite {
@@ -397,23 +394,23 @@ fn l030_collapses_repeated_reasons() {
         dest: 3,
         at_secs: 1.0,
         deadline_secs: None,
-        adaptive: Some(true),
     });
+    spec.strategy = StrategyKind::SharedFs;
     let diags = lint(&spec);
-    let adaptive: Vec<_> = diags
+    let shared: Vec<_> = diags
         .iter()
         .filter(|d| d.code == DiagCode::ShardInadmissible)
         .collect();
     assert_eq!(
-        adaptive.len(),
+        shared.len(),
         1,
         "two same-kind rejections collapse to one diagnostic: {:?}",
         codes(&diags)
     );
     assert!(
-        adaptive[0].message.contains("1 more like this"),
+        shared[0].message.contains("1 more like this"),
         "the collapsed diagnostic carries the count: {}",
-        adaptive[0].message
+        shared[0].message
     );
 }
 
@@ -435,7 +432,6 @@ fn l031_reports_shardable_scenarios_with_their_width() {
         dest: 3,
         at_secs: 1.0,
         deadline_secs: None,
-        adaptive: None,
     });
     let diags = lint(&spec);
     assert_fires(&diags, DiagCode::ShardOk);

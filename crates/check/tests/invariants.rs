@@ -6,7 +6,7 @@ use lsm_check::{CheckConfig, InvariantObserver};
 use lsm_core::config::ClusterConfig;
 use lsm_core::engine::{JobId, MigrationProgress, MigrationStatus};
 use lsm_core::policy::StrategyKind;
-use lsm_core::{Engine, FaultKind, Observer, RequestIntent};
+use lsm_core::{Engine, EngineConfig, FaultKind, Observer, RequestIntent};
 use lsm_simcore::time::SimTime;
 use lsm_simcore::units::MIB;
 use lsm_workloads::WorkloadSpec;
@@ -89,12 +89,14 @@ fn faulted_migrations_uphold_every_law() {
 /// evaluated (the positive half of the detection pair below).
 #[test]
 fn capped_orchestrated_run_upholds_every_law() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(lsm_core::OrchestratorConfig {
-        max_concurrent: Some(1),
-        ..lsm_core::OrchestratorConfig::default()
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: lsm_core::OrchestratorConfig {
+            max_concurrent: Some(1),
+            ..lsm_core::OrchestratorConfig::default()
+        },
+        ..ClusterConfig::small_test().into()
     })
-    .expect("configures");
+    .expect("config");
     let vm0 = sim
         .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
@@ -254,14 +256,16 @@ fn checker_detects_illegal_transition_and_missing_reason() {
 /// every law, including requeue-traces-to-replan.
 #[test]
 fn destination_crash_replans_and_completes_cleanly() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_autonomic(lsm_core::AutonomicConfig {
-        overload_pressure: 50.0, // unreachable: replanning is the only autonomic act
-        underload_pressure: 0.01,
-        hysteresis: 0.0,
-        ..lsm_core::AutonomicConfig::default()
+    let mut sim = Engine::new(EngineConfig {
+        autonomic: Some(lsm_core::AutonomicConfig {
+            overload_pressure: 50.0, // unreachable: replanning is the only autonomic act
+            underload_pressure: 0.01,
+            hysteresis: 0.0,
+            ..lsm_core::AutonomicConfig::default()
+        }),
+        ..ClusterConfig::small_test().into()
     })
-    .expect("configures");
+    .expect("config");
     let vm = sim
         .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
@@ -297,15 +301,17 @@ fn destination_crash_replans_and_completes_cleanly() {
 /// node mid-flight — cleanly.
 #[test]
 fn degraded_destination_replans_cleanly() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_autonomic(lsm_core::AutonomicConfig {
-        interval_secs: 0.5,
-        overload_pressure: 0.05, // the resident writer's busy fraction clears this
-        underload_pressure: 0.001,
-        hysteresis: 0.01,
-        ..lsm_core::AutonomicConfig::default()
+    let mut sim = Engine::new(EngineConfig {
+        autonomic: Some(lsm_core::AutonomicConfig {
+            interval_secs: 0.5,
+            overload_pressure: 0.05, // the resident writer's busy fraction clears this
+            underload_pressure: 0.001,
+            hysteresis: 0.01,
+            ..lsm_core::AutonomicConfig::default()
+        }),
+        ..ClusterConfig::small_test().into()
     })
-    .expect("configures");
+    .expect("config");
     // A resident heavy writer keeps the destination hot.
     let _hot = sim
         .add_vm(
@@ -359,15 +365,17 @@ fn degraded_destination_replans_cleanly() {
 /// hold must be flagged — the threshold law is not vacuous.
 #[test]
 fn checker_detects_rebalance_threshold_violation() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_autonomic(lsm_core::AutonomicConfig {
-        interval_secs: 1e6, // no real ticks: only the forged action exists
-        overload_pressure: 50.0,
-        underload_pressure: 0.05,
-        hysteresis: 0.0,
-        ..lsm_core::AutonomicConfig::default()
+    let mut sim = Engine::new(EngineConfig {
+        autonomic: Some(lsm_core::AutonomicConfig {
+            interval_secs: 1e6, // no real ticks: only the forged action exists
+            overload_pressure: 50.0,
+            underload_pressure: 0.05,
+            hysteresis: 0.0,
+            ..lsm_core::AutonomicConfig::default()
+        }),
+        ..ClusterConfig::small_test().into()
     })
-    .expect("configures");
+    .expect("config");
     let _vm = sim
         .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
@@ -402,13 +410,15 @@ fn checker_detects_rebalance_threshold_violation() {
 /// are chosen so their threshold condition genuinely holds).
 #[test]
 fn checker_detects_rebalance_ping_pong() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_autonomic(lsm_core::AutonomicConfig {
-        interval_secs: 1e6,
-        cooldown_secs: 120.0,
-        ..lsm_core::AutonomicConfig::default()
+    let mut sim = Engine::new(EngineConfig {
+        autonomic: Some(lsm_core::AutonomicConfig {
+            interval_secs: 1e6,
+            cooldown_secs: 120.0,
+            ..lsm_core::AutonomicConfig::default()
+        }),
+        ..ClusterConfig::small_test().into()
     })
-    .expect("configures");
+    .expect("config");
     let _vm = sim
         .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
@@ -515,9 +525,11 @@ fn forged_attempt(checkpoint_bytes: u64, resumed_bytes: u64) -> lsm_core::JobAtt
 /// retry-within-policy law is not vacuous.
 #[test]
 fn checker_detects_retry_beyond_policy() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_resilience(resilience_cfg(2))
-        .expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        resilience: Some(resilience_cfg(2)),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     let vm = sim
         .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
@@ -543,9 +555,11 @@ fn checker_detects_retry_beyond_policy() {
 /// be flagged — resumption cannot invent progress.
 #[test]
 fn checker_detects_resume_overrun() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_resilience(resilience_cfg(3))
-        .expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        resilience: Some(resilience_cfg(3)),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     let vm = sim
         .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
@@ -566,9 +580,11 @@ fn checker_detects_resume_overrun() {
 /// degradation is only legal while memory pre-copy fights flux.
 #[test]
 fn checker_detects_unreleased_throttle() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_resilience(resilience_cfg(3))
-        .expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        resilience: Some(resilience_cfg(3)),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     // Postcopy switches over early and pulls storage afterwards,
     // guaranteeing a long TransferringStorage window to forge inside.
     let vm = sim
@@ -609,8 +625,11 @@ fn throttled_successor_is_not_blamed_on_a_cancelled_job() {
         converge_max_steps: 4,
         ..resilience_cfg(1)
     };
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_resilience(res).expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        resilience: Some(res),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     let hot = WorkloadSpec::HotspotWrite {
         offset: 0,
         region_blocks: 64,
@@ -658,9 +677,11 @@ fn throttled_successor_is_not_blamed_on_a_cancelled_job() {
 /// flagged — that is a leaked backoff.
 #[test]
 fn checker_detects_dangling_retry_timer() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_resilience(resilience_cfg(3))
-        .expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        resilience: Some(resilience_cfg(3)),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     let vm = sim
         .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
@@ -694,15 +715,17 @@ fn qos_shaped_run_upholds_every_law() {
         StrategyKind::Precopy,
         StrategyKind::Postcopy,
     ] {
-        let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-        sim.configure_qos(lsm_core::QosConfig {
-            bandwidth_cap_mb: Some(40.0),
-            streams: 4,
-            compress_mem_ratio: 0.7,
-            compress_storage_ratio: 0.8,
-            compress_cpu_frac: 0.1,
+        let mut sim = Engine::new(EngineConfig {
+            qos: lsm_core::QosConfig {
+                bandwidth_cap_mb: Some(40.0),
+                streams: 4,
+                compress_mem_ratio: 0.7,
+                compress_storage_ratio: 0.8,
+                compress_cpu_frac: 0.1,
+            },
+            ..ClusterConfig::small_test().into()
         })
-        .expect("configures");
+        .expect("config");
         let vm = sim
             .add_vm(0, &writer(), strategy, SimTime::ZERO)
             .expect("vm");
@@ -723,12 +746,14 @@ fn qos_shaped_run_upholds_every_law() {
 /// be flagged — the cap-respected law is not vacuous.
 #[test]
 fn checker_detects_uncapped_migration_flow() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_qos(lsm_core::QosConfig {
-        bandwidth_cap_mb: Some(40.0),
-        ..lsm_core::QosConfig::default()
+    let mut sim = Engine::new(EngineConfig {
+        qos: lsm_core::QosConfig {
+            bandwidth_cap_mb: Some(40.0),
+            ..lsm_core::QosConfig::default()
+        },
+        ..ClusterConfig::small_test().into()
     })
-    .expect("configures");
+    .expect("config");
     let vm = sim
         .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");

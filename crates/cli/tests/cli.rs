@@ -274,7 +274,6 @@ seed = 7
 vm = 0
 dest = 1
 at_secs = 8.0
-adaptive = true
 "#,
     )
     .expect("scenario written");

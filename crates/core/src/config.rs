@@ -6,7 +6,11 @@
 //! 4 GB base image striped in 256 KB chunks, and the QEMU migration speed
 //! cap raised to the full NIC.
 
+use crate::autonomic::AutonomicConfig;
 use crate::error::EngineError;
+use crate::planner::OrchestratorConfig;
+use crate::qos::QosConfig;
+use crate::resilience::ResilienceConfig;
 use lsm_blockdev::CacheConfig;
 pub use lsm_hypervisor::MemMigrationConfig;
 use lsm_simcore::time::SimDuration;
@@ -262,6 +266,38 @@ impl ClusterConfig {
             image_size: 64 * MIB,
             vm_ram: 256 * MIB,
             ..Default::default()
+        }
+    }
+}
+
+/// Everything an [`Engine`](crate::Engine) is built from, given once at
+/// [`Engine::new`](crate::Engine::new): the cluster and the four
+/// subsystem sections. A bare [`ClusterConfig`] converts into one with
+/// every section at its inert default (fixed planner, unlimited cap, no
+/// rebalancer, no resilience layer, no QoS shaping).
+#[derive(Clone, Debug)]
+pub struct EngineConfig {
+    /// The cluster.
+    pub cluster: ClusterConfig,
+    /// Admission cap and the planner that places jobs and chooses their
+    /// strategies.
+    pub orchestrator: OrchestratorConfig,
+    /// The autonomic rebalancer (`None`: off).
+    pub autonomic: Option<AutonomicConfig>,
+    /// The resilience layer (`None`: off).
+    pub resilience: Option<ResilienceConfig>,
+    /// Migration QoS shaping (the default shapes nothing).
+    pub qos: QosConfig,
+}
+
+impl From<ClusterConfig> for EngineConfig {
+    fn from(cluster: ClusterConfig) -> Self {
+        EngineConfig {
+            cluster,
+            orchestrator: OrchestratorConfig::default(),
+            autonomic: None,
+            resilience: None,
+            qos: QosConfig::default(),
         }
     }
 }

@@ -29,7 +29,7 @@ pub use report::{MigrationRecord, Milestone, RunReport, VmRecord};
 
 use orchestrator::{JobEvent, JobEventKind, JobRt, OrchestratorRt};
 
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, EngineConfig};
 use crate::error::EngineError;
 use crate::policy::StrategyKind;
 use crate::qos::QosConfig;
@@ -83,14 +83,33 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine over a fresh cluster.
+    /// Build an engine over a fresh cluster, configured once: the
+    /// planner, rebalancer, resilience and QoS sections of `cfg` hold
+    /// for every job of the run. A bare [`ClusterConfig`] leaves every
+    /// section at its inert default.
     ///
     /// # Errors
-    /// [`EngineError::InvalidConfig`] when the configuration is unusable
-    /// (zero nodes, non-positive capacities, chunk size not dividing the
-    /// image, ...).
-    pub fn new(cfg: ClusterConfig) -> Result<Self, EngineError> {
+    /// [`EngineError::InvalidConfig`] when the cluster is unusable (zero
+    /// nodes, non-positive capacities, chunk size not dividing the
+    /// image, ...); then [`EngineError::InvalidRequest`] when a section
+    /// is, checked in field order.
+    pub fn new(cfg: impl Into<EngineConfig>) -> Result<Self, EngineError> {
+        let EngineConfig {
+            cluster: cfg,
+            orchestrator,
+            autonomic,
+            resilience,
+            qos,
+        } = cfg.into();
         cfg.validate()?;
+        orchestrator.validate()?;
+        if let Some(a) = &autonomic {
+            a.validate()?;
+        }
+        if let Some(r) = &resilience {
+            r.validate()?;
+        }
+        qos.validate()?;
         let topo = Topology::symmetric(cfg.nodes as usize, cfg.nic_bw, cfg.switch_bw)
             .with_latency(cfg.net_latency);
         let net = FlowNet::new(topo);
@@ -115,7 +134,7 @@ impl Engine {
             op_overhead: cfg.pvfs_op_overhead,
             write_overhead: cfg.pvfs_write_overhead,
         });
-        Ok(Engine {
+        let mut eng = Engine {
             cfg,
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -130,11 +149,27 @@ impl Engine {
             jobs: Vec::new(),
             job_events: Vec::new(),
             events_processed: 0,
-            orch: OrchestratorRt::default(),
-            autonomic: None,
-            resilience: None,
-            qos: QosConfig::default(),
-        })
+            orch: OrchestratorRt {
+                cfg: orchestrator,
+                ..OrchestratorRt::default()
+            },
+            autonomic: autonomic.map(|cfg| rebalance::AutonomicRt {
+                cfg,
+                armed: false,
+                classes: Vec::new(),
+                actions: Vec::new(),
+            }),
+            resilience,
+            qos,
+        };
+        // The telemetry planners and the rebalancer read windowed rates.
+        // The sampling loop is armed before the monitor's tick: the order
+        // breaks ties between their same-instant events.
+        if eng.orch.cfg.planner.uses_telemetry() || eng.autonomic.is_some() {
+            orchestrator::arm_telemetry(&mut eng);
+        }
+        rebalance::arm_tick(&mut eng);
+        Ok(eng)
     }
 
     /// The cluster configuration.

@@ -7,10 +7,11 @@
 //! and ready requests are admitted in FIFO order while the configured
 //! [`OrchestratorConfig::max_concurrent`] cap has room. At admission
 //! the configured [`PlannerKind`] decides destination placement (for
-//! intents) and, for adaptive requests, which transfer scheme to use —
-//! reading windowed per-VM write/read rates sampled on a telemetry
-//! tick. Every decision is recorded as a [`PlannerDecision`] and lands
-//! in the [`RunReport`](super::report::RunReport).
+//! intents) and the transfer scheme of every job it admits — the
+//! telemetry planners read windowed per-VM write/read rates sampled on
+//! a telemetry tick. Every decision is recorded as a
+//! [`PlannerDecision`] and lands in the
+//! [`RunReport`](super::report::RunReport).
 //!
 //! The historical `Engine::schedule_migration` semantics are exactly
 //! this machinery under the default configuration
@@ -73,9 +74,6 @@ pub(crate) struct JobRt {
     /// previous job is terminal). Set at most once: only a terminal job
     /// is displaced, and a terminal job starts no new attempt.
     pub archived: Option<MigrationRt>,
-    /// The planner resolves this job's strategy from telemetry at
-    /// admission instead of using the VM's configured one.
-    pub adaptive: bool,
     /// True while the job occupies an admission slot (admission →
     /// terminal status); keeps the slot release exactly-once.
     pub counted: bool,
@@ -219,28 +217,6 @@ impl OrchestratorRt {
 // ---------------- public scheduling API (on Engine) ----------------
 
 impl Engine {
-    /// Replace the orchestrator configuration (admission cap and
-    /// planner). Must happen before any migration or request
-    /// is scheduled, so every decision in a run is made by one planner.
-    ///
-    /// # Errors
-    /// [`EngineError::InvalidRequest`] for an unusable configuration or
-    /// when work is already queued.
-    pub fn configure_orchestrator(&mut self, cfg: OrchestratorConfig) -> Result<(), EngineError> {
-        cfg.validate()?;
-        if !self.jobs.is_empty() || !self.orch.intents.is_empty() {
-            return Err(EngineError::InvalidRequest {
-                reason: "configure the orchestrator before scheduling migrations or requests"
-                    .to_string(),
-            });
-        }
-        self.orch.cfg = cfg;
-        if self.orch.cfg.planner.uses_telemetry() {
-            arm_telemetry(self);
-        }
-        Ok(())
-    }
-
     /// The configured admission cap (`None`: unlimited).
     pub fn admission_cap(&self) -> Option<u32> {
         self.orch.cfg.max_concurrent
@@ -323,29 +299,28 @@ impl Engine {
     }
 
     /// Schedule a live migration of `vm` to `dest` at time `at` and
-    /// return its job handle. The job enters the orchestrator's request
-    /// queue: it starts at `at` if the admission cap has room, or as
-    /// soon after as a slot frees (visible as a planner-queued job).
+    /// return its job handle: [`Engine::schedule_migration_with_deadline`]
+    /// without a deadline.
     ///
     /// # Errors
-    /// * [`EngineError::UnknownVm`] — `vm` was not deployed here.
-    /// * [`EngineError::NodeOutOfRange`] — `dest` is not in the cluster.
-    /// * [`EngineError::SameHost`] — `dest` is the VM's current host.
-    /// * [`EngineError::DuplicateMigration`] — the VM already has a job.
-    /// * [`EngineError::IncompatibleMemoryStrategy`] — pre-copy-style
-    ///   storage transfer under post-copy memory migration.
-    /// * [`EngineError::InvalidTime`] — `at` is before [`Engine::now`].
+    /// Everything [`Engine::schedule_migration_with_deadline`] reports.
     pub fn schedule_migration(
         &mut self,
         vm: VmId,
         dest: u32,
         at: SimTime,
     ) -> Result<JobId, EngineError> {
-        self.schedule_migration_inner(vm, dest, at, None, false)
+        self.schedule_migration_with_deadline(vm, dest, at, None)
     }
 
-    /// Like [`Engine::schedule_migration`], additionally arming an abort
-    /// deadline: if the job is not terminal `deadline` after `at`, it is
+    /// Schedule a live migration of `vm` to `dest` at time `at` and
+    /// return its job handle. The job enters the orchestrator's request
+    /// queue: it starts at `at` if the admission cap has room, or as
+    /// soon after as a slot frees (visible as a planner-queued job), and
+    /// the planner chooses its strategy then (the fixed planner keeps
+    /// the VM's).
+    ///
+    /// With a `deadline`, a job not terminal `deadline` after `at` is
     /// aborted — in-flight transfers are cancelled, a paused guest
     /// resumes at the source, and the job parks at
     /// [`MigrationStatus::Failed`] with
@@ -354,51 +329,21 @@ impl Engine {
     /// if admission is deferred by the concurrency cap.
     ///
     /// # Errors
-    /// Everything [`Engine::schedule_migration`] reports, plus
-    /// [`EngineError::InvalidFault`] for a non-positive deadline.
+    /// * [`EngineError::InvalidTime`] — `at` is before [`Engine::now`].
+    /// * [`EngineError::InvalidFault`] — a zero deadline.
+    /// * [`EngineError::UnknownVm`] — `vm` was not deployed here.
+    /// * [`EngineError::NodeOutOfRange`] — `dest` is not in the cluster.
+    /// * [`EngineError::SameHost`] — `dest` is the VM's current host.
+    /// * [`EngineError::DuplicateMigration`] — the VM already has a job.
+    /// * [`EngineError::IncompatibleMemoryStrategy`] — the fixed planner
+    ///   would keep a pre-copy-style storage transfer under post-copy
+    ///   memory migration.
     pub fn schedule_migration_with_deadline(
         &mut self,
         vm: VmId,
         dest: u32,
         at: SimTime,
         deadline: Option<SimDuration>,
-    ) -> Result<JobId, EngineError> {
-        self.schedule_migration_inner(vm, dest, at, deadline, false)
-    }
-
-    /// Like [`Engine::schedule_migration`], but leaving the transfer
-    /// strategy open: the adaptive planner resolves it from the VM's
-    /// windowed write intensity at admission time (the paper's §4
-    /// decision, operationalized).
-    ///
-    /// # Errors
-    /// Everything [`Engine::schedule_migration`] reports, plus
-    /// [`EngineError::InvalidRequest`] unless the orchestrator runs the
-    /// adaptive planner.
-    pub fn schedule_migration_adaptive(
-        &mut self,
-        vm: VmId,
-        dest: u32,
-        at: SimTime,
-        deadline: Option<SimDuration>,
-    ) -> Result<JobId, EngineError> {
-        if !self.orch.cfg.planner.uses_telemetry() {
-            return Err(EngineError::InvalidRequest {
-                reason: "adaptive strategy selection requires planner = \"adaptive\" or \
-                         \"cost\" in the orchestrator configuration"
-                    .to_string(),
-            });
-        }
-        self.schedule_migration_inner(vm, dest, at, deadline, true)
-    }
-
-    pub(crate) fn schedule_migration_inner(
-        &mut self,
-        vm: VmId,
-        dest: u32,
-        at: SimTime,
-        deadline: Option<SimDuration>,
-        adaptive: bool,
     ) -> Result<JobId, EngineError> {
         self.not_before_now("migration", at)?;
         if let Some(d) = deadline {
@@ -429,8 +374,9 @@ impl Engine {
         if vmrt.live_job.is_some() {
             return Err(EngineError::DuplicateMigration { vm: vm.0 });
         }
+        let planned = self.orch.cfg.planner.uses_telemetry();
         if self.cfg.postcopy_memory
-            && !adaptive
+            && !planned
             && matches!(vmrt.strategy, StrategyKind::Precopy | StrategyKind::Mirror)
         {
             return Err(EngineError::IncompatibleMemoryStrategy {
@@ -449,7 +395,6 @@ impl Engine {
             deadline_at,
             failure: None,
             archived: None,
-            adaptive,
             counted: false,
             held: false,
             origin: None,
@@ -460,11 +405,11 @@ impl Engine {
         if let Some(at) = deadline_at {
             self.queue.schedule(at, Ev::JobDeadline(job.0));
         }
-        if adaptive {
-            // The sampling loop disarms itself once all work drains; an
-            // adaptive job scheduled after that (stepped-horizon
-            // re-scheduling) must restart it, or its strategy would be
-            // chosen from rates frozen at the earlier drain.
+        if planned {
+            // The sampling loop disarms itself once all work drains; a
+            // job scheduled after that (stepped-horizon re-scheduling)
+            // must restart it, or its strategy would be chosen from
+            // rates frozen at the earlier drain.
             arm_telemetry(self);
         }
         Ok(job)
@@ -836,19 +781,16 @@ fn mark_held(eng: &mut Engine) {
     }
 }
 
-/// Admit one explicitly scheduled job: resolve its strategy (adaptive
-/// jobs ask the planner), record the decision, take a slot, start.
+/// Admit one explicitly scheduled job: the planner chooses its
+/// strategy, then the decision is recorded, a slot taken, the job
+/// started.
 fn admit_job(eng: &mut Engine, job: JobId) {
     let j = &eng.jobs[job.0 as usize];
     if j.status.is_terminal() {
         return; // died while held (crash fault, deadline)
     }
     let ready_at = j.requested_at;
-    let choice = if j.adaptive {
-        choose_strategy(eng, j.vm)
-    } else {
-        (eng.vms[j.vm as usize].strategy, Vec::new())
-    };
+    let choice = choose_strategy(eng, j.vm);
     admit(eng, job, choice, ready_at);
 }
 
@@ -930,7 +872,6 @@ fn admit_intent_vm(eng: &mut Engine, v: VmIdx, origin: u32, attempts: u32) {
         deadline_at: None,
         failure: None,
         archived: None,
-        adaptive: eng.orch.cfg.planner.uses_telemetry(),
         counted: false,
         held: false,
         origin: Some(origin),

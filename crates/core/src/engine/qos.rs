@@ -16,30 +16,10 @@
 
 use super::types::*;
 use super::Engine;
-use crate::error::EngineError;
 use crate::qos::QosConfig;
 use lsm_hypervisor::VmState;
 
 impl Engine {
-    /// Install a migration QoS configuration (bandwidth cap, multifd
-    /// streams, compression). Must happen before any migration or
-    /// request is scheduled, so every transfer in a run is shaped the
-    /// same way.
-    ///
-    /// # Errors
-    /// [`EngineError::InvalidRequest`] for an unusable configuration or
-    /// when work is already queued.
-    pub fn configure_qos(&mut self, cfg: QosConfig) -> Result<(), EngineError> {
-        cfg.validate()?;
-        if !self.jobs.is_empty() || !self.orch.intents.is_empty() {
-            return Err(EngineError::InvalidRequest {
-                reason: "configure QoS before scheduling migrations or requests".to_string(),
-            });
-        }
-        self.qos = cfg;
-        Ok(())
-    }
-
     /// The QoS configuration: the installed one, or the default that
     /// shapes nothing (invariant checkers and reports read the knobs
     /// through this).

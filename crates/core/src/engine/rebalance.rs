@@ -12,7 +12,7 @@
 //! of the candidates. A re-plan gives the job's admission slot back
 //! through the one release (`orchestrator::release_slot`), which puts
 //! the job straight back on the ready queue. Everything here is inert
-//! until [`Engine::configure_autonomic`] installs a config: with
+//! unless [`Engine::new`] is given an autonomic config: with
 //! `[autonomic]` absent, no tick is ever armed and every run is
 //! event-for-event identical to an engine built without this module.
 
@@ -25,7 +25,7 @@ use crate::autonomic::{
     classify, AutonomicConfig, Deferral, DeferralReason, NodeClass, RebalanceAction,
     RebalanceTrigger, ReplanReason,
 };
-use crate::error::EngineError;
+use crate::planner::NodeView;
 use lsm_hypervisor::VmId;
 use lsm_simcore::time::SimDuration;
 
@@ -41,38 +41,6 @@ pub(crate) struct AutonomicRt {
 }
 
 impl Engine {
-    /// Enable the autonomic rebalancer: a periodic monitor that scans
-    /// per-node I/O pressure, classifies nodes against the configured
-    /// thresholds (with hysteresis) and originates migrations on its
-    /// own — relieving overloaded nodes, draining underloaded ones,
-    /// deferring hot-phase candidates, and re-planning in-flight jobs
-    /// whose destination crashes or degrades. Must be called before any
-    /// migration or request is scheduled.
-    ///
-    /// # Errors
-    /// [`EngineError::InvalidRequest`] for an unusable configuration or
-    /// when work is already queued.
-    pub fn configure_autonomic(&mut self, cfg: AutonomicConfig) -> Result<(), EngineError> {
-        cfg.validate()?;
-        if !self.jobs.is_empty() || !self.orch.intents.is_empty() {
-            return Err(EngineError::InvalidRequest {
-                reason: "configure the autonomic rebalancer before scheduling migrations or \
-                         requests"
-                    .to_string(),
-            });
-        }
-        self.autonomic = Some(AutonomicRt {
-            cfg,
-            armed: false,
-            classes: Vec::new(),
-            actions: Vec::new(),
-        });
-        // The monitor reads windowed rates: both loops must run.
-        orchestrator::arm_telemetry(self);
-        arm_tick(self);
-        Ok(())
-    }
-
     /// The autonomic configuration, if the rebalancer is enabled.
     pub fn autonomic_config(&self) -> Option<&AutonomicConfig> {
         self.autonomic.as_ref().map(|a| &a.cfg)
@@ -123,7 +91,7 @@ impl Engine {
     pub fn testing_force_rebalance_action(&mut self, action: RebalanceAction) {
         self.autonomic
             .as_mut()
-            .expect("testing_force_rebalance_action requires configure_autonomic")
+            .expect("testing_force_rebalance_action requires an autonomic config")
             .actions
             .push(action);
     }
@@ -142,8 +110,9 @@ pub(crate) fn autonomic_live(eng: &Engine) -> bool {
             || eng.jobs.iter().any(|j| !j.status.is_terminal()))
 }
 
-/// Schedule the next monitor tick (idempotent while one is pending).
-fn arm_tick(eng: &mut Engine) {
+/// Schedule the next monitor tick (idempotent while one is pending; a
+/// no-op without the rebalancer).
+pub(crate) fn arm_tick(eng: &mut Engine) {
     let Some(a) = eng.autonomic.as_mut() else {
         return;
     };
@@ -218,8 +187,7 @@ pub(crate) fn rebalance_tick(eng: &mut Engine) {
             }
             NodeClass::Underloaded => {
                 let trigger = RebalanceTrigger::Underload { node, pressure };
-                let mode = DestMode::Consolidate { from: node };
-                run_action(eng, &mut tick, node, trigger, mode);
+                run_action(eng, &mut tick, node, trigger, DestMode::Consolidate);
             }
             NodeClass::Neutral => {}
         }
@@ -249,7 +217,7 @@ enum DestMode {
     /// Underload drain: consolidate onto the *busiest* healthy
     /// non-overloaded node at least as loaded as the source (moving to
     /// an emptier node would spread, not drain).
-    Consolidate { from: u32 },
+    Consolidate,
 }
 
 /// Evaluate one triggered node: rank its movable VMs, skip those in
@@ -265,14 +233,16 @@ fn run_action(
     mode: DestMode,
 ) {
     let now = eng.now;
-    // Movable: hosted here, alive, without a live job.
-    let mut candidates: Vec<VmIdx> = (0..eng.vms.len() as u32)
+    // Movable: hosted here, alive, without a live job; each paired with
+    // its pressure, read once.
+    let mut ranked: Vec<(f64, VmIdx)> = (0..eng.vms.len() as u32)
         .filter(|&v| {
             let vm = &eng.vms[v as usize];
             !vm.crashed && vm.vm.host == node && vm.live_job.is_none()
         })
+        .map(|v| (orchestrator::vm_pressure(eng, v), v))
         .collect();
-    if candidates.is_empty() {
+    if ranked.is_empty() {
         return;
     }
     // Overload relieves its hottest VM first; a drain moves its coolest
@@ -280,11 +250,7 @@ fn run_action(
     // Pressures are finite and never -0.0, so `total_cmp` orders them
     // as `<` does.
     let hottest_first = matches!(mode, DestMode::Planner);
-    candidates.sort_by(|&x, &y| {
-        let (px, py) = (
-            orchestrator::vm_pressure(eng, x),
-            orchestrator::vm_pressure(eng, y),
-        );
+    ranked.sort_by(|&(px, x), &(py, y)| {
         let ord = if hottest_first {
             py.total_cmp(&px)
         } else {
@@ -292,6 +258,20 @@ fn run_action(
         };
         ord.then(x.cmp(&y))
     });
+    let candidates: Vec<VmIdx> = ranked.into_iter().map(|(_, v)| v).collect();
+    // Every candidate is hosted on `node`, and nothing placement reads
+    // changes until one is scheduled (the loop ends there): one
+    // destination serves them all.
+    let views = orchestrator::node_views(eng);
+    let dest = match mode {
+        DestMode::Planner => eng
+            .orch
+            .cfg
+            .planner
+            .place(node, &views)
+            .filter(|&d| tick.classes[d as usize] != NodeClass::Overloaded),
+        DestMode::Consolidate => consolidation_dest(&views, &tick.classes, node),
+    };
 
     let cfg = &tick.cfg;
     let mut deferrals = Vec::new();
@@ -329,11 +309,6 @@ fn run_action(
             // Cooled down: the deferral clock resets.
             vm.deferred_since = None;
         }
-        let dest = match mode {
-            DestMode::Planner => orchestrator::place(eng, v)
-                .filter(|&d| tick.classes[d as usize] != NodeClass::Overloaded),
-            DestMode::Consolidate { from } => consolidation_dest(eng, &tick.classes, from),
-        };
         let Some(dest) = dest else {
             deferrals.push(Deferral {
                 vm: v,
@@ -344,8 +319,7 @@ fn run_action(
         // Originate through the ordinary scheduling path: the job gets
         // full validation, FIFO admission under the cap, and a recorded
         // planner decision, exactly like a scenario-scheduled one.
-        let adaptive = eng.orch.cfg.planner.uses_telemetry();
-        match eng.schedule_migration_inner(VmId(v), dest, now, None, adaptive) {
+        match eng.schedule_migration(VmId(v), dest, now) {
             Ok(job) => {
                 let vm = &mut eng.vms[v as usize];
                 vm.last_moved = Some(now);
@@ -382,8 +356,7 @@ fn run_action(
 /// Drain destination: the busiest healthy, non-overloaded node at
 /// least as loaded as the source (ties to the lowest index). `None`
 /// when every other node is crashed, overloaded, or emptier.
-fn consolidation_dest(eng: &Engine, classes: &[NodeClass], from: u32) -> Option<u32> {
-    let views = orchestrator::node_views(eng);
+fn consolidation_dest(views: &[NodeView], classes: &[NodeClass], from: u32) -> Option<u32> {
     let from_load = views[from as usize].load;
     views
         .iter()

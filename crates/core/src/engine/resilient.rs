@@ -8,8 +8,8 @@
 //! and each job holds its own retry state ([`JobRetry`], in
 //! `JobRt::retry`): the attempt history, the armed `RetryFire`, the
 //! transfer checkpoint, and the reported throttle peak and deferral
-//! count. Everything here is inert until [`Engine::configure_resilience`]
-//! installs a config: with `[resilience]` absent no retry timer is ever
+//! count. Everything here is inert unless [`Engine::new`] is given a
+//! resilience config: with `[resilience]` absent no retry timer is ever
 //! armed, no throttle step is ever taken, no switchover is ever
 //! deferred, and every run is event-for-event identical to an engine
 //! built without this module. ([`Engine::cancel_migration`] alone works
@@ -72,27 +72,6 @@ pub(crate) struct Checkpoint {
 }
 
 impl Engine {
-    /// Install the resilience layer. Must be called before any
-    /// migration or evacuation intent is scheduled, so every job lives
-    /// under one policy from birth.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidRequest`] for an unusable configuration or
-    /// when work is already scheduled.
-    pub fn configure_resilience(&mut self, cfg: ResilienceConfig) -> Result<(), EngineError> {
-        cfg.validate()?;
-        if !self.jobs.is_empty() || !self.orch.intents.is_empty() {
-            return Err(EngineError::InvalidRequest {
-                reason: "resilience must be configured before any migration or evacuation \
-                         is scheduled"
-                    .to_string(),
-            });
-        }
-        self.resilience = Some(cfg);
-        Ok(())
-    }
-
     /// The installed resilience configuration, if any.
     pub fn resilience_config(&self) -> Option<&ResilienceConfig> {
         self.resilience.as_ref()

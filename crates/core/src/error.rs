@@ -109,9 +109,8 @@ pub enum EngineError {
         reason: String,
     },
     /// An orchestration request is unusable (evacuating a node outside
-    /// the cluster, rebalancing an unknown group, adaptive strategy
-    /// without the adaptive planner, an unusable orchestrator
-    /// configuration, ...).
+    /// the cluster, rebalancing an unknown group, an unusable
+    /// orchestrator, autonomic, resilience or QoS section, ...).
     InvalidRequest {
         /// Human-readable reason.
         reason: String,

@@ -20,9 +20,9 @@
 //!   Grid'5000 *graphene* testbed numbers.
 //! * [`planner`] — the cluster orchestration layer: one of three
 //!   built-in planners ([`PlannerKind`]) decides placement, admission
-//!   order (under a configurable max-concurrent cap) and — for adaptive
-//!   requests — which transfer scheme to use from live per-VM I/O
-//!   telemetry;
+//!   order (under a configurable max-concurrent cap) and the transfer
+//!   scheme of every job it admits (the fixed planner keeps the VM's;
+//!   the others choose from live per-VM I/O telemetry);
 //!   high-level intents ([`planner::RequestIntent`]) express node
 //!   evacuation and group rebalancing.
 //! * [`autonomic`] — the closed-loop rebalancer: a periodic monitor
@@ -31,7 +31,7 @@
 //!   overloaded nodes, draining underloaded ones, deferring hot-phase
 //!   candidates on their windowed re-write rate until a deadline — and
 //!   re-plans in-flight jobs whose destination crashes or degrades.
-//!   Inert unless an [`AutonomicConfig`] is installed.
+//!   Inert unless an [`AutonomicConfig`] is given.
 //! * [`resilience`] — the migration resilience layer: a per-job
 //!   [`RetryPolicy`] with exponential backoff and *resumable* transfers
 //!   (chunk versions already stamped at a surviving destination are
@@ -39,14 +39,19 @@
 //!   downtime limit that trades an over-budget switchover for another
 //!   copy round, and clean cancellation
 //!   ([`engine::Engine::cancel_migration`]) at any phase. Inert unless
-//!   a [`ResilienceConfig`] is installed.
+//!   a [`ResilienceConfig`] is given.
 //! * [`qos`] — migration QoS shaping: per-migration bandwidth caps
 //!   below the max–min NIC share, multifd-style parallel memory
 //!   streams with deterministic sharding, a compression model that
 //!   trades wire bytes for guest CPU, and SLA-violation accounting
 //!   (downtime + degraded-throughput seconds, per job and aggregated
 //!   in `RunReport.sla`). Shaping is inert unless a [`QosConfig`] is
-//!   installed; the SLA accounting is always on.
+//!   given; the SLA accounting is always on.
+//!
+//! An engine is configured once, at construction: [`Engine::new`] takes
+//! an [`EngineConfig`] — the cluster plus the orchestrator, autonomic,
+//! resilience and QoS sections, each validated there — or a bare
+//! [`ClusterConfig`], which leaves every section at its inert default.
 //!
 //! ```
 //! use lsm_core::config::ClusterConfig;
@@ -94,7 +99,7 @@ pub use autonomic::{
     AutonomicConfig, Deferral, DeferralReason, NodeClass, RebalanceAction, RebalanceTrigger,
     ReplanReason,
 };
-pub use config::ClusterConfig;
+pub use config::{ClusterConfig, EngineConfig};
 pub use engine::{
     Engine, FailureReason, FaultKind, IoTelemetry, JobId, MigrationProgress, MigrationRecord,
     MigrationStatus, Observer, RunControl, RunReport, VmRecord,

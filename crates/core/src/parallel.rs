@@ -104,7 +104,11 @@ pub fn available_threads() -> usize {
 /// `(shard, observer)` pairs.
 ///
 /// If any observer stops its shard, the remaining shards halt at the
-/// next window barrier and the merged report reflects the partial run.
+/// next window barrier: every shard that ran on is finished at that
+/// barrier (the stopped one at its abort instant), and the merged
+/// report reflects the partial run up to the latest shard horizon. So
+/// a stopped run still reports more than the same stop on one engine,
+/// but never past the barrier it reached.
 pub fn run_sharded_observed<O: Observer + Send>(
     mut shards: Vec<Shard>,
     observers: Vec<O>,
@@ -181,28 +185,24 @@ pub fn run_sharded_observed<O: Observer + Send>(
     let mut reports = Vec::with_capacity(slots.len());
     for slot in slots {
         let (mut shard, mut obs, stopped) = slot.into_inner().expect("shard lock");
-        reports.push(shard.engine.finish_run(horizon, stopped));
+        reports.push(shard.engine.finish_run(t_end, stopped));
         obs.on_finish(&shard.engine);
         finished.push((shard, obs));
     }
-    let merged = merge_reports(&finished, &reports, &shape, horizon);
+    let merged = merge_reports(&finished, &reports, &shape);
     (merged, finished)
 }
 
 /// Merge per-shard reports into the fleet-wide report, every record
-/// re-keyed to global identity. See the module docs for why each field
-/// is bit-identical to the monolithic engine's.
-fn merge_reports<O>(
-    shards: &[(Shard, O)],
-    reports: &[RunReport],
-    shape: &FleetShape,
-    horizon: SimTime,
-) -> RunReport {
+/// re-keyed to global identity; its horizon is the latest shard's. See
+/// the module docs for why each field is bit-identical to the
+/// monolithic engine's.
+fn merge_reports<O>(shards: &[(Shard, O)], reports: &[RunReport], shape: &FleetShape) -> RunReport {
     let mut migrations: Vec<Option<MigrationRecord>> = vec![None; shape.jobs as usize];
     let mut vms: Vec<Option<VmRecord>> = vec![None; shape.vms as usize];
     let mut sla_jobs: Vec<Option<crate::qos::SlaJob>> = vec![None; shape.jobs as usize];
     let mut planner = Vec::new();
-    let mut horizon_seen = horizon;
+    let mut horizon_seen = SimTime::ZERO;
     for ((shard, _), rep) in shards.iter().zip(reports) {
         horizon_seen = horizon_seen.max(rep.horizon);
         debug_assert!(

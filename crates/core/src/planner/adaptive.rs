@@ -15,8 +15,7 @@ const WRITE_LO_FRAC: f64 = 0.005;
 /// VM is idle and gets `Precopy`.
 const READ_HI_FRAC: f64 = 0.05;
 
-/// Resolve an adaptive strategy request from the VM's windowed I/O
-/// rates:
+/// Choose a job's strategy from the VM's windowed I/O rates:
 ///
 /// | observed intensity (fraction of NIC) | chosen scheme |
 /// |---|---|

@@ -12,8 +12,8 @@
 //!   or "rebalance group G" ([`RequestIntent`]) — together with live
 //!   per-VM I/O telemetry (windowed write/read rates sampled from the
 //!   workload hooks) and per-node load, and decides **destination
-//!   placement** and, for adaptive requests, **which of the transfer
-//!   schemes to use**.
+//!   placement** and, for every job it admits, **which of the transfer
+//!   schemes to use** (the fixed planner keeps the VM's own).
 //! * The engine's orchestration layer (`engine::orchestrator`) drains a
 //!   request queue through the planner under a configurable
 //!   max-concurrent-migrations **admission cap**
@@ -49,8 +49,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// Unlike an explicit migration (one VM, one destination), an intent
 /// names an *outcome*; the planner expands it into concrete per-VM
-/// migrations — choosing destinations and, under the adaptive planner,
-/// strategies — when the request becomes ready.
+/// migrations — choosing destinations and strategies — when the
+/// request becomes ready.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum RequestIntent {
     /// Migrate every live VM off `node` (decommission / maintenance).
@@ -81,7 +81,8 @@ impl RequestIntent {
 }
 
 /// Which planner the orchestrator uses: it decides placement (for
-/// intents, retries and re-plans) and strategy (for adaptive requests).
+/// intents, retries and re-plans) and the strategy of every job it
+/// admits.
 ///
 /// Every decision is deterministic (no clocks, no RNG; ties break on
 /// the lowest index): planner decisions are part of the engine's
@@ -95,11 +96,11 @@ pub enum PlannerKind {
     /// behaviour is this planner under an unlimited admission cap.
     #[default]
     Fixed,
-    /// Least-loaded placement; adaptive requests get the scheme the
-    /// paper's §4 rule picks from the VM's windowed write and read
-    /// intensity (the rule is in the `adaptive` module).
+    /// Least-loaded placement; every job gets the scheme the paper's §4
+    /// rule picks from the VM's windowed write and read intensity (the
+    /// rule is in the `adaptive` module).
     Adaptive,
-    /// Least-loaded placement; adaptive requests get the scheme whose
+    /// Least-loaded placement; every job gets the scheme whose
     /// predicted migration cost (time + traffic, from the analytic
     /// model in the `cost` module) is lowest.
     Cost,
@@ -115,8 +116,9 @@ impl PlannerKind {
         }
     }
 
-    /// Whether this planner reads per-VM I/O telemetry (and therefore
-    /// needs the sampling loop armed and accepts adaptive requests).
+    /// Whether this planner reads per-VM I/O telemetry: it needs the
+    /// sampling loop armed, and it picks each job's strategy from the
+    /// rates instead of keeping the VM's.
     pub fn uses_telemetry(self) -> bool {
         !matches!(self, PlannerKind::Fixed)
     }
@@ -183,8 +185,7 @@ pub struct OrchestratorConfig {
     /// historical behaviour). Ready requests beyond the cap are held in
     /// FIFO order and admitted as running jobs reach a terminal status.
     pub max_concurrent: Option<u32>,
-    /// Which planner decides placement and (for adaptive requests)
-    /// strategy.
+    /// Which planner decides placement and strategy.
     pub planner: PlannerKind,
 }
 

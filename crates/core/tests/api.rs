@@ -8,7 +8,7 @@ use lsm_core::engine::{
     RecordingObserver, RunControl,
 };
 use lsm_core::policy::StrategyKind;
-use lsm_core::{EngineError, OrchestratorConfig, PlannerKind, RequestIntent, VmId};
+use lsm_core::{EngineConfig, EngineError, OrchestratorConfig, PlannerKind, RequestIntent, VmId};
 use lsm_simcore::units::MIB;
 use lsm_simcore::{SimDuration, SimTime};
 use lsm_workloads::WorkloadSpec;
@@ -459,10 +459,11 @@ fn per_vm_mixed_strategies_coexist() {
 /// A simulation run to 10 s: writers on nodes 0 and 1, and a job for VM 0
 /// queued at 500 s. VM 1 has no job.
 fn run_to_10s(orchestrator: Option<OrchestratorConfig>) -> (Engine, JobId) {
-    let mut sim = engine();
-    if let Some(cfg) = orchestrator {
-        sim.configure_orchestrator(cfg).unwrap();
-    }
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: orchestrator.unwrap_or_default(),
+        ..ClusterConfig::small_test().into()
+    })
+    .unwrap();
     let vm0 = sim
         .add_vm(0, &writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
@@ -520,6 +521,7 @@ fn migration_with_deadline_before_the_clock_is_an_error() {
     );
 }
 
+/// Under a telemetry planner too, whose strategy choice comes later.
 #[test]
 fn adaptive_migration_before_the_clock_is_an_error() {
     let adaptive = OrchestratorConfig {
@@ -528,7 +530,7 @@ fn adaptive_migration_before_the_clock_is_an_error() {
     };
     let (mut sim, _) = run_to_10s(Some(adaptive));
     assert_eq!(
-        sim.schedule_migration_adaptive(VmId(1), 3, t(5.0), None),
+        sim.schedule_migration(VmId(1), 3, t(5.0)),
         Err(at_5s_before_the_clock("migration"))
     );
 }

@@ -1,12 +1,12 @@
-//! The orchestration layer end to end: adaptive strategy selection from
-//! live telemetry, admission-cap deferral, node evacuation, group
+//! The orchestration layer end to end: planner-owned strategy selection
+//! from live telemetry, admission-cap deferral, node evacuation, group
 //! rebalancing, and the request-validation surface.
 
 use lsm_core::config::ClusterConfig;
 use lsm_core::engine::{Milestone, RecordingObserver};
 use lsm_core::policy::StrategyKind;
 use lsm_core::{
-    Engine, EngineError, FaultKind, MigrationStatus, OrchestratorConfig, PlannerKind,
+    Engine, EngineConfig, EngineError, FaultKind, MigrationStatus, OrchestratorConfig, PlannerKind,
     RequestIntent, SkipReason,
 };
 use lsm_simcore::time::SimTime;
@@ -52,9 +52,11 @@ fn adaptive_cfg() -> OrchestratorConfig {
 /// with `Precopy` — chosen from windowed write rates, not configured.
 #[test]
 fn adaptive_planner_picks_hybrid_for_writers_and_precopy_for_idle() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(adaptive_cfg())
-        .expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: adaptive_cfg(),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     // Both VMs are *configured* Hybrid; the planner must override from
     // telemetry, not echo the configuration.
     let writer = sim
@@ -63,10 +65,8 @@ fn adaptive_planner_picks_hybrid_for_writers_and_precopy_for_idle() {
     let idler = sim
         .add_vm(1, &idle(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    sim.schedule_migration_adaptive(writer, 2, secs(12.0), None)
-        .expect("job");
-    sim.schedule_migration_adaptive(idler, 3, secs(12.0), None)
-        .expect("job");
+    sim.schedule_migration(writer, 2, secs(12.0)).expect("job");
+    sim.schedule_migration(idler, 3, secs(12.0)).expect("job");
     let report = sim.run_until(secs(600.0));
 
     assert_eq!(report.planner.len(), 2, "one decision per admission");
@@ -88,13 +88,48 @@ fn adaptive_planner_picks_hybrid_for_writers_and_precopy_for_idle() {
     assert_eq!(report.migrations[1].strategy, StrategyKind::Precopy);
 }
 
+/// The planner owns every admitted job's strategy: a hot writer
+/// configured `Precopy` and scheduled with a plain `schedule_migration`
+/// is admitted as `Hybrid` under the adaptive planner, its decision
+/// recorded, and keeps `Precopy` under the fixed one.
+#[test]
+fn planner_owns_the_strategy_of_a_plain_migration() {
+    for (planner, expected) in [
+        (PlannerKind::Adaptive, StrategyKind::Hybrid),
+        (PlannerKind::Fixed, StrategyKind::Precopy),
+    ] {
+        let label = planner.label();
+        let mut sim = Engine::new(EngineConfig {
+            orchestrator: OrchestratorConfig {
+                planner,
+                ..OrchestratorConfig::default()
+            },
+            ..ClusterConfig::small_test().into()
+        })
+        .expect("config");
+        let writer = sim
+            .add_vm(0, &heavy_writer(), StrategyKind::Precopy, SimTime::ZERO)
+            .expect("vm");
+        let job = sim.schedule_migration(writer, 2, secs(12.0)).expect("job");
+        let report = sim.run_until(secs(600.0));
+        assert_eq!(report.planner.len(), 1, "{label}: one decision");
+        let d = &report.planner[0];
+        assert_eq!((d.job, d.planner, d.strategy), (job.0, label, expected));
+        assert_eq!(report.migrations[0].strategy, expected, "{label}: what ran");
+        let progress = sim.job_progress(job).expect("job");
+        assert_eq!(progress.strategy, expected, "{label}: progress");
+    }
+}
+
 /// The telemetry the decision reads is windowed, not cumulative: after
 /// the writer goes quiet for a few windows, its rate decays to zero.
 #[test]
 fn telemetry_rates_are_windowed() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(adaptive_cfg())
-        .expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: adaptive_cfg(),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     let writer = sim
         .add_vm(
             0,
@@ -108,9 +143,8 @@ fn telemetry_rates_are_windowed() {
             SimTime::ZERO,
         )
         .expect("vm");
-    // A far-future adaptive job keeps the telemetry ticking.
-    sim.schedule_migration_adaptive(writer, 1, secs(90.0), None)
-        .expect("job");
+    // A far-future job keeps the telemetry ticking.
+    sim.schedule_migration(writer, 1, secs(90.0)).expect("job");
     sim.run_until(secs(6.0));
     let w_early = sim.vm_telemetry(0).expect("vm exists").write_rate;
     assert!(
@@ -132,12 +166,14 @@ fn telemetry_rates_are_windowed() {
 /// point do two jobs hold slots.
 #[test]
 fn admission_cap_serializes_concurrent_migrations() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(OrchestratorConfig {
-        max_concurrent: Some(1),
-        ..OrchestratorConfig::default()
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: OrchestratorConfig {
+            max_concurrent: Some(1),
+            ..OrchestratorConfig::default()
+        },
+        ..ClusterConfig::small_test().into()
     })
-    .expect("configures");
+    .expect("config");
     let mut jobs = Vec::new();
     for node in 0..3 {
         let vm = sim
@@ -184,12 +220,14 @@ fn admission_cap_serializes_concurrent_migrations() {
 /// moves on.
 #[test]
 fn deadline_fires_while_planner_held() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(OrchestratorConfig {
-        max_concurrent: Some(1),
-        ..OrchestratorConfig::default()
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: OrchestratorConfig {
+            max_concurrent: Some(1),
+            ..OrchestratorConfig::default()
+        },
+        ..ClusterConfig::small_test().into()
     })
-    .expect("configures");
+    .expect("config");
     let vm0 = sim
         .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
@@ -282,9 +320,11 @@ fn evacuation_drains_the_node() {
 /// once the spread cannot improve by more than one.
 #[test]
 fn rebalance_spreads_a_stacked_group() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(adaptive_cfg())
-        .expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: adaptive_cfg(),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     let placements = vec![
         (0, WorkloadSpec::cm1_small(0, 2, 1, 1)),
         (0, WorkloadSpec::cm1_small(1, 2, 1, 1)),
@@ -310,12 +350,14 @@ fn rebalance_spreads_a_stacked_group() {
 #[test]
 fn planner_decisions_are_deterministic() {
     let run = || {
-        let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-        sim.configure_orchestrator(OrchestratorConfig {
-            max_concurrent: Some(2),
-            planner: PlannerKind::Adaptive,
+        let mut sim = Engine::new(EngineConfig {
+            orchestrator: OrchestratorConfig {
+                max_concurrent: Some(2),
+                planner: PlannerKind::Adaptive,
+            },
+            ..ClusterConfig::small_test().into()
         })
-        .expect("configures");
+        .expect("config");
         for node in [1, 1, 2] {
             sim.add_vm(node, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
                 .expect("vm");
@@ -332,33 +374,14 @@ fn planner_decisions_are_deterministic() {
 
 #[test]
 fn orchestration_misuse_is_an_error_not_a_panic() {
-    // Adaptive migration without the adaptive planner.
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    let vm = sim
-        .add_vm(0, &idle(), StrategyKind::Hybrid, SimTime::ZERO)
-        .expect("vm");
+    // An unusable configuration fails the build.
     assert!(matches!(
-        sim.schedule_migration_adaptive(vm, 1, secs(1.0), None),
-        Err(EngineError::InvalidRequest { .. })
-    ));
-
-    // Configuring after scheduling work.
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    let vm = sim
-        .add_vm(0, &idle(), StrategyKind::Hybrid, SimTime::ZERO)
-        .expect("vm");
-    sim.schedule_migration(vm, 1, secs(1.0)).expect("job");
-    assert!(matches!(
-        sim.configure_orchestrator(adaptive_cfg()),
-        Err(EngineError::InvalidRequest { .. })
-    ));
-
-    // Unusable configurations.
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    assert!(matches!(
-        sim.configure_orchestrator(OrchestratorConfig {
-            max_concurrent: Some(0),
-            ..OrchestratorConfig::default()
+        Engine::new(EngineConfig {
+            orchestrator: OrchestratorConfig {
+                max_concurrent: Some(0),
+                ..OrchestratorConfig::default()
+            },
+            ..ClusterConfig::small_test().into()
         }),
         Err(EngineError::InvalidRequest { .. })
     ));
@@ -418,23 +441,24 @@ fn evacuation_edge_cases_are_noops() {
 
 // ---------------- telemetry sampling at admission ----------------
 
-/// Regression (ISSUE 5 bugfix): a hot writer whose adaptive migration
-/// is admitted *before* the first telemetry window has sampled must not
+/// Regression (ISSUE 5 bugfix): a hot writer whose migration under the
+/// adaptive planner is admitted *before* the first telemetry window has sampled must not
 /// be misclassified as idle. The windowed rates are still zero at
 /// t = 2 s (window 5 s), so pre-fix the decision read 0 B/s and chose
 /// `Precopy`; the orchestrator now samples the cumulative counters on
 /// demand and sees the true MB/s-scale write rate.
 #[test]
 fn adaptive_admission_before_first_window_samples_on_demand() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(adaptive_cfg())
-        .expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: adaptive_cfg(),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     let writer = sim
         .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
     // Admission at 2 s < the 5 s telemetry window: no tick has sampled.
-    sim.schedule_migration_adaptive(writer, 2, secs(2.0), None)
-        .expect("job");
+    sim.schedule_migration(writer, 2, secs(2.0)).expect("job");
     let report = sim.run_until(secs(600.0));
     assert_eq!(report.planner.len(), 1);
     assert_eq!(
@@ -446,15 +470,17 @@ fn adaptive_admission_before_first_window_samples_on_demand() {
 }
 
 /// A job that never started reports the strategy it was given, not the
-/// VM's current one. The writer's first adaptive job fails before it
-/// starts (its destination crashed at 1 s); at 400 s a second adaptive
-/// job admits `Precopy` for the now idle VM. The failed job's record and
+/// VM's current one. Under the adaptive planner, the writer's first job
+/// fails before it starts (its destination crashed at 1 s); at 400 s a
+/// second job admits `Precopy` for the now idle VM. The failed job's record and
 /// progress must still read the VM's strategy when it was scheduled.
 #[test]
 fn never_started_job_keeps_its_strategy() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(adaptive_cfg())
-        .expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: adaptive_cfg(),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     let writer = sim
         .add_vm(
             0,
@@ -470,14 +496,10 @@ fn never_started_job_keeps_its_strategy() {
         .expect("vm");
     sim.schedule_fault(secs(1.0), FaultKind::NodeCrash { node: 2 })
         .expect("fault");
-    let failed = sim
-        .schedule_migration_adaptive(writer, 2, secs(2.0), None)
-        .expect("job");
+    let failed = sim.schedule_migration(writer, 2, secs(2.0)).expect("job");
     let report = sim.run_until(secs(300.0));
     assert_eq!(report.migrations[0].strategy, StrategyKind::Hybrid);
-    let later = sim
-        .schedule_migration_adaptive(writer, 1, secs(400.0), None)
-        .expect("job");
+    let later = sim.schedule_migration(writer, 1, secs(400.0)).expect("job");
     let report = sim.run_until(secs(600.0));
 
     let first = &report.migrations[0];
@@ -496,17 +518,18 @@ fn never_started_job_keeps_its_strategy() {
 /// per-scheme estimates it decided from on the decision.
 #[test]
 fn cost_admission_before_first_window_samples_on_demand() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(OrchestratorConfig {
-        planner: PlannerKind::Cost,
-        ..OrchestratorConfig::default()
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: OrchestratorConfig {
+            planner: PlannerKind::Cost,
+            ..OrchestratorConfig::default()
+        },
+        ..ClusterConfig::small_test().into()
     })
-    .expect("configures");
+    .expect("config");
     let writer = sim
         .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
-    sim.schedule_migration_adaptive(writer, 2, secs(2.0), None)
-        .expect("job");
+    sim.schedule_migration(writer, 2, secs(2.0)).expect("job");
     let report = sim.run_until(secs(600.0));
     let d = &report.planner[0];
     assert_eq!(d.planner, "cost");
@@ -528,14 +551,15 @@ fn cost_admission_before_first_window_samples_on_demand() {
 /// real post-start write rate.
 #[test]
 fn late_started_hot_writer_is_not_misread_by_prestart_ticks() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(adaptive_cfg())
-        .expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: adaptive_cfg(),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     let writer = sim
         .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, secs(7.0))
         .expect("vm");
-    sim.schedule_migration_adaptive(writer, 2, secs(9.0), None)
-        .expect("job");
+    sim.schedule_migration(writer, 2, secs(9.0)).expect("job");
     let report = sim.run_until(secs(600.0));
     assert_eq!(
         report.planner[0].strategy,
@@ -551,9 +575,11 @@ fn late_started_hot_writer_is_not_misread_by_prestart_ticks() {
 /// reverse.
 #[test]
 fn telemetry_separates_rewrite_from_dirty_growth() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(adaptive_cfg())
-        .expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: adaptive_cfg(),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     let hot = sim
         .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
         .expect("vm");
@@ -572,9 +598,8 @@ fn telemetry_separates_rewrite_from_dirty_growth() {
             SimTime::ZERO,
         )
         .expect("vm");
-    // A far-future adaptive job keeps the telemetry loop armed.
-    sim.schedule_migration_adaptive(hot, 2, secs(90.0), None)
-        .expect("job");
+    // A far-future job keeps the telemetry loop armed.
+    sim.schedule_migration(hot, 2, secs(90.0)).expect("job");
     // Past the second window (5 s → 10 s): the hotspot's region is
     // fully dirty, so its writes are pure overwrites now.
     sim.run_until(secs(11.0));
@@ -687,12 +712,14 @@ fn evacuation_placement_exhausts_after_bounded_retries() {
 /// cap is skipped with a terminal `VmCrashed` record.
 #[test]
 fn crashed_vm_step_is_recorded_as_skipped() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(OrchestratorConfig {
-        max_concurrent: Some(2),
-        ..OrchestratorConfig::default()
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: OrchestratorConfig {
+            max_concurrent: Some(2),
+            ..OrchestratorConfig::default()
+        },
+        ..ClusterConfig::small_test().into()
     })
-    .expect("configures");
+    .expect("config");
     // A long-running migration pins one slot...
     let heavy = sim
         .add_vm(0, &heavy_writer(), StrategyKind::Hybrid, SimTime::ZERO)
@@ -743,12 +770,14 @@ fn request_intent_serde_roundtrip() {
 /// goes in whole once enough slots free together.
 #[test]
 fn gang_admission_never_strands_half_a_group() {
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_orchestrator(OrchestratorConfig {
-        max_concurrent: Some(2),
-        ..OrchestratorConfig::default()
+    let mut sim = Engine::new(EngineConfig {
+        orchestrator: OrchestratorConfig {
+            max_concurrent: Some(2),
+            ..OrchestratorConfig::default()
+        },
+        ..ClusterConfig::small_test().into()
     })
-    .expect("configures");
+    .expect("config");
     // Two cap-filling singles with distinct workloads/strategies, so
     // their completions land at distinct instants.
     let short = sim

@@ -6,7 +6,7 @@
 use lsm_core::config::ClusterConfig;
 use lsm_core::engine::{FailureReason, FaultKind, JobId, MigrationRecord, MigrationStatus};
 use lsm_core::policy::StrategyKind;
-use lsm_core::{Engine, ResilienceConfig, VmId};
+use lsm_core::{Engine, EngineConfig, ResilienceConfig, VmId};
 use lsm_simcore::units::MIB;
 use lsm_simcore::{SimDuration, SimTime};
 use lsm_workloads::WorkloadSpec;
@@ -30,11 +30,11 @@ fn writer(mib: u64) -> WorkloadSpec {
 /// defaults when `resilience`). Returns the simulation and job 0's
 /// record and progress, serialized.
 fn first_job_done(resilience: bool) -> (Engine, String, String) {
-    let mut sim = Engine::new(ClusterConfig::small_test()).unwrap();
-    if resilience {
-        sim.configure_resilience(ResilienceConfig::default())
-            .unwrap();
-    }
+    let mut sim = Engine::new(EngineConfig {
+        resilience: resilience.then(ResilienceConfig::default),
+        ..ClusterConfig::small_test().into()
+    })
+    .unwrap();
     let vm = sim
         .add_vm(0, &writer(48), StrategyKind::Hybrid, SimTime::ZERO)
         .unwrap();
@@ -269,10 +269,11 @@ proptest! {
     /// requested before its job's scheduled instant.
     #[test]
     fn finished_jobs_keep_their_records(plan in plan_strategy()) {
-        let mut sim = Engine::new(ClusterConfig::small_test()).unwrap();
-        if plan.resilience {
-            sim.configure_resilience(ResilienceConfig::default()).unwrap();
-        }
+        let mut sim = Engine::new(EngineConfig {
+            resilience: plan.resilience.then(ResilienceConfig::default),
+            ..ClusterConfig::small_test().into()
+        })
+        .unwrap();
         for (i, &(strategy, mib)) in plan.vms.iter().enumerate() {
             sim.add_vm(i as u32, &writer(mib), strategy, SimTime::ZERO).unwrap();
         }

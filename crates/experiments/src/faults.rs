@@ -71,7 +71,6 @@ pub fn dest_crash_spec() -> ScenarioSpec {
             dest: 1,
             at_secs: 1.0,
             deadline_secs: None,
-            adaptive: None,
         }],
         requests: None,
         faults: Some(vec![crate::scenario::FaultSpec {
@@ -103,7 +102,6 @@ pub fn degraded_link_spec() -> ScenarioSpec {
             dest: 1,
             at_secs: 1.0,
             deadline_secs: None,
-            adaptive: None,
         }],
         requests: None,
         faults: Some(vec![
@@ -147,7 +145,6 @@ pub fn deadline_spec() -> ScenarioSpec {
             dest: 1,
             at_secs: 1.0,
             deadline_secs: Some(0.4),
-            adaptive: None,
         }],
         requests: None,
         faults: None,

@@ -100,7 +100,6 @@ pub fn scenario(p: &Fig4Params, strategy: StrategyKind, k: u32) -> ScenarioSpec 
             dest: p.sources + i,
             at_secs: p.migrate_at,
             deadline_secs: None,
-            adaptive: None,
         })
         .collect();
     ScenarioSpec {

@@ -118,7 +118,6 @@ pub fn scenario(p: &Fig5Params, strategy: StrategyKind, n: u32) -> ScenarioSpec 
             dest: p.ranks + i,
             at_secs: p.interval * (i + 1) as f64,
             deadline_secs: None,
-            adaptive: None,
         })
         .collect();
     let mut cluster = ClusterConfig::graphene(nodes);

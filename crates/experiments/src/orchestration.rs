@@ -13,7 +13,7 @@
 //!   on every event).
 //! * [`adaptive64_spec`] — 64 VMs of three I/O classes (hotspot
 //!   writers, bursty checkpointers, idle compute) across 16 nodes, all
-//!   migrated with `adaptive = true` under a cap of 8: the planner
+//!   migrated under the adaptive planner and a cap of 8: the planner
 //!   reads each VM's windowed write rate at admission and picks the
 //!   transfer scheme the paper's §4 rule prescribes — `Hybrid` for the
 //!   writers, `Mirror` for the light checkpointers, `Precopy` for the
@@ -110,7 +110,8 @@ pub struct AdaptiveParams {
 
 impl AdaptiveParams {
     /// The standing shape: 16 nodes, 64 VMs in three I/O classes, all
-    /// 64 migrations adaptive under an admission cap of 8.
+    /// 64 migrations under the adaptive planner and an admission cap of
+    /// 8.
     pub fn adaptive64() -> Self {
         AdaptiveParams {
             nodes: 16,
@@ -171,7 +172,6 @@ impl AdaptiveParams {
                 dest: (i % self.nodes + self.nodes / 2) % self.nodes,
                 at_secs: self.migrate_start + self.stagger * i as f64,
                 deadline_secs: None,
-                adaptive: Some(true),
             })
             .collect();
         ScenarioSpec {
@@ -196,8 +196,9 @@ impl AdaptiveParams {
     }
 }
 
-/// The `scenarios/adaptive64.toml` scenario: 64 adaptive migrations of
-/// a three-class fleet under an admission cap of 8.
+/// The `scenarios/adaptive64.toml` scenario: 64 migrations of a
+/// three-class fleet under the adaptive planner and an admission cap of
+/// 8.
 pub fn adaptive64_spec() -> ScenarioSpec {
     AdaptiveParams::adaptive64().spec("adaptive64")
 }
@@ -249,7 +250,10 @@ mod tests {
         let a = adaptive64_spec();
         assert_eq!(a.vms.len(), 64);
         assert_eq!(a.migrations.len(), 64);
-        assert!(a.migrations.iter().all(|m| m.adaptive == Some(true)));
+        assert_eq!(
+            a.orchestrator.as_ref().unwrap().planner,
+            PlannerKind::Adaptive
+        );
         for m in &a.migrations {
             assert_ne!(a.vms[m.vm as usize].node, m.dest);
         }

@@ -118,7 +118,6 @@ pub fn chaos_storm_spec() -> ScenarioSpec {
                 dest: 4,
                 at_secs: 1.0,
                 deadline_secs: None,
-                adaptive: None,
             },
             // Job 1: degrade + stall victim (resumes at the same dest).
             MigrationSpec {
@@ -126,7 +125,6 @@ pub fn chaos_storm_spec() -> ScenarioSpec {
                 dest: 5,
                 at_secs: 1.0,
                 deadline_secs: None,
-                adaptive: None,
             },
             // Job 2: deadline victim behind a near-dead link.
             MigrationSpec {
@@ -134,7 +132,6 @@ pub fn chaos_storm_spec() -> ScenarioSpec {
                 dest: 6,
                 at_secs: 2.0,
                 deadline_secs: Some(4.0),
-                adaptive: None,
             },
             // Job 3: cancelled mid-flight.
             MigrationSpec {
@@ -142,7 +139,6 @@ pub fn chaos_storm_spec() -> ScenarioSpec {
                 dest: 7,
                 at_secs: 2.0,
                 deadline_secs: None,
-                adaptive: None,
             },
             // Jobs 4 and 5: bystanders sharing the contended links.
             MigrationSpec {
@@ -150,14 +146,12 @@ pub fn chaos_storm_spec() -> ScenarioSpec {
                 dest: 5,
                 at_secs: 3.0,
                 deadline_secs: None,
-                adaptive: None,
             },
             MigrationSpec {
                 vm: 5,
                 dest: 6,
                 at_secs: 3.0,
                 deadline_secs: None,
-                adaptive: None,
             },
         ],
         requests: None,
@@ -254,7 +248,6 @@ pub fn auto_converge_spec() -> ScenarioSpec {
             dest: 1,
             at_secs: 1.0,
             deadline_secs: Some(100.0),
-            adaptive: None,
         }],
         requests: None,
         faults: Some(vec![FaultSpec {

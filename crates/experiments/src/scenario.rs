@@ -19,7 +19,7 @@
 //! ([`Observer::on_finish`] has run on its engine).
 
 use crate::shard::{partition, ShardRejection};
-use lsm_core::config::ClusterConfig;
+use lsm_core::config::{ClusterConfig, EngineConfig};
 use lsm_core::engine::{NullObserver, Observer};
 use lsm_core::error::EngineError;
 use lsm_core::parallel::{run_sharded_observed, FleetShape, ParallelOpts, Shard};
@@ -71,11 +71,6 @@ pub struct MigrationSpec {
     /// [`lsm_core::FailureReason::DeadlineExceeded`] and partial
     /// progress in the report.
     pub deadline_secs: Option<f64>,
-    /// `Some(true)`: leave the transfer strategy open — the adaptive
-    /// planner resolves it from the VM's windowed write intensity at
-    /// admission (requires `planner = "adaptive"` in `[orchestrator]`).
-    /// `None`/`Some(false)`: the VM's configured strategy, as before.
-    pub adaptive: Option<bool>,
 }
 
 /// One timed fault in a scenario's fault plan.
@@ -122,9 +117,10 @@ pub struct ScenarioSpec {
     pub name: Option<String>,
     /// Cluster parameters (`None` → the paper's 8-node graphene cluster).
     pub cluster: Option<ClusterConfig>,
-    /// Orchestration layer: admission cap, planner, telemetry window
-    /// (`None` → fixed planner, unlimited cap — the historical
-    /// behaviour). Serialized as an `[orchestrator]` section.
+    /// Orchestration layer: admission cap and the planner, which places
+    /// jobs and chooses every job's strategy (`None` → fixed planner,
+    /// unlimited cap — the historical behaviour). Serialized as an
+    /// `[orchestrator]` section.
     pub orchestrator: Option<OrchestratorConfig>,
     /// Autonomic rebalancer (`None` — the default — disables the
     /// closed-loop monitor entirely; runs are then event-for-event
@@ -192,7 +188,6 @@ impl ScenarioSpec {
                 dest: 1,
                 at_secs: migrate_at,
                 deadline_secs: None,
-                adaptive: None,
             }],
             requests: None,
             faults: None,
@@ -358,19 +353,13 @@ impl Simulation {
 /// running it — callers can then attach observers, poll progress, or
 /// step the horizon themselves.
 pub fn build_scenario(spec: &ScenarioSpec) -> Result<Simulation, EngineError> {
-    let mut eng = Engine::new(spec.cluster_config())?;
-    if let Some(orch) = &spec.orchestrator {
-        eng.configure_orchestrator(orch.clone())?;
-    }
-    if let Some(auto) = &spec.autonomic {
-        eng.configure_autonomic(auto.clone())?;
-    }
-    if let Some(res) = &spec.resilience {
-        eng.configure_resilience(res.clone())?;
-    }
-    if let Some(qos) = &spec.qos {
-        eng.configure_qos(qos.clone())?;
-    }
+    let mut eng = Engine::new(EngineConfig {
+        cluster: spec.cluster_config(),
+        orchestrator: spec.orchestrator.clone().unwrap_or_default(),
+        autonomic: spec.autonomic.clone(),
+        resilience: spec.resilience.clone(),
+        qos: spec.qos.clone().unwrap_or_default(),
+    })?;
     let mut vms = Vec::with_capacity(spec.vms.len());
     if spec.grouped {
         // A group runs under one strategy and one start time; silently
@@ -417,12 +406,7 @@ pub fn build_scenario(spec: &ScenarioSpec) -> Result<Simulation, EngineError> {
             .map(|d| secs("migration deadline", d))
             .transpose()?
             .map(|d| SimDuration::from_secs_f64(d.as_secs_f64()));
-        let job = if m.adaptive.unwrap_or(false) {
-            eng.schedule_migration_adaptive(vm, m.dest, at, deadline)?
-        } else {
-            eng.schedule_migration_with_deadline(vm, m.dest, at, deadline)?
-        };
-        jobs.push(job);
+        jobs.push(eng.schedule_migration_with_deadline(vm, m.dest, at, deadline)?);
     }
     for r in spec.request_plan() {
         eng.submit_request(secs("request", r.at_secs)?, r.intent)?;
@@ -469,10 +453,10 @@ pub struct ScenarioRun<O> {
 /// otherwise one engine runs. Build errors come before horizon errors.
 ///
 /// A stopped run's report depends on the thread count: when one
-/// observer stops its shard, the other shards halt only at the next
-/// window barrier (see [`run_sharded_observed`]), so a sharded run that
-/// an observer stops reports more of the run than the same stop on one
-/// engine.
+/// observer stops its shard, the other shards run on to the next window
+/// barrier and finish there (see [`run_sharded_observed`]), so a
+/// sharded run that an observer stops reports more of the run than the
+/// same stop on one engine — up to that barrier, never to the horizon.
 pub fn run_scenario_with<O, F>(
     spec: &ScenarioSpec,
     threads: usize,
@@ -594,7 +578,6 @@ mod tests {
             dest: 2,
             at_secs: 2.0,
             deadline_secs: None,
-            adaptive: None,
         });
         let r = run_scenario(&spec).expect("valid scenario");
         assert_eq!(r.migrations.len(), 2);
@@ -753,6 +736,28 @@ mod tests {
         assert!(
             run.report.horizon < SimTime::from_secs_f64(2.0),
             "stopped at the migration's first status change, not at {:?}",
+            run.report.horizon
+        );
+    }
+
+    /// Every shard of a stopped sharded run finishes at the window
+    /// barrier the run reached: `demo.toml` on 2 threads, each shard
+    /// stopped at its first status change (1 s and 2 s), reports no more
+    /// than the first 5 s barrier, not its 300 s horizon.
+    #[test]
+    fn a_stopped_sharded_run_ends_at_its_barrier() {
+        let path = format!("{}/demo.toml", crate::SCENARIOS_DIR);
+        let text = std::fs::read_to_string(path).expect("demo.toml reads");
+        let spec = ScenarioSpec::from_toml(&text).expect("demo.toml parses");
+        let stop = || Finishes {
+            stop: true,
+            finished: 0,
+        };
+        let run = run_scenario_with(&spec, 2, SolverMode::default(), stop).expect("runs");
+        assert!(run.not_sharded.is_empty(), "{:?}", run.not_sharded);
+        assert!(
+            run.report.horizon <= SimTime::from_secs_f64(5.0),
+            "ran on past the first barrier, to {:?}",
             run.report.horizon
         );
     }

@@ -14,12 +14,12 @@
 //! The admission rules are deliberately conservative. A scenario
 //! shards only when:
 //!
-//! * no orchestrated intents, autonomic rebalancer, resilience layer,
+//! * no orchestrator section (its planner may read fleet telemetry),
+//!   orchestrated intents, autonomic rebalancer, resilience layer,
 //!   fault plan, or cancellation plan — those subsystems take
 //!   fleet-global decisions (placement scans, global tick ordering)
 //!   that a node partition cannot reproduce;
-//! * no grouped workloads (barrier traffic crosses components), no
-//!   adaptive-strategy migrations (planner telemetry), and no
+//! * no grouped workloads (barrier traffic crosses components), and no
 //!   `SharedFs` strategy (PVFS stripes over every node);
 //! * every workload passes
 //!   [`WorkloadSpec::chunk_aligned_write_only`](lsm_workloads::WorkloadSpec::chunk_aligned_write_only)
@@ -79,11 +79,6 @@ pub enum ShardRejection {
     Cancellations,
     /// Grouped workloads exchange barrier traffic between components.
     Grouped,
-    /// An adaptive-strategy migration reads planner telemetry.
-    AdaptiveMigration {
-        /// Index into `ScenarioSpec::migrations`.
-        migration: u32,
-    },
     /// A VM under the SharedFs strategy stripes writes over every node.
     SharedFs {
         /// Index into `ScenarioSpec::vms`.
@@ -158,10 +153,6 @@ impl std::fmt::Display for ShardRejection {
                     "grouped workloads exchange barrier traffic between components"
                 )
             }
-            ShardRejection::AdaptiveMigration { migration } => write!(
-                f,
-                "migration {migration} is adaptive-strategy (reads planner telemetry)"
-            ),
             ShardRejection::SharedFs { vm } => write!(
                 f,
                 "vm {vm} uses the SharedFs strategy (stripes every write over the whole PVFS)"
@@ -198,7 +189,7 @@ impl std::fmt::Display for ShardRejection {
 
 /// The rejection list grouped by kind, in first-occurrence order: each
 /// kind's first reason, plus `(N more like this)` when the kind
-/// repeats, so 2048 adaptive migrations make one entry, not 2048.
+/// repeats, so 2048 SharedFs guests make one entry, not 2048.
 pub fn rejection_groups(reasons: &[ShardRejection]) -> Vec<String> {
     let mut groups: Vec<(&ShardRejection, usize)> = Vec::new();
     for r in reasons {
@@ -252,13 +243,6 @@ pub fn partition(spec: &ScenarioSpec) -> Result<Vec<SubScenario>, Vec<ShardRejec
     }
     if spec.grouped {
         rejections.push(ShardRejection::Grouped);
-    }
-    for (i, m) in spec.migrations.iter().enumerate() {
-        if m.adaptive == Some(true) {
-            rejections.push(ShardRejection::AdaptiveMigration {
-                migration: i as u32,
-            });
-        }
     }
     let cluster = spec.cluster_config();
     let nodes = cluster.nodes as usize;
@@ -436,16 +420,17 @@ mod tests {
     fn repeated_rejections_collapse_by_kind() {
         let reasons = [
             ShardRejection::Orchestrator,
-            ShardRejection::AdaptiveMigration { migration: 3 },
-            ShardRejection::SharedFs { vm: 0 },
-            ShardRejection::AdaptiveMigration { migration: 5 },
-            ShardRejection::AdaptiveMigration { migration: 9 },
+            ShardRejection::SharedFs { vm: 3 },
+            ShardRejection::Grouped,
+            ShardRejection::SharedFs { vm: 5 },
+            ShardRejection::SharedFs { vm: 9 },
         ];
         assert_eq!(
             render_rejections(&reasons),
             "an [orchestrator] section takes fleet-global admission decisions; \
-             migration 3 is adaptive-strategy (reads planner telemetry) (2 more like this); \
-             vm 0 uses the SharedFs strategy (stripes every write over the whole PVFS)"
+             vm 3 uses the SharedFs strategy (stripes every write over the whole PVFS) \
+             (2 more like this); \
+             grouped workloads exchange barrier traffic between components"
         );
         assert_eq!(
             render_rejections(&reasons[..1]),

@@ -136,7 +136,6 @@ impl StressParams {
                 dest: (i % self.nodes + self.nodes / 2) % self.nodes,
                 at_secs: self.migrate_start + self.stagger * i as f64,
                 deadline_secs: None,
-                adaptive: None,
             })
             .collect();
         ScenarioSpec {
@@ -195,7 +194,6 @@ impl StressParams {
                 dest: (i % self.nodes) ^ 1,
                 at_secs: self.migrate_start + self.stagger * i as f64,
                 deadline_secs: None,
-                adaptive: None,
             })
             .collect();
         let mut cluster = ClusterConfig::graphene(self.nodes);

@@ -7,9 +7,9 @@
 //! produce bit-identical serialized `RunReport`s across solvers and zero
 //! invariant violations — the engine's recovery paths hold the
 //! conservation laws no matter what the plan throws at them. One
-//! property also draws every orchestration layer at once: planners,
-//! admission caps, the autonomic rebalancer, evacuation and rebalance
-//! requests, and adaptive migrations.
+//! property also draws every orchestration layer at once: planners
+//! (which choose every admitted job's strategy), admission caps, the
+//! autonomic rebalancer, and evacuation and rebalance requests.
 //!
 //! Deterministic: the compat proptest derives its seed from the test
 //! name (override with `PROPTEST_SEED`), and case counts are bounded
@@ -288,7 +288,6 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
                             dest,
                             at_secs: at,
                             deadline_secs: deadline,
-                            adaptive: None,
                         })
                         .collect(),
                     requests: None,
@@ -362,10 +361,10 @@ fn buildable(mut spec: ScenarioSpec) -> ScenarioSpec {
 }
 
 /// [`buildable`] plans with every orchestration layer drawn on top: a
-/// planner with an optional admission cap and telemetry window, the
-/// autonomic rebalancer, evacuation requests and (in grouped plans,
-/// whose ranks start together) group rebalances, and adaptive
-/// migrations under a telemetry planner.
+/// planner with an optional admission cap (a telemetry planner chooses
+/// every migration's strategy), the autonomic rebalancer, evacuation
+/// requests and (in grouped plans, whose ranks start together) group
+/// rebalances.
 fn all_subsystems_strategy() -> impl Strategy<Value = ScenarioSpec> {
     (
         scenario_strategy().prop_map(buildable),
@@ -374,42 +373,33 @@ fn all_subsystems_strategy() -> impl Strategy<Value = ScenarioSpec> {
             prop::option::of(autonomic_strategy()),
             prop::bool::ANY,
         ),
-        prop::collection::vec(prop::bool::ANY, 3),
         prop::collection::vec((0.2f64..20.0, 0u32..NODES, prop::bool::ANY), 0..3),
     )
-        .prop_map(
-            |(mut spec, (orchestrator, autonomic, grouped), adaptive, requests)| {
-                let telemetry = orchestrator
-                    .as_ref()
-                    .is_some_and(|o| o.planner.uses_telemetry());
-                for (m, adaptive) in spec.migrations.iter_mut().zip(adaptive) {
-                    m.adaptive = Some(adaptive && telemetry);
+        .prop_map(|(mut spec, (orchestrator, autonomic, grouped), requests)| {
+            let requests: Vec<RequestSpec> = requests
+                .into_iter()
+                .map(|(at, node, rebalance)| RequestSpec {
+                    at_secs: at,
+                    intent: if rebalance && grouped {
+                        RequestIntent::Rebalance { group: 0 }
+                    } else {
+                        RequestIntent::Evacuate { node }
+                    },
+                })
+                .collect();
+            if grouped {
+                for vm in &mut spec.vms {
+                    vm.start_secs = None;
                 }
-                let requests: Vec<RequestSpec> = requests
-                    .into_iter()
-                    .map(|(at, node, rebalance)| RequestSpec {
-                        at_secs: at,
-                        intent: if rebalance && grouped {
-                            RequestIntent::Rebalance { group: 0 }
-                        } else {
-                            RequestIntent::Evacuate { node }
-                        },
-                    })
-                    .collect();
-                if grouped {
-                    for vm in &mut spec.vms {
-                        vm.start_secs = None;
-                    }
-                }
-                ScenarioSpec {
-                    orchestrator,
-                    autonomic,
-                    grouped,
-                    requests: (!requests.is_empty()).then_some(requests),
-                    ..spec
-                }
-            },
-        )
+            }
+            ScenarioSpec {
+                orchestrator,
+                autonomic,
+                grouped,
+                requests: (!requests.is_empty()).then_some(requests),
+                ..spec
+            }
+        })
 }
 
 fn checker() -> InvariantObserver {
@@ -500,9 +490,9 @@ proptest! {
     }
 
     /// The headline property with every subsystem drawn at once: the
-    /// orchestrator's planners and cap, the autonomic rebalancer,
-    /// evacuation and group-rebalance requests and adaptive migrations,
-    /// on top of resilience, QoS, faults and cancellations.
+    /// orchestrator's planners and cap, the autonomic rebalancer, and
+    /// evacuation and group-rebalance requests, on top of resilience,
+    /// QoS, faults and cancellations.
     #[test]
     fn random_all_subsystem_plans_are_solver_identical_and_invariant_clean(
         spec in all_subsystems_strategy()
@@ -563,14 +553,12 @@ fn fixed_fault_cocktail_is_clean() {
                 dest: 1,
                 at_secs: 1.0,
                 deadline_secs: None,
-                adaptive: None,
             },
             MigrationSpec {
                 vm: 1,
                 dest: 3,
                 at_secs: 1.5,
                 deadline_secs: Some(0.8),
-                adaptive: None,
             },
         ],
         requests: None,

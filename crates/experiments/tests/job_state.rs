@@ -49,7 +49,6 @@ fn migration(vm: u32, dest: u32, at_secs: f64, deadline_secs: Option<f64>) -> Mi
         dest,
         at_secs,
         deadline_secs,
-        adaptive: None,
     }
 }
 

@@ -8,7 +8,7 @@
 //! guest).
 
 use lsm_check::{CheckConfig, InvariantObserver};
-use lsm_core::config::ClusterConfig;
+use lsm_core::config::{ClusterConfig, EngineConfig};
 use lsm_core::policy::StrategyKind;
 use lsm_core::resilience::AttemptReason;
 use lsm_core::{
@@ -189,7 +189,6 @@ fn source_crash_during_retry_backoff_cancels_the_pending_retry() {
             dest: 1,
             at_secs: 1.0,
             deadline_secs: None,
-            adaptive: None,
         }],
         requests: None,
         faults: Some(vec![
@@ -250,8 +249,11 @@ fn throttle_is_released_across_retry_backoff() {
         ..ResilienceConfig::default()
     };
     res.retry.retry_on.deadline = false;
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_resilience(res).expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        resilience: Some(res),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     let vm = sim
         .add_vm(
             0,
@@ -359,8 +361,11 @@ fn cancel_during_downtime_deferral_is_clean() {
         downtime_extra_rounds: 3,
         ..ResilienceConfig::default()
     };
-    let mut sim = Engine::new(ClusterConfig::small_test()).expect("config");
-    sim.configure_resilience(res).expect("configures");
+    let mut sim = Engine::new(EngineConfig {
+        resilience: Some(res),
+        ..ClusterConfig::small_test().into()
+    })
+    .expect("config");
     let vm = sim
         .add_vm(
             0,

@@ -178,12 +178,7 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
             1..5,
         ),
         prop::collection::vec(
-            (
-                0u32..8,
-                0.1f64..100.0,
-                prop::option::of(0.5f64..60.0),
-                prop::option::of(prop::bool::ANY),
-            ),
+            (0u32..8, 0.1f64..100.0, prop::option::of(0.5f64..60.0)),
             0..4,
         ),
         1.0f64..2000.0,
@@ -234,12 +229,11 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
                     migrations: migs
                         .into_iter()
                         .enumerate()
-                        .map(|(i, (dest, at, deadline, adaptive))| MigrationSpec {
+                        .map(|(i, (dest, at, deadline))| MigrationSpec {
                             vm: i as u32 % nvms,
                             dest,
                             at_secs: at,
                             deadline_secs: deadline,
-                            adaptive,
                         })
                         .collect(),
                     requests,
@@ -450,9 +444,10 @@ fn orchestrator_sections_reject_unknown_fields() {
     assert_eq!(spec.orchestrator.expect("present").max_concurrent, None);
 }
 
-/// The planner and rebalancer hold these settings as constants, so
-/// they are not scenario keys: a scenario naming one fails to parse,
-/// and the error names the knob.
+/// The planner and rebalancer hold these settings as constants, and the
+/// planner chooses every job's strategy, so none of them is a scenario
+/// key: a scenario naming one fails to parse, and the error names the
+/// knob.
 #[test]
 fn removed_planner_and_rebalancer_knobs_fail_by_name() {
     let base = "strategy = \"our-approach\"\ngrouped = false\nhorizon_secs = 1.0\nvms = []\nmigrations = []\n";
@@ -486,6 +481,13 @@ fn removed_planner_and_rebalancer_knobs_fail_by_name() {
             );
         }
     }
+    let toml = "strategy = \"our-approach\"\ngrouped = false\nhorizon_secs = 1.0\nvms = []\n\
+                [[migrations]]\nvm = 0\ndest = 1\nat_secs = 1.0\nadaptive = true\n";
+    let err = ScenarioSpec::from_toml(toml).unwrap_err().to_string();
+    assert!(
+        err.contains("unknown MigrationSpec field `adaptive`"),
+        "{err}"
+    );
 }
 
 /// The `[resilience]` section and the `[[cancellations]]` plan reject
